@@ -5,10 +5,15 @@ u64 header length, canonical JSON header (sorted keys, no whitespace),
 then the raw float64 array bytes in the order the header's manifest
 lists them.  Canonical JSON plus fixed array order makes save -> load ->
 save reproduce the file byte for byte, which the tests rely on.
+
+A save writes a temporary file beside the target and renames it over
+the target, so a process killed mid-write leaves the previous file
+intact.
 """
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -71,13 +76,20 @@ def _write(path, kind: str, arrays: dict, meta: dict, seed: int):
     header = {"kind": kind, "seed": int(seed), "rng": RNG_ALGO,
               "arrays": manifest, "meta": meta}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for name, arr in arrays.items():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for name, arr in arrays.items():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(path) -> tuple[dict, dict]:

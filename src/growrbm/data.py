@@ -1,8 +1,14 @@
 """Sequence datasets: JSONL loading, synthetic generators, binarization.
 
-The on-disk format is one JSON object per line with a ``seq`` field
-holding a list of equal-width 0/1 frames and an optional ``id``.  All
-loaders validate eagerly and point at the offending line, because a
+The on-disk format is one sequence per line, a non-empty list of
+equal-width 0/1 frames, in any of three JSON forms:
+
+* a bare list of frames, ``[[0, 1], [1, 0]]``;
+* an object with a ``frames`` field and an optional ``id``;
+* an object with a ``seq`` field and an optional ``id``, which is what
+  :func:`write_jsonl` writes.
+
+All loaders validate eagerly and point at the offending line, because a
 silent shape mismatch surfaces as a confusing matmul error much later.
 """
 from __future__ import annotations
@@ -32,10 +38,27 @@ class SequenceDataset:
         return len(self.train) + len(self.test)
 
 
-def _parse_sequence(obj, where: str) -> np.ndarray:
-    seq = obj.get("seq")
+_FORMS = "a list of frames or an object with a 'seq' or 'frames' field"
+
+
+def _frame_list(obj, where: str):
+    """The frames of one line in any accepted form, not yet validated."""
+    if isinstance(obj, list):
+        if obj and not isinstance(obj[0], list):
+            raise DataFormatError(f"{where}: expected {_FORMS}")
+        return obj
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{where}: expected {_FORMS}")
+    if "seq" in obj and "frames" in obj:
+        raise DataFormatError(f"{where}: give either 'seq' or 'frames', not both")
+    return obj.get("seq", obj.get("frames"))
+
+
+def _parse_sequence(seq, where: str) -> np.ndarray:
     if not isinstance(seq, list) or len(seq) == 0:
-        raise DataFormatError(f"{where}: 'seq' must be a non-empty list of frames")
+        raise DataFormatError(
+            f"{where}: a sequence ('seq' or 'frames') must be a non-empty "
+            "list of frames")
     width = None
     for frame in seq:
         if not isinstance(frame, list):
@@ -55,7 +78,8 @@ def _parse_sequence(obj, where: str) -> np.ndarray:
 
 
 def load_jsonl(path, name: str | None = None) -> SequenceDataset:
-    """Read a JSONL sequence file; every sequence lands in ``train``.
+    """Read a JSONL sequence file, one sequence per line in any of the
+    forms above; every sequence lands in ``train``.
 
     Raises :class:`DataFormatError` with the file name and line number
     for unparsable lines, inconsistent widths, or an empty file.
@@ -77,9 +101,7 @@ def load_jsonl(path, name: str | None = None) -> SequenceDataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise DataFormatError(f"{where}: expected an object with a 'seq' field")
-        arr = _parse_sequence(obj, where)
+        arr = _parse_sequence(_frame_list(obj, where), where)
         if dim is None:
             dim = arr.shape[1]
         elif arr.shape[1] != dim:

@@ -2,9 +2,10 @@
 
 A training run owns one output directory containing exactly four files:
 the verbatim config copy, the per-epoch CSV log, the final model
-checkpoint (rewritten at every epoch boundary for the single-layer
-kinds and at every layer boundary for stacks, so an interrupted run
-keeps its latest complete state), and a short human-readable summary.
+checkpoint, and a short human-readable summary.  For the single-layer
+kinds (rbm, rnn-rbm) the checkpoint is rewritten atomically at every
+epoch boundary, so an interrupted run keeps its latest complete epoch;
+stacks (dbn, rnn-dbn) write it once, when training ends.
 """
 from __future__ import annotations
 

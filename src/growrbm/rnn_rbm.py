@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from .adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                     StructureController, forgetting_gradient,
@@ -30,8 +30,8 @@ from .errors import CapacityError, DimensionError, NumericError
 from .log import (LogRow, TrainLog, format_annihilation_event,
                   format_generation_event, join_events)
 from .metrics import PooledMetrics
-from .numerics import RngStream, sample_bernoulli, sigmoid
-from .rbm import CdConfig, Rbm, all_states, cd_step
+from .numerics import _SIG_HI, _SIG_LO, RngStream, sample_bernoulli, sigmoid
+from .rbm import CdConfig, Rbm, all_states
 
 SEQ_ENUM_LIMIT = 20
 MEAN_FIELD_PASSES = 10
@@ -202,17 +202,30 @@ def unroll(model: RnnRbm, seq):
     Returns ``(U, B, C)`` where ``U[t]`` is the state after ``t`` frames
     (``U[0]`` is the learned initial state, so ``U`` has ``T + 1`` rows)
     and ``B[t] / C[t]`` are the biases used for frame ``t``.
+
+    Only the state recursion runs frame by frame; ``B`` and ``C`` are two
+    matrix products over the stacked states afterwards.  Each step
+    applies the same clamped logistic as :func:`state_update`, and one
+    finiteness check over all ``(T, K)`` pre-activations after the loop
+    raises the error :func:`~growrbm.numerics.sigmoid` would have raised.
     """
     seq = _as_sequence(seq)
+    if seq.shape[1] != model.n_visible:
+        raise DimensionError(
+            f"frame has dimension {seq.shape[1]}, expected {model.n_visible}")
     t_len = seq.shape[0]
-    k = model.u_dim
-    U = np.empty((t_len + 1, k))
-    B = np.empty((t_len, model.n_visible))
-    C = np.empty((t_len, model.n_hidden))
+    U = np.empty((t_len + 1, model.u_dim))
+    pre = np.empty((t_len, model.u_dim))
     U[0] = model.u0
     for t in range(t_len):
-        B[t], C[t] = temporal_biases(model, U[t])
-        U[t + 1] = state_update(model, U[t], seq[t])
+        pre[t] = model.u_bias + U[t] @ model.w_uu + seq[t] @ model.w_vu
+        u = expit(pre[t], out=U[t + 1])
+        np.maximum(u, _SIG_LO, out=u)
+        np.minimum(u, _SIG_HI, out=u)
+    if not np.all(np.isfinite(pre)):
+        raise FloatingPointError("sigmoid: non-finite input")
+    B = model.rbm.b + U[:-1] @ model.w_uv
+    C = model.rbm.c + U[:-1] @ model.w_uh
     return U, B, C
 
 
@@ -248,23 +261,22 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
     Orientation-agnostic: feeds ascent partials in, gets ascent out, and
     likewise for descent.  ``DB[t] / DC[t]`` are the partials wrt the
     frame-``t`` biases; ``dW_sum`` is the summed weight partial.
+
+    Only the backward recursion of the state partial runs frame by
+    frame; the per-frame pre-activation partials ``GA[t]`` are stacked
+    and the recurrent weight gradients are matrix products over them.
     """
-    g = RnnRbmGradient.zeros(model)
-    g.db = DB.sum(axis=0)
-    g.dc = DC.sum(axis=0)
-    g.dW = dW_sum
-    g.dw_uv = U[:-1].T @ DB
-    g.dw_uh = U[:-1].T @ DC
+    direct = DB @ model.w_uv.T + DC @ model.w_uh.T
+    slope = U[1:] * (1.0 - U[1:])
+    GA = np.empty_like(direct)
     gu = np.zeros(model.u_dim)
     for t in range(seq.shape[0] - 1, -1, -1):
-        u_next = U[t + 1]
-        ga = gu * u_next * (1.0 - u_next)
-        g.du += ga
-        g.dw_uu += np.outer(U[t], ga)
-        g.dw_vu += np.outer(seq[t], ga)
-        gu = DB[t] @ model.w_uv.T + DC[t] @ model.w_uh.T + ga @ model.w_uu.T
-    g.du0 = gu
-    return g
+        GA[t] = gu * slope[t]
+        gu = direct[t] + GA[t] @ model.w_uu.T
+    return RnnRbmGradient(
+        db=DB.sum(axis=0), dc=DC.sum(axis=0), dW=dW_sum, du=GA.sum(axis=0),
+        dw_uv=U[:-1].T @ DB, dw_uh=U[:-1].T @ DC, dw_vu=seq.T @ GA,
+        dw_uu=U[:-1].T @ GA, du0=gu)
 
 
 def sequence_cost_gradient_exact(model: RnnRbm, seq) -> RnnRbmGradient:
@@ -297,19 +309,34 @@ def sequence_cost_gradient_exact(model: RnnRbm, seq) -> RnnRbmGradient:
 
 def _sequence_bptt_cd(model: RnnRbm, seq: np.ndarray, cfg: CdConfig,
                       rng: RngStream) -> RnnRbmGradient:
-    """CD-based ascent gradient for one sequence, chained through time."""
-    t_len = seq.shape[0]
+    """CD-based ascent gradient for one sequence, chained through time.
+
+    Given the unrolled state the frames are independent conditional
+    RBMs, so CD-k runs once on the whole ``(T, I)`` sequence with
+    per-frame bias rows.  Frame ``t`` draws from ``rng.split(t)`` in the
+    order :func:`~growrbm.rbm.cd_step` on that frame alone would: ``J``
+    hidden uniforms, then ``I + J`` per further Gibbs step.
+    """
+    if seq.min() < 0.0 or seq.max() > 1.0:
+        raise ValueError("visible batch values must lie in [0, 1]")
+    n_v, n_h = model.n_visible, model.n_hidden
+    W = model.rbm.W
     U, B, C = unroll(model, seq)
-    DB = np.empty((t_len, model.n_visible))
-    DC = np.empty((t_len, model.n_hidden))
-    dW = np.zeros_like(model.rbm.W)
-    for t in range(t_len):
-        frame_rbm = Rbm(B[t], C[t], model.rbm.W)
-        g = cd_step(frame_rbm, seq[t][None, :], cfg, rng.split(t))
-        DB[t] = g.db
-        DC[t] = g.dc
-        dW += g.dW
-    return _chain_through_state(model, seq, U, DB, DC, dW)
+    draws = rng.split_uniform_rows(seq.shape[0],
+                                   n_h + (cfg.k - 1) * (n_v + n_h))
+    h_data = sigmoid(seq @ W + C)
+    h = (draws[:, :n_h] < h_data).astype(np.float64)
+    v_prob = sigmoid(h @ W.T + B)
+    for step in range(cfg.k - 1):
+        at = n_h + step * (n_v + n_h)
+        v = (draws[:, at:at + n_v] < v_prob).astype(np.float64)
+        h_prob = sigmoid(v @ W + C)
+        h = (draws[:, at + n_v:at + n_v + n_h] < h_prob).astype(np.float64)
+        v_prob = sigmoid(h @ W.T + B)
+    h_model = sigmoid(v_prob @ W + C)
+    dW = seq.T @ h_data - v_prob.T @ h_model
+    return _chain_through_state(model, seq, U, seq - v_prob, h_data - h_model,
+                                dW)
 
 
 def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
@@ -318,7 +345,10 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
 
     Sequence ``s`` draws from ``rng.split(s)`` and frame ``t`` within it
     from a further ``split(t)``, so a given batch is reproducible from
-    its stream alone.  Normalised by the total number of frames.
+    its stream alone.  Each sequence costs one unroll, one CD-k pass
+    over all its frames at once and one backward pass through the state
+    (see :func:`_sequence_bptt_cd`).  Normalised by the total number of
+    frames.
     """
     if len(batch) == 0:
         raise ValueError("empty sequence batch")
@@ -390,13 +420,24 @@ def sample_sequence(model: RnnRbm, length: int, rng: RngStream) -> np.ndarray:
     return frames
 
 
-def mean_sequence_energy(model: RnnRbm, sequences) -> float:
-    """Mean conditional expected frame energy with temporal biases."""
+def _frame_biases(model: RnnRbm, sequences, unrolled):
+    """``(seq, B, C)`` per sequence, taken from ``unrolled`` (one
+    :func:`unroll` result per sequence) when it is given."""
+    for n, seq in enumerate(sequences):
+        seq = _as_sequence(seq)
+        _, B, C = unroll(model, seq) if unrolled is None else unrolled[n]
+        yield seq, B, C
+
+
+def mean_sequence_energy(model: RnnRbm, sequences, unrolled=None) -> float:
+    """Mean conditional expected frame energy with temporal biases.
+
+    ``unrolled`` optionally holds ``unroll(model, seq)`` for every
+    sequence, so that several epoch metrics can share one unroll.
+    """
     total = 0.0
     frames = 0
-    for seq in sequences:
-        seq = _as_sequence(seq)
-        _, B, C = unroll(model, seq)
+    for seq, B, C in _frame_biases(model, sequences, unrolled):
         pre = C + seq @ model.rbm.W
         h = sigmoid(pre)
         e = -np.sum(seq * B, axis=1) - np.sum(h * pre, axis=1)
@@ -417,13 +458,17 @@ def mean_hidden_activation(model: RnnRbm, sequences) -> np.ndarray:
     return acc / frames
 
 
-def prediction_error(model: RnnRbm, sequences) -> float:
-    """Pooled next-frame cross-entropy per bit over frames ``2..T``."""
+def prediction_error(model: RnnRbm, sequences, unrolled=None) -> float:
+    """Pooled next-frame cross-entropy per bit over frames ``2..T``.
+
+    ``unrolled`` is as in :func:`mean_sequence_energy`; the predictions
+    are those of :func:`next_frame_predictions`.
+    """
     pool = PooledMetrics()
-    for seq in sequences:
-        seq = _as_sequence(seq)
+    for seq, B, C in _frame_biases(model, sequences, unrolled):
         if seq.shape[0] >= 2:
-            pool.add(next_frame_predictions(model, seq), seq[1:])
+            pool.add(_mean_field_marginals(model.rbm.W, B[1:], C[1:]),
+                     seq[1:])
     return float("nan") if pool.empty else pool.cross_entropy()
 
 
@@ -506,9 +551,9 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     Structure of an epoch: shuffled sequence batches with clipped SGD
     updates (plus any active forgetting penalties), then at the epoch
     boundary one growth or pruning sweep, then metrics over the training
-    set.  ``rng`` is the layer root stream; see the static trainer for
-    the split layout, which this mirrors so resumed runs are
-    bit-identical with uninterrupted ones.
+    set from one shared unroll.  ``rng`` is the layer root stream; see
+    the static trainer for the split layout, which this mirrors so
+    resumed runs are bit-identical with uninterrupted ones.
 
     Returns ``(model, stats, log)``.
     """
@@ -580,10 +625,11 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
                 model, stats = shrink_hidden(model, stats, mask)
 
         _check_finite_rnn(model)
+        unrolled = [unroll(model, s) for s in sequences]
         log.append(LogRow(
             epoch=epoch + 1, layer=layer,
-            energy=mean_sequence_energy(model, sequences),
-            error=prediction_error(model, sequences),
+            energy=mean_sequence_energy(model, sequences, unrolled),
+            error=prediction_error(model, sequences, unrolled),
             wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),
             n_hidden=model.n_hidden, n_layers=n_layers,
             event=join_events(events)))

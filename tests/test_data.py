@@ -31,6 +31,52 @@ class TestLoadJsonl:
         npt.assert_array_equal(ds.train[1], [[1.0, 1.0]])
         assert str(p) in ds.provenance
 
+    def test_documented_forms_load_alike(self, tmp_path):
+        p = self.write(tmp_path, [
+            '[[0,1],[1,0]]',
+            '{"id":"b","frames":[[1,1]]}',
+            '{"frames":[[0,0],[0,1]]}',
+            '{"id":"d","seq":[[1,0]]}',
+        ])
+        ds = load_jsonl(p)
+        assert ds.dim == 2
+        npt.assert_array_equal(ds.train[0], [[0.0, 1.0], [1.0, 0.0]])
+        npt.assert_array_equal(ds.train[1], [[1.0, 1.0]])
+        npt.assert_array_equal(ds.train[2], [[0.0, 0.0], [0.0, 1.0]])
+        npt.assert_array_equal(ds.train[3], [[1.0, 0.0]])
+
+    def test_bare_list_errors_name_line(self, tmp_path):
+        p = self.write(tmp_path, ['[[0,1]]', '[[0,1],[1]]'])
+        with pytest.raises(DataFormatError, match=r"seqs\.jsonl:2.*width 1"):
+            load_jsonl(p)
+        p = self.write(tmp_path, ['[[0,1]]', '[]'])
+        with pytest.raises(DataFormatError, match=r":2.*non-empty list"):
+            load_jsonl(p)
+        p = self.write(tmp_path, ['[[0,1]]', '[[0,1]]', '[[0,3]]'])
+        with pytest.raises(DataFormatError, match=r":3.*0 or 1"):
+            load_jsonl(p)
+
+    def test_frames_field_errors_name_line(self, tmp_path):
+        p = self.write(tmp_path, ['{"frames":[[1]]}', '{"id":"x","frames":[]}'])
+        with pytest.raises(DataFormatError, match=r":2.*non-empty list"):
+            load_jsonl(p)
+        p = self.write(tmp_path, ['{"frames":[[1]]}', '{"frames":[3]}'])
+        with pytest.raises(DataFormatError, match=r":2.*frames must be lists"):
+            load_jsonl(p)
+        p = self.write(tmp_path, ['{"frames":[[1]]}', '[[1,0]]'])
+        with pytest.raises(DataFormatError, match=r":2.*dataset width 1"):
+            load_jsonl(p)
+
+    def test_seq_and_frames_together_rejected(self, tmp_path):
+        p = self.write(tmp_path, ['{"seq":[[1]],"frames":[[1]]}'])
+        with pytest.raises(DataFormatError, match=r":1.*not both"):
+            load_jsonl(p)
+
+    def test_scalar_line_rejected(self, tmp_path):
+        p = self.write(tmp_path, ['{"seq":[[1]]}', '7'])
+        with pytest.raises(DataFormatError, match=r":2.*'frames'"):
+            load_jsonl(p)
+
     def test_blank_lines_skipped(self, tmp_path):
         p = self.write(tmp_path, ['{"seq":[[1]]}', '', '   ', '{"seq":[[0]]}'])
         assert len(load_jsonl(p).train) == 2

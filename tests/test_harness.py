@@ -4,7 +4,7 @@ import numpy.testing as npt
 import pytest
 
 from growrbm.checkpoint import (load_checkpoint, load_train_state,
-                                save_train_state)
+                                save_checkpoint, save_train_state)
 from growrbm.cli import main
 from growrbm.config import parse_config_text
 from growrbm.data import load_jsonl, synth_cycle, write_jsonl
@@ -61,6 +61,21 @@ class TestRunTraining:
             (tmp_path / "b/log.csv").read_bytes()
         assert (tmp_path / "a/model.ckpt").read_bytes() == \
             (tmp_path / "b/model.ckpt").read_bytes()
+
+    def test_failed_checkpoint_write_keeps_previous(self, tmp_path, data_file):
+        out = tmp_path / "run"
+        run_training(config_for(data_file, out), out)
+        before = (out / "model.ckpt").read_bytes()
+        # the header and the bias arrays are written before the object
+        # weights fail to convert, so the write breaks off halfway
+        bad = Rbm(np.zeros(4), np.zeros(3),
+                  np.array([[object()] * 3] * 4, dtype=object))
+        with pytest.raises(TypeError):
+            save_checkpoint(out / "model.ckpt", bad)
+        assert (out / "model.ckpt").read_bytes() == before
+        model, _ = load_checkpoint(out / "model.ckpt")
+        assert isinstance(model, RnnRbm)
+        assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES)
 
     def test_checkpoint_kind_follows_model(self, tmp_path, data_file):
         out = tmp_path / "run"
@@ -264,16 +279,29 @@ class TestCli:
                      "--dataset", str(data_file)]) == 1
         capsys.readouterr()
 
-    def test_numeric_failure_exits_3(self, monkeypatch, capsys):
-        from growrbm import cli
-        from growrbm.errors import NumericError
+    def test_numeric_failure_exits_3(self, tmp_path, data_file, capsys):
+        # a step size this large drives the parameters out of range
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = rnn-rbm\ntrain = {data_file}\n"
+                       f"out = {tmp_path / 'run'}\nepochs = 2\n"
+                       "n_hidden = 3\ncd.batch_size = 4\n"
+                       "cd.learning_rate = 1e300\n")
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "numeric failure: non-finite values in" in \
+            capsys.readouterr().err
 
-        def boom(*a, **kw):
-            raise NumericError("diverged")
-
-        monkeypatch.setattr(cli, "run_eval", boom)
-        assert main(["eval", "--checkpoint", "x", "--dataset", "y"]) == 3
-        assert "numeric failure" in capsys.readouterr().err
+    def test_numeric_failure_in_eval_exits_3(self, tmp_path, data_file,
+                                             capsys):
+        # finite weights whose state pre-activations overflow: the
+        # checkpoint loads, and the state recursion must refuse it
+        model = RnnRbm.zeros(4, 3)
+        model.w_vu[:] = 1e308
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, model)
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--dataset", str(data_file)]) == 3
+        assert "numeric failure: sigmoid: non-finite input" in \
+            capsys.readouterr().err
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config is required

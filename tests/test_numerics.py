@@ -88,6 +88,34 @@ class TestRngStream:
                                   child.uniform(size=50))
 
 
+class TestSplitUniformRows:
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.integers(min_value=0, max_value=12),
+           st.integers(min_value=0, max_value=11))
+    def test_rows_equal_child_streams_exactly(self, seed, n, width):
+        root = RngStream(seed)
+        rows = root.split_uniform_rows(n, width)
+        assert rows.shape == (n, width)
+        for t in range(n):
+            npt.assert_array_equal(rows[t], root.split(t).uniform(size=width))
+
+    def test_rows_continue_like_successive_draws(self):
+        # a frame's CD chain draws J, then I, then J uniforms from one
+        # child stream; one row of width 2J + I must hold them in order
+        root = RngStream(31)
+        rows = root.split_uniform_rows(5, 3 + 5 + 3)
+        for t in range(5):
+            child = root.split(t)
+            parts = [child.uniform(size=(1, 3)), child.uniform(size=(1, 5)),
+                     child.uniform(size=(1, 3))]
+            npt.assert_array_equal(rows[t], np.concatenate(parts, axis=1)[0])
+
+    def test_does_not_advance_parent(self):
+        a = RngStream(8)
+        a.split_uniform_rows(4, 6)
+        npt.assert_array_equal(a.uniform(size=20), RngStream(8).uniform(size=20))
+
+
 class TestSampleBernoulli:
     def test_extremes_are_exact(self):
         rng = RngStream(0)

@@ -52,6 +52,46 @@ def cycle_sequences(n_seq, t_len, rng, dim=4):
     return out
 
 
+def reference_bptt_gradients(model, batch, cfg, rng):
+    """Frame-by-frame BPTT-CD: a 1-row ``cd_step`` per frame on its
+    ``split(t)`` stream, chained through the state with outer products."""
+    total = RnnRbmGradient.zeros(model)
+    frames = 0
+    for s, seq in enumerate(batch):
+        seq_rng = rng.split(s)
+        t_len = seq.shape[0]
+        U = [model.u0]
+        DB, DC = [], []
+        dW = np.zeros_like(model.rbm.W)
+        for t in range(t_len):
+            b_t, c_t = temporal_biases(model, U[t])
+            g = cd_step(Rbm(b_t, c_t, model.rbm.W), seq[t][None, :], cfg,
+                        seq_rng.split(t))
+            DB.append(g.db)
+            DC.append(g.dc)
+            dW += g.dW
+            U.append(state_update(model, U[t], seq[t]))
+        U = np.array(U)
+        g = RnnRbmGradient.zeros(model)
+        g.db = np.sum(DB, axis=0)
+        g.dc = np.sum(DC, axis=0)
+        g.dW = dW
+        g.dw_uv = U[:-1].T @ np.array(DB)
+        g.dw_uh = U[:-1].T @ np.array(DC)
+        gu = np.zeros(model.u_dim)
+        for t in range(t_len - 1, -1, -1):
+            ga = gu * U[t + 1] * (1.0 - U[t + 1])
+            g.du += ga
+            g.dw_uu += np.outer(U[t], ga)
+            g.dw_vu += np.outer(seq[t], ga)
+            gu = DB[t] @ model.w_uv.T + DC[t] @ model.w_uh.T \
+                + ga @ model.w_uu.T
+        g.du0 = gu
+        total.add_(g)
+        frames += t_len
+    return total.scale_(1.0 / frames)
+
+
 def exact_next_marginal(W, b, c):
     """Brute-force E[v] of the conditional RBM with the given biases."""
     states = np.array(list(itertools.product((0.0, 1.0),
@@ -104,6 +144,28 @@ class TestRecursionArithmetic:
     def test_rejects_flat_sequence(self):
         with pytest.raises(DimensionError):
             unroll(small_model(5), np.zeros(3))
+
+    def test_rejects_wrong_frame_dimension(self):
+        with pytest.raises(DimensionError):
+            unroll(small_model(5), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_batched_biases_match_per_frame(self, seed):
+        m = small_model(seed, i=5, j=4, k=6, sd=1.0)
+        seq = (RngStream(seed + 100).uniform(size=(9, 5)) < 0.5).astype(float)
+        U, B, C = unroll(m, seq)
+        for t in range(9):
+            b_t, c_t = temporal_biases(m, U[t])
+            npt.assert_allclose(B[t], b_t, rtol=0, atol=1e-14)
+            npt.assert_allclose(C[t], c_t, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_pre_activation_raises(self, bad):
+        m = small_model(10)
+        m.w_vu[1, 0] = bad
+        seq = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(FloatingPointError, match="non-finite input"):
+            unroll(m, seq)
 
     def test_rejects_wrong_state_dimension(self):
         with pytest.raises(DimensionError):
@@ -236,6 +298,48 @@ class TestBpttGradients:
         npt.assert_allclose(g.dw_uv, np.tile(0.5 * g.db, (2, 1)), atol=1e-12)
         npt.assert_allclose(g.dw_uh, np.tile(0.5 * g.dc, (2, 1)), atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_frame_batched_matches_per_frame_reference(self, k):
+        m = small_model(24, i=4, j=3, k=5, sd=0.8)
+        rng = RngStream(25)
+        batch = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
+                 for t in (1, 6, 3, 9)]
+        cfg = CdConfig(k=k, learning_rate=0.1, batch_size=10)
+        fast = bptt_gradients(m, batch, cfg, RngStream(26))
+        ref = reference_bptt_gradients(m, batch, cfg, RngStream(26))
+        for f in RnnRbmGradient._FIELDS:
+            npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
+                                atol=1e-13, err_msg=f)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_frame_batched_matches_reference_after_growth(self, k):
+        # growth inserts columns, so W and w_uh are no longer the arrays
+        # the model started with
+        m = small_model(27, i=4, j=3, k=5, sd=0.8)
+        stats = GradientStats.zeros(4, 3)
+        for step in range(40):
+            sign = 1.0 if step % 2 == 0 else -1.0
+            stats.update(np.full(3, sign), np.full((4, 3), sign))
+        adapt = AdaptConfig(generation_phase_epochs=1, max_hidden=6,
+                            gen_threshold=1e-6)
+        grown, _, parents = grow_hidden(m, stats, adapt, RngStream(28))
+        assert grown.n_hidden > m.n_hidden and parents
+        rng = RngStream(29)
+        batch = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
+                 for t in (7, 2, 5)]
+        cfg = CdConfig(k=k, learning_rate=0.1, batch_size=10)
+        fast = bptt_gradients(grown, batch, cfg, RngStream(30))
+        ref = reference_bptt_gradients(grown, batch, cfg, RngStream(30))
+        for f in RnnRbmGradient._FIELDS:
+            npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
+                                atol=1e-13, err_msg=f)
+
+    def test_rejects_values_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bptt_gradients(small_model(1), [np.full((2, 3), 1.5)],
+                           CdConfig(k=1, learning_rate=0.1, batch_size=4),
+                           RngStream(0))
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             bptt_gradients(small_model(1), [],
@@ -303,6 +407,16 @@ class TestPrediction:
         manual = -np.mean(v * np.log(np.maximum(p, eps))
                           + (1 - v) * np.log(np.maximum(1 - p, eps)))
         npt.assert_allclose(prediction_error(m, seqs), manual, rtol=1e-12)
+
+    def test_shared_unroll_gives_identical_metrics(self):
+        m = small_model(40)
+        rng = RngStream(41)
+        seqs = [(rng.uniform(size=(t, 3)) < 0.5).astype(float)
+                for t in (5, 1, 3)]
+        unrolled = [unroll(m, s) for s in seqs]
+        assert prediction_error(m, seqs, unrolled) == prediction_error(m, seqs)
+        assert mean_sequence_energy(m, seqs, unrolled) == \
+            mean_sequence_energy(m, seqs)
 
     def test_prediction_error_empty_is_nan(self):
         assert np.isnan(prediction_error(small_model(39),
