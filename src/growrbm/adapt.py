@@ -12,6 +12,10 @@ Forgetting penalties sparsify a trained model: a constant-magnitude pull
 toward zero on the weights (optionally only on weights that are already
 large) and a push on the hidden biases that drives each unit's
 activation away from the undecided region around 1/2.
+
+The one adaptive epoch loop, :func:`_train_layer`, lives here too; the
+static and recurrent trainers pass their family's operations into it,
+and :class:`TrainState` is its resume point.
 """
 from __future__ import annotations
 
@@ -19,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import NumericError, StructureError
+from .log import (LogRow, TrainLog, format_annihilation_event,
+                  format_generation_event, join_events)
 from .numerics import RngStream
 from .rbm import Rbm, RbmGradient
 
@@ -371,3 +377,95 @@ class StructureController:
     def restore(self, state: dict):
         self.generation_done = bool(state["generation_done"])
         self.stall = int(state["stall"])
+
+
+@dataclass
+class TrainState:
+    """Everything needed to resume single-layer training after an epoch."""
+
+    epoch_done: int
+    model: object
+    stats: GradientStats
+    controller: dict
+
+
+def _train_layer(data, model, cd, epochs: int, rng: RngStream,
+                 adapt: AdaptConfig | None, forget: ForgettingConfig | None,
+                 layer: int, n_layers: int, log: TrainLog | None,
+                 first_event: str | None, resume: TrainState | None,
+                 epoch_callback, *, gradient, activations, update, grow,
+                 shrink, metrics):
+    """Adaptive epoch loop of both trainers; returns ``(model, stats, log)``.
+
+    ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
+    draws from ``rng.split(e + 1)``: batch ``i`` from a further
+    ``split(i + 1)``, the growth sweep from ``split(0)``.  The family
+    operations are ``gradient(model, batch, cd, rng)``,
+    ``activations(model, batch)`` (mean hidden activations),
+    ``update(model, g, lr)``, ``grow`` and ``shrink`` as
+    :func:`maybe_generate` and :func:`apply_annihilation`, and
+    ``metrics(model, data) -> (energy, error)``.
+    """
+    log = log if log is not None else TrainLog()
+    controller = StructureController(adapt, forget, epochs)
+    if resume is not None:
+        model = resume.model.copy()
+        stats = resume.stats.copy()
+        controller.restore(resume.controller)
+        start_epoch = resume.epoch_done + 1
+    else:
+        decay = adapt.stats_decay if adapt is not None else 0.9
+        stats = GradientStats.zeros(model.n_visible, model.n_hidden, decay)
+        start_epoch = 0
+
+    for epoch in range(start_epoch, epochs):
+        ep = rng.split(epoch + 1)
+        order = ep.permutation(len(data))
+        modes = controller.forgetting_modes(epoch)
+        for bi, start in enumerate(range(0, len(order), cd.batch_size)):
+            idx = order[start:start + cd.batch_size]
+            batch = (data[idx] if isinstance(data, np.ndarray)
+                     else [data[i] for i in idx])
+            g = gradient(model, batch, cd, ep.split(bi + 1))
+            if modes:
+                acts = activations(model, batch)
+                for mode in modes:
+                    # penalties act on the (shared) RBM parameters only
+                    pen = forgetting_gradient(getattr(model, "rbm", model),
+                                              mode, forget, acts)
+                    g.db += pen.db
+                    g.dc += pen.dc
+                    g.dW += pen.dW
+            stats.update(g.dc, g.dW)
+            update(model, g, cd.learning_rate)
+
+        events = [first_event] if first_event and epoch == 0 else []
+        phase = controller.structure_phase(epoch)
+        if phase == "generate" and adapt is not None:
+            scores = generation_scores(stats, adapt)
+            model, stats, parents = grow(model, stats, adapt, ep.split(0))
+            events += [format_generation_event(j, scores[j]) for j in parents]
+            controller.record_generation(len(parents))
+        elif phase == "annihilate" and adapt is not None:
+            mean_act = activations(model, data)
+            mask = mask_from_activations(mean_act, adapt)
+            if mask.any():
+                events += [format_annihilation_event(int(j), mean_act[j])
+                           for j in np.flatnonzero(mask)]
+                model, stats = shrink(model, stats, mask)
+
+        try:
+            model.validate()
+        except FloatingPointError as exc:
+            raise NumericError(str(exc)) from exc
+        energy, error = metrics(model, data)
+        log.append(LogRow(
+            epoch=epoch + 1, layer=layer, energy=energy, error=error,
+            wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),
+            n_hidden=model.n_hidden, n_layers=n_layers,
+            event=join_events(events)))
+        if epoch_callback is not None:
+            epoch_callback(TrainState(epoch, model.copy(), stats.copy(),
+                                      controller.snapshot()))
+
+    return model, stats, log

@@ -6,6 +6,9 @@ then the raw float64 array bytes in the order the header's manifest
 lists them.  Canonical JSON plus fixed array order makes save -> load ->
 save reproduce the file byte for byte, which the tests rely on.
 
+All four model kinds share one codec path, driven by the ``_KINDS``
+table; a header that lacks what its kind needs raises CheckpointError.
+
 A save writes a temporary file beside the target and renames it over
 the target, so a process killed mid-write leaves the previous file
 intact.
@@ -19,55 +22,49 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import GradientStats
-from .dbn import Dbn, LayerTotals, RbmTrainState
+from .adapt import GradientStats, TrainState
+from .dbn import Dbn, LayerTotals
 from .errors import (CheckpointDimensionError, CheckpointError,
                      CheckpointTruncatedError, CheckpointVersionError,
                      DimensionError, NumericError)
 from .rbm import Rbm
 from .rnn_dbn import RnnDbn
-from .rnn_rbm import RnnRbm, RnnTrainState
+from .rnn_rbm import RnnRbm
 
 MAGIC = b"GRBM"
 FORMAT_VERSION = 1
 RNG_ALGO = "philox4x64"
 
-_RBM_ARRAYS = ("b", "c", "W")
-_RNN_ARRAYS = ("b", "c", "W", "u_bias", "w_uv", "w_uh", "w_vu", "w_uu", "u0")
-_STATS_ARRAYS = ("stats/mean_c", "stats/sq_c", "stats/mean_w", "stats/sq_w")
+# per-layer array names and dimensions of the two layer families
+_RBM = (("b", "c", "W"), ("n_visible", "n_hidden"))
+_RNN = (("b", "c", "W", "u_bias", "w_uv", "w_uh", "w_vu", "w_uu", "u0"),
+        ("n_visible", "n_hidden", "u_dim"))
+# kind -> (model class, layer class, array names, dims); a stack stores
+# layer ``i``'s arrays as ``layer{i}/<name>``
+_KINDS = {"rbm": (Rbm, Rbm, *_RBM), "rnn-rbm": (RnnRbm, RnnRbm, *_RNN),
+          "dbn": (Dbn, Rbm, *_RBM), "rnn-dbn": (RnnDbn, RnnRbm, *_RNN)}
+_STATS_ARRAYS = ("mean_c", "sq_c", "mean_w", "sq_w")
+_TRAIN_META = {"epoch_done": int, "controller": dict,
+               "stats_decay": (int, float), "stats_count": int}
 
 
 def _collect(model) -> tuple[str, dict, dict]:
     """(kind, named arrays, meta) for any supported model object."""
-    if isinstance(model, Rbm):
-        arrays = {"b": model.b, "c": model.c, "W": model.W}
-        meta = {"n_visible": model.n_visible, "n_hidden": model.n_hidden}
-        return "rbm", arrays, meta
-    if isinstance(model, RnnRbm):
-        meta = {"n_visible": model.n_visible, "n_hidden": model.n_hidden,
-                "u_dim": model.u_dim}
-        return "rnn-rbm", dict(model.arrays()), meta
-    if isinstance(model, Dbn):
-        arrays = {}
-        dims = []
-        for i, layer in enumerate(model.layers):
-            for name in _RBM_ARRAYS:
-                arrays[f"layer{i}/{name}"] = getattr(layer, name)
-            dims.append([layer.n_visible, layer.n_hidden])
-        meta = {"n_layers": model.n_layers, "dims": dims,
-                "totals": [[t.wd, t.energy] for t in model.totals]}
-        return "dbn", arrays, meta
-    if isinstance(model, RnnDbn):
-        arrays = {}
-        dims = []
-        for i, layer in enumerate(model.layers):
-            for name, arr in layer.arrays().items():
-                arrays[f"layer{i}/{name}"] = arr
-            dims.append([layer.n_visible, layer.n_hidden, layer.u_dim])
-        meta = {"n_layers": model.n_layers, "dims": dims,
-                "totals": [[t.wd, t.energy] for t in model.totals]}
-        return "rnn-dbn", arrays, meta
-    raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
+    kind = next((k for k, spec in _KINDS.items() if type(model) is spec[0]),
+                None)
+    if kind is None:
+        raise TypeError(
+            f"cannot checkpoint object of type {type(model).__name__}")
+    dims = _KINDS[kind][3]
+    if not isinstance(model, Dbn):
+        return kind, model.arrays(), {d: getattr(model, d) for d in dims}
+    arrays = {f"layer{i}/{name}": arr for i, layer in enumerate(model.layers)
+              for name, arr in layer.arrays().items()}
+    meta = {"n_layers": model.n_layers,
+            "dims": [[getattr(layer, d) for d in dims]
+                     for layer in model.layers],
+            "totals": [[t.wd, t.energy] for t in model.totals]}
+    return kind, arrays, meta
 
 
 def _write(path, kind: str, arrays: dict, meta: dict, seed: int):
@@ -109,14 +106,22 @@ def _read(path) -> tuple[dict, dict]:
         header = json.loads(raw[16:16 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
-    for key in ("kind", "seed", "arrays", "meta"):
+    for key, types in (("kind", str), ("seed", int), ("arrays", list),
+                       ("meta", dict)):
         if key not in header:
             raise CheckpointError(f"{path}: header missing '{key}'")
+        if not isinstance(header[key], types):
+            raise CheckpointError(f"{path}: bad header '{key}'")
 
     arrays = {}
     offset = 16 + hlen
     for entry in header["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(n, int) and n >= 0
+                        for n in entry["shape"])):
+            raise CheckpointError(f"{path}: bad array entry {entry!r}")
+        shape = tuple(entry["shape"])
         nbytes = 8 * int(np.prod(shape, dtype=np.int64))
         if offset + nbytes > len(raw):
             raise CheckpointTruncatedError(
@@ -135,43 +140,40 @@ def _need(arrays: dict, name: str, path):
     return arrays[name]
 
 
+def _meta(meta: dict, key: str, types, path):
+    """``meta[key]``, which must exist and be of ``types`` (not a bool)."""
+    if key not in meta:
+        raise CheckpointError(f"{path}: header missing 'meta.{key}'")
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise CheckpointError(f"{path}: bad 'meta.{key}': {value!r}")
+    return value
+
+
 def _rebuild(kind: str, arrays: dict, meta: dict, path):
-    if kind == "rbm":
-        model = Rbm(_need(arrays, "b", path), _need(arrays, "c", path),
-                    _need(arrays, "W", path))
-    elif kind == "rnn-rbm":
-        model = RnnRbm(
-            rbm=Rbm(_need(arrays, "b", path), _need(arrays, "c", path),
-                    _need(arrays, "W", path)),
-            u_bias=_need(arrays, "u_bias", path),
-            w_uv=_need(arrays, "w_uv", path), w_uh=_need(arrays, "w_uh", path),
-            w_vu=_need(arrays, "w_vu", path), w_uu=_need(arrays, "w_uu", path),
-            u0=_need(arrays, "u0", path))
-    elif kind == "dbn":
-        layers = []
-        for i in range(int(meta["n_layers"])):
-            layers.append(Rbm(_need(arrays, f"layer{i}/b", path),
-                              _need(arrays, f"layer{i}/c", path),
-                              _need(arrays, f"layer{i}/W", path)))
-        totals = [LayerTotals(wd=t[0], energy=t[1]) for t in meta["totals"]]
-        model = Dbn(layers=layers, totals=totals)
-    elif kind == "rnn-dbn":
-        layers = []
-        for i in range(int(meta["n_layers"])):
-            layers.append(RnnRbm(
-                rbm=Rbm(_need(arrays, f"layer{i}/b", path),
-                        _need(arrays, f"layer{i}/c", path),
-                        _need(arrays, f"layer{i}/W", path)),
-                u_bias=_need(arrays, f"layer{i}/u_bias", path),
-                w_uv=_need(arrays, f"layer{i}/w_uv", path),
-                w_uh=_need(arrays, f"layer{i}/w_uh", path),
-                w_vu=_need(arrays, f"layer{i}/w_vu", path),
-                w_uu=_need(arrays, f"layer{i}/w_uu", path),
-                u0=_need(arrays, f"layer{i}/u0", path)))
-        totals = [LayerTotals(wd=t[0], energy=t[1]) for t in meta["totals"]]
-        model = RnnDbn(layers=layers, totals=totals)
-    else:
+    if kind not in _KINDS:
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    cls, layer_cls, names, _ = _KINDS[kind]
+
+    def layer(prefix=""):
+        values = [_need(arrays, prefix + name, path) for name in names]
+        rbm = Rbm(*values[:3])
+        return rbm if layer_cls is Rbm else RnnRbm(rbm, *values[3:])
+
+    if cls is layer_cls:
+        model = layer()
+    else:
+        n_layers = _meta(meta, "n_layers", int, path)
+        totals = _meta(meta, "totals", list, path)
+        if n_layers < 0 or len(totals) not in (0, n_layers):
+            raise CheckpointError(
+                f"{path}: {len(totals)} layer totals for {n_layers} layers")
+        if not all(isinstance(t, list) and len(t) == 2 and all(
+                isinstance(x, (int, float)) for x in t) for t in totals):
+            raise CheckpointError(f"{path}: malformed layer totals")
+        model = cls(layers=[layer(f"layer{i}/") for i in range(n_layers)],
+                    totals=[LayerTotals(wd=t[0], energy=t[1])
+                            for t in totals])
 
     try:
         model.validate()
@@ -198,19 +200,13 @@ def load_checkpoint(path):
 
 def save_train_state(path, state, seed: int = 0):
     """Persist a mid-run resume point (model, statistics, schedule)."""
-    if not isinstance(state, (RbmTrainState, RnnTrainState)):
+    if not isinstance(state, TrainState):
         raise TypeError(f"not a training state: {type(state).__name__}")
     kind, arrays, meta = _collect(state.model)
-    arrays = dict(arrays)
-    arrays["stats/mean_c"] = state.stats.mean_c
-    arrays["stats/sq_c"] = state.stats.sq_c
-    arrays["stats/mean_w"] = state.stats.mean_w
-    arrays["stats/sq_w"] = state.stats.sq_w
-    meta = dict(meta)
-    meta["epoch_done"] = state.epoch_done
-    meta["controller"] = state.controller
-    meta["stats_decay"] = state.stats.decay
-    meta["stats_count"] = state.stats.count
+    arrays.update({f"stats/{name}": getattr(state.stats, name)
+                   for name in _STATS_ARRAYS})
+    meta.update(epoch_done=state.epoch_done, controller=state.controller,
+                stats_decay=state.stats.decay, stats_count=state.stats.count)
     _write(path, kind + "-train", arrays, meta, seed)
 
 
@@ -222,15 +218,13 @@ def load_train_state(path):
         raise CheckpointError(f"{path}: not a training-state checkpoint")
     meta = header["meta"]
     model = _rebuild(kind[:-len("-train")], arrays, meta, path)
+    train = {key: _meta(meta, key, types, path)
+             for key, types in _TRAIN_META.items()}
     stats = GradientStats(
-        mean_c=_need(arrays, "stats/mean_c", path),
-        sq_c=_need(arrays, "stats/sq_c", path),
-        mean_w=_need(arrays, "stats/mean_w", path),
-        sq_w=_need(arrays, "stats/sq_w", path),
-        decay=float(meta["stats_decay"]), count=int(meta["stats_count"]))
-    cls = RbmTrainState if kind == "rbm-train" else RnnTrainState
-    state = cls(epoch_done=int(meta["epoch_done"]), model=model, stats=stats,
-                controller=dict(meta["controller"]))
+        *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS),
+        decay=float(train["stats_decay"]), count=train["stats_count"])
+    state = TrainState(epoch_done=train["epoch_done"], model=model,
+                       stats=stats, controller=dict(train["controller"]))
     return state, header
 
 

@@ -1,13 +1,15 @@
-"""Single-model training loop and greedy deep stacking for static data.
+"""Static RBM training and greedy deep stacking for both model families.
 
 The trainer interleaves CD updates with the structure schedule: growth
 sweeps while gradients are still fluctuating, pruning sweeps once the
-layer has settled, and forgetting penalties over the final epochs.  The
-deep model is built greedily: each trained layer's hidden activations
-become the next layer's data, and stacking continues while the
-accumulated gradient-variance and energy totals of the stack stay above
-their thresholds (or unconditionally up to the cap when the layer gate
-is disabled).
+layer has settled, and forgetting penalties over the final epochs; the
+loop itself is the shared :func:`~growrbm.adapt._train_layer`.  The deep
+model is built greedily by :func:`_train_stack`, the one stacking loop
+for :class:`Dbn` and ``rnn_dbn.RnnDbn``: each trained layer's hidden
+activations become the next layer's data, and stacking continues while
+the accumulated gradient-variance and energy totals of the stack stay
+above their thresholds (or unconditionally up to the cap when the layer
+gate is disabled).
 """
 from __future__ import annotations
 
@@ -15,13 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                    StructureController, apply_annihilation,
-                    forgetting_gradient, generation_scores,
-                    mask_from_activations, maybe_generate)
+from .adapt import (AdaptConfig, ForgettingConfig, GradientStats, TrainState,
+                    _train_layer, apply_annihilation, maybe_generate)
 from .errors import NumericError
-from .log import (LogRow, TrainLog, format_annihilation_event,
-                  format_generation_event, format_layer_event, join_events)
+from .log import TrainLog, format_layer_event
 from .metrics import cross_entropy_per_bit
 from .numerics import RngStream
 from .rbm import (CdConfig, Rbm, cd_step, energy, hidden_conditional,
@@ -66,6 +65,10 @@ class Dbn:
     def n_layers(self) -> int:
         return len(self.layers)
 
+    @property
+    def n_visible(self) -> int:
+        return self.layers[0].n_visible
+
     def validate(self):
         for lower, upper in zip(self.layers, self.layers[1:]):
             if upper.n_visible != lower.n_hidden:
@@ -74,16 +77,6 @@ class Dbn:
                     f"over {lower.n_hidden} hidden units")
         for layer in self.layers:
             layer.validate()
-
-
-@dataclass
-class RbmTrainState:
-    """Everything needed to resume single-layer training after an epoch."""
-
-    epoch_done: int
-    model: Rbm
-    stats: GradientStats
-    controller: dict
 
 
 def mean_field_energy(rbm: Rbm, data: np.ndarray) -> float:
@@ -100,16 +93,10 @@ def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
     return cross_entropy_per_bit(rec, data)
 
 
-def _check_finite(rbm: Rbm):
-    try:
-        rbm.validate()
-    except FloatingPointError as exc:
-        raise NumericError(str(exc)) from exc
-
-
-def _batch_slices(order: np.ndarray, batch_size: int):
-    for start in range(0, order.shape[0], batch_size):
-        yield order[start:start + batch_size]
+def _apply_update(rbm: Rbm, g, lr: float):
+    rbm.b += lr * g.db
+    rbm.c += lr * g.dc
+    rbm.W += lr * g.dW
 
 
 def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
@@ -120,86 +107,28 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
                        layer: int = 1, n_layers: int = 1,
                        log: TrainLog | None = None,
                        first_event: str | None = None,
-                       resume: RbmTrainState | None = None,
+                       resume: TrainState | None = None,
                        epoch_callback=None):
     """Train one RBM with the full structure schedule.
 
     Returns ``(model, stats, log)``.  ``rng`` is the layer's root stream:
     ``split(0)`` seeds the weight init and each epoch ``e`` draws from
     ``split(e + 1)``, so a run resumed from epoch ``e`` replays the exact
-    tail of an uninterrupted run.
+    tail of an uninterrupted run (see :func:`~growrbm.adapt._train_layer`).
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
         raise ValueError("empty training data")
-    log = log if log is not None else TrainLog()
-    decay = adapt.stats_decay if adapt is not None else 0.9
-
-    if resume is not None:
-        model = resume.model.copy()
-        stats = resume.stats.copy()
-        controller = StructureController(adapt, forget, epochs)
-        controller.restore(resume.controller)
-        start_epoch = resume.epoch_done + 1
-    else:
-        if init_model is not None:
-            model = init_model.copy()
-        else:
-            model = Rbm.random(data.shape[1], n_hidden, rng.split(0))
-        stats = GradientStats.zeros(model.n_visible, model.n_hidden, decay)
-        controller = StructureController(adapt, forget, epochs)
-        start_epoch = 0
-
-    for epoch in range(start_epoch, epochs):
-        ep = rng.split(epoch + 1)
-        order = ep.permutation(data.shape[0])
-        modes = controller.forgetting_modes(epoch)
-        for bi, idx in enumerate(_batch_slices(order, cd.batch_size)):
-            batch = data[idx]
-            g = cd_step(model, batch, cd, ep.split(bi + 1))
-            if modes:
-                acts = hidden_conditional(model, batch).mean(axis=0)
-                for mode in modes:
-                    g.add_(forgetting_gradient(model, mode, forget, acts))
-            stats.update(g.dc, g.dW)
-            model.b += cd.learning_rate * g.db
-            model.c += cd.learning_rate * g.dc
-            model.W += cd.learning_rate * g.dW
-
-        events = []
-        if first_event and epoch == 0:
-            events.append(first_event)
-        phase = controller.structure_phase(epoch)
-        if phase == "generate" and adapt is not None:
-            scores = generation_scores(stats, adapt)
-            model2, stats2, parents = maybe_generate(model, stats, adapt,
-                                                     ep.split(0))
-            for j in parents:
-                events.append(format_generation_event(j, scores[j]))
-            controller.record_generation(len(parents))
-            model, stats = model2, stats2
-        elif phase == "annihilate" and adapt is not None:
-            mean_act = hidden_conditional(model, data).mean(axis=0)
-            mask = mask_from_activations(mean_act, adapt)
-            if mask.any():
-                for j in np.flatnonzero(mask):
-                    events.append(format_annihilation_event(int(j),
-                                                            mean_act[j]))
-                model, stats = apply_annihilation(model, stats, mask)
-
-        _check_finite(model)
-        log.append(LogRow(
-            epoch=epoch + 1, layer=layer,
-            energy=mean_field_energy(model, data),
-            error=reconstruction_error(model, data),
-            wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),
-            n_hidden=model.n_hidden, n_layers=n_layers,
-            event=join_events(events)))
-        if epoch_callback is not None:
-            epoch_callback(RbmTrainState(epoch, model.copy(), stats.copy(),
-                                         controller.snapshot()))
-
-    return model, stats, log
+    if resume is None:
+        init_model = (Rbm.random(data.shape[1], n_hidden, rng.split(0))
+                      if init_model is None else init_model.copy())
+    return _train_layer(
+        data, init_model, cd, epochs, rng, adapt, forget, layer, n_layers,
+        log, first_event, resume, epoch_callback, gradient=cd_step,
+        activations=lambda m, x: hidden_conditional(m, x).mean(axis=0),
+        update=_apply_update, grow=maybe_generate, shrink=apply_annihilation,
+        metrics=lambda m, x: (mean_field_energy(m, x),
+                              reconstruction_error(m, x)))
 
 
 def layer_totals(rbm: Rbm, stats: GradientStats, data: np.ndarray) -> LayerTotals:
@@ -210,8 +139,12 @@ def layer_totals(rbm: Rbm, stats: GradientStats, data: np.ndarray) -> LayerTotal
     because a fitted layer sits at negative energy and the gate compares
     against a positive threshold.
     """
-    wd = float(stats.var_c().sum() + stats.var_w().sum())
-    return LayerTotals(wd=wd, energy=abs(mean_field_energy(rbm, data)))
+    return _layer_totals(stats, mean_field_energy(rbm, data))
+
+
+def _layer_totals(stats: GradientStats, energy: float) -> LayerTotals:
+    return LayerTotals(wd=float(stats.var_c().sum() + stats.var_w().sum()),
+                       energy=abs(energy))
 
 
 def should_generate_layer(dbn, cfg: LayerGenConfig) -> bool:
@@ -224,18 +157,19 @@ def should_generate_layer(dbn, cfg: LayerGenConfig) -> bool:
     return wd_sum > cfg.wd_threshold and e_sum > cfg.energy_threshold
 
 
-def generate_layer(dbn: Dbn, rng: RngStream) -> Dbn:
-    """Append an untrained layer on top of the stack.
+def _inherit_rbm(parent: Rbm, rng: RngStream) -> Rbm:
+    """Untrained square layer over ``parent``: small weights, and both
+    bias vectors copy the parent's hidden bias, so the fresh layer
+    initially mirrors the activation statistics it will be fed."""
+    new = Rbm.random(parent.n_hidden, parent.n_hidden, rng)
+    new.b, new.c = parent.c.copy(), parent.c.copy()
+    return new
 
-    The new layer is square: both its bias vectors start as copies of the
-    parent's hidden bias, so the fresh layer initially mirrors the
-    activation statistics it will be fed, and its weights start small.
-    """
-    parent = dbn.layers[-1]
-    j = parent.n_hidden
-    new = Rbm(b=parent.c.copy(), c=parent.c.copy(),
-              W=rng.normal(sd=0.01, size=(j, j)))
-    return Dbn(layers=dbn.layers + [new], totals=list(dbn.totals))
+
+def generate_layer(dbn: Dbn, rng: RngStream) -> Dbn:
+    """Append an untrained layer on top of the stack."""
+    return Dbn(layers=dbn.layers + [_inherit_rbm(dbn.layers[-1], rng)],
+               totals=list(dbn.totals))
 
 
 def propagate_up(dbn, data: np.ndarray, depth: int | None = None) -> np.ndarray:
@@ -245,6 +179,45 @@ def propagate_up(dbn, data: np.ndarray, depth: int | None = None) -> np.ndarray:
     for layer in layers:
         x = hidden_conditional(layer, x)
     return x
+
+
+def _train_stack(stack: Dbn, inputs, rng: RngStream,
+                 layer_cfg: LayerGenConfig, gate_layers: bool,
+                 log: TrainLog | None, *, train, energy, inherit, lift,
+                 **layer_kwargs):
+    """Greedy bottom-up stacking loop of both stack kinds.
+
+    Layer ``l`` trains as ``train(inputs, rng=rng.split(l), ...)``, as a
+    standalone run would; the next layer starts from ``inherit(model,
+    rng.split(l + 1).split(0))`` on ``lift(model, inputs)``.  ``energy``
+    gives the layer's totals.  Returns ``(stack, log)``.
+    """
+    log = log if log is not None else TrainLog()
+    layer_idx = 1
+    init = None
+    first_event = None
+    while True:
+        model, stats, _ = train(
+            inputs, rng=rng.split(layer_idx), init_model=init,
+            layer=layer_idx, n_layers=layer_idx, log=log,
+            first_event=first_event, **layer_kwargs)
+        totals = _layer_totals(stats, energy(model, inputs))
+        stack = type(stack)(layers=stack.layers + [model],
+                            totals=stack.totals + [totals])
+        stack.validate()
+
+        if gate_layers:
+            grow = should_generate_layer(stack, layer_cfg)
+        else:
+            grow = stack.n_layers < layer_cfg.max_layers
+        if not grow:
+            break
+        layer_idx += 1
+        init = inherit(model, rng.split(layer_idx).split(0))
+        inputs = lift(model, inputs)
+        first_event = format_layer_event(layer_idx)
+
+    return stack, log
 
 
 def train_adaptive_dbn(data: np.ndarray, n_hidden: int, cd: CdConfig,
@@ -260,30 +233,9 @@ def train_adaptive_dbn(data: np.ndarray, n_hidden: int, cd: CdConfig,
     otherwise growth stops as soon as the accumulated totals fall short.
     Returns ``(dbn, log)``.
     """
-    log = log if log is not None else TrainLog()
-    dbn = Dbn()
-    inputs = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    layer_idx = 1
-    init = None
-    first_event = None
-    while True:
-        model, stats, _ = train_adaptive_rbm(
-            inputs, n_hidden, cd, epochs_per_layer, rng.split(layer_idx),
-            adapt=adapt, forget=forget, init_model=init, layer=layer_idx,
-            n_layers=layer_idx, log=log, first_event=first_event)
-        dbn = Dbn(layers=dbn.layers + [model],
-                  totals=dbn.totals + [layer_totals(model, stats, inputs)])
-        dbn.validate()
-
-        if gate_layers:
-            grow = should_generate_layer(dbn, layer_cfg)
-        else:
-            grow = dbn.n_layers < layer_cfg.max_layers
-        if not grow:
-            break
-        layer_idx += 1
-        init = generate_layer(dbn, rng.split(layer_idx).split(0)).layers[-1]
-        inputs = hidden_conditional(model, inputs)
-        first_event = format_layer_event(layer_idx)
-
-    return dbn, log
+    return _train_stack(
+        Dbn(), np.atleast_2d(np.asarray(data, dtype=np.float64)), rng,
+        layer_cfg, gate_layers, log, train=train_adaptive_rbm,
+        energy=mean_field_energy, inherit=_inherit_rbm,
+        lift=hidden_conditional, n_hidden=n_hidden, cd=cd,
+        epochs=epochs_per_layer, adapt=adapt, forget=forget)

@@ -81,6 +81,9 @@ class Rbm:
     def copy(self) -> "Rbm":
         return Rbm(self.b.copy(), self.c.copy(), self.W.copy())
 
+    def arrays(self) -> dict:
+        return {"b": self.b, "c": self.c, "W": self.W}
+
     def validate(self):
         """Raise if shapes are inconsistent or any parameter is non-finite."""
         i, j = self.b.shape[0], self.c.shape[0]

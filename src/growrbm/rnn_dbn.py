@@ -1,5 +1,7 @@
 """Greedy deep stacking of recurrent layers.
 
+The stacking loop is the static one, :func:`~growrbm.dbn._train_stack`,
+and :class:`RnnDbn` is a marker subclass of :class:`~growrbm.dbn.Dbn`.
 Each trained layer is frozen and its deterministic hidden activation
 sequences (conditional probabilities, not samples, so the construction
 is reproducible) become the training sequences for the next layer.  The
@@ -14,44 +16,22 @@ bias for the next step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig
-from .dbn import LayerGenConfig, LayerTotals, should_generate_layer
-from .errors import NumericError
-from .log import TrainLog, format_layer_event
+from .dbn import Dbn, LayerGenConfig, _train_stack
+from .log import TrainLog
+from .metrics import PooledMetrics
 from .numerics import RngStream, sample_bernoulli, sigmoid
-from .rbm import CdConfig, Rbm
+from .rbm import CdConfig
 from .rnn_rbm import (RnnRbm, _mean_field_marginals, mean_sequence_energy,
                       predict_next, temporal_biases, train_adaptive_rnn_rbm,
                       unroll)
 
 
-@dataclass
-class RnnDbn:
-    """Stack of recurrent layers, bottom first."""
-
-    layers: list = field(default_factory=list)
-    totals: list = field(default_factory=list)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def n_visible(self) -> int:
-        return self.layers[0].n_visible
-
-    def validate(self):
-        for lower, upper in zip(self.layers, self.layers[1:]):
-            if upper.n_visible != lower.n_hidden:
-                raise NumericError(
-                    f"layer chain broken: {upper.n_visible} visible units "
-                    f"over {lower.n_hidden} hidden units")
-        for layer in self.layers:
-            layer.validate()
+class RnnDbn(Dbn):
+    """Stack of recurrent layers, bottom first; a marker subclass that
+    evaluation, sampling and checkpoints dispatch on."""
 
 
 def deterministic_hidden_sequence(model: RnnRbm, seq) -> np.ndarray:
@@ -65,26 +45,12 @@ def deterministic_hidden_sequence(model: RnnRbm, seq) -> np.ndarray:
 
 
 def _inherit_layer(parent: RnnRbm, rng: RngStream) -> RnnRbm:
-    """Untrained next layer sized to the parent's hidden output.
-
-    Both bias vectors copy the parent's hidden bias (the new layer sees
-    data whose statistics those biases already describe); all weight
-    matrices start small and the state starts uniform.
-    """
-    j = parent.n_hidden
-    rbm = Rbm(b=parent.rbm.c.copy(), c=parent.rbm.c.copy(),
-              W=rng.normal(sd=0.01, size=(j, j)))
-    from .rnn_rbm import U0_MARGIN
-
-    return RnnRbm(
-        rbm=rbm,
-        u_bias=np.zeros(j),
-        w_uv=rng.normal(sd=0.01, size=(j, j)),
-        w_uh=rng.normal(sd=0.01, size=(j, j)),
-        w_vu=rng.normal(sd=0.01, size=(j, j)),
-        w_uu=rng.normal(sd=0.01, size=(j, j)),
-        u0=np.clip(rng.uniform(size=j), U0_MARGIN, 1.0 - U0_MARGIN),
-    )
+    """Untrained next layer sized to the parent's hidden output: as in
+    :func:`~growrbm.dbn._inherit_rbm` both RBM biases copy the parent's
+    hidden bias; all weights start small and the state starts uniform."""
+    new = RnnRbm.random(parent.n_hidden, parent.n_hidden, rng)
+    new.rbm.b, new.rbm.c = parent.rbm.c.copy(), parent.rbm.c.copy()
+    return new
 
 
 def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
@@ -101,37 +67,14 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
     standalone run would, so the first layer of a stack equals a
     single-layer run with the same seed.  Returns ``(model, log)``.
     """
-    log = log if log is not None else TrainLog()
-    stack = RnnDbn()
-    inputs = [np.asarray(s, dtype=np.float64) for s in sequences]
-    layer_idx = 1
-    init = None
-    first_event = None
-    while True:
-        model, stats, _ = train_adaptive_rnn_rbm(
-            inputs, n_hidden, cd, epochs_per_layer, rng.split(layer_idx),
-            adapt=adapt, forget=forget, u_dim=u_dim, init_model=init,
-            layer=layer_idx, n_layers=layer_idx, log=log,
-            first_event=first_event)
-        stack = RnnDbn(
-            layers=stack.layers + [model],
-            totals=stack.totals + [LayerTotals(
-                wd=float(stats.var_c().sum() + stats.var_w().sum()),
-                energy=abs(mean_sequence_energy(model, inputs)))])
-        stack.validate()
-
-        if gate_layers:
-            grow = should_generate_layer(stack, layer_cfg)
-        else:
-            grow = stack.n_layers < layer_cfg.max_layers
-        if not grow:
-            break
-        layer_idx += 1
-        init = _inherit_layer(model, rng.split(layer_idx).split(0))
-        inputs = [deterministic_hidden_sequence(model, s) for s in inputs]
-        first_event = format_layer_event(layer_idx)
-
-    return stack, log
+    return _train_stack(
+        RnnDbn(), [np.asarray(s, dtype=np.float64) for s in sequences], rng,
+        layer_cfg, gate_layers, log, train=train_adaptive_rnn_rbm,
+        energy=mean_sequence_energy, inherit=_inherit_layer,
+        lift=lambda m, seqs: [deterministic_hidden_sequence(m, s)
+                              for s in seqs],
+        n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
+        forget=forget, u_dim=u_dim)
 
 
 def _lift_prefix(stack: RnnDbn, prefix: np.ndarray) -> list:
@@ -181,8 +124,6 @@ def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
 
 def prediction_error_deep(stack: RnnDbn, sequences) -> float:
     """Pooled next-frame cross-entropy per bit for the stack."""
-    from .metrics import PooledMetrics
-
     pool = PooledMetrics()
     for seq in sequences:
         seq = np.asarray(seq, dtype=np.float64)

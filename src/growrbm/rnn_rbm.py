@@ -13,22 +13,21 @@ scale, exact enumeration in the oracles) through the state recursion.
 
 The hidden layer can grow and shrink during training exactly like the
 static model; ``w_uh`` is resized in lockstep so the temporal bias keeps
-one column per hidden unit.
+one column per hidden unit.  Training runs the epoch loop shared with
+the static model, :func:`~growrbm.adapt._train_layer`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                    StructureController, forgetting_gradient,
-                    generation_scores, insert_columns, mask_from_activations,
+from .adapt import (AdaptConfig, ForgettingConfig, GradientStats, TrainState,
+                    _train_layer, apply_annihilation, insert_columns,
                     maybe_generate)
-from .errors import CapacityError, DimensionError, NumericError
-from .log import (LogRow, TrainLog, format_annihilation_event,
-                  format_generation_event, join_events)
+from .errors import CapacityError, DimensionError
+from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import _SIG_HI, _SIG_LO, RngStream, sample_bernoulli, sigmoid
 from .rbm import CdConfig, Rbm, all_states
@@ -485,54 +484,31 @@ def grow_hidden(model: RnnRbm, stats: GradientStats, cfg: AdaptConfig,
         return model, stats, []
     # w_uh is (K, J), so hidden units are columns here as well
     new_cols = [rng.normal(sd=0.01, size=model.u_dim) for _ in parents]
-    grown = RnnRbm(rbm=rbm2, u_bias=model.u_bias.copy(),
-                   w_uv=model.w_uv.copy(),
-                   w_uh=insert_columns(model.w_uh, parents, new_cols),
-                   w_vu=model.w_vu.copy(), w_uu=model.w_uu.copy(),
-                   u0=model.u0.copy())
+    grown = replace(model.copy(), rbm=rbm2,
+                    w_uh=insert_columns(model.w_uh, parents, new_cols))
     return grown, stats2, parents
 
 
 def shrink_hidden(model: RnnRbm, stats: GradientStats, mask: np.ndarray):
     """Remove masked hidden units from the RBM and ``w_uh`` together."""
-    from .adapt import apply_annihilation
-
     rbm2, stats2 = apply_annihilation(model.rbm, stats, mask)
     keep = ~np.asarray(mask, dtype=bool)
-    return RnnRbm(rbm=rbm2, u_bias=model.u_bias.copy(),
-                  w_uv=model.w_uv.copy(), w_uh=model.w_uh[:, keep],
-                  w_vu=model.w_vu.copy(), w_uu=model.w_uu.copy(),
-                  u0=model.u0.copy()), stats2
-
-
-@dataclass
-class RnnTrainState:
-    """Resume point captured at an epoch boundary."""
-
-    epoch_done: int
-    model: RnnRbm
-    stats: GradientStats
-    controller: dict
+    return replace(model.copy(), rbm=rbm2, w_uh=model.w_uh[:, keep]), stats2
 
 
 def _apply_update(model: RnnRbm, g: RnnRbmGradient, lr: float):
-    model.rbm.b += lr * g.db
-    model.rbm.c += lr * g.dc
-    model.rbm.W += lr * g.dW
-    model.u_bias += lr * g.du
-    model.w_uv += lr * g.dw_uv
-    model.w_uh += lr * g.dw_uh
-    model.w_vu += lr * g.dw_vu
-    model.w_uu += lr * g.dw_uu
-    model.u0 += lr * g.du0
+    """Clipped ascent step; the initial state stays inside (0, 1)."""
+    g.clip_(GRAD_CLIP)
+    for arr, name in zip(model.arrays().values(), g._FIELDS):
+        arr += lr * getattr(g, name)
     np.clip(model.u0, U0_MARGIN, 1.0 - U0_MARGIN, out=model.u0)
 
 
-def _check_finite_rnn(model: RnnRbm):
-    try:
-        model.validate()
-    except FloatingPointError as exc:
-        raise NumericError(str(exc)) from exc
+def _epoch_metrics(model: RnnRbm, sequences):
+    """``(energy, error)`` over the training set from one shared unroll."""
+    unrolled = [unroll(model, s) for s in sequences]
+    return (mean_sequence_energy(model, sequences, unrolled),
+            prediction_error(model, sequences, unrolled))
 
 
 def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
@@ -544,18 +520,14 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
                            layer: int = 1, n_layers: int = 1,
                            log: TrainLog | None = None,
                            first_event: str | None = None,
-                           resume: RnnTrainState | None = None,
+                           resume: TrainState | None = None,
                            epoch_callback=None):
-    """Adaptive training loop for one recurrent layer.
+    """Adaptive training of one recurrent layer in the shared epoch loop.
 
-    Structure of an epoch: shuffled sequence batches with clipped SGD
-    updates (plus any active forgetting penalties), then at the epoch
-    boundary one growth or pruning sweep, then metrics over the training
-    set from one shared unroll.  ``rng`` is the layer root stream; see
-    the static trainer for the split layout, which this mirrors so
-    resumed runs are bit-identical with uninterrupted ones.
-
-    Returns ``(model, stats, log)``.
+    Batches of sequences get BPTT-CD updates clipped to ``GRAD_CLIP``;
+    growth and pruning keep ``w_uh`` aligned with the hidden layer.  See
+    the static trainer for the stream layout.  Returns
+    ``(model, stats, log)``.
     """
     sequences = [_as_sequence(s) for s in sequences]
     if not sequences:
@@ -565,76 +537,13 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
             raise ValueError("sequences must have at least one frame")
         if s.shape[1] != sequences[0].shape[1]:
             raise DimensionError("sequences disagree on frame dimension")
-    log = log if log is not None else TrainLog()
-    decay = adapt.stats_decay if adapt is not None else 0.9
-
-    if resume is not None:
-        model = resume.model.copy()
-        stats = resume.stats.copy()
-        controller = StructureController(adapt, forget, epochs)
-        controller.restore(resume.controller)
-        start_epoch = resume.epoch_done + 1
-    else:
-        if init_model is not None:
-            model = init_model.copy()
-        else:
-            model = RnnRbm.random(sequences[0].shape[1], n_hidden,
-                                  rng.split(0), u_dim=u_dim)
-        stats = GradientStats.zeros(model.n_visible, model.n_hidden, decay)
-        controller = StructureController(adapt, forget, epochs)
-        start_epoch = 0
-
-    for epoch in range(start_epoch, epochs):
-        ep = rng.split(epoch + 1)
-        order = ep.permutation(len(sequences))
-        modes = controller.forgetting_modes(epoch)
-        for bi in range(0, len(order), cd.batch_size):
-            idx = order[bi:bi + cd.batch_size]
-            batch = [sequences[i] for i in idx]
-            g = bptt_gradients(model, batch, cd, ep.split(bi // cd.batch_size + 1))
-            if modes:
-                acts = mean_hidden_activation(model, batch)
-                for mode in modes:
-                    pen = forgetting_gradient(model.rbm, mode, forget, acts)
-                    g.db += pen.db
-                    g.dc += pen.dc
-                    g.dW += pen.dW
-            stats.update(g.dc, g.dW)
-            g.clip_(GRAD_CLIP)
-            _apply_update(model, g, cd.learning_rate)
-
-        events = []
-        if first_event and epoch == 0:
-            events.append(first_event)
-        phase = controller.structure_phase(epoch)
-        if phase == "generate" and adapt is not None:
-            scores = generation_scores(stats, adapt)
-            model2, stats2, parents = grow_hidden(model, stats, adapt,
-                                                  ep.split(0))
-            for j in parents:
-                events.append(format_generation_event(j, scores[j]))
-            controller.record_generation(len(parents))
-            model, stats = model2, stats2
-        elif phase == "annihilate" and adapt is not None:
-            mean_act = mean_hidden_activation(model, sequences)
-            mask = mask_from_activations(mean_act, adapt)
-            if mask.any():
-                for j in np.flatnonzero(mask):
-                    events.append(format_annihilation_event(int(j),
-                                                            mean_act[j]))
-                model, stats = shrink_hidden(model, stats, mask)
-
-        _check_finite_rnn(model)
-        unrolled = [unroll(model, s) for s in sequences]
-        log.append(LogRow(
-            epoch=epoch + 1, layer=layer,
-            energy=mean_sequence_energy(model, sequences, unrolled),
-            error=prediction_error(model, sequences, unrolled),
-            wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),
-            n_hidden=model.n_hidden, n_layers=n_layers,
-            event=join_events(events)))
-        if epoch_callback is not None:
-            epoch_callback(RnnTrainState(epoch, model.copy(), stats.copy(),
-                                         controller.snapshot()))
-
-    return model, stats, log
+    if resume is None:
+        init_model = (RnnRbm.random(sequences[0].shape[1], n_hidden,
+                                    rng.split(0), u_dim=u_dim)
+                      if init_model is None else init_model.copy())
+    return _train_layer(
+        sequences, init_model, cd, epochs, rng, adapt, forget, layer,
+        n_layers, log, first_event, resume, epoch_callback,
+        gradient=bptt_gradients, activations=mean_hidden_activation,
+        update=_apply_update, grow=grow_hidden, shrink=shrink_hidden,
+        metrics=_epoch_metrics)

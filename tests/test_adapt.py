@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            StructureController, annihilation_mask,
@@ -14,6 +15,7 @@ from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
 from growrbm.errors import StructureError
 from growrbm.numerics import RngStream
 from growrbm.rbm import Rbm, log_partition_exact, free_energy
+from growrbm.rnn_rbm import RnnRbm, grow_hidden, shrink_hidden
 
 
 def adapt_cfg(**kw):
@@ -427,3 +429,52 @@ class TestAdaptConfigValidation:
             adapt_cfg(min_hidden=0)
         with pytest.raises(ValueError):
             AdaptConfig(generation_phase_epochs=5, max_hidden=2, min_hidden=3)
+
+
+class TestGrowPruneRoundTrip:
+    """Pruning exactly the children of a growth sweep restores every
+    per-hidden-unit array bit for bit, for both model families."""
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["rbm", "rnn-rbm"])
+    @settings(max_examples=100, deadline=None)
+    @given(n_visible=st.integers(1, 4), triggers=st.lists(st.booleans(),
+                                                          min_size=1,
+                                                          max_size=6),
+           u_dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           room=st.integers(0, 6))
+    def test_children_pruned_restore_originals(self, recurrent, n_visible,
+                                               triggers, u_dim, seed, room):
+        n_hidden = len(triggers)
+        rng = RngStream(seed)
+        model = RnnRbm.random(n_visible, n_hidden, rng.split(0), u_dim=u_dim,
+                              weight_sd=1.0)
+        model.rbm.b[:] = rng.normal(size=n_visible)
+        model.rbm.c[:] = rng.normal(size=n_hidden)
+        stats = GradientStats.zeros(n_visible, n_hidden)
+        stats.mean_c = rng.normal(size=n_hidden)
+        stats.mean_w = rng.normal(size=(n_visible, n_hidden))
+        # variance 1 on triggered units, exactly 0 elsewhere
+        hot = np.asarray(triggers, dtype=float)
+        stats.sq_c = stats.mean_c ** 2 + hot
+        stats.sq_w = stats.mean_w ** 2 + hot
+        stats.count = 3
+        cfg = adapt_cfg(max_hidden=n_hidden + room, gen_threshold=0.5)
+        grow, shrink = ((grow_hidden, shrink_hidden) if recurrent else
+                        (maybe_generate, apply_annihilation))
+        before = model if recurrent else model.rbm
+
+        grown, grown_stats, parents = grow(before, stats, cfg, rng.split(1))
+        assert parents == [j for j in range(n_hidden) if triggers[j]][:room]
+        mask = np.zeros(grown.n_hidden, dtype=bool)
+        mask[[p + i + 1 for i, p in enumerate(parents)]] = True
+        pruned, pruned_stats = shrink(grown, grown_stats, mask)
+
+        for name, arr in before.arrays().items():
+            npt.assert_array_equal(pruned.arrays()[name], arr, err_msg=name)
+            assert pruned.arrays()[name].dtype == arr.dtype
+        for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
+            npt.assert_array_equal(getattr(pruned_stats, name),
+                                   getattr(stats, name), err_msg=name)
+        assert (pruned_stats.decay, pruned_stats.count) == (stats.decay,
+                                                            stats.count)

@@ -5,17 +5,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from growrbm.adapt import GradientStats
+from growrbm.adapt import AdaptConfig, GradientStats, TrainState
 from growrbm.checkpoint import (FORMAT_VERSION, MAGIC, describe,
                                 load_checkpoint, load_train_state,
                                 save_checkpoint, save_train_state)
-from growrbm.dbn import Dbn, LayerTotals, RbmTrainState
+from growrbm.dbn import Dbn, LayerTotals, train_adaptive_rbm
 from growrbm.errors import (CheckpointDimensionError, CheckpointError,
                             CheckpointTruncatedError, CheckpointVersionError)
 from growrbm.numerics import RngStream
-from growrbm.rbm import Rbm
+from growrbm.rbm import CdConfig, Rbm
 from growrbm.rnn_dbn import RnnDbn
-from growrbm.rnn_rbm import RnnRbm, RnnTrainState
+from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
 
 
 def rbm_model(seed=1):
@@ -111,33 +111,54 @@ class TestTrainStateRoundTrip:
         for _ in range(5):
             stats.update(rng.normal(size=2), rng.normal(size=(3, 2)))
         controller = {"generated_total": 2, "stall": 1, "done": False}
-        return RbmTrainState(epoch_done=4, model=rbm_model(), stats=stats,
-                             controller=controller)
+        return TrainState(epoch_done=4, model=rbm_model(), stats=stats,
+                          controller=controller)
 
-    def test_static_state(self, tmp_path):
-        state = self.make_state()
+    def grown_state(self, recurrent):
+        """The state ``epoch_callback`` receives after a growth epoch."""
+        rng = RngStream(12)
+        seqs = [(rng.uniform(size=(6, 3)) < 0.5).astype(float)
+                for _ in range(6)]
+        cd = CdConfig(k=1, learning_rate=0.1, batch_size=3)
+        adapt = AdaptConfig(generation_phase_epochs=2, max_hidden=6,
+                            gen_threshold=1e-12)
+        states = []
+        if recurrent:
+            train_adaptive_rnn_rbm(seqs, 2, cd, 1, RngStream(13), adapt=adapt,
+                                   u_dim=3, epoch_callback=states.append)
+        else:
+            train_adaptive_rbm(np.vstack(seqs), 2, cd, 1, RngStream(13),
+                               adapt=adapt, epoch_callback=states.append)
+        assert states[0].model.n_hidden > 2  # the epoch split units
+        return states[0]
+
+    def assert_round_trip(self, tmp_path, state, kind):
         p = tmp_path / "s.ckpt"
         save_train_state(p, state, seed=11)
         loaded, header = load_train_state(p)
-        assert header["kind"] == "rbm-train"
-        assert isinstance(loaded, RbmTrainState)
-        assert loaded.epoch_done == 4
+        assert header["kind"] == kind
+        assert isinstance(loaded, TrainState)
+        assert loaded.epoch_done == state.epoch_done
         assert loaded.controller == state.controller
-        assert loaded.stats.decay == 0.8
-        assert loaded.stats.count == 5
-        npt.assert_array_equal(loaded.stats.mean_w, state.stats.mean_w)
-        npt.assert_array_equal(loaded.model.W, state.model.W)
+        assert loaded.stats.decay == state.stats.decay
+        assert loaded.stats.count == state.stats.count
+        for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
+            npt.assert_array_equal(getattr(loaded.stats, name),
+                                   getattr(state.stats, name), err_msg=name)
+        for name, arr in state.model.arrays().items():
+            npt.assert_array_equal(loaded.model.arrays()[name], arr,
+                                   err_msg=name)
+
+    def test_static_state(self, tmp_path):
+        for state in (self.make_state(), self.grown_state(recurrent=False)):
+            self.assert_round_trip(tmp_path, state, "rbm-train")
 
     def test_recurrent_state(self, tmp_path):
         stats = GradientStats.zeros(3, 2)
-        state = RnnTrainState(epoch_done=2, model=rnn_model(), stats=stats,
-                              controller={})
-        p = tmp_path / "s.ckpt"
-        save_train_state(p, state)
-        loaded, header = load_train_state(p)
-        assert header["kind"] == "rnn-rbm-train"
-        assert isinstance(loaded, RnnTrainState)
-        npt.assert_array_equal(loaded.model.w_uu, state.model.w_uu)
+        state = TrainState(epoch_done=2, model=rnn_model(), stats=stats,
+                           controller={})
+        for state in (state, self.grown_state(recurrent=True)):
+            self.assert_round_trip(tmp_path, state, "rnn-rbm-train")
 
     def test_loaders_reject_wrong_family(self, tmp_path):
         plain = tmp_path / "plain.ckpt"
@@ -227,19 +248,57 @@ class TestCorruption:
         with pytest.raises(CheckpointDimensionError):
             load_checkpoint(p)
 
-    def test_missing_header_key(self, tmp_path):
+    @staticmethod
+    def edit_header(path, edit):
         import json
-        p = self.saved(tmp_path)
-        raw = p.read_bytes()
+        raw = path.read_bytes()
         hlen = struct.unpack("<Q", raw[8:16])[0]
         header = json.loads(raw[16:16 + hlen].decode())
-        del header["kind"]
+        edit(header)
         blob = json.dumps(header, sort_keys=True,
                           separators=(",", ":")).encode()
-        p.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
-                      + raw[16 + hlen:])
-        with pytest.raises(CheckpointError, match="missing 'kind'"):
-            load_checkpoint(p)
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                         + raw[16 + hlen:])
+
+    @pytest.mark.parametrize("save, load, edit, match", [
+        (lambda p: save_checkpoint(p, rbm_model()), load_checkpoint,
+         lambda h: h.pop("kind"), "missing 'kind'"),
+        (lambda p: save_checkpoint(p, dbn_model()), load_checkpoint,
+         lambda h: h["meta"].pop("n_layers"), "missing 'meta.n_layers'"),
+        (lambda p: save_checkpoint(p, dbn_model()), load_checkpoint,
+         lambda h: h["meta"].pop("totals"), "missing 'meta.totals'"),
+        (lambda p: save_checkpoint(p, rbm_model()), describe,
+         lambda h: h["arrays"][0].pop("name"), "bad array entry"),
+        (lambda p: save_checkpoint(p, Dbn(layers=[rbm_model()],
+                                          totals=[LayerTotals(0.1, 0.2)])),
+         load_checkpoint,
+         lambda h: h["meta"].update(totals=[[0.1, 0.2]] * 3),
+         "3 layer totals for 1 layers"),
+    ] + [(lambda p: save_train_state(
+              p, TestTrainStateRoundTrip().make_state()), load_train_state,
+          lambda h, key=key: h["meta"].pop(key), f"missing 'meta.{key}'")
+         for key in ("stats_decay", "stats_count", "epoch_done",
+                     "controller")],
+        ids=["kind", "dbn-n_layers", "dbn-totals", "manifest-name",
+             "surplus-totals", "state-stats_decay", "state-stats_count",
+             "state-epoch_done", "state-controller"])
+    def test_missing_header_key(self, tmp_path, save, load, edit, match):
+        p = tmp_path / "m.ckpt"
+        save(p)
+        self.edit_header(p, edit)
+        with pytest.raises(CheckpointError, match=match):
+            load(p)
+
+    def test_malformed_header_exits_2_in_cli(self, tmp_path, capsys):
+        from growrbm.cli import main
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, dbn_model())
+        self.edit_header(p, lambda h: h["meta"].pop("n_layers"))
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"seq": [[0, 1, 0]]}\n')
+        assert main(["eval", "--checkpoint", str(p),
+                     "--dataset", str(data)]) == 2
+        assert "meta.n_layers" in capsys.readouterr().err
 
 
 class TestDescribe:

@@ -3,7 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from growrbm.dbn import LayerGenConfig
+from growrbm.dbn import LayerGenConfig, train_adaptive_dbn, train_adaptive_rbm
 from growrbm.errors import NumericError
 from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig
@@ -68,14 +68,21 @@ class TestStacking:
         assert top.n_hidden == j
         assert top.u_dim == j
 
-    def test_first_layer_matches_standalone_run(self):
+    @pytest.mark.parametrize("recurrent", [True, False],
+                             ids=["rnn", "static"])
+    def test_first_layer_matches_standalone_run(self, recurrent):
         seqs = cycle_sequences(10, 8, RngStream(86))
         cd = CdConfig(k=1, learning_rate=0.2, batch_size=5)
         cfg = LayerGenConfig(max_layers=2, wd_threshold=1e-12,
                              energy_threshold=1e-12)
-        stack, _ = train_adaptive_rnn_dbn(seqs, 5, cd, 4, RngStream(87), cfg)
-        solo, _, _ = train_adaptive_rnn_rbm(seqs, 5, cd, 4,
-                                            RngStream(87).split(1))
+        if recurrent:
+            data, stacked, single = (seqs, train_adaptive_rnn_dbn,
+                                     train_adaptive_rnn_rbm)
+        else:
+            data, stacked, single = (np.vstack(seqs), train_adaptive_dbn,
+                                     train_adaptive_rbm)
+        stack, _ = stacked(data, 5, cd, 4, RngStream(87), cfg)
+        solo, _, _ = single(data, 5, cd, 4, RngStream(87).split(1))
         for name, arr in stack.layers[0].arrays().items():
             npt.assert_array_equal(arr, solo.arrays()[name], err_msg=name)
 
