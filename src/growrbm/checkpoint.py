@@ -7,7 +7,8 @@ lists them.  Canonical JSON plus fixed array order makes save -> load ->
 save reproduce the file byte for byte, which the tests rely on.
 
 All four model kinds share one codec path, driven by the ``_KINDS``
-table; a header that lacks what its kind needs raises CheckpointError.
+table; every reader, :func:`describe` included, rejects a header that
+lacks what its kind needs with CheckpointError.
 
 A save writes a temporary file beside the target and renames it over
 the target, so a process killed mid-write leaves the previous file
@@ -48,16 +49,22 @@ _TRAIN_META = {"epoch_done": int, "controller": dict,
                "stats_decay": (int, float), "stats_count": int}
 
 
+def model_kind(model) -> str:
+    """Checkpoint kind of a model object (its type name if it has none)."""
+    return next((k for k, spec in _KINDS.items() if type(model) is spec[0]),
+                type(model).__name__)
+
+
 def _collect(model) -> tuple[str, dict, dict]:
     """(kind, named arrays, meta) for any supported model object."""
-    kind = next((k for k, spec in _KINDS.items() if type(model) is spec[0]),
-                None)
-    if kind is None:
-        raise TypeError(
-            f"cannot checkpoint object of type {type(model).__name__}")
+    kind = model_kind(model)
+    if kind not in _KINDS:
+        raise TypeError(f"cannot checkpoint object of type {kind}")
     dims = _KINDS[kind][3]
     if not isinstance(model, Dbn):
         return kind, model.arrays(), {d: getattr(model, d) for d in dims}
+    if not model.layers:
+        raise ValueError("cannot checkpoint a stack with no layers")
     arrays = {f"layer{i}/{name}": arr for i, layer in enumerate(model.layers)
               for name, arr in layer.arrays().items()}
     meta = {"n_layers": model.n_layers,
@@ -108,10 +115,8 @@ def _read(path) -> tuple[dict, dict]:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     for key, types in (("kind", str), ("seed", int), ("arrays", list),
                        ("meta", dict)):
-        if key not in header:
-            raise CheckpointError(f"{path}: header missing '{key}'")
-        if not isinstance(header[key], types):
-            raise CheckpointError(f"{path}: bad header '{key}'")
+        _field(header, key, types, path)
+    _check_meta(header["kind"], header["meta"], path)
 
     arrays = {}
     offset = 16 + hlen
@@ -140,19 +145,35 @@ def _need(arrays: dict, name: str, path):
     return arrays[name]
 
 
-def _meta(meta: dict, key: str, types, path):
-    """``meta[key]``, which must exist and be of ``types`` (not a bool)."""
-    if key not in meta:
-        raise CheckpointError(f"{path}: header missing 'meta.{key}'")
-    value = meta[key]
+def _field(fields: dict, key: str, types, path, where: str = ""):
+    """``fields[key]``, which must exist and be of ``types`` (not a bool)."""
+    if key not in fields:
+        raise CheckpointError(f"{path}: header missing '{where}{key}'")
+    value = fields[key]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise CheckpointError(f"{path}: bad 'meta.{key}': {value!r}")
+        raise CheckpointError(f"{path}: bad '{where}{key}': {value!r}")
     return value
 
 
+def _check_meta(kind: str, meta: dict, path):
+    """Reject unknown kinds and stacks without layers or sound totals."""
+    base = kind.removesuffix("-train")
+    if base not in _KINDS:
+        raise CheckpointError(f"{path}: unknown checkpoint kind {base!r}")
+    if issubclass(_KINDS[base][0], Dbn):
+        n_layers = _field(meta, "n_layers", int, path, "meta.")
+        totals = _field(meta, "totals", list, path, "meta.")
+        if n_layers < 1:
+            raise CheckpointError(f"{path}: stack of {n_layers} layers")
+        if len(totals) not in (0, n_layers):
+            raise CheckpointError(
+                f"{path}: {len(totals)} layer totals for {n_layers} layers")
+        if not all(isinstance(t, list) and len(t) == 2 and all(
+                isinstance(x, (int, float)) for x in t) for t in totals):
+            raise CheckpointError(f"{path}: malformed layer totals")
+
+
 def _rebuild(kind: str, arrays: dict, meta: dict, path):
-    if kind not in _KINDS:
-        raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
     cls, layer_cls, names, _ = _KINDS[kind]
 
     def layer(prefix=""):
@@ -163,17 +184,10 @@ def _rebuild(kind: str, arrays: dict, meta: dict, path):
     if cls is layer_cls:
         model = layer()
     else:
-        n_layers = _meta(meta, "n_layers", int, path)
-        totals = _meta(meta, "totals", list, path)
-        if n_layers < 0 or len(totals) not in (0, n_layers):
-            raise CheckpointError(
-                f"{path}: {len(totals)} layer totals for {n_layers} layers")
-        if not all(isinstance(t, list) and len(t) == 2 and all(
-                isinstance(x, (int, float)) for x in t) for t in totals):
-            raise CheckpointError(f"{path}: malformed layer totals")
-        model = cls(layers=[layer(f"layer{i}/") for i in range(n_layers)],
+        model = cls(layers=[layer(f"layer{i}/")
+                            for i in range(meta["n_layers"])],
                     totals=[LayerTotals(wd=t[0], energy=t[1])
-                            for t in totals])
+                            for t in meta["totals"]])
 
     try:
         model.validate()
@@ -218,7 +232,7 @@ def load_train_state(path):
         raise CheckpointError(f"{path}: not a training-state checkpoint")
     meta = header["meta"]
     model = _rebuild(kind[:-len("-train")], arrays, meta, path)
-    train = {key: _meta(meta, key, types, path)
+    train = {key: _field(meta, key, types, path, "meta.")
              for key, types in _TRAIN_META.items()}
     stats = GradientStats(
         *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS),
@@ -240,9 +254,7 @@ def describe(path) -> str:
         for i, t in enumerate(meta["totals"]):
             lines.append(f"layer{i} totals: wd={t[0]:.6g} energy={t[1]:.6g}")
     lines.append("arrays:")
-    for entry in header["arrays"]:
-        arr = arrays[entry["name"]]
-        lines.append(f"  {entry['name']} shape={tuple(arr.shape)} "
-                     f"min={arr.min():.6g} max={arr.max():.6g}"
-                     if arr.size else f"  {entry['name']} shape={tuple(arr.shape)}")
+    for name, arr in arrays.items():
+        lines.append(f"  {name} shape={arr.shape}" + (
+            f" min={arr.min():.6g} max={arr.max():.6g}" if arr.size else ""))
     return "\n".join(lines) + "\n"

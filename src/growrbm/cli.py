@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .checkpoint import describe
 from .config import parse_config
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DimensionError, GrowRbmError, NumericError)
-from .harness import run_eval, run_inspect, run_sample, run_training
+from .harness import run_eval, run_sample, run_training
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
                                 args.out)
             print(f"wrote {frames.shape[0]} frames to {args.out}")
         elif args.command == "inspect":
-            sys.stdout.write(run_inspect(args.checkpoint))
+            sys.stdout.write(describe(args.checkpoint))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

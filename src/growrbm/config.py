@@ -115,9 +115,10 @@ def parse_config_text(text: str, where: str = "<config>") -> RunConfig:
         raise ConfigError(
             f"{where}: unknown model kind {model!r}; expected one of "
             f"{', '.join(MODEL_KINDS)}")
+    for key in ("epochs", "n_hidden", "u_dim"):
+        if get(key) is not None and get(key) < 1:
+            raise ConfigError(f"{where}: {key} must be >= 1")
     epochs = get("epochs")
-    if epochs < 1:
-        raise ConfigError(f"{where}: epochs must be >= 1")
     if get("train") is None:
         raise ConfigError(f"{where}: 'train' path is required")
     n_hidden = get("n_hidden")

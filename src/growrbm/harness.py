@@ -14,18 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import describe, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, model_kind, save_checkpoint
 from .config import RunConfig
 from .data import load_jsonl, write_jsonl
 from .dbn import train_adaptive_dbn, train_adaptive_rbm
 from .errors import ConfigError, DimensionError
 from .log import TrainLog
-from .metrics import PooledMetrics
 from .numerics import RngStream
-from .rnn_dbn import (RnnDbn, next_frame_predictions_deep,
-                      sample_sequence_deep, train_adaptive_rnn_dbn)
-from .rnn_rbm import (RnnRbm, next_frame_predictions, sample_sequence,
-                      train_adaptive_rnn_rbm)
+from .rnn_dbn import (RnnDbn, _pool_predictions, sample_sequence_deep,
+                      train_adaptive_rnn_dbn)
+from .rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
 
 RUN_FILES = ("config.cfg", "log.csv", "model.ckpt", "summary.txt")
 
@@ -34,21 +32,19 @@ def _flatten_frames(sequences) -> np.ndarray:
     return np.vstack([np.asarray(s, dtype=np.float64) for s in sequences])
 
 
+def _recurrent_stack(model) -> RnnDbn:
+    """The model as a recurrent stack (a recurrent RBM as one layer)."""
+    if isinstance(model, RnnDbn):
+        return model
+    if isinstance(model, RnnRbm):
+        return RnnDbn(layers=[model])
+    raise ConfigError("needs a recurrent model (rnn-rbm or rnn-dbn), got "
+                      f"kind {model_kind(model)!r}")
+
+
 def evaluate_model(model, sequences):
     """Pooled next-frame metrics ``(error, correct_ratio)`` over frames 2..T."""
-    pool = PooledMetrics()
-    for seq in sequences:
-        seq = np.asarray(seq, dtype=np.float64)
-        if seq.shape[1] != model.n_visible:
-            raise DimensionError(
-                f"dataset dimension {seq.shape[1]} does not match model "
-                f"visible size {model.n_visible}")
-        if seq.shape[0] < 2:
-            continue
-        if isinstance(model, RnnDbn):
-            pool.add(next_frame_predictions_deep(model, seq), seq[1:])
-        else:
-            pool.add(next_frame_predictions(model, seq), seq[1:])
+    pool = _pool_predictions(_recurrent_stack(model), sequences)
     if pool.empty:
         raise DimensionError("no sequence in the dataset has two frames")
     return pool.cross_entropy(), pool.correct_ratio()
@@ -118,32 +114,16 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
 
 def run_eval(checkpoint_path, dataset_path) -> tuple[float, float]:
     """Next-frame metrics of a recurrent checkpoint on a sequence file."""
-    model, _ = load_checkpoint(checkpoint_path)
-    if not isinstance(model, (RnnRbm, RnnDbn)):
-        raise ConfigError(
-            "eval needs a recurrent checkpoint (rnn-rbm or rnn-dbn); "
-            f"got kind with no next-frame predictions")
-    dataset = load_jsonl(dataset_path)
-    return evaluate_model(model, dataset.train)
+    stack = _recurrent_stack(load_checkpoint(checkpoint_path)[0])
+    return evaluate_model(stack, load_jsonl(dataset_path).train)
 
 
 def run_sample(checkpoint_path, length: int, seed: int, out_path) -> np.ndarray:
     """Generate one sequence from a recurrent checkpoint and write it."""
     if length < 0:
         raise ConfigError("length must be >= 0")
-    model, _ = load_checkpoint(checkpoint_path)
-    rng = RngStream(seed)
-    if isinstance(model, RnnRbm):
-        frames = sample_sequence(model, length, rng)
-    elif isinstance(model, RnnDbn):
-        frames = sample_sequence_deep(model, length, rng)
-    else:
-        raise ConfigError("sample needs a recurrent checkpoint "
-                          "(rnn-rbm or rnn-dbn)")
+    stack = _recurrent_stack(load_checkpoint(checkpoint_path)[0])
+    frames = sample_sequence_deep(stack, length, RngStream(seed))
     write_jsonl(out_path, [frames] if length > 0 else [],
                 ids=["sample"] if length > 0 else None)
     return frames
-
-
-def run_inspect(checkpoint_path) -> str:
-    return describe(checkpoint_path)

@@ -8,11 +8,12 @@ is reproducible) become the training sequences for the next layer.  The
 stack reuses the static gate: accumulated gradient-variance and energy
 totals decide whether another layer is worth adding.
 
-Prediction runs bottom-up then top-down: the prefix is lifted through
+Prediction runs bottom-up then top-down: the sequence is lifted through
 the lower layers as activation sequences, the top layer predicts its own
 next frame, and each layer below converts the prediction above it into
 visible marginals with a single conditional pass using its own temporal
-bias for the next step.
+bias for the next step.  A one-layer stack is the recurrent RBM itself,
+so evaluation and sampling serve both recurrent kinds.
 """
 from __future__ import annotations
 
@@ -20,13 +21,14 @@ import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig
 from .dbn import Dbn, LayerGenConfig, _train_stack
+from .errors import DimensionError
 from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import RngStream, sample_bernoulli, sigmoid
 from .rbm import CdConfig
 from .rnn_rbm import (RnnRbm, _mean_field_marginals, mean_sequence_energy,
-                      predict_next, temporal_biases, train_adaptive_rnn_rbm,
-                      unroll)
+                      next_frame_predictions, predict_next, state_update,
+                      temporal_biases, train_adaptive_rnn_rbm, unroll)
 
 
 class RnnDbn(Dbn):
@@ -104,47 +106,65 @@ def predict_next_deep(stack: RnnDbn, prefix) -> np.ndarray:
 def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
     """Stack predictions for frames ``2..T``; rows align with ``seq[1:]``.
 
-    Vectorised over prefixes: every layer's state trajectory is computed
-    once, the top layer runs mean-field for all steps at once, and the
-    down passes reuse the stored trajectories.
+    Vectorised over prefixes: each layer is unrolled once, the top layer
+    predicts all its steps with :func:`next_frame_predictions`, and the
+    down passes reuse the state trajectories of the lift.
     """
     seq = np.asarray(seq, dtype=np.float64)
     if seq.shape[0] < 2:
         return np.zeros((0, stack.n_visible))
-    views = _lift_prefix(stack, seq)
-    top = stack.layers[-1]
-    _, B, C = unroll(top, views[-1])
-    signal = _mean_field_marginals(top.rbm.W, B[1:], C[1:])
-    for layer, view in zip(reversed(stack.layers[:-1]), reversed(views[:-1])):
-        states = unroll(layer, view)[0]
-        b_next = layer.rbm.b + states[1:-1] @ layer.w_uv
-        signal = sigmoid(b_next + signal @ layer.rbm.W.T)
+    view, states = seq, []
+    for layer in stack.layers[:-1]:
+        U, _, C = unroll(layer, view)
+        view = sigmoid(C + view @ layer.rbm.W)
+        states.append(U)
+    signal = next_frame_predictions(stack.layers[-1], view)
+    for layer, U in zip(reversed(stack.layers[:-1]), reversed(states)):
+        signal = sigmoid(layer.rbm.b + U[1:-1] @ layer.w_uv
+                         + signal @ layer.rbm.W.T)
     return signal
+
+
+def _pool_predictions(stack: RnnDbn, sequences) -> PooledMetrics:
+    """Next-frame predictions pooled against frames ``2..T``."""
+    pool = PooledMetrics()
+    for seq in sequences:
+        seq = np.asarray(seq, dtype=np.float64)
+        if seq.shape[1] != stack.n_visible:
+            raise DimensionError(
+                f"dataset dimension {seq.shape[1]} does not match model "
+                f"visible size {stack.n_visible}")
+        pool.add(next_frame_predictions_deep(stack, seq), seq[1:])
+    return pool
 
 
 def prediction_error_deep(stack: RnnDbn, sequences) -> float:
     """Pooled next-frame cross-entropy per bit for the stack."""
-    pool = PooledMetrics()
-    for seq in sequences:
-        seq = np.asarray(seq, dtype=np.float64)
-        if seq.shape[0] >= 2:
-            pool.add(next_frame_predictions_deep(stack, seq), seq[1:])
+    pool = _pool_predictions(stack, sequences)
     return float("nan") if pool.empty else pool.cross_entropy()
 
 
 def sample_sequence_deep(stack: RnnDbn, length: int,
                          rng: RngStream) -> np.ndarray:
-    """Generate frames from the stack.
+    """Generate ``length`` frames from the stack in linear time.
 
-    Each step predicts marginals through the full stack for the current
-    prefix, samples a frame, and appends it.  States are recomputed from
-    the prefix for clarity rather than speed; generation length stays
-    small in practice.
+    Each step predicts from the states every layer carries (the marginals
+    of :func:`predict_next_deep` on the sampled prefix), samples a frame
+    and lifts it up once, moving every state one step forward.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
+    *lower, top = stack.layers
+    states = [layer.u0 for layer in stack.layers]
     frames = np.zeros((length, stack.n_visible))
     for t in range(length):
-        p = predict_next_deep(stack, frames[:t])
-        frames[t] = sample_bernoulli(p, rng)
+        biases = [temporal_biases(*pair) for pair in zip(stack.layers, states)]
+        signal = _mean_field_marginals(top.rbm.W, *biases[-1])
+        for layer, (b_next, _) in zip(reversed(lower), reversed(biases[:-1])):
+            signal = sigmoid(b_next + signal @ layer.rbm.W.T)
+        view = frames[t] = sample_bernoulli(signal, rng)
+        for i, layer in enumerate(stack.layers):
+            states[i] = state_update(layer, states[i], view)
+            if i < len(lower):
+                view = sigmoid(biases[i][1] + view @ layer.rbm.W)
     return frames

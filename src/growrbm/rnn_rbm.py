@@ -29,7 +29,7 @@ from .adapt import (AdaptConfig, ForgettingConfig, GradientStats, TrainState,
 from .errors import CapacityError, DimensionError
 from .log import TrainLog
 from .metrics import PooledMetrics
-from .numerics import _SIG_HI, _SIG_LO, RngStream, sample_bernoulli, sigmoid
+from .numerics import _SIG_HI, _SIG_LO, RngStream, sigmoid
 from .rbm import CdConfig, Rbm, all_states
 
 SEQ_ENUM_LIMIT = 20
@@ -402,21 +402,6 @@ def next_frame_predictions(model: RnnRbm, seq) -> np.ndarray:
         return np.zeros((0, model.n_visible))
     U, B, C = unroll(model, seq)
     return _mean_field_marginals(model.rbm.W, B[1:], C[1:])
-
-
-def sample_sequence(model: RnnRbm, length: int, rng: RngStream) -> np.ndarray:
-    """Generate ``length`` frames by sampling each predicted marginal and
-    feeding the sample back through the state update."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    frames = np.zeros((length, model.n_visible))
-    u = model.u0
-    for t in range(length):
-        b_next, c_next = temporal_biases(model, u)
-        p = _mean_field_marginals(model.rbm.W, b_next, c_next)
-        frames[t] = sample_bernoulli(p, rng)
-        u = state_update(model, u, frames[t])
-    return frames
 
 
 def _frame_biases(model: RnnRbm, sequences, unrolled):

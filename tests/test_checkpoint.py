@@ -33,6 +33,11 @@ def dbn_model():
                totals=[LayerTotals(0.1, 0.2), LayerTotals(0.3, 0.4)])
 
 
+def save_one_layer_dbn(path):
+    save_checkpoint(path, Dbn(layers=[rbm_model()],
+                              totals=[LayerTotals(0.1, 0.2)]))
+
+
 def rnn_dbn_model():
     l1 = RnnRbm.random(3, 2, RngStream(5))
     l2 = RnnRbm.random(2, 2, RngStream(6))
@@ -269,19 +274,27 @@ class TestCorruption:
          lambda h: h["meta"].pop("totals"), "missing 'meta.totals'"),
         (lambda p: save_checkpoint(p, rbm_model()), describe,
          lambda h: h["arrays"][0].pop("name"), "bad array entry"),
-        (lambda p: save_checkpoint(p, Dbn(layers=[rbm_model()],
-                                          totals=[LayerTotals(0.1, 0.2)])),
-         load_checkpoint,
+        (save_one_layer_dbn, load_checkpoint,
          lambda h: h["meta"].update(totals=[[0.1, 0.2]] * 3),
          "3 layer totals for 1 layers"),
+    ] + [(save_one_layer_dbn, describe,
+          lambda h, totals=totals: h["meta"].update(totals=totals), match)
+         for totals, match in (([["x", 1]], "malformed layer totals"),
+                               (5, "bad 'meta.totals'"),
+                               ([[1.0]], "malformed layer totals"))
+    ] + [(save_one_layer_dbn, load,
+          lambda h: h["meta"].update(n_layers=0, totals=[]),
+          "stack of 0 layers") for load in (load_checkpoint, describe)
     ] + [(lambda p: save_train_state(
               p, TestTrainStateRoundTrip().make_state()), load_train_state,
           lambda h, key=key: h["meta"].pop(key), f"missing 'meta.{key}'")
          for key in ("stats_decay", "stats_count", "epoch_done",
                      "controller")],
         ids=["kind", "dbn-n_layers", "dbn-totals", "manifest-name",
-             "surplus-totals", "state-stats_decay", "state-stats_count",
-             "state-epoch_done", "state-controller"])
+             "surplus-totals", "describe-string-totals",
+             "describe-scalar-totals", "describe-short-totals",
+             "zero-layers", "describe-zero-layers", "state-stats_decay",
+             "state-stats_count", "state-epoch_done", "state-controller"])
     def test_missing_header_key(self, tmp_path, save, load, edit, match):
         p = tmp_path / "m.ckpt"
         save(p)
@@ -299,6 +312,35 @@ class TestCorruption:
         assert main(["eval", "--checkpoint", str(p),
                      "--dataset", str(data)]) == 2
         assert "meta.n_layers" in capsys.readouterr().err
+
+    def test_malformed_totals_exit_2_in_inspect(self, tmp_path, capsys):
+        from growrbm.cli import main
+        p = tmp_path / "m.ckpt"
+        save_one_layer_dbn(p)
+        self.edit_header(p, lambda h: h["meta"].update(totals=[["x", 1]]))
+        assert main(["inspect", "--checkpoint", str(p)]) == 2
+        assert "malformed layer totals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_zero_layer_stack_exits_2_in_cli(self, tmp_path, capsys,
+                                             command):
+        from growrbm.cli import main
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, RnnDbn(layers=[rnn_model()]))
+        self.edit_header(p, lambda h: h["meta"].update(n_layers=0))
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"seq": [[0, 1, 0], [1, 0, 1]]}\n')
+        args = (["--dataset", str(data)] if command == "eval" else
+                ["--length", "3", "--out", str(tmp_path / "s.jsonl")])
+        assert main([command, "--checkpoint", str(p)] + args) == 2
+        assert "stack of 0 layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls", [Dbn, RnnDbn])
+    def test_empty_stack_not_written(self, tmp_path, cls):
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="no layers"):
+            save_checkpoint(p, cls(layers=[]))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDescribe:

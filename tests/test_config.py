@@ -114,6 +114,13 @@ class TestErrors:
         with pytest.raises(ConfigError, match="epochs must be >= 1"):
             parse_config_text(MINIMAL + "epochs = 0\n")
 
+    @pytest.mark.parametrize("line", ["n_hidden = 0", "n_hidden = -2",
+                                      "u_dim = 0"])
+    def test_nonpositive_layer_sizes(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"^run.cfg: {key} must be"):
+            parse_config_text(MINIMAL + line + "\n", where="run.cfg")
+
     def test_subconfig_validation_wrapped(self):
         with pytest.raises(ConfigError, match="gen_threshold"):
             parse_config_text(MINIMAL + "adapt.gen_threshold = -1\n")

@@ -146,6 +146,19 @@ class TestEvalAndSample:
         with pytest.raises(ConfigError, match="recurrent"):
             run_eval(out / "model.ckpt", data_file)
 
+    @pytest.mark.parametrize("kind, model", [
+        ("rbm", Rbm.zeros(4, 3)), ("dbn", Dbn(layers=[Rbm.zeros(4, 3)]))])
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_static_checkpoint_error_names_kind(self, tmp_path, data_file,
+                                                kind, model, command):
+        ckpt = tmp_path / "static.ckpt"
+        save_checkpoint(ckpt, model)
+        with pytest.raises(ConfigError, match=f"kind '{kind}'"):
+            if command == "eval":
+                run_eval(ckpt, data_file)
+            else:
+                run_sample(ckpt, 3, 0, tmp_path / "gen.jsonl")
+
     def test_sample_round_trips(self, trained, tmp_path):
         out_path = tmp_path / "gen.jsonl"
         frames = run_sample(trained, 5, 3, out_path)

@@ -2,10 +2,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from growrbm import rnn_dbn
 from growrbm.dbn import LayerGenConfig, train_adaptive_dbn, train_adaptive_rbm
-from growrbm.errors import NumericError
-from growrbm.numerics import RngStream, sigmoid
+from growrbm.errors import DimensionError, NumericError
+from growrbm.harness import evaluate_model
+from growrbm.metrics import PooledMetrics
+from growrbm.numerics import RngStream, sample_bernoulli, sigmoid
 from growrbm.rbm import CdConfig
 from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
@@ -158,3 +162,83 @@ class TestDeepSampling:
         (stack, _), _ = trained_stack(max_layers=2)
         with pytest.raises(ValueError):
             sample_sequence_deep(stack, -2, RngStream(1))
+
+
+def reference_sample_sequence_deep(stack, length, rng):
+    """Quadratic sampler: every step re-lifts the whole prefix through
+    :func:`predict_next_deep`, samples the marginals and appends."""
+    frames = np.zeros((length, stack.n_visible))
+    for t in range(length):
+        frames[t] = sample_bernoulli(predict_next_deep(stack, frames[:t]), rng)
+    return frames
+
+
+@st.composite
+def stacks_and_sequences(draw, max_layers=3):
+    """A stack of 1..``max_layers`` random recurrent layers and ragged
+    binary sequences of 1..8 frames."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    sd = draw(st.sampled_from([0.1, 0.7, 2.0]))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2,
+                          max_size=max_layers + 1))
+    rng = RngStream(seed)
+    layers = [small_model(seed + i, i=n_v, j=n_h, k=draw(st.integers(1, 4)),
+                          sd=sd)
+              for i, (n_v, n_h) in enumerate(zip(sizes, sizes[1:]))]
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    seqs = [(rng.split(n).uniform(size=(t, sizes[0])) < 0.5).astype(float)
+            for n, t in enumerate(lengths)]
+    return RnnDbn(layers=layers), seqs
+
+
+class TestReadPathProperties:
+    """The linear read path against the per-prefix references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacks_and_sequences())
+    def test_vectorised_matches_per_prefix(self, case):
+        stack, seqs = case
+        for seq in seqs:
+            rows = next_frame_predictions_deep(stack, seq)
+            assert rows.shape == (seq.shape[0] - 1, stack.n_visible)
+            for t in range(1, seq.shape[0]):
+                npt.assert_allclose(rows[t - 1],
+                                    predict_next_deep(stack, seq[:t]),
+                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacks_and_sequences(max_layers=1))
+    def test_bare_recurrent_rbm_evaluates_as_flat_pool(self, case):
+        stack, seqs = case
+        model = stack.layers[0]
+        pool = PooledMetrics()
+        for seq in seqs:
+            pool.add(next_frame_predictions(model, seq), seq[1:])
+        if pool.empty:
+            with pytest.raises(DimensionError, match="two frames"):
+                evaluate_model(model, seqs)
+        else:
+            assert evaluate_model(model, seqs) == \
+                (pool.cross_entropy(), pool.correct_ratio())
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacks_and_sequences(), length=st.integers(0, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sampler_matches_quadratic_reference(self, case, length, seed):
+        stack, _ = case
+        marginals = []
+
+        def recording(p, rng):
+            marginals.append(np.array(p))
+            return sample_bernoulli(p, rng)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rnn_dbn, "sample_bernoulli", recording)
+            frames = sample_sequence_deep(stack, length, RngStream(seed))
+        npt.assert_array_equal(
+            frames, reference_sample_sequence_deep(stack, length,
+                                                   RngStream(seed)))
+        assert len(marginals) == length
+        for t, p in enumerate(marginals):
+            npt.assert_allclose(p, predict_next_deep(stack, frames[:t]),
+                                rtol=0, atol=1e-12)

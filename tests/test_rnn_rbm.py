@@ -9,10 +9,11 @@ from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
 from growrbm.errors import CapacityError, DimensionError
 from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig, Rbm, cd_step, log_likelihood_exact
+from growrbm.rnn_dbn import RnnDbn, sample_sequence_deep
 from growrbm.rnn_rbm import (RnnRbm, RnnRbmGradient, bptt_gradients,
                              grow_hidden, mean_hidden_activation,
                              mean_sequence_energy, next_frame_predictions,
-                             predict_next, prediction_error, sample_sequence,
+                             predict_next, prediction_error,
                              sequence_cost_exact,
                              sequence_cost_gradient_exact, shrink_hidden,
                              state_update, temporal_biases,
@@ -424,25 +425,31 @@ class TestPrediction:
 
 
 class TestSampling:
+    """A recurrent RBM samples as a one-layer stack."""
+
+    @staticmethod
+    def sample(model, length, rng):
+        return sample_sequence_deep(RnnDbn(layers=[model]), length, rng)
+
     def test_deterministic_binary_frames(self):
         m = small_model(41)
-        s1 = sample_sequence(m, 8, RngStream(3))
-        s2 = sample_sequence(m, 8, RngStream(3))
+        s1 = self.sample(m, 8, RngStream(3))
+        s2 = self.sample(m, 8, RngStream(3))
         npt.assert_array_equal(s1, s2)
         assert s1.shape == (8, 3)
         assert set(np.unique(s1)) <= {0.0, 1.0}
 
     def test_zero_length(self):
-        assert sample_sequence(small_model(42), 0, RngStream(1)).shape == (0, 3)
+        assert self.sample(small_model(42), 0, RngStream(1)).shape == (0, 3)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            sample_sequence(small_model(42), -1, RngStream(1))
+            self.sample(small_model(42), -1, RngStream(1))
 
     def test_strong_bias_drives_samples(self):
         m = RnnRbm.zeros(2, 1)
         m.rbm.b = np.array([8.0, -8.0])
-        frames = sample_sequence(m, 50, RngStream(7))
+        frames = self.sample(m, 50, RngStream(7))
         assert frames[:, 0].mean() > 0.95
         assert frames[:, 1].mean() < 0.05
 
