@@ -32,14 +32,17 @@ def _flatten_frames(sequences) -> np.ndarray:
     return np.vstack([np.asarray(s, dtype=np.float64) for s in sequences])
 
 
+# the model types served by the recurrent read path (eval, sample and
+# the held-out score of a training run)
+_RECURRENT = (RnnRbm, RnnDbn)
+
+
 def _recurrent_stack(model) -> RnnDbn:
     """The model as a recurrent stack (a recurrent RBM as one layer)."""
-    if isinstance(model, RnnDbn):
-        return model
-    if isinstance(model, RnnRbm):
-        return RnnDbn(layers=[model])
-    raise ConfigError("needs a recurrent model (rnn-rbm or rnn-dbn), got "
-                      f"kind {model_kind(model)!r}")
+    if not isinstance(model, _RECURRENT):
+        raise ConfigError("needs a recurrent model (rnn-rbm or rnn-dbn), got "
+                          f"kind {model_kind(model)!r}")
+    return model if isinstance(model, RnnDbn) else RnnDbn(layers=[model])
 
 
 def evaluate_model(model, sequences):
@@ -102,7 +105,7 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         "train_energy": last.energy,
         "wall_seconds": time.monotonic() - t0,
     }
-    if test_seqs and cfg.model in ("rnn-rbm", "rnn-dbn"):
+    if test_seqs and isinstance(model, _RECURRENT):
         err, ratio = evaluate_model(model, test_seqs)
         summary["test_error"] = err
         summary["test_correct_ratio"] = ratio

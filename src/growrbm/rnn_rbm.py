@@ -11,6 +11,12 @@ so the sequence likelihood factorises into per-frame conditional RBM
 terms.  Training backpropagates per-frame gradient estimates (CD at
 scale, exact enumeration in the oracles) through the state recursion.
 
+The batch paths (the BPTT-CD gradient and the epoch summaries) group
+their sequences by exact length and stack each group as ``(S, T, I)``,
+so one unroll, one CD-k pass over all ``S * T`` frames and one backward
+chain serve the whole group.  Grouping changes no random draw: frame
+``t`` of batch sequence ``s`` still draws from ``rng.split(s).split(t)``.
+
 The hidden layer can grow and shrink during training exactly like the
 static model; ``w_uh`` is resized in lockstep so the temporal bias keeps
 one column per hidden unit.  Training runs the epoch loop shared with
@@ -196,35 +202,44 @@ def state_update(model: RnnRbm, u_prev: np.ndarray, v_t: np.ndarray) -> np.ndarr
 
 
 def unroll(model: RnnRbm, seq):
-    """States and per-frame biases along a sequence.
+    """States and per-frame biases along one sequence or a group of them.
 
-    Returns ``(U, B, C)`` where ``U[t]`` is the state after ``t`` frames
-    (``U[0]`` is the learned initial state, so ``U`` has ``T + 1`` rows)
-    and ``B[t] / C[t]`` are the biases used for frame ``t``.
+    ``seq`` is one sequence ``(T, I)`` or ``S`` equal-length sequences
+    stacked as ``(S, T, I)``.  Returns ``(U, B, C)`` with the same leading
+    axes, where ``U[..., t, :]`` is the state after ``t`` frames
+    (``U[..., 0, :]`` is the learned initial state, so ``U`` has ``T + 1``
+    rows per sequence) and ``B[..., t, :] / C[..., t, :]`` are the biases
+    used for frame ``t``.
 
     Only the state recursion runs frame by frame; ``B`` and ``C`` are two
     matrix products over the stacked states afterwards.  Each step
     applies the same clamped logistic as :func:`state_update`, and one
-    finiteness check over all ``(T, K)`` pre-activations after the loop
-    raises the error :func:`~growrbm.numerics.sigmoid` would have raised.
+    finiteness check over all pre-activations after the loop raises the
+    error :func:`~growrbm.numerics.sigmoid` would have raised.
     """
-    seq = _as_sequence(seq)
-    if seq.shape[1] != model.n_visible:
+    seq = np.asarray(seq, dtype=np.float64)
+    if seq.ndim not in (2, 3):
+        raise DimensionError("sequence must be (frames, dim) or "
+                             f"(sequences, frames, dim), got {seq.shape}")
+    if seq.shape[-1] != model.n_visible:
         raise DimensionError(
-            f"frame has dimension {seq.shape[1]}, expected {model.n_visible}")
-    t_len = seq.shape[0]
-    U = np.empty((t_len + 1, model.u_dim))
-    pre = np.empty((t_len, model.u_dim))
+            f"frame has dimension {seq.shape[-1]}, expected {model.n_visible}")
+    # the recursion runs time-major, so each step fills contiguous rows
+    lead, t_len = seq.shape[:-2], seq.shape[-2]
+    frames = seq.swapaxes(0, -2)
+    U = np.empty((t_len + 1,) + lead + (model.u_dim,))
+    pre = np.empty((t_len,) + lead + (model.u_dim,))
     U[0] = model.u0
     for t in range(t_len):
-        pre[t] = model.u_bias + U[t] @ model.w_uu + seq[t] @ model.w_vu
+        pre[t] = model.u_bias + U[t] @ model.w_uu + frames[t] @ model.w_vu
         u = expit(pre[t], out=U[t + 1])
         np.maximum(u, _SIG_LO, out=u)
         np.minimum(u, _SIG_HI, out=u)
     if not np.all(np.isfinite(pre)):
         raise FloatingPointError("sigmoid: non-finite input")
-    B = model.rbm.b + U[:-1] @ model.w_uv
-    C = model.rbm.c + U[:-1] @ model.w_uh
+    U = U.swapaxes(0, -2)
+    B = model.rbm.b + U[..., :-1, :] @ model.w_uv
+    C = model.rbm.c + U[..., :-1, :] @ model.w_uh
     return U, B, C
 
 
@@ -252,30 +267,39 @@ def sequence_cost_exact(model: RnnRbm, seq) -> float:
     return float(cost)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``(..., n)`` as ``(rows, n)``."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
                          DB: np.ndarray, DC: np.ndarray,
                          dW_sum: np.ndarray) -> RnnRbmGradient:
     """Push per-frame bias/weight partials through the state recursion.
 
     Orientation-agnostic: feeds ascent partials in, gets ascent out, and
-    likewise for descent.  ``DB[t] / DC[t]`` are the partials wrt the
-    frame-``t`` biases; ``dW_sum`` is the summed weight partial.
+    likewise for descent.  ``seq``, ``U`` are one sequence or one group
+    as returned by :func:`unroll`; ``DB[..., t, :] / DC[..., t, :]`` are
+    the partials wrt the frame-``t`` biases; ``dW_sum`` is the summed
+    weight partial.  The result is summed over the group.
 
     Only the backward recursion of the state partial runs frame by
-    frame; the per-frame pre-activation partials ``GA[t]`` are stacked
-    and the recurrent weight gradients are matrix products over them.
+    frame, on all sequences of the group at once; the per-frame
+    pre-activation partials ``GA`` are stacked and the recurrent weight
+    gradients are matrix products over them.
     """
     direct = DB @ model.w_uv.T + DC @ model.w_uh.T
-    slope = U[1:] * (1.0 - U[1:])
+    slope = U[..., 1:, :] * (1.0 - U[..., 1:, :])
     GA = np.empty_like(direct)
-    gu = np.zeros(model.u_dim)
-    for t in range(seq.shape[0] - 1, -1, -1):
-        GA[t] = gu * slope[t]
-        gu = direct[t] + GA[t] @ model.w_uu.T
+    gu = np.zeros(direct.shape[:-2] + (model.u_dim,))
+    for t in range(seq.shape[-2] - 1, -1, -1):
+        GA[..., t, :] = gu * slope[..., t, :]
+        gu = direct[..., t, :] + GA[..., t, :] @ model.w_uu.T
+    U_prev, DB, DC, GA = _rows(U[..., :-1, :]), _rows(DB), _rows(DC), _rows(GA)
     return RnnRbmGradient(
         db=DB.sum(axis=0), dc=DC.sum(axis=0), dW=dW_sum, du=GA.sum(axis=0),
-        dw_uv=U[:-1].T @ DB, dw_uh=U[:-1].T @ DC, dw_vu=seq.T @ GA,
-        dw_uu=U[:-1].T @ GA, du0=gu)
+        dw_uv=U_prev.T @ DB, dw_uh=U_prev.T @ DC, dw_vu=_rows(seq).T @ GA,
+        dw_uu=U_prev.T @ GA, du0=_rows(gu).sum(axis=0))
 
 
 def sequence_cost_gradient_exact(model: RnnRbm, seq) -> RnnRbmGradient:
@@ -306,24 +330,43 @@ def sequence_cost_gradient_exact(model: RnnRbm, seq) -> RnnRbmGradient:
     return _chain_through_state(model, seq, U, DB, DC, dW)
 
 
-def _sequence_bptt_cd(model: RnnRbm, seq: np.ndarray, cfg: CdConfig,
-                      rng: RngStream) -> RnnRbmGradient:
-    """CD-based ascent gradient for one sequence, chained through time.
+def _length_groups(model: RnnRbm, sequences):
+    """``(positions, stack)`` per distinct sequence length ``T``, in order
+    of first appearance: ``stack`` is the ``(S, T, I)`` array of the
+    sequences at ``positions`` in ``sequences``."""
+    groups = {}
+    for n, seq in enumerate(sequences):
+        seq = _as_sequence(seq)
+        if seq.shape[1] != model.n_visible:
+            raise DimensionError(
+                f"sequence dimension {seq.shape[1]} does not match model "
+                f"visible size {model.n_visible}")
+        groups.setdefault(seq.shape[0], []).append((n, seq))
+    return [([n for n, _ in group], np.stack([seq for _, seq in group]))
+            for group in groups.values()]
 
-    Given the unrolled state the frames are independent conditional
-    RBMs, so CD-k runs once on the whole ``(T, I)`` sequence with
-    per-frame bias rows.  Frame ``t`` draws from ``rng.split(t)`` in the
-    order :func:`~growrbm.rbm.cd_step` on that frame alone would: ``J``
-    hidden uniforms, then ``I + J`` per further Gibbs step.
+
+def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
+                   rngs: list) -> RnnRbmGradient:
+    """CD-based ascent gradient summed over an ``(S, T, I)`` group of
+    equal-length sequences, chained through time.
+
+    Given the unrolled states the frames are independent conditional
+    RBMs, so CD-k runs once on all ``S * T`` frames with per-frame bias
+    rows.  Frame ``t`` of sequence ``s`` draws from ``rngs[s].split(t)``
+    in the order :func:`~growrbm.rbm.cd_step` on that frame alone would:
+    ``J`` hidden uniforms, then ``I + J`` per further Gibbs step.
     """
-    if seq.min() < 0.0 or seq.max() > 1.0:
+    if seqs.min() < 0.0 or seqs.max() > 1.0:
         raise ValueError("visible batch values must lie in [0, 1]")
     n_v, n_h = model.n_visible, model.n_hidden
     W = model.rbm.W
-    U, B, C = unroll(model, seq)
-    draws = rng.split_uniform_rows(seq.shape[0],
-                                   n_h + (cfg.k - 1) * (n_v + n_h))
-    h_data = sigmoid(seq @ W + C)
+    U, B, C = unroll(model, seqs)
+    V, B, C = _rows(seqs), _rows(B), _rows(C)
+    width = n_h + (cfg.k - 1) * (n_v + n_h)
+    draws = np.concatenate([r.split_uniform_rows(seqs.shape[1], width)
+                            for r in rngs])
+    h_data = sigmoid(V @ W + C)
     h = (draws[:, :n_h] < h_data).astype(np.float64)
     v_prob = sigmoid(h @ W.T + B)
     for step in range(cfg.k - 1):
@@ -333,9 +376,10 @@ def _sequence_bptt_cd(model: RnnRbm, seq: np.ndarray, cfg: CdConfig,
         h = (draws[:, at + n_v:at + n_v + n_h] < h_prob).astype(np.float64)
         v_prob = sigmoid(h @ W.T + B)
     h_model = sigmoid(v_prob @ W + C)
-    dW = seq.T @ h_data - v_prob.T @ h_model
-    return _chain_through_state(model, seq, U, seq - v_prob, h_data - h_model,
-                                dW)
+    dW = V.T @ h_data - v_prob.T @ h_model
+    return _chain_through_state(
+        model, seqs, U, (V - v_prob).reshape(seqs.shape),
+        (h_data - h_model).reshape(seqs.shape[:2] + (n_h,)), dW)
 
 
 def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
@@ -344,25 +388,23 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
 
     Sequence ``s`` draws from ``rng.split(s)`` and frame ``t`` within it
     from a further ``split(t)``, so a given batch is reproducible from
-    its stream alone.  Each sequence costs one unroll, one CD-k pass
-    over all its frames at once and one backward pass through the state
-    (see :func:`_sequence_bptt_cd`).  Normalised by the total number of
-    frames.
+    its stream alone.  The batch is split into groups of equal length
+    (in order of first appearance); each group costs one unroll, one
+    CD-k pass over all its frames at once and one backward pass through
+    the state (see :func:`_group_bptt_cd`).  A sequence keeps the stream
+    of its position in the batch, whatever its group, so grouping
+    changes no draw.  Normalised by the total number of frames.
     """
     if len(batch) == 0:
         raise ValueError("empty sequence batch")
     total = RnnRbmGradient.zeros(model)
     frames = 0
-    for s, seq in enumerate(batch):
-        seq = _as_sequence(seq)
-        if seq.shape[0] < 1:
+    for positions, seqs in _length_groups(model, batch):
+        if seqs.shape[1] < 1:
             raise ValueError("sequences must have at least one frame")
-        if seq.shape[1] != model.n_visible:
-            raise DimensionError(
-                f"sequence dimension {seq.shape[1]} does not match model "
-                f"visible size {model.n_visible}")
-        total.add_(_sequence_bptt_cd(model, seq, cfg, rng.split(s)))
-        frames += seq.shape[0]
+        total.add_(_group_bptt_cd(model, seqs, cfg,
+                                  [rng.split(s) for s in positions]))
+        frames += seqs.shape[0] * seqs.shape[1]
     return total.scale_(1.0 / frames)
 
 
@@ -404,29 +446,17 @@ def next_frame_predictions(model: RnnRbm, seq) -> np.ndarray:
     return _mean_field_marginals(model.rbm.W, B[1:], C[1:])
 
 
-def _frame_biases(model: RnnRbm, sequences, unrolled):
-    """``(seq, B, C)`` per sequence, taken from ``unrolled`` (one
-    :func:`unroll` result per sequence) when it is given."""
-    for n, seq in enumerate(sequences):
-        seq = _as_sequence(seq)
-        _, B, C = unroll(model, seq) if unrolled is None else unrolled[n]
-        yield seq, B, C
-
-
-def mean_sequence_energy(model: RnnRbm, sequences, unrolled=None) -> float:
-    """Mean conditional expected frame energy with temporal biases.
-
-    ``unrolled`` optionally holds ``unroll(model, seq)`` for every
-    sequence, so that several epoch metrics can share one unroll.
-    """
+def mean_sequence_energy(model: RnnRbm, sequences) -> float:
+    """Mean conditional expected frame energy with temporal biases."""
     total = 0.0
     frames = 0
-    for seq, B, C in _frame_biases(model, sequences, unrolled):
-        pre = C + seq @ model.rbm.W
+    for _, seqs in _length_groups(model, sequences):
+        _, B, C = unroll(model, seqs)
+        pre = C + seqs @ model.rbm.W
         h = sigmoid(pre)
-        e = -np.sum(seq * B, axis=1) - np.sum(h * pre, axis=1)
+        e = -np.sum(seqs * B, axis=-1) - np.sum(h * pre, axis=-1)
         total += float(e.sum())
-        frames += seq.shape[0]
+        frames += e.size
     return total / frames
 
 
@@ -434,25 +464,26 @@ def mean_hidden_activation(model: RnnRbm, sequences) -> np.ndarray:
     """Per-unit mean of ``p(h_j = 1 | v_t)`` over all frames."""
     acc = np.zeros(model.n_hidden)
     frames = 0
-    for seq in sequences:
-        seq = _as_sequence(seq)
-        _, _, C = unroll(model, seq)
-        acc += sigmoid(C + seq @ model.rbm.W).sum(axis=0)
-        frames += seq.shape[0]
+    for _, seqs in _length_groups(model, sequences):
+        _, _, C = unroll(model, seqs)
+        h = _rows(sigmoid(C + seqs @ model.rbm.W))
+        acc += h.sum(axis=0)
+        frames += h.shape[0]
     return acc / frames
 
 
-def prediction_error(model: RnnRbm, sequences, unrolled=None) -> float:
+def prediction_error(model: RnnRbm, sequences) -> float:
     """Pooled next-frame cross-entropy per bit over frames ``2..T``.
 
-    ``unrolled`` is as in :func:`mean_sequence_energy`; the predictions
-    are those of :func:`next_frame_predictions`.
+    The predictions are those of :func:`next_frame_predictions`, made
+    for a whole length group at once.
     """
     pool = PooledMetrics()
-    for seq, B, C in _frame_biases(model, sequences, unrolled):
-        if seq.shape[0] >= 2:
-            pool.add(_mean_field_marginals(model.rbm.W, B[1:], C[1:]),
-                     seq[1:])
+    for _, seqs in _length_groups(model, sequences):
+        if seqs.shape[1] >= 2:
+            _, B, C = unroll(model, seqs)
+            pool.add(_mean_field_marginals(model.rbm.W, B[:, 1:], C[:, 1:]),
+                     seqs[:, 1:])
     return float("nan") if pool.empty else pool.cross_entropy()
 
 
@@ -487,13 +518,6 @@ def _apply_update(model: RnnRbm, g: RnnRbmGradient, lr: float):
     for arr, name in zip(model.arrays().values(), g._FIELDS):
         arr += lr * getattr(g, name)
     np.clip(model.u0, U0_MARGIN, 1.0 - U0_MARGIN, out=model.u0)
-
-
-def _epoch_metrics(model: RnnRbm, sequences):
-    """``(energy, error)`` over the training set from one shared unroll."""
-    unrolled = [unroll(model, s) for s in sequences]
-    return (mean_sequence_energy(model, sequences, unrolled),
-            prediction_error(model, sequences, unrolled))
 
 
 def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
@@ -531,4 +555,5 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
         n_layers, log, first_event, resume, epoch_callback,
         gradient=bptt_gradients, activations=mean_hidden_activation,
         update=_apply_update, grow=grow_hidden, shrink=shrink_hidden,
-        metrics=_epoch_metrics)
+        metrics=lambda m, seqs: (mean_sequence_energy(m, seqs),
+                                 prediction_error(m, seqs)))

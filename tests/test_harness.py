@@ -316,6 +316,28 @@ class TestCli:
         assert "numeric failure: sigmoid: non-finite input" in \
             capsys.readouterr().err
 
+    def test_numeric_failure_in_grouped_unroll_exits_3(self, tmp_path,
+                                                        data_file, capsys,
+                                                        monkeypatch):
+        # all training sequences share one length, so the first batch is
+        # unrolled as one group; finite initial weights overflow there
+        fresh = RnnRbm.random
+
+        def huge(*args, **kwargs):
+            model = fresh(*args, **kwargs)
+            model.w_vu[:] = 1e308
+            return model
+
+        monkeypatch.setattr(RnnRbm, "random", staticmethod(huge))
+        assert len({len(s) for s in load_jsonl(data_file).train}) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = rnn-rbm\ntrain = {data_file}\n"
+                       f"out = {tmp_path / 'run'}\nepochs = 1\n"
+                       "n_hidden = 3\ncd.batch_size = 4\n")
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "numeric failure: sigmoid: non-finite input" in \
+            capsys.readouterr().err
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config is required
         capsys.readouterr()

@@ -4,9 +4,11 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
 from growrbm.errors import CapacityError, DimensionError
+from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig, Rbm, cd_step, log_likelihood_exact
 from growrbm.rnn_dbn import RnnDbn, sample_sequence_deep
@@ -42,6 +44,21 @@ def static_in_rnn(rbm, u_dim=2):
     model = RnnRbm.zeros(rbm.n_visible, rbm.n_hidden, u_dim=u_dim)
     model.rbm = rbm.copy()
     return model
+
+
+def grown_model(model, seed):
+    """``model`` after a forced growth sweep: ``W`` and ``w_uh`` are no
+    longer the arrays it started with."""
+    i, j = model.n_visible, model.n_hidden
+    stats = GradientStats.zeros(i, j)
+    for step in range(40):
+        sign = 1.0 if step % 2 == 0 else -1.0
+        stats.update(np.full(j, sign), np.full((i, j), sign))
+    adapt = AdaptConfig(generation_phase_epochs=1, max_hidden=2 * j,
+                        gen_threshold=1e-6)
+    grown, _, parents = grow_hidden(model, stats, adapt, RngStream(seed))
+    assert grown.n_hidden > j and parents
+    return grown
 
 
 def cycle_sequences(n_seq, t_len, rng, dim=4):
@@ -150,15 +167,32 @@ class TestRecursionArithmetic:
         with pytest.raises(DimensionError):
             unroll(small_model(5), np.zeros((2, 4)))
 
-    @pytest.mark.parametrize("seed", [6, 7, 8])
-    def test_batched_biases_match_per_frame(self, seed):
+    @pytest.mark.parametrize("seed, group", [(6, None), (7, None), (8, None),
+                                             (9, 1), (10, 5)],
+                             ids=["6", "7", "8", "group-of-1", "group-of-5"])
+    def test_batched_biases_match_per_frame(self, seed, group):
         m = small_model(seed, i=5, j=4, k=6, sd=1.0)
-        seq = (RngStream(seed + 100).uniform(size=(9, 5)) < 0.5).astype(float)
-        U, B, C = unroll(m, seq)
-        for t in range(9):
-            b_t, c_t = temporal_biases(m, U[t])
-            npt.assert_allclose(B[t], b_t, rtol=0, atol=1e-14)
-            npt.assert_allclose(C[t], c_t, rtol=0, atol=1e-14)
+        shape = (9, 5) if group is None else (group, 9, 5)
+        seqs = (RngStream(seed + 100).uniform(size=shape) < 0.5).astype(float)
+        got = unroll(m, seqs)
+        if group is None:
+            # one sequence against the row-by-row recursion: the states
+            # agree bit for bit, the biases (one matrix product) to rounding
+            U, B, C = got
+            npt.assert_array_equal(U[0], m.u0)
+            for t in range(9):
+                b_t, c_t = temporal_biases(m, U[t])
+                npt.assert_allclose(B[t], b_t, rtol=0, atol=1e-14)
+                npt.assert_allclose(C[t], c_t, rtol=0, atol=1e-14)
+                npt.assert_array_equal(U[t + 1],
+                                       state_update(m, U[t], seqs[t]))
+            return
+        # a stacked group against one unroll per sequence: a group of one
+        # is the same computation, larger groups agree to rounding
+        for s in range(group):
+            for stacked, alone in zip(got, unroll(m, seqs[s])):
+                npt.assert_allclose(stacked[s], alone, rtol=0,
+                                    atol=0 if group == 1 else 1e-14)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_pre_activation_raises(self, bad):
@@ -167,6 +201,20 @@ class TestRecursionArithmetic:
         seq = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(FloatingPointError, match="non-finite input"):
             unroll(m, seq)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_non_finite_pre_activation_in_group_raises(self, bad):
+        # finite weights; only the sequence with two bits on in one frame
+        # overflows its state pre-activation
+        m = small_model(11)
+        m.w_vu[:, 0] = 1e308
+        seqs = np.tile(np.eye(3), (3, 1, 1))
+        seqs[bad, 1] = [1.0, 1.0, 0.0]
+        for s in range(3):
+            if s != bad:
+                unroll(m, seqs[s])
+        with pytest.raises(FloatingPointError, match="non-finite input"):
+            unroll(m, seqs)
 
     def test_rejects_wrong_state_dimension(self):
         with pytest.raises(DimensionError):
@@ -314,17 +362,7 @@ class TestBpttGradients:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_frame_batched_matches_reference_after_growth(self, k):
-        # growth inserts columns, so W and w_uh are no longer the arrays
-        # the model started with
-        m = small_model(27, i=4, j=3, k=5, sd=0.8)
-        stats = GradientStats.zeros(4, 3)
-        for step in range(40):
-            sign = 1.0 if step % 2 == 0 else -1.0
-            stats.update(np.full(3, sign), np.full((4, 3), sign))
-        adapt = AdaptConfig(generation_phase_epochs=1, max_hidden=6,
-                            gen_threshold=1e-6)
-        grown, _, parents = grow_hidden(m, stats, adapt, RngStream(28))
-        assert grown.n_hidden > m.n_hidden and parents
+        grown = grown_model(small_model(27, i=4, j=3, k=5, sd=0.8), 28)
         rng = RngStream(29)
         batch = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
                  for t in (7, 2, 5)]
@@ -409,19 +447,69 @@ class TestPrediction:
                           + (1 - v) * np.log(np.maximum(1 - p, eps)))
         npt.assert_allclose(prediction_error(m, seqs), manual, rtol=1e-12)
 
-    def test_shared_unroll_gives_identical_metrics(self):
-        m = small_model(40)
-        rng = RngStream(41)
-        seqs = [(rng.uniform(size=(t, 3)) < 0.5).astype(float)
-                for t in (5, 1, 3)]
-        unrolled = [unroll(m, s) for s in seqs]
-        assert prediction_error(m, seqs, unrolled) == prediction_error(m, seqs)
-        assert mean_sequence_energy(m, seqs, unrolled) == \
-            mean_sequence_energy(m, seqs)
-
     def test_prediction_error_empty_is_nan(self):
         assert np.isnan(prediction_error(small_model(39),
                                          [np.zeros((1, 3))]))
+
+
+@st.composite
+def ragged_batches(draw):
+    """A fresh or grown model, CD ``k`` and 1-8 sequences of 1-8 frames in
+    shuffled order, drawn from a few lengths so that groups form."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n_v = draw(st.integers(1, 5))
+    model = small_model(seed, i=n_v, j=draw(st.integers(1, 4)),
+                        k=draw(st.integers(1, 5)),
+                        sd=draw(st.sampled_from([0.1, 0.8, 2.0])))
+    if draw(st.booleans()):
+        model = grown_model(model, seed + 1)
+    pool = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    rng = RngStream(seed + 2)
+    seqs = [(rng.uniform(size=(t, n_v)) < 0.5).astype(float)
+            for t in draw(st.permutations(lengths))]
+    return model, seqs, draw(st.sampled_from([1, 2]))
+
+
+class TestRaggedBatches:
+    """Length-grouped batch paths against one sequence at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=ragged_batches(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bptt_matches_per_frame_reference(self, case, seed):
+        model, seqs, k = case
+        cfg = CdConfig(k=k, learning_rate=0.1, batch_size=8)
+        fast = bptt_gradients(model, seqs, cfg, RngStream(seed))
+        ref = reference_bptt_gradients(model, seqs, cfg, RngStream(seed))
+        for f in RnnRbmGradient._FIELDS:
+            npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
+                                atol=1e-12, err_msg=f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=ragged_batches())
+    def test_metrics_match_per_sequence_loops(self, case):
+        m, seqs, _ = case
+        energy, frames = 0.0, 0
+        acts = np.zeros(m.n_hidden)
+        pool = PooledMetrics()
+        for seq in seqs:
+            _, B, C = unroll(m, seq)
+            pre = C + seq @ m.rbm.W
+            h = sigmoid(pre)
+            energy += float(np.sum(-np.sum(seq * B, axis=1)
+                                   - np.sum(h * pre, axis=1)))
+            acts += h.sum(axis=0)
+            frames += seq.shape[0]
+            pool.add(next_frame_predictions(m, seq), seq[1:])
+        npt.assert_allclose(mean_sequence_energy(m, seqs), energy / frames,
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(mean_hidden_activation(m, seqs), acts / frames,
+                            rtol=0, atol=1e-12)
+        if pool.empty:
+            assert np.isnan(prediction_error(m, seqs))
+        else:
+            npt.assert_allclose(prediction_error(m, seqs),
+                                pool.cross_entropy(), rtol=0, atol=1e-12)
 
 
 class TestSampling:
