@@ -6,16 +6,14 @@ forgetting penalties, and stacks itself into a deep network when one
 layer is not enough.
 """
 from .adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                    StructureController, annihilation_mask,
-                    apply_annihilation, forgetting_gradient,
-                    generation_score, generation_scores, maybe_generate)
+                    StructureController, apply_annihilation,
+                    forgetting_gradient, generation_scores, maybe_generate)
 from .checkpoint import (load_checkpoint, load_train_state, save_checkpoint,
                          save_train_state)
 from .config import RunConfig, parse_config, parse_config_text
 from .data import (SequenceDataset, augment_parity, binarize_real_sequences,
                    load_jsonl, random_patterns, synth_cycle, write_jsonl)
-from .dbn import (Dbn, LayerGenConfig, LayerTotals, generate_layer,
-                  layer_totals, propagate_up, should_generate_layer,
+from .dbn import (Dbn, LayerGenConfig, LayerTotals, should_generate_layer,
                   train_adaptive_dbn, train_adaptive_rbm)
 from .errors import (CapacityError, CheckpointError, ConfigError,
                      DataFormatError, DimensionError, GrowRbmError,

@@ -6,7 +6,10 @@ the optimizer has had time to settle is treated as overloaded: it is
 trying to represent more than one feature.  Such a unit is split into
 two near-copies, halving its load.  Pruning removes units whose mean
 activation over the data has collapsed toward zero, since a unit that
-never switches on contributes nothing the visible bias could not.
+never switches on contributes nothing the visible bias could not.  A
+child goes directly after its parent on the last axis of every
+per-unit array (:func:`insert_after`); a sweep draws each child's bias
+noise, then its weight-column noise, in parent order.
 
 Forgetting penalties sparsify a trained model: a constant-magnitude pull
 toward zero on the weights (optionally only on weights that are already
@@ -19,7 +22,7 @@ and :class:`TrainState` is its resume point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,10 +152,10 @@ class GradientStats:
     def insert_hidden(self, parents) -> "GradientStats":
         """Zero-initialised slots for freshly split units, parent order."""
         return GradientStats(
-            mean_c=insert_entries(self.mean_c, parents, 0.0),
-            sq_c=insert_entries(self.sq_c, parents, 0.0),
-            mean_w=insert_columns(self.mean_w, parents, None),
-            sq_w=insert_columns(self.sq_w, parents, None),
+            mean_c=insert_after(self.mean_c, parents, 0.0),
+            sq_c=insert_after(self.sq_c, parents, 0.0),
+            mean_w=insert_after(self.mean_w, parents, 0.0),
+            sq_w=insert_after(self.sq_w, parents, 0.0),
             decay=self.decay,
             count=self.count,
         )
@@ -172,47 +175,14 @@ def generation_scores(stats: GradientStats, cfg: AdaptConfig) -> np.ndarray:
     return vc * vw
 
 
-def generation_score(stats: GradientStats, cfg: AdaptConfig, j: int) -> float:
-    return float(generation_scores(stats, cfg)[j])
+def insert_after(arr: np.ndarray, parents, values) -> np.ndarray:
+    """``arr`` with one hidden unit inserted directly after each parent.
 
-
-def insert_entries(vec: np.ndarray, parents, child_values) -> np.ndarray:
-    """Insert one entry directly after each parent index.
-
-    ``child_values`` is a sequence aligned with ``parents``, or a scalar
-    used for every child.
+    Hidden units are the last axis of every per-unit array (``c``,
+    ``W``, ``w_uh`` and the gradient statistics); ``values`` holds the
+    children along that axis in parent order, or one scalar for all.
     """
-    parents = list(parents)
-    scalar = np.isscalar(child_values) or child_values is None
-    out = []
-    for j in range(vec.shape[0]):
-        out.append(vec[j])
-        if j in parents:
-            if scalar:
-                out.append(0.0 if child_values is None else child_values)
-            else:
-                out.append(child_values[parents.index(j)])
-    return np.asarray(out, dtype=np.float64)
-
-
-def insert_columns(mat: np.ndarray, parents, child_columns) -> np.ndarray:
-    """Column counterpart of :func:`insert_entries`.
-
-    ``child_columns`` is a list aligned with ``parents``; ``None`` means
-    zero columns.  Used to keep every per-hidden-unit array in the model
-    laid out identically after a split.
-    """
-    parents = list(parents)
-    cols = []
-    for j in range(mat.shape[1]):
-        cols.append(mat[:, j])
-        if j in parents:
-            if child_columns is None:
-                cols.append(np.zeros(mat.shape[0]))
-            else:
-                cols.append(np.asarray(child_columns[parents.index(j)],
-                                       dtype=np.float64))
-    return np.column_stack(cols)
+    return np.insert(arr, np.add(parents, 1), values, axis=-1)
 
 
 def maybe_generate(rbm: Rbm, stats: GradientStats, cfg: AdaptConfig,
@@ -242,8 +212,8 @@ def maybe_generate(rbm: Rbm, stats: GradientStats, cfg: AdaptConfig,
 
     grown = Rbm(
         b=rbm.b.copy(),
-        c=insert_entries(rbm.c, parents, child_c),
-        W=insert_columns(rbm.W, parents, child_cols),
+        c=insert_after(rbm.c, parents, child_c),
+        W=insert_after(rbm.W, parents, np.transpose(child_cols)),
     )
     return grown, stats.insert_hidden(parents), parents
 
@@ -264,17 +234,6 @@ def mask_from_activations(mean_act: np.ndarray, cfg: AdaptConfig) -> np.ndarray:
         order = marked[np.argsort(-mean_act[marked], kind="stable")]
         mask[order[:need]] = False
     return mask
-
-
-def annihilation_mask(rbm: Rbm, sample: np.ndarray, cfg: AdaptConfig) -> np.ndarray:
-    """Pruning mask for a static model, activations averaged over ``sample``."""
-    from .rbm import hidden_conditional
-
-    sample = np.atleast_2d(np.asarray(sample, dtype=np.float64))
-    if sample.shape[0] == 0:
-        raise ValueError("empty activation sample")
-    mean_act = hidden_conditional(rbm, sample).mean(axis=0)
-    return mask_from_activations(mean_act, cfg)
 
 
 def apply_annihilation(rbm: Rbm, stats: GradientStats, mask: np.ndarray):

@@ -131,18 +131,14 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
                               reconstruction_error(m, x)))
 
 
-def layer_totals(rbm: Rbm, stats: GradientStats, data: np.ndarray) -> LayerTotals:
+def _layer_totals(stats: GradientStats, energy: float) -> LayerTotals:
     """Stack-gate summary of a trained layer.
 
     ``wd`` totals the tracked gradient variances over biases and weights.
-    ``energy`` is the magnitude of the mean data energy; magnitude,
-    because a fitted layer sits at negative energy and the gate compares
-    against a positive threshold.
+    ``energy`` is the magnitude of the layer's mean data energy;
+    magnitude, because a fitted layer sits at negative energy and the
+    gate compares against a positive threshold.
     """
-    return _layer_totals(stats, mean_field_energy(rbm, data))
-
-
-def _layer_totals(stats: GradientStats, energy: float) -> LayerTotals:
     return LayerTotals(wd=float(stats.var_c().sum() + stats.var_w().sum()),
                        energy=abs(energy))
 
@@ -164,21 +160,6 @@ def _inherit_rbm(parent: Rbm, rng: RngStream) -> Rbm:
     new = Rbm.random(parent.n_hidden, parent.n_hidden, rng)
     new.b, new.c = parent.c.copy(), parent.c.copy()
     return new
-
-
-def generate_layer(dbn: Dbn, rng: RngStream) -> Dbn:
-    """Append an untrained layer on top of the stack."""
-    return Dbn(layers=dbn.layers + [_inherit_rbm(dbn.layers[-1], rng)],
-               totals=list(dbn.totals))
-
-
-def propagate_up(dbn, data: np.ndarray, depth: int | None = None) -> np.ndarray:
-    """Deterministic upward pass: activation probabilities layer by layer."""
-    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    layers = dbn.layers if depth is None else dbn.layers[:depth]
-    for layer in layers:
-        x = hidden_conditional(layer, x)
-    return x
 
 
 def _train_stack(stack: Dbn, inputs, rng: RngStream,

@@ -28,9 +28,6 @@ class TrainLog:
     def append(self, row: LogRow):
         self.rows.append(row)
 
-    def extend(self, other: "TrainLog"):
-        self.rows.extend(other.rows)
-
     def csv_text(self) -> str:
         # repr() floats round-trip exactly, so identical runs give
         # identical files

@@ -6,6 +6,11 @@ function, joint probabilities, exact log-likelihood and its gradient),
 conditional distributions in both directions, and the contrastive
 divergence estimator used for training at realistic sizes.
 
+The CD-k Gibbs chain, :func:`_cd_chain`, also serves the recurrent
+model's BPTT-CD gradient.  It takes its uniforms pre-drawn, one block
+per Bernoulli draw in the order the chain consumes them, so each caller
+keeps its own stream layout.
+
 Conventions used throughout the package:
 
 * rows are samples, so a batch is ``(N, I)`` and ``W`` has shape
@@ -23,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import CapacityError, DimensionError
-from .numerics import RngStream, sample_bernoulli, sigmoid
+from .numerics import RngStream, sigmoid
 
 ENUM_LIMIT = 24
 
@@ -107,15 +112,6 @@ class RbmGradient:
     def zeros(rbm: Rbm) -> "RbmGradient":
         return RbmGradient(np.zeros_like(rbm.b), np.zeros_like(rbm.c),
                            np.zeros_like(rbm.W))
-
-    def add_(self, other: "RbmGradient") -> "RbmGradient":
-        self.db += other.db
-        self.dc += other.dc
-        self.dW += other.dW
-        return self
-
-    def scaled(self, s: float) -> "RbmGradient":
-        return RbmGradient(self.db * s, self.dc * s, self.dW * s)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.db ** 2) + np.sum(self.dc ** 2)
@@ -252,13 +248,38 @@ def log_likelihood_gradient_exact(rbm: Rbm, batch) -> RbmGradient:
     return RbmGradient(data_v - model_v, data_h - model_h, data_vh - model_vh)
 
 
+def _chain_widths(n_visible: int, n_hidden: int, k: int) -> list:
+    """Widths of the uniform blocks a CD-k chain consumes, in draw order."""
+    return [n_hidden] + [n_visible, n_hidden] * (k - 1)
+
+
+def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
+    """The CD-k Gibbs chain from data rows ``v``; returns
+    ``(h_data, v_prob, h_model)``.
+
+    ``b`` and ``c`` are bias vectors or one bias row per data row.
+    ``uniforms`` holds one ``(rows, width)`` block per Bernoulli draw,
+    with widths :func:`_chain_widths`: the hidden sample, then a visible
+    and a hidden sample per further step.  Intermediate states are
+    sampled; the final visible state and the negative hidden statistics
+    are probabilities, to cut sampling noise.
+    """
+    h_data = sigmoid(v @ W + c)
+    h = (uniforms[0] < h_data).astype(np.float64)
+    v_prob = sigmoid(h @ W.T + b)
+    for u_v, u_h in zip(uniforms[1::2], uniforms[2::2]):
+        v = (u_v < v_prob).astype(np.float64)
+        h = (u_h < sigmoid(v @ W + c)).astype(np.float64)
+        v_prob = sigmoid(h @ W.T + b)
+    return h_data, v_prob, sigmoid(v_prob @ W + c)
+
+
 def cd_step(rbm: Rbm, batch, cfg: CdConfig, rng: RngStream) -> RbmGradient:
     """One CD-k gradient estimate; does not modify the model.
 
-    Positive statistics pair the data with its hidden conditionals.  The
-    chain is driven by sampled hidden states; intermediate visible states
-    are sampled too, but the final negative statistics use probabilities
-    on both sides to cut sampling noise.  Visible inputs may be
+    Positive statistics pair the data with its hidden conditionals; the
+    negative ones come from :func:`_cd_chain`, whose uniform blocks are
+    drawn from ``rng`` in chain order.  Visible inputs may be
     probabilities in [0, 1] (stacked-layer training feeds activations).
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -268,16 +289,10 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig, rng: RngStream) -> RbmGradient:
     if batch.min() < 0.0 or batch.max() > 1.0:
         raise ValueError("visible batch values must lie in [0, 1]")
 
-    h_data = hidden_conditional(rbm, batch)
-    h = sample_bernoulli(h_data, rng)
-    v_prob = visible_conditional(rbm, h)
-    for _ in range(cfg.k - 1):
-        v = sample_bernoulli(v_prob, rng)
-        h = sample_bernoulli(hidden_conditional(rbm, v), rng)
-        v_prob = visible_conditional(rbm, h)
-    h_model = hidden_conditional(rbm, v_prob)
-
     n = batch.shape[0]
+    uniforms = [rng.uniform(size=(n, w))
+                for w in _chain_widths(rbm.n_visible, rbm.n_hidden, cfg.k)]
+    h_data, v_prob, h_model = _cd_chain(rbm.W, rbm.b, rbm.c, batch, uniforms)
     db = batch.mean(axis=0) - v_prob.mean(axis=0)
     dc = h_data.mean(axis=0) - h_model.mean(axis=0)
     dW = (batch.T @ h_data - v_prob.T @ h_model) / n

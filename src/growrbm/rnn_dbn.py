@@ -138,12 +138,6 @@ def _pool_predictions(stack: RnnDbn, sequences) -> PooledMetrics:
     return pool
 
 
-def prediction_error_deep(stack: RnnDbn, sequences) -> float:
-    """Pooled next-frame cross-entropy per bit for the stack."""
-    pool = _pool_predictions(stack, sequences)
-    return float("nan") if pool.empty else pool.cross_entropy()
-
-
 def sample_sequence_deep(stack: RnnDbn, length: int,
                          rng: RngStream) -> np.ndarray:
     """Generate ``length`` frames from the stack in linear time.

@@ -13,9 +13,11 @@ scale, exact enumeration in the oracles) through the state recursion.
 
 The batch paths (the BPTT-CD gradient and the epoch summaries) group
 their sequences by exact length and stack each group as ``(S, T, I)``,
-so one unroll, one CD-k pass over all ``S * T`` frames and one backward
-chain serve the whole group.  Grouping changes no random draw: frame
-``t`` of batch sequence ``s`` still draws from ``rng.split(s).split(t)``.
+so one unroll, one pass of the static model's CD-k chain
+(:func:`~growrbm.rbm._cd_chain`) over all ``S * T`` frames and one
+backward chain serve the whole group.  Grouping changes no random draw:
+frame ``t`` of batch sequence ``s`` draws one row of uniforms from
+``rng.split(s).split(t)``, cut into the chain's blocks in draw order.
 
 The hidden layer can grow and shrink during training exactly like the
 static model; ``w_uh`` is resized in lockstep so the temporal bias keeps
@@ -30,13 +32,13 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .adapt import (AdaptConfig, ForgettingConfig, GradientStats, TrainState,
-                    _train_layer, apply_annihilation, insert_columns,
+                    _train_layer, apply_annihilation, insert_after,
                     maybe_generate)
 from .errors import CapacityError, DimensionError
 from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import _SIG_HI, _SIG_LO, RngStream, sigmoid
-from .rbm import CdConfig, Rbm, all_states
+from .rbm import CdConfig, Rbm, _cd_chain, _chain_widths, all_states
 
 SEQ_ENUM_LIMIT = 20
 MEAN_FIELD_PASSES = 10
@@ -352,34 +354,26 @@ def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
     equal-length sequences, chained through time.
 
     Given the unrolled states the frames are independent conditional
-    RBMs, so CD-k runs once on all ``S * T`` frames with per-frame bias
-    rows.  Frame ``t`` of sequence ``s`` draws from ``rngs[s].split(t)``
-    in the order :func:`~growrbm.rbm.cd_step` on that frame alone would:
-    ``J`` hidden uniforms, then ``I + J`` per further Gibbs step.
+    RBMs, so the shared chain :func:`~growrbm.rbm._cd_chain` runs once
+    on all ``S * T`` frames with per-frame bias rows.  Frame ``t`` of
+    sequence ``s`` draws one row of uniforms from ``rngs[s].split(t)``,
+    split into the chain's blocks in draw order, as
+    :func:`~growrbm.rbm.cd_step` on that frame alone would draw them.
     """
     if seqs.min() < 0.0 or seqs.max() > 1.0:
         raise ValueError("visible batch values must lie in [0, 1]")
-    n_v, n_h = model.n_visible, model.n_hidden
-    W = model.rbm.W
     U, B, C = unroll(model, seqs)
-    V, B, C = _rows(seqs), _rows(B), _rows(C)
-    width = n_h + (cfg.k - 1) * (n_v + n_h)
-    draws = np.concatenate([r.split_uniform_rows(seqs.shape[1], width)
+    V = _rows(seqs)
+    widths = _chain_widths(model.n_visible, model.n_hidden, cfg.k)
+    draws = np.concatenate([r.split_uniform_rows(seqs.shape[1], sum(widths))
                             for r in rngs])
-    h_data = sigmoid(V @ W + C)
-    h = (draws[:, :n_h] < h_data).astype(np.float64)
-    v_prob = sigmoid(h @ W.T + B)
-    for step in range(cfg.k - 1):
-        at = n_h + step * (n_v + n_h)
-        v = (draws[:, at:at + n_v] < v_prob).astype(np.float64)
-        h_prob = sigmoid(v @ W + C)
-        h = (draws[:, at + n_v:at + n_v + n_h] < h_prob).astype(np.float64)
-        v_prob = sigmoid(h @ W.T + B)
-    h_model = sigmoid(v_prob @ W + C)
+    h_data, v_prob, h_model = _cd_chain(
+        model.rbm.W, _rows(B), _rows(C), V,
+        np.split(draws, np.cumsum(widths)[:-1], axis=1))
     dW = V.T @ h_data - v_prob.T @ h_model
     return _chain_through_state(
         model, seqs, U, (V - v_prob).reshape(seqs.shape),
-        (h_data - h_model).reshape(seqs.shape[:2] + (n_h,)), dW)
+        (h_data - h_model).reshape(seqs.shape[:2] + (model.n_hidden,)), dW)
 
 
 def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
@@ -498,10 +492,9 @@ def grow_hidden(model: RnnRbm, stats: GradientStats, cfg: AdaptConfig,
     rbm2, stats2, parents = maybe_generate(model.rbm, stats, cfg, rng)
     if not parents:
         return model, stats, []
-    # w_uh is (K, J), so hidden units are columns here as well
-    new_cols = [rng.normal(sd=0.01, size=model.u_dim) for _ in parents]
+    new_cols = rng.normal(sd=0.01, size=(len(parents), model.u_dim))
     grown = replace(model.copy(), rbm=rbm2,
-                    w_uh=insert_columns(model.w_uh, parents, new_cols))
+                    w_uh=insert_after(model.w_uh, parents, new_cols.T))
     return grown, stats2, parents
 
 

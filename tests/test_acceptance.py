@@ -24,7 +24,7 @@ from growrbm.rbm import (CdConfig, Rbm, all_states, energy,
                          hidden_conditional, log_likelihood_exact,
                          log_likelihood_gradient_exact, log_partition_exact,
                          prob_exact, visible_conditional)
-from growrbm.rnn_dbn import prediction_error_deep, train_adaptive_rnn_dbn
+from growrbm.rnn_dbn import train_adaptive_rnn_dbn
 from growrbm.rnn_rbm import (prediction_error, sequence_cost_exact,
                              sequence_cost_gradient_exact,
                              train_adaptive_rnn_rbm)
@@ -268,7 +268,7 @@ def test_criterion_07_depth_beats_first_layer_on_parity_task():
                                energy_threshold=1e-12)
     stack, _ = train_adaptive_rnn_dbn(ds.train, 6, cd, 60, RngStream(7),
                                       layer_cfg, adapt=adapt, u_dim=2)
-    deep = prediction_error_deep(stack, ds.test)
+    deep = evaluate_model(stack, ds.test)[0]
     flat = prediction_error(stack.layers[0], ds.test)
     took = time.time() - t0
     ok = stack.n_layers > 1 and deep <= flat and took < 600

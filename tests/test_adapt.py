@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                           StructureController, annihilation_mask,
-                           apply_annihilation, forgetting_gradient,
-                           generation_score, generation_scores,
-                           insert_columns, insert_entries,
-                           mask_from_activations, maybe_generate)
+                           StructureController, apply_annihilation,
+                           forgetting_gradient, generation_scores,
+                           insert_after, mask_from_activations,
+                           maybe_generate)
 from growrbm.errors import StructureError
 from growrbm.numerics import RngStream
-from growrbm.rbm import Rbm, log_partition_exact, free_energy
+from growrbm.rbm import (Rbm, free_energy, hidden_conditional,
+                         log_partition_exact)
 from growrbm.rnn_rbm import RnnRbm, grow_hidden, shrink_hidden
 
 
@@ -107,27 +107,27 @@ class TestGenerationScore:
         # score = 0.05 * 0.04 = 0.002, above the default 0.001 threshold
         stats = stats_with_variance(2, 1, [0.05], [[0.04], [0.04]])
         cfg = adapt_cfg()
-        assert generation_score(stats, cfg, 0) == pytest.approx(0.002)
-        assert generation_score(stats, cfg, 0) > cfg.gen_threshold
+        assert generation_scores(stats, cfg)[0] == pytest.approx(0.002)
+        assert generation_scores(stats, cfg)[0] > cfg.gen_threshold
 
     def test_gains_scale_score_linearly(self):
         stats = stats_with_variance(2, 1, [0.05], [[0.04], [0.04]])
-        base = generation_score(stats, adapt_cfg(), 0)
-        doubled = generation_score(stats, adapt_cfg(c_gain=2.0), 0)
+        base = generation_scores(stats, adapt_cfg())[0]
+        doubled = generation_scores(stats, adapt_cfg(c_gain=2.0))[0]
         npt.assert_allclose(doubled, 2 * base, rtol=1e-12)
-        doubled_w = generation_score(stats, adapt_cfg(w_gain=2.0), 0)
+        doubled_w = generation_scores(stats, adapt_cfg(w_gain=2.0))[0]
         npt.assert_allclose(doubled_w, 2 * base, rtol=1e-12)
 
     def test_score_monotone_in_variance(self):
         cfg = adapt_cfg()
         lo = stats_with_variance(2, 1, [0.01], [[0.04], [0.04]])
         hi = stats_with_variance(2, 1, [0.02], [[0.04], [0.04]])
-        assert generation_score(hi, cfg, 0) > generation_score(lo, cfg, 0)
+        assert generation_scores(hi, cfg)[0] > generation_scores(lo, cfg)[0]
 
     def test_weight_variance_averaged_over_inputs(self):
         # only one incoming weight fluctuates; the score uses the mean
         stats = stats_with_variance(4, 1, [0.1], [[0.08], [0.0], [0.0], [0.0]])
-        assert generation_score(stats, adapt_cfg(), 0) == pytest.approx(
+        assert generation_scores(stats, adapt_cfg())[0] == pytest.approx(
             0.1 * 0.08 / 4)
 
 
@@ -218,14 +218,17 @@ class TestAnnihilation:
         rbm = Rbm.zeros(2, 3)
         rbm.c[:] = [-50.0, 0.0, -50.0]
         sample = np.array([[0.0, 0.0], [1.0, 1.0]])
-        mask = annihilation_mask(rbm, sample, adapt_cfg(min_hidden=1))
+        mask = mask_from_activations(
+            hidden_conditional(rbm, sample).mean(axis=0),
+            adapt_cfg(min_hidden=1))
         npt.assert_array_equal(mask, [True, False, True])
 
     def test_active_units_survive(self):
         rbm = Rbm.zeros(2, 3)
         sample = np.array([[1.0, 0.0]])
         # zero parameters: every activation is exactly 0.5 > 0.1
-        mask = annihilation_mask(rbm, sample, adapt_cfg())
+        mask = mask_from_activations(
+            hidden_conditional(rbm, sample).mean(axis=0), adapt_cfg())
         assert not mask.any()
 
     def test_threshold_boundary_is_strict(self):
@@ -406,17 +409,20 @@ class TestStructureController:
 class TestInsertHelpers:
     def test_insert_entries_scalar_and_list(self):
         vec = np.array([1.0, 2.0, 3.0])
-        npt.assert_array_equal(insert_entries(vec, [0, 2], [9.0, 8.0]),
+        npt.assert_array_equal(insert_after(vec, [0, 2], [9.0, 8.0]),
                                [1.0, 9.0, 2.0, 3.0, 8.0])
-        npt.assert_array_equal(insert_entries(vec, [1], 0.0),
+        npt.assert_array_equal(insert_after(vec, [1], 0.0),
                                [1.0, 2.0, 0.0, 3.0])
 
     def test_insert_columns_matches_entries_layout(self):
         mat = np.arange(6.0).reshape(2, 3)
-        out = insert_columns(mat, [1], [np.array([9.0, 9.0])])
+        out = insert_after(mat, [1], np.array([[9.0], [9.0]]))
         npt.assert_array_equal(out[:, 2], [9.0, 9.0])
         assert out.shape == (2, 4)
         npt.assert_array_equal(out[:, [0, 1, 3]], mat)
+        out = insert_after(mat, [0, 2], np.array([[7.0, 5.0], [8.0, 6.0]]))
+        npt.assert_array_equal(out, [[0.0, 7.0, 1.0, 2.0, 5.0],
+                                     [3.0, 8.0, 4.0, 5.0, 6.0]])
 
 
 class TestAdaptConfigValidation:

@@ -3,11 +3,10 @@ import itertools
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
-from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, generate_layer,
-                         layer_totals, mean_field_energy, propagate_up,
+from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit_rbm,
+                         _layer_totals, mean_field_energy,
                          should_generate_layer, train_adaptive_dbn,
                          train_adaptive_rbm)
 from growrbm.numerics import RngStream
@@ -44,6 +43,11 @@ class TestMeanFieldEnergy:
             expected += ph * e
         npt.assert_allclose(mean_field_energy(rbm, v[None, :]), expected,
                             rtol=1e-10)
+
+
+def layer_totals(rbm, stats, data):
+    """The stack gate's totals of a layer, as ``_train_stack`` forms them."""
+    return _layer_totals(stats, mean_field_energy(rbm, data))
 
 
 class TestLayerTotals:
@@ -127,52 +131,15 @@ class TestGenerateLayer:
         rng = RngStream(31)
         base = Rbm(b=rng.normal(size=3), c=rng.normal(size=5),
                    W=rng.normal(size=(3, 5)))
-        dbn = Dbn(layers=[base], totals=[LayerTotals(1.0, 1.0)])
-        grown = generate_layer(dbn, RngStream(1))
-        assert grown.n_layers == 2
-        top = grown.layers[-1]
+        top = _inherit_rbm(base, RngStream(1))
         assert top.n_visible == 5
         assert top.n_hidden == 5
         npt.assert_array_equal(top.b, base.c)
         npt.assert_array_equal(top.c, base.c)
         assert np.abs(top.W).max() < 0.1  # small random start
-        # original stack untouched
-        assert dbn.n_layers == 1
-
-
-class TestPropagateUp:
-    def test_single_layer_equals_conditional(self):
-        rng = RngStream(5)
-        rbm = Rbm(b=rng.normal(size=3), c=rng.normal(size=2),
-                  W=rng.normal(size=(3, 2)))
-        dbn = Dbn(layers=[rbm], totals=[LayerTotals(0, 0)])
-        data = np.array([[1.0, 0.0, 1.0]])
-        npt.assert_array_equal(propagate_up(dbn, data),
-                               hidden_conditional(rbm, data))
-
-    def test_zero_stack_gives_half_everywhere(self):
-        dbn = Dbn(layers=[Rbm.zeros(3, 2), Rbm.zeros(2, 4)],
-                  totals=[LayerTotals(0, 0)] * 2)
-        out = propagate_up(dbn, np.array([[1.0, 1.0, 0.0]]))
-        npt.assert_array_equal(out, np.full((1, 4), 0.5))
-
-    def test_composition_matches_manual_chain(self):
-        rng = RngStream(7)
-        l1 = Rbm(rng.normal(size=3), rng.normal(size=4),
-                 rng.normal(size=(3, 4)))
-        l2 = Rbm(rng.normal(size=4), rng.normal(size=2),
-                 rng.normal(size=(4, 2)))
-        dbn = Dbn(layers=[l1, l2], totals=[LayerTotals(0, 0)] * 2)
-        data = (rng.uniform(size=(5, 3)) < 0.5).astype(float)
-        manual = hidden_conditional(l2, hidden_conditional(l1, data))
-        npt.assert_allclose(propagate_up(dbn, data), manual, atol=1e-15)
-
-    def test_depth_limits_the_chain(self):
-        l1 = Rbm.zeros(3, 2)
-        l2 = Rbm.zeros(2, 5)
-        dbn = Dbn(layers=[l1, l2], totals=[LayerTotals(0, 0)] * 2)
-        out = propagate_up(dbn, np.array([[1.0, 0.0, 0.0]]), depth=1)
-        assert out.shape == (1, 2)
+        # the new biases are copies, not views of the parent's
+        assert not np.shares_memory(top.b, base.c)
+        assert not np.shares_memory(top.c, base.c)
 
 
 class TestTrainAdaptiveRbm:

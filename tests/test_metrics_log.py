@@ -111,13 +111,6 @@ class TestTrainLog:
         log.to_csv(p)
         assert p.read_text() == log.csv_text()
 
-    def test_extend_concatenates(self):
-        a, b = TrainLog(), TrainLog()
-        a.append(self.row())
-        b.append(self.row(epoch=2))
-        a.extend(b)
-        assert [r.epoch for r in a.rows] == [1, 2]
-
 
 class TestEventStrings:
     def test_formats_contain_no_commas(self):

@@ -10,10 +10,12 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growrbm.errors import CapacityError, DimensionError
-from growrbm.numerics import RngStream
-from growrbm.rbm import (CdConfig, Rbm, cd_step, energy, free_energy,
+from growrbm.numerics import RngStream, sample_bernoulli
+from growrbm.rbm import (CdConfig, Rbm, RbmGradient, cd_step, energy,
+                         free_energy,
                          hidden_conditional, log_likelihood_exact,
                          log_likelihood_gradient_exact, log_partition_exact,
                          partition_function_exact, prob_exact,
@@ -272,7 +274,44 @@ class TestExactGradient:
                 prev = cur
 
 
+def reference_cd_step(rbm, batch, cfg, rng):
+    """CD-k built from the library conditionals, each Bernoulli draw
+    taken from ``rng`` when the chain reaches it."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    h_data = hidden_conditional(rbm, batch)
+    h = sample_bernoulli(h_data, rng)
+    v_prob = visible_conditional(rbm, h)
+    for _ in range(cfg.k - 1):
+        v = sample_bernoulli(v_prob, rng)
+        h = sample_bernoulli(hidden_conditional(rbm, v), rng)
+        v_prob = visible_conditional(rbm, h)
+    h_model = hidden_conditional(rbm, v_prob)
+    n = batch.shape[0]
+    return RbmGradient(batch.mean(axis=0) - v_prob.mean(axis=0),
+                       h_data.mean(axis=0) - h_model.mean(axis=0),
+                       (batch.T @ h_data - v_prob.T @ h_model) / n)
+
+
 class TestCdStep:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 4), n=st.integers(1, 40),
+           n_visible=st.integers(1, 9), n_hidden=st.integers(1, 9),
+           binary=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_chain(self, k, n, n_visible, n_hidden,
+                                     binary, seed):
+        rng = RngStream(seed)
+        rbm = Rbm(rng.normal(size=n_visible), rng.normal(size=n_hidden),
+                  rng.normal(sd=1.5, size=(n_visible, n_hidden)))
+        batch = rng.uniform(size=(n, n_visible))
+        if binary:
+            batch = (batch < 0.5).astype(float)
+        cfg = CdConfig(k=k)
+        got = cd_step(rbm, batch, cfg, rng.split(1))
+        want = reference_cd_step(rbm, batch, cfg, rng.split(1))
+        for name in ("db", "dc", "dW"):
+            npt.assert_array_equal(getattr(got, name), getattr(want, name),
+                                   err_msg=name)
+
     def test_deterministic_given_stream(self):
         rbm = tiny_rbm(53)
         batch = np.array([[1.0, 0.0], [0.0, 1.0]])

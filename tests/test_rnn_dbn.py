@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm import rnn_dbn
-from growrbm.dbn import LayerGenConfig, train_adaptive_dbn, train_adaptive_rbm
+from growrbm.dbn import (LayerGenConfig, _inherit_rbm, train_adaptive_dbn,
+                         train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
 from growrbm.harness import evaluate_model
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sample_bernoulli, sigmoid
-from growrbm.rbm import CdConfig
-from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
+from growrbm.rbm import CdConfig, hidden_conditional
+from growrbm.rnn_dbn import (RnnDbn, _inherit_layer,
+                             deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
-                             prediction_error_deep, sample_sequence_deep,
-                             train_adaptive_rnn_dbn)
+                             sample_sequence_deep, train_adaptive_rnn_dbn)
 from growrbm.rnn_rbm import (RnnRbm, next_frame_predictions, predict_next,
                              prediction_error, train_adaptive_rnn_rbm, unroll)
 from test_rnn_rbm import cycle_sequences, small_model
@@ -72,22 +73,36 @@ class TestStacking:
         assert top.n_hidden == j
         assert top.u_dim == j
 
-    @pytest.mark.parametrize("recurrent", [True, False],
-                             ids=["rnn", "static"])
-    def test_first_layer_matches_standalone_run(self, recurrent):
+    @pytest.mark.parametrize(
+        "recurrent, layer", [(True, 1), (False, 1), (True, 2), (False, 2)],
+        ids=["rnn", "static", "rnn-layer2", "static-layer2"])
+    def test_first_layer_matches_standalone_run(self, recurrent, layer):
+        """Layer ``l`` of a stack equals a standalone run from the root's
+        ``split(l)``; layer 2 trains on layer 1's lifted data, starting
+        from the layer inherited from layer 1."""
         seqs = cycle_sequences(10, 8, RngStream(86))
         cd = CdConfig(k=1, learning_rate=0.2, batch_size=5)
         cfg = LayerGenConfig(max_layers=2, wd_threshold=1e-12,
                              energy_threshold=1e-12)
         if recurrent:
-            data, stacked, single = (seqs, train_adaptive_rnn_dbn,
-                                     train_adaptive_rnn_rbm)
+            data, stacked, single, inherit = (
+                seqs, train_adaptive_rnn_dbn, train_adaptive_rnn_rbm,
+                _inherit_layer)
+            lift = lambda m, x: [deterministic_hidden_sequence(m, s)
+                                 for s in x]
         else:
-            data, stacked, single = (np.vstack(seqs), train_adaptive_dbn,
-                                     train_adaptive_rbm)
+            data, stacked, single, inherit = (
+                np.vstack(seqs), train_adaptive_dbn, train_adaptive_rbm,
+                _inherit_rbm)
+            lift = hidden_conditional
         stack, _ = stacked(data, 5, cd, 4, RngStream(87), cfg)
-        solo, _, _ = single(data, 5, cd, 4, RngStream(87).split(1))
-        for name, arr in stack.layers[0].arrays().items():
+        assert stack.n_layers == 2
+        rng, init = RngStream(87).split(layer), None
+        if layer == 2:
+            data = lift(stack.layers[0], data)
+            init = inherit(stack.layers[0], rng.split(0))
+        solo, _, _ = single(data, 5, cd, 4, rng, init_model=init)
+        for name, arr in stack.layers[layer - 1].arrays().items():
             npt.assert_array_equal(arr, solo.arrays()[name], err_msg=name)
 
     def test_gate_layers_false_ignores_thresholds(self):
@@ -115,7 +130,7 @@ class TestDeepPrediction:
                                predict_next(m, seq[:3]))
         npt.assert_array_equal(next_frame_predictions_deep(stack, seq),
                                next_frame_predictions(m, seq))
-        npt.assert_array_equal(prediction_error_deep(stack, [seq]),
+        npt.assert_array_equal(evaluate_model(stack, [seq])[0],
                                prediction_error(m, [seq]))
 
     def test_zero_stack_predicts_half(self):

@@ -21,6 +21,8 @@ from growrbm.rnn_rbm import (RnnRbm, RnnRbmGradient, bptt_gradients,
                              state_update, temporal_biases,
                              train_adaptive_rnn_rbm, unroll)
 
+from test_rbm import reference_cd_step
+
 GRAD_PAIRS = [("db", "b"), ("dc", "c"), ("dW", "W"), ("du", "u_bias"),
               ("dw_uv", "w_uv"), ("dw_uh", "w_uh"), ("dw_vu", "w_vu"),
               ("dw_uu", "w_uu"), ("du0", "u0")]
@@ -71,8 +73,9 @@ def cycle_sequences(n_seq, t_len, rng, dim=4):
 
 
 def reference_bptt_gradients(model, batch, cfg, rng):
-    """Frame-by-frame BPTT-CD: a 1-row ``cd_step`` per frame on its
-    ``split(t)`` stream, chained through the state with outer products."""
+    """Frame-by-frame BPTT-CD: a 1-row ``reference_cd_step`` per frame on
+    its ``split(t)`` stream, chained through the state with outer
+    products."""
     total = RnnRbmGradient.zeros(model)
     frames = 0
     for s, seq in enumerate(batch):
@@ -83,8 +86,8 @@ def reference_bptt_gradients(model, batch, cfg, rng):
         dW = np.zeros_like(model.rbm.W)
         for t in range(t_len):
             b_t, c_t = temporal_biases(model, U[t])
-            g = cd_step(Rbm(b_t, c_t, model.rbm.W), seq[t][None, :], cfg,
-                        seq_rng.split(t))
+            g = reference_cd_step(Rbm(b_t, c_t, model.rbm.W),
+                                  seq[t][None, :], cfg, seq_rng.split(t))
             DB.append(g.db)
             DC.append(g.dc)
             dW += g.dW
