@@ -1,0 +1,91 @@
+"""Train the six reference configs and print their output hashes.
+
+A refactor that must leave every output byte unchanged runs this on the
+parent commit and on the change and compares the two printouts.  Each
+line gives a model kind, the first 16 hex digits of the sha256 of its
+``log.csv`` and ``model.ckpt``, and the number of growth, pruning and
+layer events in the log.  The hashes depend on the host's BLAS
+rounding, so compare printouts made on the same machine.
+
+Run from the repository root::
+
+    PYTHONPATH=src python scripts/reference_hashes.py [--keep DIR]
+
+Uses the standard library and ``growrbm`` only.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import tempfile
+from pathlib import Path
+
+from growrbm.config import parse_config_text
+from growrbm.data import synth_cycle, write_jsonl
+from growrbm.harness import run_training
+from growrbm.numerics import RngStream
+
+# name -> (model, adaptive, epochs, learning rate, cd k)
+CONFIGS = {
+    "rbm": ("rbm", True, 20, 0.1, 1),
+    "dbn": ("dbn", True, 16, 0.1, 1),
+    "rnn-rbm": ("rnn-rbm", True, 40, 0.5, 2),
+    "rnn-dbn": ("rnn-dbn", True, 40, 0.5, 2),
+    "fixed dbn": ("dbn", False, 6, 0.1, 1),
+    "fixed rnn-dbn": ("rnn-dbn", False, 5, 0.5, 1),
+}
+
+
+def config_text(model: str, adaptive: bool, epochs: int, lr: float, k: int,
+                train: Path) -> str:
+    lines = [
+        f"model = {model}", f"adaptive = {str(adaptive).lower()}",
+        f"epochs = {epochs}", "seed = 7", f"train = {train}",
+        "n_hidden = 4", f"cd.k = {k}", f"cd.learning_rate = {lr}",
+        "cd.batch_size = 8", "adapt.max_hidden = 10", "adapt.min_hidden = 2",
+        "adapt.gen_threshold = 5e-9", "adapt.ann_threshold = 0.47",
+        f"adapt.generation_phase_epochs = {int(0.4 * epochs)}",
+        "forget.forgetting_epochs = 4", "forget.selective_epochs = 2",
+        "forget.decay_strength = 0.008", "forget.clarify_strength = 0.008",
+        "forget.selective_strength = 0.008", "layers.max_layers = 3",
+        "layers.wd_threshold = 1e-12", "layers.energy_threshold = 1e-12",
+    ]
+    if model.startswith("rnn"):
+        lines.append("u_dim = 12")
+    return "\n".join(lines) + "\n"
+
+
+def sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def event_counts(log_csv: Path) -> tuple[int, int, int]:
+    with open(log_csv, newline="") as fh:
+        events = "|".join(row["event"] for row in csv.DictReader(fh))
+    return events.count("gen("), events.count("ann("), events.count("layer(")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--keep", help="write the runs here instead of a "
+                        "temporary directory")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(args.keep or tmp)
+        root.mkdir(parents=True, exist_ok=True)
+        train = root / "train.jsonl"
+        ds = synth_cycle(4, 8, 25, 16, 0.05, RngStream(101))
+        write_jsonl(train, ds.train)
+        for name, spec in CONFIGS.items():
+            out = root / name.replace(" ", "-")
+            run_training(parse_config_text(config_text(*spec, train)), out)
+            gen, ann, layer = event_counts(out / "log.csv")
+            print(f"{name:14s} log {sha(out / 'log.csv')} "
+                  f"ckpt {sha(out / 'model.ckpt')} "
+                  f"gen {gen} ann {ann} layer {layer}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

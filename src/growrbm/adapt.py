@@ -6,10 +6,12 @@ the optimizer has had time to settle is treated as overloaded: it is
 trying to represent more than one feature.  Such a unit is split into
 two near-copies, halving its load.  Pruning removes units whose mean
 activation over the data has collapsed toward zero, since a unit that
-never switches on contributes nothing the visible bias could not.  A
-child goes directly after its parent on the last axis of every
-per-unit array (:func:`insert_after`); a sweep draws each child's bias
-noise, then its weight-column noise, in parent order.
+never switches on contributes nothing the visible bias could not.  Both
+sweeps edit every per-unit array a layer names in ``HIDDEN``, where a
+child goes directly after its parent on the last axis
+(:func:`insert_after`).  A growth sweep draws each child's bias noise,
+then its weight-column noise, in parent order, and then fresh columns
+for any further per-unit array (the recurrent ``w_uh``).
 
 Forgetting penalties sparsify a trained model: a constant-magnitude pull
 toward zero on the weights (optionally only on weights that are already
@@ -185,36 +187,41 @@ def insert_after(arr: np.ndarray, parents, values) -> np.ndarray:
     return np.insert(arr, np.add(parents, 1), values, axis=-1)
 
 
-def maybe_generate(rbm: Rbm, stats: GradientStats, cfg: AdaptConfig,
+def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
                    rng: RngStream):
-    """One growth sweep.  Returns ``(rbm, stats, parent_indices)``.
+    """One growth sweep.  Returns ``(model, stats, parent_indices)``.
 
     Scores are computed on the pre-edit structure; each triggered unit
     gets a child inserted directly after it whose bias and weight column
-    copy the parent plus Gaussian noise.  Children never trigger within
-    the sweep that created them, and the sweep stops adding children once
-    ``max_hidden`` is reached.  With no triggers the inputs are returned
-    unchanged and no randomness is consumed.
+    copy the parent plus Gaussian noise, and whose further per-unit
+    columns are fresh ``N(0, 0.01)`` draws.  Children never trigger
+    within the sweep that created them, and the sweep stops adding
+    children once ``max_hidden`` is reached.  With no triggers the
+    inputs are returned unchanged and no randomness is consumed.
     """
     scores = generation_scores(stats, cfg)
-    triggered = [j for j in range(rbm.n_hidden) if scores[j] > cfg.gen_threshold]
-    room = cfg.max_hidden - rbm.n_hidden
+    triggered = [j for j in range(model.n_hidden)
+                 if scores[j] > cfg.gen_threshold]
+    room = cfg.max_hidden - model.n_hidden
     parents = triggered[:max(0, room)]
     if not parents:
-        return rbm, stats, []
+        return model, stats, []
 
-    child_c = []
-    child_cols = []
+    sd = cfg.split_noise_sd
+    child_c, child_cols = [], []
     for j in parents:
-        child_c.append(rbm.c[j] + rng.normal(sd=cfg.split_noise_sd))
-        child_cols.append(rbm.W[:, j]
-                          + rng.normal(sd=cfg.split_noise_sd, size=rbm.n_visible))
+        child_c.append(model.c[j] + rng.normal(sd=sd))
+        child_cols.append(model.W[:, j]
+                          + rng.normal(sd=sd, size=model.n_visible))
+    children = {"c": child_c, "W": np.transpose(child_cols)}
+    for name in model.HIDDEN[2:]:  # past c and W
+        rows = getattr(model, name).shape[0]
+        children[name] = rng.normal(sd=0.01, size=(len(parents), rows)).T
 
-    grown = Rbm(
-        b=rbm.b.copy(),
-        c=insert_after(rbm.c, parents, child_c),
-        W=insert_after(rbm.W, parents, np.transpose(child_cols)),
-    )
+    grown = model.copy()
+    for name, values in children.items():
+        setattr(grown, name,
+                insert_after(getattr(model, name), parents, values))
     return grown, stats.insert_hidden(parents), parents
 
 
@@ -236,22 +243,26 @@ def mask_from_activations(mean_act: np.ndarray, cfg: AdaptConfig) -> np.ndarray:
     return mask
 
 
-def apply_annihilation(rbm: Rbm, stats: GradientStats, mask: np.ndarray):
-    """Drop the masked hidden units from the model and its statistics."""
+def apply_annihilation(model: Rbm, stats: GradientStats, mask: np.ndarray):
+    """Drop the masked hidden units from every array of ``model.HIDDEN``
+    and from the statistics."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape[0] != rbm.n_hidden:
+    if mask.shape[0] != model.n_hidden:
         raise ValueError("mask length does not match hidden layer size")
     if mask.all():
         raise StructureError("refusing to remove every hidden unit; "
                              "raise min_hidden instead")
     keep = ~mask
-    pruned = Rbm(rbm.b.copy(), rbm.c[keep], rbm.W[:, keep])
+    pruned = model.copy()
+    for name in model.HIDDEN:
+        setattr(pruned, name, getattr(model, name)[..., keep])
     return pruned, stats.remove_hidden(mask)
 
 
-def forgetting_gradient(rbm: Rbm, mode: str, cfg: ForgettingConfig,
+def forgetting_gradient(model: Rbm, mode: str, cfg: ForgettingConfig,
                         hidden_activations=None) -> RbmGradient:
-    """Ascent-direction contribution of one forgetting penalty.
+    """Ascent-direction ``(b, c, W)`` contribution of one forgetting
+    penalty, for either layer family.
 
     ``decay``     constant pull of every weight toward zero.
     ``clarify``   pushes each unit's mean activation away from 1/2;
@@ -260,22 +271,22 @@ def forgetting_gradient(rbm: Rbm, mode: str, cfg: ForgettingConfig,
                   ``selective_cutoff`` in magnitude, sparing weights that
                   are already small.
     """
-    g = RbmGradient.zeros(rbm)
+    g = RbmGradient(*map(np.zeros_like, (model.b, model.c, model.W)))
     if mode == "decay":
-        g.dW = -cfg.decay_strength * np.sign(rbm.W)
+        g.dW = -cfg.decay_strength * np.sign(model.W)
     elif mode == "clarify":
         if hidden_activations is None:
             raise ValueError("clarify mode needs hidden activations")
         h = np.asarray(hidden_activations, dtype=np.float64)
-        if h.shape != rbm.c.shape:
+        if h.shape != model.c.shape:
             raise ValueError("activation vector must have one entry per hidden unit")
         # derivative of min(h, 1-h) wrt the pre-activation, sign chosen to
         # shrink the penalty; steepest exactly at h = 1/2
         slope = np.where(h <= 0.5, 1.0, -1.0)
         g.dc = -cfg.clarify_strength * slope * h * (1.0 - h)
     elif mode == "selective":
-        large = np.abs(rbm.W) >= cfg.selective_cutoff
-        g.dW = np.where(large, -cfg.selective_strength * np.sign(rbm.W), 0.0)
+        large = np.abs(model.W) >= cfg.selective_cutoff
+        g.dW = np.where(large, -cfg.selective_strength * np.sign(model.W), 0.0)
     else:
         raise ValueError(f"unknown forgetting mode: {mode!r}")
     return g
@@ -352,8 +363,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
                  adapt: AdaptConfig | None, forget: ForgettingConfig | None,
                  layer: int, n_layers: int, log: TrainLog | None,
                  first_event: str | None, resume: TrainState | None,
-                 epoch_callback, *, gradient, activations, update, grow,
-                 shrink, metrics):
+                 epoch_callback, *, gradient, activations, update, metrics):
     """Adaptive epoch loop of both trainers; returns ``(model, stats, log)``.
 
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
@@ -361,9 +371,9 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
     ``split(i + 1)``, the growth sweep from ``split(0)``.  The family
     operations are ``gradient(model, batch, cd, rng)``,
     ``activations(model, batch)`` (mean hidden activations),
-    ``update(model, g, lr)``, ``grow`` and ``shrink`` as
-    :func:`maybe_generate` and :func:`apply_annihilation`, and
-    ``metrics(model, data) -> (energy, error)``.
+    ``update(model, g, lr)`` and ``metrics(model, data) -> (energy,
+    error)``; growth, pruning and the forgetting penalties are the same
+    for both families.
     """
     log = log if log is not None else TrainLog()
     controller = StructureController(adapt, forget, epochs)
@@ -389,12 +399,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             if modes:
                 acts = activations(model, batch)
                 for mode in modes:
-                    # penalties act on the (shared) RBM parameters only
-                    pen = forgetting_gradient(getattr(model, "rbm", model),
-                                              mode, forget, acts)
-                    g.db += pen.db
-                    g.dc += pen.dc
-                    g.dW += pen.dW
+                    g.add_(forgetting_gradient(model, mode, forget, acts))
             stats.update(g.dc, g.dW)
             update(model, g, cd.learning_rate)
 
@@ -402,7 +407,8 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
         phase = controller.structure_phase(epoch)
         if phase == "generate" and adapt is not None:
             scores = generation_scores(stats, adapt)
-            model, stats, parents = grow(model, stats, adapt, ep.split(0))
+            model, stats, parents = maybe_generate(model, stats, adapt,
+                                                   ep.split(0))
             events += [format_generation_event(j, scores[j]) for j in parents]
             controller.record_generation(len(parents))
         elif phase == "annihilate" and adapt is not None:
@@ -411,7 +417,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             if mask.any():
                 events += [format_annihilation_event(int(j), mean_act[j])
                            for j in np.flatnonzero(mask)]
-                model, stats = shrink(model, stats, mask)
+                model, stats = apply_annihilation(model, stats, mask)
 
         try:
             model.validate()

@@ -8,7 +8,8 @@ save reproduce the file byte for byte, which the tests rely on.
 
 All four model kinds share one codec path, driven by the ``_KINDS``
 table; every reader, :func:`describe` included, rejects a header that
-lacks what its kind needs with CheckpointError.
+lacks what its kind needs with CheckpointError.  A layer's arrays are
+the fields of its class, written and read in field order.
 
 A save writes a temporary file beside the target and renames it over
 the target, so a process killed mid-write leaves the previous file
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +38,12 @@ MAGIC = b"GRBM"
 FORMAT_VERSION = 1
 RNG_ALGO = "philox4x64"
 
-# per-layer array names and dimensions of the two layer families
-_RBM = (("b", "c", "W"), ("n_visible", "n_hidden"))
-_RNN = (("b", "c", "W", "u_bias", "w_uv", "w_uh", "w_vu", "w_uu", "u0"),
-        ("n_visible", "n_hidden", "u_dim"))
-# kind -> (model class, layer class, array names, dims); a stack stores
-# layer ``i``'s arrays as ``layer{i}/<name>``
-_KINDS = {"rbm": (Rbm, Rbm, *_RBM), "rnn-rbm": (RnnRbm, RnnRbm, *_RNN),
-          "dbn": (Dbn, Rbm, *_RBM), "rnn-dbn": (RnnDbn, RnnRbm, *_RNN)}
+_DIMS = ("n_visible", "n_hidden")
+_RNN_DIMS = _DIMS + ("u_dim",)
+# kind -> (model class, layer class, per-layer header dims); a stack
+# stores layer ``i``'s arrays as ``layer{i}/<name>``
+_KINDS = {"rbm": (Rbm, Rbm, _DIMS), "rnn-rbm": (RnnRbm, RnnRbm, _RNN_DIMS),
+          "dbn": (Dbn, Rbm, _DIMS), "rnn-dbn": (RnnDbn, RnnRbm, _RNN_DIMS)}
 _STATS_ARRAYS = ("mean_c", "sq_c", "mean_w", "sq_w")
 _TRAIN_META = {"epoch_done": int, "controller": dict,
                "stats_decay": (int, float), "stats_count": int}
@@ -60,7 +60,7 @@ def _collect(model) -> tuple[str, dict, dict]:
     kind = model_kind(model)
     if kind not in _KINDS:
         raise TypeError(f"cannot checkpoint object of type {kind}")
-    dims = _KINDS[kind][3]
+    dims = _KINDS[kind][2]
     if not isinstance(model, Dbn):
         return kind, model.arrays(), {d: getattr(model, d) for d in dims}
     if not model.layers:
@@ -174,12 +174,11 @@ def _check_meta(kind: str, meta: dict, path):
 
 
 def _rebuild(kind: str, arrays: dict, meta: dict, path):
-    cls, layer_cls, names, _ = _KINDS[kind]
+    cls, layer_cls, _ = _KINDS[kind]
 
     def layer(prefix=""):
-        values = [_need(arrays, prefix + name, path) for name in names]
-        rbm = Rbm(*values[:3])
-        return rbm if layer_cls is Rbm else RnnRbm(rbm, *values[3:])
+        return layer_cls(*(_need(arrays, prefix + f.name, path)
+                           for f in fields(layer_cls)))
 
     if cls is layer_cls:
         model = layer()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .checkpoint import describe
 from .config import parse_config
 from .errors import (CheckpointError, ConfigError, DataFormatError,
@@ -45,6 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the package's own finiteness checks turn an overflow into exit 3 with
+# one message; numpy's warnings about it would only repeat that message
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = _build_parser()
     try:

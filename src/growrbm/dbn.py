@@ -6,10 +6,11 @@ layer has settled, and forgetting penalties over the final epochs; the
 loop itself is the shared :func:`~growrbm.adapt._train_layer`.  The deep
 model is built greedily by :func:`_train_stack`, the one stacking loop
 for :class:`Dbn` and ``rnn_dbn.RnnDbn``: each trained layer's hidden
-activations become the next layer's data, and stacking continues while
-the accumulated gradient-variance and energy totals of the stack stay
-above their thresholds (or unconditionally up to the cap when the layer
-gate is disabled).
+activations become the next layer's data, the next layer starts from
+:func:`_inherit` (a fresh layer of the same type), and stacking
+continues while the accumulated gradient-variance and energy totals of
+the stack stay above their thresholds (or unconditionally up to the cap
+when the layer gate is disabled).
 """
 from __future__ import annotations
 
@@ -18,13 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapt import (AdaptConfig, ForgettingConfig, GradientStats, TrainState,
-                    _train_layer, apply_annihilation, maybe_generate)
+                    _train_layer)
 from .errors import NumericError
 from .log import TrainLog, format_layer_event
 from .metrics import cross_entropy_per_bit
 from .numerics import RngStream
-from .rbm import (CdConfig, Rbm, cd_step, energy, hidden_conditional,
-                  visible_conditional)
+from .rbm import (CdConfig, Rbm, _apply_update, cd_step, energy,
+                  hidden_conditional, visible_conditional)
 
 
 @dataclass
@@ -93,12 +94,6 @@ def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
     return cross_entropy_per_bit(rec, data)
 
 
-def _apply_update(rbm: Rbm, g, lr: float):
-    rbm.b += lr * g.db
-    rbm.c += lr * g.dc
-    rbm.W += lr * g.dW
-
-
 def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
                        epochs: int, rng: RngStream,
                        adapt: AdaptConfig | None = None,
@@ -126,7 +121,7 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
         data, init_model, cd, epochs, rng, adapt, forget, layer, n_layers,
         log, first_event, resume, epoch_callback, gradient=cd_step,
         activations=lambda m, x: hidden_conditional(m, x).mean(axis=0),
-        update=_apply_update, grow=maybe_generate, shrink=apply_annihilation,
+        update=_apply_update,
         metrics=lambda m, x: (mean_field_energy(m, x),
                               reconstruction_error(m, x)))
 
@@ -153,25 +148,26 @@ def should_generate_layer(dbn, cfg: LayerGenConfig) -> bool:
     return wd_sum > cfg.wd_threshold and e_sum > cfg.energy_threshold
 
 
-def _inherit_rbm(parent: Rbm, rng: RngStream) -> Rbm:
-    """Untrained square layer over ``parent``: small weights, and both
-    bias vectors copy the parent's hidden bias, so the fresh layer
-    initially mirrors the activation statistics it will be fed."""
-    new = Rbm.random(parent.n_hidden, parent.n_hidden, rng)
+def _inherit(parent: Rbm, rng: RngStream) -> Rbm:
+    """Untrained square layer of the parent's type over its hidden
+    output: small weights (and, for a recurrent layer, a uniform initial
+    state), and both bias vectors copy the parent's hidden bias, so the
+    fresh layer initially mirrors the activation statistics it will be
+    fed."""
+    new = type(parent).random(parent.n_hidden, parent.n_hidden, rng)
     new.b, new.c = parent.c.copy(), parent.c.copy()
     return new
 
 
 def _train_stack(stack: Dbn, inputs, rng: RngStream,
                  layer_cfg: LayerGenConfig, gate_layers: bool,
-                 log: TrainLog | None, *, train, energy, inherit, lift,
-                 **layer_kwargs):
+                 log: TrainLog | None, *, train, energy, lift, **layer_kwargs):
     """Greedy bottom-up stacking loop of both stack kinds.
 
     Layer ``l`` trains as ``train(inputs, rng=rng.split(l), ...)``, as a
-    standalone run would; the next layer starts from ``inherit(model,
-    rng.split(l + 1).split(0))`` on ``lift(model, inputs)``.  ``energy``
-    gives the layer's totals.  Returns ``(stack, log)``.
+    standalone run would; the next layer starts from :func:`_inherit`
+    with ``rng.split(l + 1).split(0)`` on ``lift(model, inputs)``.
+    ``energy`` gives the layer's totals.  Returns ``(stack, log)``.
     """
     log = log if log is not None else TrainLog()
     layer_idx = 1
@@ -194,7 +190,7 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
         if not grow:
             break
         layer_idx += 1
-        init = inherit(model, rng.split(layer_idx).split(0))
+        init = _inherit(model, rng.split(layer_idx).split(0))
         inputs = lift(model, inputs)
         first_event = format_layer_event(layer_idx)
 
@@ -217,6 +213,6 @@ def train_adaptive_dbn(data: np.ndarray, n_hidden: int, cd: CdConfig,
     return _train_stack(
         Dbn(), np.atleast_2d(np.asarray(data, dtype=np.float64)), rng,
         layer_cfg, gate_layers, log, train=train_adaptive_rbm,
-        energy=mean_field_energy, inherit=_inherit_rbm,
-        lift=hidden_conditional, n_hidden=n_hidden, cd=cd,
-        epochs=epochs_per_layer, adapt=adapt, forget=forget)
+        energy=mean_field_energy, lift=hidden_conditional,
+        n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
+        forget=forget)

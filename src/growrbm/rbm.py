@@ -6,6 +6,12 @@ function, joint probabilities, exact log-likelihood and its gradient),
 conditional distributions in both directions, and the contrastive
 divergence estimator used for training at realistic sizes.
 
+:class:`Rbm` is the one layer type.  The recurrent layer and its
+gradient subclass :class:`Rbm` and :class:`RbmGradient` with more array
+fields, so copying, validation, gradient arithmetic and the update step
+(:func:`_apply_update`) are written once, over the fields in order.
+``HIDDEN`` names the per-hidden-unit arrays that growth and pruning edit.
+
 The CD-k Gibbs chain, :func:`_cd_chain`, also serves the recurrent
 model's BPTT-CD gradient.  It takes its uniforms pre-drawn, one block
 per Bernoulli draw in the order the chain consumes them, so each caller
@@ -52,11 +58,18 @@ class CdConfig:
 
 @dataclass
 class Rbm:
-    """Model parameters: visible bias ``b``, hidden bias ``c``, weights ``W``."""
+    """Model parameters: visible bias ``b``, hidden bias ``c``, weights ``W``.
+
+    The field order is the array order of :meth:`arrays`, gradients and
+    checkpoints.  ``HIDDEN`` arrays hold one entry per hidden unit on
+    their last axis.
+    """
 
     b: np.ndarray
     c: np.ndarray
     W: np.ndarray
+
+    HIDDEN = ("c", "W")
 
     @property
     def n_visible(self) -> int:
@@ -83,39 +96,69 @@ class Rbm:
         return Rbm(np.zeros(n_visible), np.zeros(n_hidden),
                    np.zeros((n_visible, n_hidden)))
 
-    def copy(self) -> "Rbm":
-        return Rbm(self.b.copy(), self.c.copy(), self.W.copy())
+    def copy(self):
+        return type(self)(*(arr.copy() for arr in vars(self).values()))
 
     def arrays(self) -> dict:
-        return {"b": self.b, "c": self.c, "W": self.W}
+        """Every array by field name, in field order."""
+        return dict(vars(self))
+
+    def _shapes(self) -> dict:
+        """Expected shape of every array, by field name."""
+        i, j = self.n_visible, self.n_hidden
+        return {"b": (i,), "c": (j,), "W": (i, j)}
 
     def validate(self):
-        """Raise if shapes are inconsistent or any parameter is non-finite."""
-        i, j = self.b.shape[0], self.c.shape[0]
-        if self.W.shape != (i, j):
-            raise DimensionError(
-                f"weights have shape {self.W.shape}, expected {(i, j)}")
-        for name, arr in (("b", self.b), ("c", self.c), ("W", self.W)):
+        """Raise if an array has the wrong shape or a non-finite value,
+        checking the arrays in field order."""
+        for name, shape in self._shapes().items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise DimensionError(
+                    f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise FloatingPointError(f"non-finite values in {name}")
 
 
 @dataclass
 class RbmGradient:
-    """Ascent-direction gradients for (b, c, W)."""
+    """Ascent-direction gradients, one field per model array, in the
+    model's field order."""
 
     db: np.ndarray
     dc: np.ndarray
     dW: np.ndarray
 
-    @staticmethod
-    def zeros(rbm: Rbm) -> "RbmGradient":
-        return RbmGradient(np.zeros_like(rbm.b), np.zeros_like(rbm.c),
-                           np.zeros_like(rbm.W))
+    @classmethod
+    def zeros(cls, model: Rbm) -> "RbmGradient":
+        return cls(*map(np.zeros_like, vars(model).values()))
+
+    def add_(self, other: "RbmGradient") -> "RbmGradient":
+        """Add ``other``, which may hold only ``(b, c, W)``, in place."""
+        for name, arr in vars(other).items():
+            getattr(self, name).__iadd__(arr)
+        return self
+
+    def scale_(self, s: float) -> "RbmGradient":
+        for arr in vars(self).values():
+            arr *= s
+        return self
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.db ** 2) + np.sum(self.dc ** 2)
-                             + np.sum(self.dW ** 2)))
+        return float(np.sqrt(sum(np.sum(arr ** 2)
+                                 for arr in vars(self).values())))
+
+    def clip_(self, max_norm: float) -> "RbmGradient":
+        n = self.norm()
+        if n > max_norm:
+            self.scale_(max_norm / n)
+        return self
+
+
+def _apply_update(model: Rbm, g: RbmGradient, lr: float):
+    """Ascent step ``param += lr * grad`` on every array, in place."""
+    for arr, step in zip(vars(model).values(), vars(g).values()):
+        arr += lr * step
 
 
 def _check_last_dim(name: str, arr: np.ndarray, expected: int):

@@ -43,16 +43,7 @@ def deterministic_hidden_sequence(model: RnnRbm, seq) -> np.ndarray:
     """
     seq = np.asarray(seq, dtype=np.float64)
     _, _, C = unroll(model, seq)
-    return sigmoid(C + seq @ model.rbm.W)
-
-
-def _inherit_layer(parent: RnnRbm, rng: RngStream) -> RnnRbm:
-    """Untrained next layer sized to the parent's hidden output: as in
-    :func:`~growrbm.dbn._inherit_rbm` both RBM biases copy the parent's
-    hidden bias; all weights start small and the state starts uniform."""
-    new = RnnRbm.random(parent.n_hidden, parent.n_hidden, rng)
-    new.rbm.b, new.rbm.c = parent.rbm.c.copy(), parent.rbm.c.copy()
-    return new
+    return sigmoid(C + seq @ model.W)
 
 
 def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
@@ -72,7 +63,7 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
     return _train_stack(
         RnnDbn(), [np.asarray(s, dtype=np.float64) for s in sequences], rng,
         layer_cfg, gate_layers, log, train=train_adaptive_rnn_rbm,
-        energy=mean_sequence_energy, inherit=_inherit_layer,
+        energy=mean_sequence_energy,
         lift=lambda m, seqs: [deterministic_hidden_sequence(m, s)
                               for s in seqs],
         n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
@@ -99,7 +90,7 @@ def predict_next_deep(stack: RnnDbn, prefix) -> np.ndarray:
     for layer, view in zip(reversed(stack.layers[:-1]), reversed(views[:-1])):
         u_last = unroll(layer, view)[0][-1]
         b_next, _ = temporal_biases(layer, u_last)
-        signal = sigmoid(b_next + signal @ layer.rbm.W.T)
+        signal = sigmoid(b_next + signal @ layer.W.T)
     return signal
 
 
@@ -116,12 +107,12 @@ def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
     view, states = seq, []
     for layer in stack.layers[:-1]:
         U, _, C = unroll(layer, view)
-        view = sigmoid(C + view @ layer.rbm.W)
+        view = sigmoid(C + view @ layer.W)
         states.append(U)
     signal = next_frame_predictions(stack.layers[-1], view)
     for layer, U in zip(reversed(stack.layers[:-1]), reversed(states)):
-        signal = sigmoid(layer.rbm.b + U[1:-1] @ layer.w_uv
-                         + signal @ layer.rbm.W.T)
+        signal = sigmoid(layer.b + U[1:-1] @ layer.w_uv
+                         + signal @ layer.W.T)
     return signal
 
 
@@ -153,12 +144,12 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     frames = np.zeros((length, stack.n_visible))
     for t in range(length):
         biases = [temporal_biases(*pair) for pair in zip(stack.layers, states)]
-        signal = _mean_field_marginals(top.rbm.W, *biases[-1])
+        signal = _mean_field_marginals(top.W, *biases[-1])
         for layer, (b_next, _) in zip(reversed(lower), reversed(biases[:-1])):
-            signal = sigmoid(b_next + signal @ layer.rbm.W.T)
+            signal = sigmoid(b_next + signal @ layer.W.T)
         view = frames[t] = sample_bernoulli(signal, rng)
         for i, layer in enumerate(stack.layers):
             states[i] = state_update(layer, states[i], view)
             if i < len(lower):
-                view = sigmoid(biases[i][1] + view @ layer.rbm.W)
+                view = sigmoid(biases[i][1] + view @ layer.W)
     return frames

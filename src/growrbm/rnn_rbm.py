@@ -19,26 +19,29 @@ backward chain serve the whole group.  Grouping changes no random draw:
 frame ``t`` of batch sequence ``s`` draws one row of uniforms from
 ``rng.split(s).split(t)``, cut into the chain's blocks in draw order.
 
-The hidden layer can grow and shrink during training exactly like the
-static model; ``w_uh`` is resized in lockstep so the temporal bias keeps
-one column per hidden unit.  Training runs the epoch loop shared with
-the static model, :func:`~growrbm.adapt._train_layer`.
+:class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
+it is copied, validated, updated and checkpointed by the static code.
+Its ``HIDDEN`` adds ``w_uh`` to ``c`` and ``W``: the shared growth and
+pruning sweeps of :mod:`~growrbm.adapt` resize ``w_uh`` in lockstep, so
+the temporal bias keeps one column per hidden unit, and a split unit's
+``w_uh`` column starts as fresh small noise, not a copy.  Training runs
+the epoch loop shared with the static model,
+:func:`~growrbm.adapt._train_layer`, with a clipped update step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .adapt import (AdaptConfig, ForgettingConfig, GradientStats, TrainState,
-                    _train_layer, apply_annihilation, insert_after,
-                    maybe_generate)
-from .errors import CapacityError, DimensionError
+from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
+from .errors import DimensionError
 from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import _SIG_HI, _SIG_LO, RngStream, sigmoid
-from .rbm import CdConfig, Rbm, _cd_chain, _chain_widths, all_states
+from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
+                  _chain_widths, _guard_exact, all_states)
 
 SEQ_ENUM_LIMIT = 20
 MEAN_FIELD_PASSES = 10
@@ -47,16 +50,16 @@ U0_MARGIN = 1e-6
 
 
 @dataclass
-class RnnRbm:
-    """Shared RBM plus the recurrent state machinery.
+class RnnRbm(Rbm):
+    """A static RBM whose biases the recurrent state shifts each frame.
 
-    ``rbm`` holds the static biases and weights; the five recurrent
+    The static fields ``b``, ``c``, ``W`` come first; the recurrent
     arrays follow the shape convention (state in rows): ``w_uv (K, I)``,
     ``w_uh (K, J)``, ``w_vu (I, K)``, ``w_uu (K, K)``, with ``u_bias``
-    and the learned initial state ``u0`` of length ``K``.
+    and the learned initial state ``u0`` of length ``K``.  ``w_uh``
+    holds one column per hidden unit, so it is a per-unit array too.
     """
 
-    rbm: Rbm
     u_bias: np.ndarray
     w_uv: np.ndarray
     w_uh: np.ndarray
@@ -64,13 +67,7 @@ class RnnRbm:
     w_uu: np.ndarray
     u0: np.ndarray
 
-    @property
-    def n_visible(self) -> int:
-        return self.rbm.n_visible
-
-    @property
-    def n_hidden(self) -> int:
-        return self.rbm.n_hidden
+    HIDDEN = ("c", "W", "w_uh")
 
     @property
     def u_dim(self) -> int:
@@ -83,9 +80,8 @@ class RnnRbm:
         k = n_hidden if u_dim is None else u_dim
         if k < 1:
             raise ValueError("state dimension must be >= 1")
-        rbm = Rbm.random(n_visible, n_hidden, rng, weight_sd)
-        model = RnnRbm(
-            rbm=rbm,
+        return RnnRbm(
+            *vars(Rbm.random(n_visible, n_hidden, rng, weight_sd)).values(),
             u_bias=np.zeros(k),
             w_uv=rng.normal(sd=weight_sd, size=(k, n_visible)),
             w_uh=rng.normal(sd=weight_sd, size=(k, n_hidden)),
@@ -93,88 +89,36 @@ class RnnRbm:
             w_uu=rng.normal(sd=weight_sd, size=(k, k)),
             u0=np.clip(rng.uniform(size=k), U0_MARGIN, 1.0 - U0_MARGIN),
         )
-        return model
 
     @staticmethod
     def zeros(n_visible: int, n_hidden: int, u_dim: int | None = None) -> "RnnRbm":
         k = n_hidden if u_dim is None else u_dim
-        return RnnRbm(Rbm.zeros(n_visible, n_hidden), np.zeros(k),
-                      np.zeros((k, n_visible)), np.zeros((k, n_hidden)),
-                      np.zeros((n_visible, k)), np.zeros((k, k)),
-                      np.full(k, 0.5))
+        return RnnRbm(*vars(Rbm.zeros(n_visible, n_hidden)).values(),
+                      np.zeros(k), np.zeros((k, n_visible)),
+                      np.zeros((k, n_hidden)), np.zeros((n_visible, k)),
+                      np.zeros((k, k)), np.full(k, 0.5))
 
-    def copy(self) -> "RnnRbm":
-        return RnnRbm(self.rbm.copy(), self.u_bias.copy(), self.w_uv.copy(),
-                      self.w_uh.copy(), self.w_vu.copy(), self.w_uu.copy(),
-                      self.u0.copy())
+    def _shapes(self) -> dict:
+        i, j, k = self.n_visible, self.n_hidden, self.u_dim
+        return {**super()._shapes(), "u_bias": (k,), "w_uv": (k, i),
+                "w_uh": (k, j), "w_vu": (i, k), "w_uu": (k, k), "u0": (k,)}
 
     def validate(self):
-        self.rbm.validate()
-        i, j, k = self.n_visible, self.n_hidden, self.u_dim
-        expected = {"w_uv": (k, i), "w_uh": (k, j), "w_vu": (i, k),
-                    "w_uu": (k, k), "u0": (k,)}
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise DimensionError(
-                    f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite values in {name}")
-        if not np.all(np.isfinite(self.u_bias)):
-            raise FloatingPointError("non-finite values in u_bias")
+        super().validate()
         if self.u0.min() <= 0.0 or self.u0.max() >= 1.0:
             raise FloatingPointError("initial state left the open unit interval")
 
-    def arrays(self) -> dict:
-        return {"b": self.rbm.b, "c": self.rbm.c, "W": self.rbm.W,
-                "u_bias": self.u_bias, "w_uv": self.w_uv, "w_uh": self.w_uh,
-                "w_vu": self.w_vu, "w_uu": self.w_uu, "u0": self.u0}
-
 
 @dataclass
-class RnnRbmGradient:
-    """One gradient entry per parameter group, ascent direction."""
+class RnnRbmGradient(RbmGradient):
+    """The static gradient plus one entry per recurrent array."""
 
-    db: np.ndarray
-    dc: np.ndarray
-    dW: np.ndarray
     du: np.ndarray
     dw_uv: np.ndarray
     dw_uh: np.ndarray
     dw_vu: np.ndarray
     dw_uu: np.ndarray
     du0: np.ndarray
-
-    _FIELDS = ("db", "dc", "dW", "du", "dw_uv", "dw_uh", "dw_vu", "dw_uu", "du0")
-
-    @staticmethod
-    def zeros(model: RnnRbm) -> "RnnRbmGradient":
-        return RnnRbmGradient(
-            np.zeros_like(model.rbm.b), np.zeros_like(model.rbm.c),
-            np.zeros_like(model.rbm.W), np.zeros_like(model.u_bias),
-            np.zeros_like(model.w_uv), np.zeros_like(model.w_uh),
-            np.zeros_like(model.w_vu), np.zeros_like(model.w_uu),
-            np.zeros_like(model.u0))
-
-    def add_(self, other: "RnnRbmGradient") -> "RnnRbmGradient":
-        for f in self._FIELDS:
-            getattr(self, f).__iadd__(getattr(other, f))
-        return self
-
-    def scale_(self, s: float) -> "RnnRbmGradient":
-        for f in self._FIELDS:
-            getattr(self, f).__imul__(s)
-        return self
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(getattr(self, f) ** 2)
-                                 for f in self._FIELDS)))
-
-    def clip_(self, max_norm: float) -> "RnnRbmGradient":
-        n = self.norm()
-        if n > max_norm:
-            self.scale_(max_norm / n)
-        return self
 
 
 def _as_sequence(seq) -> np.ndarray:
@@ -190,7 +134,7 @@ def temporal_biases(model: RnnRbm, u_prev: np.ndarray):
     if u_prev.shape[-1] != model.u_dim:
         raise DimensionError(
             f"state has dimension {u_prev.shape[-1]}, expected {model.u_dim}")
-    return model.rbm.b + u_prev @ model.w_uv, model.rbm.c + u_prev @ model.w_uh
+    return model.b + u_prev @ model.w_uv, model.c + u_prev @ model.w_uh
 
 
 def state_update(model: RnnRbm, u_prev: np.ndarray, v_t: np.ndarray) -> np.ndarray:
@@ -240,31 +184,24 @@ def unroll(model: RnnRbm, seq):
     if not np.all(np.isfinite(pre)):
         raise FloatingPointError("sigmoid: non-finite input")
     U = U.swapaxes(0, -2)
-    B = model.rbm.b + U[..., :-1, :] @ model.w_uv
-    C = model.rbm.c + U[..., :-1, :] @ model.w_uh
+    B = model.b + U[..., :-1, :] @ model.w_uv
+    C = model.c + U[..., :-1, :] @ model.w_uh
     return U, B, C
-
-
-def _guard_seq_exact(model: RnnRbm):
-    if model.n_visible + model.n_hidden > SEQ_ENUM_LIMIT:
-        raise CapacityError(
-            f"exact sequence computations limited to {SEQ_ENUM_LIMIT} total "
-            f"units, model has {model.n_visible + model.n_hidden}")
 
 
 def sequence_cost_exact(model: RnnRbm, seq) -> float:
     """Exact negative log-likelihood of one sequence (tiny models only)."""
-    _guard_seq_exact(model)
+    _guard_exact(model, SEQ_ENUM_LIMIT)
     seq = _as_sequence(seq)
     _, B, C = unroll(model, seq)
     states = all_states(model.n_visible)
-    sw = states @ model.rbm.W
+    sw = states @ model.W
     cost = 0.0
     for t in range(seq.shape[0]):
         log_unnorm = states @ B[t] + np.sum(np.logaddexp(0.0, sw + C[t]), axis=1)
         log_z = logsumexp(log_unnorm)
         data_term = seq[t] @ B[t] + np.sum(
-            np.logaddexp(0.0, seq[t] @ model.rbm.W + C[t]))
+            np.logaddexp(0.0, seq[t] @ model.W + C[t]))
         cost -= data_term - log_z
     return float(cost)
 
@@ -312,20 +249,20 @@ def sequence_cost_gradient_exact(model: RnnRbm, seq) -> RnnRbmGradient:
     stochastic estimator, so finite-difference agreement here validates
     both.
     """
-    _guard_seq_exact(model)
+    _guard_exact(model, SEQ_ENUM_LIMIT)
     seq = _as_sequence(seq)
     t_len = seq.shape[0]
     U, B, C = unroll(model, seq)
     states = all_states(model.n_visible)
-    sw = states @ model.rbm.W
+    sw = states @ model.W
     DB = np.empty((t_len, model.n_visible))
     DC = np.empty((t_len, model.n_hidden))
-    dW = np.zeros_like(model.rbm.W)
+    dW = np.zeros_like(model.W)
     for t in range(t_len):
         log_unnorm = states @ B[t] + np.sum(np.logaddexp(0.0, sw + C[t]), axis=1)
         p = np.exp(log_unnorm - logsumexp(log_unnorm))
         cond = sigmoid(sw + C[t])
-        h_data = sigmoid(seq[t] @ model.rbm.W + C[t])
+        h_data = sigmoid(seq[t] @ model.W + C[t])
         DB[t] = p @ states - seq[t]
         DC[t] = p @ cond - h_data
         dW += states.T @ (cond * p[:, None]) - np.outer(seq[t], h_data)
@@ -368,7 +305,7 @@ def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
     draws = np.concatenate([r.split_uniform_rows(seqs.shape[1], sum(widths))
                             for r in rngs])
     h_data, v_prob, h_model = _cd_chain(
-        model.rbm.W, _rows(B), _rows(C), V,
+        model.W, _rows(B), _rows(C), V,
         np.split(draws, np.cumsum(widths)[:-1], axis=1))
     dW = V.T @ h_data - v_prob.T @ h_model
     return _chain_through_state(
@@ -424,7 +361,7 @@ def predict_next(model: RnnRbm, prefix) -> np.ndarray:
         prefix = np.zeros((0, model.n_visible))
     U, _, _ = unroll(model, prefix)
     b_next, c_next = temporal_biases(model, U[-1])
-    return _mean_field_marginals(model.rbm.W, b_next, c_next)
+    return _mean_field_marginals(model.W, b_next, c_next)
 
 
 def next_frame_predictions(model: RnnRbm, seq) -> np.ndarray:
@@ -437,7 +374,7 @@ def next_frame_predictions(model: RnnRbm, seq) -> np.ndarray:
     if seq.shape[0] < 2:
         return np.zeros((0, model.n_visible))
     U, B, C = unroll(model, seq)
-    return _mean_field_marginals(model.rbm.W, B[1:], C[1:])
+    return _mean_field_marginals(model.W, B[1:], C[1:])
 
 
 def mean_sequence_energy(model: RnnRbm, sequences) -> float:
@@ -446,7 +383,7 @@ def mean_sequence_energy(model: RnnRbm, sequences) -> float:
     frames = 0
     for _, seqs in _length_groups(model, sequences):
         _, B, C = unroll(model, seqs)
-        pre = C + seqs @ model.rbm.W
+        pre = C + seqs @ model.W
         h = sigmoid(pre)
         e = -np.sum(seqs * B, axis=-1) - np.sum(h * pre, axis=-1)
         total += float(e.sum())
@@ -460,7 +397,7 @@ def mean_hidden_activation(model: RnnRbm, sequences) -> np.ndarray:
     frames = 0
     for _, seqs in _length_groups(model, sequences):
         _, _, C = unroll(model, seqs)
-        h = _rows(sigmoid(C + seqs @ model.rbm.W))
+        h = _rows(sigmoid(C + seqs @ model.W))
         acc += h.sum(axis=0)
         frames += h.shape[0]
     return acc / frames
@@ -476,40 +413,14 @@ def prediction_error(model: RnnRbm, sequences) -> float:
     for _, seqs in _length_groups(model, sequences):
         if seqs.shape[1] >= 2:
             _, B, C = unroll(model, seqs)
-            pool.add(_mean_field_marginals(model.rbm.W, B[:, 1:], C[:, 1:]),
+            pool.add(_mean_field_marginals(model.W, B[:, 1:], C[:, 1:]),
                      seqs[:, 1:])
     return float("nan") if pool.empty else pool.cross_entropy()
 
 
-def grow_hidden(model: RnnRbm, stats: GradientStats, cfg: AdaptConfig,
-                rng: RngStream):
-    """Growth sweep that keeps ``w_uh`` aligned with the hidden layer.
-
-    Columns for fresh units are drawn small rather than copied: the new
-    unit inherits the parent's detector but starts with its own weak
-    temporal preferences.  Returns ``(model, stats, parents)``.
-    """
-    rbm2, stats2, parents = maybe_generate(model.rbm, stats, cfg, rng)
-    if not parents:
-        return model, stats, []
-    new_cols = rng.normal(sd=0.01, size=(len(parents), model.u_dim))
-    grown = replace(model.copy(), rbm=rbm2,
-                    w_uh=insert_after(model.w_uh, parents, new_cols.T))
-    return grown, stats2, parents
-
-
-def shrink_hidden(model: RnnRbm, stats: GradientStats, mask: np.ndarray):
-    """Remove masked hidden units from the RBM and ``w_uh`` together."""
-    rbm2, stats2 = apply_annihilation(model.rbm, stats, mask)
-    keep = ~np.asarray(mask, dtype=bool)
-    return replace(model.copy(), rbm=rbm2, w_uh=model.w_uh[:, keep]), stats2
-
-
-def _apply_update(model: RnnRbm, g: RnnRbmGradient, lr: float):
+def _clipped_update(model: RnnRbm, g: RnnRbmGradient, lr: float):
     """Clipped ascent step; the initial state stays inside (0, 1)."""
-    g.clip_(GRAD_CLIP)
-    for arr, name in zip(model.arrays().values(), g._FIELDS):
-        arr += lr * getattr(g, name)
+    _apply_update(model, g.clip_(GRAD_CLIP), lr)
     np.clip(model.u0, U0_MARGIN, 1.0 - U0_MARGIN, out=model.u0)
 
 
@@ -526,8 +437,7 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
                            epoch_callback=None):
     """Adaptive training of one recurrent layer in the shared epoch loop.
 
-    Batches of sequences get BPTT-CD updates clipped to ``GRAD_CLIP``;
-    growth and pruning keep ``w_uh`` aligned with the hidden layer.  See
+    Batches of sequences get BPTT-CD updates clipped to ``GRAD_CLIP``.  See
     the static trainer for the stream layout.  Returns
     ``(model, stats, log)``.
     """
@@ -547,6 +457,6 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
         sequences, init_model, cd, epochs, rng, adapt, forget, layer,
         n_layers, log, first_event, resume, epoch_callback,
         gradient=bptt_gradients, activations=mean_hidden_activation,
-        update=_apply_update, grow=grow_hidden, shrink=shrink_hidden,
+        update=_clipped_update,
         metrics=lambda m, seqs: (mean_sequence_energy(m, seqs),
                                  prediction_error(m, seqs)))

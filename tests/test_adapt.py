@@ -15,7 +15,7 @@ from growrbm.errors import StructureError
 from growrbm.numerics import RngStream
 from growrbm.rbm import (Rbm, free_energy, hidden_conditional,
                          log_partition_exact)
-from growrbm.rnn_rbm import RnnRbm, grow_hidden, shrink_hidden
+from growrbm.rnn_rbm import RnnRbm
 
 
 def adapt_cfg(**kw):
@@ -455,8 +455,8 @@ class TestGrowPruneRoundTrip:
         rng = RngStream(seed)
         model = RnnRbm.random(n_visible, n_hidden, rng.split(0), u_dim=u_dim,
                               weight_sd=1.0)
-        model.rbm.b[:] = rng.normal(size=n_visible)
-        model.rbm.c[:] = rng.normal(size=n_hidden)
+        model.b[:] = rng.normal(size=n_visible)
+        model.c[:] = rng.normal(size=n_hidden)
         stats = GradientStats.zeros(n_visible, n_hidden)
         stats.mean_c = rng.normal(size=n_hidden)
         stats.mean_w = rng.normal(size=(n_visible, n_hidden))
@@ -466,15 +466,14 @@ class TestGrowPruneRoundTrip:
         stats.sq_w = stats.mean_w ** 2 + hot
         stats.count = 3
         cfg = adapt_cfg(max_hidden=n_hidden + room, gen_threshold=0.5)
-        grow, shrink = ((grow_hidden, shrink_hidden) if recurrent else
-                        (maybe_generate, apply_annihilation))
-        before = model if recurrent else model.rbm
+        before = model if recurrent else Rbm(model.b, model.c, model.W)
 
-        grown, grown_stats, parents = grow(before, stats, cfg, rng.split(1))
+        grown, grown_stats, parents = maybe_generate(before, stats, cfg,
+                                                     rng.split(1))
         assert parents == [j for j in range(n_hidden) if triggers[j]][:room]
         mask = np.zeros(grown.n_hidden, dtype=bool)
         mask[[p + i + 1 for i, p in enumerate(parents)]] = True
-        pruned, pruned_stats = shrink(grown, grown_stats, mask)
+        pruned, pruned_stats = apply_annihilation(grown, grown_stats, mask)
 
         for name, arr in before.arrays().items():
             npt.assert_array_equal(pruned.arrays()[name], arr, err_msg=name)

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 
 from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
-from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit_rbm,
+from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
                          _layer_totals, mean_field_energy,
                          should_generate_layer, train_adaptive_dbn,
                          train_adaptive_rbm)
@@ -131,7 +131,7 @@ class TestGenerateLayer:
         rng = RngStream(31)
         base = Rbm(b=rng.normal(size=3), c=rng.normal(size=5),
                    W=rng.normal(size=(3, 5)))
-        top = _inherit_rbm(base, RngStream(1))
+        top = _inherit(base, RngStream(1))
         assert top.n_visible == 5
         assert top.n_hidden == 5
         npt.assert_array_equal(top.b, base.c)

@@ -1,4 +1,6 @@
 """End-to-end runs: output directory contract, reruns, CLI exit codes."""
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -220,6 +222,16 @@ class TestFileResume:
 
 
 class TestCli:
+    @staticmethod
+    def stderr_lines(argv, capsys):
+        """Exit code and stderr lines of ``main(argv)``.  A warning counts
+        as a stderr line, since outside the test runner it prints there."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        return code, err + [f"warning: {w.message}" for w in caught]
+
     def write_config(self, tmp_path, data_file, out, extra=""):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -299,9 +311,10 @@ class TestCli:
                        f"out = {tmp_path / 'run'}\nepochs = 2\n"
                        "n_hidden = 3\ncd.batch_size = 4\n"
                        "cd.learning_rate = 1e300\n")
-        assert main(["train", "--config", str(cfg)]) == 3
-        assert "numeric failure: non-finite values in" in \
-            capsys.readouterr().err
+        code, err = self.stderr_lines(["train", "--config", str(cfg)], capsys)
+        assert code == 3
+        assert len(err) == 1, err
+        assert err[0].startswith("numeric failure: non-finite values in")
 
     def test_numeric_failure_in_eval_exits_3(self, tmp_path, data_file,
                                              capsys):
@@ -311,10 +324,10 @@ class TestCli:
         model.w_vu[:] = 1e308
         ckpt = tmp_path / "huge.ckpt"
         save_checkpoint(ckpt, model)
-        assert main(["eval", "--checkpoint", str(ckpt),
-                     "--dataset", str(data_file)]) == 3
-        assert "numeric failure: sigmoid: non-finite input" in \
-            capsys.readouterr().err
+        code, err = self.stderr_lines(["eval", "--checkpoint", str(ckpt),
+                                       "--dataset", str(data_file)], capsys)
+        assert code == 3
+        assert err == ["numeric failure: sigmoid: non-finite input"]
 
     def test_numeric_failure_in_grouped_unroll_exits_3(self, tmp_path,
                                                         data_file, capsys,
@@ -334,9 +347,9 @@ class TestCli:
         cfg.write_text(f"model = rnn-rbm\ntrain = {data_file}\n"
                        f"out = {tmp_path / 'run'}\nepochs = 1\n"
                        "n_hidden = 3\ncd.batch_size = 4\n")
-        assert main(["train", "--config", str(cfg)]) == 3
-        assert "numeric failure: sigmoid: non-finite input" in \
-            capsys.readouterr().err
+        code, err = self.stderr_lines(["train", "--config", str(cfg)], capsys)
+        assert code == 3
+        assert err == ["numeric failure: sigmoid: non-finite input"]
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config is required

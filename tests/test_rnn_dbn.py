@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm import rnn_dbn
-from growrbm.dbn import (LayerGenConfig, _inherit_rbm, train_adaptive_dbn,
+from growrbm.dbn import (LayerGenConfig, _inherit, train_adaptive_dbn,
                          train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
 from growrbm.harness import evaluate_model
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sample_bernoulli, sigmoid
 from growrbm.rbm import CdConfig, hidden_conditional
-from growrbm.rnn_dbn import (RnnDbn, _inherit_layer,
-                             deterministic_hidden_sequence,
+from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
 from growrbm.rnn_rbm import (RnnRbm, next_frame_predictions, predict_next,
@@ -36,7 +35,7 @@ class TestHiddenSequence:
         seq = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         _, _, C = unroll(m, seq)
         npt.assert_array_equal(deterministic_hidden_sequence(m, seq),
-                               sigmoid(C + seq @ m.rbm.W))
+                               sigmoid(C + seq @ m.W))
 
     def test_reproducible_rows_in_unit_interval(self):
         m = small_model(82)
@@ -85,22 +84,20 @@ class TestStacking:
         cfg = LayerGenConfig(max_layers=2, wd_threshold=1e-12,
                              energy_threshold=1e-12)
         if recurrent:
-            data, stacked, single, inherit = (
-                seqs, train_adaptive_rnn_dbn, train_adaptive_rnn_rbm,
-                _inherit_layer)
+            data, stacked, single = (seqs, train_adaptive_rnn_dbn,
+                                     train_adaptive_rnn_rbm)
             lift = lambda m, x: [deterministic_hidden_sequence(m, s)
                                  for s in x]
         else:
-            data, stacked, single, inherit = (
-                np.vstack(seqs), train_adaptive_dbn, train_adaptive_rbm,
-                _inherit_rbm)
+            data, stacked, single = (np.vstack(seqs), train_adaptive_dbn,
+                                     train_adaptive_rbm)
             lift = hidden_conditional
         stack, _ = stacked(data, 5, cd, 4, RngStream(87), cfg)
         assert stack.n_layers == 2
         rng, init = RngStream(87).split(layer), None
         if layer == 2:
             data = lift(stack.layers[0], data)
-            init = inherit(stack.layers[0], rng.split(0))
+            init = _inherit(stack.layers[0], rng.split(0))
         solo, _, _ = single(data, 5, cd, 4, rng, init_model=init)
         for name, arr in stack.layers[layer - 1].arrays().items():
             npt.assert_array_equal(arr, solo.arrays()[name], err_msg=name)

@@ -6,20 +6,19 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
+from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
+                           apply_annihilation, maybe_generate)
 from growrbm.errors import CapacityError, DimensionError
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig, Rbm, cd_step, log_likelihood_exact
 from growrbm.rnn_dbn import RnnDbn, sample_sequence_deep
 from growrbm.rnn_rbm import (RnnRbm, RnnRbmGradient, bptt_gradients,
-                             grow_hidden, mean_hidden_activation,
-                             mean_sequence_energy, next_frame_predictions,
-                             predict_next, prediction_error,
-                             sequence_cost_exact,
-                             sequence_cost_gradient_exact, shrink_hidden,
-                             state_update, temporal_biases,
-                             train_adaptive_rnn_rbm, unroll)
+                             mean_hidden_activation, mean_sequence_energy,
+                             next_frame_predictions, predict_next,
+                             prediction_error, sequence_cost_exact,
+                             sequence_cost_gradient_exact, state_update,
+                             temporal_biases, train_adaptive_rnn_rbm, unroll)
 
 from test_rbm import reference_cd_step
 
@@ -31,8 +30,8 @@ GRAD_PAIRS = [("db", "b"), ("dc", "c"), ("dW", "W"), ("du", "u_bias"),
 def small_model(seed, i=3, j=2, k=2, sd=0.5):
     rng = RngStream(seed)
     return RnnRbm(
-        rbm=Rbm(b=rng.normal(sd=sd, size=i), c=rng.normal(sd=sd, size=j),
-                W=rng.normal(sd=sd, size=(i, j))),
+        b=rng.normal(sd=sd, size=i), c=rng.normal(sd=sd, size=j),
+        W=rng.normal(sd=sd, size=(i, j)),
         u_bias=rng.normal(sd=sd, size=k),
         w_uv=rng.normal(sd=sd, size=(k, i)),
         w_uh=rng.normal(sd=sd, size=(k, j)),
@@ -44,7 +43,7 @@ def small_model(seed, i=3, j=2, k=2, sd=0.5):
 def static_in_rnn(rbm, u_dim=2):
     """Wrap a static RBM with all-zero recurrent parts."""
     model = RnnRbm.zeros(rbm.n_visible, rbm.n_hidden, u_dim=u_dim)
-    model.rbm = rbm.copy()
+    model.b, model.c, model.W = rbm.copy().arrays().values()
     return model
 
 
@@ -58,9 +57,38 @@ def grown_model(model, seed):
         stats.update(np.full(j, sign), np.full((i, j), sign))
     adapt = AdaptConfig(generation_phase_epochs=1, max_hidden=2 * j,
                         gen_threshold=1e-6)
-    grown, _, parents = grow_hidden(model, stats, adapt, RngStream(seed))
+    grown, _, parents = maybe_generate(model, stats, adapt, RngStream(seed))
     assert grown.n_hidden > j and parents
     return grown
+
+
+def reference_grow_hidden(model, stats, cfg, rng):
+    """The recurrent growth sweep written out on its own: split the
+    triggered units of the static part (per parent, bias noise then
+    weight-column noise), then draw one ``(P, K)`` block of fresh small
+    ``w_uh`` columns.  Returns ``(model, stats, parents)``."""
+    scores = (cfg.c_gain * stats.var_c()
+              * np.mean(cfg.w_gain * stats.var_w(), axis=0))
+    parents = [j for j in range(model.n_hidden) if scores[j] > cfg.gen_threshold]
+    parents = parents[:max(0, cfg.max_hidden - model.n_hidden)]
+    if not parents:
+        return model, stats, []
+    child_c, child_cols = [], []
+    for j in parents:
+        child_c.append(model.c[j] + rng.normal(sd=cfg.split_noise_sd))
+        child_cols.append(model.W[:, j] + rng.normal(sd=cfg.split_noise_sd,
+                                                     size=model.n_visible))
+    new_cols = rng.normal(sd=0.01, size=(len(parents), model.u_dim))
+    at = np.add(parents, 1)
+    grown = model.copy()
+    grown.c = np.insert(model.c, at, child_c)
+    grown.W = np.insert(model.W, at, np.transpose(child_cols), axis=1)
+    grown.w_uh = np.insert(model.w_uh, at, new_cols.T, axis=1)
+    grown_stats = GradientStats(
+        *(np.insert(a, at, 0.0, axis=-1)
+          for a in (stats.mean_c, stats.sq_c, stats.mean_w, stats.sq_w)),
+        decay=stats.decay, count=stats.count)
+    return grown, grown_stats, parents
 
 
 def cycle_sequences(n_seq, t_len, rng, dim=4):
@@ -83,10 +111,10 @@ def reference_bptt_gradients(model, batch, cfg, rng):
         t_len = seq.shape[0]
         U = [model.u0]
         DB, DC = [], []
-        dW = np.zeros_like(model.rbm.W)
+        dW = np.zeros_like(model.W)
         for t in range(t_len):
             b_t, c_t = temporal_biases(model, U[t])
-            g = reference_cd_step(Rbm(b_t, c_t, model.rbm.W),
+            g = reference_cd_step(Rbm(b_t, c_t, model.W),
                                   seq[t][None, :], cfg, seq_rng.split(t))
             DB.append(g.db)
             DC.append(g.dc)
@@ -128,8 +156,8 @@ class TestRecursionArithmetic:
         m = small_model(1)
         u = np.array([0.2, 0.8])
         b_t, c_t = temporal_biases(m, u)
-        npt.assert_allclose(b_t, m.rbm.b + u @ m.w_uv, atol=1e-15)
-        npt.assert_allclose(c_t, m.rbm.c + u @ m.w_uh, atol=1e-15)
+        npt.assert_allclose(b_t, m.b + u @ m.w_uv, atol=1e-15)
+        npt.assert_allclose(c_t, m.c + u @ m.w_uh, atol=1e-15)
 
     def test_state_update_manual(self):
         m = small_model(2)
@@ -148,8 +176,8 @@ class TestRecursionArithmetic:
         npt.assert_array_equal(U[0], m.u0)
         u = m.u0
         for t in range(5):
-            npt.assert_allclose(B[t], m.rbm.b + u @ m.w_uv, atol=1e-15)
-            npt.assert_allclose(C[t], m.rbm.c + u @ m.w_uh, atol=1e-15)
+            npt.assert_allclose(B[t], m.b + u @ m.w_uv, atol=1e-15)
+            npt.assert_allclose(C[t], m.c + u @ m.w_uh, atol=1e-15)
             u = sigmoid(m.u_bias + u @ m.w_uu + seq[t] @ m.w_vu)
             npt.assert_array_equal(U[t + 1], u)
 
@@ -312,7 +340,7 @@ class TestBpttGradients:
         cfg = CdConfig(k=1, learning_rate=0.1, batch_size=10)
         g1 = bptt_gradients(m, self.batch(), cfg, RngStream(5))
         g2 = bptt_gradients(m, self.batch(), cfg, RngStream(5))
-        for f in RnnRbmGradient._FIELDS:
+        for f, _ in GRAD_PAIRS:
             npt.assert_array_equal(getattr(g1, f), getattr(g2, f))
 
     def test_zero_recurrence_reduces_to_static_cd(self):
@@ -359,7 +387,7 @@ class TestBpttGradients:
         cfg = CdConfig(k=k, learning_rate=0.1, batch_size=10)
         fast = bptt_gradients(m, batch, cfg, RngStream(26))
         ref = reference_bptt_gradients(m, batch, cfg, RngStream(26))
-        for f in RnnRbmGradient._FIELDS:
+        for f, _ in GRAD_PAIRS:
             npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
                                 atol=1e-13, err_msg=f)
 
@@ -372,7 +400,7 @@ class TestBpttGradients:
         cfg = CdConfig(k=k, learning_rate=0.1, batch_size=10)
         fast = bptt_gradients(grown, batch, cfg, RngStream(30))
         ref = reference_bptt_gradients(grown, batch, cfg, RngStream(30))
-        for f in RnnRbmGradient._FIELDS:
+        for f, _ in GRAD_PAIRS:
             npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
                                 atol=1e-13, err_msg=f)
 
@@ -414,7 +442,7 @@ class TestPrediction:
         m = small_model(31)
         from growrbm.rnn_rbm import _mean_field_marginals
         b0, c0 = temporal_biases(m, m.u0)
-        expected = _mean_field_marginals(m.rbm.W, b0, c0)
+        expected = _mean_field_marginals(m.W, b0, c0)
         npt.assert_array_equal(predict_next(m, np.zeros((0, 3))), expected)
         npt.assert_array_equal(predict_next(m, []), expected)
 
@@ -423,7 +451,7 @@ class TestPrediction:
         prefix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         U, _, _ = unroll(m, prefix)
         b_next, c_next = temporal_biases(m, U[-1])
-        exact = exact_next_marginal(m.rbm.W, b_next, c_next)
+        exact = exact_next_marginal(m.W, b_next, c_next)
         npt.assert_allclose(predict_next(m, prefix), exact, atol=0.05)
 
     def test_vectorised_predictions_match_prefix_loop(self):
@@ -484,7 +512,7 @@ class TestRaggedBatches:
         cfg = CdConfig(k=k, learning_rate=0.1, batch_size=8)
         fast = bptt_gradients(model, seqs, cfg, RngStream(seed))
         ref = reference_bptt_gradients(model, seqs, cfg, RngStream(seed))
-        for f in RnnRbmGradient._FIELDS:
+        for f, _ in GRAD_PAIRS:
             npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
                                 atol=1e-12, err_msg=f)
 
@@ -497,7 +525,7 @@ class TestRaggedBatches:
         pool = PooledMetrics()
         for seq in seqs:
             _, B, C = unroll(m, seq)
-            pre = C + seq @ m.rbm.W
+            pre = C + seq @ m.W
             h = sigmoid(pre)
             energy += float(np.sum(-np.sum(seq * B, axis=1)
                                    - np.sum(h * pre, axis=1)))
@@ -539,7 +567,7 @@ class TestSampling:
 
     def test_strong_bias_drives_samples(self):
         m = RnnRbm.zeros(2, 1)
-        m.rbm.b = np.array([8.0, -8.0])
+        m.b = np.array([8.0, -8.0])
         frames = self.sample(m, 50, RngStream(7))
         assert frames[:, 0].mean() > 0.95
         assert frames[:, 1].mean() < 0.05
@@ -565,7 +593,7 @@ class TestSummaries:
         m = small_model(45)
         seq = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         _, _, C = unroll(m, seq)
-        expected = sigmoid(C + seq @ m.rbm.W).mean(axis=0)
+        expected = sigmoid(C + seq @ m.W).mean(axis=0)
         npt.assert_allclose(mean_hidden_activation(m, [seq]), expected,
                             atol=1e-15)
         assert mean_hidden_activation(RnnRbm.zeros(3, 2),
@@ -589,7 +617,7 @@ class TestStructuralEdits:
         stats = self.high_variance_stats(3, 3, unit=1)
         cfg = AdaptConfig(generation_phase_epochs=1, max_hidden=6,
                           gen_threshold=1e-6)
-        grown, stats2, parents = grow_hidden(m, stats, cfg, RngStream(4))
+        grown, stats2, parents = maybe_generate(m, stats, cfg, RngStream(4))
         assert parents == [1]
         assert grown.n_hidden == 4
         grown.validate()
@@ -599,15 +627,15 @@ class TestStructuralEdits:
         assert np.abs(grown.w_uh[:, 2]).max() < 0.1
         assert not np.array_equal(grown.w_uh[:, 2], m.w_uh[:, 1])
         # the detector itself is inherited
-        npt.assert_allclose(grown.rbm.W[:, 2], m.rbm.W[:, 1], atol=0.1)
+        npt.assert_allclose(grown.W[:, 2], m.W[:, 1], atol=0.1)
         assert stats2.mean_c.shape == (4,)
 
     def test_grow_without_trigger_returns_inputs(self):
         m = small_model(52)
         stats = GradientStats.zeros(3, 2)
         cfg = AdaptConfig(generation_phase_epochs=1, max_hidden=6)
-        same_model, same_stats, parents = grow_hidden(m, stats, cfg,
-                                                      RngStream(4))
+        same_model, same_stats, parents = maybe_generate(m, stats, cfg,
+                                                         RngStream(4))
         assert parents == []
         assert same_model is m
         assert same_stats is stats
@@ -616,11 +644,11 @@ class TestStructuralEdits:
         m = small_model(53, j=3)
         stats = GradientStats.zeros(3, 3)
         mask = np.array([False, True, False])
-        smaller, stats2 = shrink_hidden(m, stats, mask)
+        smaller, stats2 = apply_annihilation(m, stats, mask)
         assert smaller.n_hidden == 2
         smaller.validate()
         npt.assert_array_equal(smaller.w_uh, m.w_uh[:, [0, 2]])
-        npt.assert_array_equal(smaller.rbm.W, m.rbm.W[:, [0, 2]])
+        npt.assert_array_equal(smaller.W, m.W[:, [0, 2]])
         assert stats2.mean_c.shape == (2,)
 
     def test_validate_rejects_boundary_state(self):
@@ -633,6 +661,82 @@ class TestStructuralEdits:
         m = small_model(55)
         m.w_uh = np.zeros((2, 5))
         with pytest.raises(DimensionError):
+            m.validate()
+
+
+@st.composite
+def growth_cases(draw):
+    """A random recurrent layer, noisy gradient statistics and a growth
+    config with 0-6 units of room."""
+    i, j, k = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+               draw(st.integers(1, 4)))
+    rng = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    model = RnnRbm.random(i, j, rng.split(0), u_dim=k, weight_sd=0.5)
+    stats = GradientStats(rng.normal(size=j), rng.uniform(size=j),
+                          rng.normal(size=(i, j)), rng.uniform(size=(i, j)),
+                          count=5)
+    cfg = AdaptConfig(generation_phase_epochs=1,
+                      max_hidden=j + draw(st.integers(0, 6)),
+                      gen_threshold=draw(st.sampled_from([1e-3, 0.02, 0.1])),
+                      split_noise_sd=0.1)
+    return model, stats, cfg
+
+
+class TestGrowthOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=growth_cases(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_grow_hidden(self, case, seed):
+        model, stats, cfg = case
+        grown, grown_stats, parents = maybe_generate(model, stats, cfg,
+                                                     RngStream(seed))
+        ref, ref_stats, ref_parents = reference_grow_hidden(
+            model, stats, cfg, RngStream(seed))
+        assert parents == ref_parents
+        assert list(grown.arrays()) == list(ref.arrays())
+        for name, arr in ref.arrays().items():
+            npt.assert_array_equal(grown.arrays()[name], arr, err_msg=name)
+        for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
+            npt.assert_array_equal(getattr(grown_stats, name),
+                                   getattr(ref_stats, name), err_msg=name)
+
+
+def _layer(cls):
+    if cls is RnnRbm:
+        return small_model(56, i=3, j=4, k=2)
+    rng = RngStream(57)
+    return Rbm(rng.normal(size=3), rng.normal(size=4), rng.normal(size=(3, 4)))
+
+
+VALIDATE_CASES = [(Rbm, name) for name in ("b", "c", "W")] + [
+    (RnnRbm, name) for _, name in GRAD_PAIRS]
+
+
+class TestValidate:
+    """``validate`` names the offending array, for every array of both
+    layer types."""
+
+    @pytest.mark.parametrize("cls,name", VALIDATE_CASES)
+    def test_non_finite_value_names_array(self, cls, name):
+        m = _layer(cls)
+        m.validate()
+        arr = getattr(m, name).copy()
+        arr.flat[-1] = np.nan
+        setattr(m, name, arr)
+        with pytest.raises(FloatingPointError, match=rf"in {name}$"):
+            m.validate()
+
+    @pytest.mark.parametrize("cls,name", VALIDATE_CASES)
+    def test_misshapen_array_names_array(self, cls, name):
+        m = _layer(cls)
+        setattr(m, name, np.full(getattr(m, name).shape + (1,), 0.5))
+        with pytest.raises(DimensionError, match=rf"^{name} has shape"):
+            m.validate()
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_initial_state_on_boundary_raises(self, edge):
+        m = _layer(RnnRbm)
+        m.u0 = np.array([0.5, edge])
+        with pytest.raises(FloatingPointError, match="open unit interval"):
             m.validate()
 
 
