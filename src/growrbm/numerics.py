@@ -8,6 +8,17 @@ hashing the parent key with an integer index, never by consuming draws,
 which lets training code hand out per-epoch / per-batch / per-frame
 streams that stay stable when unrelated code changes how much randomness
 it uses.
+
+Philox4x64-10 is counter-based (Salmon, Moraes, Dror & Shaw 2011,
+*Parallel random numbers: as easy as 1, 2, 3*, SC11): block ``n`` of the
+stream keyed ``k`` is a pure function of ``(k, n)``.  So the first draws
+of many child streams can be computed at once.  :func:`philox4x64` runs
+the ten Philox rounds in numpy ``uint64`` arithmetic over an array of
+keys, bit for bit as ``np.random.Philox`` does, and
+:meth:`RngStream.frame_uniforms` derives the child keys with an array
+splitmix64 and serves a whole batch of per-frame streams in one call.
+The scalar ``_splitmix64`` behind :meth:`RngStream.split` stays pure
+Python: a single split is cheaper that way.
 """
 from __future__ import annotations
 
@@ -30,6 +41,66 @@ def _splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` elementwise over a ``uint64`` array (wrapping)."""
+    z = x + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+# Philox4x64 multipliers and key bumps (Weyl constants), one row per
+# multiplied counter word, and the 32-bit halves of the multipliers
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
+                     dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
+_PHILOX_ROUNDS = 10
+
+
+def _mulhi64(x: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products ``_PHILOX_M * x``, row by row,
+    built from 32-bit halves so that no partial sum exceeds 64 bits."""
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    t = x_hi * _M_LO + ((x_lo * _M_LO) >> _SHIFT32)
+    mid = (t & _LO32) + x_lo * _M_HI
+    return x_hi * _M_HI + (t >> _SHIFT32) + (mid >> _SHIFT32)
+
+
+def philox4x64(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """The first ``n_words`` raw 64-bit outputs of ``np.random.Philox(key=k)``
+    for every ``k`` in ``keys``, as an ``(len(keys), n_words)`` array.
+
+    Each stream's key is ``[k, 0]`` and its blocks use counters ``1, 2,
+    ...``; all blocks of all keys go through the ten rounds together.
+    The counter words ``(c0, c2)`` that the rounds multiply are kept as
+    one ``(2, lanes)`` array and ``(c1, c3)`` as another.
+    """
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+    n_blocks = -(-n_words // 4)
+    lanes = keys.size * n_blocks
+    key = np.zeros((2, lanes), dtype=np.uint64)
+    key[0] = np.repeat(keys, n_blocks)
+    even = np.zeros((2, lanes), dtype=np.uint64)
+    even[0] = np.tile(np.arange(1, n_blocks + 1, dtype=np.uint64), keys.size)
+    odd = np.zeros((2, lanes), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_W
+        even, odd = _mulhi64(even)[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+    return words.reshape(keys.size, 4 * n_blocks)[:, :n_words]
+
+
+def uniforms_from_words(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw words, as ``Generator.random`` makes them:
+    the top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 class RngStream:
@@ -64,24 +135,32 @@ class RngStream:
             raise ValueError("split index must be non-negative")
         return _splitmix64(self.key ^ _splitmix64(index))
 
-    def split_uniform_rows(self, n: int, width: int) -> np.ndarray:
-        """``(n, width)`` uniforms whose row ``t`` is, bit for bit,
-        ``self.split(t).uniform(size=width)``.
+    def frame_uniforms(self, splits, lengths, width: int) -> np.ndarray:
+        """Stacked uniform rows of two-level child streams.
 
-        One Philox generator is re-keyed per row instead of building
-        ``n`` child streams: resetting its state is several times cheaper
-        than constructing a generator, and yields the same doubles.
+        For each split index ``s`` in ``splits`` with ``T`` in ``lengths``,
+        the ``T`` rows ``self.split(s).split(t).uniform(size=width)`` for
+        ``t = 0 .. T - 1`` follow each other, bit for bit, so the result
+        has ``sum(lengths)`` rows.  All child keys come from one array
+        splitmix64 pass per level and all rows from one
+        :func:`philox4x64` call.  This stream does not advance.
         """
-        out = np.empty((n, width))
-        bitgen = np.random.Philox(key=0)
-        gen = np.random.Generator(bitgen)
-        fresh = bitgen.state
-        for t in range(n):
-            fresh["state"]["key"] = np.array([self._child_key(t), 0],
-                                             dtype=np.uint64)
-            bitgen.state = fresh
-            out[t] = gen.random(width)
-        return out
+        splits = np.asarray(splits, dtype=np.int64).reshape(-1)
+        lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        if splits.shape != lengths.shape:
+            raise ValueError("one length per split index is needed")
+        if splits.size and min(splits.min(), lengths.min()) < 0:
+            raise ValueError("split indices and lengths must be non-negative")
+        seq_keys = _splitmix64_array(
+            np.uint64(self.key) ^ _splitmix64_array(splits.astype(np.uint64)))
+        n_rows = int(lengths.sum())
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        frames = np.arange(n_rows, dtype=np.int64) - starts
+        frame_mix = _splitmix64_array(np.arange(lengths.max(initial=0),
+                                                dtype=np.uint64))
+        row_keys = _splitmix64_array(np.repeat(seq_keys, lengths)
+                                     ^ frame_mix[frames])
+        return uniforms_from_words(philox4x64(row_keys, width))
 
     # thin wrappers over the numpy Generator so callers never touch it
     def uniform(self, size=None):

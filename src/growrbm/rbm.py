@@ -111,6 +111,10 @@ class Rbm:
     def validate(self):
         """Raise if an array has the wrong shape or a non-finite value,
         checking the arrays in field order."""
+        for name, arr in self.arrays().items():
+            if arr.ndim == 0:  # the layer sizes read ``shape[0]``
+                raise DimensionError(
+                    f"{name} has shape (), expected at least one axis")
         for name, shape in self._shapes().items():
             arr = getattr(self, name)
             if arr.shape != shape:

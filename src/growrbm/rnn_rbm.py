@@ -18,6 +18,9 @@ so one unroll, one pass of the static model's CD-k chain
 backward chain serve the whole group.  Grouping changes no random draw:
 frame ``t`` of batch sequence ``s`` draws one row of uniforms from
 ``rng.split(s).split(t)``, cut into the chain's blocks in draw order.
+Those streams are counter-based, so the rows of a whole batch, all
+groups included, come from one vectorised Philox draw
+(:meth:`~growrbm.numerics.RngStream.frame_uniforms`).
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
 it is copied, validated, updated and checkpointed by the static code.
@@ -286,24 +289,21 @@ def _length_groups(model: RnnRbm, sequences):
 
 
 def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
-                   rngs: list) -> RnnRbmGradient:
+                   draws: np.ndarray) -> RnnRbmGradient:
     """CD-based ascent gradient summed over an ``(S, T, I)`` group of
     equal-length sequences, chained through time.
 
     Given the unrolled states the frames are independent conditional
     RBMs, so the shared chain :func:`~growrbm.rbm._cd_chain` runs once
-    on all ``S * T`` frames with per-frame bias rows.  Frame ``t`` of
-    sequence ``s`` draws one row of uniforms from ``rngs[s].split(t)``,
-    split into the chain's blocks in draw order, as
-    :func:`~growrbm.rbm.cd_step` on that frame alone would draw them.
+    on all ``S * T`` frames with per-frame bias rows.  ``draws`` holds
+    one row of uniforms per frame, sequence-major, which is split into
+    the chain's blocks in draw order.
     """
     if seqs.min() < 0.0 or seqs.max() > 1.0:
         raise ValueError("visible batch values must lie in [0, 1]")
     U, B, C = unroll(model, seqs)
     V = _rows(seqs)
     widths = _chain_widths(model.n_visible, model.n_hidden, cfg.k)
-    draws = np.concatenate([r.split_uniform_rows(seqs.shape[1], sum(widths))
-                            for r in rngs])
     h_data, v_prob, h_model = _cd_chain(
         model.W, _rows(B), _rows(C), V,
         np.split(draws, np.cumsum(widths)[:-1], axis=1))
@@ -317,26 +317,35 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
                    rng: RngStream) -> RnnRbmGradient:
     """Mean ascent gradient over a batch of sequences.
 
-    Sequence ``s`` draws from ``rng.split(s)`` and frame ``t`` within it
-    from a further ``split(t)``, so a given batch is reproducible from
-    its stream alone.  The batch is split into groups of equal length
-    (in order of first appearance); each group costs one unroll, one
-    CD-k pass over all its frames at once and one backward pass through
-    the state (see :func:`_group_bptt_cd`).  A sequence keeps the stream
-    of its position in the batch, whatever its group, so grouping
-    changes no draw.  Normalised by the total number of frames.
+    Frame ``t`` of the sequence at batch position ``s`` draws one row of
+    uniforms from ``rng.split(s).split(t)``, as
+    :func:`~growrbm.rbm.cd_step` on that frame alone would, so a given
+    batch is reproducible from its stream alone.  The batch is split
+    into groups of equal length (in order of first appearance); every
+    row of every group comes from one
+    :meth:`~growrbm.numerics.RngStream.frame_uniforms` call, ordered
+    group by group, and each group takes its contiguous slice.  Each
+    group then costs one unroll, one CD-k pass over all its frames at
+    once and one backward pass through the state (see
+    :func:`_group_bptt_cd`).  A sequence keeps the stream of its
+    position in the batch, whatever its group, so grouping changes no
+    draw.  Normalised by the total number of frames.
     """
     if len(batch) == 0:
         raise ValueError("empty sequence batch")
+    groups = _length_groups(model, batch)
+    lengths = [seqs.shape[1] for _, seqs in groups]
+    if min(lengths) < 1:
+        raise ValueError("sequences must have at least one frame")
+    sizes = [seqs.shape[0] * seqs.shape[1] for _, seqs in groups]
+    draws = rng.frame_uniforms(
+        np.concatenate([positions for positions, _ in groups]),
+        np.repeat(lengths, [len(positions) for positions, _ in groups]),
+        sum(_chain_widths(model.n_visible, model.n_hidden, cfg.k)))
     total = RnnRbmGradient.zeros(model)
-    frames = 0
-    for positions, seqs in _length_groups(model, batch):
-        if seqs.shape[1] < 1:
-            raise ValueError("sequences must have at least one frame")
-        total.add_(_group_bptt_cd(model, seqs, cfg,
-                                  [rng.split(s) for s in positions]))
-        frames += seqs.shape[0] * seqs.shape[1]
-    return total.scale_(1.0 / frames)
+    for (_, seqs), rows in zip(groups, np.split(draws, np.cumsum(sizes)[:-1])):
+        total.add_(_group_bptt_cd(model, seqs, cfg, rows))
+    return total.scale_(1.0 / sum(sizes))
 
 
 def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,

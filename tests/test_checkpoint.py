@@ -335,6 +335,25 @@ class TestCorruption:
         assert main([command, "--checkpoint", str(p)] + args) == 2
         assert "stack of 0 layers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["b", "c", "u_bias"])
+    def test_zero_dimensional_size_array(self, tmp_path, capsys, name):
+        # the layer sizes are read from these arrays' first axis
+        from growrbm.checkpoint import _collect, _write
+        from growrbm.cli import main
+        kind, arrays, meta = _collect(rnn_model())
+        arrays[name] = np.array(0.5)
+        p = tmp_path / "m.ckpt"
+        _write(p, kind, arrays, meta, seed=0)
+        with pytest.raises(CheckpointDimensionError,
+                           match=f"{name} has shape \\(\\)"):
+            load_checkpoint(p)
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"seq": [[0, 1, 0], [1, 0, 1]]}\n')
+        assert main(["eval", "--checkpoint", str(p),
+                     "--dataset", str(data)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{name} has shape ()" in err[0]
+
     @pytest.mark.parametrize("cls", [Dbn, RnnDbn])
     def test_empty_stack_not_written(self, tmp_path, cls):
         p = tmp_path / "m.ckpt"

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from growrbm.numerics import RngStream, sample_bernoulli, sigmoid
+from growrbm.numerics import (RngStream, philox4x64, sample_bernoulli,
+                              sigmoid, uniforms_from_words)
 
 
 class TestSigmoid:
@@ -88,32 +89,70 @@ class TestRngStream:
                                   child.uniform(size=50))
 
 
-class TestSplitUniformRows:
+class TestFrameUniforms:
     @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
-           st.integers(min_value=0, max_value=12),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                              st.integers(min_value=0, max_value=6)),
+                    max_size=5),
            st.integers(min_value=0, max_value=11))
-    def test_rows_equal_child_streams_exactly(self, seed, n, width):
+    def test_rows_equal_child_streams_exactly(self, seed, requests, width):
         root = RngStream(seed)
-        rows = root.split_uniform_rows(n, width)
-        assert rows.shape == (n, width)
-        for t in range(n):
-            npt.assert_array_equal(rows[t], root.split(t).uniform(size=width))
+        splits = [s for s, _ in requests]
+        lengths = [n for _, n in requests]
+        rows = root.frame_uniforms(splits, lengths, width)
+        assert rows.shape == (sum(lengths), width)
+        expected = [root.split(s).split(t).uniform(size=width)
+                    for s, n in requests for t in range(n)]
+        npt.assert_array_equal(rows, np.reshape(expected, rows.shape))
 
     def test_rows_continue_like_successive_draws(self):
         # a frame's CD chain draws J, then I, then J uniforms from one
         # child stream; one row of width 2J + I must hold them in order
         root = RngStream(31)
-        rows = root.split_uniform_rows(5, 3 + 5 + 3)
-        for t in range(5):
-            child = root.split(t)
+        rows = root.frame_uniforms([2, 0], [5, 3], 3 + 5 + 3)
+        frames = [(2, t) for t in range(5)] + [(0, t) for t in range(3)]
+        for row, (s, t) in zip(rows, frames):
+            child = root.split(s).split(t)
             parts = [child.uniform(size=(1, 3)), child.uniform(size=(1, 5)),
                      child.uniform(size=(1, 3))]
-            npt.assert_array_equal(rows[t], np.concatenate(parts, axis=1)[0])
+            npt.assert_array_equal(row, np.concatenate(parts, axis=1)[0])
 
     def test_does_not_advance_parent(self):
         a = RngStream(8)
-        a.split_uniform_rows(4, 6)
+        a.frame_uniforms([0, 1], [4, 2], 6)
         npt.assert_array_equal(a.uniform(size=20), RngStream(8).uniform(size=20))
+
+    def test_rejects_negative_and_mismatched(self):
+        with pytest.raises(ValueError):
+            RngStream(0).frame_uniforms([-1], [2], 3)
+        with pytest.raises(ValueError):
+            RngStream(0).frame_uniforms([1], [-2], 3)
+        with pytest.raises(ValueError):
+            RngStream(0).frame_uniforms([1, 2], [2], 3)
+
+
+class TestPhilox4x64:
+    """The array kernel against ``np.random.Philox`` itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0, 2 ** 64 - 1]),
+                              st.integers(min_value=0, max_value=2 ** 64 - 1)),
+                    min_size=1, max_size=40),
+           st.integers(min_value=0, max_value=17))
+    def test_words_and_doubles_match_numpy(self, keys, width):
+        words = philox4x64(np.array(keys, dtype=np.uint64), width)
+        doubles = uniforms_from_words(words)
+        assert words.shape == doubles.shape == (len(keys), width)
+        assert words.dtype == np.uint64
+        for k, row_words, row_doubles in zip(keys, words, doubles):
+            npt.assert_array_equal(
+                row_words, np.random.Philox(key=k).random_raw(width))
+            npt.assert_array_equal(
+                row_doubles,
+                np.random.Generator(np.random.Philox(key=k)).random(width))
+
+    def test_no_keys(self):
+        assert philox4x64(np.zeros(0, dtype=np.uint64), 5).shape == (0, 5)
 
 
 class TestSampleBernoulli:

@@ -543,6 +543,24 @@ class TestRaggedBatches:
                                 pool.cross_entropy(), rtol=0, atol=1e-12)
 
 
+def test_ragged_batch_draws_in_one_kernel_call(monkeypatch):
+    import growrbm.numerics as numerics
+    calls = []
+
+    def counting(keys, n_words):
+        calls.append(keys.shape)
+        return kernel(keys, n_words)
+
+    kernel = numerics.philox4x64
+    monkeypatch.setattr(numerics, "philox4x64", counting)
+    rng = RngStream(12)
+    seqs = [(rng.uniform(size=(t, 3)) < 0.5).astype(float)
+            for t in (4, 2, 4, 7, 2)]
+    bptt_gradients(small_model(50), seqs, CdConfig(k=2, batch_size=8),
+                   RngStream(13))
+    assert calls == [(19,)]
+
+
 class TestSampling:
     """A recurrent RBM samples as a one-layer stack."""
 
