@@ -1,6 +1,10 @@
 """Strict config parsing: defaults, derivations, and pointed errors."""
+import re
+from pathlib import Path
+
 import pytest
 
+from growrbm import config
 from growrbm.config import parse_config, parse_config_text
 from growrbm.errors import ConfigError
 
@@ -22,6 +26,31 @@ class TestParsing:
         assert cfg.cd.k == 1
         assert cfg.cd.learning_rate == 0.01
         assert cfg.cd.batch_size == 100
+        assert cfg.adapt.c_gain == 1.0
+        assert cfg.adapt.w_gain == 1.0
+        assert cfg.adapt.gen_threshold == 0.001
+        assert cfg.adapt.ann_threshold == 0.1
+        assert cfg.adapt.generation_phase_epochs == 5
+        assert cfg.adapt.min_hidden == 1
+        assert cfg.adapt.max_hidden == 40
+        assert cfg.adapt.split_noise_sd == 0.01
+        assert cfg.adapt.stats_decay == 0.9
+        assert cfg.forget.decay_strength == 0.001
+        assert cfg.forget.clarify_strength == 0.001
+        assert cfg.forget.selective_strength == 0.001
+        assert cfg.forget.selective_cutoff == 0.1
+        assert cfg.forget.forgetting_epochs == 0
+        assert cfg.forget.selective_epochs == 0
+        assert cfg.layers.wd_gain == 1.0
+        assert cfg.layers.energy_gain == 1.0
+        assert cfg.layers.wd_threshold == 0.01
+        assert cfg.layers.energy_threshold == 0.01
+        assert cfg.layers.max_layers == 4
+        for value in (cfg.epochs, cfg.n_hidden, cfg.cd.k, cfg.cd.batch_size,
+                      cfg.adapt.min_hidden, cfg.adapt.max_hidden,
+                      cfg.adapt.generation_phase_epochs,
+                      cfg.forget.forgetting_epochs, cfg.layers.max_layers):
+            assert type(value) is int
 
     def test_derived_generation_phase(self):
         cfg = parse_config_text(MINIMAL + "epochs = 9\n")
@@ -79,6 +108,29 @@ class TestParsing:
                               ("false", False), ("NO", False), ("0", False)]:
             cfg = parse_config_text(MINIMAL + f"adaptive = {raw}\n")
             assert cfg.adaptive is expected
+
+
+class TestReadme:
+    """The README's example config is the reference list of keys."""
+
+    @staticmethod
+    def readme_block():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        return blocks[0]
+
+    def test_parser_accepts_block(self):
+        cfg = parse_config_text(self.readme_block(), where="README.md")
+        assert cfg.model == "rnn-rbm"
+        assert cfg.layers.max_layers == 4
+
+    def test_block_names_every_accepted_key(self):
+        keys = {line.split("#", 1)[0].partition("=")[0].strip()
+                for line in self.readme_block().splitlines()}
+        keys.discard("")
+        assert keys == set(config._SCHEMA)
+        assert len(keys) == 32
 
 
 class TestErrors:
