@@ -146,11 +146,13 @@ def _need(arrays: dict, name: str, path):
 
 
 def _field(fields: dict, key: str, types, path, where: str = ""):
-    """``fields[key]``, which must exist and be of ``types`` (not a bool)."""
+    """``fields[key]``, which must exist and be of ``types`` (a bool only
+    where ``types`` is ``bool``)."""
     if key not in fields:
         raise CheckpointError(f"{path}: header missing '{where}{key}'")
     value = fields[key]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if (isinstance(value, bool) != (types is bool)
+            or not isinstance(value, types)):
         raise CheckpointError(f"{path}: bad '{where}{key}': {value!r}")
     return value
 
@@ -233,11 +235,26 @@ def load_train_state(path):
     model = _rebuild(kind[:-len("-train")], arrays, meta, path)
     train = {key: _field(meta, key, types, path, "meta.")
              for key, types in _TRAIN_META.items()}
+    controller = train["controller"]
+    _field(controller, "generation_done", bool, path, "meta.controller.")
+    stall = _field(controller, "stall", int, path, "meta.controller.")
+    if (min(train["epoch_done"], train["stats_count"], stall) < 0
+            or not 0.0 < train["stats_decay"] < 1.0):
+        raise CheckpointError(
+            f"{path}: resume point out of range: epoch_done, stats_count and "
+            "controller stall must be >= 0 and stats_decay in (0, 1)")
     stats = GradientStats(
         *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS),
         decay=float(train["stats_decay"]), count=train["stats_count"])
+    if not isinstance(model, Dbn):
+        i, j = model.n_visible, model.n_hidden
+        for name, shape in zip(_STATS_ARRAYS, [(j,), (j,), (i, j), (i, j)]):
+            if getattr(stats, name).shape != shape:
+                raise CheckpointDimensionError(
+                    f"{path}: stats/{name} has shape "
+                    f"{getattr(stats, name).shape}, expected {shape}")
     state = TrainState(epoch_done=train["epoch_done"], model=model,
-                       stats=stats, controller=dict(train["controller"]))
+                       stats=stats, controller=dict(controller))
     return state, header
 
 

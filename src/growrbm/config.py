@@ -1,13 +1,17 @@
 """Run configuration: a strict flat ``key = value`` format.
 
 Dotted prefixes group the keys (``cd.``, ``adapt.``, ``forget.``,
-``layers.``); everything else is a top-level run setting.  Unknown keys
-and duplicate keys are hard errors so a misspelled hyperparameter can
-never silently fall back to its default.
+``layers.``); everything else is a top-level run setting.  A dotted key
+is a field of the section class its prefix maps to (``CdConfig``,
+``AdaptConfig``, ``ForgettingConfig``, ``LayerGenConfig``): the field's
+annotation is the key's type, its default is the key's default, and the
+class checks the value.  Unknown keys and duplicate keys are hard errors
+so a misspelled hyperparameter can never silently fall back to its
+default.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .adapt import AdaptConfig, ForgettingConfig
@@ -27,7 +31,11 @@ def _to_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# key -> (python type, default); None default means "must be set to be used"
+_SECTIONS = {"cd": CdConfig, "adapt": AdaptConfig,
+             "forget": ForgettingConfig, "layers": LayerGenConfig}
+
+# key -> (python type, default); None default means "must be set to be used".
+# The top-level settings are listed here; each section field adds one key.
 _SCHEMA = {
     "model": (str, "rnn-rbm"),
     "adaptive": (_to_bool, True),
@@ -38,30 +46,14 @@ _SCHEMA = {
     "out": (str, None),
     "n_hidden": (int, 10),
     "u_dim": (int, None),
-    "cd.k": (int, 1),
-    "cd.learning_rate": (float, 0.01),
-    "cd.batch_size": (int, 100),
-    "adapt.c_gain": (float, 1.0),
-    "adapt.w_gain": (float, 1.0),
-    "adapt.gen_threshold": (float, 0.001),
-    "adapt.ann_threshold": (float, 0.1),
-    "adapt.generation_phase_epochs": (int, None),
-    "adapt.min_hidden": (int, 1),
-    "adapt.max_hidden": (int, None),
-    "adapt.split_noise_sd": (float, 0.01),
-    "adapt.stats_decay": (float, 0.9),
-    "forget.decay_strength": (float, 0.001),
-    "forget.clarify_strength": (float, 0.001),
-    "forget.selective_strength": (float, 0.001),
-    "forget.selective_cutoff": (float, 0.1),
-    "forget.forgetting_epochs": (int, 0),
-    "forget.selective_epochs": (int, 0),
-    "layers.wd_gain": (float, 1.0),
-    "layers.energy_gain": (float, 1.0),
-    "layers.wd_threshold": (float, 0.01),
-    "layers.energy_threshold": (float, 0.01),
-    "layers.max_layers": (int, 4),
 }
+# section fields are ints and floats; their modules postpone annotations,
+# so a field's ``type`` is the name of its type
+_FIELD_TYPES = {"int": int, "float": float}
+_SCHEMA.update(
+    (f"{prefix}.{f.name}",
+     (_FIELD_TYPES[f.type], None if f.default is MISSING else f.default))
+    for prefix, cls in _SECTIONS.items() for f in fields(cls))
 
 
 @dataclass
@@ -123,37 +115,14 @@ def parse_config_text(text: str, where: str = "<config>") -> RunConfig:
         raise ConfigError(f"{where}: 'train' path is required")
     n_hidden = get("n_hidden")
 
-    gen_epochs = get("adapt.generation_phase_epochs")
-    if gen_epochs is None:
-        gen_epochs = max(1, epochs // 2)
-    max_hidden = get("adapt.max_hidden")
-    if max_hidden is None:
-        max_hidden = max(4 * n_hidden, n_hidden + 8)
+    # the two section fields without a default are worked out from the run
+    values.setdefault("adapt.generation_phase_epochs", max(1, epochs // 2))
+    values.setdefault("adapt.max_hidden", max(4 * n_hidden, n_hidden + 8))
 
     try:
-        cd = CdConfig(k=get("cd.k"), learning_rate=get("cd.learning_rate"),
-                      batch_size=get("cd.batch_size"))
-        adapt = AdaptConfig(
-            generation_phase_epochs=gen_epochs, max_hidden=max_hidden,
-            c_gain=get("adapt.c_gain"), w_gain=get("adapt.w_gain"),
-            gen_threshold=get("adapt.gen_threshold"),
-            ann_threshold=get("adapt.ann_threshold"),
-            min_hidden=get("adapt.min_hidden"),
-            split_noise_sd=get("adapt.split_noise_sd"),
-            stats_decay=get("adapt.stats_decay"))
-        forget = ForgettingConfig(
-            decay_strength=get("forget.decay_strength"),
-            clarify_strength=get("forget.clarify_strength"),
-            selective_strength=get("forget.selective_strength"),
-            selective_cutoff=get("forget.selective_cutoff"),
-            forgetting_epochs=get("forget.forgetting_epochs"),
-            selective_epochs=get("forget.selective_epochs"))
-        layers = LayerGenConfig(
-            max_layers=get("layers.max_layers"),
-            wd_gain=get("layers.wd_gain"),
-            energy_gain=get("layers.energy_gain"),
-            wd_threshold=get("layers.wd_threshold"),
-            energy_threshold=get("layers.energy_threshold"))
+        sections = {prefix: cls(**{f.name: get(f"{prefix}.{f.name}")
+                                   for f in fields(cls)})
+                    for prefix, cls in _SECTIONS.items()}
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -161,7 +130,7 @@ def parse_config_text(text: str, where: str = "<config>") -> RunConfig:
         model=model, adaptive=get("adaptive"), epochs=epochs,
         seed=get("seed"), train=get("train"), test=get("test"),
         out=get("out") or "run", n_hidden=n_hidden, u_dim=get("u_dim"),
-        cd=cd, adapt=adapt, forget=forget, layers=layers, raw_text=text)
+        **sections, raw_text=text)
 
 
 def parse_config(path) -> RunConfig:

@@ -30,9 +30,12 @@ from .rbm import (CdConfig, Rbm, _apply_update, cd_step, energy,
 
 @dataclass
 class LayerGenConfig:
-    """Gate for growing the stack by one more layer."""
+    """Gate for growing the stack by one more layer.
 
-    max_layers: int
+    ``max_layers`` caps the depth of the stack; it defaults to 4.
+    """
+
+    max_layers: int = 4
     wd_gain: float = 1.0
     energy_gain: float = 1.0
     wd_threshold: float = 0.01

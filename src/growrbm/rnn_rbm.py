@@ -179,11 +179,13 @@ def unroll(model: RnnRbm, seq):
     U = np.empty((t_len + 1,) + lead + (model.u_dim,))
     pre = np.empty((t_len,) + lead + (model.u_dim,))
     U[0] = model.u0
-    for t in range(t_len):
-        pre[t] = model.u_bias + U[t] @ model.w_uu + frames[t] @ model.w_vu
-        u = expit(pre[t], out=U[t + 1])
-        np.maximum(u, _SIG_LO, out=u)
-        np.minimum(u, _SIG_HI, out=u)
+    # an overflow here is reported once, by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(t_len):
+            pre[t] = model.u_bias + U[t] @ model.w_uu + frames[t] @ model.w_vu
+            u = expit(pre[t], out=U[t + 1])
+            np.maximum(u, _SIG_LO, out=u)
+            np.minimum(u, _SIG_HI, out=u)
     if not np.all(np.isfinite(pre)):
         raise FloatingPointError("sigmoid: non-finite input")
     U = U.swapaxes(0, -2)

@@ -38,6 +38,14 @@ def save_one_layer_dbn(path):
                               totals=[LayerTotals(0.1, 0.2)]))
 
 
+def save_state(path, stats=None):
+    """A resume point of ``rbm_model`` with ``stats`` or sound statistics."""
+    state = TestTrainStateRoundTrip().make_state()
+    if stats is not None:
+        state.stats = stats
+    save_train_state(path, state)
+
+
 def rnn_dbn_model():
     l1 = RnnRbm.random(3, 2, RngStream(5))
     l2 = RnnRbm.random(2, 2, RngStream(6))
@@ -115,7 +123,7 @@ class TestTrainStateRoundTrip:
         rng = RngStream(9)
         for _ in range(5):
             stats.update(rng.normal(size=2), rng.normal(size=(3, 2)))
-        controller = {"generated_total": 2, "stall": 1, "done": False}
+        controller = {"generation_done": False, "stall": 1}
         return TrainState(epoch_done=4, model=rbm_model(), stats=stats,
                           controller=controller)
 
@@ -161,7 +169,7 @@ class TestTrainStateRoundTrip:
     def test_recurrent_state(self, tmp_path):
         stats = GradientStats.zeros(3, 2)
         state = TrainState(epoch_done=2, model=rnn_model(), stats=stats,
-                           controller={})
+                           controller={"generation_done": True, "stall": 0})
         for state in (state, self.grown_state(recurrent=True)):
             self.assert_round_trip(tmp_path, state, "rnn-rbm-train")
 
@@ -285,16 +293,41 @@ class TestCorruption:
     ] + [(save_one_layer_dbn, load,
           lambda h: h["meta"].update(n_layers=0, totals=[]),
           "stack of 0 layers") for load in (load_checkpoint, describe)
-    ] + [(lambda p: save_train_state(
-              p, TestTrainStateRoundTrip().make_state()), load_train_state,
+    ] + [(save_state, load_train_state,
           lambda h, key=key: h["meta"].pop(key), f"missing 'meta.{key}'")
          for key in ("stats_decay", "stats_count", "epoch_done",
-                     "controller")],
+                     "controller")
+    ] + [(save_state, load_train_state,
+          lambda h, meta=meta: h["meta"].update(meta), match)
+         for meta, match in (
+             ({"controller": {}},
+              "missing 'meta.controller.generation_done'"),
+             ({"controller": {"generation_done": "yes", "stall": "x"}},
+              "bad 'meta.controller.generation_done'"),
+             ({"controller": {"generation_done": 1, "stall": 0}},
+              "bad 'meta.controller.generation_done'"),
+             ({"controller": {"generation_done": True, "stall": "x"}},
+              "bad 'meta.controller.stall'"),
+             ({"controller": {"generation_done": False, "stall": -1}},
+              "out of range"),
+             ({"epoch_done": -2}, "out of range"),
+             ({"stats_count": -3}, "out of range"),
+             ({"stats_decay": 5.0}, "out of range"),
+             ({"stats_decay": 0}, "out of range"))
+    ] + [(lambda p, i=i, j=j: save_state(p, GradientStats.zeros(i, j)),
+          load_train_state, lambda h: None, "stats/")
+         for i, j in ((3, 3), (2, 2))],
         ids=["kind", "dbn-n_layers", "dbn-totals", "manifest-name",
              "surplus-totals", "describe-string-totals",
              "describe-scalar-totals", "describe-short-totals",
              "zero-layers", "describe-zero-layers", "state-stats_decay",
-             "state-stats_count", "state-epoch_done", "state-controller"])
+             "state-stats_count", "state-epoch_done", "state-controller",
+             "state-empty-controller", "state-string-controller",
+             "state-int-generation_done", "state-string-stall",
+             "state-negative-stall", "state-negative-epoch_done",
+             "state-negative-stats_count", "state-stats_decay-above-1",
+             "state-zero-stats_decay",
+             "state-stats-more-hidden", "state-stats-fewer-visible"])
     def test_missing_header_key(self, tmp_path, save, load, edit, match):
         p = tmp_path / "m.ckpt"
         save(p)
