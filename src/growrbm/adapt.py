@@ -363,16 +363,29 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
                  adapt: AdaptConfig | None, forget: ForgettingConfig | None,
                  layer: int, n_layers: int, log: TrainLog | None,
                  first_event: str | None, resume: TrainState | None,
-                 epoch_callback, *, gradient, activations, update, metrics):
+                 epoch_callback, *, gradient, update, epoch_data,
+                 activations, metrics):
     """Adaptive epoch loop of both trainers; returns ``(model, stats, log)``.
 
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
     draws from ``rng.split(e + 1)``: batch ``i`` from a further
     ``split(i + 1)``, the growth sweep from ``split(0)``.  The family
-    operations are ``gradient(model, batch, cd, rng)``,
-    ``activations(model, batch)`` (mean hidden activations),
-    ``update(model, g, lr)`` and ``metrics(model, data) -> (energy,
-    error)``; growth, pruning and the forgetting penalties are the same
+    operations are:
+
+    * ``gradient(model, batch, cd, rng) -> (g, h_mean)``, the batch's
+      ascent gradient and mean hidden activations, which the clarify
+      penalty of the forgetting windows reads;
+    * ``update(model, g, lr)``;
+    * ``epoch_data()``, the training set as the last two operations read
+      it, made anew each epoch after the updates;
+    * ``activations(model, whole)``, the mean hidden activations over the
+      set, for the pruning sweep;
+    * ``metrics(model, whole) -> (energy, error)``, on the model after
+      the structure sweep and its check.
+
+    The recurrent ``epoch_data`` unrolls the set once, when first read:
+    in the pruning sweep of an annihilation epoch, otherwise in the
+    metrics.  Growth, pruning and the forgetting penalties are the same
     for both families.
     """
     log = log if log is not None else TrainLog()
@@ -395,14 +408,13 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             idx = order[start:start + cd.batch_size]
             batch = (data[idx] if isinstance(data, np.ndarray)
                      else [data[i] for i in idx])
-            g = gradient(model, batch, cd, ep.split(bi + 1))
-            if modes:
-                acts = activations(model, batch)
-                for mode in modes:
-                    g.add_(forgetting_gradient(model, mode, forget, acts))
+            g, acts = gradient(model, batch, cd, ep.split(bi + 1))
+            for mode in modes:
+                g.add_(forgetting_gradient(model, mode, forget, acts))
             stats.update(g.dc, g.dW)
             update(model, g, cd.learning_rate)
 
+        whole = epoch_data()
         events = [first_event] if first_event and epoch == 0 else []
         phase = controller.structure_phase(epoch)
         if phase == "generate" and adapt is not None:
@@ -412,7 +424,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             events += [format_generation_event(j, scores[j]) for j in parents]
             controller.record_generation(len(parents))
         elif phase == "annihilate" and adapt is not None:
-            mean_act = activations(model, data)
+            mean_act = activations(model, whole)
             mask = mask_from_activations(mean_act, adapt)
             if mask.any():
                 events += [format_annihilation_event(int(j), mean_act[j])
@@ -423,7 +435,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             model.validate()
         except FloatingPointError as exc:
             raise NumericError(str(exc)) from exc
-        energy, error = metrics(model, data)
+        energy, error = metrics(model, whole)
         log.append(LogRow(
             epoch=epoch + 1, layer=layer, energy=energy, error=error,
             wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),

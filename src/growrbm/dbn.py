@@ -123,8 +123,8 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
     return _train_layer(
         data, init_model, cd, epochs, rng, adapt, forget, layer, n_layers,
         log, first_event, resume, epoch_callback, gradient=cd_step,
+        update=_apply_update, epoch_data=lambda: data,
         activations=lambda m, x: hidden_conditional(m, x).mean(axis=0),
-        update=_apply_update,
         metrics=lambda m, x: (mean_field_energy(m, x),
                               reconstruction_error(m, x)))
 

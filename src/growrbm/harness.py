@@ -45,11 +45,25 @@ def _recurrent_stack(model) -> RnnDbn:
     return model if isinstance(model, RnnDbn) else RnnDbn(layers=[model])
 
 
+def _check_heldout(sequences, n_visible: int):
+    """Raise :class:`DimensionError` unless a recurrent model with
+    ``n_visible`` inputs can score ``sequences``: every frame has that
+    size and some sequence has two frames."""
+    shapes = [np.shape(seq) for seq in sequences]
+    for shape in shapes:
+        if shape[1] != n_visible:
+            raise DimensionError(
+                f"dataset dimension {shape[1]} does not match model "
+                f"visible size {n_visible}")
+    if all(shape[0] < 2 for shape in shapes):
+        raise DimensionError("no sequence in the dataset has two frames")
+
+
 def evaluate_model(model, sequences):
     """Pooled next-frame metrics ``(error, correct_ratio)`` over frames 2..T."""
-    pool = _pool_predictions(_recurrent_stack(model), sequences)
-    if pool.empty:
-        raise DimensionError("no sequence in the dataset has two frames")
+    stack = _recurrent_stack(model)
+    _check_heldout(sequences, stack.n_visible)
+    pool = _pool_predictions(stack, sequences)
     return pool.cross_entropy(), pool.correct_ratio()
 
 
@@ -62,6 +76,9 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
 
     dataset = load_jsonl(cfg.train)
     test_seqs = load_jsonl(cfg.test).train if cfg.test else []
+    if test_seqs and cfg.model in ("rnn-rbm", "rnn-dbn"):
+        # a held-out set the model could not score fails before training
+        _check_heldout(test_seqs, dataset.dim)
     master = RngStream(cfg.seed)
     adapt = cfg.adapt if cfg.adaptive else None
     forget = cfg.forget if cfg.adaptive else None

@@ -180,12 +180,16 @@ def sigmoid(x):
     """Logistic function clamped into the open interval (0, 1).
 
     Input must be finite; output is never exactly 0 or 1, so callers can
-    take logs without guarding.  Shape is preserved.
+    take logs without guarding.  Shape is preserved.  The clamp works in
+    place on the fresh output, as in :func:`~growrbm.rnn_rbm.unroll`.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError("sigmoid: non-finite input")
-    return np.clip(expit(arr), _SIG_LO, _SIG_HI)
+    out = np.asarray(expit(arr))  # a 0-d input gives a scalar
+    np.maximum(out, _SIG_LO, out=out)
+    np.minimum(out, _SIG_HI, out=out)
+    return out if out.ndim else out[()]
 
 
 def sample_bernoulli(p, rng: RngStream) -> np.ndarray:

@@ -321,13 +321,16 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     return h_data, v_prob, sigmoid(v_prob @ W + c)
 
 
-def cd_step(rbm: Rbm, batch, cfg: CdConfig, rng: RngStream) -> RbmGradient:
+def cd_step(rbm: Rbm, batch, cfg: CdConfig,
+            rng: RngStream) -> tuple[RbmGradient, np.ndarray]:
     """One CD-k gradient estimate; does not modify the model.
 
-    Positive statistics pair the data with its hidden conditionals; the
-    negative ones come from :func:`_cd_chain`, whose uniform blocks are
-    drawn from ``rng`` in chain order.  Visible inputs may be
-    probabilities in [0, 1] (stacked-layer training feeds activations).
+    Returns ``(gradient, h_mean)``.  Positive statistics pair the data
+    with its hidden conditionals, whose per-unit mean over the batch is
+    ``h_mean`` (the activations the clarify penalty reads); the negative
+    ones come from :func:`_cd_chain`, whose uniform blocks are drawn from
+    ``rng`` in chain order.  Visible inputs may be probabilities in
+    [0, 1] (stacked-layer training feeds activations).
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
@@ -340,7 +343,7 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig, rng: RngStream) -> RbmGradient:
     uniforms = [rng.uniform(size=(n, w))
                 for w in _chain_widths(rbm.n_visible, rbm.n_hidden, cfg.k)]
     h_data, v_prob, h_model = _cd_chain(rbm.W, rbm.b, rbm.c, batch, uniforms)
+    h_mean = h_data.mean(axis=0)
     db = batch.mean(axis=0) - v_prob.mean(axis=0)
-    dc = h_data.mean(axis=0) - h_model.mean(axis=0)
     dW = (batch.T @ h_data - v_prob.T @ h_model) / n
-    return RbmGradient(db, dc, dW)
+    return RbmGradient(db, h_mean - h_model.mean(axis=0), dW), h_mean

@@ -21,7 +21,6 @@ import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig
 from .dbn import Dbn, LayerGenConfig, _train_stack
-from .errors import DimensionError
 from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import RngStream, sample_bernoulli, sigmoid
@@ -117,14 +116,11 @@ def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
 
 
 def _pool_predictions(stack: RnnDbn, sequences) -> PooledMetrics:
-    """Next-frame predictions pooled against frames ``2..T``."""
+    """Next-frame predictions pooled against frames ``2..T``; the frame
+    sizes are the caller's to check."""
     pool = PooledMetrics()
     for seq in sequences:
         seq = np.asarray(seq, dtype=np.float64)
-        if seq.shape[1] != stack.n_visible:
-            raise DimensionError(
-                f"dataset dimension {seq.shape[1]} does not match model "
-                f"visible size {stack.n_visible}")
         pool.add(next_frame_predictions_deep(stack, seq), seq[1:])
     return pool
 

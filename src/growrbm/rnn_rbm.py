@@ -15,7 +15,18 @@ The batch paths (the BPTT-CD gradient and the epoch summaries) group
 their sequences by exact length and stack each group as ``(S, T, I)``,
 so one unroll, one pass of the static model's CD-k chain
 (:func:`~growrbm.rbm._cd_chain`) over all ``S * T`` frames and one
-backward chain serve the whole group.  Grouping changes no random draw:
+backward chain serve the whole group.  The gradient also returns the
+batch's mean hidden activations, which the chain computed anyway, so
+the forgetting windows' clarify penalty unrolls nothing more.
+
+The state recursion reads only ``u_bias``, ``w_uu``, ``w_vu``, ``u0``
+and the data, and growth and pruning edit none of them.  So one unroll
+of the training set per epoch, kept in a :class:`LengthGroups`, serves
+the pruning sweep and both epoch metrics, before and after a structure
+edit: only the frame biases are recomputed for the edited model.  The
+length groups themselves are stacked once per trained layer.
+
+Grouping changes no random draw:
 frame ``t`` of batch sequence ``s`` draws one row of uniforms from
 ``rng.split(s).split(t)``, cut into the chain's blocks in draw order.
 Those streams are counter-based, so the rows of a whole batch, all
@@ -189,9 +200,13 @@ def unroll(model: RnnRbm, seq):
     if not np.all(np.isfinite(pre)):
         raise FloatingPointError("sigmoid: non-finite input")
     U = U.swapaxes(0, -2)
-    B = model.b + U[..., :-1, :] @ model.w_uv
-    C = model.c + U[..., :-1, :] @ model.w_uh
-    return U, B, C
+    return (U, *_frame_biases(model, U))
+
+
+def _frame_biases(model: RnnRbm, U: np.ndarray):
+    """``(B, C)`` of :func:`unroll` from its states ``U``."""
+    return (model.b + U[..., :-1, :] @ model.w_uv,
+            model.c + U[..., :-1, :] @ model.w_uh)
 
 
 def sequence_cost_exact(model: RnnRbm, seq) -> float:
@@ -290,10 +305,49 @@ def _length_groups(model: RnnRbm, sequences):
             for group in groups.values()]
 
 
+class LengthGroups:
+    """A sequence set stacked by exact length, and its states once unrolled.
+
+    ``stacks`` are the ``(S, T, I)`` arrays of the sequences grouped by
+    length, in order of first appearance.  :meth:`unrolled` unrolls each
+    stack on first use and keeps the states ``U``.  The recursion reads
+    only ``u_bias``, ``w_uu``, ``w_vu``, ``u0`` and the data, so the kept
+    states serve any model with the same values there, such as the model
+    after a growth or pruning sweep, which edit only ``HIDDEN``.  Once
+    those arrays change, start over with a new ``LengthGroups(stacks)``.
+    """
+
+    def __init__(self, stacks):
+        self.stacks = stacks
+        self.states = None
+
+    @classmethod
+    def of(cls, model: RnnRbm, sequences) -> "LengthGroups":
+        return cls([seqs for _, seqs in _length_groups(model, sequences)])
+
+    def unrolled(self, model: RnnRbm) -> list:
+        """``(seqs, U, B, C)`` per stack, as :func:`unroll` would give
+        them for ``model``; ``B`` and ``C`` are computed afresh from the
+        kept states."""
+        if self.states is None:
+            self.states = [unroll(model, seqs)[0] for seqs in self.stacks]
+        return [(seqs, U, *_frame_biases(model, U))
+                for seqs, U in zip(self.stacks, self.states)]
+
+
+def _unrolled(model: RnnRbm, sequences) -> list:
+    """:meth:`LengthGroups.unrolled` of a sequence list or of a
+    :class:`LengthGroups` whose states may already be kept."""
+    if not isinstance(sequences, LengthGroups):
+        sequences = LengthGroups.of(model, sequences)
+    return sequences.unrolled(model)
+
+
 def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
-                   draws: np.ndarray) -> RnnRbmGradient:
+                   draws: np.ndarray) -> tuple[RnnRbmGradient, np.ndarray]:
     """CD-based ascent gradient summed over an ``(S, T, I)`` group of
-    equal-length sequences, chained through time.
+    equal-length sequences, chained through time, and the hidden
+    conditionals of the data frames summed per unit.
 
     Given the unrolled states the frames are independent conditional
     RBMs, so the shared chain :func:`~growrbm.rbm._cd_chain` runs once
@@ -312,12 +366,14 @@ def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
     dW = V.T @ h_data - v_prob.T @ h_model
     return _chain_through_state(
         model, seqs, U, (V - v_prob).reshape(seqs.shape),
-        (h_data - h_model).reshape(seqs.shape[:2] + (model.n_hidden,)), dW)
+        (h_data - h_model).reshape(seqs.shape[:2] + (model.n_hidden,)),
+        dW), h_data.sum(axis=0)
 
 
 def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
-                   rng: RngStream) -> RnnRbmGradient:
-    """Mean ascent gradient over a batch of sequences.
+                   rng: RngStream) -> tuple[RnnRbmGradient, np.ndarray]:
+    """Mean ascent gradient over a batch of sequences, and the batch's
+    mean hidden activations: ``(gradient, h_mean)``.
 
     Frame ``t`` of the sequence at batch position ``s`` draws one row of
     uniforms from ``rng.split(s).split(t)``, as
@@ -331,7 +387,8 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
     once and one backward pass through the state (see
     :func:`_group_bptt_cd`).  A sequence keeps the stream of its
     position in the batch, whatever its group, so grouping changes no
-    draw.  Normalised by the total number of frames.
+    draw.  Both results are normalised by the total number of frames;
+    ``h_mean`` is :func:`mean_hidden_activation` of the batch.
     """
     if len(batch) == 0:
         raise ValueError("empty sequence batch")
@@ -345,9 +402,13 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
         np.repeat(lengths, [len(positions) for positions, _ in groups]),
         sum(_chain_widths(model.n_visible, model.n_hidden, cfg.k)))
     total = RnnRbmGradient.zeros(model)
+    h_sum = np.zeros(model.n_hidden)
     for (_, seqs), rows in zip(groups, np.split(draws, np.cumsum(sizes)[:-1])):
-        total.add_(_group_bptt_cd(model, seqs, cfg, rows))
-    return total.scale_(1.0 / sum(sizes))
+        g, h = _group_bptt_cd(model, seqs, cfg, rows)
+        total.add_(g)
+        h_sum += h
+    frames = sum(sizes)
+    return total.scale_(1.0 / frames), h_sum / frames
 
 
 def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
@@ -389,11 +450,14 @@ def next_frame_predictions(model: RnnRbm, seq) -> np.ndarray:
 
 
 def mean_sequence_energy(model: RnnRbm, sequences) -> float:
-    """Mean conditional expected frame energy with temporal biases."""
+    """Mean conditional expected frame energy with temporal biases.
+
+    ``sequences`` is a list of sequences or a :class:`LengthGroups`, as
+    for :func:`mean_hidden_activation` and :func:`prediction_error`.
+    """
     total = 0.0
     frames = 0
-    for _, seqs in _length_groups(model, sequences):
-        _, B, C = unroll(model, seqs)
+    for seqs, _, B, C in _unrolled(model, sequences):
         pre = C + seqs @ model.W
         h = sigmoid(pre)
         e = -np.sum(seqs * B, axis=-1) - np.sum(h * pre, axis=-1)
@@ -406,8 +470,7 @@ def mean_hidden_activation(model: RnnRbm, sequences) -> np.ndarray:
     """Per-unit mean of ``p(h_j = 1 | v_t)`` over all frames."""
     acc = np.zeros(model.n_hidden)
     frames = 0
-    for _, seqs in _length_groups(model, sequences):
-        _, _, C = unroll(model, seqs)
+    for seqs, _, _, C in _unrolled(model, sequences):
         h = _rows(sigmoid(C + seqs @ model.W))
         acc += h.sum(axis=0)
         frames += h.shape[0]
@@ -421,9 +484,8 @@ def prediction_error(model: RnnRbm, sequences) -> float:
     for a whole length group at once.
     """
     pool = PooledMetrics()
-    for _, seqs in _length_groups(model, sequences):
+    for seqs, _, B, C in _unrolled(model, sequences):
         if seqs.shape[1] >= 2:
-            _, B, C = unroll(model, seqs)
             pool.add(_mean_field_marginals(model.W, B[:, 1:], C[:, 1:]),
                      seqs[:, 1:])
     return float("nan") if pool.empty else pool.cross_entropy()
@@ -449,7 +511,9 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     """Adaptive training of one recurrent layer in the shared epoch loop.
 
     Batches of sequences get BPTT-CD updates clipped to ``GRAD_CLIP``.  See
-    the static trainer for the stream layout.  Returns
+    the static trainer for the stream layout.  The training set is
+    stacked by length once; every epoch unrolls it once, on first use
+    after the updates, for the pruning sweep and both metrics.  Returns
     ``(model, stats, log)``.
     """
     sequences = [_as_sequence(s) for s in sequences]
@@ -464,10 +528,13 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
         init_model = (RnnRbm.random(sequences[0].shape[1], n_hidden,
                                     rng.split(0), u_dim=u_dim)
                       if init_model is None else init_model.copy())
+    stacks = LengthGroups.of(init_model if resume is None else resume.model,
+                             sequences).stacks
     return _train_layer(
         sequences, init_model, cd, epochs, rng, adapt, forget, layer,
         n_layers, log, first_event, resume, epoch_callback,
-        gradient=bptt_gradients, activations=mean_hidden_activation,
-        update=_clipped_update,
-        metrics=lambda m, seqs: (mean_sequence_energy(m, seqs),
-                                 prediction_error(m, seqs)))
+        gradient=bptt_gradients, update=_clipped_update,
+        epoch_data=lambda: LengthGroups(stacks),
+        activations=mean_hidden_activation,
+        metrics=lambda m, groups: (mean_sequence_energy(m, groups),
+                                   prediction_error(m, groups)))

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from growrbm import harness
 from growrbm.checkpoint import (load_checkpoint, load_train_state,
                                 save_checkpoint, save_train_state)
 from growrbm.cli import main
@@ -350,6 +351,30 @@ class TestCli:
         code, err = self.stderr_lines(["train", "--config", str(cfg)], capsys)
         assert code == 3
         assert err == ["numeric failure: sigmoid: non-finite input"]
+
+    @pytest.mark.parametrize("model", ["rnn-rbm", "rnn-dbn"])
+    @pytest.mark.parametrize("held_out,message", [
+        ([np.ones((1, 4)), np.zeros((1, 4))], "two frames"),
+        ([np.ones((3, 5))], "dimension 5"),
+    ], ids=["one-frame", "frame-size"])
+    def test_unscorable_test_set_exits_2_before_training(
+            self, tmp_path, data_file, capsys, monkeypatch, model, held_out,
+            message):
+        trained = []
+        for name in ("train_adaptive_rnn_rbm", "train_adaptive_rnn_dbn"):
+            monkeypatch.setattr(harness, name,
+                                lambda *a, **k: trained.append(a))
+        test_p = tmp_path / "test.jsonl"
+        write_jsonl(test_p, held_out)
+        out = tmp_path / "run"
+        cfg = self.write_config(tmp_path, data_file, out,
+                                extra=f"model = {model}\ntest = {test_p}\n")
+        code, err = self.stderr_lines(["train", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert len(err) == 1 and message in err[0], err
+        assert trained == []
+        assert not (out / "log.csv").exists()
+        assert not (out / "model.ckpt").exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config is required

@@ -5,9 +5,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
-from growrbm.numerics import (RngStream, philox4x64, sample_bernoulli,
-                              sigmoid, uniforms_from_words)
+from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, philox4x64,
+                              sample_bernoulli, sigmoid, uniforms_from_words)
+
+# both clamp ends, the tails of expit down to denormals and past them,
+# tiny and denormal inputs, and ordinary values
+EDGE_INPUTS = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, 36.0, 36.7, 37.0,
+     38.0, 700.0, -700.0, -708.0, -708.4, -709.0, -720.0, -740.0, -744.4,
+     -745.0, -746.0, 1e300, -1e300],
+    np.linspace(-750.0, 750.0, 3001)])
 
 
 class TestSigmoid:
@@ -39,6 +48,33 @@ class TestSigmoid:
             sigmoid(np.array([0.0, np.inf]))
         with pytest.raises(FloatingPointError):
             sigmoid(np.nan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_non_finite_value_raises(self, bad):
+        for x in (bad, np.array([0.5, bad]), np.full((2, 3), bad)):
+            with pytest.raises(FloatingPointError,
+                               match="sigmoid: non-finite input"):
+                sigmoid(x)
+
+    def test_equals_clipped_expit_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([EDGE_INPUTS, rng.normal(scale=300.0, size=2000)])
+        want = np.clip(expit(x), _SIG_LO, _SIG_HI)
+        for got, ref in ((sigmoid(x), want),
+                         (sigmoid(x.reshape(-1, 8)), want.reshape(-1, 8))):
+            assert got.dtype == np.float64 and got.shape == ref.shape
+            npt.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        for value in EDGE_INPUTS[:23]:
+            got = sigmoid(value)
+            assert isinstance(got, np.float64)
+            assert got == np.clip(expit(value), _SIG_LO, _SIG_HI)
+
+    def test_input_is_never_written(self):
+        x = np.random.default_rng(8).normal(scale=400.0, size=(32, 24))
+        before = x.copy()
+        out = sigmoid(x)
+        npt.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+        assert not np.shares_memory(out, x)
 
     @given(st.floats(min_value=-30.0, max_value=30.0))
     def test_symmetry(self, x):

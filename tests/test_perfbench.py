@@ -16,7 +16,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 NON_ZERO = {
     "rnn_grow": ["rnn_rbm.epoch_ms.p50", "phase.bptt_chain_s",
-                 "rnn_rbm.mean_hidden_activation.calls"],
+                 "rnn_rbm.mean_hidden_activation.calls", "phase.unroll_s",
+                 "phase.epoch_metrics_s"],
     "static_stack": ["dbn.epoch_ms.p50", "dbn.layer1.s", "dbn.layer2.s",
                      "rbm.cd_step.calls"],
     "deep_serve": ["rnn_dbn.sample_sequence_deep.s",

@@ -306,18 +306,32 @@ class TestCdStep:
         if binary:
             batch = (batch < 0.5).astype(float)
         cfg = CdConfig(k=k)
-        got = cd_step(rbm, batch, cfg, rng.split(1))
+        got, _ = cd_step(rbm, batch, cfg, rng.split(1))
         want = reference_cd_step(rbm, batch, cfg, rng.split(1))
         for name in ("db", "dc", "dW"):
             npt.assert_array_equal(getattr(got, name), getattr(want, name),
                                    err_msg=name)
 
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 3), n=st.integers(1, 40),
+           n_visible=st.integers(1, 9), n_hidden=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_activations_are_hidden_conditional_mean(
+            self, k, n, n_visible, n_hidden, seed):
+        rng = RngStream(seed)
+        rbm = Rbm(rng.normal(size=n_visible), rng.normal(size=n_hidden),
+                  rng.normal(sd=1.5, size=(n_visible, n_hidden)))
+        batch = rng.uniform(size=(n, n_visible))
+        _, h_mean = cd_step(rbm, batch, CdConfig(k=k), rng.split(1))
+        npt.assert_array_equal(h_mean,
+                               hidden_conditional(rbm, batch).mean(axis=0))
+
     def test_deterministic_given_stream(self):
         rbm = tiny_rbm(53)
         batch = np.array([[1.0, 0.0], [0.0, 1.0]])
         cfg = CdConfig(k=3, learning_rate=0.1, batch_size=2)
-        a = cd_step(rbm, batch, cfg, RngStream(99))
-        b = cd_step(rbm, batch, cfg, RngStream(99))
+        a, _ = cd_step(rbm, batch, cfg, RngStream(99))
+        b, _ = cd_step(rbm, batch, cfg, RngStream(99))
         npt.assert_array_equal(a.db, b.db)
         npt.assert_array_equal(a.dc, b.dc)
         npt.assert_array_equal(a.dW, b.dW)
@@ -340,7 +354,7 @@ class TestCdStep:
         m = np.clip(m, 1e-6, 1 - 1e-6)
         rbm = Rbm(b=np.log(m / (1 - m)), c=rng.normal(size=2),
                   W=np.zeros((3, 2)))
-        grad = cd_step(rbm, batch, CdConfig(k=1), rng.split(0))
+        grad, _ = cd_step(rbm, batch, CdConfig(k=1), rng.split(0))
         npt.assert_allclose(grad.db, np.zeros(3), atol=1e-12)
 
     def test_small_gradient_at_model_samples(self):
@@ -363,20 +377,20 @@ class TestCdStep:
         p /= p.sum()
         counts = np.floor(p * 4000).astype(int)
         sample = np.repeat(states, counts, axis=0)
-        grad = cd_step(rbm, sample, CdConfig(k=1), rng.split(1))
+        grad, _ = cd_step(rbm, sample, CdConfig(k=1), rng.split(1))
         assert grad.norm() < 0.05
 
     def test_k_steps_differ_from_one(self):
         rbm = tiny_rbm(73, scale=1.5)
         batch = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        g1 = cd_step(rbm, batch, CdConfig(k=1), RngStream(5))
-        g5 = cd_step(rbm, batch, CdConfig(k=5), RngStream(5))
+        g1, _ = cd_step(rbm, batch, CdConfig(k=1), RngStream(5))
+        g5, _ = cd_step(rbm, batch, CdConfig(k=5), RngStream(5))
         assert not np.allclose(g1.dW, g5.dW)
 
     def test_accepts_probability_inputs(self):
         rbm = tiny_rbm(79)
         soft = np.array([[0.2, 0.9], [0.5, 0.5]])
-        grad = cd_step(rbm, soft, CdConfig(), RngStream(3))
+        grad, _ = cd_step(rbm, soft, CdConfig(), RngStream(3))
         assert np.all(np.isfinite(grad.dW))
 
     def test_rejects_out_of_range_and_empty(self):

@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from growrbm import rnn_rbm
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            apply_annihilation, maybe_generate)
 from growrbm.errors import CapacityError, DimensionError
@@ -13,8 +14,9 @@ from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig, Rbm, cd_step, log_likelihood_exact
 from growrbm.rnn_dbn import RnnDbn, sample_sequence_deep
-from growrbm.rnn_rbm import (RnnRbm, RnnRbmGradient, bptt_gradients,
-                             mean_hidden_activation, mean_sequence_energy,
+from growrbm.rnn_rbm import (LengthGroups, RnnRbm, RnnRbmGradient,
+                             bptt_gradients, mean_hidden_activation,
+                             mean_sequence_energy,
                              next_frame_predictions, predict_next,
                              prediction_error, sequence_cost_exact,
                              sequence_cost_gradient_exact, state_update,
@@ -338,8 +340,8 @@ class TestBpttGradients:
     def test_deterministic(self):
         m = small_model(21)
         cfg = CdConfig(k=1, learning_rate=0.1, batch_size=10)
-        g1 = bptt_gradients(m, self.batch(), cfg, RngStream(5))
-        g2 = bptt_gradients(m, self.batch(), cfg, RngStream(5))
+        g1, _ = bptt_gradients(m, self.batch(), cfg, RngStream(5))
+        g2, _ = bptt_gradients(m, self.batch(), cfg, RngStream(5))
         for f, _ in GRAD_PAIRS:
             npt.assert_array_equal(getattr(g1, f), getattr(g2, f))
 
@@ -351,7 +353,7 @@ class TestBpttGradients:
         batch = self.batch(seed=23)
         cfg = CdConfig(k=1, learning_rate=0.1, batch_size=10)
         root = RngStream(9)
-        g = bptt_gradients(m, batch, cfg, root)
+        g, _ = bptt_gradients(m, batch, cfg, root)
 
         db = np.zeros(3)
         dc = np.zeros(2)
@@ -360,7 +362,7 @@ class TestBpttGradients:
         for s, seq in enumerate(batch):
             seq_rng = root.split(s)
             for t in range(seq.shape[0]):
-                gs = cd_step(rbm, seq[t][None, :], cfg, seq_rng.split(t))
+                gs, _ = cd_step(rbm, seq[t][None, :], cfg, seq_rng.split(t))
                 db += gs.db
                 dc += gs.dc
                 dW += gs.dW
@@ -385,7 +387,7 @@ class TestBpttGradients:
         batch = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
                  for t in (1, 6, 3, 9)]
         cfg = CdConfig(k=k, learning_rate=0.1, batch_size=10)
-        fast = bptt_gradients(m, batch, cfg, RngStream(26))
+        fast, _ = bptt_gradients(m, batch, cfg, RngStream(26))
         ref = reference_bptt_gradients(m, batch, cfg, RngStream(26))
         for f, _ in GRAD_PAIRS:
             npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
@@ -398,7 +400,7 @@ class TestBpttGradients:
         batch = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
                  for t in (7, 2, 5)]
         cfg = CdConfig(k=k, learning_rate=0.1, batch_size=10)
-        fast = bptt_gradients(grown, batch, cfg, RngStream(30))
+        fast, _ = bptt_gradients(grown, batch, cfg, RngStream(30))
         ref = reference_bptt_gradients(grown, batch, cfg, RngStream(30))
         for f, _ in GRAD_PAIRS:
             npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
@@ -510,7 +512,7 @@ class TestRaggedBatches:
     def test_bptt_matches_per_frame_reference(self, case, seed):
         model, seqs, k = case
         cfg = CdConfig(k=k, learning_rate=0.1, batch_size=8)
-        fast = bptt_gradients(model, seqs, cfg, RngStream(seed))
+        fast, _ = bptt_gradients(model, seqs, cfg, RngStream(seed))
         ref = reference_bptt_gradients(model, seqs, cfg, RngStream(seed))
         for f, _ in GRAD_PAIRS:
             npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
@@ -541,6 +543,75 @@ class TestRaggedBatches:
         else:
             npt.assert_allclose(prediction_error(m, seqs),
                                 pool.cross_entropy(), rtol=0, atol=1e-12)
+
+
+class TestSharedUnroll:
+    """The batch gradient's activations and the one unroll per epoch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=ragged_batches(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_activations_are_mean_hidden_activation(self, case, seed):
+        model, seqs, k = case
+        seqs = [s for s in seqs if s.shape[0] >= 2]
+        assume(seqs)
+        _, h = bptt_gradients(model, seqs, CdConfig(k=k), RngStream(seed))
+        npt.assert_array_equal(h, mean_hidden_activation(model, seqs))
+
+    @pytest.mark.parametrize("edit", ["grow", "prune"])
+    def test_kept_states_serve_the_edited_model(self, edit, monkeypatch):
+        model = small_model(80, i=4, j=4, k=5, sd=0.8)
+        rng = RngStream(81)
+        seqs = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
+                for t in (5, 1, 3, 5, 2, 3)]
+        calls = []
+        monkeypatch.setattr(rnn_rbm, "unroll",
+                            lambda m, seq: calls.append(1) or unroll(m, seq))
+        groups = LengthGroups.of(model, seqs)
+        mean_act = mean_hidden_activation(model, groups)
+        npt.assert_array_equal(mean_act, mean_hidden_activation(model, seqs))
+        if edit == "grow":
+            edited = grown_model(model, 82)
+        else:
+            mask = np.arange(model.n_hidden) % 2 == 1
+            edited, _ = apply_annihilation(
+                model, GradientStats.zeros(4, model.n_hidden), mask)
+        n_groups = len(groups.stacks)
+        assert len(calls) == 2 * n_groups
+        for metric in (mean_sequence_energy, prediction_error,
+                       mean_hidden_activation):
+            npt.assert_array_equal(metric(edited, groups),
+                                   metric(edited, seqs), err_msg=edit)
+        # only the calls on the plain list unrolled again
+        assert len(calls) == 5 * n_groups
+
+    def test_one_unroll_per_batch_group_and_per_epoch_group(self,
+                                                            monkeypatch):
+        rng = RngStream(83)
+        seqs = [s for t in (4, 6, 7) for s in cycle_sequences(4, t, rng)]
+        order = RngStream(84).permutation(len(seqs))
+        seqs = [seqs[i] for i in order]
+        calls = []
+        monkeypatch.setattr(rnn_rbm, "unroll",
+                            lambda m, seq: calls.append(1) or unroll(m, seq))
+        adapt = AdaptConfig(generation_phase_epochs=2, max_hidden=6,
+                            gen_threshold=1e-30, ann_threshold=0.999,
+                            min_hidden=2)
+        forget = ForgettingConfig(forgetting_epochs=2, selective_epochs=1)
+        cd = CdConfig(k=1, learning_rate=0.1, batch_size=5)
+        epochs, root = 5, RngStream(85)
+        _, _, log = train_adaptive_rnn_rbm(seqs, 4, cd, epochs, root,
+                                           adapt=adapt, forget=forget)
+        events = "|".join(r.event for r in log.rows)
+        assert "gen(" in events and "ann(" in events
+        lengths = [s.shape[0] for s in seqs]
+        expected = 0
+        for epoch in range(epochs):
+            order = root.split(epoch + 1).permutation(len(seqs))
+            for start in range(0, len(order), cd.batch_size):
+                batch = order[start:start + cd.batch_size]
+                expected += len({lengths[i] for i in batch})
+            expected += len(set(lengths))
+        assert len(calls) == expected
 
 
 def test_ragged_batch_draws_in_one_kernel_call(monkeypatch):
