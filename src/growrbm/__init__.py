@@ -11,8 +11,8 @@ from .adapt import (AdaptConfig, ForgettingConfig, GradientStats,
 from .checkpoint import (load_checkpoint, load_train_state, save_checkpoint,
                          save_train_state)
 from .config import RunConfig, parse_config, parse_config_text
-from .data import (SequenceDataset, augment_parity, binarize_real_sequences,
-                   load_jsonl, random_patterns, synth_cycle, write_jsonl)
+from .data import (SequenceDataset, augment_parity, load_jsonl,
+                   random_patterns, synth_cycle, write_jsonl)
 from .dbn import (Dbn, LayerGenConfig, LayerTotals, should_generate_layer,
                   train_adaptive_dbn, train_adaptive_rbm)
 from .errors import (CapacityError, CheckpointError, ConfigError,
@@ -25,7 +25,7 @@ from .numerics import RngStream, sample_bernoulli, sigmoid
 from .rbm import (CdConfig, Rbm, RbmGradient, cd_step, energy,
                   hidden_conditional, log_likelihood_exact,
                   log_likelihood_gradient_exact, log_partition_exact,
-                  partition_function_exact, prob_exact, visible_conditional)
+                  prob_exact, visible_conditional)
 from .rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                       predict_next_deep, train_adaptive_rnn_dbn)
 from .rnn_rbm import (RnnRbm, RnnRbmGradient, bptt_gradients, predict_next,

@@ -1,4 +1,4 @@
-"""Sequence datasets: JSONL loading, synthetic generators, binarization.
+"""Sequence datasets: JSONL loading and synthetic generators.
 
 The on-disk format is one sequence per line, a non-empty list of
 equal-width 0/1 frames, in any of three JSON forms:
@@ -207,24 +207,3 @@ def augment_parity(dataset: SequenceDataset) -> SequenceDataset:
         name=dataset.name + "+parity", dim=dataset.dim + 1,
         train=with_parity(dataset.train), test=with_parity(dataset.test),
         provenance=dataset.provenance + " | parity bit appended")
-
-
-def binarize_real_sequences(sequences, threshold="median") -> list:
-    """Threshold real-valued sequences into 0/1 frames.
-
-    ``threshold`` is a float applied everywhere or ``"median"`` for the
-    per-dimension median over all frames of all sequences.  Values
-    strictly greater than the threshold map to 1, so constant dimensions
-    map to 0 under the median policy.
-    """
-    arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not arrays:
-        raise ValueError("no sequences to binarize")
-    if isinstance(threshold, str):
-        if threshold != "median":
-            raise ValueError(f"unknown threshold policy: {threshold!r}")
-        stacked = np.vstack(arrays)
-        thr = np.median(stacked, axis=0)
-    else:
-        thr = float(threshold)
-    return [(a > thr).astype(np.float64) for a in arrays]

@@ -10,7 +10,8 @@ activations become the next layer's data, the next layer starts from
 :func:`_inherit` (a fresh layer of the same type), and stacking
 continues while the accumulated gradient-variance and energy totals of
 the stack stay above their thresholds (or unconditionally up to the cap
-when the layer gate is disabled).
+when the layer gate is disabled).  The gate reads each layer's totals
+from the last row the layer appended to the training log.
 """
 from __future__ import annotations
 
@@ -18,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapt import (AdaptConfig, ForgettingConfig, GradientStats, TrainState,
-                    _train_layer)
+from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import NumericError
-from .log import TrainLog, format_layer_event
+from .log import LogRow, TrainLog, format_layer_event
 from .metrics import cross_entropy_per_bit
 from .numerics import RngStream
 from .rbm import (CdConfig, Rbm, _apply_update, cd_step, energy,
@@ -129,16 +129,15 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
                               reconstruction_error(m, x)))
 
 
-def _layer_totals(stats: GradientStats, energy: float) -> LayerTotals:
-    """Stack-gate summary of a trained layer.
+def _layer_totals(row: LogRow) -> LayerTotals:
+    """Stack-gate summary of a trained layer, from its last log row.
 
     ``wd`` totals the tracked gradient variances over biases and weights.
     ``energy`` is the magnitude of the layer's mean data energy;
     magnitude, because a fitted layer sits at negative energy and the
     gate compares against a positive threshold.
     """
-    return LayerTotals(wd=float(stats.var_c().sum() + stats.var_w().sum()),
-                       energy=abs(energy))
+    return LayerTotals(wd=row.wd_c + row.wd_w, energy=abs(row.energy))
 
 
 def should_generate_layer(dbn, cfg: LayerGenConfig) -> bool:
@@ -164,24 +163,28 @@ def _inherit(parent: Rbm, rng: RngStream) -> Rbm:
 
 def _train_stack(stack: Dbn, inputs, rng: RngStream,
                  layer_cfg: LayerGenConfig, gate_layers: bool,
-                 log: TrainLog | None, *, train, energy, lift, **layer_kwargs):
+                 log: TrainLog | None, *, train, lift, epochs: int,
+                 **layer_kwargs):
     """Greedy bottom-up stacking loop of both stack kinds.
 
     Layer ``l`` trains as ``train(inputs, rng=rng.split(l), ...)``, as a
     standalone run would; the next layer starts from :func:`_inherit`
-    with ``rng.split(l + 1).split(0)`` on ``lift(model, inputs)``.
-    ``energy`` gives the layer's totals.  Returns ``(stack, log)``.
+    with ``rng.split(l + 1).split(0)`` on ``lift(model, inputs)``.  The
+    layer's totals come from the last row it appended to ``log``, so
+    every layer must train at least one epoch.  Returns ``(stack, log)``.
     """
+    if epochs < 1:
+        raise ValueError("epochs_per_layer must be >= 1")
     log = log if log is not None else TrainLog()
     layer_idx = 1
     init = None
     first_event = None
     while True:
-        model, stats, _ = train(
+        model, _, _ = train(
             inputs, rng=rng.split(layer_idx), init_model=init,
             layer=layer_idx, n_layers=layer_idx, log=log,
-            first_event=first_event, **layer_kwargs)
-        totals = _layer_totals(stats, energy(model, inputs))
+            first_event=first_event, epochs=epochs, **layer_kwargs)
+        totals = _layer_totals(log.rows[-1])
         stack = type(stack)(layers=stack.layers + [model],
                             totals=stack.totals + [totals])
         stack.validate()
@@ -216,6 +219,5 @@ def train_adaptive_dbn(data: np.ndarray, n_hidden: int, cd: CdConfig,
     return _train_stack(
         Dbn(), np.atleast_2d(np.asarray(data, dtype=np.float64)), rng,
         layer_cfg, gate_layers, log, train=train_adaptive_rbm,
-        energy=mean_field_energy, lift=hidden_conditional,
-        n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
-        forget=forget)
+        lift=hidden_conditional, n_hidden=n_hidden, cd=cd,
+        epochs=epochs_per_layer, adapt=adapt, forget=forget)

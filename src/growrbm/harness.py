@@ -70,15 +70,15 @@ def evaluate_model(model, sequences):
 def run_training(cfg: RunConfig, out_dir) -> dict:
     """Execute one training run into ``out_dir``; returns a summary dict."""
     t0 = time.monotonic()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.cfg").write_text(cfg.raw_text)
-
     dataset = load_jsonl(cfg.train)
     test_seqs = load_jsonl(cfg.test).train if cfg.test else []
     if test_seqs and cfg.model in ("rnn-rbm", "rnn-dbn"):
         # a held-out set the model could not score fails before training
         _check_heldout(test_seqs, dataset.dim)
+    # inputs that fail their checks leave no output directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.cfg").write_text(cfg.raw_text)
     master = RngStream(cfg.seed)
     adapt = cfg.adapt if cfg.adaptive else None
     forget = cfg.forget if cfg.adaptive else None

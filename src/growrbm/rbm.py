@@ -226,11 +226,6 @@ def log_partition_exact(rbm: Rbm) -> float:
     return float(logsumexp(-_hidden_free_energy(rbm, states)))
 
 
-def partition_function_exact(rbm: Rbm) -> float:
-    """Exact partition function; use :func:`log_partition_exact` when Z overflows."""
-    return float(np.exp(log_partition_exact(rbm)))
-
-
 def prob_exact(rbm: Rbm, v, h) -> float:
     """Exact joint probability of one (v, h) configuration."""
     _guard_exact(rbm)

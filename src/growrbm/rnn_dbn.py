@@ -25,9 +25,9 @@ from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import RngStream, sample_bernoulli, sigmoid
 from .rbm import CdConfig
-from .rnn_rbm import (RnnRbm, _mean_field_marginals, mean_sequence_energy,
-                      next_frame_predictions, predict_next, state_update,
-                      temporal_biases, train_adaptive_rnn_rbm, unroll)
+from .rnn_rbm import (RnnRbm, _mean_field_marginals, next_frame_predictions,
+                      predict_next, state_update, temporal_biases,
+                      train_adaptive_rnn_rbm, unroll)
 
 
 class RnnDbn(Dbn):
@@ -62,7 +62,6 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
     return _train_stack(
         RnnDbn(), [np.asarray(s, dtype=np.float64) for s in sequences], rng,
         layer_cfg, gate_layers, log, train=train_adaptive_rnn_rbm,
-        energy=mean_sequence_energy,
         lift=lambda m, seqs: [deterministic_hidden_sequence(m, s)
                               for s in seqs],
         n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,

@@ -5,8 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from growrbm.data import (SequenceDataset, augment_parity,
-                          binarize_real_sequences, load_jsonl,
+from growrbm.data import (SequenceDataset, augment_parity, load_jsonl,
                           random_patterns, synth_cycle, write_jsonl)
 from growrbm.errors import DataFormatError
 from growrbm.numerics import RngStream
@@ -256,29 +255,3 @@ class TestAugmentParity:
                              test=[np.array([[1.0, 1.0]])])
         out = augment_parity(ds)
         npt.assert_array_equal(out.test[0], [[1.0, 1.0, 0.0]])
-
-
-class TestBinarize:
-    def test_fixed_threshold_strictly_greater(self):
-        out = binarize_real_sequences([np.array([[0.2, 0.5, 0.9]])],
-                                      threshold=0.5)
-        npt.assert_array_equal(out[0], [[0.0, 0.0, 1.0]])
-
-    def test_median_per_dimension(self):
-        seqs = [np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])]
-        out = binarize_real_sequences(seqs)
-        # medians are (2, 20); only strictly larger values become 1
-        npt.assert_array_equal(out[0], [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-
-    def test_constant_dimension_maps_to_zero(self):
-        seqs = [np.full((4, 2), 7.0)]
-        out = binarize_real_sequences(seqs)
-        npt.assert_array_equal(out[0], np.zeros((4, 2)))
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            binarize_real_sequences([np.zeros((2, 2))], threshold="mean")
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            binarize_real_sequences([])

@@ -9,6 +9,7 @@ from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
                          _layer_totals, mean_field_energy,
                          should_generate_layer, train_adaptive_dbn,
                          train_adaptive_rbm)
+from growrbm.log import LogRow
 from growrbm.numerics import RngStream
 from growrbm.rbm import (CdConfig, Rbm, hidden_conditional,
                          log_likelihood_exact)
@@ -46,8 +47,12 @@ class TestMeanFieldEnergy:
 
 
 def layer_totals(rbm, stats, data):
-    """The stack gate's totals of a layer, as ``_train_stack`` forms them."""
-    return _layer_totals(stats, mean_field_energy(rbm, data))
+    """The stack gate's totals of a layer, read from the log row the
+    layer's last epoch appends."""
+    return _layer_totals(LogRow(
+        epoch=1, layer=1, energy=mean_field_energy(rbm, data), error=0.0,
+        wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),
+        n_hidden=rbm.n_hidden, n_layers=1))
 
 
 class TestLayerTotals:
@@ -66,6 +71,7 @@ class TestLayerTotals:
         stats = GradientStats.zeros(3, 2)
         totals = layer_totals(rbm, stats, np.array([[1.0, 1.0, 0.0]]))
         assert totals.energy == 0.0
+        assert totals.wd == 0.0
 
     def test_energy_total_is_magnitude_of_mean(self):
         rng = RngStream(9)
@@ -74,8 +80,9 @@ class TestLayerTotals:
         data = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         stats = GradientStats.zeros(2, 2)
         totals = layer_totals(rbm, stats, data)
-        npt.assert_allclose(totals.energy, abs(mean_field_energy(rbm, data)),
-                            rtol=1e-12)
+        energy = mean_field_energy(rbm, data)
+        assert energy < 0.0  # the logged sign, which the total drops
+        assert totals.energy == -energy
 
     def test_wd_sums_all_tracked_variances(self):
         rbm = Rbm.zeros(2, 2)
@@ -84,9 +91,7 @@ class TestLayerTotals:
         for _ in range(50):
             stats.update(rng.normal(size=2), rng.normal(size=(2, 2)))
         totals = layer_totals(rbm, stats, np.array([[0.0, 1.0]]))
-        npt.assert_allclose(totals.wd,
-                            stats.var_c().sum() + stats.var_w().sum(),
-                            rtol=1e-12)
+        assert totals.wd == stats.var_c().sum() + stats.var_w().sum()
 
 
 class TestShouldGenerateLayer:

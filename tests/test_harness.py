@@ -288,6 +288,7 @@ class TestCli:
                                 tmp_path / "run")
         assert main(["train", "--config", str(cfg)]) == 2
         assert "cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, data_file, capsys):
         fake = tmp_path / "fake.ckpt"
@@ -373,8 +374,7 @@ class TestCli:
         assert code == 2
         assert len(err) == 1 and message in err[0], err
         assert trained == []
-        assert not (out / "log.csv").exists()
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config is required

@@ -18,8 +18,7 @@ from growrbm.rbm import (CdConfig, Rbm, RbmGradient, cd_step, energy,
                          free_energy,
                          hidden_conditional, log_likelihood_exact,
                          log_likelihood_gradient_exact, log_partition_exact,
-                         partition_function_exact, prob_exact,
-                         visible_conditional)
+                         prob_exact, visible_conditional)
 
 
 def naive_energy(rbm, v, h):
@@ -93,23 +92,23 @@ class TestPartition:
     def test_zero_one_one(self):
         # two units, all four states have energy 0
         rbm = Rbm.zeros(1, 1)
-        npt.assert_allclose(partition_function_exact(rbm), 4.0, atol=1e-12)
+        npt.assert_allclose(np.exp(log_partition_exact(rbm)), 4.0, atol=1e-12)
 
     def test_zero_params_counts_states(self):
         rbm = Rbm.zeros(2, 3)
-        npt.assert_allclose(partition_function_exact(rbm), 2.0 ** 5,
+        npt.assert_allclose(np.exp(log_partition_exact(rbm)), 2.0 ** 5,
                             rtol=1e-12)
 
     def test_matches_enumeration(self):
         rbm = tiny_rbm(7)
         _, z = enumerate_joint(rbm)
-        npt.assert_allclose(partition_function_exact(rbm), z, rtol=1e-10)
+        npt.assert_allclose(np.exp(log_partition_exact(rbm)), z, rtol=1e-10)
 
     def test_hidden_side_enumeration_agrees(self):
         # more visible than hidden exercises the other enumeration branch
         rbm = tiny_rbm(11, n_visible=4, n_hidden=2)
         _, z = enumerate_joint(rbm)
-        npt.assert_allclose(partition_function_exact(rbm), z, rtol=1e-10)
+        npt.assert_allclose(np.exp(log_partition_exact(rbm)), z, rtol=1e-10)
 
     def test_guard_rejects_large_models(self):
         rbm = Rbm.zeros(20, 8)

@@ -4,9 +4,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growrbm import rnn_dbn
-from growrbm.dbn import (LayerGenConfig, _inherit, train_adaptive_dbn,
-                         train_adaptive_rbm)
+from growrbm import dbn, rnn_dbn, rnn_rbm
+from growrbm.dbn import (LayerGenConfig, _inherit, mean_field_energy,
+                         train_adaptive_dbn, train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
 from growrbm.harness import evaluate_model
 from growrbm.metrics import PooledMetrics
@@ -15,7 +15,8 @@ from growrbm.rbm import CdConfig, hidden_conditional
 from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
-from growrbm.rnn_rbm import (RnnRbm, next_frame_predictions, predict_next,
+from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
+                             next_frame_predictions, predict_next,
                              prediction_error, train_adaptive_rnn_rbm, unroll)
 from test_rnn_rbm import cycle_sequences, small_model
 
@@ -101,6 +102,68 @@ class TestStacking:
         solo, _, _ = single(data, 5, cd, 4, rng, init_model=init)
         for name, arr in stack.layers[layer - 1].arrays().items():
             npt.assert_array_equal(arr, solo.arrays()[name], err_msg=name)
+
+    @pytest.mark.parametrize("recurrent", [True, False],
+                             ids=["rnn", "static"])
+    def test_totals_match_final_layer_energy_and_variances(
+            self, recurrent, monkeypatch):
+        """The totals the gate reads from each layer's last log row equal
+        the energy magnitude of the layer's final model on its inputs and
+        the variance sum of the stats its trainer returned."""
+        seqs = cycle_sequences(10, 8, RngStream(90))
+        cd = CdConfig(k=1, learning_rate=0.2, batch_size=5)
+        cfg = LayerGenConfig(max_layers=2, wd_threshold=1e-12,
+                             energy_threshold=1e-12)
+        if recurrent:
+            module, name, stacked, data, energy = (
+                rnn_dbn, "train_adaptive_rnn_rbm", train_adaptive_rnn_dbn,
+                seqs, mean_sequence_energy)
+        else:
+            module, name, stacked, data, energy = (
+                dbn, "train_adaptive_rbm", train_adaptive_dbn,
+                np.vstack(seqs), mean_field_energy)
+        single, trained = getattr(module, name), []
+
+        def recording(inputs, *args, **kwargs):
+            model, stats, log = single(inputs, *args, **kwargs)
+            trained.append((inputs, model, stats))
+            return model, stats, log
+
+        monkeypatch.setattr(module, name, recording)
+        stack, _ = stacked(data, 5, cd, 4, RngStream(91), cfg)
+        assert stack.n_layers == len(trained) == 2
+        for totals, (inputs, model, stats) in zip(stack.totals, trained):
+            assert totals.energy == abs(energy(model, inputs))
+            assert totals.wd == stats.var_c().sum() + stats.var_w().sum()
+
+    @pytest.mark.parametrize("recurrent", [True, False],
+                             ids=["rnn", "static"])
+    def test_zero_epochs_per_layer_rejected(self, recurrent):
+        seqs = cycle_sequences(4, 3, RngStream(92))
+        stacked, data = ((train_adaptive_rnn_dbn, seqs) if recurrent
+                         else (train_adaptive_dbn, np.vstack(seqs)))
+        with pytest.raises(ValueError, match="epochs_per_layer"):
+            stacked(data, 3, CdConfig(), 0, RngStream(93), LayerGenConfig())
+
+    def test_one_whole_set_unroll_per_layer_epoch(self, monkeypatch):
+        """Only each epoch's metrics unroll the whole training set; the
+        stack gate adds no unroll of its own."""
+        seqs = cycle_sequences(8, 6, RngStream(94))
+        whole, plain = [], rnn_rbm.unroll
+
+        def counting(model, seq):
+            # batches hold at most batch_size of the equal-length sequences
+            if np.ndim(seq) == 3 and len(seq) == len(seqs):
+                whole.append(np.shape(seq))
+            return plain(model, seq)
+
+        monkeypatch.setattr(rnn_rbm, "unroll", counting)
+        cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
+        stack, _ = train_adaptive_rnn_dbn(seqs, 4, cd, 5, RngStream(95),
+                                          LayerGenConfig(max_layers=2),
+                                          gate_layers=False)
+        assert stack.n_layers == 2
+        assert len(whole) == 10
 
     def test_gate_layers_false_ignores_thresholds(self):
         seqs = cycle_sequences(8, 6, RngStream(88))
