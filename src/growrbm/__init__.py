@@ -6,8 +6,8 @@ forgetting penalties, and stacks itself into a deep network when one
 layer is not enough.
 """
 from .adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                    StructureController, apply_annihilation,
-                    forgetting_gradient, generation_scores, maybe_generate)
+                    StructureController, add_forgetting_, apply_annihilation,
+                    generation_scores, maybe_generate)
 from .checkpoint import (load_checkpoint, load_train_state, save_checkpoint,
                          save_train_state)
 from .config import RunConfig, parse_config, parse_config_text

@@ -259,10 +259,12 @@ def apply_annihilation(model: Rbm, stats: GradientStats, mask: np.ndarray):
     return pruned, stats.remove_hidden(mask)
 
 
-def forgetting_gradient(model: Rbm, mode: str, cfg: ForgettingConfig,
-                        hidden_activations=None) -> RbmGradient:
-    """Ascent-direction ``(b, c, W)`` contribution of one forgetting
-    penalty, for either layer family.
+def add_forgetting_(g: RbmGradient, model: Rbm, mode: str,
+                    cfg: ForgettingConfig,
+                    hidden_activations=None) -> RbmGradient:
+    """Add the ascent-direction ``(b, c, W)`` contribution of one
+    forgetting penalty into ``g`` in place, for either layer family;
+    returns ``g``.
 
     ``decay``     constant pull of every weight toward zero.
     ``clarify``   pushes each unit's mean activation away from 1/2;
@@ -270,10 +272,14 @@ def forgetting_gradient(model: Rbm, mode: str, cfg: ForgettingConfig,
     ``selective`` decay applied only to weights at or above
                   ``selective_cutoff`` in magnitude, sparing weights that
                   are already small.
+
+    A penalty lives in one of ``db``, ``dc`` and ``dW``; the other two
+    get ``+= 0.0``, which turns a ``-0.0`` into ``+0.0``, so ``g`` ends
+    bit for bit where adding the full penalty, zeros included, leaves it.
+    Further fields of a recurrent gradient are not touched.
     """
-    g = RbmGradient(*map(np.zeros_like, (model.b, model.c, model.W)))
     if mode == "decay":
-        g.dW = -cfg.decay_strength * np.sign(model.W)
+        field, penalty = "dW", -cfg.decay_strength * np.sign(model.W)
     elif mode == "clarify":
         if hidden_activations is None:
             raise ValueError("clarify mode needs hidden activations")
@@ -283,12 +289,15 @@ def forgetting_gradient(model: Rbm, mode: str, cfg: ForgettingConfig,
         # derivative of min(h, 1-h) wrt the pre-activation, sign chosen to
         # shrink the penalty; steepest exactly at h = 1/2
         slope = np.where(h <= 0.5, 1.0, -1.0)
-        g.dc = -cfg.clarify_strength * slope * h * (1.0 - h)
+        field, penalty = "dc", -cfg.clarify_strength * slope * h * (1.0 - h)
     elif mode == "selective":
         large = np.abs(model.W) >= cfg.selective_cutoff
-        g.dW = np.where(large, -cfg.selective_strength * np.sign(model.W), 0.0)
+        field, penalty = "dW", np.where(
+            large, -cfg.selective_strength * np.sign(model.W), 0.0)
     else:
         raise ValueError(f"unknown forgetting mode: {mode!r}")
+    for name in ("db", "dc", "dW"):
+        getattr(g, name).__iadd__(penalty if name == field else 0.0)
     return g
 
 
@@ -369,8 +378,10 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
 
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
     draws from ``rng.split(e + 1)``: batch ``i`` from a further
-    ``split(i + 1)``, the growth sweep from ``split(0)``.  The family
-    operations are:
+    ``split(i + 1)``, the growth sweep from ``split(0)``.  The batch
+    streams are one stream re-keyed in place
+    (:meth:`~growrbm.numerics.RngStream.split_into`), which ``gradient``
+    must not keep past its call.  The family operations are:
 
     * ``gradient(model, batch, cd, rng) -> (g, h_mean)``, the batch's
       ascent gradient and mean hidden activations, which the clarify
@@ -400,6 +411,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
         stats = GradientStats.zeros(model.n_visible, model.n_hidden, decay)
         start_epoch = 0
 
+    batch_rng = RngStream(0)  # re-keyed to each batch's stream
     for epoch in range(start_epoch, epochs):
         ep = rng.split(epoch + 1)
         order = ep.permutation(len(data))
@@ -408,9 +420,10 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             idx = order[start:start + cd.batch_size]
             batch = (data[idx] if isinstance(data, np.ndarray)
                      else [data[i] for i in idx])
-            g, acts = gradient(model, batch, cd, ep.split(bi + 1))
+            g, acts = gradient(model, batch, cd,
+                               ep.split_into(bi + 1, batch_rng))
             for mode in modes:
-                g.add_(forgetting_gradient(model, mode, forget, acts))
+                add_forgetting_(g, model, mode, forget, acts)
             stats.update(g.dc, g.dW)
             update(model, g, cd.learning_rate)
 

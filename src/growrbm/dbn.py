@@ -23,8 +23,8 @@ from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import NumericError
 from .log import LogRow, TrainLog, format_layer_event
 from .metrics import cross_entropy_per_bit
-from .numerics import RngStream
-from .rbm import (CdConfig, Rbm, _apply_update, cd_step, energy,
+from .numerics import RngStream, sigmoid
+from .rbm import (CdConfig, Rbm, _apply_update, _check_last_dim, cd_step,
                   hidden_conditional, visible_conditional)
 
 
@@ -83,18 +83,25 @@ class Dbn:
             layer.validate()
 
 
-def mean_field_energy(rbm: Rbm, data: np.ndarray) -> float:
-    """Mean conditional expected energy of the data rows."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    h = hidden_conditional(rbm, data)
-    return float(np.mean(energy(rbm, data, h)))
+def mean_field_metrics(rbm: Rbm, data: np.ndarray) -> tuple[float, float]:
+    """The static epoch metrics ``(energy, error)`` from one hidden pass.
 
-
-def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
-    """Cross-entropy per bit of the one-pass mean-field reconstruction."""
+    ``energy`` is the mean conditional expected energy of the data rows
+    (:func:`~growrbm.rbm.energy` at the hidden conditionals); ``error``
+    is the cross-entropy per bit of the one-pass mean-field
+    reconstruction.  ``data @ W`` and the hidden conditionals are
+    computed once and serve both.
+    """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    rec = visible_conditional(rbm, hidden_conditional(rbm, data))
-    return cross_entropy_per_bit(rec, data)
+    _check_last_dim("visible vector", data, rbm.n_visible)
+    vW = data @ rbm.W
+    h = sigmoid(vW + rbm.c)
+    energy = float(np.mean(-(data @ rbm.b + h @ rbm.c
+                             + np.sum(vW * h, axis=-1))))
+    rec = visible_conditional(rbm, h)
+    # freed before scoring, so the peak memory stays that of two passes
+    del vW, h
+    return energy, cross_entropy_per_bit(rec, data)
 
 
 def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
@@ -125,8 +132,7 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
         log, first_event, resume, epoch_callback, gradient=cd_step,
         update=_apply_update, epoch_data=lambda: data,
         activations=lambda m, x: hidden_conditional(m, x).mean(axis=0),
-        metrics=lambda m, x: (mean_field_energy(m, x),
-                              reconstruction_error(m, x)))
+        metrics=mean_field_metrics)
 
 
 def _layer_totals(row: LogRow) -> LayerTotals:

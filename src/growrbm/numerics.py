@@ -7,7 +7,10 @@ draws regardless of platform or call site.  Child streams are derived by
 hashing the parent key with an integer index, never by consuming draws,
 which lets training code hand out per-epoch / per-batch / per-frame
 streams that stay stable when unrelated code changes how much randomness
-it uses.
+it uses.  A hot loop that needs one short-lived child per step re-keys a
+single stream in place (:meth:`RngStream.split_into`) instead of
+building a new generator each time; the static trainer serves its batch
+streams that way.
 
 Philox4x64-10 is counter-based (Salmon, Moraes, Dror & Shaw 2011,
 *Parallel random numbers: as easy as 1, 2, 3*, SC11): block ``n`` of the
@@ -57,6 +60,7 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
                      dtype=np.uint64)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
                      dtype=np.uint64)
+_ZERO_BLOCK = (0, 0, 0, 0)  # a Philox counter or buffer before any draw
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
@@ -129,6 +133,22 @@ class RngStream:
         """
         return RngStream(self._child_key(index))
 
+    def split_into(self, index: int, child: "RngStream") -> "RngStream":
+        """Re-key ``child`` in place to ``self.split(index)``; returns it.
+
+        The child's bit generator is set to the state a fresh
+        ``Philox(key=k)`` starts in (counter 0, key ``[k, 0]``, no
+        buffered words), so it then draws exactly what a new split would,
+        whatever it drew before.  Cheaper than a split in a hot loop.
+        """
+        child.key = self._child_key(index)
+        child._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_BLOCK, "key": (child.key, 0)},
+            "buffer": _ZERO_BLOCK, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0}
+        return child
+
     def _child_key(self, index: int) -> int:
         index = int(index)
         if index < 0:
@@ -184,7 +204,7 @@ def sigmoid(x):
     place on the fresh output, as in :func:`~growrbm.rnn_rbm.unroll`.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError("sigmoid: non-finite input")
     out = np.asarray(expit(arr))  # a 0-d input gives a scalar
     np.maximum(out, _SIG_LO, out=out)
@@ -197,9 +217,10 @@ def sample_bernoulli(p, rng: RngStream) -> np.ndarray:
 
     ``p == 0`` and ``p == 1`` are honoured exactly.  An empty input
     yields an empty output without consuming draws of a different shape.
+    A probability outside [0, 1], or NaN, raises ``ValueError``.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails
         raise ValueError("bernoulli probabilities must lie in [0, 1]")
     u = rng.uniform(size=p.shape)
     return (u < p).astype(np.float64)

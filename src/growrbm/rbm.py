@@ -120,7 +120,7 @@ class Rbm:
             if arr.shape != shape:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise FloatingPointError(f"non-finite values in {name}")
 
 
@@ -138,7 +138,7 @@ class RbmGradient:
         return cls(*map(np.zeros_like, vars(model).values()))
 
     def add_(self, other: "RbmGradient") -> "RbmGradient":
-        """Add ``other``, which may hold only ``(b, c, W)``, in place."""
+        """Add ``other`` in place, field by field."""
         for name, arr in vars(other).items():
             getattr(self, name).__iadd__(arr)
         return self
@@ -325,7 +325,9 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
     ``h_mean`` (the activations the clarify penalty reads); the negative
     ones come from :func:`_cd_chain`, whose uniform blocks are drawn from
     ``rng`` in chain order.  Visible inputs may be probabilities in
-    [0, 1] (stacked-layer training feeds activations).
+    [0, 1] (stacked-layer training feeds activations).  The batch means
+    are written ``x.sum(axis=0) / n``: the reduction and division
+    ``np.mean`` performs, bit for bit, without its per-call wrapper cost.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
@@ -338,7 +340,7 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
     uniforms = [rng.uniform(size=(n, w))
                 for w in _chain_widths(rbm.n_visible, rbm.n_hidden, cfg.k)]
     h_data, v_prob, h_model = _cd_chain(rbm.W, rbm.b, rbm.c, batch, uniforms)
-    h_mean = h_data.mean(axis=0)
-    db = batch.mean(axis=0) - v_prob.mean(axis=0)
+    h_mean = h_data.sum(axis=0) / n
+    db = batch.sum(axis=0) / n - v_prob.sum(axis=0) / n
     dW = (batch.T @ h_data - v_prob.T @ h_model) / n
-    return RbmGradient(db, h_mean - h_model.mean(axis=0), dW), h_mean
+    return RbmGradient(db, h_mean - h_model.sum(axis=0) / n, dW), h_mean

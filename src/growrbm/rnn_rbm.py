@@ -197,7 +197,7 @@ def unroll(model: RnnRbm, seq):
             u = expit(pre[t], out=U[t + 1])
             np.maximum(u, _SIG_LO, out=u)
             np.minimum(u, _SIG_HI, out=u)
-    if not np.all(np.isfinite(pre)):
+    if not np.isfinite(pre).all():
         raise FloatingPointError("sigmoid: non-finite input")
     U = U.swapaxes(0, -2)
     return (U, *_frame_biases(model, U))

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                           StructureController, apply_annihilation,
-                           forgetting_gradient, generation_scores,
+                           StructureController, add_forgetting_,
+                           apply_annihilation, generation_scores,
                            insert_after, mask_from_activations,
                            maybe_generate)
 from growrbm.errors import StructureError
 from growrbm.numerics import RngStream
-from growrbm.rbm import (Rbm, free_energy, hidden_conditional,
+from growrbm.rbm import (Rbm, RbmGradient, free_energy, hidden_conditional,
                          log_partition_exact)
-from growrbm.rnn_rbm import RnnRbm
+from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient
 
 
 def adapt_cfg(**kw):
@@ -287,6 +287,36 @@ class TestAnnihilation:
         assert np.abs(before - after).sum() < 1e-6
 
 
+def reference_forgetting_gradient(model, mode, cfg, hidden_activations=None):
+    """One forgetting penalty as a separate ``(b, c, W)`` gradient, zeros
+    in the arrays it does not touch: the form in which the penalties
+    were added into the batch gradient before they were added in place."""
+    g = RbmGradient(*map(np.zeros_like, (model.b, model.c, model.W)))
+    if mode == "decay":
+        g.dW = -cfg.decay_strength * np.sign(model.W)
+    elif mode == "clarify":
+        h = np.asarray(hidden_activations, dtype=np.float64)
+        slope = np.where(h <= 0.5, 1.0, -1.0)
+        g.dc = -cfg.clarify_strength * slope * h * (1.0 - h)
+    elif mode == "selective":
+        large = np.abs(model.W) >= cfg.selective_cutoff
+        g.dW = np.where(large, -cfg.selective_strength * np.sign(model.W), 0.0)
+    return g
+
+
+def forgetting(model, mode, cfg, hidden_activations=None):
+    """One penalty on its own: added into a zero static gradient."""
+    g = RbmGradient(*map(np.zeros_like, (model.b, model.c, model.W)))
+    return add_forgetting_(g, model, mode, cfg, hidden_activations)
+
+
+# signed zeros, values that cancel a penalty exactly, both sides of the
+# selective cutoff, and subnormals
+EDGE_VALUES = [0.0, -0.0, 1e-3, -1e-3, 0.05, -0.05, 0.1, -0.1, 2.0,
+               5e-324, -5e-324]
+ACTIVATIONS = [0.2, 0.5, 0.8, 5e-324, 1e-300, 1.0 - 2 ** -53]
+
+
 class TestForgetting:
     def rbm_with_weights(self, w):
         w = np.asarray(w, dtype=float)
@@ -295,7 +325,7 @@ class TestForgetting:
     def test_decay_is_signed_constant_pull(self):
         rbm = self.rbm_with_weights([[0.5, -0.3], [0.0, 2.0]])
         cfg = ForgettingConfig(decay_strength=0.001)
-        g = forgetting_gradient(rbm, "decay", cfg)
+        g = forgetting(rbm, "decay", cfg)
         npt.assert_array_equal(g.dW, [[-0.001, 0.001], [0.0, -0.001]])
         npt.assert_array_equal(g.db, np.zeros(2))
         npt.assert_array_equal(g.dc, np.zeros(2))
@@ -305,7 +335,7 @@ class TestForgetting:
         cfg = ForgettingConfig(decay_strength=0.01)
         before = np.abs(rbm.W).sum()
         for _ in range(50):
-            g = forgetting_gradient(rbm, "decay", cfg)
+            g = forgetting(rbm, "decay", cfg)
             rbm.W += 0.1 * g.dW
         assert np.abs(rbm.W).sum() < before
 
@@ -313,7 +343,7 @@ class TestForgetting:
         rbm = Rbm.zeros(1, 3)
         cfg = ForgettingConfig(clarify_strength=0.01)
         acts = np.array([0.2, 0.5, 0.8])
-        g = forgetting_gradient(rbm, "clarify", cfg, hidden_activations=acts)
+        g = forgetting(rbm, "clarify", cfg, hidden_activations=acts)
         assert g.dc[0] < 0  # below half: push down
         assert g.dc[2] > 0  # above half: push up
         # magnitude is maximal exactly at one half
@@ -324,23 +354,69 @@ class TestForgetting:
     def test_clarify_requires_activations(self):
         rbm = Rbm.zeros(1, 1)
         with pytest.raises(ValueError):
-            forgetting_gradient(rbm, "clarify", ForgettingConfig())
+            forgetting(rbm, "clarify", ForgettingConfig())
+
+    def test_clarify_rejects_wrong_activation_shape(self):
+        rbm = Rbm.zeros(2, 3)
+        g = RbmGradient(np.ones(2), np.ones(3), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="one entry per hidden unit"):
+            add_forgetting_(g, rbm, "clarify", ForgettingConfig(),
+                            np.full(2, 0.5))
+        for arr in (g.db, g.dc, g.dW):  # refused before any addition
+            npt.assert_array_equal(arr, np.ones_like(arr))
 
     def test_selective_spares_small_weights(self):
         rbm = self.rbm_with_weights([[0.05, -0.2], [0.1, -0.05]])
         cfg = ForgettingConfig(selective_strength=0.001, selective_cutoff=0.1)
-        g = forgetting_gradient(rbm, "selective", cfg)
+        g = forgetting(rbm, "selective", cfg)
         # |w| < cutoff: untouched; |w| >= cutoff: constant pull
         npt.assert_array_equal(g.dW, [[0.0, 0.001], [-0.001, 0.0]])
 
     def test_zero_weights_give_zero_decay(self):
         rbm = Rbm.zeros(2, 2)
-        g = forgetting_gradient(rbm, "decay", ForgettingConfig())
+        g = forgetting(rbm, "decay", ForgettingConfig())
         npt.assert_array_equal(g.dW, np.zeros((2, 2)))
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
-            forgetting_gradient(Rbm.zeros(1, 1), "melt", ForgettingConfig())
+            forgetting(Rbm.zeros(1, 1), "melt", ForgettingConfig())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), recurrent=st.booleans(),
+           modes=st.sampled_from([("decay",), ("clarify",), ("selective",),
+                                  ("decay", "clarify"),
+                                  ("selective", "clarify")]))
+    def test_in_place_equals_added_penalty_bit_for_bit(self, data, recurrent,
+                                                       modes):
+        n_visible, n_hidden = 3, 2
+        if recurrent:
+            model = RnnRbm.random(n_visible, n_hidden, RngStream(1), u_dim=2)
+            family = RnnRbmGradient
+        else:
+            model = Rbm.random(n_visible, n_hidden, RngStream(1))
+            family = RbmGradient
+
+        def edge_array(shape):
+            size = int(np.prod(shape))
+            values = data.draw(st.lists(st.sampled_from(EDGE_VALUES),
+                                        min_size=size, max_size=size))
+            return np.reshape(np.array(values, dtype=np.float64), shape)
+
+        model.W = edge_array(model.W.shape)
+        g = family(*(edge_array(arr.shape) for arr in vars(model).values()))
+        acts = np.array(data.draw(st.lists(st.sampled_from(ACTIVATIONS),
+                                           min_size=n_hidden,
+                                           max_size=n_hidden)))
+        cfg = ForgettingConfig(decay_strength=1e-3, clarify_strength=1e-3,
+                               selective_strength=1e-3, selective_cutoff=0.1)
+        want = family(*(arr.copy() for arr in vars(g).values()))
+        for mode in modes:
+            want.add_(reference_forgetting_gradient(model, mode, cfg, acts))
+        got = g
+        for mode in modes:
+            assert add_forgetting_(got, model, mode, cfg, acts) is got
+        for name, arr in vars(want).items():
+            assert getattr(got, name).tobytes() == arr.tobytes(), name
 
     def test_strengths_capped(self):
         with pytest.raises(ValueError):

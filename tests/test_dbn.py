@@ -3,16 +3,21 @@ import itertools
 
 import numpy as np
 import numpy.testing as npt
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from growrbm import dbn
 from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
 from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
-                         _layer_totals, mean_field_energy,
+                         _layer_totals, mean_field_metrics,
                          should_generate_layer, train_adaptive_dbn,
                          train_adaptive_rbm)
+from growrbm.errors import DimensionError
 from growrbm.log import LogRow
+from growrbm.metrics import cross_entropy_per_bit
 from growrbm.numerics import RngStream
-from growrbm.rbm import (CdConfig, Rbm, hidden_conditional,
-                         log_likelihood_exact)
+from growrbm.rbm import (CdConfig, Rbm, energy, hidden_conditional,
+                         log_likelihood_exact, visible_conditional)
 
 
 def parity_data(n_copies=40):
@@ -22,11 +27,54 @@ def parity_data(n_copies=40):
     return np.tile(np.array(rows), (n_copies, 1))
 
 
+def mean_field_energy(rbm, data):
+    """The static energy metric: the mean conditional expected energy of
+    the data rows, from its own hidden pass (the reference for
+    :func:`mean_field_metrics`)."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    h = hidden_conditional(rbm, data)
+    return float(np.mean(energy(rbm, data, h)))
+
+
+def reconstruction_error(rbm, data):
+    """The static error metric: the cross-entropy per bit of the one-pass
+    mean-field reconstruction, from its own hidden pass."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    rec = visible_conditional(rbm, hidden_conditional(rbm, data))
+    return cross_entropy_per_bit(rec, data)
+
+
+class TestMeanFieldMetrics:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), n_visible=st.integers(1, 9),
+           n_hidden=st.integers(1, 9), binary=st.booleans(),
+           scale=st.sampled_from([0.01, 1.0, 30.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_separate_passes(self, n, n_visible, n_hidden, binary,
+                                    scale, seed):
+        rng = RngStream(seed)
+        rbm = Rbm(rng.normal(sd=scale, size=n_visible),
+                  rng.normal(sd=scale, size=n_hidden),
+                  rng.normal(sd=scale, size=(n_visible, n_hidden)))
+        data = rng.uniform(size=(n, n_visible))
+        if binary:
+            data = (data < 0.5).astype(float)
+        assert mean_field_metrics(rbm, data) == (
+            mean_field_energy(rbm, data), reconstruction_error(rbm, data))
+
+    def test_single_row_and_wrong_dimension(self):
+        rbm = Rbm.random(3, 2, RngStream(4), weight_sd=0.5)
+        v = np.array([1.0, 0.0, 1.0])
+        assert mean_field_metrics(rbm, v) == mean_field_metrics(rbm, v[None])
+        with pytest.raises(DimensionError):
+            mean_field_metrics(rbm, np.zeros((2, 4)))
+
+
 class TestMeanFieldEnergy:
     def test_zero_model_zero_energy(self):
         rbm = Rbm.zeros(3, 2)
         data = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        assert mean_field_energy(rbm, data) == 0.0
+        assert mean_field_metrics(rbm, data)[0] == 0.0
 
     def test_matches_explicit_hidden_expectation(self):
         # multilinearity: E_h[E(v, h) | v] equals the energy evaluated at
@@ -42,7 +90,7 @@ class TestMeanFieldEnergy:
             ph = np.prod(np.where(h == 1.0, probs, 1 - probs))
             e = -(v @ rbm.b + h @ rbm.c + v @ rbm.W @ h)
             expected += ph * e
-        npt.assert_allclose(mean_field_energy(rbm, v[None, :]), expected,
+        npt.assert_allclose(mean_field_metrics(rbm, v[None, :])[0], expected,
                             rtol=1e-10)
 
 
@@ -50,7 +98,7 @@ def layer_totals(rbm, stats, data):
     """The stack gate's totals of a layer, read from the log row the
     layer's last epoch appends."""
     return _layer_totals(LogRow(
-        epoch=1, layer=1, energy=mean_field_energy(rbm, data), error=0.0,
+        epoch=1, layer=1, energy=mean_field_metrics(rbm, data)[0], error=0.0,
         wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),
         n_hidden=rbm.n_hidden, n_layers=1))
 
@@ -80,9 +128,9 @@ class TestLayerTotals:
         data = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         stats = GradientStats.zeros(2, 2)
         totals = layer_totals(rbm, stats, data)
-        energy = mean_field_energy(rbm, data)
-        assert energy < 0.0  # the logged sign, which the total drops
-        assert totals.energy == -energy
+        mean_energy = mean_field_metrics(rbm, data)[0]
+        assert mean_energy < 0.0  # the logged sign, which the total drops
+        assert totals.energy == -mean_energy
 
     def test_wd_sums_all_tracked_variances(self):
         rbm = Rbm.zeros(2, 2)
@@ -211,6 +259,53 @@ class TestTrainAdaptiveRbm:
         assert len(full_tail) == len(log_tail.rows)
         for a, b in zip(full_tail, log_tail.rows):
             assert (a.epoch, a.energy, a.error) == (b.epoch, b.energy, b.error)
+
+    def test_builds_no_stream_per_batch(self, monkeypatch):
+        # 32 rows in batches of 4: eight batch streams per epoch, served
+        # by re-keying one stream; per epoch only the epoch stream and the
+        # growth sweep's are built, plus the init and batch streams once
+        data = self.data()[:32]
+        cd = CdConfig(k=1, learning_rate=0.1, batch_size=4)
+        adapt = AdaptConfig(generation_phase_epochs=3, max_hidden=6,
+                            gen_threshold=1e9)
+        root, built = RngStream(12), []
+        init = RngStream.__init__
+
+        def counting(self, seed):
+            built.append(seed)
+            init(self, seed)
+
+        monkeypatch.setattr(RngStream, "__init__", counting)
+        epochs = 3
+        _, _, log = train_adaptive_rbm(data, 3, cd, epochs, root, adapt=adapt)
+        assert len(log.rows) == epochs
+        assert len(built) <= 2 + 2 * epochs
+
+    def test_batch_streams_start_fresh(self, monkeypatch):
+        # each batch's stream is in the state of a new split when the
+        # gradient reads it, whatever the previous batch drew
+        data = self.data()[:32]
+        cd = CdConfig(k=2, learning_rate=0.1, batch_size=4)
+        seen = []
+        step = dbn.cd_step
+
+        def recording(model, batch, cfg, rng):
+            seen.append((rng.key, rng._gen.bit_generator.state))
+            return step(model, batch, cfg, rng)
+
+        monkeypatch.setattr(dbn, "cd_step", recording)
+        root = RngStream(13)
+        train_adaptive_rbm(data, 3, cd, 2, root)
+        assert len(seen) == 2 * 8
+        for i, (key, state) in enumerate(seen):
+            fresh = root.split(i // 8 + 1).split(i % 8 + 1)
+            assert key == fresh.key
+            want = fresh._gen.bit_generator.state
+            assert (state["buffer_pos"], state["has_uint32"]) == (
+                want["buffer_pos"], want["has_uint32"])
+            for name in ("counter", "key"):
+                npt.assert_array_equal(state["state"][name],
+                                       want["state"][name])
 
 
 class TestTrainAdaptiveDbn:

@@ -353,6 +353,27 @@ class TestCli:
         assert code == 3
         assert err == ["numeric failure: sigmoid: non-finite input"]
 
+    @pytest.mark.parametrize("model", ["rbm", "dbn"])
+    def test_numeric_failure_in_static_cd_exits_3(self, tmp_path, data_file,
+                                                  capsys, monkeypatch, model):
+        # finite initial weights whose pre-activations overflow in the
+        # first batch's CD chain: the guarded sigmoid must refuse them
+        fresh = Rbm.random
+
+        def huge(*args, **kwargs):
+            layer = fresh(*args, **kwargs)
+            layer.W[:] = 1e308
+            return layer
+
+        monkeypatch.setattr(Rbm, "random", staticmethod(huge))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = {model}\ntrain = {data_file}\n"
+                       f"out = {tmp_path / 'run'}\nepochs = 1\n"
+                       "n_hidden = 3\ncd.batch_size = 4\n")
+        code, err = self.stderr_lines(["train", "--config", str(cfg)], capsys)
+        assert code == 3
+        assert err == ["numeric failure: sigmoid: non-finite input"]
+
     @pytest.mark.parametrize("model", ["rnn-rbm", "rnn-dbn"])
     @pytest.mark.parametrize("held_out,message", [
         ([np.ones((1, 4)), np.zeros((1, 4))], "two frames"),

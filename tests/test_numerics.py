@@ -125,6 +125,72 @@ class TestRngStream:
                                   child.uniform(size=50))
 
 
+def draw(stream, kind):
+    """One draw of each kind a stream serves, as an array."""
+    if kind == "uniform":
+        return stream.uniform(size=5)
+    if kind == "normal":
+        return stream.normal(sd=2.0, size=3)
+    if kind == "integers":
+        return np.array([stream.integers(7), stream.integers(2 ** 40)])
+    return stream.permutation(6)
+
+
+KINDS = ("uniform", "normal", "integers", "permutation")
+
+
+class TestSplitInto:
+    """Re-keying a stream in place against a fresh split."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.integers(min_value=0, max_value=2 ** 40),
+           st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.lists(st.sampled_from(KINDS), max_size=6),
+           st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
+    def test_draws_equal_fresh_split(self, seed, index, child_seed, before,
+                                     after):
+        root = RngStream(seed)
+        child = RngStream(child_seed)
+        for kind in before:
+            draw(child, kind)
+        assert root.split_into(index, child) is child
+        fresh = root.split(index)
+        assert child.key == fresh.key
+        for kind in after:
+            npt.assert_array_equal(draw(child, kind), draw(fresh, kind),
+                                   err_msg=kind)
+
+    def test_clears_a_buffered_half_word(self):
+        # a bounded draw below 2**32 takes half a word and buffers the
+        # other half; a fresh split has nothing buffered
+        root, child = RngStream(5), RngStream(6)
+        child.integers(7)
+        assert child._gen.bit_generator.state["has_uint32"] == 1
+        root.split_into(3, child)
+        state = child._gen.bit_generator.state
+        fresh = root.split(3)._gen.bit_generator.state
+        assert state.keys() == fresh.keys()
+        for name in ("buffer_pos", "has_uint32", "uinteger"):
+            assert state[name] == fresh[name], name
+        npt.assert_array_equal(state["buffer"], fresh["buffer"])
+        for name in ("counter", "key"):
+            npt.assert_array_equal(state["state"][name], fresh["state"][name])
+        assert child.integers(7) == root.split(3).integers(7)
+
+    def test_does_not_advance_parent(self):
+        root = RngStream(8)
+        root.split_into(4, RngStream(0))
+        npt.assert_array_equal(root.uniform(size=20),
+                               RngStream(8).uniform(size=20))
+
+    def test_rejects_negative_index(self):
+        child = RngStream(11)
+        with pytest.raises(ValueError):
+            RngStream(0).split_into(-1, child)
+        assert child.key == 11
+
+
 class TestFrameUniforms:
     @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
            st.lists(st.tuples(st.integers(min_value=0, max_value=40),
@@ -227,3 +293,9 @@ class TestSampleBernoulli:
             sample_bernoulli(np.array([0.5, 1.5]), rng)
         with pytest.raises(ValueError):
             sample_bernoulli(np.array([-0.1]), rng)
+
+    @pytest.mark.parametrize("p", [[np.nan, 0.5], [0.5, np.nan], [np.nan]],
+                             ids=["first", "last", "alone"])
+    def test_rejects_nan(self, p):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            sample_bernoulli(np.array(p), RngStream(1))

@@ -325,6 +325,29 @@ class TestCdStep:
         npt.assert_array_equal(h_mean,
                                hidden_conditional(rbm, batch).mean(axis=0))
 
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 3), n=st.integers(1, 300),
+           n_visible=st.integers(1, 24), n_hidden=st.integers(1, 20),
+           binary=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_means_equal_np_mean_bit_for_bit(self, k, n, n_visible, n_hidden,
+                                             binary, seed):
+        # cd_step writes its batch means as sums over n; the reference
+        # takes them with np.mean
+        rng = RngStream(seed)
+        rbm = Rbm(rng.normal(size=n_visible), rng.normal(size=n_hidden),
+                  rng.normal(sd=1.5, size=(n_visible, n_hidden)))
+        batch = rng.uniform(size=(n, n_visible))
+        if binary:
+            batch = (batch < 0.5).astype(float)
+        cfg = CdConfig(k=k)
+        got, h_mean = cd_step(rbm, batch, cfg, rng.split(1))
+        want = reference_cd_step(rbm, batch, cfg, rng.split(1))
+        assert h_mean.tobytes() == np.mean(hidden_conditional(rbm, batch),
+                                           axis=0).tobytes()
+        for name in ("db", "dc", "dW"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+
     def test_deterministic_given_stream(self):
         rbm = tiny_rbm(53)
         batch = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm import dbn, rnn_dbn, rnn_rbm
-from growrbm.dbn import (LayerGenConfig, _inherit, mean_field_energy,
+from growrbm.dbn import (LayerGenConfig, _inherit, mean_field_metrics,
                          train_adaptive_dbn, train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
 from growrbm.harness import evaluate_model
@@ -121,7 +121,7 @@ class TestStacking:
         else:
             module, name, stacked, data, energy = (
                 dbn, "train_adaptive_rbm", train_adaptive_dbn,
-                np.vstack(seqs), mean_field_energy)
+                np.vstack(seqs), lambda m, x: mean_field_metrics(m, x)[0])
         single, trained = getattr(module, name), []
 
         def recording(inputs, *args, **kwargs):

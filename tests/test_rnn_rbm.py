@@ -669,14 +669,14 @@ class TestSummaries:
         assert mean_sequence_energy(m, seqs) == 0.0
 
     def test_zero_recurrence_matches_static_energy(self):
-        from growrbm.dbn import mean_field_energy
+        from growrbm.dbn import mean_field_metrics
         rng = RngStream(44)
         rbm = Rbm(rng.normal(sd=0.4, size=3), rng.normal(sd=0.4, size=2),
                   rng.normal(sd=0.4, size=(3, 2)))
         m = static_in_rnn(rbm)
         frames = (rng.uniform(size=(6, 3)) < 0.5).astype(float)
         npt.assert_allclose(mean_sequence_energy(m, [frames[:4], frames[4:]]),
-                            mean_field_energy(rbm, frames), rtol=1e-12)
+                            mean_field_metrics(rbm, frames)[0], rtol=1e-12)
 
     def test_mean_hidden_activation_manual(self):
         m = small_model(45)
