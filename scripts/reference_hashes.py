@@ -4,7 +4,11 @@ A refactor that must leave every output byte unchanged runs this on the
 parent commit and on the change and compares the two printouts.  Each
 line gives a model kind, the first 16 hex digits of the sha256 of its
 ``log.csv`` and ``model.ckpt``, and the number of growth, pruning and
-layer events in the log.  The hashes depend on the host's BLAS
+layer events in the log.  The two recurrent adaptive kinds also gate
+the read path: a second line gives the ``run_eval`` scores (``repr``)
+of the trained checkpoint on a fixed held-out set of mixed sequence
+lengths, and the sha256 prefix of the file one ``run_sample`` call of
+``SAMPLE_LENGTH`` frames writes.  The hashes depend on the host's BLAS
 rounding, so compare printouts made on the same machine.
 
 Run from the repository root::
@@ -23,7 +27,7 @@ from pathlib import Path
 
 from growrbm.config import parse_config_text
 from growrbm.data import synth_cycle, write_jsonl
-from growrbm.harness import run_training
+from growrbm.harness import run_eval, run_sample, run_training
 from growrbm.numerics import RngStream
 
 # name -> (model, adaptive, epochs, learning rate, cd k)
@@ -35,6 +39,12 @@ CONFIGS = {
     "fixed dbn": ("dbn", False, 6, 0.1, 1),
     "fixed rnn-dbn": ("rnn-dbn", False, 5, 0.5, 1),
 }
+# the kinds whose checkpoint is also evaluated and sampled
+READ_PATH = ("rnn-rbm", "rnn-dbn")
+# held-out sequence lengths, interleaved so that groups form out of order
+HELDOUT_LENGTHS = (25, 9, 25, 2, 9, 25, 1)
+SAMPLE_LENGTH = 32
+SAMPLE_SEED = 11
 
 
 def config_text(model: str, adaptive: bool, epochs: int, lr: float, k: int,
@@ -77,6 +87,9 @@ def main(argv=None) -> int:
         train = root / "train.jsonl"
         ds = synth_cycle(4, 8, 25, 16, 0.05, RngStream(101))
         write_jsonl(train, ds.train)
+        heldout = root / "heldout.jsonl"
+        write_jsonl(heldout, [ds.test[n % len(ds.test)][:t]
+                              for n, t in enumerate(HELDOUT_LENGTHS)])
         for name, spec in CONFIGS.items():
             out = root / name.replace(" ", "-")
             run_training(parse_config_text(config_text(*spec, train)), out)
@@ -84,6 +97,12 @@ def main(argv=None) -> int:
             print(f"{name:14s} log {sha(out / 'log.csv')} "
                   f"ckpt {sha(out / 'model.ckpt')} "
                   f"gen {gen} ann {ann} layer {layer}")
+            if name in READ_PATH:
+                scores = run_eval(out / "model.ckpt", heldout)
+                run_sample(out / "model.ckpt", SAMPLE_LENGTH, SAMPLE_SEED,
+                           out / "sample.jsonl")
+                print(f"{name:14s} eval {scores!r} "
+                      f"sample {sha(out / 'sample.jsonl')}")
     return 0
 
 

@@ -83,6 +83,46 @@ class Dbn:
             layer.validate()
 
 
+class _EpochFrames:
+    """The static training set as an epoch's pruning sweep and metrics
+    read it, with the sweep's hidden pass kept for the metrics.
+
+    :meth:`metrics` reuses the pass of :meth:`mean_activation` while the
+    model is the object it was made for, that is when the sweep pruned
+    nothing; a pruning sweep returns a new model, whose metrics take a
+    pass of their own.
+    """
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self._kept = None  # (model, data @ W, hidden conditionals)
+
+    def _hidden_pass(self, rbm: Rbm):
+        _check_last_dim("visible vector", self.data, rbm.n_visible)
+        vW = self.data @ rbm.W
+        return vW, sigmoid(vW + rbm.c)
+
+    def mean_activation(self, rbm: Rbm) -> np.ndarray:
+        """Per-unit mean of the hidden conditionals over the rows."""
+        vW, h = self._hidden_pass(rbm)
+        self._kept = rbm, vW, h
+        return h.mean(axis=0)
+
+    def metrics(self, rbm: Rbm) -> tuple[float, float]:
+        """:func:`mean_field_metrics` of the rows."""
+        if self._kept is None or self._kept[0] is not rbm:
+            self._kept = None  # another model's pass is freed first
+            self._kept = rbm, *self._hidden_pass(rbm)
+        _, vW, h = self._kept
+        self._kept = None
+        energy = float(np.mean(-(self.data @ rbm.b + h @ rbm.c
+                                 + np.sum(vW * h, axis=-1))))
+        rec = visible_conditional(rbm, h)
+        # freed before scoring, so the peak memory stays that of two passes
+        del vW, h
+        return energy, cross_entropy_per_bit(rec, self.data)
+
+
 def mean_field_metrics(rbm: Rbm, data: np.ndarray) -> tuple[float, float]:
     """The static epoch metrics ``(energy, error)`` from one hidden pass.
 
@@ -93,15 +133,7 @@ def mean_field_metrics(rbm: Rbm, data: np.ndarray) -> tuple[float, float]:
     computed once and serve both.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    _check_last_dim("visible vector", data, rbm.n_visible)
-    vW = data @ rbm.W
-    h = sigmoid(vW + rbm.c)
-    energy = float(np.mean(-(data @ rbm.b + h @ rbm.c
-                             + np.sum(vW * h, axis=-1))))
-    rec = visible_conditional(rbm, h)
-    # freed before scoring, so the peak memory stays that of two passes
-    del vW, h
-    return energy, cross_entropy_per_bit(rec, data)
+    return _EpochFrames(data).metrics(rbm)
 
 
 def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
@@ -120,6 +152,8 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
     ``split(0)`` seeds the weight init and each epoch ``e`` draws from
     ``split(e + 1)``, so a run resumed from epoch ``e`` replays the exact
     tail of an uninterrupted run (see :func:`~growrbm.adapt._train_layer`).
+    An epoch whose pruning sweep removes nothing scores itself from the
+    sweep's hidden pass (:class:`_EpochFrames`).
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
@@ -130,9 +164,9 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
     return _train_layer(
         data, init_model, cd, epochs, rng, adapt, forget, layer, n_layers,
         log, first_event, resume, epoch_callback, gradient=cd_step,
-        update=_apply_update, epoch_data=lambda: data,
-        activations=lambda m, x: hidden_conditional(m, x).mean(axis=0),
-        metrics=mean_field_metrics)
+        update=_apply_update, epoch_data=lambda: _EpochFrames(data),
+        activations=lambda m, frames: frames.mean_activation(m),
+        metrics=lambda m, frames: frames.metrics(m))
 
 
 def _layer_totals(row: LogRow) -> LayerTotals:

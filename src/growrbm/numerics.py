@@ -201,15 +201,23 @@ def sigmoid(x):
 
     Input must be finite; output is never exactly 0 or 1, so callers can
     take logs without guarding.  Shape is preserved.  The clamp works in
-    place on the fresh output, as in :func:`~growrbm.rnn_rbm.unroll`.
+    place on the fresh output (:func:`_logistic`).
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise FloatingPointError("sigmoid: non-finite input")
-    out = np.asarray(expit(arr))  # a 0-d input gives a scalar
+    out = _logistic(arr)
+    return out if out.ndim else out[()]
+
+
+def _logistic(x: np.ndarray, out=None) -> np.ndarray:
+    """:func:`sigmoid` of a float64 array without the finiteness check,
+    into ``out`` if given.  For loops that check their pre-activations
+    themselves, once, and silence the overflow warnings until then."""
+    out = np.asarray(expit(x, out=out))  # a 0-d input gives a scalar
     np.maximum(out, _SIG_LO, out=out)
     np.minimum(out, _SIG_HI, out=out)
-    return out if out.ndim else out[()]
+    return out
 
 
 def sample_bernoulli(p, rng: RngStream) -> np.ndarray:

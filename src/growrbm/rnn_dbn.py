@@ -14,6 +14,15 @@ next frame, and each layer below converts the prediction above it into
 visible marginals with a single conditional pass using its own temporal
 bias for the next step.  A one-layer stack is the recurrent RBM itself,
 so evaluation and sampling serve both recurrent kinds.
+
+Scoring a held-out set stacks it by exact length, as training does, and
+lifts and predicts each length group at once, so every layer unrolls
+once per group rather than once per sequence; the predictions are
+pooled back in the order of the sequences.  The groups are laid out
+(:func:`~growrbm.rnn_rbm._apart`) so that every prediction is bit for
+bit that of its sequence scored alone.  The finiteness of the top
+layer's mean-field passes is checked once per call, after the passes
+(:func:`~growrbm.rnn_rbm._mean_field_marginals`).
 """
 from __future__ import annotations
 
@@ -25,7 +34,8 @@ from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import RngStream, sample_bernoulli, sigmoid
 from .rbm import CdConfig
-from .rnn_rbm import (RnnRbm, _mean_field_marginals, next_frame_predictions,
+from .rnn_rbm import (RnnRbm, _apart, _as_sequences, _length_groups,
+                      _mean_field_marginals, next_frame_predictions,
                       predict_next, state_update, temporal_biases,
                       train_adaptive_rnn_rbm, unroll)
 
@@ -93,34 +103,50 @@ def predict_next_deep(stack: RnnDbn, prefix) -> np.ndarray:
 
 
 def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
-    """Stack predictions for frames ``2..T``; rows align with ``seq[1:]``.
+    """Stack predictions for frames ``2..T`` of one sequence ``(T, I)`` or
+    of every sequence of an equal-length group ``(S, T, I)``; rows align
+    with ``seq[..., 1:, :]``.
 
-    Vectorised over prefixes: each layer is unrolled once, the top layer
-    predicts all its steps with :func:`next_frame_predictions`, and the
-    down passes reuse the state trajectories of the lift.
+    Vectorised over prefixes and over the group: each layer is unrolled
+    once, the top layer predicts all its steps with
+    :func:`next_frame_predictions`, and the down passes reuse the state
+    trajectories of the lift.  The lift runs in the
+    :func:`~growrbm.rnn_rbm._apart` layout, so row ``s`` of a group's
+    result is bit for bit the result for ``seq[s]`` alone.
     """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.shape[0] < 2:
-        return np.zeros((0, stack.n_visible))
-    view, states = seq, []
+    seq = _as_sequences(seq)
+    if seq.shape[-2] < 2:
+        return np.zeros(seq.shape[:-2] + (0, stack.n_visible))
+    view, states = _apart(seq), []
     for layer in stack.layers[:-1]:
         U, _, C = unroll(layer, view)
         view = sigmoid(C + view @ layer.W)
         states.append(U)
     signal = next_frame_predictions(stack.layers[-1], view)
     for layer, U in zip(reversed(stack.layers[:-1]), reversed(states)):
-        signal = sigmoid(layer.b + U[1:-1] @ layer.w_uv
+        signal = sigmoid(layer.b + U[..., 1:-1, :] @ layer.w_uv
                          + signal @ layer.W.T)
-    return signal
+    return signal[..., 0, :, :]
 
 
 def _pool_predictions(stack: RnnDbn, sequences) -> PooledMetrics:
-    """Next-frame predictions pooled against frames ``2..T``; the frame
-    sizes are the caller's to check."""
+    """Next-frame predictions pooled against frames ``2..T``.
+
+    The sequences are stacked by exact length
+    (:func:`~growrbm.rnn_rbm._length_groups`), each group is predicted by
+    one :func:`next_frame_predictions_deep` call, and the predictions are
+    added to the pool in the order of ``sequences``, so the pooled scores
+    do not depend on how the set groups.  The frame sizes are the
+    caller's to check.
+    """
+    pairs = [None] * len(sequences)
+    for positions, seqs in _length_groups(stack.layers[0], sequences):
+        preds = next_frame_predictions_deep(stack, seqs)
+        for n, pred, seq in zip(positions, preds, seqs):
+            pairs[n] = pred, seq[1:]
     pool = PooledMetrics()
-    for seq in sequences:
-        seq = np.asarray(seq, dtype=np.float64)
-        pool.add(next_frame_predictions_deep(stack, seq), seq[1:])
+    for pred, target in pairs:
+        pool.add(pred, target)
     return pool
 
 

@@ -44,21 +44,27 @@ the epoch loop shared with the static model,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import DimensionError
 from .log import TrainLog
 from .metrics import PooledMetrics
-from .numerics import _SIG_HI, _SIG_LO, RngStream, sigmoid
+from .numerics import RngStream, _logistic, sigmoid
 from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
                   _chain_widths, _guard_exact, all_states)
 
 SEQ_ENUM_LIMIT = 20
 MEAN_FIELD_PASSES = 10
+# pre-activation entries the mean-field passes keep between two
+# finiteness checks: a frame or a short sequence checks once per call,
+# and a large group keeps a buffer small enough to be reused from the
+# heap rather than mapped (and page-faulted) afresh on every call
+_MEAN_FIELD_KEEP = 1 << 13
 GRAD_CLIP = 5.0
 U0_MARGIN = 1e-6
 
@@ -142,6 +148,28 @@ def _as_sequence(seq) -> np.ndarray:
     return seq
 
 
+def _as_sequences(seq) -> np.ndarray:
+    """One sequence ``(T, I)`` or equal-length sequences stacked on
+    leading axes, such as a length group ``(S, T, I)``."""
+    seq = np.asarray(seq, dtype=np.float64)
+    if seq.ndim < 2:
+        raise DimensionError("sequence must be (frames, dim) or stacked as "
+                             f"(..., frames, dim), got {seq.shape}")
+    return seq
+
+
+def _apart(seqs: np.ndarray) -> np.ndarray:
+    """``(..., T, I)`` viewed as ``(..., 1, T, I)``.
+
+    Unrolled in this layout, each state step takes one vector-matrix
+    product per sequence, as a lone sequence does, so every sequence of
+    a group gets bit for bit the states it gets alone.  An ``(S, T, I)``
+    unroll, the layout of training, takes one matrix product per step for
+    the whole group, which BLAS may round differently in the last bit.
+    """
+    return seqs[..., None, :, :]
+
+
 def temporal_biases(model: RnnRbm, u_prev: np.ndarray):
     """Frame biases induced by the previous state."""
     u_prev = np.asarray(u_prev, dtype=np.float64)
@@ -164,9 +192,10 @@ def state_update(model: RnnRbm, u_prev: np.ndarray, v_t: np.ndarray) -> np.ndarr
 def unroll(model: RnnRbm, seq):
     """States and per-frame biases along one sequence or a group of them.
 
-    ``seq`` is one sequence ``(T, I)`` or ``S`` equal-length sequences
-    stacked as ``(S, T, I)``.  Returns ``(U, B, C)`` with the same leading
-    axes, where ``U[..., t, :]`` is the state after ``t`` frames
+    ``seq`` is one sequence ``(T, I)`` or equal-length sequences stacked
+    on leading axes, as ``(S, T, I)`` or the :func:`_apart` layout
+    ``(S, 1, T, I)``.  Returns ``(U, B, C)`` with the same leading axes,
+    where ``U[..., t, :]`` is the state after ``t`` frames
     (``U[..., 0, :]`` is the learned initial state, so ``U`` has ``T + 1``
     rows per sequence) and ``B[..., t, :] / C[..., t, :]`` are the biases
     used for frame ``t``.
@@ -177,16 +206,13 @@ def unroll(model: RnnRbm, seq):
     finiteness check over all pre-activations after the loop raises the
     error :func:`~growrbm.numerics.sigmoid` would have raised.
     """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim not in (2, 3):
-        raise DimensionError("sequence must be (frames, dim) or "
-                             f"(sequences, frames, dim), got {seq.shape}")
+    seq = _as_sequences(seq)
     if seq.shape[-1] != model.n_visible:
         raise DimensionError(
             f"frame has dimension {seq.shape[-1]}, expected {model.n_visible}")
     # the recursion runs time-major, so each step fills contiguous rows
     lead, t_len = seq.shape[:-2], seq.shape[-2]
-    frames = seq.swapaxes(0, -2)
+    frames = np.moveaxis(seq, -2, 0)
     U = np.empty((t_len + 1,) + lead + (model.u_dim,))
     pre = np.empty((t_len,) + lead + (model.u_dim,))
     U[0] = model.u0
@@ -194,12 +220,10 @@ def unroll(model: RnnRbm, seq):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_len):
             pre[t] = model.u_bias + U[t] @ model.w_uu + frames[t] @ model.w_vu
-            u = expit(pre[t], out=U[t + 1])
-            np.maximum(u, _SIG_LO, out=u)
-            np.minimum(u, _SIG_HI, out=u)
+            _logistic(pre[t], out=U[t + 1])
     if not np.isfinite(pre).all():
         raise FloatingPointError("sigmoid: non-finite input")
-    U = U.swapaxes(0, -2)
+    U = np.moveaxis(U, 0, -2)
     return (U, *_frame_biases(model, U))
 
 
@@ -413,11 +437,36 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
 
 def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
                           c_next: np.ndarray) -> np.ndarray:
-    """Alternating mean-field passes from the uninformative 1/2 start."""
+    """Alternating mean-field passes from the uninformative 1/2 start.
+
+    ``b_next (..., I)`` and ``c_next (..., J)`` are the biases of one
+    frame, of the frames of one sequence ``(T, .)`` or of a length group
+    ``(S, T, .)``; they share their leading axes, and every row is
+    scored on its own.  The result has the shape of ``b_next``.
+
+    The passes apply the clamped logistic without a guard and keep
+    their pre-activations for one finiteness check after the passes.  It
+    raises the error of :func:`~growrbm.numerics.sigmoid` on exactly the
+    inputs where a guarded pass would have raised it.  The buffer holds
+    at most ``_MEAN_FIELD_KEEP`` entries, so a call on more rows than
+    fit ten passes checks each batch of passes that fits.
+    """
     v = np.full(b_next.shape, 0.5)
-    for _ in range(MEAN_FIELD_PASSES):
-        h = sigmoid(c_next + v @ W)
-        v = sigmoid(b_next + h @ W.T)
+    lead = b_next.shape[:-1]
+    keep = min(MEAN_FIELD_PASSES, max(1, _MEAN_FIELD_KEEP // max(
+        1, math.prod(lead) * sum(W.shape))))
+    pre_h = np.empty((keep,) + lead + W.shape[1:])
+    pre_v = np.empty((keep,) + b_next.shape)
+    # an overflow here is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, MEAN_FIELD_PASSES, keep):
+            n = min(keep, MEAN_FIELD_PASSES - start)
+            for k in range(n):
+                h = _logistic(np.add(c_next, v @ W, out=pre_h[k]))
+                v = _logistic(np.add(b_next, h @ W.T, out=pre_v[k]))
+            if not (np.isfinite(pre_h[:n]).all()
+                    and np.isfinite(pre_v[:n]).all()):
+                raise FloatingPointError("sigmoid: non-finite input")
     return v
 
 
@@ -437,16 +486,23 @@ def predict_next(model: RnnRbm, prefix) -> np.ndarray:
 
 
 def next_frame_predictions(model: RnnRbm, seq) -> np.ndarray:
-    """Marginal predictions for frames ``2..T`` of one sequence.
+    """Marginal predictions for frames ``2..T`` of one sequence ``(T, I)``
+    or of every sequence of an equal-length group ``(S, T, I)``.
 
     Vectorised equivalent of calling :func:`predict_next` on every
-    proper prefix; rows align with ``seq[1:]``.
+    proper prefix: one :func:`unroll` of the sequence or group, in the
+    :func:`_apart` layout, then one call of the mean-field passes on the
+    biases of all its frames after the first.  So row ``s`` of a group's
+    result is bit for bit the result for ``seq[s]`` alone.  Rows align
+    with ``seq[..., 1:, :]``; a group of single-frame sequences gives an
+    ``(S, 0, I)`` result.
     """
-    seq = _as_sequence(seq)
-    if seq.shape[0] < 2:
-        return np.zeros((0, model.n_visible))
-    U, B, C = unroll(model, seq)
-    return _mean_field_marginals(model.W, B[1:], C[1:])
+    seq = _as_sequences(seq)
+    if seq.shape[-2] < 2:
+        return np.zeros(seq.shape[:-2] + (0, model.n_visible))
+    _, B, C = unroll(model, _apart(seq))
+    return _mean_field_marginals(model.W, B[..., 1:, :],
+                                 C[..., 1:, :])[..., 0, :, :]
 
 
 def mean_sequence_energy(model: RnnRbm, sequences) -> float:
@@ -481,7 +537,8 @@ def prediction_error(model: RnnRbm, sequences) -> float:
     """Pooled next-frame cross-entropy per bit over frames ``2..T``.
 
     The predictions are those of :func:`next_frame_predictions`, made
-    for a whole length group at once.
+    for a whole length group at once from the states the group keeps
+    (the training layout, so equal to them within rounding).
     """
     pool = PooledMetrics()
     for seqs, _, B, C in _unrolled(model, sequences):

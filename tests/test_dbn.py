@@ -6,8 +6,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growrbm import dbn
-from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
+from growrbm import dbn, rbm as rbm_module
+from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
+                           apply_annihilation)
 from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
                          _layer_totals, mean_field_metrics,
                          should_generate_layer, train_adaptive_dbn,
@@ -306,6 +307,41 @@ class TestTrainAdaptiveRbm:
             for name in ("counter", "key"):
                 npt.assert_array_equal(state["state"][name],
                                        want["state"][name])
+
+    def test_one_hidden_pass_per_epoch_that_prunes_nothing(self,
+                                                           monkeypatch):
+        # the pruning sweep's whole-set hidden pass also scores the epoch
+        # when it removes no unit; the CD batches have 100 rows, and the
+        # reconstruction pass has 16 columns, more than any hidden layer
+        data = (RngStream(21).uniform(size=(800, 16)) < 0.3).astype(float)
+        passes = []
+        for module in (dbn, rbm_module):
+            def counting(x, real=module.sigmoid):
+                x = np.asarray(x)
+                if x.ndim == 2 and x.shape[0] == 800 and x.shape[1] != 16:
+                    passes.append(x.shape)
+                return real(x)
+
+            monkeypatch.setattr(module, "sigmoid", counting)
+        adapt = AdaptConfig(generation_phase_epochs=4, max_hidden=12,
+                            ann_threshold=1e-6)
+        cd = CdConfig(k=1, learning_rate=0.1, batch_size=100)
+        _, _, log = train_adaptive_rbm(data, 6, cd, 10, RngStream(22),
+                                       adapt=adapt)
+        assert "ann(" not in log.csv_text()
+        assert len(passes) == 10  # 16 when the sweep's pass is not kept
+
+    def test_epoch_metrics_after_a_prune_take_their_own_pass(self):
+        data = self.data()
+        model = Rbm.random(4, 5, RngStream(23), weight_sd=0.5)
+        pruned, _ = apply_annihilation(model, GradientStats.zeros(4, 5),
+                                       np.array([0, 1, 0, 0, 1], dtype=bool))
+        frames = dbn._EpochFrames(data)
+        npt.assert_array_equal(frames.mean_activation(model),
+                               hidden_conditional(model, data).mean(axis=0))
+        assert frames.metrics(pruned) == mean_field_metrics(pruned, data)
+        frames.mean_activation(model)
+        assert frames.metrics(model) == mean_field_metrics(model, data)
 
 
 class TestTrainAdaptiveDbn:

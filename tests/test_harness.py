@@ -331,6 +331,22 @@ class TestCli:
         assert code == 3
         assert err == ["numeric failure: sigmoid: non-finite input"]
 
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_numeric_failure_in_mean_field_exits_3(self, tmp_path, data_file,
+                                                   capsys, command):
+        # finite weights whose mean-field pre-activations overflow: the
+        # state recursion does not read W, the top layer's passes do
+        model = RnnRbm.random(4, 3, RngStream(56), u_dim=2)
+        model.W[:] = 1e308
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, model)
+        args = (["--dataset", str(data_file)] if command == "eval" else
+                ["--length", "5", "--out", str(tmp_path / "gen.jsonl")])
+        code, err = self.stderr_lines(
+            [command, "--checkpoint", str(ckpt)] + args, capsys)
+        assert code == 3
+        assert err == ["numeric failure: sigmoid: non-finite input"]
+
     def test_numeric_failure_in_grouped_unroll_exits_3(self, tmp_path,
                                                         data_file, capsys,
                                                         monkeypatch):

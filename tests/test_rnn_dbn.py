@@ -220,6 +220,72 @@ class TestDeepPrediction:
         assert np.all((p > 0) & (p < 1))
 
 
+def random_stack(n_layers, seed, sizes=(4, 3, 3, 2)):
+    """``n_layers`` random recurrent layers over ``sizes[0]`` inputs."""
+    return RnnDbn(layers=[small_model(seed + i, i=n_v, j=n_h, k=2, sd=0.7)
+                          for i, (n_v, n_h) in enumerate(
+                              zip(sizes[:n_layers], sizes[1:n_layers + 1]))])
+
+
+class TestGroupedScoring:
+    """Scoring by length group against one sequence at a time."""
+
+    LENGTHS = (25, 3, 25, 1, 3, 2)
+
+    def sequences(self, seed=110):
+        rng = RngStream(seed)
+        return [(rng.split(n).uniform(size=(t, 4)) < 0.5).astype(float)
+                for n, t in enumerate(self.LENGTHS)]
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_evaluate_model_equals_per_prefix_pool(self, n_layers):
+        stack, seqs = random_stack(n_layers, 111), self.sequences()
+        pool = PooledMetrics()
+        for seq in seqs:
+            preds = [predict_next_deep(stack, seq[:t])
+                     for t in range(1, seq.shape[0])]
+            pool.add(np.reshape(preds, (-1, 4)), seq[1:])
+        npt.assert_allclose(evaluate_model(stack, seqs),
+                            (pool.cross_entropy(), pool.correct_ratio()),
+                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_group_rows_equal_lone_sequences_bit_for_bit(self, n_layers):
+        stack = random_stack(n_layers, 112)
+        group = np.stack([seq for seq in self.sequences(113)
+                          if seq.shape[0] == 25])
+        lone = next_frame_predictions_deep(stack, group[0])
+        npt.assert_array_equal(next_frame_predictions_deep(stack, group[:1]),
+                               lone[None])
+        rows = next_frame_predictions_deep(stack, group)
+        assert rows.shape == (2, 24, 4)
+        for row, seq in zip(rows, group):
+            npt.assert_array_equal(row, next_frame_predictions_deep(stack,
+                                                                    seq))
+
+    def test_single_frame_group_yields_no_rows(self):
+        out = next_frame_predictions_deep(random_stack(2, 114),
+                                          np.zeros((3, 1, 4)))
+        assert out.shape == (3, 0, 4)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_one_unroll_per_layer_and_length_group(self, monkeypatch,
+                                                   n_layers):
+        calls = []
+        real = rnn_rbm.unroll
+
+        def counting(model, seq):
+            calls.append(np.shape(seq))
+            return real(model, seq)
+
+        monkeypatch.setattr(rnn_rbm, "unroll", counting)
+        monkeypatch.setattr(rnn_dbn, "unroll", counting)
+        evaluate_model(random_stack(n_layers, 115), self.sequences())
+        # a group of single frames predicts nothing and unrolls nothing
+        groups = {t for t in self.LENGTHS if t >= 2}
+        assert len(calls) == n_layers * len(groups)
+
+
 class TestDeepSampling:
     def test_deterministic_binary_frames(self):
         (stack, _), _ = trained_stack(max_layers=2)

@@ -485,6 +485,83 @@ class TestPrediction:
                                          [np.zeros((1, 3))]))
 
 
+def reference_mean_field(W, b_next, c_next):
+    """The mean-field passes through the guarded :func:`sigmoid`, which
+    checks every pass's pre-activations as it goes."""
+    v = np.full(b_next.shape, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(rnn_rbm.MEAN_FIELD_PASSES):
+            h = sigmoid(c_next + v @ W)
+            v = sigmoid(b_next + h @ W.T)
+    return v
+
+
+@st.composite
+def mean_field_inputs(draw):
+    """Weights and next-frame biases for one frame ``(I,)``, a sequence
+    ``(T, I)`` or a group ``(S, T, I)``, at scales from ordinary to near
+    the float64 limit, and now and then one non-finite entry."""
+    i, j = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (1,), (6,), (1, 4), (3, 5), (48, 40)]))
+    rng = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    scales = st.sampled_from([0.5, 8.0, 1e300, 1e307, 4e307, 1e308])
+    with np.errstate(over="ignore"):
+        arrays = [rng.normal(size=shape) * draw(scales)
+                  for shape in [(i, j), lead + (i,), lead + (j,)]]
+    if draw(st.booleans()):
+        target = arrays[draw(st.integers(0, 2))].reshape(-1)
+        target[draw(st.integers(0, target.size - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+    return arrays
+
+
+class TestMeanFieldGuard:
+    """One finiteness check per call against a guarded sigmoid per pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=mean_field_inputs())
+    def test_matches_guarded_passes(self, inputs):
+        W, b_next, c_next = inputs
+        try:
+            want = reference_mean_field(W, b_next, c_next)
+        except FloatingPointError as exc:
+            assert str(exc) == "sigmoid: non-finite input"
+            with pytest.raises(FloatingPointError,
+                               match="^sigmoid: non-finite input$"):
+                rnn_rbm._mean_field_marginals(W, b_next, c_next)
+        else:
+            npt.assert_array_equal(
+                rnn_rbm._mean_field_marginals(W, b_next, c_next), want)
+
+    # (W[0, 0], visible bias 0, hidden bias 0) of the one frame that
+    # overflows.  With 1e308, its hidden unit 0 sits at 5e307 + 9e307 in
+    # the first pass and near 1e308 + 9e307, past the float64 range,
+    # from the second on.  With -1e308 it sits at -2e308 in the first
+    # pass only: its visible unit 0 then falls near 0, and so does the
+    # unit's share of the next pre-activations.
+    OVERFLOWS = {"from the second pass": (1e308, 0.0, 9e307),
+                 "in the first pass only": (-1e308, -50.0, -1.5e308)}
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    @pytest.mark.parametrize("lead", [(4, 5), (64, 30)])
+    def test_one_overflowing_row_of_a_group_raises(self, lead, case):
+        # the larger group's passes are checked one at a time
+        w, b, c = self.OVERFLOWS[case]
+        W = np.zeros((3, 2))
+        W[0, 0] = w
+        b_next, c_next = np.zeros(lead + (3,)), np.zeros(lead + (2,))
+        b_next[2, 3, 0], c_next[2, 3, 0] = b, c
+        for marginals in (reference_mean_field,
+                          rnn_rbm._mean_field_marginals):
+            with pytest.raises(FloatingPointError,
+                               match="^sigmoid: non-finite input$"):
+                marginals(W, b_next, c_next)
+        c_next[2, 3, 0] = 0.0
+        npt.assert_array_equal(
+            rnn_rbm._mean_field_marginals(W, b_next, c_next),
+            reference_mean_field(W, b_next, c_next))
+
+
 @st.composite
 def ragged_batches(draw):
     """A fresh or grown model, CD ``k`` and 1-8 sequences of 1-8 frames in
