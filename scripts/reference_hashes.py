@@ -8,8 +8,12 @@ layer events in the log.  The two recurrent adaptive kinds also gate
 the read path: a second line gives the ``run_eval`` scores (``repr``)
 of the trained checkpoint on a fixed held-out set of mixed sequence
 lengths, and the sha256 prefix of the file one ``run_sample`` call of
-``SAMPLE_LENGTH`` frames writes.  The hashes depend on the host's BLAS
-rounding, so compare printouts made on the same machine.
+``SAMPLE_LENGTH`` frames writes.  The trained stacks have small weights,
+so a last line gates the sampler on the shape the ``deep_serve``
+benchmark serves: a 3-layer 8->10->8->6 stack of ``RnnRbm.random``
+layers (``u_dim`` 8, weight sd 0.5), built as that workload builds it,
+sampled at two seeds.  The hashes depend on the host's BLAS rounding,
+so compare printouts made on the same machine.
 
 Run from the repository root::
 
@@ -25,10 +29,13 @@ import hashlib
 import tempfile
 from pathlib import Path
 
+from growrbm.checkpoint import save_checkpoint
 from growrbm.config import parse_config_text
 from growrbm.data import synth_cycle, write_jsonl
 from growrbm.harness import run_eval, run_sample, run_training
 from growrbm.numerics import RngStream
+from growrbm.rnn_dbn import RnnDbn
+from growrbm.rnn_rbm import RnnRbm
 
 # name -> (model, adaptive, epochs, learning rate, cd k)
 CONFIGS = {
@@ -45,6 +52,13 @@ READ_PATH = ("rnn-rbm", "rnn-dbn")
 HELDOUT_LENGTHS = (25, 9, 25, 2, 9, 25, 1)
 SAMPLE_LENGTH = 32
 SAMPLE_SEED = 11
+# the random deep stack: layer widths, state size, weight sd, the seed it
+# is built from and the seeds it is sampled at
+DEEP_WIDTHS = (8, 10, 8, 6)
+DEEP_U_DIM = 8
+DEEP_WEIGHT_SD = 0.5
+DEEP_SEED = 7
+DEEP_SAMPLE_SEEDS = (11, 12)
 
 
 def config_text(model: str, adaptive: bool, epochs: int, lr: float, k: int,
@@ -76,6 +90,15 @@ def event_counts(log_csv: Path) -> tuple[int, int, int]:
     return events.count("gen("), events.count("ann("), events.count("layer(")
 
 
+def deep_stack() -> RnnDbn:
+    """Layer ``i`` draws from ``RngStream(DEEP_SEED).split(10 + i)``."""
+    stream = RngStream(DEEP_SEED)
+    return RnnDbn(layers=[
+        RnnRbm.random(n_v, n_h, stream.split(10 + i), u_dim=DEEP_U_DIM,
+                      weight_sd=DEEP_WEIGHT_SD)
+        for i, (n_v, n_h) in enumerate(zip(DEEP_WIDTHS, DEEP_WIDTHS[1:]))])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--keep", help="write the runs here instead of a "
@@ -103,6 +126,13 @@ def main(argv=None) -> int:
                            out / "sample.jsonl")
                 print(f"{name:14s} eval {scores!r} "
                       f"sample {sha(out / 'sample.jsonl')}")
+        ckpt = root / "deep-stack.ckpt"
+        save_checkpoint(ckpt, deep_stack())
+        hashes = []
+        for seed in DEEP_SAMPLE_SEEDS:
+            run_sample(ckpt, SAMPLE_LENGTH, seed, root / f"deep{seed}.jsonl")
+            hashes.append(f"{seed} {sha(root / f'deep{seed}.jsonl')}")
+        print(f"{'deep stack':14s} sample " + " ".join(hashes))
     return 0
 
 

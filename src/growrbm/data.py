@@ -117,15 +117,22 @@ def load_jsonl(path, name: str | None = None) -> SequenceDataset:
 
 
 def write_jsonl(path, sequences, ids=None):
-    """Write sequences in the loadable format; round-trips exactly."""
+    """Write 0/1 sequences in the loadable format; round-trips exactly.
+
+    Raises ``ValueError`` naming the sequence for one that is not a
+    ``(frames, width)`` array or holds a value other than 0 or 1 (NaN
+    included), before the file is written.
+    """
     path = Path(path)
     lines = []
     for i, seq in enumerate(sequences):
         arr = np.asarray(seq)
+        if arr.ndim != 2 or not ((arr == 0) | (arr == 1)).all():
+            raise ValueError(f"sequence {i}: must be (frames, width) of 0/1")
         obj = {}
         if ids is not None:
             obj["id"] = ids[i]
-        obj["seq"] = [[int(round(x)) for x in frame] for frame in arr]
+        obj["seq"] = arr.astype(np.int64).tolist()
         lines.append(json.dumps(obj, separators=(",", ":")))
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 

@@ -1,9 +1,11 @@
 """JSONL round trips, eager validation, synthetic generators."""
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growrbm.data import (SequenceDataset, augment_parity, load_jsonl,
                           random_patterns, synth_cycle, write_jsonl)
@@ -145,6 +147,20 @@ class TestLoadJsonl:
             load_jsonl(tmp_path / "nope.jsonl")
 
 
+def reference_write_jsonl(path, sequences, ids=None):
+    """The writer that rounded every value with ``int(round(x))``."""
+    path = Path(path)
+    lines = []
+    for i, seq in enumerate(sequences):
+        arr = np.asarray(seq)
+        obj = {}
+        if ids is not None:
+            obj["id"] = ids[i]
+        obj["seq"] = [[int(round(x)) for x in frame] for frame in arr]
+        lines.append(json.dumps(obj, separators=(",", ":")))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
 class TestWriteJsonl:
     def test_round_trip(self, tmp_path):
         seqs = [np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0.0]])]
@@ -166,6 +182,41 @@ class TestWriteJsonl:
         p = tmp_path / "out.jsonl"
         write_jsonl(p, [np.array([[1.0, 0.0]])])
         assert p.read_text().strip() == '{"seq":[[1,0]]}'
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           shapes=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 9)),
+                           max_size=5),
+           dtype=st.sampled_from([np.float64, np.int64]),
+           with_ids=st.booleans())
+    def test_binary_bytes_equal_reference(self, tmp_path_factory, seed,
+                                          shapes, dtype, with_ids):
+        rng = np.random.default_rng(seed)
+        seqs = [(rng.random(shape) < 0.5).astype(dtype) for shape in shapes]
+        ids = [f"s{n}" for n in range(len(seqs))] if with_ids else None
+        d = tmp_path_factory.mktemp("write")
+        write_jsonl(d / "new.jsonl", seqs, ids=ids)
+        reference_write_jsonl(d / "old.jsonl", seqs, ids=ids)
+        assert (d / "new.jsonl").read_bytes() == (d / "old.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("bad", [0.7, 2.0, -1.0, 0.5, 1e-300, np.nan,
+                                     np.inf, -np.inf])
+    def test_rejects_values_other_than_0_or_1(self, tmp_path, bad):
+        good = np.array([[0.0, 1.0], [1.0, 1.0]])
+        worse = good.copy()
+        worse[1, 0] = bad
+        p = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="^sequence 1: "):
+            write_jsonl(p, [good, worse, good])
+        assert not p.exists()
+
+    @pytest.mark.parametrize("bad", [np.array([0.0, 1.0]),
+                                     np.zeros((2, 2, 2)), np.float64(1.0)])
+    def test_rejects_sequences_that_are_not_frame_lists(self, tmp_path, bad):
+        p = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="^sequence 0: "):
+            write_jsonl(p, [bad])
+        assert not p.exists()
 
 
 class TestRandomPatterns:

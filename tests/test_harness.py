@@ -347,6 +347,30 @@ class TestCli:
         assert code == 3
         assert err == ["numeric failure: sigmoid: non-finite input"]
 
+    @pytest.mark.parametrize("where", ["down pass", "last state update"])
+    def test_numeric_failure_in_sampling_exits_3(self, tmp_path, capsys,
+                                                 where):
+        # finite weights that overflow only where the sampler checks late:
+        # a lower layer's pass down from the top layer's marginals (1/2
+        # each, from a zero top layer), or the state update after the one
+        # frame drawn, which only the check after the last frame sees
+        if where == "down pass":
+            lower = RnnRbm.zeros(4, 4, u_dim=2)
+            lower.W[:] = 1e308
+            stack = RnnDbn(layers=[lower, RnnRbm.zeros(4, 3, u_dim=2)])
+        else:
+            stack = RnnRbm.zeros(4, 3, u_dim=4)
+            stack.w_uu[:] = 1e308
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, stack)
+        out = tmp_path / "gen.jsonl"
+        code, err = self.stderr_lines(
+            ["sample", "--checkpoint", str(ckpt), "--length", "1", "--out",
+             str(out)], capsys)
+        assert code == 3
+        assert err == ["numeric failure: sigmoid: non-finite input"]
+        assert not out.exists()
+
     def test_numeric_failure_in_grouped_unroll_exits_3(self, tmp_path,
                                                         data_file, capsys,
                                                         monkeypatch):

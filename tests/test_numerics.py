@@ -5,10 +5,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, philox4x64,
-                              sample_bernoulli, sigmoid, uniforms_from_words)
+from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, _logistic,
+                              philox4x64, sample_bernoulli, sigmoid,
+                              uniforms_from_words)
 
 # both clamp ends, the tails of expit down to denormals and past them,
 # tiny and denormal inputs, and ordinary values
@@ -84,6 +86,41 @@ class TestSigmoid:
            st.floats(min_value=0.01, max_value=1.0))
     def test_monotone(self, x, dx):
         assert sigmoid(x + dx) > sigmoid(x)
+
+
+def reference_logistic(x, out=None):
+    """The clamped logistic as it clamped against Python floats."""
+    out = np.asarray(expit(x, out=out))
+    np.maximum(out, float(np.finfo(np.float64).tiny), out=out)
+    np.minimum(out, float(np.nextafter(1.0, 0.0)), out=out)
+    return out
+
+
+# signed zeros, subnormals, both clamp ends (expit reaches 1 near 36.7
+# and leaves the normal range near -708.4), overflowed and NaN inputs
+LOGISTIC_INPUTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]),
+    st.floats(min_value=36.0, max_value=37.5),
+    st.floats(min_value=-709.5, max_value=-707.5),
+    st.floats(min_value=707.5, max_value=709.5),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+class TestLogistic:
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                     max_side=5),
+                        elements=LOGISTIC_INPUTS),
+           into=st.booleans())
+    def test_equals_python_float_clamp_bit_for_bit(self, x, into):
+        before = x.copy()
+        outs = [np.empty_like(x), np.empty_like(x)] if into else [None, None]
+        got, want = _logistic(x, outs[0]), reference_logistic(x, outs[1])
+        assert got.dtype == want.dtype and got.shape == want.shape == x.shape
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        npt.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+        if into:
+            assert got is outs[0]
 
 
 class TestRngStream:

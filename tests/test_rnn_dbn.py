@@ -15,9 +15,10 @@ from growrbm.rbm import CdConfig, hidden_conditional
 from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
-from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
-                             next_frame_predictions, predict_next,
-                             prediction_error, train_adaptive_rnn_rbm, unroll)
+from growrbm.rnn_rbm import (RnnRbm, _mean_field_marginals,
+                             mean_sequence_energy, next_frame_predictions,
+                             predict_next, prediction_error, state_update,
+                             temporal_biases, train_adaptive_rnn_rbm, unroll)
 from test_rnn_rbm import cycle_sequences, small_model
 
 
@@ -314,6 +315,55 @@ def reference_sample_sequence_deep(stack, length, rng):
     return frames
 
 
+def reference_linear_sampler(stack, length, rng, draw=sample_bernoulli):
+    """Linear sampler, one layer function at a time: per frame the
+    temporal biases, the top layer's mean-field passes, a guarded pass per
+    layer down, the draw, then guarded state updates and lifts."""
+    *lower, top = stack.layers
+    states = [layer.u0 for layer in stack.layers]
+    frames = np.zeros((length, stack.n_visible))
+    for t in range(length):
+        biases = [temporal_biases(*pair) for pair in zip(stack.layers, states)]
+        signal = _mean_field_marginals(top.W, *biases[-1])
+        for layer, (b_next, _) in zip(reversed(lower), reversed(biases[:-1])):
+            signal = sigmoid(b_next + signal @ layer.W.T)
+        view = frames[t] = draw(signal, rng)
+        for i, layer in enumerate(stack.layers):
+            states[i] = state_update(layer, states[i], view)
+            if i < len(lower):
+                view = sigmoid(biases[i][1] + view @ layer.W)
+    return frames
+
+
+def recording_draw(marginals):
+    """``sample_bernoulli`` that keeps a copy of every marginal it draws
+    from."""
+    def draw(p, rng):
+        marginals.append(np.array(p))
+        return sample_bernoulli(p, rng)
+    return draw
+
+
+def sample_both(stack, length, seed):
+    """``(frames, marginals)`` of the sampler and of the linear reference;
+    a ``FloatingPointError`` takes the place of the frames."""
+    got, want = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rnn_dbn, "sample_bernoulli", recording_draw(got))
+        try:
+            frames = sample_sequence_deep(stack, length, RngStream(seed))
+        except FloatingPointError as exc:
+            frames = str(exc)
+    # the reference's own overflow warnings are not under test
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            ref = reference_linear_sampler(stack, length, RngStream(seed),
+                                           recording_draw(want))
+        except FloatingPointError as exc:
+            ref = str(exc)
+    return (frames, got), (ref, want)
+
+
 @st.composite
 def stacks_and_sequences(draw, max_layers=3):
     """A stack of 1..``max_layers`` random recurrent layers and ragged
@@ -383,3 +433,38 @@ class TestReadPathProperties:
         for t, p in enumerate(marginals):
             npt.assert_allclose(p, predict_next_deep(stack, frames[:t]),
                                 rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacks_and_sequences(), length=st.integers(0, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sampler_equals_linear_reference_bit_for_bit(self, case, length,
+                                                         seed):
+        (frames, got), (ref, want) = sample_both(case[0], length, seed)
+        assert isinstance(frames, np.ndarray) and (frames == ref).all()
+        assert len(got) == len(want) == length
+        for p, q in zip(got, want):
+            assert p.shape == q.shape and (p == q).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stacks_and_sequences(), length=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 32 - 1),
+           where=st.tuples(st.integers(0, 2),
+                           st.sampled_from(["b", "c", "W", "u_bias", "w_uv",
+                                            "w_uh", "w_vu", "w_uu"])),
+           huge=st.sampled_from([1.7e308, -1.7e308]))
+    def test_sampler_fails_where_linear_reference_fails(self, case, length,
+                                                        seed, where, huge):
+        # huge entries in one array overflow in some frame, before or
+        # after its draw, or nowhere; either way the frames, the marginals
+        # drawn from and the error are the reference's
+        stack = case[0]
+        arr = getattr(stack.layers[where[0] % stack.n_layers], where[1])
+        arr += huge * (arr >= 0)
+        (frames, got), (ref, want) = sample_both(stack, length, seed)
+        if isinstance(ref, str):
+            assert frames == ref == "sigmoid: non-finite input"
+        else:
+            assert isinstance(frames, np.ndarray) and (frames == ref).all()
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert (p == q).all()
