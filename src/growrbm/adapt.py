@@ -19,8 +19,8 @@ large) and a push on the hidden biases that drives each unit's
 activation away from the undecided region around 1/2.
 
 The one adaptive epoch loop, :func:`_train_layer`, lives here too; the
-static and recurrent trainers pass their family's operations into it,
-and :class:`TrainState` is its resume point.
+static and recurrent trainers pass it their family's gradient, update
+step and epoch view, and :class:`TrainState` is its resume point.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericError, StructureError
 from .log import (LogRow, TrainLog, format_annihilation_event,
-                  format_generation_event, join_events)
+                  format_generation_event, format_layer_event, join_events)
 from .numerics import RngStream
 from .rbm import Rbm, RbmGradient
 
@@ -370,10 +370,8 @@ class TrainState:
 
 def _train_layer(data, model, cd, epochs: int, rng: RngStream,
                  adapt: AdaptConfig | None, forget: ForgettingConfig | None,
-                 layer: int, n_layers: int, log: TrainLog | None,
-                 first_event: str | None, resume: TrainState | None,
-                 epoch_callback, *, gradient, update, epoch_data,
-                 activations, metrics):
+                 layer: int, log: TrainLog | None, resume: TrainState | None,
+                 epoch_callback, *, gradient, update, epoch_data):
     """Adaptive epoch loop of both trainers; returns ``(model, stats, log)``.
 
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
@@ -387,17 +385,15 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
       ascent gradient and mean hidden activations, which the clarify
       penalty of the forgetting windows reads;
     * ``update(model, g, lr)``;
-    * ``epoch_data()``, the training set as the last two operations read
-      it, made anew each epoch after the updates;
-    * ``activations(model, whole)``, the mean hidden activations over the
-      set, for the pruning sweep;
-    * ``metrics(model, whole) -> (energy, error)``, on the model after
-      the structure sweep and its check.
+    * ``epoch_data()``, the family's epoch view of the training set, made
+      after the updates: ``mean_activation(model)`` for the pruning sweep
+      and ``metrics(model) -> (energy, error)`` on the model after the
+      sweep and its check.  Both views keep the sweep's hidden pass for
+      the metrics while the model is the same object.
 
-    The recurrent ``epoch_data`` unrolls the set once, when first read:
-    in the pruning sweep of an annihilation epoch, otherwise in the
-    metrics.  Growth, pruning and the forgetting penalties are the same
-    for both families.
+    ``layer`` counts from 1 and is logged as ``n_layers`` too; a layer
+    above the first logs ``layer(l=...)`` on its first epoch.  Growth,
+    pruning and the forgetting penalties are the same for both families.
     """
     log = log if log is not None else TrainLog()
     controller = StructureController(adapt, forget, epochs)
@@ -428,7 +424,8 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             update(model, g, cd.learning_rate)
 
         whole = epoch_data()
-        events = [first_event] if first_event and epoch == 0 else []
+        first = epoch == 0 and layer > 1
+        events = [format_layer_event(layer)] if first else []
         phase = controller.structure_phase(epoch)
         if phase == "generate" and adapt is not None:
             scores = generation_scores(stats, adapt)
@@ -437,7 +434,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             events += [format_generation_event(j, scores[j]) for j in parents]
             controller.record_generation(len(parents))
         elif phase == "annihilate" and adapt is not None:
-            mean_act = activations(model, whole)
+            mean_act = whole.mean_activation(model)
             mask = mask_from_activations(mean_act, adapt)
             if mask.any():
                 events += [format_annihilation_event(int(j), mean_act[j])
@@ -448,11 +445,11 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             model.validate()
         except FloatingPointError as exc:
             raise NumericError(str(exc)) from exc
-        energy, error = metrics(model, whole)
+        energy, error = whole.metrics(model)
         log.append(LogRow(
             epoch=epoch + 1, layer=layer, energy=energy, error=error,
             wd_c=float(stats.var_c().sum()), wd_w=float(stats.var_w().sum()),
-            n_hidden=model.n_hidden, n_layers=n_layers,
+            n_hidden=model.n_hidden, n_layers=layer,
             event=join_events(events)))
         if epoch_callback is not None:
             epoch_callback(TrainState(epoch, model.copy(), stats.copy(),

@@ -18,6 +18,7 @@ intact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import fields
@@ -123,11 +124,11 @@ def _read(path) -> tuple[dict, dict]:
     for entry in header["arrays"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
-                and all(isinstance(n, int) and n >= 0
+                and all(type(n) is int and n >= 0  # a bool is no size
                         for n in entry["shape"])):
             raise CheckpointError(f"{path}: bad array entry {entry!r}")
         shape = tuple(entry["shape"])
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64))
+        nbytes = 8 * math.prod(shape)  # exact: no int64 wrap to 0
         if offset + nbytes > len(raw):
             raise CheckpointTruncatedError(
                 f"{path}: file ends inside array '{entry['name']}'")

@@ -72,7 +72,8 @@ def _parse_sequence(seq, where: str) -> np.ndarray:
                 f"{where}: frame width {len(frame)} does not match first "
                 f"frame width {width}")
         for x in frame:
-            if x not in (0, 1):
+            # JSON true/false load as bools, which equal 1 and 0
+            if x not in (0, 1) or isinstance(x, bool):
                 raise DataFormatError(f"{where}: frame values must be 0 or 1")
     return np.asarray(seq, dtype=np.float64)
 
@@ -120,8 +121,8 @@ def write_jsonl(path, sequences, ids=None):
     """Write 0/1 sequences in the loadable format; round-trips exactly.
 
     Raises ``ValueError`` naming the sequence for one that is not a
-    ``(frames, width)`` array or holds a value other than 0 or 1 (NaN
-    included), before the file is written.
+    non-empty ``(frames, width)`` array or holds a value other than 0 or
+    1 (NaN included), before the file is written.
     """
     path = Path(path)
     lines = []
@@ -129,6 +130,8 @@ def write_jsonl(path, sequences, ids=None):
         arr = np.asarray(seq)
         if arr.ndim != 2 or not ((arr == 0) | (arr == 1)).all():
             raise ValueError(f"sequence {i}: must be (frames, width) of 0/1")
+        if arr.size == 0:  # no frames, or frames of width 0
+            raise ValueError(f"sequence {i}: empty, shape {arr.shape}")
         obj = {}
         if ids is not None:
             obj["id"] = ids[i]

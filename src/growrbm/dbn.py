@@ -3,7 +3,8 @@
 The trainer interleaves CD updates with the structure schedule: growth
 sweeps while gradients are still fluctuating, pruning sweeps once the
 layer has settled, and forgetting penalties over the final epochs; the
-loop itself is the shared :func:`~growrbm.adapt._train_layer`.  The deep
+loop itself is the shared :func:`~growrbm.adapt._train_layer`, reading
+the rows through the epoch view :class:`_EpochFrames`.  The deep
 model is built greedily by :func:`_train_stack`, the one stacking loop
 for :class:`Dbn` and ``rnn_dbn.RnnDbn``: each trained layer's hidden
 activations become the next layer's data, the next layer starts from
@@ -21,7 +22,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import NumericError
-from .log import LogRow, TrainLog, format_layer_event
+from .log import LogRow, TrainLog
 from .metrics import cross_entropy_per_bit
 from .numerics import RngStream, sigmoid
 from .rbm import (CdConfig, Rbm, _apply_update, _check_last_dim, cd_step,
@@ -84,8 +85,8 @@ class Dbn:
 
 
 class _EpochFrames:
-    """The static training set as an epoch's pruning sweep and metrics
-    read it, with the sweep's hidden pass kept for the metrics.
+    """The static epoch view: the rows, with the pruning sweep's hidden
+    pass kept for the metrics.
 
     :meth:`metrics` reuses the pass of :meth:`mean_activation` while the
     model is the object it was made for, that is when the sweep pruned
@@ -109,7 +110,10 @@ class _EpochFrames:
         return h.mean(axis=0)
 
     def metrics(self, rbm: Rbm) -> tuple[float, float]:
-        """:func:`mean_field_metrics` of the rows."""
+        """``(energy, error)`` of the rows from one hidden pass: the mean
+        conditional expected energy (:func:`~growrbm.rbm.energy` at the
+        hidden conditionals) and the cross-entropy per bit of the
+        one-pass mean-field reconstruction."""
         if self._kept is None or self._kept[0] is not rbm:
             self._kept = None  # another model's pass is freed first
             self._kept = rbm, *self._hidden_pass(rbm)
@@ -123,27 +127,12 @@ class _EpochFrames:
         return energy, cross_entropy_per_bit(rec, self.data)
 
 
-def mean_field_metrics(rbm: Rbm, data: np.ndarray) -> tuple[float, float]:
-    """The static epoch metrics ``(energy, error)`` from one hidden pass.
-
-    ``energy`` is the mean conditional expected energy of the data rows
-    (:func:`~growrbm.rbm.energy` at the hidden conditionals); ``error``
-    is the cross-entropy per bit of the one-pass mean-field
-    reconstruction.  ``data @ W`` and the hidden conditionals are
-    computed once and serve both.
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    return _EpochFrames(data).metrics(rbm)
-
-
 def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
                        epochs: int, rng: RngStream,
                        adapt: AdaptConfig | None = None,
                        forget: ForgettingConfig | None = None,
-                       init_model: Rbm | None = None,
-                       layer: int = 1, n_layers: int = 1,
+                       init_model: Rbm | None = None, layer: int = 1,
                        log: TrainLog | None = None,
-                       first_event: str | None = None,
                        resume: TrainState | None = None,
                        epoch_callback=None):
     """Train one RBM with the full structure schedule.
@@ -162,11 +151,9 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
         init_model = (Rbm.random(data.shape[1], n_hidden, rng.split(0))
                       if init_model is None else init_model.copy())
     return _train_layer(
-        data, init_model, cd, epochs, rng, adapt, forget, layer, n_layers,
-        log, first_event, resume, epoch_callback, gradient=cd_step,
-        update=_apply_update, epoch_data=lambda: _EpochFrames(data),
-        activations=lambda m, frames: frames.mean_activation(m),
-        metrics=lambda m, frames: frames.metrics(m))
+        data, init_model, cd, epochs, rng, adapt, forget, layer, log, resume,
+        epoch_callback, gradient=cd_step, update=_apply_update,
+        epoch_data=lambda: _EpochFrames(data))
 
 
 def _layer_totals(row: LogRow) -> LayerTotals:
@@ -218,12 +205,10 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
     log = log if log is not None else TrainLog()
     layer_idx = 1
     init = None
-    first_event = None
     while True:
         model, _, _ = train(
             inputs, rng=rng.split(layer_idx), init_model=init,
-            layer=layer_idx, n_layers=layer_idx, log=log,
-            first_event=first_event, epochs=epochs, **layer_kwargs)
+            layer=layer_idx, log=log, epochs=epochs, **layer_kwargs)
         totals = _layer_totals(log.rows[-1])
         stack = type(stack)(layers=stack.layers + [model],
                             totals=stack.totals + [totals])
@@ -238,7 +223,6 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
         layer_idx += 1
         init = _inherit(model, rng.split(layer_idx).split(0))
         inputs = lift(model, inputs)
-        first_event = format_layer_event(layer_idx)
 
     return stack, log
 

@@ -21,9 +21,9 @@ the forgetting windows' clarify penalty unrolls nothing more.
 
 The state recursion reads only ``u_bias``, ``w_uu``, ``w_vu``, ``u0``
 and the data, and growth and pruning edit none of them.  So one unroll
-of the training set per epoch, kept in a :class:`LengthGroups`, serves
-the pruning sweep and both epoch metrics, before and after a structure
-edit: only the frame biases are recomputed for the edited model.  The
+of the training set per epoch, kept in the epoch view
+:class:`LengthGroups`, serves the pruning sweep and both epoch metrics,
+and so does one hidden pass unless the sweep edits the model.  The
 length groups themselves are stacked once per trained layer.
 
 Grouping changes no random draw:
@@ -330,41 +330,59 @@ def _length_groups(model: RnnRbm, sequences):
 
 
 class LengthGroups:
-    """A sequence set stacked by exact length, and its states once unrolled.
+    """A sequence set stacked by exact length: the recurrent epoch view.
 
     ``stacks`` are the ``(S, T, I)`` arrays of the sequences grouped by
-    length, in order of first appearance.  :meth:`unrolled` unrolls each
-    stack on first use and keeps the states ``U``.  The recursion reads
-    only ``u_bias``, ``w_uu``, ``w_vu``, ``u0`` and the data, so the kept
-    states serve any model with the same values there, such as the model
-    after a growth or pruning sweep, which edit only ``HIDDEN``.  Once
-    those arrays change, start over with a new ``LengthGroups(stacks)``.
+    length, in order of first appearance.  The first :meth:`hidden_passes`
+    unrolls them and keeps the states, which read only ``u_bias``,
+    ``w_uu``, ``w_vu``, ``u0`` and the data: they serve the model after a
+    growth or pruning sweep too.  The last pass is kept for its model
+    object.  A model whose arrays change in place needs a new view.
     """
 
     def __init__(self, stacks):
         self.stacks = stacks
         self.states = None
+        self._kept = None  # (model, hidden_passes(model))
 
     @classmethod
     def of(cls, model: RnnRbm, sequences) -> "LengthGroups":
         return cls([seqs for _, seqs in _length_groups(model, sequences)])
 
-    def unrolled(self, model: RnnRbm) -> list:
-        """``(seqs, U, B, C)`` per stack, as :func:`unroll` would give
-        them for ``model``; ``B`` and ``C`` are computed afresh from the
-        kept states."""
-        if self.states is None:
-            self.states = [unroll(model, seqs)[0] for seqs in self.stacks]
-        return [(seqs, U, *_frame_biases(model, U))
-                for seqs, U in zip(self.stacks, self.states)]
+    def hidden_passes(self, model: RnnRbm) -> list:
+        """``(seqs, B, C, pre, h)`` per stack for ``model``: the biases of
+        :func:`unroll`, ``pre = C + seqs @ W`` and ``h = sigmoid(pre)``."""
+        if self._kept is None or self._kept[0] is not model:
+            self._kept = None  # another model's pass is freed first
+            unrolled = ([unroll(model, seqs) for seqs in self.stacks]
+                        if self.states is None else
+                        [(U, *_frame_biases(model, U)) for U in self.states])
+            self.states = [U for U, _, _ in unrolled]
+            passes = []
+            for seqs, (_, B, C) in zip(self.stacks, unrolled):
+                pre = C + seqs @ model.W
+                passes.append((seqs, B, C, pre, sigmoid(pre)))
+            self._kept = model, passes
+        return self._kept[1]
+
+    def mean_activation(self, model: RnnRbm) -> np.ndarray:
+        """:func:`mean_hidden_activation` of the set."""
+        return mean_hidden_activation(model, self)
+
+    def metrics(self, model: RnnRbm) -> tuple[float, float]:
+        """The epoch metrics; the kept pass is freed after them."""
+        energy = mean_sequence_energy(model, self)
+        error = prediction_error(model, self)
+        self._kept = None
+        return energy, error
 
 
-def _unrolled(model: RnnRbm, sequences) -> list:
-    """:meth:`LengthGroups.unrolled` of a sequence list or of a
-    :class:`LengthGroups` whose states may already be kept."""
+def _hidden_passes(model: RnnRbm, sequences) -> list:
+    """:meth:`LengthGroups.hidden_passes` of a sequence list or of a
+    :class:`LengthGroups` whose states and pass may already be kept."""
     if not isinstance(sequences, LengthGroups):
         sequences = LengthGroups.of(model, sequences)
-    return sequences.unrolled(model)
+    return sequences.hidden_passes(model)
 
 
 def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
@@ -513,9 +531,7 @@ def mean_sequence_energy(model: RnnRbm, sequences) -> float:
     """
     total = 0.0
     frames = 0
-    for seqs, _, B, C in _unrolled(model, sequences):
-        pre = C + seqs @ model.W
-        h = sigmoid(pre)
+    for seqs, B, _, pre, h in _hidden_passes(model, sequences):
         e = -np.sum(seqs * B, axis=-1) - np.sum(h * pre, axis=-1)
         total += float(e.sum())
         frames += e.size
@@ -526,8 +542,8 @@ def mean_hidden_activation(model: RnnRbm, sequences) -> np.ndarray:
     """Per-unit mean of ``p(h_j = 1 | v_t)`` over all frames."""
     acc = np.zeros(model.n_hidden)
     frames = 0
-    for seqs, _, _, C in _unrolled(model, sequences):
-        h = _rows(sigmoid(C + seqs @ model.W))
+    for *_, h in _hidden_passes(model, sequences):
+        h = _rows(h)
         acc += h.sum(axis=0)
         frames += h.shape[0]
     return acc / frames
@@ -541,7 +557,7 @@ def prediction_error(model: RnnRbm, sequences) -> float:
     (the training layout, so equal to them within rounding).
     """
     pool = PooledMetrics()
-    for seqs, _, B, C in _unrolled(model, sequences):
+    for seqs, B, C, _, _ in _hidden_passes(model, sequences):
         if seqs.shape[1] >= 2:
             pool.add(_mean_field_marginals(model.W, B[:, 1:], C[:, 1:]),
                      seqs[:, 1:])
@@ -559,19 +575,16 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
                            adapt: AdaptConfig | None = None,
                            forget: ForgettingConfig | None = None,
                            u_dim: int | None = None,
-                           init_model: RnnRbm | None = None,
-                           layer: int = 1, n_layers: int = 1,
+                           init_model: RnnRbm | None = None, layer: int = 1,
                            log: TrainLog | None = None,
-                           first_event: str | None = None,
                            resume: TrainState | None = None,
                            epoch_callback=None):
     """Adaptive training of one recurrent layer in the shared epoch loop.
 
     Batches of sequences get BPTT-CD updates clipped to ``GRAD_CLIP``.  See
     the static trainer for the stream layout.  The training set is
-    stacked by length once; every epoch unrolls it once, on first use
-    after the updates, for the pruning sweep and both metrics.  Returns
-    ``(model, stats, log)``.
+    stacked by length once, and unrolled once per epoch by the epoch's
+    :class:`LengthGroups`.  Returns ``(model, stats, log)``.
     """
     sequences = [_as_sequence(s) for s in sequences]
     if not sequences:
@@ -588,10 +601,6 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     stacks = LengthGroups.of(init_model if resume is None else resume.model,
                              sequences).stacks
     return _train_layer(
-        sequences, init_model, cd, epochs, rng, adapt, forget, layer,
-        n_layers, log, first_event, resume, epoch_callback,
-        gradient=bptt_gradients, update=_clipped_update,
-        epoch_data=lambda: LengthGroups(stacks),
-        activations=mean_hidden_activation,
-        metrics=lambda m, groups: (mean_sequence_energy(m, groups),
-                                   prediction_error(m, groups)))
+        sequences, init_model, cd, epochs, rng, adapt, forget, layer, log,
+        resume, epoch_callback, gradient=bptt_gradients,
+        update=_clipped_update, epoch_data=lambda: LengthGroups(stacks))

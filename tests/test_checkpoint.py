@@ -387,6 +387,22 @@ class TestCorruption:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{name} has shape ()" in err[0]
 
+    @pytest.mark.parametrize("shape,error,match", [
+        # 2**32 * 2**32 entries wrap an int64 product to 0 bytes
+        ([2 ** 32, 2 ** 32], CheckpointTruncatedError, "ends inside array"),
+        ([True], CheckpointError, "bad array entry"),
+    ], ids=["past-int64", "bool"])
+    def test_bad_shape_exits_2_in_inspect(self, tmp_path, capsys, shape,
+                                          error, match):
+        from growrbm.cli import main
+        p = self.saved(tmp_path)
+        self.edit_header(p, lambda h: h["arrays"][0].update(shape=shape))
+        with pytest.raises(error, match=match):
+            load_checkpoint(p)
+        assert main(["inspect", "--checkpoint", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and match in err[0]
+
     @pytest.mark.parametrize("cls", [Dbn, RnnDbn])
     def test_empty_stack_not_written(self, tmp_path, cls):
         p = tmp_path / "m.ckpt"

@@ -121,6 +121,23 @@ class TestLoadJsonl:
         with pytest.raises(DataFormatError, match="0 or 1"):
             load_jsonl(p)
 
+    @pytest.mark.parametrize("frame", ["[true,false]", "[0,true]",
+                                       "[false,1]"])
+    def test_boolean_values_rejected(self, tmp_path, capsys, frame):
+        # JSON booleans compare equal to 1 and 0 once parsed
+        from growrbm.checkpoint import save_checkpoint
+        from growrbm.cli import main
+        from growrbm.rnn_rbm import RnnRbm
+        p = self.write(tmp_path, ['[[0,1],[1,0]]', f'[{frame},[0,1]]'])
+        with pytest.raises(DataFormatError, match=r"seqs\.jsonl:2.*0 or 1"):
+            load_jsonl(p)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, RnnRbm.random(2, 2, RngStream(1)))
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--dataset", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "seqs.jsonl:2" in err[0]
+
     def test_float_value_rejected(self, tmp_path):
         p = self.write(tmp_path, ['{"seq":[[0,0.5]]}'])
         with pytest.raises(DataFormatError, match="0 or 1"):
@@ -185,7 +202,7 @@ class TestWriteJsonl:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           shapes=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 9)),
+           shapes=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 9)),
                            max_size=5),
            dtype=st.sampled_from([np.float64, np.int64]),
            with_ids=st.booleans())
@@ -216,6 +233,15 @@ class TestWriteJsonl:
         p = tmp_path / "out.jsonl"
         with pytest.raises(ValueError, match="^sequence 0: "):
             write_jsonl(p, [bad])
+        assert not p.exists()
+
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_rejects_empty_sequences(self, tmp_path, shape):
+        # load_jsonl rejects the {"seq":[]} or {"seq":[[],[]]} line
+        p = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match=r"^sequence 1: empty, shape"):
+            write_jsonl(p, [np.ones((2, 3)), np.zeros(shape)])
         assert not p.exists()
 
 

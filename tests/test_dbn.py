@@ -10,9 +10,8 @@ from growrbm import dbn, rbm as rbm_module
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            apply_annihilation)
 from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
-                         _layer_totals, mean_field_metrics,
-                         should_generate_layer, train_adaptive_dbn,
-                         train_adaptive_rbm)
+                         _layer_totals, should_generate_layer,
+                         train_adaptive_dbn, train_adaptive_rbm)
 from growrbm.errors import DimensionError
 from growrbm.log import LogRow
 from growrbm.metrics import cross_entropy_per_bit
@@ -26,6 +25,13 @@ def parity_data(n_copies=40):
     rows = [r for r in itertools.product((0.0, 1.0), repeat=4)
             if int(sum(r)) % 2 == 0]
     return np.tile(np.array(rows), (n_copies, 1))
+
+
+def mean_field_metrics(rbm, data):
+    """The static epoch metrics ``(energy, error)`` of ``data``, as the
+    trainer's epoch view computes them from one hidden pass."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    return dbn._EpochFrames(data).metrics(rbm)
 
 
 def mean_field_energy(rbm, data):

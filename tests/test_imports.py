@@ -1,11 +1,42 @@
-"""Every package module uses each name it imports (``__init__`` re-exports)."""
+"""Every package module uses each name it imports (``__init__`` re-exports),
+and every package-level function and class is reachable.
+
+The reachability scan starts from the console entry points in
+``pyproject.toml``, the names ``perfbench/`` and ``scripts/`` use, the
+statements each module runs on import and :data:`KEPT`, and follows
+every name a reached definition reads.  A re-export in ``__init__`` is
+not a use.
+"""
 import ast
+import re
+import shutil
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "growrbm"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "growrbm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+USERS = sorted([*(ROOT / "perfbench").glob("*.py"),
+                *(ROOT / "scripts").glob("*.py")])
+
+# reachable from no entry point, and kept on purpose
+KEPT = {
+    "rbm.log_partition_exact": "exact oracle of the static model",
+    "rbm.prob_exact": "exact oracle of the static model",
+    "rbm.log_likelihood_exact": "exact oracle of the static model",
+    "rbm.log_likelihood_gradient_exact": "exact oracle of the CD gradient",
+    "rnn_rbm.sequence_cost_exact": "exact oracle of the recurrent model",
+    "rnn_rbm.sequence_cost_gradient_exact":
+        "exact oracle of the BPTT-CD gradient",
+    "rnn_rbm.predict_next": "per-prefix reference of the grouped predictions",
+    "rnn_dbn.predict_next_deep":
+        "per-prefix reference of the grouped stack predictions",
+    "rnn_rbm.state_update": "one-step reference of the sampler's recursion",
+    "data.augment_parity": "builds the parity data of acceptance criterion 7",
+    "checkpoint.save_train_state": "bit-exact resume (acceptance criterion 9)",
+    "checkpoint.load_train_state": "bit-exact resume (acceptance criterion 9)",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +65,123 @@ def test_scan_flags_only_unused_names():
               "@dataclass\nclass A:\n    x: np.ndarray\n"
               "print(os.path.sep)\n")
     assert unused_imports(source) == ["field"]
+
+
+def _bindings(tree, in_package: bool) -> dict:
+    """Local name -> ``(module, name)`` for what ``tree`` imports from the
+    package, ``name`` None for a module bound whole; ``__init__`` stands
+    for the package itself."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            top, _, sub = (node.module or "").partition(".")
+            if node.level == 1 and in_package:
+                source = node.module or "__init__"
+            elif node.level == 0 and top == "growrbm":
+                source = sub or "__init__"
+            else:
+                continue
+            for alias in node.names:
+                out[alias.asname or alias.name] = source, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, sub = alias.name.partition(".")
+                if top == "growrbm":
+                    out[alias.asname or top] = (
+                        (sub or "__init__") if alias.asname else "__init__",
+                        None)
+    return out
+
+
+def _reads(node) -> list:
+    """The dotted names ``[name, attr, ...]`` that ``node`` reads, type
+    annotations left out."""
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        parts = []
+        while isinstance(n, ast.Attribute):
+            parts.insert(0, n.attr)
+            n = n.value
+        if isinstance(n, ast.Name):
+            if isinstance(n.ctx, ast.Load):
+                out.append([n.id, *parts])
+            continue
+        for field, value in ast.iter_fields(n):
+            if field not in ("annotation", "returns"):
+                todo.extend(v for v in (value if isinstance(value, list)
+                                        else [value])
+                            if isinstance(v, ast.AST))
+    return out
+
+
+def unreachable(package: Path, users, entry_points, kept) -> list:
+    """``module.name`` of every package-level function and class that no
+    root reaches, sorted."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    defs = {m: {n.name: n for n in tree.body
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            for m, tree in trees.items()}
+    binds = {m: _bindings(tree, True) for m, tree in trees.items()}
+    user_trees = {str(p): ast.parse(p.read_text()) for p in users}
+    binds.update({u: _bindings(tree, False) for u, tree in user_trees.items()})
+
+    def lookup(module, dotted):
+        """The definition ``(module, name)`` that the dotted name
+        ``dotted`` read in ``module`` stands for, if any."""
+        name, *rest = dotted
+        if module == "__init__" and name in trees:  # a submodule
+            return lookup(name, rest) if rest else None
+        if name in defs.get(module, {}):
+            return module, name
+        if name not in binds[module]:
+            return None
+        target, attr = binds[module][name]
+        if attr is None:  # a module bound whole
+            return lookup(target, rest) if rest else None
+        return lookup(target, [attr, *rest])
+
+    roots = [lookup(u, d) for u, tree in user_trees.items()
+             for d in _reads(tree)]
+    roots += [lookup(m, d) for m, tree in trees.items() for node in tree.body
+              if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                       ast.Import, ast.ImportFrom))
+              for d in _reads(node)]  # what a module runs on import
+    for dotted in (*entry_points, *kept):
+        module, name = dotted.split(".")
+        assert name in defs.get(module, {}), f"no definition {dotted}"
+        roots.append((module, name))
+
+    reached, todo = set(), [r for r in roots if r is not None]
+    while todo:
+        module, name = todo.pop()
+        if (module, name) not in reached:
+            reached.add((module, name))
+            todo += [r for r in (lookup(module, d)
+                                 for d in _reads(defs[module][name]))
+                     if r is not None]
+    return sorted(f"{m}.{n}" for m, names in defs.items() for n in names
+                  if (m, n) not in reached)
+
+
+def entry_points() -> list:
+    """``module.function`` of each console script in ``pyproject.toml``."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return [f"{m}.{f}" for m, f in
+            re.findall(r'=\s*"growrbm\.(\w+):(\w+)"', section)]
+
+
+def test_every_definition_is_reachable():
+    assert unreachable(PACKAGE, USERS, entry_points(), KEPT) == []
+
+
+def test_reachability_scan_flags_an_unreachable_helper(tmp_path):
+    copy = tmp_path / "growrbm"
+    shutil.copytree(PACKAGE, copy)
+    with open(copy / "data.py", "a") as f:
+        f.write("\n\ndef _orphan(seq):\n    return load_jsonl(seq)\n")
+    with open(copy / "rbm.py", "a") as f:
+        f.write("\n\nclass Orphan:\n    pass\n")
+    assert unreachable(copy, USERS, entry_points(), KEPT) == [
+        "data._orphan", "rbm.Orphan"]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm import dbn, rnn_dbn, rnn_rbm
-from growrbm.dbn import (LayerGenConfig, _inherit, mean_field_metrics,
-                         train_adaptive_dbn, train_adaptive_rbm)
+from growrbm.dbn import (LayerGenConfig, _inherit, train_adaptive_dbn,
+                         train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
 from growrbm.harness import evaluate_model
 from growrbm.metrics import PooledMetrics
@@ -19,6 +19,7 @@ from growrbm.rnn_rbm import (RnnRbm, _mean_field_marginals,
                              mean_sequence_energy, next_frame_predictions,
                              predict_next, prediction_error, state_update,
                              temporal_biases, train_adaptive_rnn_rbm, unroll)
+from test_dbn import mean_field_metrics
 from test_rnn_rbm import cycle_sequences, small_model
 
 

@@ -1,5 +1,6 @@
 """Recurrent model: recursion arithmetic, exact-gradient oracle, trainer."""
 import itertools
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -691,6 +692,72 @@ class TestSharedUnroll:
         assert len(calls) == expected
 
 
+    def test_one_hidden_pass_per_epoch_that_prunes_nothing(self,
+                                                           monkeypatch):
+        # the pruning sweep's whole-set hidden pass also scores the epoch
+        # when it removes no unit; the batches hold 4 of the 16 sequences
+        seqs = cycle_sequences(16, 6, RngStream(86))
+        passes = []
+
+        def counting(x, real=rnn_rbm.sigmoid):
+            x = np.asarray(x)
+            if x.ndim == 3 and x.shape[0] == 16:
+                passes.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(rnn_rbm, "sigmoid", counting)
+        adapt = AdaptConfig(generation_phase_epochs=4, max_hidden=12,
+                            ann_threshold=1e-6)
+        cd = CdConfig(k=1, learning_rate=0.1, batch_size=4)
+        _, _, log = train_adaptive_rnn_rbm(seqs, 6, cd, 10, RngStream(87),
+                                           adapt=adapt)
+        assert "ann(" not in log.csv_text()
+        assert len(passes) == 10  # 16 when the sweep's pass is not kept
+
+    @pytest.mark.parametrize("edit", ["none", "prune"])
+    def test_view_metrics_equal_the_list_functions(self, edit):
+        model = small_model(88, i=4, j=4, k=5, sd=0.8)
+        rng = RngStream(89)
+        seqs = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
+                for t in (5, 2, 3, 5, 2, 3)]
+        groups = LengthGroups.of(model, seqs)
+        npt.assert_array_equal(groups.mean_activation(model),
+                               mean_hidden_activation(model, seqs))
+        if edit == "prune":
+            model, _ = apply_annihilation(
+                model, GradientStats.zeros(4, 4),
+                np.array([0, 1, 1, 0], dtype=bool))
+        assert groups.metrics(model) == (mean_sequence_energy(model, seqs),
+                                         prediction_error(model, seqs))
+
+    def test_kept_pass_serves_only_its_model_object(self, monkeypatch):
+        model = small_model(90, i=4, j=3, k=2)
+        rng = RngStream(91)
+        seqs = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
+                for t in (4, 3, 4)]
+        groups = LengthGroups.of(model, seqs)
+        kept = groups.hidden_passes(model)
+        assert groups.hidden_passes(model) is kept
+        freed = [weakref.ref(h) for *_, h in kept]
+        del kept
+
+        def checking(x, real=rnn_rbm.sigmoid):
+            # the other model's pass is gone before a new one is made
+            assert all(ref() is None for ref in freed)
+            return real(x)
+
+        monkeypatch.setattr(rnn_rbm, "sigmoid", checking)
+        other = model.copy()
+        other.W += 0.25
+        got = groups.hidden_passes(other)
+        want = LengthGroups.of(other, seqs).hidden_passes(other)
+        for got_group, want_group in zip(got, want):
+            for a, b in zip(got_group, want_group):
+                npt.assert_array_equal(a, b)
+        # an equal copy is another object, and gets a pass of its own
+        assert groups.hidden_passes(other.copy()) is not got
+
+
 def test_ragged_batch_draws_in_one_kernel_call(monkeypatch):
     import growrbm.numerics as numerics
     calls = []
@@ -746,7 +813,7 @@ class TestSummaries:
         assert mean_sequence_energy(m, seqs) == 0.0
 
     def test_zero_recurrence_matches_static_energy(self):
-        from growrbm.dbn import mean_field_metrics
+        from test_dbn import mean_field_metrics
         rng = RngStream(44)
         rbm = Rbm(rng.normal(sd=0.4, size=3), rng.normal(sd=0.4, size=2),
                   rng.normal(sd=0.4, size=(3, 2)))
