@@ -11,6 +11,7 @@ default.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -31,6 +32,13 @@ def _to_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite_float(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
+
+
 _SECTIONS = {"cd": CdConfig, "adapt": AdaptConfig,
              "forget": ForgettingConfig, "layers": LayerGenConfig}
 
@@ -48,8 +56,9 @@ _SCHEMA = {
     "u_dim": (int, None),
 }
 # section fields are ints and floats; their modules postpone annotations,
-# so a field's ``type`` is the name of its type
-_FIELD_TYPES = {"int": int, "float": float}
+# so a field's ``type`` is the name of its type.  A float must be finite:
+# nan and inf pass the one-sided checks of the section classes.
+_FIELD_TYPES = {"int": int, "float": _finite_float}
 _SCHEMA.update(
     (f"{prefix}.{f.name}",
      (_FIELD_TYPES[f.type], None if f.default is MISSING else f.default))

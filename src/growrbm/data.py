@@ -33,10 +33,6 @@ class SequenceDataset:
     test: list = field(default_factory=list)
     provenance: str = ""
 
-    @property
-    def n_sequences(self) -> int:
-        return len(self.train) + len(self.test)
-
 
 _FORMS = "a list of frames or an object with a 'seq' or 'frames' field"
 

@@ -111,7 +111,7 @@ class _EpochFrames:
 
     def metrics(self, rbm: Rbm) -> tuple[float, float]:
         """``(energy, error)`` of the rows from one hidden pass: the mean
-        conditional expected energy (:func:`~growrbm.rbm.energy` at the
+        conditional expected energy (:func:`~growrbm.exact.energy` at the
         hidden conditionals) and the cross-entropy per bit of the
         one-pass mean-field reconstruction."""
         if self._kept is None or self._kept[0] is not rbm:
@@ -189,20 +189,19 @@ def _inherit(parent: Rbm, rng: RngStream) -> Rbm:
 
 
 def _train_stack(stack: Dbn, inputs, rng: RngStream,
-                 layer_cfg: LayerGenConfig, gate_layers: bool,
-                 log: TrainLog | None, *, train, lift, epochs: int,
-                 **layer_kwargs):
+                 layer_cfg: LayerGenConfig, gate_layers: bool, *, train,
+                 lift, epochs: int, **layer_kwargs):
     """Greedy bottom-up stacking loop of both stack kinds.
 
     Layer ``l`` trains as ``train(inputs, rng=rng.split(l), ...)``, as a
     standalone run would; the next layer starts from :func:`_inherit`
     with ``rng.split(l + 1).split(0)`` on ``lift(model, inputs)``.  The
-    layer's totals come from the last row it appended to ``log``, so
-    every layer must train at least one epoch.  Returns ``(stack, log)``.
+    layer's totals come from the last row it appended to the stack's log,
+    so every layer must train at least one epoch.  Returns ``(stack, log)``.
     """
     if epochs < 1:
         raise ValueError("epochs_per_layer must be >= 1")
-    log = log if log is not None else TrainLog()
+    log = TrainLog()
     layer_idx = 1
     init = None
     while True:
@@ -232,8 +231,7 @@ def train_adaptive_dbn(data: np.ndarray, n_hidden: int, cd: CdConfig,
                        layer_cfg: LayerGenConfig,
                        adapt: AdaptConfig | None = None,
                        forget: ForgettingConfig | None = None,
-                       gate_layers: bool = True,
-                       log: TrainLog | None = None):
+                       gate_layers: bool = True):
     """Greedy bottom-up training of a stack of (optionally adaptive) RBMs.
 
     With ``gate_layers`` False the stack always grows to ``max_layers``;
@@ -242,6 +240,6 @@ def train_adaptive_dbn(data: np.ndarray, n_hidden: int, cd: CdConfig,
     """
     return _train_stack(
         Dbn(), np.atleast_2d(np.asarray(data, dtype=np.float64)), rng,
-        layer_cfg, gate_layers, log, train=train_adaptive_rbm,
+        layer_cfg, gate_layers, train=train_adaptive_rbm,
         lift=hidden_conditional, n_hidden=n_hidden, cd=cd,
         epochs=epochs_per_layer, adapt=adapt, forget=forget)

@@ -19,7 +19,6 @@ from .config import RunConfig
 from .data import load_jsonl, write_jsonl
 from .dbn import train_adaptive_dbn, train_adaptive_rbm
 from .errors import ConfigError, DimensionError
-from .log import TrainLog
 from .numerics import RngStream
 from .rnn_dbn import (RnnDbn, _pool_predictions, sample_sequence_deep,
                       train_adaptive_rnn_dbn)
@@ -87,27 +86,26 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
     def keep_latest(state):
         save_checkpoint(ckpt_path, state.model, seed=cfg.seed)
 
-    log = TrainLog()
     if cfg.model == "rbm":
         data = _flatten_frames(dataset.train)
         model, _, log = train_adaptive_rbm(
             data, cfg.n_hidden, cfg.cd, cfg.epochs, master.split(1),
-            adapt=adapt, forget=forget, log=log, epoch_callback=keep_latest)
+            adapt=adapt, forget=forget, epoch_callback=keep_latest)
     elif cfg.model == "dbn":
         data = _flatten_frames(dataset.train)
         model, log = train_adaptive_dbn(
             data, cfg.n_hidden, cfg.cd, cfg.epochs, master, cfg.layers,
-            adapt=adapt, forget=forget, gate_layers=cfg.adaptive, log=log)
+            adapt=adapt, forget=forget, gate_layers=cfg.adaptive)
     elif cfg.model == "rnn-rbm":
         model, _, log = train_adaptive_rnn_rbm(
             dataset.train, cfg.n_hidden, cfg.cd, cfg.epochs, master.split(1),
-            adapt=adapt, forget=forget, u_dim=cfg.u_dim, log=log,
+            adapt=adapt, forget=forget, u_dim=cfg.u_dim,
             epoch_callback=keep_latest)
     elif cfg.model == "rnn-dbn":
         model, log = train_adaptive_rnn_dbn(
             dataset.train, cfg.n_hidden, cfg.cd, cfg.epochs, master,
             cfg.layers, adapt=adapt, forget=forget, u_dim=cfg.u_dim,
-            gate_layers=cfg.adaptive, log=log)
+            gate_layers=cfg.adaptive)
     else:
         raise ConfigError(f"unknown model kind {cfg.model!r}")
 

@@ -1,10 +1,11 @@
 """Restricted Boltzmann machine core.
 
 Defines the bipartite energy model over binary visible and hidden
-vectors, exact enumeration-based quantities for tiny models (partition
-function, joint probabilities, exact log-likelihood and its gradient),
-conditional distributions in both directions, and the contrastive
-divergence estimator used for training at realistic sizes.
+vectors, conditional distributions in both directions, and the
+contrastive divergence estimator used for training.  The exact
+enumeration-based quantities the estimator is tested against (partition
+function, joint probabilities, log-likelihood and its gradient) live in
+:mod:`~growrbm.exact`.
 
 :class:`Rbm` is the one layer type.  The recurrent layer and its
 gradient subclass :class:`Rbm` and :class:`RbmGradient` with more array
@@ -22,21 +23,16 @@ Conventions used throughout the package:
 * rows are samples, so a batch is ``(N, I)`` and ``W`` has shape
   ``(I, J)`` with hidden activations computed as ``v @ W + c``;
 * all gradient records point in the direction of *ascent* on
-  log-likelihood, i.e. a trainer applies ``param += lr * grad``;
-* exact operations refuse models with more than ``ENUM_LIMIT`` total
-  units rather than silently taking forever.
+  log-likelihood, i.e. a trainer applies ``param += lr * grad``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 from .numerics import RngStream, sigmoid
-
-ENUM_LIMIT = 24
 
 
 @dataclass
@@ -171,68 +167,6 @@ def _check_last_dim(name: str, arr: np.ndarray, expected: int):
             f"{name} has trailing dimension {arr.shape[-1]}, expected {expected}")
 
 
-def energy(rbm: Rbm, v, h):
-    """Joint energy ``-b.v - c.h - v.W.h``.
-
-    Accepts single vectors or stacked rows; ``h`` may hold probabilities,
-    in which case the result is the conditional expected energy (the
-    energy is multilinear in the units, so the expectation just
-    substitutes means).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    _check_last_dim("visible vector", v, rbm.n_visible)
-    _check_last_dim("hidden vector", h, rbm.n_hidden)
-    term = v @ rbm.b + h @ rbm.c + np.sum((v @ rbm.W) * h, axis=-1)
-    return -term
-
-
-def all_states(n: int) -> np.ndarray:
-    """All 2**n binary vectors of length n as float rows, counting order."""
-    if n == 0:
-        return np.zeros((1, 0))
-    counts = np.arange(2 ** n, dtype=np.int64)
-    bits = (counts[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return bits.astype(np.float64)
-
-
-def _guard_exact(rbm: Rbm, limit: int = ENUM_LIMIT):
-    if rbm.n_visible + rbm.n_hidden > limit:
-        raise CapacityError(
-            f"exact computation limited to {limit} total units, "
-            f"model has {rbm.n_visible + rbm.n_hidden}")
-
-
-def free_energy(rbm: Rbm, v) -> np.ndarray:
-    """``F(v) = -b.v - sum_j softplus(c_j + (vW)_j)``; rows in, scalars out."""
-    v = np.asarray(v, dtype=np.float64)
-    _check_last_dim("visible vector", v, rbm.n_visible)
-    return -(v @ rbm.b) - np.sum(np.logaddexp(0.0, v @ rbm.W + rbm.c), axis=-1)
-
-
-def _hidden_free_energy(rbm: Rbm, h) -> np.ndarray:
-    """Mirror image of :func:`free_energy` with hidden units enumerated."""
-    h = np.asarray(h, dtype=np.float64)
-    return -(h @ rbm.c) - np.sum(np.logaddexp(0.0, h @ rbm.W.T + rbm.b), axis=-1)
-
-
-def log_partition_exact(rbm: Rbm) -> float:
-    """Exact log Z, enumerating whichever layer is smaller."""
-    _guard_exact(rbm)
-    if rbm.n_visible <= rbm.n_hidden:
-        states = all_states(rbm.n_visible)
-        return float(logsumexp(-free_energy(rbm, states)))
-    states = all_states(rbm.n_hidden)
-    return float(logsumexp(-_hidden_free_energy(rbm, states)))
-
-
-def prob_exact(rbm: Rbm, v, h) -> float:
-    """Exact joint probability of one (v, h) configuration."""
-    _guard_exact(rbm)
-    e = energy(rbm, v, h)
-    return float(np.exp(-e - log_partition_exact(rbm)))
-
-
 def hidden_conditional(rbm: Rbm, v) -> np.ndarray:
     """``p(h_j = 1 | v)`` for each hidden unit; supports stacked rows."""
     v = np.asarray(v, dtype=np.float64)
@@ -245,49 +179,6 @@ def visible_conditional(rbm: Rbm, h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     _check_last_dim("hidden vector", h, rbm.n_hidden)
     return sigmoid(h @ rbm.W.T + rbm.b)
-
-
-def log_likelihood_exact(rbm: Rbm, batch) -> float:
-    """Mean log-likelihood of the rows of ``batch`` under the exact model."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    return float(np.mean(-free_energy(rbm, batch)) - log_partition_exact(rbm))
-
-
-def log_likelihood_gradient_exact(rbm: Rbm, batch) -> RbmGradient:
-    """Exact ascent gradient of the mean log-likelihood for a tiny model.
-
-    Data statistics use the hidden conditionals; model statistics are
-    computed by enumerating the smaller layer exactly.
-    """
-    _guard_exact(rbm)
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[0] == 0:
-        raise ValueError("empty batch")
-    _check_last_dim("batch", batch, rbm.n_visible)
-
-    h_data = hidden_conditional(rbm, batch)
-    data_v = batch.mean(axis=0)
-    data_h = h_data.mean(axis=0)
-    data_vh = batch.T @ h_data / batch.shape[0]
-
-    if rbm.n_visible <= rbm.n_hidden:
-        states = all_states(rbm.n_visible)
-        logw = -free_energy(rbm, states)
-        p = np.exp(logw - logsumexp(logw))
-        cond = hidden_conditional(rbm, states)
-        model_v = p @ states
-        model_h = p @ cond
-        model_vh = states.T @ (cond * p[:, None])
-    else:
-        states = all_states(rbm.n_hidden)
-        logw = -_hidden_free_energy(rbm, states)
-        p = np.exp(logw - logsumexp(logw))
-        cond = visible_conditional(rbm, states)
-        model_v = p @ cond
-        model_h = p @ states
-        model_vh = cond.T @ (states * p[:, None])
-
-    return RbmGradient(data_v - model_v, data_h - model_h, data_vh - model_vh)
 
 
 def _chain_widths(n_visible: int, n_hidden: int, k: int) -> list:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig
 from .dbn import Dbn, LayerGenConfig, _train_stack
-from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import RngStream, _logistic, sample_bernoulli, sigmoid
 from .rbm import CdConfig
@@ -65,8 +64,7 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
                            adapt: AdaptConfig | None = None,
                            forget: ForgettingConfig | None = None,
                            u_dim: int | None = None,
-                           gate_layers: bool = True,
-                           log: TrainLog | None = None):
+                           gate_layers: bool = True):
     """Greedy bottom-up training of the recurrent stack.
 
     Layer ``l`` trains from the root stream's ``split(l)``, exactly as a
@@ -75,7 +73,7 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
     """
     return _train_stack(
         RnnDbn(), [np.asarray(s, dtype=np.float64) for s in sequences], rng,
-        layer_cfg, gate_layers, log, train=train_adaptive_rnn_rbm,
+        layer_cfg, gate_layers, train=train_adaptive_rnn_rbm,
         lift=lambda m, seqs: [deterministic_hidden_sequence(m, s)
                               for s in seqs],
         n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
@@ -167,7 +165,7 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     the clamped logistic reads it unguarded.  The buffer is checked once
     per frame, before the draw, and once after the last frame, so the
     error of :func:`~growrbm.numerics.sigmoid` is raised on exactly the
-    stacks where the guarded steps (:func:`~growrbm.rnn_rbm.state_update`
+    stacks where the guarded steps (:func:`~growrbm.exact.state_update`
     and a guarded pass per layer) raise it, and every frame and marginal
     is bit for bit theirs.
     """

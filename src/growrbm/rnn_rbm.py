@@ -8,8 +8,10 @@ frame the state shifts the biases of an otherwise shared RBM:
 * state update ``u_t = sigmoid(u_bias + u_(t-1) @ w_uu + v_t @ w_vu)``
 
 so the sequence likelihood factorises into per-frame conditional RBM
-terms.  Training backpropagates per-frame gradient estimates (CD at
-scale, exact enumeration in the oracles) through the state recursion.
+terms.  Training backpropagates per-frame CD estimates through the state
+recursion (:func:`_chain_through_state`); the exact sequence cost and
+its gradient, which chain enumerated partials the same way, live in
+:mod:`~growrbm.exact`.
 
 The batch paths (the BPTT-CD gradient and the epoch summaries) group
 their sequences by exact length and stack each group as ``(S, T, I)``,
@@ -48,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import DimensionError
@@ -56,9 +57,8 @@ from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import RngStream, _logistic, sigmoid
 from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
-                  _chain_widths, _guard_exact, all_states)
+                  _chain_widths)
 
-SEQ_ENUM_LIMIT = 20
 MEAN_FIELD_PASSES = 10
 # pre-activation entries the mean-field passes keep between two
 # finiteness checks: a frame or a short sequence checks once per call,
@@ -179,16 +179,6 @@ def temporal_biases(model: RnnRbm, u_prev: np.ndarray):
     return model.b + u_prev @ model.w_uv, model.c + u_prev @ model.w_uh
 
 
-def state_update(model: RnnRbm, u_prev: np.ndarray, v_t: np.ndarray) -> np.ndarray:
-    """Next deterministic state after observing frame ``v_t``."""
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    v_t = np.asarray(v_t, dtype=np.float64)
-    if v_t.shape[-1] != model.n_visible:
-        raise DimensionError(
-            f"frame has dimension {v_t.shape[-1]}, expected {model.n_visible}")
-    return sigmoid(model.u_bias + u_prev @ model.w_uu + v_t @ model.w_vu)
-
-
 def unroll(model: RnnRbm, seq):
     """States and per-frame biases along one sequence or a group of them.
 
@@ -202,9 +192,10 @@ def unroll(model: RnnRbm, seq):
 
     Only the state recursion runs frame by frame; ``B`` and ``C`` are two
     matrix products over the stacked states afterwards.  Each step
-    applies the same clamped logistic as :func:`state_update`, and one
-    finiteness check over all pre-activations after the loop raises the
-    error :func:`~growrbm.numerics.sigmoid` would have raised.
+    applies the same clamped logistic as
+    :func:`~growrbm.exact.state_update`, and one finiteness check over all
+    pre-activations after the loop raises the error
+    :func:`~growrbm.numerics.sigmoid` would have raised.
     """
     seq = _as_sequences(seq)
     if seq.shape[-1] != model.n_visible:
@@ -231,23 +222,6 @@ def _frame_biases(model: RnnRbm, U: np.ndarray):
     """``(B, C)`` of :func:`unroll` from its states ``U``."""
     return (model.b + U[..., :-1, :] @ model.w_uv,
             model.c + U[..., :-1, :] @ model.w_uh)
-
-
-def sequence_cost_exact(model: RnnRbm, seq) -> float:
-    """Exact negative log-likelihood of one sequence (tiny models only)."""
-    _guard_exact(model, SEQ_ENUM_LIMIT)
-    seq = _as_sequence(seq)
-    _, B, C = unroll(model, seq)
-    states = all_states(model.n_visible)
-    sw = states @ model.W
-    cost = 0.0
-    for t in range(seq.shape[0]):
-        log_unnorm = states @ B[t] + np.sum(np.logaddexp(0.0, sw + C[t]), axis=1)
-        log_z = logsumexp(log_unnorm)
-        data_term = seq[t] @ B[t] + np.sum(
-            np.logaddexp(0.0, seq[t] @ model.W + C[t]))
-        cost -= data_term - log_z
-    return float(cost)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -283,34 +257,6 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
         db=DB.sum(axis=0), dc=DC.sum(axis=0), dW=dW_sum, du=GA.sum(axis=0),
         dw_uv=U_prev.T @ DB, dw_uh=U_prev.T @ DC, dw_vu=_rows(seq).T @ GA,
         dw_uu=U_prev.T @ GA, du0=_rows(gu).sum(axis=0))
-
-
-def sequence_cost_gradient_exact(model: RnnRbm, seq) -> RnnRbmGradient:
-    """Exact gradient of :func:`sequence_cost_exact` (descent direction).
-
-    Per-frame partials come from full enumeration of the conditional
-    RBM at each step; the recursion chaining is shared with the
-    stochastic estimator, so finite-difference agreement here validates
-    both.
-    """
-    _guard_exact(model, SEQ_ENUM_LIMIT)
-    seq = _as_sequence(seq)
-    t_len = seq.shape[0]
-    U, B, C = unroll(model, seq)
-    states = all_states(model.n_visible)
-    sw = states @ model.W
-    DB = np.empty((t_len, model.n_visible))
-    DC = np.empty((t_len, model.n_hidden))
-    dW = np.zeros_like(model.W)
-    for t in range(t_len):
-        log_unnorm = states @ B[t] + np.sum(np.logaddexp(0.0, sw + C[t]), axis=1)
-        p = np.exp(log_unnorm - logsumexp(log_unnorm))
-        cond = sigmoid(sw + C[t])
-        h_data = sigmoid(seq[t] @ model.W + C[t])
-        DB[t] = p @ states - seq[t]
-        DC[t] = p @ cond - h_data
-        dW += states.T @ (cond * p[:, None]) - np.outer(seq[t], h_data)
-    return _chain_through_state(model, seq, U, DB, DC, dW)
 
 
 def _length_groups(model: RnnRbm, sequences):

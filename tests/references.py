@@ -1,0 +1,201 @@
+"""Plain or earlier forms of the package's fast paths, which the tests
+compare them against; the comment above each names the path it pins."""
+import json
+from pathlib import Path
+
+import numpy as np
+from scipy.special import expit
+
+from growrbm import dbn, rnn_rbm
+from growrbm.adapt import GradientStats
+from growrbm.exact import state_update
+from growrbm.numerics import sample_bernoulli, sigmoid
+from growrbm.rbm import (Rbm, RbmGradient, hidden_conditional,
+                         visible_conditional)
+from growrbm.rnn_dbn import predict_next_deep
+from growrbm.rnn_rbm import (RnnRbmGradient, _mean_field_marginals,
+                             temporal_biases)
+
+
+# pins adapt.add_forgetting_, which adds the penalties in place
+def reference_forgetting_gradient(model, mode, cfg, hidden_activations=None):
+    """One forgetting penalty as a separate ``(b, c, W)`` gradient, zeros
+    in the arrays it does not touch: the form in which the penalties
+    were added into the batch gradient before they were added in place."""
+    g = RbmGradient(*map(np.zeros_like, (model.b, model.c, model.W)))
+    if mode == "decay":
+        g.dW = -cfg.decay_strength * np.sign(model.W)
+    elif mode == "clarify":
+        h = np.asarray(hidden_activations, dtype=np.float64)
+        slope = np.where(h <= 0.5, 1.0, -1.0)
+        g.dc = -cfg.clarify_strength * slope * h * (1.0 - h)
+    elif mode == "selective":
+        large = np.abs(model.W) >= cfg.selective_cutoff
+        g.dW = np.where(large, -cfg.selective_strength * np.sign(model.W), 0.0)
+    return g
+
+
+# pins data.write_jsonl, which writes each frame without per-value rounding
+def reference_write_jsonl(path, sequences, ids=None):
+    """The writer that rounded every value with ``int(round(x))``."""
+    path = Path(path)
+    lines = []
+    for i, seq in enumerate(sequences):
+        arr = np.asarray(seq)
+        obj = {}
+        if ids is not None:
+            obj["id"] = ids[i]
+        obj["seq"] = [[int(round(x)) for x in frame] for frame in arr]
+        lines.append(json.dumps(obj, separators=(",", ":")))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+# pins numerics._logistic, which clamps against 0-d array bounds
+def reference_logistic(x, out=None):
+    """The clamped logistic as it clamped against Python floats."""
+    out = np.asarray(expit(x, out=out))
+    np.maximum(out, float(np.finfo(np.float64).tiny), out=out)
+    np.minimum(out, float(np.nextafter(1.0, 0.0)), out=out)
+    return out
+
+
+# pins rbm.cd_step, whose chain runs on uniforms drawn up front
+def reference_cd_step(rbm, batch, cfg, rng):
+    """CD-k built from the library conditionals, each Bernoulli draw
+    taken from ``rng`` when the chain reaches it."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    h_data = hidden_conditional(rbm, batch)
+    h = sample_bernoulli(h_data, rng)
+    v_prob = visible_conditional(rbm, h)
+    for _ in range(cfg.k - 1):
+        v = sample_bernoulli(v_prob, rng)
+        h = sample_bernoulli(hidden_conditional(rbm, v), rng)
+        v_prob = visible_conditional(rbm, h)
+    h_model = hidden_conditional(rbm, v_prob)
+    n = batch.shape[0]
+    return RbmGradient(batch.mean(axis=0) - v_prob.mean(axis=0),
+                       h_data.mean(axis=0) - h_model.mean(axis=0),
+                       (batch.T @ h_data - v_prob.T @ h_model) / n)
+
+
+# pins rnn_dbn.sample_sequence_deep, which carries every layer's state
+def reference_sample_sequence_deep(stack, length, rng):
+    """Quadratic sampler: every step re-lifts the whole prefix through
+    :func:`predict_next_deep`, samples the marginals and appends."""
+    frames = np.zeros((length, stack.n_visible))
+    for t in range(length):
+        frames[t] = sample_bernoulli(predict_next_deep(stack, frames[:t]), rng)
+    return frames
+
+
+# pins rnn_dbn.sample_sequence_deep's one-buffer step, checked once a frame
+def reference_linear_sampler(stack, length, rng, draw=sample_bernoulli):
+    """Linear sampler, one layer function at a time: per frame the
+    temporal biases, the top layer's mean-field passes, a guarded pass per
+    layer down, the draw, then guarded state updates and lifts."""
+    *lower, top = stack.layers
+    states = [layer.u0 for layer in stack.layers]
+    frames = np.zeros((length, stack.n_visible))
+    for t in range(length):
+        biases = [temporal_biases(*pair) for pair in zip(stack.layers, states)]
+        signal = _mean_field_marginals(top.W, *biases[-1])
+        for layer, (b_next, _) in zip(reversed(lower), reversed(biases[:-1])):
+            signal = sigmoid(b_next + signal @ layer.W.T)
+        view = frames[t] = draw(signal, rng)
+        for i, layer in enumerate(stack.layers):
+            states[i] = state_update(layer, states[i], view)
+            if i < len(lower):
+                view = sigmoid(biases[i][1] + view @ layer.W)
+    return frames
+
+
+# pins the recurrent growth sweep, adapt.maybe_generate on an RnnRbm
+def reference_grow_hidden(model, stats, cfg, rng):
+    """The recurrent growth sweep written out on its own: split the
+    triggered units of the static part (per parent, bias noise then
+    weight-column noise), then draw one ``(P, K)`` block of fresh small
+    ``w_uh`` columns.  Returns ``(model, stats, parents)``."""
+    scores = (cfg.c_gain * stats.var_c()
+              * np.mean(cfg.w_gain * stats.var_w(), axis=0))
+    parents = [j for j in range(model.n_hidden) if scores[j] > cfg.gen_threshold]
+    parents = parents[:max(0, cfg.max_hidden - model.n_hidden)]
+    if not parents:
+        return model, stats, []
+    child_c, child_cols = [], []
+    for j in parents:
+        child_c.append(model.c[j] + rng.normal(sd=cfg.split_noise_sd))
+        child_cols.append(model.W[:, j] + rng.normal(sd=cfg.split_noise_sd,
+                                                     size=model.n_visible))
+    new_cols = rng.normal(sd=0.01, size=(len(parents), model.u_dim))
+    at = np.add(parents, 1)
+    grown = model.copy()
+    grown.c = np.insert(model.c, at, child_c)
+    grown.W = np.insert(model.W, at, np.transpose(child_cols), axis=1)
+    grown.w_uh = np.insert(model.w_uh, at, new_cols.T, axis=1)
+    grown_stats = GradientStats(
+        *(np.insert(a, at, 0.0, axis=-1)
+          for a in (stats.mean_c, stats.sq_c, stats.mean_w, stats.sq_w)),
+        decay=stats.decay, count=stats.count)
+    return grown, grown_stats, parents
+
+
+# pins rnn_rbm.bptt_gradients, grouped by length and drawn in one call
+def reference_bptt_gradients(model, batch, cfg, rng):
+    """Frame-by-frame BPTT-CD: a 1-row ``reference_cd_step`` per frame on
+    its ``split(t)`` stream, chained through the state with outer
+    products."""
+    total = RnnRbmGradient.zeros(model)
+    frames = 0
+    for s, seq in enumerate(batch):
+        seq_rng = rng.split(s)
+        t_len = seq.shape[0]
+        U = [model.u0]
+        DB, DC = [], []
+        dW = np.zeros_like(model.W)
+        for t in range(t_len):
+            b_t, c_t = temporal_biases(model, U[t])
+            g = reference_cd_step(Rbm(b_t, c_t, model.W),
+                                  seq[t][None, :], cfg, seq_rng.split(t))
+            DB.append(g.db)
+            DC.append(g.dc)
+            dW += g.dW
+            U.append(state_update(model, U[t], seq[t]))
+        U = np.array(U)
+        g = RnnRbmGradient.zeros(model)
+        g.db = np.sum(DB, axis=0)
+        g.dc = np.sum(DC, axis=0)
+        g.dW = dW
+        g.dw_uv = U[:-1].T @ np.array(DB)
+        g.dw_uh = U[:-1].T @ np.array(DC)
+        gu = np.zeros(model.u_dim)
+        for t in range(t_len - 1, -1, -1):
+            ga = gu * U[t + 1] * (1.0 - U[t + 1])
+            g.du += ga
+            g.dw_uu += np.outer(U[t], ga)
+            g.dw_vu += np.outer(seq[t], ga)
+            gu = DB[t] @ model.w_uv.T + DC[t] @ model.w_uh.T \
+                + ga @ model.w_uu.T
+        g.du0 = gu
+        total.add_(g)
+        frames += t_len
+    return total.scale_(1.0 / frames)
+
+
+# pins rnn_rbm._mean_field_marginals, unguarded and checked once
+def reference_mean_field(W, b_next, c_next):
+    """The mean-field passes through the guarded :func:`sigmoid`, which
+    checks every pass's pre-activations as it goes."""
+    v = np.full(b_next.shape, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(rnn_rbm.MEAN_FIELD_PASSES):
+            h = sigmoid(c_next + v @ W)
+            v = sigmoid(b_next + h @ W.T)
+    return v
+
+
+# the static epoch metrics, dbn._EpochFrames.metrics, of a data array
+def mean_field_metrics(rbm, data):
+    """The static epoch metrics ``(energy, error)`` of ``data``, as the
+    trainer's epoch view computes them from one hidden pass."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    return dbn._EpochFrames(data).metrics(rbm)

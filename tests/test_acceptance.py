@@ -18,16 +18,15 @@ from growrbm.data import (augment_parity, random_patterns, synth_cycle,
                           write_jsonl)
 from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals,
                          should_generate_layer, train_adaptive_rbm)
+from growrbm.exact import (all_states, energy, log_likelihood_exact,
+                           log_likelihood_gradient_exact, log_partition_exact,
+                           prob_exact, sequence_cost_exact,
+                           sequence_cost_gradient_exact)
 from growrbm.harness import evaluate_model, run_training
 from growrbm.numerics import RngStream
-from growrbm.rbm import (CdConfig, Rbm, all_states, energy,
-                         hidden_conditional, log_likelihood_exact,
-                         log_likelihood_gradient_exact, log_partition_exact,
-                         prob_exact, visible_conditional)
+from growrbm.rbm import CdConfig, Rbm, hidden_conditional, visible_conditional
 from growrbm.rnn_dbn import train_adaptive_rnn_dbn
-from growrbm.rnn_rbm import (prediction_error, sequence_cost_exact,
-                             sequence_cost_gradient_exact,
-                             train_adaptive_rnn_rbm)
+from growrbm.rnn_rbm import prediction_error, train_adaptive_rnn_rbm
 
 from test_rnn_rbm import GRAD_PAIRS, small_model
 

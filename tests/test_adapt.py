@@ -12,10 +12,11 @@ from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            insert_after, mask_from_activations,
                            maybe_generate)
 from growrbm.errors import StructureError
+from growrbm.exact import free_energy, log_partition_exact
 from growrbm.numerics import RngStream
-from growrbm.rbm import (Rbm, RbmGradient, free_energy, hidden_conditional,
-                         log_partition_exact)
+from growrbm.rbm import Rbm, RbmGradient, hidden_conditional
 from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient
+from references import reference_forgetting_gradient
 
 
 def adapt_cfg(**kw):
@@ -285,23 +286,6 @@ class TestAnnihilation:
         after = np.exp(-free_energy(pruned, states)
                        - log_partition_exact(pruned))
         assert np.abs(before - after).sum() < 1e-6
-
-
-def reference_forgetting_gradient(model, mode, cfg, hidden_activations=None):
-    """One forgetting penalty as a separate ``(b, c, W)`` gradient, zeros
-    in the arrays it does not touch: the form in which the penalties
-    were added into the batch gradient before they were added in place."""
-    g = RbmGradient(*map(np.zeros_like, (model.b, model.c, model.W)))
-    if mode == "decay":
-        g.dW = -cfg.decay_strength * np.sign(model.W)
-    elif mode == "clarify":
-        h = np.asarray(hidden_activations, dtype=np.float64)
-        slope = np.where(h <= 0.5, 1.0, -1.0)
-        g.dc = -cfg.clarify_strength * slope * h * (1.0 - h)
-    elif mode == "selective":
-        large = np.abs(model.W) >= cfg.selective_cutoff
-        g.dW = np.where(large, -cfg.selective_strength * np.sign(model.W), 0.0)
-    return g
 
 
 def forgetting(model, mode, cfg, hidden_activations=None):

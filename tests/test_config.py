@@ -1,5 +1,6 @@
 """Strict config parsing: defaults, derivations, and pointed errors."""
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from growrbm.config import parse_config, parse_config_text
 from growrbm.errors import ConfigError
 
 MINIMAL = "train = data.jsonl\n"
+FLOAT_FIELDS = [f"{prefix}.{f.name}" for prefix, cls in config._SECTIONS.items()
+                for f in fields(cls) if f.type == "float"]
 
 
 class TestParsing:
@@ -172,6 +175,15 @@ class TestErrors:
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^run.cfg: {key} must be"):
             parse_config_text(MINIMAL + line + "\n", where="run.cfg")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN",
+                                       "Infinity"])
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_non_finite_float_names_line(self, key, value):
+        with pytest.raises(ConfigError, match=(
+                rf"^run\.cfg:2: bad value for '{re.escape(key)}': "
+                rf"not a finite number: '{value}'$")):
+            parse_config_text(MINIMAL + f"{key} = {value}\n", where="run.cfg")
 
     def test_subconfig_validation_wrapped(self):
         with pytest.raises(ConfigError, match="gen_threshold"):

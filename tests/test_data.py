@@ -1,6 +1,5 @@
 """JSONL round trips, eager validation, synthetic generators."""
 import json
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +10,7 @@ from growrbm.data import (SequenceDataset, augment_parity, load_jsonl,
                           random_patterns, synth_cycle, write_jsonl)
 from growrbm.errors import DataFormatError
 from growrbm.numerics import RngStream
+from references import reference_write_jsonl
 
 
 class TestLoadJsonl:
@@ -162,20 +162,6 @@ class TestLoadJsonl:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="cannot read"):
             load_jsonl(tmp_path / "nope.jsonl")
-
-
-def reference_write_jsonl(path, sequences, ids=None):
-    """The writer that rounded every value with ``int(round(x))``."""
-    path = Path(path)
-    lines = []
-    for i, seq in enumerate(sequences):
-        arr = np.asarray(seq)
-        obj = {}
-        if ids is not None:
-            obj["id"] = ids[i]
-        obj["seq"] = [[int(round(x)) for x in frame] for frame in arr]
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 class TestWriteJsonl:

@@ -13,11 +13,12 @@ from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
                          _layer_totals, should_generate_layer,
                          train_adaptive_dbn, train_adaptive_rbm)
 from growrbm.errors import DimensionError
+from growrbm.exact import energy, log_likelihood_exact
 from growrbm.log import LogRow
 from growrbm.metrics import cross_entropy_per_bit
 from growrbm.numerics import RngStream
-from growrbm.rbm import (CdConfig, Rbm, energy, hidden_conditional,
-                         log_likelihood_exact, visible_conditional)
+from growrbm.rbm import CdConfig, Rbm, hidden_conditional, visible_conditional
+from references import mean_field_metrics
 
 
 def parity_data(n_copies=40):
@@ -25,13 +26,6 @@ def parity_data(n_copies=40):
     rows = [r for r in itertools.product((0.0, 1.0), repeat=4)
             if int(sum(r)) % 2 == 0]
     return np.tile(np.array(rows), (n_copies, 1))
-
-
-def mean_field_metrics(rbm, data):
-    """The static epoch metrics ``(energy, error)`` of ``data``, as the
-    trainer's epoch view computes them from one hidden pass."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    return dbn._EpochFrames(data).metrics(rbm)
 
 
 def mean_field_energy(rbm, data):

@@ -283,6 +283,22 @@ class TestCli:
         assert main(["train", "--config", str(bad)]) == 1
         assert "unknown model kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "cd.learning_rate = nan", "adapt.gen_threshold = nan",
+        "layers.wd_threshold = nan", "adapt.split_noise_sd = inf"])
+    def test_non_finite_config_value_exits_1(self, tmp_path, data_file,
+                                             capsys, line):
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = rnn-dbn\ntrain = {data_file}\nout = {out}\n"
+                       f"epochs = 2\nn_hidden = 3\n{line}\n")
+        code, err = self.stderr_lines(["train", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert len(err) == 1, err
+        assert "run.cfg:6: bad value" in err[0]
+        assert "not a finite number" in err[0]
+        assert not out.exists()
+
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, tmp_path / "absent.jsonl",
                                 tmp_path / "run")

@@ -1,15 +1,20 @@
-"""Every package module uses each name it imports (``__init__`` re-exports),
-and every package-level function and class is reachable.
+"""Every package module uses each name it imports, and every
+package-level function and class is reachable.
 
 The reachability scan starts from the console entry points in
 ``pyproject.toml``, the names ``perfbench/`` and ``scripts/`` use, the
 statements each module runs on import and :data:`KEPT`, and follows
-every name a reached definition reads.  A re-export in ``__init__`` is
-not a use.
+every name a reached definition reads.
+
+The exact oracles live in ``exact`` alone, which the command line never
+loads, and the package itself binds no name but ``__version__``.
 """
 import ast
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,17 +27,17 @@ USERS = sorted([*(ROOT / "perfbench").glob("*.py"),
 
 # reachable from no entry point, and kept on purpose
 KEPT = {
-    "rbm.log_partition_exact": "exact oracle of the static model",
-    "rbm.prob_exact": "exact oracle of the static model",
-    "rbm.log_likelihood_exact": "exact oracle of the static model",
-    "rbm.log_likelihood_gradient_exact": "exact oracle of the CD gradient",
-    "rnn_rbm.sequence_cost_exact": "exact oracle of the recurrent model",
-    "rnn_rbm.sequence_cost_gradient_exact":
+    "exact.log_partition_exact": "exact oracle of the static model",
+    "exact.prob_exact": "exact oracle of the static model",
+    "exact.log_likelihood_exact": "exact oracle of the static model",
+    "exact.log_likelihood_gradient_exact": "exact oracle of the CD gradient",
+    "exact.sequence_cost_exact": "exact oracle of the recurrent model",
+    "exact.sequence_cost_gradient_exact":
         "exact oracle of the BPTT-CD gradient",
     "rnn_rbm.predict_next": "per-prefix reference of the grouped predictions",
     "rnn_dbn.predict_next_deep":
         "per-prefix reference of the grouped stack predictions",
-    "rnn_rbm.state_update": "one-step reference of the sampler's recursion",
+    "exact.state_update": "one-step reference of the sampler's recursion",
     "data.augment_parity": "builds the parity data of acceptance criterion 7",
     "checkpoint.save_train_state": "bit-exact resume (acceptance criterion 9)",
     "checkpoint.load_train_state": "bit-exact resume (acceptance criterion 9)",
@@ -183,5 +188,41 @@ def test_reachability_scan_flags_an_unreachable_helper(tmp_path):
         f.write("\n\ndef _orphan(seq):\n    return load_jsonl(seq)\n")
     with open(copy / "rbm.py", "a") as f:
         f.write("\n\nclass Orphan:\n    pass\n")
+    with open(copy / "exact.py", "a") as f:
+        f.write("\n\ndef _orphan(rbm):\n    return all_states(rbm.n_visible)\n")
     assert unreachable(copy, USERS, entry_points(), KEPT) == [
-        "data._orphan", "rbm.Orphan"]
+        "data._orphan", "exact._orphan", "rbm.Orphan"]
+
+
+def test_cli_loads_no_oracle_and_package_binds_only_its_version():
+    code = ("import sys, growrbm\n"
+            "print(sorted(n for n in vars(growrbm) if not n.startswith('__')))\n"
+            "import growrbm.cli\n"
+            "print('growrbm.exact' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "False"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "exact"],
+                         ids=lambda p: p.stem)
+def test_only_exact_enumerates(path):
+    """No module but ``exact`` defines an ``*_exact`` function or
+    imports ``logsumexp``, the enumeration oracles' normaliser."""
+    tree = ast.parse(path.read_text())
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+            and n.name.endswith("_exact")] == []
+    assert [a.name for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            for a in n.names if a.name.split(".")[-1] == "logsumexp"] == []
+
+
+def test_readme_library_sketch_imports_run():
+    readme = (ROOT / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1]
+    block = re.search(r"```python\n(.*?)```", sketch, flags=re.S).group(1)
+    imports = [line for line in block.splitlines()
+               if line.startswith(("import ", "from "))]
+    assert len(imports) >= 5
+    exec("\n".join(imports), {})

@@ -11,6 +11,7 @@ from scipy.special import expit
 from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, _logistic,
                               philox4x64, sample_bernoulli, sigmoid,
                               uniforms_from_words)
+from references import reference_logistic
 
 # both clamp ends, the tails of expit down to denormals and past them,
 # tiny and denormal inputs, and ordinary values
@@ -86,14 +87,6 @@ class TestSigmoid:
            st.floats(min_value=0.01, max_value=1.0))
     def test_monotone(self, x, dx):
         assert sigmoid(x + dx) > sigmoid(x)
-
-
-def reference_logistic(x, out=None):
-    """The clamped logistic as it clamped against Python floats."""
-    out = np.asarray(expit(x, out=out))
-    np.maximum(out, float(np.finfo(np.float64).tiny), out=out)
-    np.minimum(out, float(np.nextafter(1.0, 0.0)), out=out)
-    return out
 
 
 # signed zeros, subnormals, both clamp ends (expit reaches 1 near 36.7

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm.errors import CapacityError, DimensionError
-from growrbm.numerics import RngStream, sample_bernoulli
-from growrbm.rbm import (CdConfig, Rbm, RbmGradient, cd_step, energy,
-                         free_energy,
-                         hidden_conditional, log_likelihood_exact,
-                         log_likelihood_gradient_exact, log_partition_exact,
-                         prob_exact, visible_conditional)
+from growrbm.exact import (energy, free_energy, log_likelihood_exact,
+                           log_likelihood_gradient_exact, log_partition_exact,
+                           prob_exact)
+from growrbm.numerics import RngStream
+from growrbm.rbm import (CdConfig, Rbm, cd_step, hidden_conditional,
+                         visible_conditional)
+from references import reference_cd_step
 
 
 def naive_energy(rbm, v, h):
@@ -273,24 +274,6 @@ class TestExactGradient:
                 prev = cur
 
 
-def reference_cd_step(rbm, batch, cfg, rng):
-    """CD-k built from the library conditionals, each Bernoulli draw
-    taken from ``rng`` when the chain reaches it."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    h_data = hidden_conditional(rbm, batch)
-    h = sample_bernoulli(h_data, rng)
-    v_prob = visible_conditional(rbm, h)
-    for _ in range(cfg.k - 1):
-        v = sample_bernoulli(v_prob, rng)
-        h = sample_bernoulli(hidden_conditional(rbm, v), rng)
-        v_prob = visible_conditional(rbm, h)
-    h_model = hidden_conditional(rbm, v_prob)
-    n = batch.shape[0]
-    return RbmGradient(batch.mean(axis=0) - v_prob.mean(axis=0),
-                       h_data.mean(axis=0) - h_model.mean(axis=0),
-                       (batch.T @ h_data - v_prob.T @ h_model) / n)
-
-
 class TestCdStep:
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 4), n=st.integers(1, 40),
@@ -392,7 +375,7 @@ class TestCdStep:
             rbm.c += 0.2 * g.dc
             rbm.W += 0.2 * g.dW
         # sample the trained model exactly by enumeration
-        from growrbm.rbm import all_states
+        from growrbm.exact import all_states
         states = all_states(3)
         logw = -free_energy(rbm, states)
         p = np.exp(logw - np.max(logw))

@@ -15,11 +15,11 @@ from growrbm.rbm import CdConfig, hidden_conditional
 from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
-from growrbm.rnn_rbm import (RnnRbm, _mean_field_marginals,
-                             mean_sequence_energy, next_frame_predictions,
-                             predict_next, prediction_error, state_update,
-                             temporal_biases, train_adaptive_rnn_rbm, unroll)
-from test_dbn import mean_field_metrics
+from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
+                             next_frame_predictions, predict_next,
+                             prediction_error, train_adaptive_rnn_rbm, unroll)
+from references import (mean_field_metrics, reference_linear_sampler,
+                        reference_sample_sequence_deep)
 from test_rnn_rbm import cycle_sequences, small_model
 
 
@@ -305,35 +305,6 @@ class TestDeepSampling:
         (stack, _), _ = trained_stack(max_layers=2)
         with pytest.raises(ValueError):
             sample_sequence_deep(stack, -2, RngStream(1))
-
-
-def reference_sample_sequence_deep(stack, length, rng):
-    """Quadratic sampler: every step re-lifts the whole prefix through
-    :func:`predict_next_deep`, samples the marginals and appends."""
-    frames = np.zeros((length, stack.n_visible))
-    for t in range(length):
-        frames[t] = sample_bernoulli(predict_next_deep(stack, frames[:t]), rng)
-    return frames
-
-
-def reference_linear_sampler(stack, length, rng, draw=sample_bernoulli):
-    """Linear sampler, one layer function at a time: per frame the
-    temporal biases, the top layer's mean-field passes, a guarded pass per
-    layer down, the draw, then guarded state updates and lifts."""
-    *lower, top = stack.layers
-    states = [layer.u0 for layer in stack.layers]
-    frames = np.zeros((length, stack.n_visible))
-    for t in range(length):
-        biases = [temporal_biases(*pair) for pair in zip(stack.layers, states)]
-        signal = _mean_field_marginals(top.W, *biases[-1])
-        for layer, (b_next, _) in zip(reversed(lower), reversed(biases[:-1])):
-            signal = sigmoid(b_next + signal @ layer.W.T)
-        view = frames[t] = draw(signal, rng)
-        for i, layer in enumerate(stack.layers):
-            states[i] = state_update(layer, states[i], view)
-            if i < len(lower):
-                view = sigmoid(biases[i][1] + view @ layer.W)
-    return frames
 
 
 def recording_draw(marginals):

@@ -11,19 +11,21 @@ from growrbm import rnn_rbm
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            apply_annihilation, maybe_generate)
 from growrbm.errors import CapacityError, DimensionError
+from growrbm.exact import (log_likelihood_exact, sequence_cost_exact,
+                           sequence_cost_gradient_exact, state_update)
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
-from growrbm.rbm import CdConfig, Rbm, cd_step, log_likelihood_exact
+from growrbm.rbm import CdConfig, Rbm, cd_step
 from growrbm.rnn_dbn import RnnDbn, sample_sequence_deep
 from growrbm.rnn_rbm import (LengthGroups, RnnRbm, RnnRbmGradient,
                              bptt_gradients, mean_hidden_activation,
                              mean_sequence_energy,
                              next_frame_predictions, predict_next,
-                             prediction_error, sequence_cost_exact,
-                             sequence_cost_gradient_exact, state_update,
-                             temporal_biases, train_adaptive_rnn_rbm, unroll)
+                             prediction_error, temporal_biases,
+                             train_adaptive_rnn_rbm, unroll)
 
-from test_rbm import reference_cd_step
+from references import (reference_bptt_gradients, reference_grow_hidden,
+                        reference_mean_field)
 
 GRAD_PAIRS = [("db", "b"), ("dc", "c"), ("dW", "W"), ("du", "u_bias"),
               ("dw_uv", "w_uv"), ("dw_uh", "w_uh"), ("dw_vu", "w_vu"),
@@ -65,35 +67,6 @@ def grown_model(model, seed):
     return grown
 
 
-def reference_grow_hidden(model, stats, cfg, rng):
-    """The recurrent growth sweep written out on its own: split the
-    triggered units of the static part (per parent, bias noise then
-    weight-column noise), then draw one ``(P, K)`` block of fresh small
-    ``w_uh`` columns.  Returns ``(model, stats, parents)``."""
-    scores = (cfg.c_gain * stats.var_c()
-              * np.mean(cfg.w_gain * stats.var_w(), axis=0))
-    parents = [j for j in range(model.n_hidden) if scores[j] > cfg.gen_threshold]
-    parents = parents[:max(0, cfg.max_hidden - model.n_hidden)]
-    if not parents:
-        return model, stats, []
-    child_c, child_cols = [], []
-    for j in parents:
-        child_c.append(model.c[j] + rng.normal(sd=cfg.split_noise_sd))
-        child_cols.append(model.W[:, j] + rng.normal(sd=cfg.split_noise_sd,
-                                                     size=model.n_visible))
-    new_cols = rng.normal(sd=0.01, size=(len(parents), model.u_dim))
-    at = np.add(parents, 1)
-    grown = model.copy()
-    grown.c = np.insert(model.c, at, child_c)
-    grown.W = np.insert(model.W, at, np.transpose(child_cols), axis=1)
-    grown.w_uh = np.insert(model.w_uh, at, new_cols.T, axis=1)
-    grown_stats = GradientStats(
-        *(np.insert(a, at, 0.0, axis=-1)
-          for a in (stats.mean_c, stats.sq_c, stats.mean_w, stats.sq_w)),
-        decay=stats.decay, count=stats.count)
-    return grown, grown_stats, parents
-
-
 def cycle_sequences(n_seq, t_len, rng, dim=4):
     eye = np.eye(dim)
     out = []
@@ -101,47 +74,6 @@ def cycle_sequences(n_seq, t_len, rng, dim=4):
         phase = int(rng.integers(dim))
         out.append(np.array([eye[(phase + t) % dim] for t in range(t_len)]))
     return out
-
-
-def reference_bptt_gradients(model, batch, cfg, rng):
-    """Frame-by-frame BPTT-CD: a 1-row ``reference_cd_step`` per frame on
-    its ``split(t)`` stream, chained through the state with outer
-    products."""
-    total = RnnRbmGradient.zeros(model)
-    frames = 0
-    for s, seq in enumerate(batch):
-        seq_rng = rng.split(s)
-        t_len = seq.shape[0]
-        U = [model.u0]
-        DB, DC = [], []
-        dW = np.zeros_like(model.W)
-        for t in range(t_len):
-            b_t, c_t = temporal_biases(model, U[t])
-            g = reference_cd_step(Rbm(b_t, c_t, model.W),
-                                  seq[t][None, :], cfg, seq_rng.split(t))
-            DB.append(g.db)
-            DC.append(g.dc)
-            dW += g.dW
-            U.append(state_update(model, U[t], seq[t]))
-        U = np.array(U)
-        g = RnnRbmGradient.zeros(model)
-        g.db = np.sum(DB, axis=0)
-        g.dc = np.sum(DC, axis=0)
-        g.dW = dW
-        g.dw_uv = U[:-1].T @ np.array(DB)
-        g.dw_uh = U[:-1].T @ np.array(DC)
-        gu = np.zeros(model.u_dim)
-        for t in range(t_len - 1, -1, -1):
-            ga = gu * U[t + 1] * (1.0 - U[t + 1])
-            g.du += ga
-            g.dw_uu += np.outer(U[t], ga)
-            g.dw_vu += np.outer(seq[t], ga)
-            gu = DB[t] @ model.w_uv.T + DC[t] @ model.w_uh.T \
-                + ga @ model.w_uu.T
-        g.du0 = gu
-        total.add_(g)
-        frames += t_len
-    return total.scale_(1.0 / frames)
 
 
 def exact_next_marginal(W, b, c):
@@ -319,7 +251,7 @@ class TestExactGradient:
     def test_single_frame_recovers_static_gradient(self):
         # one frame, zero recurrence: b/c/W parts must equal the exact
         # static likelihood gradient (negated, cost vs likelihood)
-        from growrbm.rbm import log_likelihood_gradient_exact
+        from growrbm.exact import log_likelihood_gradient_exact
         rng = RngStream(15)
         rbm = Rbm(rng.normal(sd=0.5, size=3), rng.normal(sd=0.5, size=2),
                   rng.normal(sd=0.5, size=(3, 2)))
@@ -484,17 +416,6 @@ class TestPrediction:
     def test_prediction_error_empty_is_nan(self):
         assert np.isnan(prediction_error(small_model(39),
                                          [np.zeros((1, 3))]))
-
-
-def reference_mean_field(W, b_next, c_next):
-    """The mean-field passes through the guarded :func:`sigmoid`, which
-    checks every pass's pre-activations as it goes."""
-    v = np.full(b_next.shape, 0.5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(rnn_rbm.MEAN_FIELD_PASSES):
-            h = sigmoid(c_next + v @ W)
-            v = sigmoid(b_next + h @ W.T)
-    return v
 
 
 @st.composite
@@ -813,7 +734,7 @@ class TestSummaries:
         assert mean_sequence_energy(m, seqs) == 0.0
 
     def test_zero_recurrence_matches_static_energy(self):
-        from test_dbn import mean_field_metrics
+        from references import mean_field_metrics
         rng = RngStream(44)
         rbm = Rbm(rng.normal(sd=0.4, size=3), rng.normal(sd=0.4, size=2),
                   rng.normal(sd=0.4, size=(3, 2)))
