@@ -109,8 +109,8 @@ class GradientStats:
     """Exponential moving first and second moments of recent gradients.
 
     Tracks the hidden-bias gradient per unit and the weight gradient per
-    connection.  ``var_*`` return the centred second moment, the
-    fluctuation measure the growth score is built on.
+    connection; the four moments and ``decay`` are the whole state.
+    ``var_*`` return the centred second moment the growth score reads.
     """
 
     mean_c: np.ndarray
@@ -118,7 +118,6 @@ class GradientStats:
     mean_w: np.ndarray
     sq_w: np.ndarray
     decay: float = 0.9
-    count: int = 0
 
     @staticmethod
     def zeros(n_visible: int, n_hidden: int, decay: float = 0.9) -> "GradientStats":
@@ -138,7 +137,6 @@ class GradientStats:
         self.sq_c = lam * self.sq_c + (1 - lam) * dc ** 2
         self.mean_w = lam * self.mean_w + (1 - lam) * dW
         self.sq_w = lam * self.sq_w + (1 - lam) * dW ** 2
-        self.count += 1
 
     def var_c(self) -> np.ndarray:
         return np.maximum(self.sq_c - self.mean_c ** 2, 0.0)
@@ -149,7 +147,7 @@ class GradientStats:
     def copy(self) -> "GradientStats":
         return GradientStats(self.mean_c.copy(), self.sq_c.copy(),
                              self.mean_w.copy(), self.sq_w.copy(),
-                             self.decay, self.count)
+                             self.decay)
 
     def insert_hidden(self, parents) -> "GradientStats":
         """Zero-initialised slots for freshly split units, parent order."""
@@ -159,14 +157,13 @@ class GradientStats:
             mean_w=insert_after(self.mean_w, parents, 0.0),
             sq_w=insert_after(self.sq_w, parents, 0.0),
             decay=self.decay,
-            count=self.count,
         )
 
     def remove_hidden(self, mask: np.ndarray) -> "GradientStats":
         keep = ~np.asarray(mask, dtype=bool)
         return GradientStats(self.mean_c[keep], self.sq_c[keep],
                              self.mean_w[:, keep], self.sq_w[:, keep],
-                             self.decay, self.count)
+                             self.decay)
 
 
 def generation_scores(stats: GradientStats, cfg: AdaptConfig) -> np.ndarray:
@@ -370,9 +367,10 @@ class TrainState:
 
 def _train_layer(data, model, cd, epochs: int, rng: RngStream,
                  adapt: AdaptConfig | None, forget: ForgettingConfig | None,
-                 layer: int, log: TrainLog | None, resume: TrainState | None,
-                 epoch_callback, *, gradient, update, epoch_data):
-    """Adaptive epoch loop of both trainers; returns ``(model, stats, log)``.
+                 layer: int, resume: TrainState | None, epoch_callback, *,
+                 gradient, update, epoch_data):
+    """Adaptive epoch loop of both trainers; returns ``(model, stats, log)``
+    with a fresh :class:`~growrbm.log.TrainLog` of this layer's rows.
 
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
     draws from ``rng.split(e + 1)``: batch ``i`` from a further
@@ -395,7 +393,7 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
     above the first logs ``layer(l=...)`` on its first epoch.  Growth,
     pruning and the forgetting penalties are the same for both families.
     """
-    log = log if log is not None else TrainLog()
+    log = TrainLog()
     controller = StructureController(adapt, forget, epochs)
     if resume is not None:
         model = resume.model.copy()
@@ -427,13 +425,13 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
         first = epoch == 0 and layer > 1
         events = [format_layer_event(layer)] if first else []
         phase = controller.structure_phase(epoch)
-        if phase == "generate" and adapt is not None:
+        if phase == "generate":
             scores = generation_scores(stats, adapt)
             model, stats, parents = maybe_generate(model, stats, adapt,
                                                    ep.split(0))
             events += [format_generation_event(j, scores[j]) for j in parents]
             controller.record_generation(len(parents))
-        elif phase == "annihilate" and adapt is not None:
+        elif phase == "annihilate":
             mean_act = whole.mean_activation(model)
             mask = mask_from_activations(mean_act, adapt)
             if mask.any():

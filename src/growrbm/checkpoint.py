@@ -47,7 +47,7 @@ _KINDS = {"rbm": (Rbm, Rbm, _DIMS), "rnn-rbm": (RnnRbm, RnnRbm, _RNN_DIMS),
           "dbn": (Dbn, Rbm, _DIMS), "rnn-dbn": (RnnDbn, RnnRbm, _RNN_DIMS)}
 _STATS_ARRAYS = ("mean_c", "sq_c", "mean_w", "sq_w")
 _TRAIN_META = {"epoch_done": int, "controller": dict,
-               "stats_decay": (int, float), "stats_count": int}
+               "stats_decay": (int, float)}
 
 
 def model_kind(model) -> str:
@@ -99,7 +99,10 @@ def _write(path, kind: str, arrays: dict, meta: dict, seed: int):
 
 def _read(path) -> tuple[dict, dict]:
     """(header, named arrays); raises the checkpoint error family."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise CheckpointVersionError(f"{path}: not a recognised checkpoint")
     version = struct.unpack("<I", raw[4:8])[0]
@@ -222,12 +225,13 @@ def save_train_state(path, state, seed: int = 0):
     arrays.update({f"stats/{name}": getattr(state.stats, name)
                    for name in _STATS_ARRAYS})
     meta.update(epoch_done=state.epoch_done, controller=state.controller,
-                stats_decay=state.stats.decay, stats_count=state.stats.count)
+                stats_decay=state.stats.decay)
     _write(path, kind + "-train", arrays, meta, seed)
 
 
 def load_train_state(path):
-    """Returns ``(state, header)`` matching :func:`save_train_state`."""
+    """Returns ``(state, header)`` matching :func:`save_train_state`;
+    meta keys it does not read, such as an old update count, are ignored."""
     header, arrays = _read(path)
     kind = header["kind"]
     if not kind.endswith("-train"):
@@ -239,14 +243,14 @@ def load_train_state(path):
     controller = train["controller"]
     _field(controller, "generation_done", bool, path, "meta.controller.")
     stall = _field(controller, "stall", int, path, "meta.controller.")
-    if (min(train["epoch_done"], train["stats_count"], stall) < 0
+    if (min(train["epoch_done"], stall) < 0
             or not 0.0 < train["stats_decay"] < 1.0):
         raise CheckpointError(
-            f"{path}: resume point out of range: epoch_done, stats_count and "
-            "controller stall must be >= 0 and stats_decay in (0, 1)")
+            f"{path}: resume point out of range: epoch_done and controller "
+            "stall must be >= 0 and stats_decay in (0, 1)")
     stats = GradientStats(
         *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS),
-        decay=float(train["stats_decay"]), count=train["stats_count"])
+        decay=float(train["stats_decay"]))
     if not isinstance(model, Dbn):
         i, j = model.n_visible, model.n_hidden
         for name, shape in zip(_STATS_ARRAYS, [(j,), (j,), (i, j), (i, j)]):

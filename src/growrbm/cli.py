@@ -15,8 +15,8 @@ import numpy as np
 
 from .checkpoint import describe
 from .config import parse_config
-from .errors import (CheckpointError, ConfigError, DataFormatError,
-                     DimensionError, GrowRbmError, NumericError)
+from .errors import (CheckpointError, DataFormatError, DimensionError,
+                     GrowRbmError, NumericError)
 from .harness import run_eval, run_sample, run_training
 
 
@@ -80,16 +80,13 @@ def main(argv=None) -> int:
             print(f"wrote {frames.shape[0]} frames to {args.out}")
         elif args.command == "inspect":
             sys.stdout.write(describe(args.checkpoint))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DataFormatError, CheckpointError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except GrowRbmError as exc:
+    except GrowRbmError as exc:  # a configuration or usage problem
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

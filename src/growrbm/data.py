@@ -25,13 +25,11 @@ from .numerics import RngStream
 
 @dataclass
 class SequenceDataset:
-    """Named collection of binary sequences with a train/test split."""
+    """Binary sequences of frame width ``dim`` with a train/test split."""
 
-    name: str
     dim: int
     train: list = field(default_factory=list)
     test: list = field(default_factory=list)
-    provenance: str = ""
 
 
 _FORMS = "a list of frames or an object with a 'seq' or 'frames' field"
@@ -74,12 +72,13 @@ def _parse_sequence(seq, where: str) -> np.ndarray:
     return np.asarray(seq, dtype=np.float64)
 
 
-def load_jsonl(path, name: str | None = None) -> SequenceDataset:
+def load_jsonl(path) -> SequenceDataset:
     """Read a JSONL sequence file, one sequence per line in any of the
     forms above; every sequence lands in ``train``.
 
-    Raises :class:`DataFormatError` with the file name and line number
-    for unparsable lines, inconsistent widths, or an empty file.
+    Raises :class:`DataFormatError` naming the file for one that cannot
+    be read or holds no sequence, and naming the line for an unparsable
+    line or inconsistent widths.
     """
     path = Path(path)
     try:
@@ -109,8 +108,7 @@ def load_jsonl(path, name: str | None = None) -> SequenceDataset:
 
     if not sequences:
         raise DataFormatError(f"{path}: no sequences found")
-    return SequenceDataset(name=name or path.stem, dim=dim, train=sequences,
-                           provenance=f"loaded from {path}")
+    return SequenceDataset(dim=dim, train=sequences)
 
 
 def write_jsonl(path, sequences, ids=None):
@@ -189,11 +187,7 @@ def synth_cycle(n_patterns: int, dim: int, length: int, n_sequences: int,
     n_train = max(1, int(round(0.8 * n_sequences)))
     train = [sequences[i] for i in order[:n_train]]
     test = [sequences[i] for i in order[n_train:]]
-    return SequenceDataset(
-        name=f"cycle{n_patterns}x{dim}", dim=dim, train=train, test=test,
-        provenance=(f"synth_cycle(n_patterns={n_patterns}, dim={dim}, "
-                    f"length={length}, n_sequences={n_sequences}, "
-                    f"noise={noise_flip_prob})"))
+    return SequenceDataset(dim=dim, train=train, test=test)
 
 
 def augment_parity(dataset: SequenceDataset) -> SequenceDataset:
@@ -209,7 +203,6 @@ def augment_parity(dataset: SequenceDataset) -> SequenceDataset:
             out.append(np.hstack([seq, parity]))
         return out
 
-    return SequenceDataset(
-        name=dataset.name + "+parity", dim=dataset.dim + 1,
-        train=with_parity(dataset.train), test=with_parity(dataset.test),
-        provenance=dataset.provenance + " | parity bit appended")
+    return SequenceDataset(dim=dataset.dim + 1,
+                           train=with_parity(dataset.train),
+                           test=with_parity(dataset.test))

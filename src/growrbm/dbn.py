@@ -12,7 +12,7 @@ activations become the next layer's data, the next layer starts from
 continues while the accumulated gradient-variance and energy totals of
 the stack stay above their thresholds (or unconditionally up to the cap
 when the layer gate is disabled).  The gate reads each layer's totals
-from the last row the layer appended to the training log.
+from the last row of the log the layer returns.
 """
 from __future__ import annotations
 
@@ -132,7 +132,6 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
                        adapt: AdaptConfig | None = None,
                        forget: ForgettingConfig | None = None,
                        init_model: Rbm | None = None, layer: int = 1,
-                       log: TrainLog | None = None,
                        resume: TrainState | None = None,
                        epoch_callback=None):
     """Train one RBM with the full structure schedule.
@@ -151,7 +150,7 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
         init_model = (Rbm.random(data.shape[1], n_hidden, rng.split(0))
                       if init_model is None else init_model.copy())
     return _train_layer(
-        data, init_model, cd, epochs, rng, adapt, forget, layer, log, resume,
+        data, init_model, cd, epochs, rng, adapt, forget, layer, resume,
         epoch_callback, gradient=cd_step, update=_apply_update,
         epoch_data=lambda: _EpochFrames(data))
 
@@ -195,9 +194,10 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
 
     Layer ``l`` trains as ``train(inputs, rng=rng.split(l), ...)``, as a
     standalone run would; the next layer starts from :func:`_inherit`
-    with ``rng.split(l + 1).split(0)`` on ``lift(model, inputs)``.  The
-    layer's totals come from the last row it appended to the stack's log,
-    so every layer must train at least one epoch.  Returns ``(stack, log)``.
+    with ``rng.split(l + 1).split(0)`` on ``lift(model, inputs)``.  Each
+    layer returns a log of its own rows, which the stack's log takes in
+    layer order; the layer's totals come from its last row, so every
+    layer must train at least one epoch.  Returns ``(stack, log)``.
     """
     if epochs < 1:
         raise ValueError("epochs_per_layer must be >= 1")
@@ -205,10 +205,11 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
     layer_idx = 1
     init = None
     while True:
-        model, _, _ = train(
+        model, _, layer_log = train(
             inputs, rng=rng.split(layer_idx), init_model=init,
-            layer=layer_idx, log=log, epochs=epochs, **layer_kwargs)
-        totals = _layer_totals(log.rows[-1])
+            layer=layer_idx, epochs=epochs, **layer_kwargs)
+        log.rows.extend(layer_log.rows)
+        totals = _layer_totals(layer_log.rows[-1])
         stack = type(stack)(layers=stack.layers + [model],
                             totals=stack.totals + [totals])
         stack.validate()

@@ -11,7 +11,8 @@ class GrowRbmError(Exception):
 
 
 class ConfigError(GrowRbmError):
-    """Bad run configuration: unknown key, unparsable value, bad combination."""
+    """Bad run configuration or usage: unknown key, unparsable value, bad
+    combination, an output path that cannot be written."""
 
 
 class DimensionError(GrowRbmError):

@@ -76,7 +76,10 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         _check_heldout(test_seqs, dataset.dim)
     # inputs that fail their checks leave no output directory behind
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     (out / "config.cfg").write_text(cfg.raw_text)
     master = RngStream(cfg.seed)
     adapt = cfg.adapt if cfg.adaptive else None
@@ -132,8 +135,8 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
 
 def run_eval(checkpoint_path, dataset_path) -> tuple[float, float]:
     """Next-frame metrics of a recurrent checkpoint on a sequence file."""
-    stack = _recurrent_stack(load_checkpoint(checkpoint_path)[0])
-    return evaluate_model(stack, load_jsonl(dataset_path).train)
+    model = load_checkpoint(checkpoint_path)[0]
+    return evaluate_model(model, load_jsonl(dataset_path).train)
 
 
 def run_sample(checkpoint_path, length: int, seed: int, out_path) -> np.ndarray:
@@ -142,6 +145,9 @@ def run_sample(checkpoint_path, length: int, seed: int, out_path) -> np.ndarray:
         raise ConfigError("length must be >= 0")
     stack = _recurrent_stack(load_checkpoint(checkpoint_path)[0])
     frames = sample_sequence_deep(stack, length, RngStream(seed))
-    write_jsonl(out_path, [frames] if length > 0 else [],
-                ids=["sample"] if length > 0 else None)
+    try:
+        write_jsonl(out_path, [frames] if length > 0 else [],
+                    ids=["sample"] if length > 0 else None)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     return frames

@@ -53,7 +53,6 @@ import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import DimensionError
-from .log import TrainLog
 from .metrics import PooledMetrics
 from .numerics import RngStream, _logistic, sigmoid
 from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
@@ -522,7 +521,6 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
                            forget: ForgettingConfig | None = None,
                            u_dim: int | None = None,
                            init_model: RnnRbm | None = None, layer: int = 1,
-                           log: TrainLog | None = None,
                            resume: TrainState | None = None,
                            epoch_callback=None):
     """Adaptive training of one recurrent layer in the shared epoch loop.
@@ -547,6 +545,6 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     stacks = LengthGroups.of(init_model if resume is None else resume.model,
                              sequences).stacks
     return _train_layer(
-        sequences, init_model, cd, epochs, rng, adapt, forget, layer, log,
-        resume, epoch_callback, gradient=bptt_gradients,
+        sequences, init_model, cd, epochs, rng, adapt, forget, layer, resume,
+        epoch_callback, gradient=bptt_gradients,
         update=_clipped_update, epoch_data=lambda: LengthGroups(stacks))

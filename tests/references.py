@@ -135,7 +135,7 @@ def reference_grow_hidden(model, stats, cfg, rng):
     grown_stats = GradientStats(
         *(np.insert(a, at, 0.0, axis=-1)
           for a in (stats.mean_c, stats.sq_c, stats.mean_w, stats.sq_w)),
-        decay=stats.decay, count=stats.count)
+        decay=stats.decay)
     return grown, grown_stats, parents
 
 

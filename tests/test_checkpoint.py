@@ -12,6 +12,7 @@ from growrbm.checkpoint import (FORMAT_VERSION, MAGIC, describe,
 from growrbm.dbn import Dbn, LayerTotals, train_adaptive_rbm
 from growrbm.errors import (CheckpointDimensionError, CheckpointError,
                             CheckpointTruncatedError, CheckpointVersionError)
+from growrbm.log import TrainLog
 from growrbm.numerics import RngStream
 from growrbm.rbm import CdConfig, Rbm
 from growrbm.rnn_dbn import RnnDbn
@@ -154,7 +155,6 @@ class TestTrainStateRoundTrip:
         assert loaded.epoch_done == state.epoch_done
         assert loaded.controller == state.controller
         assert loaded.stats.decay == state.stats.decay
-        assert loaded.stats.count == state.stats.count
         for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
             npt.assert_array_equal(getattr(loaded.stats, name),
                                    getattr(state.stats, name), err_msg=name)
@@ -172,6 +172,42 @@ class TestTrainStateRoundTrip:
                            controller={"generation_done": True, "stall": 0})
         for state in (state, self.grown_state(recurrent=True)):
             self.assert_round_trip(tmp_path, state, "rnn-rbm-train")
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["static", "recurrent"])
+    def test_state_with_stats_count_resumes_exactly(self, tmp_path,
+                                                    recurrent):
+        """A train-state file laid out as earlier builds wrote it, whose
+        meta also carries ``stats_count``, loads and resumes to the
+        ``log.csv`` and ``model.ckpt`` bytes of an uninterrupted run."""
+        rng = RngStream(55)
+        seqs = [(rng.uniform(size=(6, 4)) < 0.5).astype(float)
+                for _ in range(8)]
+        train, data = ((train_adaptive_rnn_rbm, seqs) if recurrent
+                       else (train_adaptive_rbm, np.vstack(seqs)))
+        cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
+        adapt = AdaptConfig(generation_phase_epochs=2, max_hidden=6,
+                            gen_threshold=1e-12)
+        state_path = tmp_path / "state.ckpt"
+
+        def persist(state):
+            if state.epoch_done == 2:
+                save_train_state(state_path, state, seed=9)
+
+        full, _, full_log = train(data, 3, cd, 6, RngStream(9), adapt=adapt,
+                                  epoch_callback=persist)
+        TestCorruption.edit_header(
+            state_path, lambda h: h["meta"].update(stats_count=12))
+        state, header = load_train_state(state_path)
+        assert header["meta"]["stats_count"] == 12
+        resumed, _, tail = train(data, 3, cd, 6, RngStream(9), adapt=adapt,
+                                 resume=state)
+        assert (TrainLog(full_log.rows[:3] + tail.rows).csv_text()
+                == full_log.csv_text())
+        for name, model in (("full", full), ("resumed", resumed)):
+            save_checkpoint(tmp_path / f"{name}.ckpt", model, seed=9)
+        assert ((tmp_path / "full.ckpt").read_bytes()
+                == (tmp_path / "resumed.ckpt").read_bytes())
 
     def test_loaders_reject_wrong_family(self, tmp_path):
         plain = tmp_path / "plain.ckpt"
@@ -295,8 +331,7 @@ class TestCorruption:
           "stack of 0 layers") for load in (load_checkpoint, describe)
     ] + [(save_state, load_train_state,
           lambda h, key=key: h["meta"].pop(key), f"missing 'meta.{key}'")
-         for key in ("stats_decay", "stats_count", "epoch_done",
-                     "controller")
+         for key in ("stats_decay", "epoch_done", "controller")
     ] + [(save_state, load_train_state,
           lambda h, meta=meta: h["meta"].update(meta), match)
          for meta, match in (
@@ -311,7 +346,6 @@ class TestCorruption:
              ({"controller": {"generation_done": False, "stall": -1}},
               "out of range"),
              ({"epoch_done": -2}, "out of range"),
-             ({"stats_count": -3}, "out of range"),
              ({"stats_decay": 5.0}, "out of range"),
              ({"stats_decay": 0}, "out of range"))
     ] + [(lambda p, i=i, j=j: save_state(p, GradientStats.zeros(i, j)),
@@ -321,12 +355,11 @@ class TestCorruption:
              "surplus-totals", "describe-string-totals",
              "describe-scalar-totals", "describe-short-totals",
              "zero-layers", "describe-zero-layers", "state-stats_decay",
-             "state-stats_count", "state-epoch_done", "state-controller",
+             "state-epoch_done", "state-controller",
              "state-empty-controller", "state-string-controller",
              "state-int-generation_done", "state-string-stall",
              "state-negative-stall", "state-negative-epoch_done",
-             "state-negative-stats_count", "state-stats_decay-above-1",
-             "state-zero-stats_decay",
+             "state-stats_decay-above-1", "state-zero-stats_decay",
              "state-stats-more-hidden", "state-stats-fewer-visible"])
     def test_missing_header_key(self, tmp_path, save, load, edit, match):
         p = tmp_path / "m.ckpt"
@@ -367,6 +400,34 @@ class TestCorruption:
                 ["--length", "3", "--out", str(tmp_path / "s.jsonl")])
         assert main([command, "--checkpoint", str(p)] + args) == 2
         assert "stack of 0 layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inspect", "eval"])
+    def test_unknown_kind_exits_2_in_cli(self, tmp_path, capsys, command):
+        from growrbm.cli import main
+        p = self.saved(tmp_path)
+        self.edit_header(p, lambda h: h.update(kind="transformer"))
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"seq": [[0, 1, 0], [1, 0, 1]]}\n')
+        args = ["--dataset", str(data)] if command == "eval" else []
+        assert main([command, "--checkpoint", str(p)] + args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "unknown checkpoint kind 'transformer'" in err[0]
+
+    def test_stack_missing_upper_layer_array_exits_2_in_eval(self, tmp_path,
+                                                             capsys):
+        from growrbm.checkpoint import _collect, _write
+        from growrbm.cli import main
+        kind, arrays, meta = _collect(rnn_dbn_model())
+        del arrays["layer1/W"]
+        p = tmp_path / "m.ckpt"
+        _write(p, kind, arrays, meta, seed=0)
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"seq": [[0, 1, 0], [1, 0, 1]]}\n')
+        assert main(["eval", "--checkpoint", str(p),
+                     "--dataset", str(data)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "missing array 'layer1/W'" in err[0]
 
     @pytest.mark.parametrize("name", ["b", "c", "u_bias"])
     def test_zero_dimensional_size_array(self, tmp_path, capsys, name):

@@ -25,12 +25,10 @@ class TestLoadJsonl:
             '{"seq":[[1,1]]}',
         ])
         ds = load_jsonl(p)
-        assert ds.name == "seqs"
         assert ds.dim == 2
         assert len(ds.train) == 2 and ds.test == []
         npt.assert_array_equal(ds.train[0], [[0.0, 1.0], [1.0, 0.0]])
         npt.assert_array_equal(ds.train[1], [[1.0, 1.0]])
-        assert str(p) in ds.provenance
 
     def test_documented_forms_load_alike(self, tmp_path):
         p = self.write(tmp_path, [
@@ -81,10 +79,6 @@ class TestLoadJsonl:
     def test_blank_lines_skipped(self, tmp_path):
         p = self.write(tmp_path, ['{"seq":[[1]]}', '', '   ', '{"seq":[[0]]}'])
         assert len(load_jsonl(p).train) == 2
-
-    def test_name_override(self, tmp_path):
-        p = self.write(tmp_path, ['{"seq":[[1]]}'])
-        assert load_jsonl(p, name="custom").name == "custom"
 
     def test_invalid_json_names_line(self, tmp_path):
         p = self.write(tmp_path, ['{"seq":[[1]]}', '{oops'])
@@ -259,7 +253,6 @@ class TestSynthCycle:
         assert len(ds.test) == 4
         for s in ds.train + ds.test:
             assert s.shape == (10, 6)
-        assert "synth_cycle" in ds.provenance
 
     def test_tiny_dataset_keeps_one_train_sequence(self):
         ds = synth_cycle(2, 3, 4, 1, 0.0, RngStream(3))
@@ -304,17 +297,15 @@ class TestSynthCycle:
 
 class TestAugmentParity:
     def test_appends_xor_bit(self):
-        ds = SequenceDataset(name="x", dim=3, train=[
+        ds = SequenceDataset(dim=3, train=[
             np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])])
         out = augment_parity(ds)
         assert out.dim == 4
-        assert out.name == "x+parity"
         npt.assert_array_equal(out.train[0][:, 3], [0.0, 1.0, 0.0])
         npt.assert_array_equal(out.train[0][:, :3], ds.train[0])
 
     def test_test_split_also_augmented(self):
-        ds = SequenceDataset(name="x", dim=2,
-                             train=[np.array([[1.0, 0.0]])],
+        ds = SequenceDataset(dim=2, train=[np.array([[1.0, 0.0]])],
                              test=[np.array([[1.0, 1.0]])])
         out = augment_parity(ds)
         npt.assert_array_equal(out.test[0], [[1.0, 1.0, 0.0]])

@@ -453,6 +453,75 @@ class TestCli:
         assert trained == []
         assert not out.exists()
 
+    @staticmethod
+    def saved_model(tmp_path):
+        """A recurrent checkpoint over the 4-bit frames of ``data_file``."""
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, RnnRbm.random(4, 3, RngStream(0), u_dim=2))
+        return ckpt
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["inspect", "eval", "sample"])
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, data_file, capsys,
+                                           command, target):
+        ckpt = tmp_path / "m.ckpt"
+        if target == "directory":
+            ckpt.mkdir()
+        gen = tmp_path / "gen.jsonl"
+        args = {"inspect": [], "eval": ["--dataset", str(data_file)],
+                "sample": ["--length", "3", "--out", str(gen)]}[command]
+        code, err = self.stderr_lines(
+            [command, "--checkpoint", str(ckpt), *args], capsys)
+        assert code == 2
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: cannot read {ckpt}: ")
+        assert not gen.exists()
+
+    @pytest.mark.parametrize("command, out", [
+        ("train", "taken"), ("train", "taken/run"),
+        ("sample", "folder"), ("sample", "absent/gen.jsonl"),
+    ], ids=["train-out-is-file", "train-out-under-file",
+            "sample-out-is-dir", "sample-out-under-missing-dir"])
+    def test_unwritable_output_exits_1(self, tmp_path, data_file, capsys,
+                                       command, out):
+        (tmp_path / "taken").write_text("kept\n")
+        (tmp_path / "folder").mkdir()
+        cfg = self.write_config(tmp_path, data_file, tmp_path / "unused")
+        ckpt = self.saved_model(tmp_path)
+        out = tmp_path / out
+        before = sorted(tmp_path.rglob("*"))
+        argv = (["train", "--config", str(cfg)] if command == "train" else
+                ["sample", "--checkpoint", str(ckpt), "--length", "3"])
+        code, err = self.stderr_lines(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: cannot write {out}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    def test_negative_sample_length_exits_1(self, tmp_path, capsys):
+        gen = tmp_path / "gen.jsonl"
+        code, err = self.stderr_lines(
+            ["sample", "--checkpoint", str(self.saved_model(tmp_path)),
+             "--length", "-1", "--out", str(gen)], capsys)
+        assert code == 1
+        assert err == ["error: length must be >= 0"]
+        assert not gen.exists()
+
+    def test_dataset_override_trains_on_named_file(self, tmp_path, data_file,
+                                                   capsys):
+        cfg = self.write_config(tmp_path, data_file, tmp_path / "named")
+        assert main(["train", "--config", str(cfg)]) == 0
+        # the config's own train file does not exist, so reading it fails
+        cfg = self.write_config(tmp_path, tmp_path / "absent.jsonl",
+                                tmp_path / "override")
+        assert main(["train", "--config", str(cfg),
+                     "--dataset", str(data_file)]) == 0
+        capsys.readouterr()
+        for name in ("log.csv", "model.ckpt"):
+            assert ((tmp_path / "override" / name).read_bytes()
+                    == (tmp_path / "named" / name).read_bytes())
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config is required
         capsys.readouterr()

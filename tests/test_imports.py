@@ -1,5 +1,5 @@
-"""Every package module uses each name it imports, and every
-package-level function and class is reachable.
+"""Every package module, test and script uses each name it imports, and
+every package-level function and class is reachable.
 
 The reachability scan starts from the console entry points in
 ``pyproject.toml``, the names ``perfbench/`` and ``scripts/`` use, the
@@ -24,6 +24,9 @@ PACKAGE = ROOT / "src" / "growrbm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = sorted([*(ROOT / "perfbench").glob("*.py"),
                 *(ROOT / "scripts").glob("*.py")])
+# the package, then the tests and scripts under their folder's name
+IMPORTERS = MODULES + sorted([*(ROOT / "tests").glob("*.py"),
+                              *(ROOT / "scripts").glob("*.py")])
 
 # reachable from no entry point, and kept on purpose
 KEPT = {
@@ -58,7 +61,8 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: (
+    p.stem if p.parent == PACKAGE else f"{p.parent.name}/{p.stem}"))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -827,8 +827,7 @@ def growth_cases(draw):
     rng = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
     model = RnnRbm.random(i, j, rng.split(0), u_dim=k, weight_sd=0.5)
     stats = GradientStats(rng.normal(size=j), rng.uniform(size=j),
-                          rng.normal(size=(i, j)), rng.uniform(size=(i, j)),
-                          count=5)
+                          rng.normal(size=(i, j)), rng.uniform(size=(i, j)))
     cfg = AdaptConfig(generation_phase_epochs=1,
                       max_hidden=j + draw(st.integers(0, 6)),
                       gen_threshold=draw(st.sampled_from([1e-3, 0.02, 0.1])),
