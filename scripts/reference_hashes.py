@@ -12,8 +12,12 @@ lengths, and the sha256 prefix of the file one ``run_sample`` call of
 so a last line gates the sampler on the shape the ``deep_serve``
 benchmark serves: a 3-layer 8->10->8->6 stack of ``RnnRbm.random``
 layers (``u_dim`` 8, weight sd 0.5), built as that workload builds it,
-sampled at two seeds.  The hashes depend on the host's BLAS rounding,
-so compare printouts made on the same machine.
+sampled at two seeds.  The single-layer adaptive kinds also gate resume:
+a ``resume`` line trains the config through the library, saves the
+train state after ``epochs // 2`` epochs, loads it back and resumes,
+and gives the hashes of the joined log and the final checkpoint, which
+must equal the kind's first line.  The hashes depend on the host's BLAS
+rounding, so compare printouts made on the same machine.
 
 Run from the repository root::
 
@@ -29,13 +33,17 @@ import hashlib
 import tempfile
 from pathlib import Path
 
-from growrbm.checkpoint import save_checkpoint
+from growrbm.checkpoint import (load_train_state, save_checkpoint,
+                                save_train_state)
 from growrbm.config import parse_config_text
-from growrbm.data import synth_cycle, write_jsonl
-from growrbm.harness import run_eval, run_sample, run_training
+from growrbm.data import load_jsonl, synth_cycle, write_jsonl
+from growrbm.dbn import train_adaptive_rbm
+from growrbm.harness import (_flatten_frames, run_eval, run_sample,
+                             run_training)
+from growrbm.log import TrainLog
 from growrbm.numerics import RngStream
 from growrbm.rnn_dbn import RnnDbn
-from growrbm.rnn_rbm import RnnRbm
+from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
 
 # name -> (model, adaptive, epochs, learning rate, cd k)
 CONFIGS = {
@@ -48,6 +56,8 @@ CONFIGS = {
 }
 # the kinds whose checkpoint is also evaluated and sampled
 READ_PATH = ("rnn-rbm", "rnn-dbn")
+# the adaptive kinds also trained in two halves through a saved train state
+RESUME = ("rbm", "rnn-rbm")
 # held-out sequence lengths, interleaved so that groups form out of order
 HELDOUT_LENGTHS = (25, 9, 25, 2, 9, 25, 1)
 SAMPLE_LENGTH = 32
@@ -99,6 +109,36 @@ def deep_stack() -> RnnDbn:
         for i, (n_v, n_h) in enumerate(zip(DEEP_WIDTHS, DEEP_WIDTHS[1:]))])
 
 
+def resumed_run(cfg, out: Path):
+    """Train ``cfg`` as ``run_training`` does, but through the library:
+    save the train state after ``cfg.epochs // 2`` epochs, load it and
+    resume.  Writes the first half's log rows and the resumed rows as
+    ``log.csv``, and the resumed model as ``model.ckpt``."""
+    out.mkdir(parents=True, exist_ok=True)
+    sequences = load_jsonl(cfg.train).train
+    if cfg.model == "rbm":
+        train, data, extra = train_adaptive_rbm, _flatten_frames(sequences), {}
+    else:
+        train, data, extra = (train_adaptive_rnn_rbm, sequences,
+                              {"u_dim": cfg.u_dim})
+    half = cfg.epochs // 2
+    state_path = out / "state.ckpt"
+
+    def keep_half(state):
+        if state.epoch_done + 1 == half:
+            save_train_state(state_path, state, seed=cfg.seed)
+
+    args = (data, cfg.n_hidden, cfg.cd, cfg.epochs)
+    kwargs = dict(adapt=cfg.adapt, forget=cfg.forget, **extra)
+    _, _, first = train(*args, RngStream(cfg.seed).split(1),
+                        epoch_callback=keep_half, **kwargs)
+    state, _ = load_train_state(state_path)
+    model, _, rest = train(*args, RngStream(cfg.seed).split(1),
+                           resume=state, **kwargs)
+    TrainLog(first.rows[:half] + rest.rows).to_csv(out / "log.csv")
+    save_checkpoint(out / "model.ckpt", model, seed=cfg.seed)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--keep", help="write the runs here instead of a "
@@ -115,7 +155,8 @@ def main(argv=None) -> int:
                               for n, t in enumerate(HELDOUT_LENGTHS)])
         for name, spec in CONFIGS.items():
             out = root / name.replace(" ", "-")
-            run_training(parse_config_text(config_text(*spec, train)), out)
+            cfg = parse_config_text(config_text(*spec, train))
+            run_training(cfg, out)
             gen, ann, layer = event_counts(out / "log.csv")
             print(f"{name:14s} log {sha(out / 'log.csv')} "
                   f"ckpt {sha(out / 'model.ckpt')} "
@@ -126,6 +167,11 @@ def main(argv=None) -> int:
                            out / "sample.jsonl")
                 print(f"{name:14s} eval {scores!r} "
                       f"sample {sha(out / 'sample.jsonl')}")
+            if name in RESUME:
+                resumed = root / f"{name}-resumed"
+                resumed_run(cfg, resumed)
+                print(f"{name:14s} resume log {sha(resumed / 'log.csv')} "
+                      f"ckpt {sha(resumed / 'model.ckpt')}")
         ckpt = root / "deep-stack.ckpt"
         save_checkpoint(ckpt, deep_stack())
         hashes = []

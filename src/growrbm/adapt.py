@@ -20,7 +20,7 @@ activation away from the undecided region around 1/2.
 
 The one adaptive epoch loop, :func:`_train_layer`, lives here too; the
 static and recurrent trainers pass it their family's gradient, update
-step and epoch view, and :class:`TrainState` is its resume point.
+step and epoch view, and a :class:`TrainState` is where it starts.
 """
 from __future__ import annotations
 
@@ -109,7 +109,8 @@ class GradientStats:
     """Exponential moving first and second moments of recent gradients.
 
     Tracks the hidden-bias gradient per unit and the weight gradient per
-    connection; the four moments and ``decay`` are the whole state.
+    connection; the four moments, hidden units on their last axis, are
+    the whole state, and each :meth:`update` is given its decay.
     ``var_*`` return the centred second moment the growth score reads.
     """
 
@@ -117,22 +118,19 @@ class GradientStats:
     sq_c: np.ndarray
     mean_w: np.ndarray
     sq_w: np.ndarray
-    decay: float = 0.9
 
     @staticmethod
-    def zeros(n_visible: int, n_hidden: int, decay: float = 0.9) -> "GradientStats":
+    def zeros(n_visible: int, n_hidden: int) -> "GradientStats":
         return GradientStats(
             mean_c=np.zeros(n_hidden),
             sq_c=np.zeros(n_hidden),
             mean_w=np.zeros((n_visible, n_hidden)),
             sq_w=np.zeros((n_visible, n_hidden)),
-            decay=decay,
         )
 
-    def update(self, dc: np.ndarray, dW: np.ndarray):
+    def update(self, dc: np.ndarray, dW: np.ndarray, lam: float):
         if dc.shape != self.mean_c.shape or dW.shape != self.mean_w.shape:
             raise ValueError("gradient shape does not match tracked statistics")
-        lam = self.decay
         self.mean_c = lam * self.mean_c + (1 - lam) * dc
         self.sq_c = lam * self.sq_c + (1 - lam) * dc ** 2
         self.mean_w = lam * self.mean_w + (1 - lam) * dW
@@ -145,25 +143,7 @@ class GradientStats:
         return np.maximum(self.sq_w - self.mean_w ** 2, 0.0)
 
     def copy(self) -> "GradientStats":
-        return GradientStats(self.mean_c.copy(), self.sq_c.copy(),
-                             self.mean_w.copy(), self.sq_w.copy(),
-                             self.decay)
-
-    def insert_hidden(self, parents) -> "GradientStats":
-        """Zero-initialised slots for freshly split units, parent order."""
-        return GradientStats(
-            mean_c=insert_after(self.mean_c, parents, 0.0),
-            sq_c=insert_after(self.sq_c, parents, 0.0),
-            mean_w=insert_after(self.mean_w, parents, 0.0),
-            sq_w=insert_after(self.sq_w, parents, 0.0),
-            decay=self.decay,
-        )
-
-    def remove_hidden(self, mask: np.ndarray) -> "GradientStats":
-        keep = ~np.asarray(mask, dtype=bool)
-        return GradientStats(self.mean_c[keep], self.sq_c[keep],
-                             self.mean_w[:, keep], self.sq_w[:, keep],
-                             self.decay)
+        return GradientStats(*(m.copy() for m in vars(self).values()))
 
 
 def generation_scores(stats: GradientStats, cfg: AdaptConfig) -> np.ndarray:
@@ -185,10 +165,11 @@ def insert_after(arr: np.ndarray, parents, values) -> np.ndarray:
 
 
 def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
-                   rng: RngStream):
+                   rng: RngStream, scores: np.ndarray | None = None):
     """One growth sweep.  Returns ``(model, stats, parent_indices)``.
 
-    Scores are computed on the pre-edit structure; each triggered unit
+    ``scores`` are :func:`generation_scores` of ``stats`` (computed here
+    unless given), on the pre-edit structure; each triggered unit
     gets a child inserted directly after it whose bias and weight column
     copy the parent plus Gaussian noise, and whose further per-unit
     columns are fresh ``N(0, 0.01)`` draws.  Children never trigger
@@ -196,7 +177,8 @@ def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
     children once ``max_hidden`` is reached.  With no triggers the
     inputs are returned unchanged and no randomness is consumed.
     """
-    scores = generation_scores(stats, cfg)
+    if scores is None:
+        scores = generation_scores(stats, cfg)
     triggered = [j for j in range(model.n_hidden)
                  if scores[j] > cfg.gen_threshold]
     room = cfg.max_hidden - model.n_hidden
@@ -219,7 +201,8 @@ def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
     for name, values in children.items():
         setattr(grown, name,
                 insert_after(getattr(model, name), parents, values))
-    return grown, stats.insert_hidden(parents), parents
+    return grown, GradientStats(*(insert_after(m, parents, 0.0)
+                                  for m in vars(stats).values())), parents
 
 
 def mask_from_activations(mean_act: np.ndarray, cfg: AdaptConfig) -> np.ndarray:
@@ -253,7 +236,7 @@ def apply_annihilation(model: Rbm, stats: GradientStats, mask: np.ndarray):
     pruned = model.copy()
     for name in model.HIDDEN:
         setattr(pruned, name, getattr(model, name)[..., keep])
-    return pruned, stats.remove_hidden(mask)
+    return pruned, GradientStats(*(m[..., keep] for m in vars(stats).values()))
 
 
 def add_forgetting_(g: RbmGradient, model: Rbm, mode: str,
@@ -298,79 +281,70 @@ def add_forgetting_(g: RbmGradient, model: Rbm, mode: str,
     return g
 
 
-class StructureController:
-    """Epoch-boundary schedule shared by all adaptive trainers.
+# growth ends after this many growth epochs in a row that split no unit
+STALL_LIMIT = 5
 
-    Growth checks run first and finish when the phase budget is spent or
-    when no unit has triggered for ``STALL_LIMIT`` consecutive epochs;
-    pruning checks run every epoch after that.  Forgetting penalties
-    occupy the tail of the run: plain decay plus clarify first, then
-    selective decay plus clarify for the final epochs.
+
+def structure_phase(epoch: int, adapt: AdaptConfig | None, stall: int) -> str:
+    """``'generate'``, ``'annihilate'`` or ``'static'`` for this epoch.
+
+    Growth checks run until the phase budget is spent or ``stall``, the
+    count of growth epochs in a row that split no unit, reaches
+    :data:`STALL_LIMIT`; pruning checks run every epoch after that.
     """
+    if adapt is None:
+        return "static"
+    if epoch >= adapt.generation_phase_epochs or stall >= STALL_LIMIT:
+        return "annihilate"
+    return "generate"
 
-    STALL_LIMIT = 5
 
-    def __init__(self, adapt: AdaptConfig | None,
-                 forget: ForgettingConfig | None, total_epochs: int):
-        self.adapt = adapt
-        self.forget = forget
-        self.total_epochs = total_epochs
-        self.generation_done = adapt is None
-        self.stall = 0
-
-    def structure_phase(self, epoch: int) -> str:
-        """``'generate'``, ``'annihilate'`` or ``'static'`` for this epoch."""
-        if self.adapt is None:
-            return "static"
-        if not self.generation_done and epoch >= self.adapt.generation_phase_epochs:
-            self.generation_done = True
-        return "annihilate" if self.generation_done else "generate"
-
-    def record_generation(self, n_new: int):
-        if n_new > 0:
-            self.stall = 0
-        else:
-            self.stall += 1
-            if self.stall >= self.STALL_LIMIT:
-                self.generation_done = True
-
-    def forgetting_modes(self, epoch: int) -> tuple:
-        """Penalty modes active at this epoch, possibly empty."""
-        if self.forget is None:
-            return ()
-        f, s = self.forget.forgetting_epochs, self.forget.selective_epochs
-        sel_start = max(0, self.total_epochs - s)
-        dec_start = max(0, self.total_epochs - s - f)
-        if s > 0 and epoch >= sel_start:
-            return ("selective", "clarify")
-        if f > 0 and epoch >= dec_start:
-            return ("decay", "clarify")
+def forgetting_modes(epoch: int, forget: ForgettingConfig | None,
+                     epochs: int) -> tuple:
+    """Penalty modes active at this epoch of ``epochs``, possibly empty:
+    plain decay plus clarify, then selective decay plus clarify for the
+    final epochs."""
+    if forget is None:
         return ()
-
-    def snapshot(self) -> dict:
-        return {"generation_done": self.generation_done, "stall": self.stall}
-
-    def restore(self, state: dict):
-        self.generation_done = bool(state["generation_done"])
-        self.stall = int(state["stall"])
+    f, s = forget.forgetting_epochs, forget.selective_epochs
+    sel_start = max(0, epochs - s)
+    dec_start = max(0, epochs - s - f)
+    if s > 0 and epoch >= sel_start:
+        return ("selective", "clarify")
+    if f > 0 and epoch >= dec_start:
+        return ("decay", "clarify")
+    return ()
 
 
 @dataclass
 class TrainState:
-    """Everything needed to resume single-layer training after an epoch."""
+    """A layer after epoch ``epoch_done``: the model, the gradient
+    moments and the growth stall count, which with the epoch fixes the
+    rest of the schedule.  A layer starts from one: :meth:`fresh`, or
+    what ``epoch_callback`` received or ``load_train_state`` read."""
 
     epoch_done: int
     model: object
     stats: GradientStats
-    controller: dict
+    stall: int
+
+    @staticmethod
+    def fresh(model) -> "TrainState":
+        """``model`` before its first epoch."""
+        zeros = GradientStats.zeros(model.n_visible, model.n_hidden)
+        return TrainState(-1, model, zeros, 0)
 
 
-def _train_layer(data, model, cd, epochs: int, rng: RngStream,
+def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
                  adapt: AdaptConfig | None, forget: ForgettingConfig | None,
-                 layer: int, resume: TrainState | None, epoch_callback, *,
-                 gradient, update, epoch_data):
+                 layer: int, epoch_callback, *, gradient, update, epoch_data):
     """Adaptive epoch loop of both trainers; returns ``(model, stats, log)``
     with a fresh :class:`~growrbm.log.TrainLog` of this layer's rows.
+
+    Training runs epochs ``start.epoch_done + 1`` to ``epochs - 1`` on
+    copies of ``start``'s arrays; ``epoch_callback``, if given, gets the
+    state after each.  The moments decay at ``adapt.stats_decay``, or its
+    default without ``adapt``.
 
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
     draws from ``rng.split(e + 1)``: batch ``i`` from a further
@@ -394,43 +368,35 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
     pruning and the forgetting penalties are the same for both families.
     """
     log = TrainLog()
-    controller = StructureController(adapt, forget, epochs)
-    if resume is not None:
-        model = resume.model.copy()
-        stats = resume.stats.copy()
-        controller.restore(resume.controller)
-        start_epoch = resume.epoch_done + 1
-    else:
-        decay = adapt.stats_decay if adapt is not None else 0.9
-        stats = GradientStats.zeros(model.n_visible, model.n_hidden, decay)
-        start_epoch = 0
+    model, stats, stall = start.model.copy(), start.stats.copy(), start.stall
+    lam = AdaptConfig.stats_decay if adapt is None else adapt.stats_decay
 
     batch_rng = RngStream(0)  # re-keyed to each batch's stream
-    for epoch in range(start_epoch, epochs):
+    for epoch in range(start.epoch_done + 1, epochs):
         ep = rng.split(epoch + 1)
         order = ep.permutation(len(data))
-        modes = controller.forgetting_modes(epoch)
-        for bi, start in enumerate(range(0, len(order), cd.batch_size)):
-            idx = order[start:start + cd.batch_size]
+        modes = forgetting_modes(epoch, forget, epochs)
+        for bi, offset in enumerate(range(0, len(order), cd.batch_size)):
+            idx = order[offset:offset + cd.batch_size]
             batch = (data[idx] if isinstance(data, np.ndarray)
                      else [data[i] for i in idx])
             g, acts = gradient(model, batch, cd,
                                ep.split_into(bi + 1, batch_rng))
             for mode in modes:
                 add_forgetting_(g, model, mode, forget, acts)
-            stats.update(g.dc, g.dW)
+            stats.update(g.dc, g.dW, lam)
             update(model, g, cd.learning_rate)
 
         whole = epoch_data()
         first = epoch == 0 and layer > 1
         events = [format_layer_event(layer)] if first else []
-        phase = controller.structure_phase(epoch)
+        phase = structure_phase(epoch, adapt, stall)
         if phase == "generate":
             scores = generation_scores(stats, adapt)
             model, stats, parents = maybe_generate(model, stats, adapt,
-                                                   ep.split(0))
+                                                   ep.split(0), scores)
             events += [format_generation_event(j, scores[j]) for j in parents]
-            controller.record_generation(len(parents))
+            stall = 0 if parents else stall + 1
         elif phase == "annihilate":
             mean_act = whole.mean_activation(model)
             mask = mask_from_activations(mean_act, adapt)
@@ -451,6 +417,6 @@ def _train_layer(data, model, cd, epochs: int, rng: RngStream,
             event=join_events(events)))
         if epoch_callback is not None:
             epoch_callback(TrainState(epoch, model.copy(), stats.copy(),
-                                      controller.snapshot()))
+                                      stall))
 
     return model, stats, log

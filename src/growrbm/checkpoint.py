@@ -46,8 +46,6 @@ _RNN_DIMS = _DIMS + ("u_dim",)
 _KINDS = {"rbm": (Rbm, Rbm, _DIMS), "rnn-rbm": (RnnRbm, RnnRbm, _RNN_DIMS),
           "dbn": (Dbn, Rbm, _DIMS), "rnn-dbn": (RnnDbn, RnnRbm, _RNN_DIMS)}
 _STATS_ARRAYS = ("mean_c", "sq_c", "mean_w", "sq_w")
-_TRAIN_META = {"epoch_done": int, "controller": dict,
-               "stats_decay": (int, float)}
 
 
 def model_kind(model) -> str:
@@ -117,6 +115,8 @@ def _read(path) -> tuple[dict, dict]:
         header = json.loads(raw[16:16 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     for key, types in (("kind", str), ("seed", int), ("arrays", list),
                        ("meta", dict)):
         _field(header, key, types, path)
@@ -150,13 +150,12 @@ def _need(arrays: dict, name: str, path):
 
 
 def _field(fields: dict, key: str, types, path, where: str = ""):
-    """``fields[key]``, which must exist and be of ``types`` (a bool only
-    where ``types`` is ``bool``)."""
+    """``fields[key]``, which must exist and be of ``types``, and not a
+    bool (which Python counts as an int)."""
     if key not in fields:
         raise CheckpointError(f"{path}: header missing '{where}{key}'")
     value = fields[key]
-    if (isinstance(value, bool) != (types is bool)
-            or not isinstance(value, types)):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise CheckpointError(f"{path}: bad '{where}{key}': {value!r}")
     return value
 
@@ -218,39 +217,35 @@ def load_checkpoint(path):
 
 
 def save_train_state(path, state, seed: int = 0):
-    """Persist a mid-run resume point (model, statistics, schedule)."""
+    """Persist a mid-run resume point: the model and moments as arrays,
+    ``meta.epoch_done`` and ``meta.controller = {"stall": n}``."""
     if not isinstance(state, TrainState):
         raise TypeError(f"not a training state: {type(state).__name__}")
     kind, arrays, meta = _collect(state.model)
     arrays.update({f"stats/{name}": getattr(state.stats, name)
                    for name in _STATS_ARRAYS})
-    meta.update(epoch_done=state.epoch_done, controller=state.controller,
-                stats_decay=state.stats.decay)
+    meta.update(epoch_done=state.epoch_done, controller={"stall": state.stall})
     _write(path, kind + "-train", arrays, meta, seed)
 
 
 def load_train_state(path):
-    """Returns ``(state, header)`` matching :func:`save_train_state`;
-    meta keys it does not read, such as an old update count, are ignored."""
+    """Returns ``(state, header)`` matching :func:`save_train_state`; meta
+    keys it does not read, such as the update count, ``stats_decay`` and
+    ``controller.generation_done`` of earlier files, are ignored."""
     header, arrays = _read(path)
     kind = header["kind"]
     if not kind.endswith("-train"):
         raise CheckpointError(f"{path}: not a training-state checkpoint")
     meta = header["meta"]
     model = _rebuild(kind[:-len("-train")], arrays, meta, path)
-    train = {key: _field(meta, key, types, path, "meta.")
-             for key, types in _TRAIN_META.items()}
-    controller = train["controller"]
-    _field(controller, "generation_done", bool, path, "meta.controller.")
-    stall = _field(controller, "stall", int, path, "meta.controller.")
-    if (min(train["epoch_done"], stall) < 0
-            or not 0.0 < train["stats_decay"] < 1.0):
-        raise CheckpointError(
-            f"{path}: resume point out of range: epoch_done and controller "
-            "stall must be >= 0 and stats_decay in (0, 1)")
+    epoch_done = _field(meta, "epoch_done", int, path, "meta.")
+    stall = _field(_field(meta, "controller", dict, path, "meta."), "stall",
+                   int, path, "meta.controller.")
+    if epoch_done < -1 or stall < 0:  # -1: a fresh state, before epoch 0
+        raise CheckpointError(f"{path}: resume point out of range: epoch_done "
+                              "must be >= -1 and controller stall >= 0")
     stats = GradientStats(
-        *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS),
-        decay=float(train["stats_decay"]))
+        *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS))
     if not isinstance(model, Dbn):
         i, j = model.n_visible, model.n_hidden
         for name, shape in zip(_STATS_ARRAYS, [(j,), (j,), (i, j), (i, j)]):
@@ -258,9 +253,7 @@ def load_train_state(path):
                 raise CheckpointDimensionError(
                     f"{path}: stats/{name} has shape "
                     f"{getattr(stats, name).shape}, expected {shape}")
-    state = TrainState(epoch_done=train["epoch_done"], model=model,
-                       stats=stats, controller=dict(controller))
-    return state, header
+    return TrainState(epoch_done, model, stats, stall), header
 
 
 def describe(path) -> str:

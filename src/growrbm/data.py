@@ -83,7 +83,7 @@ def load_jsonl(path) -> SequenceDataset:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
     sequences = []

@@ -131,27 +131,25 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
                        epochs: int, rng: RngStream,
                        adapt: AdaptConfig | None = None,
                        forget: ForgettingConfig | None = None,
-                       init_model: Rbm | None = None, layer: int = 1,
-                       resume: TrainState | None = None,
+                       layer: int = 1, resume: TrainState | None = None,
                        epoch_callback=None):
     """Train one RBM with the full structure schedule.
 
     Returns ``(model, stats, log)``.  ``rng`` is the layer's root stream:
-    ``split(0)`` seeds the weight init and each epoch ``e`` draws from
-    ``split(e + 1)``, so a run resumed from epoch ``e`` replays the exact
-    tail of an uninterrupted run (see :func:`~growrbm.adapt._train_layer`).
+    ``split(0)`` seeds the weight init when ``resume`` is None and each
+    epoch ``e`` draws from ``split(e + 1)``, so a run resumed from epoch
+    ``e`` replays the exact tail of an uninterrupted run.
     An epoch whose pruning sweep removes nothing scores itself from the
     sweep's hidden pass (:class:`_EpochFrames`).
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
         raise ValueError("empty training data")
-    if resume is None:
-        init_model = (Rbm.random(data.shape[1], n_hidden, rng.split(0))
-                      if init_model is None else init_model.copy())
+    start = resume or TrainState.fresh(
+        Rbm.random(data.shape[1], n_hidden, rng.split(0)))
     return _train_layer(
-        data, init_model, cd, epochs, rng, adapt, forget, layer, resume,
-        epoch_callback, gradient=cd_step, update=_apply_update,
+        data, start, cd, epochs, rng, adapt, forget, layer, epoch_callback,
+        gradient=cd_step, update=_apply_update,
         epoch_data=lambda: _EpochFrames(data))
 
 
@@ -203,10 +201,10 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
         raise ValueError("epochs_per_layer must be >= 1")
     log = TrainLog()
     layer_idx = 1
-    init = None
+    start = None
     while True:
         model, _, layer_log = train(
-            inputs, rng=rng.split(layer_idx), init_model=init,
+            inputs, rng=rng.split(layer_idx), resume=start,
             layer=layer_idx, epochs=epochs, **layer_kwargs)
         log.rows.extend(layer_log.rows)
         totals = _layer_totals(layer_log.rows[-1])
@@ -221,7 +219,8 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
         if not grow:
             break
         layer_idx += 1
-        init = _inherit(model, rng.split(layer_idx).split(0))
+        start = TrainState.fresh(
+            _inherit(model, rng.split(layer_idx).split(0)))
         inputs = lift(model, inputs)
 
     return stack, log

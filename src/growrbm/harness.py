@@ -66,6 +66,15 @@ def evaluate_model(model, sequences):
     return pool.cross_entropy(), pool.correct_ratio()
 
 
+def _check_writable(path: Path):
+    """Raise :class:`ConfigError` if ``path`` is a directory or its
+    parent is not one."""
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: no directory {path.parent}")
+
+
 def run_training(cfg: RunConfig, out_dir) -> dict:
     """Execute one training run into ``out_dir``; returns a summary dict."""
     t0 = time.monotonic()
@@ -80,6 +89,8 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
+    for name in RUN_FILES:  # checked before any of them is written
+        _check_writable(out / name)
     (out / "config.cfg").write_text(cfg.raw_text)
     master = RngStream(cfg.seed)
     adapt = cfg.adapt if cfg.adaptive else None
@@ -144,6 +155,7 @@ def run_sample(checkpoint_path, length: int, seed: int, out_path) -> np.ndarray:
     if length < 0:
         raise ConfigError("length must be >= 0")
     stack = _recurrent_stack(load_checkpoint(checkpoint_path)[0])
+    _check_writable(Path(out_path))  # before the frames are drawn
     frames = sample_sequence_deep(stack, length, RngStream(seed))
     try:
         write_jsonl(out_path, [frames] if length > 0 else [],

@@ -519,8 +519,7 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
                            epochs: int, rng: RngStream,
                            adapt: AdaptConfig | None = None,
                            forget: ForgettingConfig | None = None,
-                           u_dim: int | None = None,
-                           init_model: RnnRbm | None = None, layer: int = 1,
+                           u_dim: int | None = None, layer: int = 1,
                            resume: TrainState | None = None,
                            epoch_callback=None):
     """Adaptive training of one recurrent layer in the shared epoch loop.
@@ -538,13 +537,10 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
             raise ValueError("sequences must have at least one frame")
         if s.shape[1] != sequences[0].shape[1]:
             raise DimensionError("sequences disagree on frame dimension")
-    if resume is None:
-        init_model = (RnnRbm.random(sequences[0].shape[1], n_hidden,
-                                    rng.split(0), u_dim=u_dim)
-                      if init_model is None else init_model.copy())
-    stacks = LengthGroups.of(init_model if resume is None else resume.model,
-                             sequences).stacks
+    start = resume or TrainState.fresh(RnnRbm.random(
+        sequences[0].shape[1], n_hidden, rng.split(0), u_dim=u_dim))
+    stacks = LengthGroups.of(start.model, sequences).stacks
     return _train_layer(
-        sequences, init_model, cd, epochs, rng, adapt, forget, layer, resume,
+        sequences, start, cd, epochs, rng, adapt, forget, layer,
         epoch_callback, gradient=bptt_gradients,
         update=_clipped_update, epoch_data=lambda: LengthGroups(stacks))

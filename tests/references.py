@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import expit
 
 from growrbm import dbn, rnn_rbm
-from growrbm.adapt import GradientStats
+from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
 from growrbm.exact import state_update
 from growrbm.numerics import sample_bernoulli, sigmoid
 from growrbm.rbm import (Rbm, RbmGradient, hidden_conditional,
@@ -134,8 +134,7 @@ def reference_grow_hidden(model, stats, cfg, rng):
     grown.w_uh = np.insert(model.w_uh, at, new_cols.T, axis=1)
     grown_stats = GradientStats(
         *(np.insert(a, at, 0.0, axis=-1)
-          for a in (stats.mean_c, stats.sq_c, stats.mean_w, stats.sq_w)),
-        decay=stats.decay)
+          for a in (stats.mean_c, stats.sq_c, stats.mean_w, stats.sq_w)))
     return grown, grown_stats, parents
 
 
@@ -199,3 +198,62 @@ def mean_field_metrics(rbm, data):
     trainer's epoch view computes them from one hidden pass."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     return dbn._EpochFrames(data).metrics(rbm)
+
+
+# pins adapt.structure_phase and adapt.forgetting_modes, the schedule
+# that was this stateful controller object
+class StructureController:
+    """Epoch-boundary schedule shared by all adaptive trainers.
+
+    Growth checks run first and finish when the phase budget is spent or
+    when no unit has triggered for ``STALL_LIMIT`` consecutive epochs;
+    pruning checks run every epoch after that.  Forgetting penalties
+    occupy the tail of the run: plain decay plus clarify first, then
+    selective decay plus clarify for the final epochs.
+    """
+
+    STALL_LIMIT = 5
+
+    def __init__(self, adapt: AdaptConfig | None,
+                 forget: ForgettingConfig | None, total_epochs: int):
+        self.adapt = adapt
+        self.forget = forget
+        self.total_epochs = total_epochs
+        self.generation_done = adapt is None
+        self.stall = 0
+
+    def structure_phase(self, epoch: int) -> str:
+        """``'generate'``, ``'annihilate'`` or ``'static'`` for this epoch."""
+        if self.adapt is None:
+            return "static"
+        if not self.generation_done and epoch >= self.adapt.generation_phase_epochs:
+            self.generation_done = True
+        return "annihilate" if self.generation_done else "generate"
+
+    def record_generation(self, n_new: int):
+        if n_new > 0:
+            self.stall = 0
+        else:
+            self.stall += 1
+            if self.stall >= self.STALL_LIMIT:
+                self.generation_done = True
+
+    def forgetting_modes(self, epoch: int) -> tuple:
+        """Penalty modes active at this epoch, possibly empty."""
+        if self.forget is None:
+            return ()
+        f, s = self.forget.forgetting_epochs, self.forget.selective_epochs
+        sel_start = max(0, self.total_epochs - s)
+        dec_start = max(0, self.total_epochs - s - f)
+        if s > 0 and epoch >= sel_start:
+            return ("selective", "clarify")
+        if f > 0 and epoch >= dec_start:
+            return ("decay", "clarify")
+        return ()
+
+    def snapshot(self) -> dict:
+        return {"generation_done": self.generation_done, "stall": self.stall}
+
+    def restore(self, state: dict):
+        self.generation_done = bool(state["generation_done"])
+        self.stall = int(state["stall"])

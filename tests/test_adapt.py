@@ -6,17 +6,20 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                           StructureController, add_forgetting_,
-                           apply_annihilation, generation_scores,
-                           insert_after, mask_from_activations,
-                           maybe_generate)
+from growrbm import adapt as adapt_module
+from growrbm.adapt import (STALL_LIMIT, AdaptConfig, ForgettingConfig,
+                           GradientStats, add_forgetting_,
+                           apply_annihilation, forgetting_modes,
+                           generation_scores, insert_after,
+                           mask_from_activations, maybe_generate,
+                           structure_phase)
 from growrbm.errors import StructureError
+from growrbm.dbn import train_adaptive_rbm
 from growrbm.exact import free_energy, log_partition_exact
 from growrbm.numerics import RngStream
-from growrbm.rbm import Rbm, RbmGradient, hidden_conditional
-from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient
-from references import reference_forgetting_gradient
+from growrbm.rbm import CdConfig, Rbm, RbmGradient, hidden_conditional
+from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient, train_adaptive_rnn_rbm
+from references import StructureController, reference_forgetting_gradient
 
 
 def adapt_cfg(**kw):
@@ -37,7 +40,7 @@ class TestGradientStats:
     def test_ema_matches_direct_simulation(self):
         lam = 0.9
         rng = RngStream(5)
-        stats = GradientStats.zeros(2, 3, decay=lam)
+        stats = GradientStats.zeros(2, 3)
         m_c = np.zeros(3)
         s_c = np.zeros(3)
         m_w = np.zeros((2, 3))
@@ -45,7 +48,7 @@ class TestGradientStats:
         for _ in range(40):
             dc = rng.normal(size=3)
             dw = rng.normal(size=(2, 3))
-            stats.update(dc, dw)
+            stats.update(dc, dw, lam)
             m_c = lam * m_c + (1 - lam) * dc
             s_c = lam * s_c + (1 - lam) * dc ** 2
             m_w = lam * m_w + (1 - lam) * dw
@@ -58,22 +61,22 @@ class TestGradientStats:
                             atol=1e-14)
 
     def test_constant_stream_variance_decays_to_zero(self):
-        stats = GradientStats.zeros(1, 2, decay=0.9)
+        stats = GradientStats.zeros(1, 2)
         g_c = np.array([0.3, -0.7])
         g_w = np.array([[0.1, 0.2]])
         for _ in range(300):
-            stats.update(g_c, g_w)
+            stats.update(g_c, g_w, 0.9)
         assert stats.var_c().max() < 1e-6
         assert stats.var_w().max() < 1e-6
 
     def test_alternating_stream_keeps_variance(self):
         # flipping sign every update: mean shrinks, second moment stays,
         # so the variance approaches the squared magnitude
-        stats = GradientStats.zeros(1, 1, decay=0.9)
+        stats = GradientStats.zeros(1, 1)
         g = 0.5
         for t in range(500):
             sign = 1.0 if t % 2 == 0 else -1.0
-            stats.update(np.array([sign * g]), np.array([[sign * g]]))
+            stats.update(np.array([sign * g]), np.array([[sign * g]]), 0.9)
         # limit of the mean oscillates within (1-lam)/(1+lam) of g
         assert stats.var_c()[0] == pytest.approx(
             g ** 2 * (1 - ((1 - 0.9) / (1 + 0.9)) ** 2), rel=0.05)
@@ -86,14 +89,20 @@ class TestGradientStats:
     def test_shape_mismatch_raises(self):
         stats = GradientStats.zeros(2, 2)
         with pytest.raises(ValueError):
-            stats.update(np.zeros(3), np.zeros((2, 2)))
+            stats.update(np.zeros(3), np.zeros((2, 2)), 0.9)
 
     def test_insert_and_remove_roundtrip_layout(self):
         stats = GradientStats.zeros(2, 3)
         stats.sq_c[:] = [1.0, 2.0, 3.0]
-        grown = stats.insert_hidden([1])
-        npt.assert_array_equal(grown.sq_c, [1.0, 2.0, 0.0, 3.0])
-        shrunk = grown.remove_hidden(np.array([False, False, True, False]))
+        stats.sq_w[:] = 1.0
+        # scores 1, 2 and 3: units 1 and 2 trigger, room for one child
+        grown, grown_stats, parents = maybe_generate(
+            Rbm.zeros(2, 3), stats, adapt_cfg(gen_threshold=1.5,
+                                              max_hidden=4), RngStream(0))
+        assert parents == [1]
+        npt.assert_array_equal(grown_stats.sq_c, [1.0, 2.0, 0.0, 3.0])
+        _, shrunk = apply_annihilation(
+            grown, grown_stats, np.array([False, False, True, False]))
         npt.assert_array_equal(shrunk.sq_c, stats.sq_c)
 
 
@@ -410,60 +419,120 @@ class TestForgetting:
         ForgettingConfig(decay_strength=0.01)  # cap itself is legal
 
 
+def schedule(adapt, splits, epoch=0, stall=0):
+    """``(phases, stall)``: each epoch's phase from ``epoch`` on, where
+    growth epoch ``i`` splits ``splits[i]`` units and counts the stall as
+    ``_train_layer`` does."""
+    phases = []
+    for n_new in splits:
+        phases.append(structure_phase(epoch, adapt, stall))
+        if phases[-1] == "generate":
+            stall = 0 if n_new else stall + 1
+        epoch += 1
+    return phases, stall
+
+
 class TestStructureController:
+    """The schedule functions, beside the controller object they replace
+    (``references.StructureController``)."""
+
     def test_generation_window_then_annihilation(self):
-        ctl = StructureController(adapt_cfg(generation_phase_epochs=3), None,
-                                  total_epochs=10)
-        phases = []
-        for epoch in range(6):
-            phases.append(ctl.structure_phase(epoch))
-            ctl.record_generation(1)
+        phases, _ = schedule(adapt_cfg(generation_phase_epochs=3), [1] * 6)
         assert phases == ["generate"] * 3 + ["annihilate"] * 3
 
     def test_stall_ends_generation_early(self):
-        ctl = StructureController(adapt_cfg(generation_phase_epochs=100),
-                                  None, total_epochs=200)
-        for epoch in range(5):
-            assert ctl.structure_phase(epoch) == "generate"
-            ctl.record_generation(0)
-        assert ctl.structure_phase(5) == "annihilate"
+        adapt = adapt_cfg(generation_phase_epochs=100)
+        phases, stall = schedule(adapt, [0] * 5)
+        assert phases == ["generate"] * 5
+        assert structure_phase(5, adapt, stall) == "annihilate"
 
     def test_trigger_resets_stall(self):
-        ctl = StructureController(adapt_cfg(generation_phase_epochs=100),
-                                  None, total_epochs=200)
-        for epoch in range(4):
-            ctl.structure_phase(epoch)
-            ctl.record_generation(0)
-        ctl.structure_phase(4)
-        ctl.record_generation(2)  # a split resets the countdown
-        for epoch in range(5, 10):
-            assert ctl.structure_phase(epoch) == "generate"
-            ctl.record_generation(0)
-        assert ctl.structure_phase(10) == "annihilate"
+        adapt = adapt_cfg(generation_phase_epochs=100)
+        # a split at epoch 4 resets the countdown
+        phases, stall = schedule(adapt, [0, 0, 0, 0, 2] + [0] * 5)
+        assert phases == ["generate"] * 10
+        assert structure_phase(10, adapt, stall) == "annihilate"
 
     def test_disabled_adaptation_is_static(self):
-        ctl = StructureController(None, None, total_epochs=10)
-        assert ctl.structure_phase(0) == "static"
-        assert ctl.forgetting_modes(9) == ()
+        assert structure_phase(0, None, 0) == "static"
+        assert forgetting_modes(9, None, 10) == ()
 
     def test_forgetting_windows(self):
         forget = ForgettingConfig(forgetting_epochs=3, selective_epochs=2)
-        ctl = StructureController(None, forget, total_epochs=10)
-        assert ctl.forgetting_modes(4) == ()
-        assert ctl.forgetting_modes(5) == ("decay", "clarify")
-        assert ctl.forgetting_modes(7) == ("decay", "clarify")
-        assert ctl.forgetting_modes(8) == ("selective", "clarify")
-        assert ctl.forgetting_modes(9) == ("selective", "clarify")
+        assert forgetting_modes(4, forget, 10) == ()
+        assert forgetting_modes(5, forget, 10) == ("decay", "clarify")
+        assert forgetting_modes(7, forget, 10) == ("decay", "clarify")
+        assert forgetting_modes(8, forget, 10) == ("selective", "clarify")
+        assert forgetting_modes(9, forget, 10) == ("selective", "clarify")
 
     def test_snapshot_roundtrip(self):
-        ctl = StructureController(adapt_cfg(), None, total_epochs=10)
-        ctl.structure_phase(0)
-        ctl.record_generation(0)
-        snap = ctl.snapshot()
-        other = StructureController(adapt_cfg(), None, total_epochs=10)
-        other.restore(snap)
-        assert other.stall == ctl.stall
-        assert other.generation_done == ctl.generation_done
+        # the epoch and the stall count are all a resume point needs
+        adapt = adapt_cfg()
+        full, _ = schedule(adapt, [0, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+        _, stall = schedule(adapt, [0, 1, 0, 0])
+        tail, _ = schedule(adapt, [0] * 6, epoch=4, stall=stall)
+        assert tail == full[4:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(adaptive=st.booleans(), phase_epochs=st.integers(0, 15),
+           epochs=st.integers(0, 20), forgetting=st.integers(0, 8),
+           selective=st.integers(0, 8), forgets=st.booleans(),
+           splits=st.lists(st.integers(0, 2), max_size=20),
+           cut=st.integers(0, 20))
+    def test_functions_equal_the_controller(self, adaptive, phase_epochs,
+                                            epochs, forgetting, selective,
+                                            forgets, splits, cut):
+        adapt = (adapt_cfg(generation_phase_epochs=phase_epochs)
+                 if adaptive else None)
+        forget = (ForgettingConfig(forgetting_epochs=forgetting,
+                                   selective_epochs=selective)
+                  if forgets else None)
+        splits = (splits + [0] * epochs)[:epochs]
+        ctl = StructureController(adapt, forget, epochs)
+        assert ctl.STALL_LIMIT == STALL_LIMIT
+        want, stalls = [], []
+        for epoch, n_new in enumerate(splits):
+            want.append(ctl.structure_phase(epoch))
+            if want[-1] == "generate":
+                ctl.record_generation(n_new)
+            stalls.append(ctl.stall)
+            assert (forgetting_modes(epoch, forget, epochs)
+                    == ctl.forgetting_modes(epoch))
+        phases, stall = schedule(adapt, splits)
+        assert phases == want
+        assert stall == ctl.stall
+        # resumed after epoch ``cut - 1`` from that epoch's stall count
+        cut = min(cut, epochs)
+        tail, _ = schedule(adapt, splits[cut:], epoch=cut,
+                           stall=stalls[cut - 1] if cut else 0)
+        assert tail == want[cut:]
+
+
+class TestTrainLayer:
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["rbm", "rnn-rbm"])
+    def test_growth_epoch_scores_units_once(self, monkeypatch, recurrent):
+        """The growth sweep reuses the scores the event text reads."""
+        calls = []
+
+        def counted(stats, cfg):
+            calls.append(stats.mean_c.shape)
+            return generation_scores(stats, cfg)
+
+        monkeypatch.setattr(adapt_module, "generation_scores", counted)
+        rng = RngStream(3)
+        seqs = [(rng.uniform(size=(5, 3)) < 0.5).astype(float)
+                for _ in range(4)]
+        cd = CdConfig(k=1, learning_rate=0.1, batch_size=2)
+        adapt = adapt_cfg(generation_phase_epochs=3, gen_threshold=1e-12)
+        if recurrent:
+            _, _, log = train_adaptive_rnn_rbm(seqs, 2, cd, 5, RngStream(4),
+                                               adapt=adapt, u_dim=2)
+        else:
+            _, _, log = train_adaptive_rbm(np.vstack(seqs), 2, cd, 5,
+                                           RngStream(4), adapt=adapt)
+        assert "gen(" in log.rows[0].event
+        assert len(calls) == 3  # one per growth epoch
 
 
 class TestInsertHelpers:
@@ -540,4 +609,3 @@ class TestGrowPruneRoundTrip:
         for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
             npt.assert_array_equal(getattr(pruned_stats, name),
                                    getattr(stats, name), err_msg=name)
-        assert pruned_stats.decay == stats.decay

@@ -120,13 +120,12 @@ class TestRoundTrips:
 
 class TestTrainStateRoundTrip:
     def make_state(self):
-        stats = GradientStats.zeros(3, 2, decay=0.8)
+        stats = GradientStats.zeros(3, 2)
         rng = RngStream(9)
         for _ in range(5):
-            stats.update(rng.normal(size=2), rng.normal(size=(3, 2)))
-        controller = {"generation_done": False, "stall": 1}
+            stats.update(rng.normal(size=2), rng.normal(size=(3, 2)), 0.8)
         return TrainState(epoch_done=4, model=rbm_model(), stats=stats,
-                          controller=controller)
+                          stall=1)
 
     def grown_state(self, recurrent):
         """The state ``epoch_callback`` receives after a growth epoch."""
@@ -153,8 +152,7 @@ class TestTrainStateRoundTrip:
         assert header["kind"] == kind
         assert isinstance(loaded, TrainState)
         assert loaded.epoch_done == state.epoch_done
-        assert loaded.controller == state.controller
-        assert loaded.stats.decay == state.stats.decay
+        assert loaded.stall == state.stall
         for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
             npt.assert_array_equal(getattr(loaded.stats, name),
                                    getattr(state.stats, name), err_msg=name)
@@ -169,17 +167,23 @@ class TestTrainStateRoundTrip:
     def test_recurrent_state(self, tmp_path):
         stats = GradientStats.zeros(3, 2)
         state = TrainState(epoch_done=2, model=rnn_model(), stats=stats,
-                           controller={"generation_done": True, "stall": 0})
+                           stall=0)
         for state in (state, self.grown_state(recurrent=True)):
             self.assert_round_trip(tmp_path, state, "rnn-rbm-train")
+
+    def test_fresh_state_round_trips(self, tmp_path):
+        self.assert_round_trip(tmp_path, TrainState.fresh(rbm_model()),
+                               "rbm-train")
 
     @pytest.mark.parametrize("recurrent", [False, True],
                              ids=["static", "recurrent"])
     def test_state_with_stats_count_resumes_exactly(self, tmp_path,
                                                     recurrent):
-        """A train-state file laid out as earlier builds wrote it, whose
-        meta also carries ``stats_count``, loads and resumes to the
-        ``log.csv`` and ``model.ckpt`` bytes of an uninterrupted run."""
+        """Train-state files laid out as earlier builds wrote them load and
+        resume to the ``log.csv`` and ``model.ckpt`` bytes of an
+        uninterrupted run: one whose meta also carries ``stats_count``,
+        and one that also carries ``stats_decay`` and
+        ``controller.generation_done``."""
         rng = RngStream(55)
         seqs = [(rng.uniform(size=(6, 4)) < 0.5).astype(float)
                 for _ in range(8)]
@@ -194,20 +198,62 @@ class TestTrainStateRoundTrip:
             if state.epoch_done == 2:
                 save_train_state(state_path, state, seed=9)
 
+        def with_stats_count(meta):
+            meta.update(stats_count=12)
+
+        def with_decay_and_flag(meta):
+            meta.update(stats_decay=0.9)
+            meta["controller"].update(generation_done=True)
+
         full, _, full_log = train(data, 3, cd, 6, RngStream(9), adapt=adapt,
                                   epoch_callback=persist)
-        TestCorruption.edit_header(
-            state_path, lambda h: h["meta"].update(stats_count=12))
-        state, header = load_train_state(state_path)
-        assert header["meta"]["stats_count"] == 12
-        resumed, _, tail = train(data, 3, cd, 6, RngStream(9), adapt=adapt,
-                                 resume=state)
+        save_checkpoint(tmp_path / "full.ckpt", full, seed=9)
+        saved = state_path.read_bytes()
+        for older, key in ((with_stats_count, "stats_count"),
+                           (with_decay_and_flag, "stats_decay")):
+            state_path.write_bytes(saved)
+            TestCorruption.edit_header(state_path,
+                                       lambda h: older(h["meta"]))
+            state, header = load_train_state(state_path)
+            assert key in header["meta"]
+            resumed, _, tail = train(data, 3, cd, 6, RngStream(9),
+                                     adapt=adapt, resume=state)
+            assert (TrainLog(full_log.rows[:3] + tail.rows).csv_text()
+                    == full_log.csv_text())
+            save_checkpoint(tmp_path / "resumed.ckpt", resumed, seed=9)
+            assert ((tmp_path / "full.ckpt").read_bytes()
+                    == (tmp_path / "resumed.ckpt").read_bytes())
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["static", "recurrent"])
+    def test_resume_inside_growth_keeps_stall(self, tmp_path, recurrent):
+        """With no room to split, growth stalls out after five epochs; a
+        run resumed through a file after three of them prunes from the
+        same epoch as an uninterrupted run."""
+        rng = RngStream(56)
+        seqs = [(rng.uniform(size=(6, 4)) < 0.5).astype(float)
+                for _ in range(8)]
+        train, data = ((train_adaptive_rnn_rbm, seqs) if recurrent
+                       else (train_adaptive_rbm, np.vstack(seqs)))
+        cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
+        adapt = AdaptConfig(generation_phase_epochs=9, max_hidden=3,
+                            gen_threshold=1e-12, ann_threshold=0.9)
+        state_path = tmp_path / "state.ckpt"
+
+        def persist(state):
+            if state.epoch_done == 2:
+                save_train_state(state_path, state)
+
+        _, _, full_log = train(data, 3, cd, 10, RngStream(9), adapt=adapt,
+                               epoch_callback=persist)
+        assert [i for i, row in enumerate(full_log.rows)
+                if "ann(" in row.event][0] == 5
+        state, _ = load_train_state(state_path)
+        assert state.stall == 3
+        _, _, tail = train(data, 3, cd, 10, RngStream(9), adapt=adapt,
+                           resume=state)
         assert (TrainLog(full_log.rows[:3] + tail.rows).csv_text()
                 == full_log.csv_text())
-        for name, model in (("full", full), ("resumed", resumed)):
-            save_checkpoint(tmp_path / f"{name}.ckpt", model, seed=9)
-        assert ((tmp_path / "full.ckpt").read_bytes()
-                == (tmp_path / "resumed.ckpt").read_bytes())
 
     def test_loaders_reject_wrong_family(self, tmp_path):
         plain = tmp_path / "plain.ckpt"
@@ -331,35 +377,28 @@ class TestCorruption:
           "stack of 0 layers") for load in (load_checkpoint, describe)
     ] + [(save_state, load_train_state,
           lambda h, key=key: h["meta"].pop(key), f"missing 'meta.{key}'")
-         for key in ("stats_decay", "epoch_done", "controller")
+         for key in ("epoch_done", "controller")
     ] + [(save_state, load_train_state,
           lambda h, meta=meta: h["meta"].update(meta), match)
          for meta, match in (
-             ({"controller": {}},
-              "missing 'meta.controller.generation_done'"),
+             ({"controller": {}}, "missing 'meta.controller.stall'"),
              ({"controller": {"generation_done": "yes", "stall": "x"}},
-              "bad 'meta.controller.generation_done'"),
-             ({"controller": {"generation_done": 1, "stall": 0}},
-              "bad 'meta.controller.generation_done'"),
-             ({"controller": {"generation_done": True, "stall": "x"}},
               "bad 'meta.controller.stall'"),
-             ({"controller": {"generation_done": False, "stall": -1}},
-              "out of range"),
-             ({"epoch_done": -2}, "out of range"),
-             ({"stats_decay": 5.0}, "out of range"),
-             ({"stats_decay": 0}, "out of range"))
+             ({"controller": {"stall": "x"}},
+              "bad 'meta.controller.stall'"),
+             ({"controller": {"stall": -1}}, "out of range"),
+             ({"epoch_done": -2}, "out of range"))
     ] + [(lambda p, i=i, j=j: save_state(p, GradientStats.zeros(i, j)),
           load_train_state, lambda h: None, "stats/")
          for i, j in ((3, 3), (2, 2))],
         ids=["kind", "dbn-n_layers", "dbn-totals", "manifest-name",
              "surplus-totals", "describe-string-totals",
              "describe-scalar-totals", "describe-short-totals",
-             "zero-layers", "describe-zero-layers", "state-stats_decay",
+             "zero-layers", "describe-zero-layers",
              "state-epoch_done", "state-controller",
              "state-empty-controller", "state-string-controller",
-             "state-int-generation_done", "state-string-stall",
+             "state-string-stall",
              "state-negative-stall", "state-negative-epoch_done",
-             "state-stats_decay-above-1", "state-zero-stats_decay",
              "state-stats-more-hidden", "state-stats-fewer-visible"])
     def test_missing_header_key(self, tmp_path, save, load, edit, match):
         p = tmp_path / "m.ckpt"

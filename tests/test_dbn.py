@@ -111,7 +111,7 @@ class TestLayerTotals:
         g_c = np.array([0.1, -0.2])
         g_w = np.array([[0.3, 0.0], [0.0, -0.1]])
         for _ in range(400):
-            stats.update(g_c, g_w)  # constant stream: variance -> 0
+            stats.update(g_c, g_w, 0.9)  # constant stream: variance -> 0
         totals = layer_totals(rbm, stats, np.array([[1.0, 0.0]]))
         assert totals.wd < 1e-6
 
@@ -138,7 +138,7 @@ class TestLayerTotals:
         stats = GradientStats.zeros(2, 2)
         rng = RngStream(21)
         for _ in range(50):
-            stats.update(rng.normal(size=2), rng.normal(size=(2, 2)))
+            stats.update(rng.normal(size=2), rng.normal(size=(2, 2)), 0.9)
         totals = layer_totals(rbm, stats, np.array([[0.0, 1.0]]))
         assert totals.wd == stats.var_c().sum() + stats.var_w().sum()
 

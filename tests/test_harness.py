@@ -499,6 +499,37 @@ class TestCli:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "taken").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("name", RUN_FILES)
+    @pytest.mark.parametrize("model", ["rbm", "rnn-rbm"])
+    def test_run_file_taken_by_directory_exits_1(self, tmp_path, data_file,
+                                                 capsys, model, name):
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        cfg = self.write_config(tmp_path, data_file, out,
+                                extra=f"model = {model}\n")
+        before = sorted(tmp_path.rglob("*"))
+        code, err = self.stderr_lines(["train", "--config", str(cfg)],
+                                      capsys)
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: cannot write {out / name}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("out", ["folder", "absent/gen.jsonl"])
+    def test_unwritable_sample_out_found_before_sampling(
+            self, tmp_path, capsys, monkeypatch, out):
+        def never(*args):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(harness, "sample_sequence_deep", never)
+        (tmp_path / "folder").mkdir()
+        code, err = self.stderr_lines(
+            ["sample", "--checkpoint", str(self.saved_model(tmp_path)),
+             "--length", "20000", "--out", str(tmp_path / out)], capsys)
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: cannot write {tmp_path / out}: ")
+
     def test_negative_sample_length_exits_1(self, tmp_path, capsys):
         gen = tmp_path / "gen.jsonl"
         code, err = self.stderr_lines(

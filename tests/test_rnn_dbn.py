@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm import dbn, rnn_dbn, rnn_rbm
+from growrbm.adapt import TrainState
 from growrbm.dbn import (LayerGenConfig, _inherit, train_adaptive_dbn,
                          train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
@@ -97,11 +98,12 @@ class TestStacking:
             lift = hidden_conditional
         stack, _ = stacked(data, 5, cd, 4, RngStream(87), cfg)
         assert stack.n_layers == 2
-        rng, init = RngStream(87).split(layer), None
+        rng, start = RngStream(87).split(layer), None
         if layer == 2:
             data = lift(stack.layers[0], data)
-            init = _inherit(stack.layers[0], rng.split(0))
-        solo, _, _ = single(data, 5, cd, 4, rng, init_model=init)
+            start = TrainState.fresh(_inherit(stack.layers[0],
+                                              rng.split(0)))
+        solo, _, _ = single(data, 5, cd, 4, rng, resume=start)
         for name, arr in stack.layers[layer - 1].arrays().items():
             npt.assert_array_equal(arr, solo.arrays()[name], err_msg=name)
 

@@ -59,7 +59,7 @@ def grown_model(model, seed):
     stats = GradientStats.zeros(i, j)
     for step in range(40):
         sign = 1.0 if step % 2 == 0 else -1.0
-        stats.update(np.full(j, sign), np.full((i, j), sign))
+        stats.update(np.full(j, sign), np.full((i, j), sign), 0.9)
     adapt = AdaptConfig(generation_phase_epochs=1, max_hidden=2 * j,
                         gen_threshold=1e-6)
     grown, _, parents = maybe_generate(model, stats, adapt, RngStream(seed))
@@ -763,7 +763,7 @@ class TestStructuralEdits:
             s = 1.0 if step % 2 == 0 else -1.0
             g_c[unit] = s
             g_w[:, unit] = s
-            stats.update(g_c, g_w)
+            stats.update(g_c, g_w, 0.9)
         return stats
 
     def test_grow_inserts_aligned_column(self):
