@@ -1,4 +1,4 @@
-"""Train the six reference configs and print their output hashes.
+"""Train the reference configs and print their output hashes.
 
 A refactor that must leave every output byte unchanged runs this on the
 parent commit and on the change and compares the two printouts.  Each
@@ -16,8 +16,11 @@ sampled at two seeds.  The single-layer adaptive kinds also gate resume:
 a ``resume`` line trains the config through the library, saves the
 train state after ``epochs // 2`` epochs, loads it back and resumes,
 and gives the hashes of the joined log and the final checkpoint, which
-must equal the kind's first line.  The hashes depend on the host's BLAS
-rounding, so compare printouts made on the same machine.
+must equal the kind's first line.  A ``ragged rnn-rbm`` line trains the
+``rnn-rbm`` config on training sequences cut to mixed lengths, in a
+count that leaves a short last batch, so a ragged batch reaches the
+trainer end to end.  The hashes depend on the host's BLAS rounding, so
+compare printouts made on the same machine.
 
 Run from the repository root::
 
@@ -60,6 +63,10 @@ READ_PATH = ("rnn-rbm", "rnn-dbn")
 RESUME = ("rbm", "rnn-rbm")
 # held-out sequence lengths, interleaved so that groups form out of order
 HELDOUT_LENGTHS = (25, 9, 25, 2, 9, 25, 1)
+# the ragged run: training sequences cut to these lengths in turn, and
+# a sequence count that is no multiple of the batch size (8)
+RAGGED_LENGTHS = (25, 9, 2, 1, 17)
+RAGGED_COUNT = 13
 SAMPLE_LENGTH = 32
 SAMPLE_SEED = 11
 # the random deep stack: layer widths, state size, weight sd, the seed it
@@ -153,9 +160,15 @@ def main(argv=None) -> int:
         heldout = root / "heldout.jsonl"
         write_jsonl(heldout, [ds.test[n % len(ds.test)][:t]
                               for n, t in enumerate(HELDOUT_LENGTHS)])
-        for name, spec in CONFIGS.items():
+        ragged = root / "ragged.jsonl"
+        cut = RAGGED_LENGTHS
+        write_jsonl(ragged, [ds.train[n % len(ds.train)][:cut[n % len(cut)]]
+                             for n in range(RAGGED_COUNT)])
+        runs = [(name, spec, train) for name, spec in CONFIGS.items()]
+        runs.append(("ragged rnn-rbm", CONFIGS["rnn-rbm"], ragged))
+        for name, spec, data in runs:
             out = root / name.replace(" ", "-")
-            cfg = parse_config_text(config_text(*spec, train))
+            cfg = parse_config_text(config_text(*spec, data))
             run_training(cfg, out)
             gen, ann, layer = event_counts(out / "log.csv")
             print(f"{name:14s} log {sha(out / 'log.csv')} "

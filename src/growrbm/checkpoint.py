@@ -217,10 +217,14 @@ def load_checkpoint(path):
 
 
 def save_train_state(path, state, seed: int = 0):
-    """Persist a mid-run resume point: the model and moments as arrays,
-    ``meta.epoch_done`` and ``meta.controller = {"stall": n}``."""
+    """Persist a mid-run resume point of one layer: the model and moments
+    as arrays, ``meta.epoch_done`` and ``meta.controller = {"stall": n}``.
+    A stack is no layer, and raises ``TypeError``."""
     if not isinstance(state, TrainState):
         raise TypeError(f"not a training state: {type(state).__name__}")
+    if isinstance(state.model, Dbn):
+        raise TypeError("a training state holds one layer, not a "
+                        f"{model_kind(state.model)} stack")
     kind, arrays, meta = _collect(state.model)
     arrays.update({f"stats/{name}": getattr(state.stats, name)
                    for name in _STATS_ARRAYS})
@@ -231,13 +235,18 @@ def save_train_state(path, state, seed: int = 0):
 def load_train_state(path):
     """Returns ``(state, header)`` matching :func:`save_train_state`; meta
     keys it does not read, such as the update count, ``stats_decay`` and
-    ``controller.generation_done`` of earlier files, are ignored."""
+    ``controller.generation_done`` of earlier files, are ignored.  A
+    stack kind (``dbn-train``, ``rnn-dbn-train``) is rejected."""
     header, arrays = _read(path)
     kind = header["kind"]
     if not kind.endswith("-train"):
         raise CheckpointError(f"{path}: not a training-state checkpoint")
+    kind = kind[:-len("-train")]
+    if issubclass(_KINDS[kind][0], Dbn):
+        raise CheckpointError(
+            f"{path}: a training state holds one layer, not a {kind} stack")
     meta = header["meta"]
-    model = _rebuild(kind[:-len("-train")], arrays, meta, path)
+    model = _rebuild(kind, arrays, meta, path)
     epoch_done = _field(meta, "epoch_done", int, path, "meta.")
     stall = _field(_field(meta, "controller", dict, path, "meta."), "stall",
                    int, path, "meta.controller.")
@@ -246,13 +255,12 @@ def load_train_state(path):
                               "must be >= -1 and controller stall >= 0")
     stats = GradientStats(
         *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS))
-    if not isinstance(model, Dbn):
-        i, j = model.n_visible, model.n_hidden
-        for name, shape in zip(_STATS_ARRAYS, [(j,), (j,), (i, j), (i, j)]):
-            if getattr(stats, name).shape != shape:
-                raise CheckpointDimensionError(
-                    f"{path}: stats/{name} has shape "
-                    f"{getattr(stats, name).shape}, expected {shape}")
+    i, j = model.n_visible, model.n_hidden
+    for name, shape in zip(_STATS_ARRAYS, [(j,), (j,), (i, j), (i, j)]):
+        if getattr(stats, name).shape != shape:
+            raise CheckpointDimensionError(
+                f"{path}: stats/{name} has shape "
+                f"{getattr(stats, name).shape}, expected {shape}")
     return TrainState(epoch_done, model, stats, stall), header
 
 

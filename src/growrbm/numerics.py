@@ -17,11 +17,14 @@ Philox4x64-10 is counter-based (Salmon, Moraes, Dror & Shaw 2011,
 stream keyed ``k`` is a pure function of ``(k, n)``.  So the first draws
 of many child streams can be computed at once.  :func:`philox4x64` runs
 the ten Philox rounds in numpy ``uint64`` arithmetic over an array of
-keys, bit for bit as ``np.random.Philox`` does, and
+keys, bit for bit as ``np.random.Philox`` does.
 :meth:`RngStream.frame_uniforms` derives the child keys with an array
-splitmix64 and serves a whole batch of per-frame streams in one call.
-The scalar ``_splitmix64`` behind :meth:`RngStream.split` stays pure
-Python: a single split is cheaper that way.
+splitmix64 and serves a whole batch of per-frame streams in one call,
+or, given an outer split level, the streams of several batches
+(``split(batch).split(position).split(frame)``) at once.  Only the
+frames asked for are drawn.  The scalar ``_splitmix64`` behind
+:meth:`RngStream.split` stays pure Python: a single split is cheaper
+that way.
 """
 from __future__ import annotations
 
@@ -158,24 +161,35 @@ class RngStream:
             raise ValueError("split index must be non-negative")
         return _splitmix64(self.key ^ _splitmix64(index))
 
-    def frame_uniforms(self, splits, lengths, width: int) -> np.ndarray:
+    def frame_uniforms(self, splits, lengths, width: int,
+                       outer=None) -> np.ndarray:
         """Stacked uniform rows of two-level child streams.
 
         For each split index ``s`` in ``splits`` with ``T`` in ``lengths``,
         the ``T`` rows ``self.split(s).split(t).uniform(size=width)`` for
         ``t = 0 .. T - 1`` follow each other, bit for bit, so the result
-        has ``sum(lengths)`` rows.  All child keys come from one array
-        splitmix64 pass per level and all rows from one
+        has ``sum(lengths)`` rows.  ``outer``, one index ``o`` per split,
+        adds a level above: the rows are then those of
+        ``self.split(o).split(s).split(t)``.  All child keys come from one
+        array splitmix64 pass per level and all rows from one
         :func:`philox4x64` call.  This stream does not advance.
         """
         splits = np.asarray(splits, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        if splits.shape != lengths.shape:
-            raise ValueError("one length per split index is needed")
-        if splits.size and min(splits.min(), lengths.min()) < 0:
+        levels = [splits, lengths]
+        if outer is not None:
+            levels.append(np.asarray(outer, dtype=np.int64).reshape(-1))
+        if any(a.shape != splits.shape for a in levels):
+            raise ValueError("one length (and outer index) per split index "
+                             "is needed")
+        if splits.size and min(a.min() for a in levels) < 0:
             raise ValueError("split indices and lengths must be non-negative")
+        base = np.uint64(self.key)
+        if outer is not None:
+            base = _splitmix64_array(
+                base ^ _splitmix64_array(levels[2].astype(np.uint64)))
         seq_keys = _splitmix64_array(
-            np.uint64(self.key) ^ _splitmix64_array(splits.astype(np.uint64)))
+            base ^ _splitmix64_array(splits.astype(np.uint64)))
         n_rows = int(lengths.sum())
         starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
         frames = np.arange(n_rows, dtype=np.int64) - starts

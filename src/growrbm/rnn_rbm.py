@@ -31,9 +31,15 @@ length groups themselves are stacked once per trained layer.
 Grouping changes no random draw:
 frame ``t`` of batch sequence ``s`` draws one row of uniforms from
 ``rng.split(s).split(t)``, cut into the chain's blocks in draw order.
-Those streams are counter-based, so the rows of a whole batch, all
-groups included, come from one vectorised Philox draw
-(:meth:`~growrbm.numerics.RngStream.frame_uniforms`).
+Those streams are counter-based, so every row is a pure function of its
+indices.  The rows of a whole batch, all groups included, come from one
+vectorised Philox draw
+(:meth:`~growrbm.numerics.RngStream.frame_uniforms`).  Training goes one
+level up: batch ``i`` of an epoch draws from the epoch stream's
+``split(i + 1)``, so one draw with an outer level holds the rows of
+several batches, one draw per epoch on small data, and each batch takes
+its part (:class:`_EpochDraws`).  Only the frames the batches read are
+drawn.
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
 it is copied, validated, updated and checkpointed by the static code.
@@ -369,12 +375,14 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
     into groups of equal length (in order of first appearance); every
     row of every group comes from one
     :meth:`~growrbm.numerics.RngStream.frame_uniforms` call, ordered
-    group by group, and each group takes its contiguous slice.  Each
-    group then costs one unroll, one CD-k pass over all its frames at
-    once and one backward pass through the state (see
-    :func:`_group_bptt_cd`).  A sequence keeps the stream of its
-    position in the batch, whatever its group, so grouping changes no
-    draw.  Both results are normalised by the total number of frames;
+    group by group, and each group takes its contiguous slice.  That
+    call is all this function reads of ``rng``: training passes a view
+    that cuts the same rows from a draw of several batches
+    (:class:`_EpochDraws`).  Each group then costs one unroll, one CD-k
+    pass over all its frames at once and one backward pass through the
+    state (see :func:`_group_bptt_cd`).  A sequence keeps the stream of
+    its position in the batch, whatever its group, so grouping changes
+    no draw.  Both results are normalised by the total number of frames;
     ``h_mean`` is :func:`mean_hidden_activation` of the batch.
     """
     if len(batch) == 0:
@@ -396,6 +404,91 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
         h_sum += h
     frames = sum(sizes)
     return total.scale_(1.0 / frames), h_sum / frames
+
+
+# The most Philox blocks (four words each) that one draw of
+# :class:`_EpochDraws` spends on several batches.  The draw's temporaries
+# take about 16 bytes per block each; past about 8k blocks they leave
+# the caches and each block costs more (measured on a 2-core x86 VM).
+_DRAW_BLOCKS = 1 << 12
+
+
+class _BatchRows:
+    """A batch's stream as :func:`bptt_gradients` reads it: its
+    :meth:`~growrbm.numerics.RngStream.frame_uniforms` rows, cut from a
+    draw in which the rows of batch position ``s`` start at
+    ``starts[s]``."""
+
+    __slots__ = ("rows", "starts")
+
+    def __init__(self, rows: np.ndarray, starts: np.ndarray):
+        self.rows, self.starts = rows, starts
+
+    def frame_uniforms(self, splits, lengths, width: int) -> np.ndarray:
+        if width != self.rows.shape[1]:
+            raise ValueError(f"rows of width {width} requested from a draw "
+                             f"of width {self.rows.shape[1]}")
+        begin = self.starts[splits]
+        if np.array_equal(begin[1:], begin[:-1] + lengths[:-1]):
+            # in draw order, as for equal lengths: a view, no copy
+            return self.rows[begin[0]:begin[-1] + lengths[-1]]
+        return np.concatenate([self.rows[b:b + t]
+                               for b, t in zip(begin, lengths)])
+
+
+class _EpochDraws:
+    """The recurrent ``gradient`` operation of
+    :func:`~growrbm.adapt._train_layer`: :func:`bptt_gradients` with the
+    rows of several batches drawn at once.
+
+    Batch ``i`` of epoch stream ``ep`` draws from ``ep.split(i + 1)``, so
+    frame ``t`` of its sequence at position ``s`` draws the row of
+    ``ep.split(i + 1).split(s).split(t)``: a pure function of the epoch
+    key and three indices.  The epoch's permutation is drawn before its
+    batches and the chain width changes only after them.  So a batch
+    whose rows are not drawn yet draws them with those of the batches
+    after it, in one
+    :meth:`~growrbm.numerics.RngStream.frame_uniforms` call with an outer
+    level: whole batches up to ``_DRAW_BLOCKS`` Philox blocks, or the one
+    batch if it alone needs more.  Only frames that a batch reads are
+    drawn, and each batch's rows are bit for bit those of its own call.
+    """
+
+    def __init__(self, sequences, batch_size: int):
+        self.lengths = np.array([s.shape[0] for s in sequences])
+        self.batch_size = batch_size
+        self._ep = None
+
+    def __call__(self, model: RnnRbm, batch, cfg: CdConfig, ep: RngStream,
+                 order: np.ndarray, bi: int):
+        if ep is not self._ep:
+            self._ep, self._lengths = ep, self.lengths[order]
+            self._batch_ends = np.cumsum(np.add.reduceat(
+                self._lengths, np.arange(0, len(order), self.batch_size)))
+            self._stop = 0
+        if bi >= self._stop:
+            self._draw(bi, sum(_chain_widths(model.n_visible, model.n_hidden,
+                                             cfg.k)))
+        first = bi * self.batch_size - self._first
+        rows = _BatchRows(self._rows, self._starts[first:first + len(batch)])
+        if bi + 1 == self._stop:
+            self._rows = None  # the draw's last batch holds them alone
+        return bptt_gradients(model, batch, cfg, rows)
+
+    def _draw(self, bi: int, width: int):
+        """Draw the rows of batch ``bi`` and of as many next batches as
+        the block budget holds."""
+        ends = self._batch_ends
+        budget = _DRAW_BLOCKS // -(-width // 4) + (ends[bi - 1] if bi else 0)
+        stop = max(bi + 1, int(np.searchsorted(ends, budget, side="right")))
+        seqs = np.arange(bi * self.batch_size,
+                         min(stop * self.batch_size, len(self._lengths)))
+        lengths = self._lengths[seqs]
+        self._rows = self._ep.frame_uniforms(
+            seqs % self.batch_size, lengths, width,
+            outer=seqs // self.batch_size + 1)
+        self._starts = np.cumsum(lengths) - lengths
+        self._first, self._stop = bi * self.batch_size, stop
 
 
 def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
@@ -525,8 +618,9 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     """Adaptive training of one recurrent layer in the shared epoch loop.
 
     Batches of sequences get BPTT-CD updates clipped to ``GRAD_CLIP``.  See
-    the static trainer for the stream layout.  The training set is
-    stacked by length once, and unrolled once per epoch by the epoch's
+    the static trainer for the stream layout; the rows of several batches
+    are drawn at once (:class:`_EpochDraws`).  The training set
+    is stacked by length once, and unrolled once per epoch by the epoch's
     :class:`LengthGroups`.  Returns ``(model, stats, log)``.
     """
     sequences = [_as_sequence(s) for s in sequences]
@@ -542,5 +636,6 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     stacks = LengthGroups.of(start.model, sequences).stacks
     return _train_layer(
         sequences, start, cd, epochs, rng, adapt, forget, layer,
-        epoch_callback, gradient=bptt_gradients,
-        update=_clipped_update, epoch_data=lambda: LengthGroups(stacks))
+        epoch_callback, gradient=_EpochDraws(sequences, cd.batch_size),
+        update=_clipped_update,
+        epoch_data=lambda: LengthGroups(stacks))

@@ -270,6 +270,38 @@ class TestTrainStateRoundTrip:
         with pytest.raises(TypeError):
             save_train_state(tmp_path / "x.ckpt", rbm_model())
 
+    @pytest.mark.parametrize("stack", [dbn_model, rnn_dbn_model],
+                             ids=["dbn", "rnn-dbn"])
+    def test_rejects_stack_state(self, tmp_path, stack):
+        # moments of any shape: a stack state was saved without a check
+        state = TrainState(0, stack(), GradientStats.zeros(7, 5), 0)
+        with pytest.raises(TypeError, match="one layer"):
+            save_train_state(tmp_path / "x.ckpt", state)
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["dbn-train", "rnn-dbn-train"])
+    def test_loader_rejects_stack_state(self, tmp_path, recurrent):
+        """A 1-layer stack's train state, laid out as a save that accepted
+        stacks wrote it: the layer's arrays under ``layer0/``."""
+        model = rnn_model() if recurrent else rbm_model()
+        p = tmp_path / "s.ckpt"
+        save_train_state(p, TrainState.fresh(model))
+        kind = ("rnn-dbn" if recurrent else "dbn") + "-train"
+
+        def as_stack(header):
+            header["kind"] = kind
+            for entry in header["arrays"]:
+                if not entry["name"].startswith("stats/"):
+                    entry["name"] = "layer0/" + entry["name"]
+            header["meta"].update(n_layers=1, totals=[[0.1, 0.2]],
+                                  dims=[[model.n_visible, model.n_hidden]])
+
+        TestCorruption.edit_header(p, as_stack)
+        assert describe(p).startswith(f"kind: {kind}\n")  # a sound file
+        with pytest.raises(CheckpointError, match="one layer"):
+            load_train_state(p)
+
 
 class TestCorruption:
     def saved(self, tmp_path):

@@ -254,6 +254,24 @@ class TestFrameUniforms:
         a.frame_uniforms([0, 1], [4, 2], 6)
         npt.assert_array_equal(a.uniform(size=20), RngStream(8).uniform(size=20))
 
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                              st.integers(min_value=0, max_value=9),
+                              st.integers(min_value=0, max_value=6)),
+                    max_size=5),
+           st.integers(min_value=0, max_value=11))
+    def test_outer_rows_equal_child_streams_exactly(self, seed, requests,
+                                                    width):
+        root = RngStream(seed)
+        outer, splits, lengths = ([r[n] for r in requests] for n in range(3))
+        rows = root.frame_uniforms(splits, lengths, width, outer=outer)
+        assert rows.shape == (sum(lengths), width)
+        expected = [root.split(o).split(s).split(t).uniform(size=width)
+                    for o, s, n in requests for t in range(n)]
+        npt.assert_array_equal(rows, np.reshape(expected, rows.shape))
+        npt.assert_array_equal(root.uniform(size=5),
+                               RngStream(seed).uniform(size=5))
+
     def test_rejects_negative_and_mismatched(self):
         with pytest.raises(ValueError):
             RngStream(0).frame_uniforms([-1], [2], 3)
@@ -261,6 +279,10 @@ class TestFrameUniforms:
             RngStream(0).frame_uniforms([1], [-2], 3)
         with pytest.raises(ValueError):
             RngStream(0).frame_uniforms([1, 2], [2], 3)
+        with pytest.raises(ValueError):
+            RngStream(0).frame_uniforms([1], [2], 3, outer=[-1])
+        with pytest.raises(ValueError):
+            RngStream(0).frame_uniforms([1, 2], [2, 2], 3, outer=[1])
 
 
 class TestPhilox4x64:
