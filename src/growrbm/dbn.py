@@ -10,8 +10,8 @@ for :class:`Dbn` and ``rnn_dbn.RnnDbn``: each trained layer's hidden
 activations become the next layer's data, the next layer starts from
 :func:`_inherit` (a fresh layer of the same type), and stacking
 continues while the accumulated gradient-variance and energy totals of
-the stack stay above their thresholds (or unconditionally up to the cap
-when the layer gate is disabled).  The gate reads each layer's totals
+the stack stay above their thresholds (or, without ``adapt``,
+unconditionally up to the cap).  The gate reads each layer's totals
 from the last row of the log the layer returns.
 """
 from __future__ import annotations
@@ -193,16 +193,20 @@ def _inherit(parent: Rbm, rng: RngStream) -> Rbm:
 
 
 def _train_stack(stack: Dbn, inputs, rng: RngStream,
-                 layer_cfg: LayerGenConfig, gate_layers: bool, *, train,
-                 lift, epochs: int, **layer_kwargs):
-    """Greedy bottom-up stacking loop of both stack kinds.
+                 layer_cfg: LayerGenConfig, *, train, lift, epochs: int,
+                 adapt: AdaptConfig | None, **layer_kwargs):
+    """Greedy bottom-up stacking loop of every model kind (a single-layer
+    kind is a stack capped at one layer).
 
     Layer ``l`` trains as ``train(inputs, rng=rng.split(l), ...)``, as a
     standalone run would; the next layer starts from :func:`_inherit`
     with ``rng.split(l + 1).split(0)`` on ``lift(model, inputs)``.  Each
     layer returns a log of its own rows, which the stack's log takes in
     layer order; the layer's totals come from its last row, so every
-    layer must train at least one epoch.  Returns ``(stack, log)``.
+    layer must train at least one epoch.  The layer gate runs exactly
+    when ``adapt`` is given; without it the stack grows to the cap.  The
+    ``layer_kwargs`` (``epoch_callback`` among them) reach every layer.
+    Returns ``(stack, log)``.
     """
     if epochs < 1:
         raise ValueError("epochs_per_layer must be >= 1")
@@ -212,14 +216,14 @@ def _train_stack(stack: Dbn, inputs, rng: RngStream,
     while True:
         model, _, layer_log = train(
             inputs, rng=rng.split(layer_idx), resume=start,
-            layer=layer_idx, epochs=epochs, **layer_kwargs)
+            layer=layer_idx, epochs=epochs, adapt=adapt, **layer_kwargs)
         log.rows.extend(layer_log.rows)
         totals = _layer_totals(layer_log.rows[-1])
         stack = type(stack)(layers=stack.layers + [model],
                             totals=stack.totals + [totals])
         stack.validate()
 
-        if gate_layers:
+        if adapt is not None:
             grow = should_generate_layer(stack, layer_cfg)
         else:
             grow = stack.n_layers < layer_cfg.max_layers
@@ -238,15 +242,17 @@ def train_adaptive_dbn(data: np.ndarray, n_hidden: int, cd: CdConfig,
                        layer_cfg: LayerGenConfig,
                        adapt: AdaptConfig | None = None,
                        forget: ForgettingConfig | None = None,
-                       gate_layers: bool = True):
+                       epoch_callback=None):
     """Greedy bottom-up training of a stack of (optionally adaptive) RBMs.
 
-    With ``gate_layers`` False the stack always grows to ``max_layers``;
-    otherwise growth stops as soon as the accumulated totals fall short.
+    Without ``adapt`` the layers keep their size and the stack always
+    grows to ``max_layers``; with it, growth stops as soon as the
+    accumulated totals fall short.  ``forget`` and ``epoch_callback``
+    (each layer's state after each of its epochs) reach every layer.
     Returns ``(dbn, log)``.
     """
     return _train_stack(
         Dbn(), np.atleast_2d(np.asarray(data, dtype=np.float64)), rng,
-        layer_cfg, gate_layers, train=train_adaptive_rbm,
-        lift=hidden_conditional, n_hidden=n_hidden, cd=cd,
-        epochs=epochs_per_layer, adapt=adapt, forget=forget)
+        layer_cfg, train=train_adaptive_rbm, lift=hidden_conditional,
+        n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
+        forget=forget, epoch_callback=epoch_callback)

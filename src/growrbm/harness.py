@@ -2,27 +2,29 @@
 
 A training run owns one output directory containing exactly four files:
 the verbatim config copy, the per-epoch CSV log, the final model
-checkpoint, and a short human-readable summary.  For the single-layer
-kinds (rbm, rnn-rbm) the checkpoint is rewritten atomically at every
-epoch boundary, so an interrupted run keeps its latest complete epoch;
-stacks (dbn, rnn-dbn) write it once, when training ends.
+checkpoint, and a short human-readable summary.  Every kind trains as a
+stack; a single-layer kind (rbm, rnn-rbm) is a stack capped at one
+layer, whose checkpoint is that layer, rewritten atomically at every
+epoch boundary, so an interrupted run keeps its latest complete epoch.
+Stacks (dbn, rnn-dbn) write it once, when training ends.
 """
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, model_kind, save_checkpoint
-from .config import RunConfig
+from .config import MODEL_KINDS, RunConfig
 from .data import load_jsonl, write_jsonl
-from .dbn import train_adaptive_dbn, train_adaptive_rbm
+from .dbn import train_adaptive_dbn
 from .errors import ConfigError, DimensionError
 from .numerics import RngStream
 from .rnn_dbn import (RnnDbn, _pool_predictions, sample_sequence_deep,
                       train_adaptive_rnn_dbn)
-from .rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
+from .rnn_rbm import RnnRbm
 
 RUN_FILES = ("config.cfg", "log.csv", "model.ckpt", "summary.txt")
 
@@ -31,14 +33,10 @@ def _flatten_frames(sequences) -> np.ndarray:
     return np.vstack([np.asarray(s, dtype=np.float64) for s in sequences])
 
 
-# the model types served by the recurrent read path (eval, sample and
-# the held-out score of a training run)
-_RECURRENT = (RnnRbm, RnnDbn)
-
-
 def _recurrent_stack(model) -> RnnDbn:
-    """The model as a recurrent stack (a recurrent RBM as one layer)."""
-    if not isinstance(model, _RECURRENT):
+    """The model as a recurrent stack (a recurrent RBM as one layer), as
+    eval, sample and a run's held-out score read it."""
+    if not isinstance(model, (RnnRbm, RnnDbn)):
         raise ConfigError("needs a recurrent model (rnn-rbm or rnn-dbn), got "
                           f"kind {model_kind(model)!r}")
     return model if isinstance(model, RnnDbn) else RnnDbn(layers=[model])
@@ -78,9 +76,13 @@ def _check_writable(path: Path):
 def run_training(cfg: RunConfig, out_dir) -> dict:
     """Execute one training run into ``out_dir``; returns a summary dict."""
     t0 = time.monotonic()
+    if cfg.model not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {cfg.model!r}")
+    recurrent = cfg.model in ("rnn-rbm", "rnn-dbn")
+    single = cfg.model in ("rbm", "rnn-rbm")
     dataset = load_jsonl(cfg.train)
     test_seqs = load_jsonl(cfg.test).train if cfg.test else []
-    if test_seqs and cfg.model in ("rnn-rbm", "rnn-dbn"):
+    if test_seqs and recurrent:
         # a held-out set the model could not score fails before training
         _check_heldout(test_seqs, dataset.dim)
     # inputs that fail their checks leave no output directory behind
@@ -92,36 +94,21 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
     for name in RUN_FILES:  # checked before any of them is written
         _check_writable(out / name)
     (out / "config.cfg").write_text(cfg.raw_text)
-    master = RngStream(cfg.seed)
-    adapt = cfg.adapt if cfg.adaptive else None
-    forget = cfg.forget if cfg.adaptive else None
     ckpt_path = out / "model.ckpt"
 
     def keep_latest(state):
         save_checkpoint(ckpt_path, state.model, seed=cfg.seed)
 
-    if cfg.model == "rbm":
-        data = _flatten_frames(dataset.train)
-        model, _, log = train_adaptive_rbm(
-            data, cfg.n_hidden, cfg.cd, cfg.epochs, master.split(1),
-            adapt=adapt, forget=forget, epoch_callback=keep_latest)
-    elif cfg.model == "dbn":
-        data = _flatten_frames(dataset.train)
-        model, log = train_adaptive_dbn(
-            data, cfg.n_hidden, cfg.cd, cfg.epochs, master, cfg.layers,
-            adapt=adapt, forget=forget, gate_layers=cfg.adaptive)
-    elif cfg.model == "rnn-rbm":
-        model, _, log = train_adaptive_rnn_rbm(
-            dataset.train, cfg.n_hidden, cfg.cd, cfg.epochs, master.split(1),
-            adapt=adapt, forget=forget, u_dim=cfg.u_dim,
-            epoch_callback=keep_latest)
-    elif cfg.model == "rnn-dbn":
-        model, log = train_adaptive_rnn_dbn(
-            dataset.train, cfg.n_hidden, cfg.cd, cfg.epochs, master,
-            cfg.layers, adapt=adapt, forget=forget, u_dim=cfg.u_dim,
-            gate_layers=cfg.adaptive)
-    else:
-        raise ConfigError(f"unknown model kind {cfg.model!r}")
+    train = train_adaptive_rnn_dbn if recurrent else train_adaptive_dbn
+    data = dataset.train if recurrent else _flatten_frames(dataset.train)
+    extra = {"u_dim": cfg.u_dim} if recurrent else {}
+    stack, log = train(
+        data, cfg.n_hidden, cfg.cd, cfg.epochs, RngStream(cfg.seed),
+        replace(cfg.layers, max_layers=1) if single else cfg.layers,
+        adapt=cfg.adapt if cfg.adaptive else None,
+        forget=cfg.forget if cfg.adaptive else None,
+        epoch_callback=keep_latest if single else None, **extra)
+    model = stack.layers[0] if single else stack
 
     save_checkpoint(ckpt_path, model, seed=cfg.seed)
     log.to_csv(out / "log.csv")
@@ -134,8 +121,8 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         "train_energy": last.energy,
         "wall_seconds": time.monotonic() - t0,
     }
-    if test_seqs and isinstance(model, _RECURRENT):
-        err, ratio = evaluate_model(model, test_seqs)
+    if test_seqs and recurrent:
+        err, ratio = evaluate_model(stack, test_seqs)
         summary["test_error"] = err
         summary["test_correct_ratio"] = ratio
 

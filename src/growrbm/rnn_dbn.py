@@ -63,21 +63,24 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
                            layer_cfg: LayerGenConfig,
                            adapt: AdaptConfig | None = None,
                            forget: ForgettingConfig | None = None,
-                           u_dim: int | None = None,
-                           gate_layers: bool = True):
-    """Greedy bottom-up training of the recurrent stack.
+                           u_dim: int | None = None, epoch_callback=None):
+    """Greedy bottom-up training of the recurrent stack; ``adapt``,
+    ``forget`` and ``epoch_callback`` act as in
+    :func:`~growrbm.dbn.train_adaptive_dbn`.
 
     Layer ``l`` trains from the root stream's ``split(l)``, exactly as a
     standalone run would, so the first layer of a stack equals a
-    single-layer run with the same seed.  Returns ``(model, log)``.
+    single-layer run with the same seed.  ``u_dim`` sizes the first
+    layer's state only: an upper layer starts square, its state as wide
+    as its input (:func:`~growrbm.dbn._inherit`).  Returns ``(model, log)``.
     """
     return _train_stack(
         RnnDbn(), [np.asarray(s, dtype=np.float64) for s in sequences], rng,
-        layer_cfg, gate_layers, train=train_adaptive_rnn_rbm,
+        layer_cfg, train=train_adaptive_rnn_rbm,
         lift=lambda m, seqs: [deterministic_hidden_sequence(m, s)
                               for s in seqs],
         n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
-        forget=forget, u_dim=u_dim)
+        forget=forget, u_dim=u_dim, epoch_callback=epoch_callback)
 
 
 def _lift_prefix(stack: RnnDbn, prefix: np.ndarray) -> list:

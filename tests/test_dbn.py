@@ -350,7 +350,11 @@ class TestTrainAdaptiveDbn:
         cd = CdConfig(k=1, learning_rate=0.05, batch_size=20)
         cfg = LayerGenConfig(max_layers=4, wd_threshold=1e6,
                              energy_threshold=1e6)
-        dbn, _ = train_adaptive_dbn(data, 3, cd, 4, RngStream(3), cfg)
+        # the gate runs only with adapt; this one never fires a trigger
+        inert = AdaptConfig(generation_phase_epochs=2, max_hidden=8,
+                            gen_threshold=1e9, ann_threshold=1e-12)
+        dbn, _ = train_adaptive_dbn(data, 3, cd, 4, RngStream(3), cfg,
+                                    adapt=inert)
         assert dbn.n_layers == 1
 
     def test_permissive_thresholds_reach_cap(self):
@@ -380,8 +384,8 @@ class TestTrainAdaptiveDbn:
         cd = CdConfig(k=1, learning_rate=0.05, batch_size=15)
         cfg = LayerGenConfig(max_layers=2, wd_threshold=1e6,
                              energy_threshold=1e6)
-        dbn, _ = train_adaptive_dbn(data, 3, cd, 3, RngStream(3), cfg,
-                                    gate_layers=False)
+        # without adapt the stack grows to the cap, whatever the gate says
+        dbn, _ = train_adaptive_dbn(data, 3, cd, 3, RngStream(3), cfg)
         assert dbn.n_layers == 2
 
     def test_depth_helps_on_parity_data(self):

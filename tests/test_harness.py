@@ -1,4 +1,5 @@
 """End-to-end runs: output directory contract, reruns, CLI exit codes."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -55,6 +56,37 @@ class TestRunTraining:
         text = (out / "summary.txt").read_text()
         assert f"model: {model}" in text
         assert "wall_seconds:" in text
+
+    @pytest.mark.parametrize("model,kind", [
+        ("rbm", Rbm), ("dbn", Dbn), ("rnn-rbm", RnnRbm), ("rnn-dbn", RnnDbn)])
+    def test_checkpoint_writes(self, tmp_path, data_file, monkeypatch, model,
+                               kind):
+        """A single-layer kind saves its one layer after every epoch and
+        at the end; a stack saves the whole stack once, at the end."""
+        saved, plain = [], harness.save_checkpoint
+
+        def recording(path, obj, **kwargs):
+            saved.append(obj)
+            return plain(path, obj, **kwargs)
+
+        monkeypatch.setattr(harness, "save_checkpoint", recording)
+        out = tmp_path / "run"
+        cfg = config_for(data_file, out, model=model,
+                         extra="layers.max_layers = 2\nadaptive = false\n")
+        run_training(cfg, out)
+        assert all(type(obj) is kind for obj in saved)
+        if model.endswith("dbn"):
+            assert len(saved) == 1
+            assert saved[0].n_layers == 2
+        else:
+            assert len(saved) == cfg.epochs + 1
+
+    def test_unknown_kind_leaves_nothing(self, tmp_path, data_file):
+        out = tmp_path / "run"
+        cfg = dataclasses.replace(config_for(data_file, out), model="foo")
+        with pytest.raises(ConfigError, match="unknown model kind 'foo'"):
+            run_training(cfg, out)
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, data_file):
         cfg = config_for(data_file, tmp_path / "a")
@@ -439,7 +471,7 @@ class TestCli:
             self, tmp_path, data_file, capsys, monkeypatch, model, held_out,
             message):
         trained = []
-        for name in ("train_adaptive_rnn_rbm", "train_adaptive_rnn_dbn"):
+        for name in ("train_adaptive_dbn", "train_adaptive_rnn_dbn"):
             monkeypatch.setattr(harness, name,
                                 lambda *a, **k: trained.append(a))
         test_p = tmp_path / "test.jsonl"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm import dbn, rnn_dbn, rnn_rbm
-from growrbm.adapt import TrainState
+from growrbm.adapt import AdaptConfig, TrainState
 from growrbm.dbn import (LayerGenConfig, _inherit, train_adaptive_dbn,
                          train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
@@ -57,7 +57,11 @@ class TestStacking:
         cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
         cfg = LayerGenConfig(max_layers=3, wd_threshold=1e9,
                              energy_threshold=1e9)
-        stack, _ = train_adaptive_rnn_dbn(seqs, 4, cd, 3, RngStream(85), cfg)
+        # the gate runs only with adapt; this one never fires a trigger
+        inert = AdaptConfig(generation_phase_epochs=2, max_hidden=8,
+                            gen_threshold=1e9, ann_threshold=1e-12)
+        stack, _ = train_adaptive_rnn_dbn(seqs, 4, cd, 3, RngStream(85), cfg,
+                                          adapt=inert)
         assert stack.n_layers == 1
 
     def test_permissive_gate_reaches_cap(self):
@@ -164,8 +168,7 @@ class TestStacking:
         monkeypatch.setattr(rnn_rbm, "unroll", counting)
         cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
         stack, _ = train_adaptive_rnn_dbn(seqs, 4, cd, 5, RngStream(95),
-                                          LayerGenConfig(max_layers=2),
-                                          gate_layers=False)
+                                          LayerGenConfig(max_layers=2))
         assert stack.n_layers == 2
         assert len(whole) == 10
 
@@ -174,9 +177,20 @@ class TestStacking:
         cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
         cfg = LayerGenConfig(max_layers=2, wd_threshold=1e9,
                              energy_threshold=1e9)
-        stack, _ = train_adaptive_rnn_dbn(seqs, 4, cd, 3, RngStream(89), cfg,
-                                          gate_layers=False)
+        # without adapt the stack grows to the cap, whatever the gate says
+        stack, _ = train_adaptive_rnn_dbn(seqs, 4, cd, 3, RngStream(89), cfg)
         assert stack.n_layers == 2
+
+    def test_u_dim_sizes_the_first_layer_only(self):
+        """An upper layer starts from ``_inherit``, a square layer whose
+        state is as wide as its input; the stack's ``u_dim`` is not
+        forwarded to it."""
+        seqs = cycle_sequences(8, 6, RngStream(96))
+        cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
+        stack, _ = train_adaptive_rnn_dbn(seqs, 5, cd, 2, RngStream(97),
+                                          LayerGenConfig(max_layers=2),
+                                          u_dim=3)
+        assert [layer.u_dim for layer in stack.layers] == [3, 5]
 
     def test_validate_rejects_broken_chain(self):
         stack = RnnDbn(layers=[RnnRbm.zeros(3, 4), RnnRbm.zeros(5, 2)],
