@@ -349,16 +349,17 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
     draws from ``ep = rng.split(e + 1)``: its permutation first, then
     batch ``i`` from ``ep.split(i + 1)``, and the growth sweep from
-    ``ep.split(0)``.  The model's shape changes only after the batch loop.
-    The family operations are:
+    ``ep.split(0)``.  Every batch stream of the layer is one stream,
+    re-keyed in place to each batch's
+    (:meth:`~growrbm.numerics.RngStream.split_into`), so it starts as a
+    fresh split would.  The model's shape changes only after the batch
+    loop.  The family operations are:
 
-    * ``gradient(model, batch, cd, ep, order, i) -> (g, h_mean)``, the
-      ascent gradient of batch ``i`` of the epoch with stream ``ep`` and
-      permutation ``order``, drawn from ``ep.split(i + 1)``, and its
-      mean hidden activations, which the clarify penalty of the
-      forgetting windows reads.  The static family re-keys one stream in
-      place to each batch's; the recurrent one draws the rows of several
-      batches at once, which ``order`` lays out;
+    * ``gradient(model, batch, cd, stream) -> (g, h_mean)``, the ascent
+      gradient of the batch drawn from its stream, and its mean hidden
+      activations, which the clarify penalty of the forgetting windows
+      reads: :func:`~growrbm.rbm.cd_step` or
+      :func:`~growrbm.rnn_rbm.bptt_gradients`;
     * ``update(model, g, lr)``;
     * ``epoch_data()``, the family's epoch view of the training set, made
       after the updates: ``mean_activation(model)`` for the pruning sweep
@@ -373,6 +374,7 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
     log = TrainLog()
     model, stats, stall = start.model.copy(), start.stats.copy(), start.stall
     lam = AdaptConfig.stats_decay if adapt is None else adapt.stats_decay
+    batch_rng = RngStream(0)  # re-keyed to each batch's stream
 
     for epoch in range(start.epoch_done + 1, epochs):
         ep = rng.split(epoch + 1)
@@ -382,7 +384,8 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
             idx = order[offset:offset + cd.batch_size]
             batch = (data[idx] if isinstance(data, np.ndarray)
                      else [data[i] for i in idx])
-            g, acts = gradient(model, batch, cd, ep, order, bi)
+            g, acts = gradient(model, batch, cd,
+                               ep.split_into(bi + 1, batch_rng))
             for mode in modes:
                 add_forgetting_(g, model, mode, forget, acts)
             stats.update(g.dc, g.dW, lam)

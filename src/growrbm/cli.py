@@ -60,11 +60,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "train":
-            cfg = parse_config(args.config)
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.dataset is not None:
-                cfg.train = args.dataset
+            overrides = {"seed": args.seed, "train": args.dataset}
+            cfg = parse_config(args.config, {
+                key: value for key, value in overrides.items()
+                if value is not None})
             out_dir = args.out if args.out is not None else cfg.out
             summary = run_training(cfg, out_dir)
             print(f"run complete: {out_dir}")

@@ -7,7 +7,8 @@ is a field of the section class its prefix maps to (``CdConfig``,
 annotation is the key's type, its default is the key's default, and the
 class checks the value.  Unknown keys and duplicate keys are hard errors
 so a misspelled hyperparameter can never silently fall back to its
-default.
+default.  A command-line override is written into the text, which is
+then parsed, so the text a run keeps reproduces the run.
 """
 from __future__ import annotations
 
@@ -142,10 +143,34 @@ def parse_config_text(text: str, where: str = "<config>") -> RunConfig:
         **sections, raw_text=text)
 
 
-def parse_config(path) -> RunConfig:
+def _override(text: str, key: str, value) -> str:
+    """``text`` with its first ``key`` line replaced by ``key = value``, or
+    with that line added at the end.  A second ``key`` line is kept, so
+    it stays a duplicate-key error."""
+    line = f"{key} = {value}"
+    if "#" in line or line.splitlines() != [line]:
+        raise ConfigError(f"cannot write {key} = {value!r} as a config line")
+    lines = text.splitlines(keepends=True)
+    for n, old in enumerate(lines):
+        body = old.splitlines()[0]
+        setting = body.split("#", 1)[0]
+        if "=" in setting and setting.partition("=")[0].strip() == key:
+            lines[n] = line + old[len(body):]
+            return "".join(lines)
+    if lines and lines[-1].splitlines() == [lines[-1]]:
+        lines[-1] += "\n"  # the last line had no line break
+    return "".join(lines) + line + "\n"
+
+
+def parse_config(path, overrides=None) -> RunConfig:
+    """The config file at ``path``, with each ``key: value`` of
+    ``overrides`` written into its text first (:func:`_override`); the
+    result's ``raw_text`` is that text."""
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for key, value in (overrides or {}).items():
+        text = _override(text, key, value)
     return parse_config_text(text, where=str(path))

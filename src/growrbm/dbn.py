@@ -138,25 +138,20 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
     Returns ``(model, stats, log)``.  ``rng`` is the layer's root stream:
     ``split(0)`` seeds the weight init when ``resume`` is None and each
     epoch ``e`` draws from ``split(e + 1)``, so a run resumed from epoch
-    ``e`` replays the exact tail of an uninterrupted run.  The batch
-    streams are one stream re-keyed in place to each batch's
-    (:meth:`~growrbm.numerics.RngStream.split_into`).
-    An epoch whose pruning sweep removes nothing scores itself from the
-    sweep's hidden pass (:class:`_EpochFrames`).
+    ``e`` replays the exact tail of an uninterrupted run.  Each batch
+    gets one :func:`~growrbm.rbm.cd_step` on its own stream, laid out by
+    the shared loop (:func:`~growrbm.adapt._train_layer`).  An epoch
+    whose pruning sweep removes nothing scores itself from the sweep's
+    hidden pass (:class:`_EpochFrames`).
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
         raise ValueError("empty training data")
     start = resume or TrainState.fresh(
         Rbm.random(data.shape[1], n_hidden, rng.split(0)))
-    batch_rng = RngStream(0)  # re-keyed to each batch's stream
-
-    def gradient(model, batch, cfg, ep, order, bi):
-        return cd_step(model, batch, cfg, ep.split_into(bi + 1, batch_rng))
-
     return _train_layer(
         data, start, cd, epochs, rng, adapt, forget, layer, epoch_callback,
-        gradient=gradient, update=_apply_update,
+        gradient=cd_step, update=_apply_update,
         epoch_data=lambda: _EpochFrames(data))
 
 

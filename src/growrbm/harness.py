@@ -2,11 +2,14 @@
 
 A training run owns one output directory containing exactly four files:
 the verbatim config copy, the per-epoch CSV log, the final model
-checkpoint, and a short human-readable summary.  Every kind trains as a
-stack; a single-layer kind (rbm, rnn-rbm) is a stack capped at one
-layer, whose checkpoint is that layer, rewritten atomically at every
-epoch boundary, so an interrupted run keeps its latest complete epoch.
-Stacks (dbn, rnn-dbn) write it once, when training ends.
+checkpoint, and a short human-readable summary.  The config copy
+records the ``--seed`` and ``--dataset`` overrides, so retraining from
+it reproduces the run.  Every kind trains as a stack; a single-layer
+kind (rbm, rnn-rbm) is a stack capped at one layer, whose checkpoint is
+that layer, rewritten atomically at every epoch boundary, so an
+interrupted run keeps its latest complete epoch and the last epoch's
+write is the final checkpoint.  Stacks (dbn, rnn-dbn) write it once,
+when training ends.
 """
 from __future__ import annotations
 
@@ -108,9 +111,8 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         adapt=cfg.adapt if cfg.adaptive else None,
         forget=cfg.forget if cfg.adaptive else None,
         epoch_callback=keep_latest if single else None, **extra)
-    model = stack.layers[0] if single else stack
-
-    save_checkpoint(ckpt_path, model, seed=cfg.seed)
+    if not single:  # a single layer's last epoch has written it already
+        save_checkpoint(ckpt_path, stack, seed=cfg.seed)
     log.to_csv(out / "log.csv")
 
     last = log.rows[-1]

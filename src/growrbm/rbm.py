@@ -15,8 +15,9 @@ fields, so copying, validation, gradient arithmetic and the update step
 
 The CD-k Gibbs chain, :func:`_cd_chain`, also serves the recurrent
 model's BPTT-CD gradient.  It takes its uniforms pre-drawn, one block
-per Bernoulli draw in the order the chain consumes them, so each caller
-keeps its own stream layout.
+per Bernoulli draw in the order the chain consumes them, and both
+families draw those blocks the same way (:func:`_chain_uniforms`): one
+block of every row of the batch per chain step.
 
 Conventions used throughout the package:
 
@@ -181,9 +182,12 @@ def visible_conditional(rbm: Rbm, h) -> np.ndarray:
     return sigmoid(h @ rbm.W.T + rbm.b)
 
 
-def _chain_widths(n_visible: int, n_hidden: int, k: int) -> list:
-    """Widths of the uniform blocks a CD-k chain consumes, in draw order."""
-    return [n_hidden] + [n_visible, n_hidden] * (k - 1)
+def _chain_uniforms(rng: RngStream, rows: int, rbm: Rbm, k: int) -> list:
+    """The uniform blocks a CD-k chain on ``rows`` data rows consumes,
+    drawn from ``rng`` in chain order: ``(rows, J)`` for the hidden
+    sample, then ``(rows, I)`` and ``(rows, J)`` per further step."""
+    widths = [rbm.n_hidden] + [rbm.n_visible, rbm.n_hidden] * (k - 1)
+    return [rng.uniform(size=(rows, w)) for w in widths]
 
 
 def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
@@ -191,8 +195,8 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     ``(h_data, v_prob, h_model)``.
 
     ``b`` and ``c`` are bias vectors or one bias row per data row.
-    ``uniforms`` holds one ``(rows, width)`` block per Bernoulli draw,
-    with widths :func:`_chain_widths`: the hidden sample, then a visible
+    ``uniforms`` holds one block per Bernoulli draw, as
+    :func:`_chain_uniforms` draws them: the hidden sample, then a visible
     and a hidden sample per further step.  Intermediate states are
     sampled; the final visible state and the negative hidden statistics
     are probabilities, to cut sampling noise.
@@ -228,9 +232,8 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
         raise ValueError("visible batch values must lie in [0, 1]")
 
     n = batch.shape[0]
-    uniforms = [rng.uniform(size=(n, w))
-                for w in _chain_widths(rbm.n_visible, rbm.n_hidden, cfg.k)]
-    h_data, v_prob, h_model = _cd_chain(rbm.W, rbm.b, rbm.c, batch, uniforms)
+    h_data, v_prob, h_model = _cd_chain(
+        rbm.W, rbm.b, rbm.c, batch, _chain_uniforms(rng, n, rbm, cfg.k))
     h_mean = h_data.sum(axis=0) / n
     db = batch.sum(axis=0) / n - v_prob.sum(axis=0) / n
     dW = (batch.T @ h_data - v_prob.T @ h_model) / n

@@ -28,18 +28,10 @@ of the training set per epoch, kept in the epoch view
 and so does one hidden pass unless the sweep edits the model.  The
 length groups themselves are stacked once per trained layer.
 
-Grouping changes no random draw:
-frame ``t`` of batch sequence ``s`` draws one row of uniforms from
-``rng.split(s).split(t)``, cut into the chain's blocks in draw order.
-Those streams are counter-based, so every row is a pure function of its
-indices.  The rows of a whole batch, all groups included, come from one
-vectorised Philox draw
-(:meth:`~growrbm.numerics.RngStream.frame_uniforms`).  Training goes one
-level up: batch ``i`` of an epoch draws from the epoch stream's
-``split(i + 1)``, so one draw with an outer level holds the rows of
-several batches, one draw per epoch on small data, and each batch takes
-its part (:class:`_EpochDraws`).  Only the frames the batches read are
-drawn.
+Grouping changes no random draw.  A batch of ``R`` frames draws its
+chain's uniforms as :func:`~growrbm.rbm.cd_step` on ``R`` rows does, one
+``(R, width)`` block per chain step, and every frame reads the row of
+its place in the batch, whatever its group (:func:`bptt_gradients`).
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
 it is copied, validated, updated and checkpointed by the static code.
@@ -62,7 +54,7 @@ from .errors import DimensionError
 from .metrics import PooledMetrics
 from .numerics import RngStream, _logistic, sigmoid
 from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
-                  _chain_widths)
+                  _chain_uniforms)
 
 MEAN_FIELD_PASSES = 10
 # pre-activation entries the mean-field passes keep between two
@@ -336,26 +328,23 @@ def _hidden_passes(model: RnnRbm, sequences) -> list:
     return sequences.hidden_passes(model)
 
 
-def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray, cfg: CdConfig,
-                   draws: np.ndarray) -> tuple[RnnRbmGradient, np.ndarray]:
+def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray,
+                   uniforms: list) -> tuple[RnnRbmGradient, np.ndarray]:
     """CD-based ascent gradient summed over an ``(S, T, I)`` group of
     equal-length sequences, chained through time, and the hidden
     conditionals of the data frames summed per unit.
 
     Given the unrolled states the frames are independent conditional
     RBMs, so the shared chain :func:`~growrbm.rbm._cd_chain` runs once
-    on all ``S * T`` frames with per-frame bias rows.  ``draws`` holds
-    one row of uniforms per frame, sequence-major, which is split into
-    the chain's blocks in draw order.
+    on all ``S * T`` frames with per-frame bias rows.  ``uniforms`` holds
+    the chain's blocks, one row per frame, sequence-major.
     """
     if seqs.min() < 0.0 or seqs.max() > 1.0:
         raise ValueError("visible batch values must lie in [0, 1]")
     U, B, C = unroll(model, seqs)
     V = _rows(seqs)
-    widths = _chain_widths(model.n_visible, model.n_hidden, cfg.k)
-    h_data, v_prob, h_model = _cd_chain(
-        model.W, _rows(B), _rows(C), V,
-        np.split(draws, np.cumsum(widths)[:-1], axis=1))
+    h_data, v_prob, h_model = _cd_chain(model.W, _rows(B), _rows(C), V,
+                                        uniforms)
     dW = V.T @ h_data - v_prob.T @ h_model
     return _chain_through_state(
         model, seqs, U, (V - v_prob).reshape(seqs.shape),
@@ -368,127 +357,36 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
     """Mean ascent gradient over a batch of sequences, and the batch's
     mean hidden activations: ``(gradient, h_mean)``.
 
-    Frame ``t`` of the sequence at batch position ``s`` draws one row of
-    uniforms from ``rng.split(s).split(t)``, as
-    :func:`~growrbm.rbm.cd_step` on that frame alone would, so a given
-    batch is reproducible from its stream alone.  The batch is split
-    into groups of equal length (in order of first appearance); every
-    row of every group comes from one
-    :meth:`~growrbm.numerics.RngStream.frame_uniforms` call, ordered
-    group by group, and each group takes its contiguous slice.  That
-    call is all this function reads of ``rng``: training passes a view
-    that cuts the same rows from a draw of several batches
-    (:class:`_EpochDraws`).  Each group then costs one unroll, one CD-k
-    pass over all its frames at once and one backward pass through the
-    state (see :func:`_group_bptt_cd`).  A sequence keeps the stream of
-    its position in the batch, whatever its group, so grouping changes
-    no draw.  Both results are normalised by the total number of frames;
+    The batch's ``R`` frames draw as :func:`~growrbm.rbm.cd_step` on
+    ``R`` rows does: one ``(R, width)`` block of uniforms per chain step,
+    from ``rng`` in chain order (:func:`~growrbm.rbm._chain_uniforms`).
+    Frame ``t`` of the sequence at batch position ``s`` reads row
+    ``starts[s] + t`` of every block, where ``starts[s]`` counts the
+    frames of the sequences before it.  The batch is split into groups of
+    equal length (in order of first appearance), each of which costs one
+    unroll, one CD-k pass over all its frames at once and one backward
+    pass through the state (see :func:`_group_bptt_cd`).  A sequence
+    keeps the rows of its position in the batch, whatever its group, so
+    grouping changes no draw.  Both results are normalised by ``R``;
     ``h_mean`` is :func:`mean_hidden_activation` of the batch.
     """
     if len(batch) == 0:
         raise ValueError("empty sequence batch")
     groups = _length_groups(model, batch)
-    lengths = [seqs.shape[1] for _, seqs in groups]
-    if min(lengths) < 1:
+    lengths = np.array([len(seq) for seq in batch])
+    if lengths.min() < 1:
         raise ValueError("sequences must have at least one frame")
-    sizes = [seqs.shape[0] * seqs.shape[1] for _, seqs in groups]
-    draws = rng.frame_uniforms(
-        np.concatenate([positions for positions, _ in groups]),
-        np.repeat(lengths, [len(positions) for positions, _ in groups]),
-        sum(_chain_widths(model.n_visible, model.n_hidden, cfg.k)))
+    frames = int(lengths.sum())
+    blocks = _chain_uniforms(rng, frames, model, cfg.k)
+    starts = np.cumsum(lengths) - lengths
     total = RnnRbmGradient.zeros(model)
     h_sum = np.zeros(model.n_hidden)
-    for (_, seqs), rows in zip(groups, np.split(draws, np.cumsum(sizes)[:-1])):
-        g, h = _group_bptt_cd(model, seqs, cfg, rows)
+    for positions, seqs in groups:
+        rows = (starts[positions, None] + np.arange(seqs.shape[1])).ravel()
+        g, h = _group_bptt_cd(model, seqs, [u[rows] for u in blocks])
         total.add_(g)
         h_sum += h
-    frames = sum(sizes)
     return total.scale_(1.0 / frames), h_sum / frames
-
-
-# The most Philox blocks (four words each) that one draw of
-# :class:`_EpochDraws` spends on several batches.  The draw's temporaries
-# take about 16 bytes per block each; past about 8k blocks they leave
-# the caches and each block costs more (measured on a 2-core x86 VM).
-_DRAW_BLOCKS = 1 << 12
-
-
-class _BatchRows:
-    """A batch's stream as :func:`bptt_gradients` reads it: its
-    :meth:`~growrbm.numerics.RngStream.frame_uniforms` rows, cut from a
-    draw in which the rows of batch position ``s`` start at
-    ``starts[s]``."""
-
-    __slots__ = ("rows", "starts")
-
-    def __init__(self, rows: np.ndarray, starts: np.ndarray):
-        self.rows, self.starts = rows, starts
-
-    def frame_uniforms(self, splits, lengths, width: int) -> np.ndarray:
-        if width != self.rows.shape[1]:
-            raise ValueError(f"rows of width {width} requested from a draw "
-                             f"of width {self.rows.shape[1]}")
-        begin = self.starts[splits]
-        if np.array_equal(begin[1:], begin[:-1] + lengths[:-1]):
-            # in draw order, as for equal lengths: a view, no copy
-            return self.rows[begin[0]:begin[-1] + lengths[-1]]
-        return np.concatenate([self.rows[b:b + t]
-                               for b, t in zip(begin, lengths)])
-
-
-class _EpochDraws:
-    """The recurrent ``gradient`` operation of
-    :func:`~growrbm.adapt._train_layer`: :func:`bptt_gradients` with the
-    rows of several batches drawn at once.
-
-    Batch ``i`` of epoch stream ``ep`` draws from ``ep.split(i + 1)``, so
-    frame ``t`` of its sequence at position ``s`` draws the row of
-    ``ep.split(i + 1).split(s).split(t)``: a pure function of the epoch
-    key and three indices.  The epoch's permutation is drawn before its
-    batches and the chain width changes only after them.  So a batch
-    whose rows are not drawn yet draws them with those of the batches
-    after it, in one
-    :meth:`~growrbm.numerics.RngStream.frame_uniforms` call with an outer
-    level: whole batches up to ``_DRAW_BLOCKS`` Philox blocks, or the one
-    batch if it alone needs more.  Only frames that a batch reads are
-    drawn, and each batch's rows are bit for bit those of its own call.
-    """
-
-    def __init__(self, sequences, batch_size: int):
-        self.lengths = np.array([s.shape[0] for s in sequences])
-        self.batch_size = batch_size
-        self._ep = None
-
-    def __call__(self, model: RnnRbm, batch, cfg: CdConfig, ep: RngStream,
-                 order: np.ndarray, bi: int):
-        if ep is not self._ep:
-            self._ep, self._lengths = ep, self.lengths[order]
-            self._batch_ends = np.cumsum(np.add.reduceat(
-                self._lengths, np.arange(0, len(order), self.batch_size)))
-            self._stop = 0
-        if bi >= self._stop:
-            self._draw(bi, sum(_chain_widths(model.n_visible, model.n_hidden,
-                                             cfg.k)))
-        first = bi * self.batch_size - self._first
-        rows = _BatchRows(self._rows, self._starts[first:first + len(batch)])
-        if bi + 1 == self._stop:
-            self._rows = None  # the draw's last batch holds them alone
-        return bptt_gradients(model, batch, cfg, rows)
-
-    def _draw(self, bi: int, width: int):
-        """Draw the rows of batch ``bi`` and of as many next batches as
-        the block budget holds."""
-        ends = self._batch_ends
-        budget = _DRAW_BLOCKS // -(-width // 4) + (ends[bi - 1] if bi else 0)
-        stop = max(bi + 1, int(np.searchsorted(ends, budget, side="right")))
-        seqs = np.arange(bi * self.batch_size,
-                         min(stop * self.batch_size, len(self._lengths)))
-        lengths = self._lengths[seqs]
-        self._rows = self._ep.frame_uniforms(
-            seqs % self.batch_size, lengths, width,
-            outer=seqs // self.batch_size + 1)
-        self._starts = np.cumsum(lengths) - lengths
-        self._first, self._stop = bi * self.batch_size, stop
 
 
 def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
@@ -617,11 +515,11 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
                            epoch_callback=None):
     """Adaptive training of one recurrent layer in the shared epoch loop.
 
-    Batches of sequences get BPTT-CD updates clipped to ``GRAD_CLIP``.  See
-    the static trainer for the stream layout; the rows of several batches
-    are drawn at once (:class:`_EpochDraws`).  The training set
-    is stacked by length once, and unrolled once per epoch by the epoch's
-    :class:`LengthGroups`.  Returns ``(model, stats, log)``.
+    Batches of sequences get :func:`bptt_gradients` updates clipped to
+    ``GRAD_CLIP``, each batch drawing from its own stream, laid out as
+    for the static trainer (:func:`~growrbm.adapt._train_layer`).  The
+    training set is stacked by length once, and unrolled once per epoch
+    by the epoch's :class:`LengthGroups`.  Returns ``(model, stats, log)``.
     """
     sequences = [_as_sequence(s) for s in sequences]
     if not sequences:
@@ -636,6 +534,5 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     stacks = LengthGroups.of(start.model, sequences).stacks
     return _train_layer(
         sequences, start, cd, epochs, rng, adapt, forget, layer,
-        epoch_callback, gradient=_EpochDraws(sequences, cd.batch_size),
-        update=_clipped_update,
+        epoch_callback, gradient=bptt_gradients, update=_clipped_update,
         epoch_data=lambda: LengthGroups(stacks))

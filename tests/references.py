@@ -138,23 +138,39 @@ def reference_grow_hidden(model, stats, cfg, rng):
     return grown, grown_stats, parents
 
 
-# pins rnn_rbm.bptt_gradients, grouped by length and drawn in one call
+class _GivenRows:
+    """A stand-in stream whose ``uniform`` calls serve given rows in turn."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def uniform(self, size):
+        return next(self.rows).reshape(size)
+
+
+# pins rnn_rbm.bptt_gradients, grouped by length with one block per step
 def reference_bptt_gradients(model, batch, cfg, rng):
-    """Frame-by-frame BPTT-CD: a 1-row ``reference_cd_step`` per frame on
-    its ``split(t)`` stream, chained through the state with outer
-    products."""
+    """Frame-by-frame BPTT-CD.  The batch's ``R`` frames draw one
+    ``(R, width)`` block per chain step from ``rng``, in chain order; the
+    frame ``t`` of the sequence at batch position ``s`` runs a 1-row
+    ``reference_cd_step`` on row ``starts[s] + t`` of every block, and
+    the frames are chained through the state with outer products."""
+    i, j = model.n_visible, model.n_hidden
+    starts = np.cumsum([0] + [seq.shape[0] for seq in batch])
+    blocks = [rng.uniform(size=(starts[-1], w))
+              for w in [j] + [i, j] * (cfg.k - 1)]
     total = RnnRbmGradient.zeros(model)
     frames = 0
     for s, seq in enumerate(batch):
-        seq_rng = rng.split(s)
         t_len = seq.shape[0]
         U = [model.u0]
         DB, DC = [], []
         dW = np.zeros_like(model.W)
         for t in range(t_len):
             b_t, c_t = temporal_biases(model, U[t])
+            rows = _GivenRows([u[starts[s] + t] for u in blocks])
             g = reference_cd_step(Rbm(b_t, c_t, model.W),
-                                  seq[t][None, :], cfg, seq_rng.split(t))
+                                  seq[t][None, :], cfg, rows)
             DB.append(g.db)
             DC.append(g.dc)
             dW += g.dW

@@ -200,3 +200,40 @@ class TestErrors:
         p.write_text("nonsense = 1\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:1"):
             parse_config(p)
+
+
+class TestOverrides:
+    """Overrides are written into the config text, which is then parsed."""
+
+    def parse(self, tmp_path, text, overrides):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        return parse_config(p, overrides)
+
+    def test_replaces_the_key_line_in_place(self, tmp_path):
+        text = "seed = 7  # the usual\ntrain = a.jsonl\nepochs = 3\n"
+        cfg = self.parse(tmp_path, text, {"seed": 5, "train": "b.jsonl"})
+        assert cfg.raw_text == "seed = 5\ntrain = b.jsonl\nepochs = 3\n"
+        assert (cfg.seed, cfg.train, cfg.epochs) == (5, "b.jsonl", 3)
+
+    @pytest.mark.parametrize("text", ["train = a.jsonl\n", "train = a.jsonl"])
+    def test_adds_a_missing_key_at_the_end(self, tmp_path, text):
+        cfg = self.parse(tmp_path, text, {"seed": 5})
+        assert cfg.raw_text == "train = a.jsonl\nseed = 5\n"
+        assert cfg.seed == 5
+
+    def test_without_overrides_the_text_is_verbatim(self, tmp_path):
+        text = "# a run\ntrain = a.jsonl  # data\nseed=3"
+        assert self.parse(tmp_path, text, None).raw_text == text
+        assert self.parse(tmp_path, text, {}).raw_text == text
+
+    def test_duplicate_key_stays_an_error(self, tmp_path):
+        text = "seed = 1\ntrain = a.jsonl\nseed = 2\n"
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: duplicate key"):
+            self.parse(tmp_path, text, {"seed": 5})
+
+    @pytest.mark.parametrize("value", ["a#b.jsonl", "a\nseed = 1",
+                                       "a\rb.jsonl"])
+    def test_value_that_is_not_one_line_is_refused(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="as a config line"):
+            self.parse(tmp_path, MINIMAL, {"train": value})

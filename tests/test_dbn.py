@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growrbm import dbn, rbm as rbm_module
+from growrbm import dbn, rbm as rbm_module, rnn_rbm
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            apply_annihilation)
 from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
@@ -18,6 +18,7 @@ from growrbm.log import LogRow
 from growrbm.metrics import cross_entropy_per_bit
 from growrbm.numerics import RngStream
 from growrbm.rbm import CdConfig, Rbm, hidden_conditional, visible_conditional
+from growrbm.rnn_rbm import train_adaptive_rnn_rbm
 from references import mean_field_metrics
 
 
@@ -261,15 +262,23 @@ class TestTrainAdaptiveRbm:
         for a, b in zip(full_tail, log_tail.rows):
             assert (a.epoch, a.energy, a.error) == (b.epoch, b.energy, b.error)
 
+    def layer_trainers(self):
+        """``(module, gradient name, trainer, data)`` for both families:
+        32 rows, or 32 sequences of 1-3 frames, so batches of 4 make
+        eight batches per epoch."""
+        rows = self.data()[:35]
+        return [(dbn, "cd_step", train_adaptive_rbm, rows[:32]),
+                (rnn_rbm, "bptt_gradients", train_adaptive_rnn_rbm,
+                 [rows[n:n + 1 + n % 3] for n in range(32)])]
+
     def test_builds_no_stream_per_batch(self, monkeypatch):
-        # 32 rows in batches of 4: eight batch streams per epoch, served
-        # by re-keying one stream; per epoch only the epoch stream and the
-        # growth sweep's are built, plus the init and batch streams once
-        data = self.data()[:32]
+        # eight batch streams per epoch, served by re-keying one stream;
+        # per epoch only the epoch stream and the growth sweep's are
+        # built, plus the init and batch streams once
         cd = CdConfig(k=1, learning_rate=0.1, batch_size=4)
         adapt = AdaptConfig(generation_phase_epochs=3, max_hidden=6,
                             gen_threshold=1e9)
-        root, built = RngStream(12), []
+        built = []
         init = RngStream.__init__
 
         def counting(self, seed):
@@ -278,35 +287,38 @@ class TestTrainAdaptiveRbm:
 
         monkeypatch.setattr(RngStream, "__init__", counting)
         epochs = 3
-        _, _, log = train_adaptive_rbm(data, 3, cd, epochs, root, adapt=adapt)
-        assert len(log.rows) == epochs
-        assert len(built) <= 2 + 2 * epochs
+        for _, _, train, data in self.layer_trainers():
+            root = RngStream(12)
+            built.clear()
+            _, _, log = train(data, 3, cd, epochs, root, adapt=adapt)
+            assert len(log.rows) == epochs
+            assert len(built) <= 2 + 2 * epochs
 
     def test_batch_streams_start_fresh(self, monkeypatch):
-        # each batch's stream is in the state of a new split when the
-        # gradient reads it, whatever the previous batch drew
-        data = self.data()[:32]
+        # each batch's stream, in both families, is in the state of a new
+        # split when the gradient reads it, whatever the previous batch
+        # drew
         cd = CdConfig(k=2, learning_rate=0.1, batch_size=4)
-        seen = []
-        step = dbn.cd_step
+        for module, name, train, data in self.layer_trainers():
+            seen = []
 
-        def recording(model, batch, cfg, rng):
-            seen.append((rng.key, rng._gen.bit_generator.state))
-            return step(model, batch, cfg, rng)
+            def recording(model, batch, cfg, rng, step=getattr(module, name)):
+                seen.append((rng.key, rng._gen.bit_generator.state))
+                return step(model, batch, cfg, rng)
 
-        monkeypatch.setattr(dbn, "cd_step", recording)
-        root = RngStream(13)
-        train_adaptive_rbm(data, 3, cd, 2, root)
-        assert len(seen) == 2 * 8
-        for i, (key, state) in enumerate(seen):
-            fresh = root.split(i // 8 + 1).split(i % 8 + 1)
-            assert key == fresh.key
-            want = fresh._gen.bit_generator.state
-            assert (state["buffer_pos"], state["has_uint32"]) == (
-                want["buffer_pos"], want["has_uint32"])
-            for name in ("counter", "key"):
-                npt.assert_array_equal(state["state"][name],
-                                       want["state"][name])
+            monkeypatch.setattr(module, name, recording)
+            root = RngStream(13)
+            train(data, 3, cd, 2, root)
+            assert len(seen) == 2 * 8
+            for i, (key, state) in enumerate(seen):
+                fresh = root.split(i // 8 + 1).split(i % 8 + 1)
+                assert key == fresh.key
+                want = fresh._gen.bit_generator.state
+                assert (state["buffer_pos"], state["has_uint32"]) == (
+                    want["buffer_pos"], want["has_uint32"])
+                for field in ("counter", "key"):
+                    npt.assert_array_equal(state["state"][field],
+                                           want["state"][field])
 
     def test_one_hidden_pass_per_epoch_that_prunes_nothing(self,
                                                            monkeypatch):

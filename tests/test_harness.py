@@ -61,25 +61,27 @@ class TestRunTraining:
         ("rbm", Rbm), ("dbn", Dbn), ("rnn-rbm", RnnRbm), ("rnn-dbn", RnnDbn)])
     def test_checkpoint_writes(self, tmp_path, data_file, monkeypatch, model,
                                kind):
-        """A single-layer kind saves its one layer after every epoch and
-        at the end; a stack saves the whole stack once, at the end."""
+        """A single-layer kind saves its one layer after every epoch, and
+        the last of those saves is the final checkpoint; a stack saves the
+        whole stack once, at the end."""
         saved, plain = [], harness.save_checkpoint
 
         def recording(path, obj, **kwargs):
-            saved.append(obj)
-            return plain(path, obj, **kwargs)
+            plain(path, obj, **kwargs)
+            saved.append((obj, path.read_bytes()))
 
         monkeypatch.setattr(harness, "save_checkpoint", recording)
         out = tmp_path / "run"
         cfg = config_for(data_file, out, model=model,
                          extra="layers.max_layers = 2\nadaptive = false\n")
         run_training(cfg, out)
-        assert all(type(obj) is kind for obj in saved)
+        assert all(type(obj) is kind for obj, _ in saved)
         if model.endswith("dbn"):
             assert len(saved) == 1
-            assert saved[0].n_layers == 2
+            assert saved[0][0].n_layers == 2
         else:
-            assert len(saved) == cfg.epochs + 1
+            assert len(saved) == cfg.epochs
+        assert (out / "model.ckpt").read_bytes() == saved[-1][1]
 
     def test_unknown_kind_leaves_nothing(self, tmp_path, data_file):
         out = tmp_path / "run"
@@ -584,6 +586,24 @@ class TestCli:
         for name in ("log.csv", "model.ckpt"):
             assert ((tmp_path / "override" / name).read_bytes()
                     == (tmp_path / "named" / name).read_bytes())
+
+    def test_run_config_reproduces_overridden_run(self, tmp_path, data_file,
+                                                  capsys):
+        # the config names another seed and a file that does not exist;
+        # the run's config.cfg records both overrides
+        cfg = self.write_config(tmp_path, tmp_path / "absent.jsonl",
+                                tmp_path / "first", extra="seed = 7\n")
+        assert main(["train", "--config", str(cfg), "--seed", "5",
+                     "--dataset", str(data_file)]) == 0
+        first = tmp_path / "first"
+        assert main(["train", "--config", str(first / "config.cfg"),
+                     "--out", str(tmp_path / "again")]) == 0
+        capsys.readouterr()
+        for name in ("log.csv", "model.ckpt"):
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (first / name).read_bytes())
+        _, header = load_checkpoint(first / "model.ckpt")
+        assert header["seed"] == 5
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config is required

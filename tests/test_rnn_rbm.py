@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from growrbm import rnn_rbm
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                           TrainState, _train_layer, add_forgetting_,
-                           apply_annihilation, forgetting_modes,
-                           maybe_generate)
+                           add_forgetting_, apply_annihilation,
+                           forgetting_modes, maybe_generate)
 from growrbm.errors import CapacityError, DimensionError
 from growrbm.exact import (log_likelihood_exact, sequence_cost_exact,
                            sequence_cost_gradient_exact, state_update)
@@ -282,39 +281,33 @@ class TestBpttGradients:
             npt.assert_array_equal(getattr(g1, f), getattr(g2, f))
 
     def test_zero_recurrence_reduces_to_static_cd(self):
+        # without recurrence a ragged batch is its frames stacked in batch
+        # order, and it draws as one cd_step on them with the same stream;
+        # weights this large make a frame's draws depend on its own row
         rng = RngStream(22)
         rbm = Rbm(rng.normal(sd=0.3, size=3), rng.normal(sd=0.3, size=2),
-                  rng.normal(sd=0.3, size=(3, 2)))
+                  rng.normal(sd=2.0, size=(3, 2)))
         m = static_in_rnn(rbm)
-        batch = self.batch(seed=23)
-        cfg = CdConfig(k=1, learning_rate=0.1, batch_size=10)
-        root = RngStream(9)
-        g, _ = bptt_gradients(m, batch, cfg, root)
-
-        db = np.zeros(3)
-        dc = np.zeros(2)
-        dW = np.zeros((3, 2))
-        frames = 0
-        for s, seq in enumerate(batch):
-            seq_rng = root.split(s)
-            for t in range(seq.shape[0]):
-                gs, _ = cd_step(rbm, seq[t][None, :], cfg, seq_rng.split(t))
-                db += gs.db
-                dc += gs.dc
-                dW += gs.dW
-                frames += 1
-        npt.assert_allclose(g.db, db / frames, atol=1e-12)
-        npt.assert_allclose(g.dc, dc / frames, atol=1e-12)
-        npt.assert_allclose(g.dW, dW / frames, atol=1e-12)
-        # no path back through the state: chained parts vanish ...
-        npt.assert_array_equal(g.du, np.zeros(2))
-        npt.assert_array_equal(g.dw_uu, np.zeros((2, 2)))
-        npt.assert_array_equal(g.dw_vu, np.zeros((3, 2)))
-        npt.assert_array_equal(g.du0, np.zeros(2))
-        # ... but the direct bias paths remain, scaled by the frozen
-        # state value 1/2
-        npt.assert_allclose(g.dw_uv, np.tile(0.5 * g.db, (2, 1)), atol=1e-12)
-        npt.assert_allclose(g.dw_uh, np.tile(0.5 * g.dc, (2, 1)), atol=1e-12)
+        batch = [(rng.uniform(size=(t, 3)) < 0.5).astype(float)
+                 for t in (4, 1, 6, 4, 2)]
+        for k in (1, 2, 3):
+            cfg = CdConfig(k=k, learning_rate=0.1, batch_size=10)
+            g, _ = bptt_gradients(m, batch, cfg, RngStream(9))
+            gs, _ = cd_step(rbm, np.vstack(batch), cfg, RngStream(9))
+            npt.assert_allclose(g.db, gs.db, atol=1e-12)
+            npt.assert_allclose(g.dc, gs.dc, atol=1e-12)
+            npt.assert_allclose(g.dW, gs.dW, atol=1e-12)
+            # no path back through the state: chained parts vanish ...
+            npt.assert_array_equal(g.du, np.zeros(2))
+            npt.assert_array_equal(g.dw_uu, np.zeros((2, 2)))
+            npt.assert_array_equal(g.dw_vu, np.zeros((3, 2)))
+            npt.assert_array_equal(g.du0, np.zeros(2))
+            # ... but the direct bias paths remain, scaled by the frozen
+            # state value 1/2
+            npt.assert_allclose(g.dw_uv, np.tile(0.5 * g.db, (2, 1)),
+                                atol=1e-12)
+            npt.assert_allclose(g.dw_uh, np.tile(0.5 * g.dc, (2, 1)),
+                                atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_frame_batched_matches_per_frame_reference(self, k):
@@ -682,191 +675,6 @@ class TestSharedUnroll:
         assert groups.hidden_passes(other.copy()) is not got
 
 
-def test_ragged_batch_draws_in_one_kernel_call(monkeypatch):
-    import growrbm.numerics as numerics
-    calls = []
-
-    def counting(keys, n_words):
-        calls.append(keys.shape)
-        return kernel(keys, n_words)
-
-    kernel = numerics.philox4x64
-    monkeypatch.setattr(numerics, "philox4x64", counting)
-    rng = RngStream(12)
-    seqs = [(rng.uniform(size=(t, 3)) < 0.5).astype(float)
-            for t in (4, 2, 4, 7, 2)]
-    bptt_gradients(small_model(50), seqs, CdConfig(k=2, batch_size=8),
-                   RngStream(13))
-    assert calls == [(19,)]
-
-
-class _RecordingStream:
-    """A batch stream that keeps every ``frame_uniforms`` call it serves."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.calls = []
-
-    def frame_uniforms(self, splits, lengths, width):
-        rows = self.rng.frame_uniforms(splits, lengths, width)
-        self.calls.append(((splits, lengths, width), rows))
-        return rows
-
-
-@st.composite
-def ragged_epochs(draw):
-    """A model, sequences of lengths 1..25 and a batch size, often one
-    that leaves a short last batch, a chain of width 1..10 and a draw
-    budget from one block to many batches."""
-    k = draw(st.sampled_from([1, 2]))
-    if k == 1:  # width J
-        j = draw(st.integers(1, 10))
-        i = draw(st.integers(1, 4))
-    else:  # width 2J + I
-        j = draw(st.integers(1, 4))
-        i = draw(st.integers(1, 10 - 2 * j))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    lengths = draw(st.lists(st.integers(1, 25), min_size=1, max_size=23))
-    rng = RngStream(seed)
-    seqs = [(rng.uniform(size=(t, i)) < 0.5).astype(float) for t in lengths]
-    return (RnnRbm.random(i, j, rng.split(1), u_dim=2), seqs,
-            draw(st.integers(1, 9)), k, seed, draw(st.integers(1, 400)))
-
-
-def run_epoch(draws, model, seqs, cfg, ep):
-    """Every batch of one epoch through the ``gradient`` operation."""
-    order = ep.permutation(len(seqs))
-    for bi, offset in enumerate(range(0, len(seqs), cfg.batch_size)):
-        batch = [seqs[n] for n in order[offset:offset + cfg.batch_size]]
-        draws(model, batch, cfg, ep, order, bi)
-    return order
-
-
-class TestEpochDraw:
-    """Several batches per Philox draw against one draw per batch."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=ragged_epochs())
-    def test_batch_rows_equal_per_batch_draws(self, case):
-        model, seqs, batch_size, k, seed, budget = case
-        cfg = CdConfig(k=k, batch_size=batch_size)
-        ep = RngStream(seed).split(5)
-        seen = []
-
-        def recording(model, batch, cfg, rng, real=bptt_gradients):
-            seen.append(_RecordingStream(rng))
-            return real(model, batch, cfg, seen[-1])
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rnn_rbm, "bptt_gradients", recording)
-            mp.setattr(rnn_rbm, "_DRAW_BLOCKS", budget)
-            run_epoch(rnn_rbm._EpochDraws(seqs, batch_size), model, seqs,
-                      cfg, ep)
-        assert len(seen) == -(-len(seqs) // batch_size)
-        for bi, stream in enumerate(seen):
-            (args, rows), = stream.calls
-            assert args[2] == sum(
-                rnn_rbm._chain_widths(model.n_visible, model.n_hidden, k))
-            want = ep.split(bi + 1).frame_uniforms(*args)
-            assert rows.shape == want.shape and (rows == want).all()
-
-    @pytest.mark.parametrize("budget", [None, 1, 200])
-    def test_draws_only_the_frames_read(self, monkeypatch, budget):
-        """One long sequence among short ones: an epoch draws one row per
-        frame, and one draw holds whole batches up to the block budget,
-        or one batch that alone exceeds it."""
-        import growrbm.numerics as numerics
-        rows_drawn = []
-
-        def counting(keys, n_words):
-            assert n_words == 2 * 6 + 3  # 4 Philox blocks per row
-            rows_drawn.append(len(keys))
-            return kernel(keys, n_words)
-
-        kernel = numerics.philox4x64
-        monkeypatch.setattr(numerics, "philox4x64", counting)
-        if budget is not None:
-            monkeypatch.setattr(rnn_rbm, "_DRAW_BLOCKS", budget)
-        rng = RngStream(94)
-        lengths = [60] + [3] * 20 + [1] * 4
-        seqs = [(rng.uniform(size=(t, 3)) < 0.5).astype(float)
-                for t in lengths]
-        model = RnnRbm.random(3, 6, rng.split(1), u_dim=2)
-        cfg = CdConfig(k=2, batch_size=4)
-        for epoch in (1, 2):
-            rows_drawn.clear()
-            order = run_epoch(rnn_rbm._EpochDraws(seqs, 4), model, seqs,
-                              cfg, RngStream(95).split(epoch))
-            batches = [sum(lengths[n] for n in order[o:o + 4])
-                       for o in range(0, len(seqs), 4)]
-            assert sum(rows_drawn) == sum(lengths)
-            if budget is None:  # the whole epoch fits the default
-                assert rows_drawn == [sum(lengths)]
-            elif budget == 1:  # one draw per batch
-                assert rows_drawn == batches
-            else:  # up to 50 rows, or one batch that needs more
-                assert 1 < len(rows_drawn) < len(batches)
-                assert all(n <= budget // 4 or n in batches
-                           for n in rows_drawn)
-                assert max(rows_drawn) > budget // 4
-
-    @pytest.mark.parametrize("adaptive", [False, True],
-                             ids=["fixed", "adaptive"])
-    def test_training_equals_per_batch_loop(self, adaptive):
-        """Ragged sequences in a count that leaves a short last batch;
-        the adaptive run grows and prunes, so the chain width changes
-        between epochs."""
-        rng = RngStream(92)
-        seqs = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
-                for t in (25, 9, 2, 1, 17, 6, 9, 25, 3, 1, 12)]
-        cd = CdConfig(k=2, learning_rate=0.3, batch_size=4)
-        adapt = AdaptConfig(generation_phase_epochs=2, max_hidden=6,
-                            gen_threshold=1e-30, ann_threshold=0.999,
-                            min_hidden=2) if adaptive else None
-        forget = ForgettingConfig(forgetting_epochs=2, selective_epochs=1)
-        epochs, root = 6, RngStream(93)
-        model, stats, log = train_adaptive_rnn_rbm(
-            seqs, 3, cd, epochs, root, adapt=adapt, forget=forget, u_dim=5)
-
-        init = RnnRbm.random(4, 3, root.split(0), u_dim=5)
-        if adaptive:
-            events = log.csv_text()
-            assert "gen(" in events and "ann(" in events
-            # the shared loop, its batches drawn one stream at a time
-            want, want_stats, want_log = _train_layer(
-                seqs, TrainState.fresh(init), cd, epochs, root, adapt,
-                forget, 1, None, gradient=lambda m, batch, cfg, ep, order, bi:
-                bptt_gradients(m, batch, cfg, ep.split(bi + 1)),
-                update=rnn_rbm._clipped_update,
-                epoch_data=lambda: LengthGroups.of(init, seqs))
-        else:
-            want, want_stats = init, GradientStats.zeros(4, 3)
-            want_log = TrainLog()
-            for epoch in range(epochs):
-                ep = root.split(epoch + 1)
-                order = ep.permutation(len(seqs))
-                modes = forgetting_modes(epoch, forget, epochs)
-                for bi, offset in enumerate(range(0, len(seqs), 4)):
-                    batch = [seqs[n] for n in order[offset:offset + 4]]
-                    g, acts = bptt_gradients(want, batch, cd,
-                                             ep.split(bi + 1))
-                    for mode in modes:
-                        add_forgetting_(g, want, mode, forget, acts)
-                    want_stats.update(g.dc, g.dW, AdaptConfig.stats_decay)
-                    rnn_rbm._clipped_update(want, g, cd.learning_rate)
-                energy, error = LengthGroups.of(want, seqs).metrics(want)
-                want_log.append(LogRow(
-                    epoch=epoch + 1, layer=1, energy=energy, error=error,
-                    wd_c=float(want_stats.var_c().sum()),
-                    wd_w=float(want_stats.var_w().sum()),
-                    n_hidden=want.n_hidden, n_layers=1, event=""))
-        assert log.csv_text() == want_log.csv_text()
-        for name, arr in want.arrays().items():
-            assert (model.arrays()[name] == arr).all(), name
-        for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
-            assert (getattr(stats, name) == getattr(want_stats, name)).all()
-
-
 class TestSampling:
     """A recurrent RBM samples as a one-layer stack."""
 
@@ -1140,6 +948,45 @@ class TestTrainer:
         tail = [r for r in log_full.rows if r.epoch > 4]
         assert [(r.epoch, r.energy, r.error) for r in tail] == \
             [(r.epoch, r.energy, r.error) for r in log_tail.rows]
+
+    def test_training_equals_per_batch_loop(self):
+        """Ragged sequences in a count that leaves a short last batch,
+        against a hand loop that draws batch ``i`` of epoch stream ``ep``
+        from a new ``ep.split(i + 1)``."""
+        rng = RngStream(92)
+        seqs = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
+                for t in (25, 9, 2, 1, 17, 6, 9, 25, 3, 1, 12)]
+        cd = CdConfig(k=2, learning_rate=0.3, batch_size=4)
+        forget = ForgettingConfig(forgetting_epochs=2, selective_epochs=1)
+        epochs, root = 6, RngStream(93)
+        model, stats, log = train_adaptive_rnn_rbm(
+            seqs, 3, cd, epochs, root, forget=forget, u_dim=5)
+
+        want = RnnRbm.random(4, 3, root.split(0), u_dim=5)
+        want_stats = GradientStats.zeros(4, 3)
+        want_log = TrainLog()
+        for epoch in range(epochs):
+            ep = root.split(epoch + 1)
+            order = ep.permutation(len(seqs))
+            modes = forgetting_modes(epoch, forget, epochs)
+            for bi, offset in enumerate(range(0, len(seqs), 4)):
+                batch = [seqs[n] for n in order[offset:offset + 4]]
+                g, acts = bptt_gradients(want, batch, cd, ep.split(bi + 1))
+                for mode in modes:
+                    add_forgetting_(g, want, mode, forget, acts)
+                want_stats.update(g.dc, g.dW, AdaptConfig.stats_decay)
+                rnn_rbm._clipped_update(want, g, cd.learning_rate)
+            energy, error = LengthGroups.of(want, seqs).metrics(want)
+            want_log.append(LogRow(
+                epoch=epoch + 1, layer=1, energy=energy, error=error,
+                wd_c=float(want_stats.var_c().sum()),
+                wd_w=float(want_stats.var_w().sum()),
+                n_hidden=want.n_hidden, n_layers=1, event=""))
+        assert log.csv_text() == want_log.csv_text()
+        for name, arr in want.arrays().items():
+            assert (model.arrays()[name] == arr).all(), name
+        for name in ("mean_c", "sq_c", "mean_w", "sq_w"):
+            assert (getattr(stats, name) == getattr(want_stats, name)).all()
 
     def test_rejects_empty_and_ragged_input(self):
         with pytest.raises(ValueError):
