@@ -9,18 +9,21 @@ the read path: a second line gives the ``run_eval`` scores (``repr``)
 of the trained checkpoint on a fixed held-out set of mixed sequence
 lengths, and the sha256 prefix of the file one ``run_sample`` call of
 ``SAMPLE_LENGTH`` frames writes.  The trained stacks have small weights,
-so a last line gates the sampler on the shape the ``deep_serve``
-benchmark serves: a 3-layer 8->10->8->6 stack of ``RnnRbm.random``
-layers (``u_dim`` 8, weight sd 0.5), built as that workload builds it,
-sampled at two seeds.  The single-layer adaptive kinds also gate resume:
-a ``resume`` line trains the config through the library, saves the
-train state after ``epochs // 2`` epochs, loads it back and resumes,
-and gives the hashes of the joined log and the final checkpoint, which
-must equal the kind's first line.  A ``ragged rnn-rbm`` line trains the
-``rnn-rbm`` config on training sequences cut to mixed lengths, in a
-count that leaves a short last batch, so a ragged batch reaches the
-trainer end to end.  The hashes depend on the host's BLAS rounding, so
-compare printouts made on the same machine.
+which can hide a rounding change, so a last line gates the read path on
+the shape the ``deep_serve`` benchmark serves: a 3-layer 8->10->8->6
+stack of ``RnnRbm.random`` layers (``u_dim`` 8, weight sd 0.5), built as
+that workload builds it.  The line gives its samples at two seeds, its
+``run_eval`` scores on the held-out set, and the sha256 prefix of the
+float64 bytes of ``predict_next_deep`` on every prefix (lengths ``0..T``)
+of every held-out sequence, in file order.  The single-layer adaptive
+kinds also gate resume: a ``resume`` line trains the config through the
+library, saves the train state after ``epochs // 2`` epochs, loads it
+back and resumes, and gives the hashes of the joined log and the final
+checkpoint, which must equal the kind's first line.  A ``ragged
+rnn-rbm`` line trains the ``rnn-rbm`` config on training sequences cut
+to mixed lengths, in a count that leaves a short last batch, so a
+ragged batch reaches the trainer end to end.  The hashes depend on the
+host's BLAS rounding, so compare printouts made on the same machine.
 
 Run from the repository root::
 
@@ -45,7 +48,7 @@ from growrbm.harness import (_flatten_frames, run_eval, run_sample,
                              run_training)
 from growrbm.log import TrainLog
 from growrbm.numerics import RngStream
-from growrbm.rnn_dbn import RnnDbn
+from growrbm.rnn_dbn import RnnDbn, predict_next_deep
 from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
 
 # name -> (model, adaptive, epochs, learning rate, cd k)
@@ -185,13 +188,20 @@ def main(argv=None) -> int:
                 resumed_run(cfg, resumed)
                 print(f"{name:14s} resume log {sha(resumed / 'log.csv')} "
                       f"ckpt {sha(resumed / 'model.ckpt')}")
+        stack = deep_stack()
         ckpt = root / "deep-stack.ckpt"
-        save_checkpoint(ckpt, deep_stack())
+        save_checkpoint(ckpt, stack)
         hashes = []
         for seed in DEEP_SAMPLE_SEEDS:
             run_sample(ckpt, SAMPLE_LENGTH, seed, root / f"deep{seed}.jsonl")
             hashes.append(f"{seed} {sha(root / f'deep{seed}.jsonl')}")
-        print(f"{'deep stack':14s} sample " + " ".join(hashes))
+        prefixes = hashlib.sha256()
+        for seq in load_jsonl(heldout).train:
+            for t in range(len(seq) + 1):
+                prefixes.update(predict_next_deep(stack, seq[:t]).tobytes())
+        print(f"{'deep stack':14s} sample " + " ".join(hashes)
+              + f" eval {run_eval(ckpt, heldout)!r}"
+              f" prefixes {prefixes.hexdigest()[:16]}")
     return 0
 
 

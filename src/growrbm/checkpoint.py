@@ -7,8 +7,9 @@ lists them.  Canonical JSON plus fixed array order makes save -> load ->
 save reproduce the file byte for byte, which the tests rely on.
 
 All four model kinds share one codec path, driven by the ``_KINDS``
-table; every reader, :func:`describe` included, rejects a header that
-lacks what its kind needs with CheckpointError.  A layer's arrays are
+table; every reader, :func:`describe` included, rejects with
+CheckpointError a header that lacks what its kind needs, or that lists
+an array twice or one its kind does not hold.  A layer's arrays are
 the fields of its class, written and read in field order.
 
 A save writes a temporary file beside the target and renames it over
@@ -130,6 +131,9 @@ def _read(path) -> tuple[dict, dict]:
                 and all(type(n) is int and n >= 0  # a bool is no size
                         for n in entry["shape"])):
             raise CheckpointError(f"{path}: bad array entry {entry!r}")
+        if entry["name"] in arrays:
+            raise CheckpointError(
+                f"{path}: array '{entry['name']}' listed twice")
         shape = tuple(entry["shape"])
         nbytes = 8 * math.prod(shape)  # exact: no int64 wrap to 0
         if offset + nbytes > len(raw):
@@ -140,6 +144,18 @@ def _read(path) -> tuple[dict, dict]:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+    kind = header["kind"]
+    cls, layer_cls, _ = _KINDS[kind.removesuffix("-train")]
+    held = {f.name for f in fields(layer_cls)}
+    if issubclass(cls, Dbn):  # n_layers may be huge; later layers lack arrays
+        held = {f"layer{i}/{name}" for name in held for i in range(
+            min(header["meta"]["n_layers"], len(arrays)))}
+    if kind.endswith("-train"):
+        held |= {f"stats/{name}" for name in _STATS_ARRAYS}
+    unread = sorted(arrays.keys() - held)
+    if unread:
+        raise CheckpointError(f"{path}: a {kind} checkpoint has no array "
+                              f"'{unread[0]}'")
     return header, arrays
 
 

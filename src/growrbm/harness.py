@@ -145,7 +145,11 @@ def run_sample(checkpoint_path, length: int, seed: int, out_path) -> np.ndarray:
         raise ConfigError("length must be >= 0")
     stack = _recurrent_stack(load_checkpoint(checkpoint_path)[0])
     _check_writable(Path(out_path))  # before the frames are drawn
-    frames = sample_sequence_deep(stack, length, RngStream(seed))
+    try:
+        frames = sample_sequence_deep(stack, length, RngStream(seed))
+    except (MemoryError, ValueError) as exc:  # numpy refuses too large a shape
+        raise ConfigError(f"cannot sample {length} frames: "
+                          "they do not fit in memory") from exc
     try:
         write_jsonl(out_path, [frames] if length > 0 else [],
                     ids=["sample"] if length > 0 else None)

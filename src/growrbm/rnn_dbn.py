@@ -1,4 +1,4 @@
-"""Greedy deep stacking of recurrent layers.
+"""Greedy deep stacking of recurrent layers, and the one recurrent read path.
 
 The stacking loop is the static one, :func:`~growrbm.dbn._train_stack`,
 and :class:`RnnDbn` is a marker subclass of :class:`~growrbm.dbn.Dbn`.
@@ -12,16 +12,16 @@ Prediction runs bottom-up then top-down: the sequence is lifted through
 the lower layers as activation sequences, the top layer predicts its own
 next frame, and each layer below converts the prediction above it into
 visible marginals with a single conditional pass using its own temporal
-bias for the next step.  A one-layer stack is the recurrent RBM itself,
-so evaluation and sampling serve both recurrent kinds.
+bias for the next step.  A recurrent RBM is read as a one-layer stack,
+so this one path evaluates and samples both recurrent kinds.
 
 Scoring a held-out set stacks it by exact length, as training does, and
 lifts and predicts each length group at once, so every layer unrolls
 once per group rather than once per sequence; the predictions are
 pooled back in the order of the sequences.  The groups are laid out
-(:func:`~growrbm.rnn_rbm._apart`) so that every prediction is bit for
-bit that of its sequence scored alone.  The finiteness of the top
-layer's mean-field passes is checked once per call, after the passes
+(:func:`_apart`) so that every prediction is bit for bit that of its
+sequence scored alone.  The finiteness of the top layer's mean-field
+passes is checked once per call, after the passes
 (:func:`~growrbm.rnn_rbm._mean_field_marginals`).
 
 Sampling (:func:`sample_sequence_deep`) carries every layer's state
@@ -38,9 +38,9 @@ from .dbn import Dbn, LayerGenConfig, _train_stack
 from .metrics import PooledMetrics
 from .numerics import RngStream, _logistic, sample_bernoulli, sigmoid
 from .rbm import CdConfig
-from .rnn_rbm import (MEAN_FIELD_PASSES, RnnRbm, _apart, _as_sequences,
-                      _length_groups, next_frame_predictions, predict_next,
-                      temporal_biases, train_adaptive_rnn_rbm, unroll)
+from .rnn_rbm import (MEAN_FIELD_PASSES, RnnRbm, _as_sequences,
+                      _length_groups, _mean_field_marginals,
+                      train_adaptive_rnn_rbm, unroll)
 
 
 class RnnDbn(Dbn):
@@ -83,27 +83,37 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
         forget=forget, u_dim=u_dim, epoch_callback=epoch_callback)
 
 
-def _lift_prefix(stack: RnnDbn, prefix: np.ndarray) -> list:
-    """Prefix as seen by every layer, bottom first."""
-    views = [prefix]
-    for layer in stack.layers[:-1]:
-        views.append(deterministic_hidden_sequence(layer, views[-1]))
-    return views
+def _apart(seqs: np.ndarray) -> np.ndarray:
+    """``(..., T, I)`` viewed as ``(..., 1, T, I)``.
+
+    Unrolled in this layout, each state step takes one vector-matrix
+    product per sequence, as a lone sequence does, so every sequence of
+    a group gets bit for bit the states it gets alone.  An ``(S, T, I)``
+    unroll, the layout of training, takes one matrix product per step for
+    the whole group, which BLAS may round differently in the last bit.
+    """
+    return seqs[..., None, :, :]
 
 
 def predict_next_deep(stack: RnnDbn, prefix) -> np.ndarray:
     """Marginal prediction for the frame after ``prefix`` using the whole
-    stack: top-layer prediction, then one conditional pass per layer down.
+    stack: top-layer prediction, then one conditional pass per layer down;
+    the per-prefix reference of :func:`next_frame_predictions_deep`.
     """
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.size == 0:
         prefix = np.zeros((0, stack.n_visible))
-    views = _lift_prefix(stack, prefix)
-    signal = predict_next(stack.layers[-1], views[-1])
-    for layer, view in zip(reversed(stack.layers[:-1]), reversed(views[:-1])):
-        u_last = unroll(layer, view)[0][-1]
-        b_next, _ = temporal_biases(layer, u_last)
-        signal = sigmoid(b_next + signal @ layer.W.T)
+    *lower, top = stack.layers
+    view, states = prefix, []
+    for layer in lower:
+        U, _, C = unroll(layer, view)
+        view = sigmoid(C + view @ layer.W)
+        states.append(U[-1])
+    u = unroll(top, view)[0][-1]
+    signal = _mean_field_marginals(top.W, top.b + u @ top.w_uv,
+                                   top.c + u @ top.w_uh)
+    for layer, u in zip(reversed(lower), reversed(states)):
+        signal = sigmoid(layer.b + u @ layer.w_uv + signal @ layer.W.T)
     return signal
 
 
@@ -113,22 +123,24 @@ def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
     with ``seq[..., 1:, :]``.
 
     Vectorised over prefixes and over the group: each layer is unrolled
-    once, the top layer predicts all its steps with
-    :func:`next_frame_predictions`, and the down passes reuse the state
-    trajectories of the lift.  The lift runs in the
-    :func:`~growrbm.rnn_rbm._apart` layout, so row ``s`` of a group's
-    result is bit for bit the result for ``seq[s]`` alone.
+    once, the top layer runs its mean-field passes on the biases of all
+    its frames after the first, and the down passes reuse the state
+    trajectories of the lift.  Everything runs in the :func:`_apart`
+    layout, so row ``s`` of a group's result is bit for bit the result
+    for ``seq[s]`` alone.
     """
     seq = _as_sequences(seq)
     if seq.shape[-2] < 2:
         return np.zeros(seq.shape[:-2] + (0, stack.n_visible))
+    *lower, top = stack.layers
     view, states = _apart(seq), []
-    for layer in stack.layers[:-1]:
+    for layer in lower:
         U, _, C = unroll(layer, view)
         view = sigmoid(C + view @ layer.W)
         states.append(U)
-    signal = next_frame_predictions(stack.layers[-1], view)
-    for layer, U in zip(reversed(stack.layers[:-1]), reversed(states)):
+    _, B, C = unroll(top, view)
+    signal = _mean_field_marginals(top.W, B[..., 1:, :], C[..., 1:, :])
+    for layer, U in zip(reversed(lower), reversed(states)):
         signal = sigmoid(layer.b + U[..., 1:-1, :] @ layer.w_uv
                          + signal @ layer.W.T)
     return signal[..., 0, :, :]

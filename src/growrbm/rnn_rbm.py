@@ -33,6 +33,9 @@ chain's uniforms as :func:`~growrbm.rbm.cd_step` on ``R`` rows does, one
 ``(R, width)`` block per chain step, and every frame reads the row of
 its place in the batch, whatever its group (:func:`bptt_gradients`).
 
+Prediction, evaluation and sampling belong to :mod:`~growrbm.rnn_dbn`,
+which reads a recurrent RBM as a one-layer stack.
+
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
 it is copied, validated, updated and checkpointed by the static code.
 Its ``HIDDEN`` adds ``w_uh`` to ``c`` and ``W``: the shared growth and
@@ -155,34 +158,13 @@ def _as_sequences(seq) -> np.ndarray:
     return seq
 
 
-def _apart(seqs: np.ndarray) -> np.ndarray:
-    """``(..., T, I)`` viewed as ``(..., 1, T, I)``.
-
-    Unrolled in this layout, each state step takes one vector-matrix
-    product per sequence, as a lone sequence does, so every sequence of
-    a group gets bit for bit the states it gets alone.  An ``(S, T, I)``
-    unroll, the layout of training, takes one matrix product per step for
-    the whole group, which BLAS may round differently in the last bit.
-    """
-    return seqs[..., None, :, :]
-
-
-def temporal_biases(model: RnnRbm, u_prev: np.ndarray):
-    """Frame biases induced by the previous state."""
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    if u_prev.shape[-1] != model.u_dim:
-        raise DimensionError(
-            f"state has dimension {u_prev.shape[-1]}, expected {model.u_dim}")
-    return model.b + u_prev @ model.w_uv, model.c + u_prev @ model.w_uh
-
-
 def unroll(model: RnnRbm, seq):
     """States and per-frame biases along one sequence or a group of them.
 
     ``seq`` is one sequence ``(T, I)`` or equal-length sequences stacked
-    on leading axes, as ``(S, T, I)`` or the :func:`_apart` layout
-    ``(S, 1, T, I)``.  Returns ``(U, B, C)`` with the same leading axes,
-    where ``U[..., t, :]`` is the state after ``t`` frames
+    on leading axes, as ``(S, T, I)`` or ``(S, 1, T, I)`` (the read path's
+    :func:`~growrbm.rnn_dbn._apart`).  Returns ``(U, B, C)`` with the same
+    leading axes, where ``U[..., t, :]`` is the state after ``t`` frames
     (``U[..., 0, :]`` is the learned initial state, so ``U`` has ``T + 1``
     rows per sequence) and ``B[..., t, :] / C[..., t, :]`` are the biases
     used for frame ``t``.
@@ -424,41 +406,6 @@ def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
     return v
 
 
-def predict_next(model: RnnRbm, prefix) -> np.ndarray:
-    """Marginal prediction for the frame after ``prefix``.
-
-    An empty prefix predicts from the learned initial state.  The
-    conditional RBM at the next step is summarised by mean-field
-    marginals, which for a zero-parameter model is exactly 1/2 per bit.
-    """
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if prefix.size == 0:
-        prefix = np.zeros((0, model.n_visible))
-    U, _, _ = unroll(model, prefix)
-    b_next, c_next = temporal_biases(model, U[-1])
-    return _mean_field_marginals(model.W, b_next, c_next)
-
-
-def next_frame_predictions(model: RnnRbm, seq) -> np.ndarray:
-    """Marginal predictions for frames ``2..T`` of one sequence ``(T, I)``
-    or of every sequence of an equal-length group ``(S, T, I)``.
-
-    Vectorised equivalent of calling :func:`predict_next` on every
-    proper prefix: one :func:`unroll` of the sequence or group, in the
-    :func:`_apart` layout, then one call of the mean-field passes on the
-    biases of all its frames after the first.  So row ``s`` of a group's
-    result is bit for bit the result for ``seq[s]`` alone.  Rows align
-    with ``seq[..., 1:, :]``; a group of single-frame sequences gives an
-    ``(S, 0, I)`` result.
-    """
-    seq = _as_sequences(seq)
-    if seq.shape[-2] < 2:
-        return np.zeros(seq.shape[:-2] + (0, model.n_visible))
-    _, B, C = unroll(model, _apart(seq))
-    return _mean_field_marginals(model.W, B[..., 1:, :],
-                                 C[..., 1:, :])[..., 0, :, :]
-
-
 def mean_sequence_energy(model: RnnRbm, sequences) -> float:
     """Mean conditional expected frame energy with temporal biases.
 
@@ -488,9 +435,10 @@ def mean_hidden_activation(model: RnnRbm, sequences) -> np.ndarray:
 def prediction_error(model: RnnRbm, sequences) -> float:
     """Pooled next-frame cross-entropy per bit over frames ``2..T``.
 
-    The predictions are those of :func:`next_frame_predictions`, made
-    for a whole length group at once from the states the group keeps
-    (the training layout, so equal to them within rounding).
+    The predictions are those of the model read as a one-layer stack
+    (:func:`~growrbm.rnn_dbn.next_frame_predictions_deep`), made for a
+    whole length group at once from the states the group keeps (the
+    training layout, so equal to them within rounding).
     """
     pool = PooledMetrics()
     for seqs, B, C, _, _ in _hidden_passes(model, sequences):

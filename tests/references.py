@@ -13,8 +13,7 @@ from growrbm.numerics import sample_bernoulli, sigmoid
 from growrbm.rbm import (Rbm, RbmGradient, hidden_conditional,
                          visible_conditional)
 from growrbm.rnn_dbn import predict_next_deep
-from growrbm.rnn_rbm import (RnnRbmGradient, _mean_field_marginals,
-                             temporal_biases)
+from growrbm.rnn_rbm import RnnRbmGradient, _mean_field_marginals
 
 
 # pins adapt.add_forgetting_, which adds the penalties in place
@@ -78,6 +77,12 @@ def reference_cd_step(rbm, batch, cfg, rng):
                        (batch.T @ h_data - v_prob.T @ h_model) / n)
 
 
+# the biases rnn_rbm.unroll gives a frame, one state at a time
+def reference_frame_biases(model, u_prev):
+    """Visible and hidden biases of the frame after state ``u_prev``."""
+    return model.b + u_prev @ model.w_uv, model.c + u_prev @ model.w_uh
+
+
 # pins rnn_dbn.sample_sequence_deep, which carries every layer's state
 def reference_sample_sequence_deep(stack, length, rng):
     """Quadratic sampler: every step re-lifts the whole prefix through
@@ -97,7 +102,8 @@ def reference_linear_sampler(stack, length, rng, draw=sample_bernoulli):
     states = [layer.u0 for layer in stack.layers]
     frames = np.zeros((length, stack.n_visible))
     for t in range(length):
-        biases = [temporal_biases(*pair) for pair in zip(stack.layers, states)]
+        biases = [reference_frame_biases(*pair)
+                  for pair in zip(stack.layers, states)]
         signal = _mean_field_marginals(top.W, *biases[-1])
         for layer, (b_next, _) in zip(reversed(lower), reversed(biases[:-1])):
             signal = sigmoid(b_next + signal @ layer.W.T)
@@ -167,7 +173,7 @@ def reference_bptt_gradients(model, batch, cfg, rng):
         DB, DC = [], []
         dW = np.zeros_like(model.W)
         for t in range(t_len):
-            b_t, c_t = temporal_biases(model, U[t])
+            b_t, c_t = reference_frame_biases(model, U[t])
             rows = _GivenRows([u[starts[s] + t] for u in blocks])
             g = reference_cd_step(Rbm(b_t, c_t, model.W),
                                   seq[t][None, :], cfg, rows)

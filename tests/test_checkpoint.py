@@ -535,6 +535,69 @@ class TestCorruption:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and match in err[0]
 
+    @staticmethod
+    def add_arrays(path, names):
+        """List ``names`` after the manifest's arrays, each a 2-vector of
+        ones appended to the payload."""
+        def edit(header):
+            header["arrays"] += [{"name": n, "shape": [2]} for n in names]
+
+        TestCorruption.edit_header(path, edit)
+        with open(path, "ab") as fh:
+            fh.write(np.ones(2 * len(names), dtype="<f8").tobytes())
+
+    @pytest.mark.parametrize("save, load, names, match", [
+        (lambda p: save_checkpoint(p, rbm_model()), load_checkpoint,
+         ["b", "junk"], "array 'b' listed twice"),
+        (lambda p: save_checkpoint(p, rbm_model()), load_checkpoint,
+         ["junk"], "rbm checkpoint has no array 'junk'"),
+        (lambda p: save_checkpoint(p, rbm_model()), describe,
+         ["c"], "array 'c' listed twice"),
+        (lambda p: save_checkpoint(p, rbm_model()), describe,
+         ["layer0/b"], "has no array 'layer0/b'"),
+        (lambda p: save_checkpoint(p, rbm_model()), load_checkpoint,
+         ["stats/mean_c"], "has no array 'stats/mean_c'"),
+        (lambda p: save_checkpoint(p, rnn_dbn_model()), load_checkpoint,
+         ["layer2/W"], "rnn-dbn checkpoint has no array 'layer2/W'"),
+        (lambda p: save_checkpoint(p, rnn_dbn_model()), describe,
+         ["layer1/u0"], "array 'layer1/u0' listed twice"),
+        (lambda p: save_checkpoint(p, rnn_dbn_model()), load_checkpoint,
+         ["W"], "has no array 'W'"),
+        (save_state, load_train_state, ["stats/junk"],
+         "rbm-train checkpoint has no array 'stats/junk'"),
+        (save_state, load_train_state, ["stats/sq_w"],
+         "array 'stats/sq_w' listed twice"),
+    ], ids=["rbm-twice-and-unknown", "rbm-unknown", "describe-twice",
+            "describe-layer-name", "stats-in-model", "stack-past-top",
+            "describe-stack-twice", "stack-flat-name", "state-unknown",
+            "state-twice"])
+    def test_manifest_holds_only_what_the_kind_reads(self, tmp_path, save,
+                                                     load, names, match):
+        """A file the codec never writes does not read: at one time an
+        ``rbm`` with ``b`` listed twice loaded the second ``b``, and
+        saving it back gave other bytes."""
+        p = tmp_path / "m.ckpt"
+        save(p)
+        self.add_arrays(p, names)
+        with pytest.raises(CheckpointError, match=match):
+            load(p)
+
+    @pytest.mark.parametrize("command", ["inspect", "eval", "sample"])
+    def test_unread_array_exits_2_in_cli(self, tmp_path, capsys, command):
+        from growrbm.cli import main
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, rnn_model())
+        self.add_arrays(p, ["u0", "junk"])
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"seq": [[0, 1, 0], [1, 0, 1]]}\n')
+        out = tmp_path / "s.jsonl"
+        args = {"inspect": [], "eval": ["--dataset", str(data)],
+                "sample": ["--length", "3", "--out", str(out)]}[command]
+        assert main([command, "--checkpoint", str(p)] + args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "array 'u0' listed twice" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("cls", [Dbn, RnnDbn])
     def test_empty_stack_not_written(self, tmp_path, cls):
         p = tmp_path / "m.ckpt"

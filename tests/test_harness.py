@@ -573,6 +573,35 @@ class TestCli:
         assert err == ["error: length must be >= 0"]
         assert not gen.exists()
 
+    # numpy refuses both shapes before it allocates anything
+    @pytest.mark.parametrize("length", [2 ** 62, 10 ** 23],
+                             ids=["too-big", "past-max-dimension"])
+    def test_unholdable_sample_length_exits_1(self, tmp_path, capsys,
+                                              length):
+        gen = tmp_path / "gen.jsonl"
+        code, err = self.stderr_lines(
+            ["sample", "--checkpoint", str(self.saved_model(tmp_path)),
+             "--length", str(length), "--out", str(gen)], capsys)
+        assert code == 1
+        assert err == [f"error: cannot sample {length} frames: they do not "
+                       "fit in memory"]
+        assert not gen.exists()
+
+    def test_sample_out_of_memory_exits_1(self, tmp_path, capsys,
+                                          monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(harness, "sample_sequence_deep", out_of_memory)
+        gen = tmp_path / "gen.jsonl"
+        code, err = self.stderr_lines(
+            ["sample", "--checkpoint", str(self.saved_model(tmp_path)),
+             "--length", "1000000000", "--out", str(gen)], capsys)
+        assert code == 1
+        assert err == ["error: cannot sample 1000000000 frames: they do not "
+                       "fit in memory"]
+        assert not gen.exists()
+
     def test_dataset_override_trains_on_named_file(self, tmp_path, data_file,
                                                    capsys):
         cfg = self.write_config(tmp_path, data_file, tmp_path / "named")

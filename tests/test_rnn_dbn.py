@@ -17,7 +17,6 @@ from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
 from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
-                             next_frame_predictions, predict_next,
                              prediction_error, train_adaptive_rnn_rbm, unroll)
 from references import (mean_field_metrics, reference_linear_sampler,
                         reference_sample_sequence_deep)
@@ -204,10 +203,6 @@ class TestDeepPrediction:
         m = small_model(91)
         stack = RnnDbn(layers=[m], totals=[])
         seq = (RngStream(92).uniform(size=(5, 3)) < 0.5).astype(float)
-        npt.assert_array_equal(predict_next_deep(stack, seq[:3]),
-                               predict_next(m, seq[:3]))
-        npt.assert_array_equal(next_frame_predictions_deep(stack, seq),
-                               next_frame_predictions(m, seq))
         npt.assert_array_equal(evaluate_model(stack, [seq])[0],
                                prediction_error(m, [seq]))
 
@@ -392,7 +387,7 @@ class TestReadPathProperties:
         model = stack.layers[0]
         pool = PooledMetrics()
         for seq in seqs:
-            pool.add(next_frame_predictions(model, seq), seq[1:])
+            pool.add(next_frame_predictions_deep(stack, seq), seq[1:])
         if pool.empty:
             with pytest.raises(DimensionError, match="two frames"):
                 evaluate_model(model, seqs)

@@ -18,16 +18,15 @@ from growrbm.log import LogRow, TrainLog
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig, Rbm, cd_step
-from growrbm.rnn_dbn import RnnDbn, sample_sequence_deep
+from growrbm.rnn_dbn import (RnnDbn, next_frame_predictions_deep,
+                             predict_next_deep, sample_sequence_deep)
 from growrbm.rnn_rbm import (LengthGroups, RnnRbm, RnnRbmGradient,
                              bptt_gradients, mean_hidden_activation,
-                             mean_sequence_energy,
-                             next_frame_predictions, predict_next,
-                             prediction_error, temporal_biases,
+                             mean_sequence_energy, prediction_error,
                              train_adaptive_rnn_rbm, unroll)
 
-from references import (reference_bptt_gradients, reference_grow_hidden,
-                        reference_mean_field)
+from references import (reference_bptt_gradients, reference_frame_biases,
+                        reference_grow_hidden, reference_mean_field)
 
 GRAD_PAIRS = [("db", "b"), ("dc", "c"), ("dW", "W"), ("du", "u_bias"),
               ("dw_uv", "w_uv"), ("dw_uh", "w_uh"), ("dw_vu", "w_vu"),
@@ -92,7 +91,8 @@ class TestRecursionArithmetic:
     def test_temporal_biases_manual(self):
         m = small_model(1)
         u = np.array([0.2, 0.8])
-        b_t, c_t = temporal_biases(m, u)
+        m.u0 = u
+        _, (b_t,), (c_t,) = unroll(m, np.zeros((1, 3)))
         npt.assert_allclose(b_t, m.b + u @ m.w_uv, atol=1e-15)
         npt.assert_allclose(c_t, m.c + u @ m.w_uh, atol=1e-15)
 
@@ -149,7 +149,7 @@ class TestRecursionArithmetic:
             U, B, C = got
             npt.assert_array_equal(U[0], m.u0)
             for t in range(9):
-                b_t, c_t = temporal_biases(m, U[t])
+                b_t, c_t = reference_frame_biases(m, U[t])
                 npt.assert_allclose(B[t], b_t, rtol=0, atol=1e-14)
                 npt.assert_allclose(C[t], c_t, rtol=0, atol=1e-14)
                 npt.assert_array_equal(U[t + 1],
@@ -183,10 +183,6 @@ class TestRecursionArithmetic:
                 unroll(m, seqs[s])
         with pytest.raises(FloatingPointError, match="non-finite input"):
             unroll(m, seqs)
-
-    def test_rejects_wrong_state_dimension(self):
-        with pytest.raises(DimensionError):
-            temporal_biases(small_model(5), np.zeros(3))
 
 
 class TestSequenceCost:
@@ -364,45 +360,50 @@ class TestBpttGradients:
 
 
 class TestPrediction:
+    """The read path of a recurrent RBM, a one-layer stack."""
+
     def test_zero_model_predicts_half(self):
-        m = RnnRbm.zeros(4, 3)
-        p = predict_next(m, np.array([[1.0, 0.0, 1.0, 0.0]]))
+        stack = RnnDbn(layers=[RnnRbm.zeros(4, 3)])
+        p = predict_next_deep(stack, np.array([[1.0, 0.0, 1.0, 0.0]]))
         npt.assert_array_equal(p, np.full(4, 0.5))
 
     def test_empty_prefix_uses_initial_state(self):
         m = small_model(31)
-        from growrbm.rnn_rbm import _mean_field_marginals
-        b0, c0 = temporal_biases(m, m.u0)
-        expected = _mean_field_marginals(m.W, b0, c0)
-        npt.assert_array_equal(predict_next(m, np.zeros((0, 3))), expected)
-        npt.assert_array_equal(predict_next(m, []), expected)
+        stack = RnnDbn(layers=[m])
+        b0, c0 = reference_frame_biases(m, m.u0)
+        expected = rnn_rbm._mean_field_marginals(m.W, b0, c0)
+        npt.assert_array_equal(predict_next_deep(stack, np.zeros((0, 3))),
+                               expected)
+        npt.assert_array_equal(predict_next_deep(stack, []), expected)
 
     def test_mean_field_close_to_enumeration(self):
         m = small_model(33, i=3, j=3, k=2, sd=0.25)
         prefix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         U, _, _ = unroll(m, prefix)
-        b_next, c_next = temporal_biases(m, U[-1])
+        b_next, c_next = reference_frame_biases(m, U[-1])
         exact = exact_next_marginal(m.W, b_next, c_next)
-        npt.assert_allclose(predict_next(m, prefix), exact, atol=0.05)
+        npt.assert_allclose(predict_next_deep(RnnDbn(layers=[m]), prefix),
+                            exact, atol=0.05)
 
     def test_vectorised_predictions_match_prefix_loop(self):
-        m = small_model(34)
+        stack = RnnDbn(layers=[small_model(34)])
         seq = (RngStream(35).uniform(size=(6, 3)) < 0.5).astype(float)
-        rows = next_frame_predictions(m, seq)
+        rows = next_frame_predictions_deep(stack, seq)
         assert rows.shape == (5, 3)
         for t in range(1, 6):
-            npt.assert_allclose(rows[t - 1], predict_next(m, seq[:t]),
+            npt.assert_allclose(rows[t - 1], predict_next_deep(stack, seq[:t]),
                                 atol=1e-12)
 
     def test_short_sequence_yields_no_rows(self):
-        m = small_model(36)
-        assert next_frame_predictions(m, np.zeros((1, 3))).shape == (0, 3)
+        stack = RnnDbn(layers=[small_model(36)])
+        assert next_frame_predictions_deep(
+            stack, np.zeros((1, 3))).shape == (0, 3)
 
     def test_prediction_error_matches_manual_pool(self):
         m = small_model(37)
         seqs = [(RngStream(38).uniform(size=(4, 3)) < 0.5).astype(float),
                 np.zeros((1, 3))]  # single-frame sequence is skipped
-        p = next_frame_predictions(m, seqs[0])
+        p = next_frame_predictions_deep(RnnDbn(layers=[m]), seqs[0])
         v = seqs[0][1:]
         eps = np.finfo(float).tiny
         manual = -np.mean(v * np.log(np.maximum(p, eps))
@@ -528,7 +529,8 @@ class TestRaggedBatches:
                                    - np.sum(h * pre, axis=1)))
             acts += h.sum(axis=0)
             frames += seq.shape[0]
-            pool.add(next_frame_predictions(m, seq), seq[1:])
+            pool.add(next_frame_predictions_deep(RnnDbn(layers=[m]), seq),
+                     seq[1:])
         npt.assert_allclose(mean_sequence_energy(m, seqs), energy / frames,
                             rtol=0, atol=1e-12)
         npt.assert_allclose(mean_hidden_activation(m, seqs), acts / frames,
