@@ -28,14 +28,27 @@ host's BLAS rounding, so compare printouts made on the same machine.
 Run from the repository root::
 
     PYTHONPATH=src python scripts/reference_hashes.py [--keep DIR]
+    PYTHONPATH=src python scripts/reference_hashes.py --base REV
 
-Uses the standard library and ``growrbm`` only.
+``--base REV`` exports commit ``REV`` with ``git archive`` into a
+temporary directory, runs that tree's copy of this script on its own
+``src`` and this copy on this tree's ``src``, prints every line that
+differs between the two printouts, and exits 1 if any line differs and 0
+otherwise; 2 if ``git`` or either run fails.
+
+Uses the standard library, ``git`` and ``growrbm`` only.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import hashlib
+import io
+import itertools
+import os
+import subprocess
+import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -149,11 +162,51 @@ def resumed_run(cfg, out: Path):
     save_checkpoint(out / "model.ckpt", model, seed=cfg.seed)
 
 
+def printout(tree: Path) -> list[str]:
+    """The lines ``tree``'s copy of this script prints on ``tree/src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    run = subprocess.run(
+        [sys.executable, str(tree / "scripts" / "reference_hashes.py")],
+        cwd=tree, env=env, capture_output=True, check=True)
+    return run.stdout.decode().splitlines()
+
+
+def compare_with(rev: str) -> int:
+    """Print the lines that differ between ``rev``'s printout and this
+    tree's; 1 if any line differs, else 0."""
+    here = Path(__file__).resolve().parents[1]
+    try:
+        archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                                 cwd=here, capture_output=True, check=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+                tar.extractall(tmp, filter="data")
+            base = printout(Path(tmp))
+        ours = printout(here)
+    except subprocess.CalledProcessError as exc:
+        print(f"{' '.join(exc.cmd)} failed:\n"
+              f"{exc.stderr.decode(errors='replace')}", file=sys.stderr)
+        return 2
+    differ = 0
+    for old, new in itertools.zip_longest(base, ours):
+        if old != new:
+            differ += 1
+            print(f"- {old}" if old is not None else "- (no line)")
+            print(f"+ {new}" if new is not None else "+ (no line)")
+    print(f"{differ} of {max(len(base), len(ours))} lines differ from {rev}")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--keep", help="write the runs here instead of a "
-                        "temporary directory")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--keep", help="write the runs here instead of a "
+                       "temporary directory")
+    group.add_argument("--base", metavar="REV", help="compare this tree's "
+                       "printout with that of commit REV")
     args = parser.parse_args(argv)
+    if args.base:
+        return compare_with(args.base)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.keep or tmp)
         root.mkdir(parents=True, exist_ok=True)

@@ -39,28 +39,23 @@ from .rbm import Rbm, RbmGradient
 class AdaptConfig:
     """Hidden-unit growth and pruning hyperparameters.
 
-    ``c_gain`` and ``w_gain`` scale the two variance factors of the
-    growth score; ``gen_threshold`` is the score a unit must exceed to be
-    split, and ``ann_threshold`` is the mean activation below which a
-    unit is removed.  ``generation_phase_epochs`` bounds how long growth
-    checks run; pruning checks start once growth has finished.
+    ``gen_threshold`` is the growth score a unit must exceed to be split
+    (the paper's θ_G/(α_c·α_W)), and ``ann_threshold`` is the mean
+    activation below which a unit is removed.  ``generation_phase_epochs``
+    bounds how long growth checks run; pruning checks start once growth
+    has finished.
     """
 
     generation_phase_epochs: int
     max_hidden: int
-    c_gain: float = 1.0
-    w_gain: float = 1.0
     gen_threshold: float = 0.001
     ann_threshold: float = 0.1
     min_hidden: int = 1
     split_noise_sd: float = 0.01
-    stats_decay: float = 0.9
 
     def __post_init__(self):
         if self.generation_phase_epochs < 0:
             raise ValueError("generation_phase_epochs must be >= 0")
-        if self.c_gain <= 0 or self.w_gain <= 0:
-            raise ValueError("variance gains must be positive")
         if self.gen_threshold <= 0:
             raise ValueError("gen_threshold must be positive")
         if not 0.0 < self.ann_threshold < 1.0:
@@ -71,8 +66,6 @@ class AdaptConfig:
             raise ValueError("max_hidden must be >= min_hidden")
         if self.split_noise_sd < 0:
             raise ValueError("split_noise_sd must be >= 0")
-        if not 0.0 < self.stats_decay < 1.0:
-            raise ValueError("stats_decay must lie in (0, 1)")
 
 
 @dataclass
@@ -110,8 +103,8 @@ class GradientStats:
 
     Tracks the hidden-bias gradient per unit and the weight gradient per
     connection; the four moments, hidden units on their last axis, are
-    the whole state, and each :meth:`update` is given its decay.
-    ``var_*`` return the centred second moment the growth score reads.
+    the whole state, and each :meth:`update` is given its decay,
+    :data:`STATS_DECAY`.  ``var_*`` return the centred second moments.
     """
 
     mean_c: np.ndarray
@@ -147,11 +140,10 @@ class GradientStats:
 
 
 def generation_scores(stats: GradientStats, cfg: AdaptConfig) -> np.ndarray:
-    """Per-unit growth score: scaled bias-gradient variance times the
-    mean scaled variance of the unit's incoming weight gradients."""
-    vc = cfg.c_gain * stats.var_c()
-    vw = np.mean(cfg.w_gain * stats.var_w(), axis=0)
-    return vc * vw
+    """Per-unit growth score, compared with ``cfg.gen_threshold``:
+    bias-gradient variance times the mean variance of the unit's incoming
+    weight gradients."""
+    return stats.var_c() * np.mean(stats.var_w(), axis=0)
 
 
 def insert_after(arr: np.ndarray, parents, values) -> np.ndarray:
@@ -283,6 +275,8 @@ def add_forgetting_(g: RbmGradient, model: Rbm, mode: str,
 
 # growth ends after this many growth epochs in a row that split no unit
 STALL_LIMIT = 5
+# decay of the gradient moments at every batch
+STATS_DECAY = 0.9
 
 
 def structure_phase(epoch: int, adapt: AdaptConfig | None, stall: int) -> str:
@@ -343,8 +337,7 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
 
     Training runs epochs ``start.epoch_done + 1`` to ``epochs - 1`` on
     copies of ``start``'s arrays; ``epoch_callback``, if given, gets the
-    state after each.  The moments decay at ``adapt.stats_decay``, or its
-    default without ``adapt``.
+    state after each.  The moments decay at :data:`STATS_DECAY`.
 
     ``data`` holds frames ``(N, I)`` or a list of sequences.  Epoch ``e``
     draws from ``ep = rng.split(e + 1)``: its permutation first, then
@@ -373,7 +366,6 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
     """
     log = TrainLog()
     model, stats, stall = start.model.copy(), start.stats.copy(), start.stall
-    lam = AdaptConfig.stats_decay if adapt is None else adapt.stats_decay
     batch_rng = RngStream(0)  # re-keyed to each batch's stream
 
     for epoch in range(start.epoch_done + 1, epochs):
@@ -388,7 +380,7 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
                                ep.split_into(bi + 1, batch_rng))
             for mode in modes:
                 add_forgetting_(g, model, mode, forget, acts)
-            stats.update(g.dc, g.dW, lam)
+            stats.update(g.dc, g.dW, STATS_DECAY)
             update(model, g, cd.learning_rate)
 
         whole = epoch_data()

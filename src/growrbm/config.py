@@ -168,7 +168,7 @@ def parse_config(path, overrides=None) -> RunConfig:
     result's ``raw_text`` is that text."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for key, value in (overrides or {}).items():

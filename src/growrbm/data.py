@@ -82,7 +82,7 @@ def load_jsonl(path) -> SequenceDataset:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -131,7 +131,8 @@ def write_jsonl(path, sequences, ids=None):
             obj["id"] = ids[i]
         obj["seq"] = arr.astype(np.int64).tolist()
         lines.append(json.dumps(obj, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""),
+                    encoding="utf-8")
 
 
 def random_patterns(n_patterns: int, dim: int, rng: RngStream) -> list:

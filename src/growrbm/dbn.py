@@ -33,20 +33,17 @@ from .rbm import (CdConfig, Rbm, _apply_update, _check_last_dim, cd_step,
 class LayerGenConfig:
     """Gate for growing the stack by one more layer.
 
-    ``max_layers`` caps the depth of the stack; it defaults to 4.
+    ``max_layers`` caps the depth of the stack; it defaults to 4.  The
+    thresholds are the paper's θ_L1/α_WD and θ_L2/α_E.
     """
 
     max_layers: int = 4
-    wd_gain: float = 1.0
-    energy_gain: float = 1.0
     wd_threshold: float = 0.01
     energy_threshold: float = 0.01
 
     def __post_init__(self):
         if self.max_layers < 1:
             raise ValueError("max_layers must be >= 1")
-        if self.wd_gain <= 0 or self.energy_gain <= 0:
-            raise ValueError("gains must be positive")
         if self.wd_threshold <= 0 or self.energy_threshold <= 0:
             raise ValueError("thresholds must be positive")
 
@@ -171,8 +168,8 @@ def should_generate_layer(dbn, cfg: LayerGenConfig) -> bool:
     stack is below ``max_layers``.  Works for static and recurrent stacks."""
     if dbn.n_layers >= cfg.max_layers:
         return False
-    wd_sum = sum(cfg.wd_gain * t.wd for t in dbn.totals)
-    e_sum = sum(cfg.energy_gain * t.energy for t in dbn.totals)
+    wd_sum = sum(t.wd for t in dbn.totals)
+    e_sum = sum(t.energy for t in dbn.totals)
     return wd_sum > cfg.wd_threshold and e_sum > cfg.energy_threshold
 
 

@@ -96,7 +96,7 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
     for name in RUN_FILES:  # checked before any of them is written
         _check_writable(out / name)
-    (out / "config.cfg").write_text(cfg.raw_text)
+    (out / "config.cfg").write_text(cfg.raw_text, encoding="utf-8")
     ckpt_path = out / "model.ckpt"
 
     def keep_latest(state):
@@ -129,7 +129,8 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         summary["test_correct_ratio"] = ratio
 
     lines = [f"{k}: {v}" for k, v in summary.items()]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    (out / "summary.txt").write_text("\n".join(lines) + "\n",
+                                     encoding="utf-8")
     return summary
 
 

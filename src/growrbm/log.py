@@ -41,7 +41,7 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path):
-        Path(path).write_text(self.csv_text())
+        Path(path).write_text(self.csv_text(), encoding="utf-8")
 
 
 def format_generation_event(j: int, score: float) -> str:

@@ -121,8 +121,7 @@ def reference_grow_hidden(model, stats, cfg, rng):
     triggered units of the static part (per parent, bias noise then
     weight-column noise), then draw one ``(P, K)`` block of fresh small
     ``w_uh`` columns.  Returns ``(model, stats, parents)``."""
-    scores = (cfg.c_gain * stats.var_c()
-              * np.mean(cfg.w_gain * stats.var_w(), axis=0))
+    scores = stats.var_c() * np.mean(stats.var_w(), axis=0)
     parents = [j for j in range(model.n_hidden) if scores[j] > cfg.gen_threshold]
     parents = parents[:max(0, cfg.max_hidden - model.n_hidden)]
     if not parents:

@@ -29,23 +29,18 @@ class TestParsing:
         assert cfg.cd.k == 1
         assert cfg.cd.learning_rate == 0.01
         assert cfg.cd.batch_size == 100
-        assert cfg.adapt.c_gain == 1.0
-        assert cfg.adapt.w_gain == 1.0
         assert cfg.adapt.gen_threshold == 0.001
         assert cfg.adapt.ann_threshold == 0.1
         assert cfg.adapt.generation_phase_epochs == 5
         assert cfg.adapt.min_hidden == 1
         assert cfg.adapt.max_hidden == 40
         assert cfg.adapt.split_noise_sd == 0.01
-        assert cfg.adapt.stats_decay == 0.9
         assert cfg.forget.decay_strength == 0.001
         assert cfg.forget.clarify_strength == 0.001
         assert cfg.forget.selective_strength == 0.001
         assert cfg.forget.selective_cutoff == 0.1
         assert cfg.forget.forgetting_epochs == 0
         assert cfg.forget.selective_epochs == 0
-        assert cfg.layers.wd_gain == 1.0
-        assert cfg.layers.energy_gain == 1.0
         assert cfg.layers.wd_threshold == 0.01
         assert cfg.layers.energy_threshold == 0.01
         assert cfg.layers.max_layers == 4
@@ -133,13 +128,18 @@ class TestReadme:
                 for line in self.readme_block().splitlines()}
         keys.discard("")
         assert keys == set(config._SCHEMA)
-        assert len(keys) == 32
+        assert len(keys) == 27
 
 
 class TestErrors:
     def test_unknown_key_names_line(self):
-        with pytest.raises(ConfigError, match=r":2: unknown key 'learning'"):
-            parse_config_text(MINIMAL + "learning = 0.1\n")
+        # the gains and the moment decay are not keys: naming one is a typo
+        for key in ("learning", "adapt.c_gain", "adapt.w_gain",
+                    "adapt.stats_decay", "layers.wd_gain",
+                    "layers.energy_gain"):
+            with pytest.raises(ConfigError,
+                               match=rf":2: unknown key '{re.escape(key)}'"):
+                parse_config_text(MINIMAL + f"{key} = 0.1\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key 'epochs'"):

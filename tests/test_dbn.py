@@ -176,10 +176,6 @@ class TestShouldGenerateLayer:
         stack = self.stack([(1.0, 1.0)] * 4)
         assert not should_generate_layer(stack, self.cfg(max_layers=4))
 
-    def test_gains_rescale_totals(self):
-        stack = self.stack([(0.005, 0.02)])
-        assert should_generate_layer(stack, self.cfg(wd_gain=3.0))
-
 
 class TestGenerateLayer:
     def test_square_inherited_layer(self):

@@ -1,6 +1,10 @@
 """End-to-end runs: output directory contract, reruns, CLI exit codes."""
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -643,3 +647,24 @@ class TestCli:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_commands_name_utf8_for_every_text_file(self, tmp_path,
+                                                    data_file):
+        """Each command runs with a locale-encoding read or write made an
+        error, so every text file it touches names UTF-8."""
+        out, gen = tmp_path / "run", tmp_path / "gen.jsonl"
+        cfg = self.write_config(tmp_path, data_file, out)
+        ckpt = str(out / "model.ckpt")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        for argv in (["train", "--config", str(cfg)],
+                     ["eval", "--checkpoint", ckpt, "--dataset",
+                      str(data_file)],
+                     ["sample", "--checkpoint", ckpt, "--length", "4",
+                      "--out", str(gen)],
+                     ["inspect", "--checkpoint", ckpt]):
+            run = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding",
+                 "-W", "error::EncodingWarning", "-m", "growrbm.cli", *argv],
+                env=env, capture_output=True, text=True)
+            assert run.returncode == 0, (argv[0], run.stderr)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from growrbm import rnn_rbm
-from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
-                           add_forgetting_, apply_annihilation,
+from growrbm.adapt import (STATS_DECAY, AdaptConfig, ForgettingConfig,
+                           GradientStats, add_forgetting_, apply_annihilation,
                            forgetting_modes, maybe_generate)
 from growrbm.errors import CapacityError, DimensionError
 from growrbm.exact import (log_likelihood_exact, sequence_cost_exact,
@@ -976,7 +976,7 @@ class TestTrainer:
                 g, acts = bptt_gradients(want, batch, cd, ep.split(bi + 1))
                 for mode in modes:
                     add_forgetting_(g, want, mode, forget, acts)
-                want_stats.update(g.dc, g.dW, AdaptConfig.stats_decay)
+                want_stats.update(g.dc, g.dW, STATS_DECAY)
                 rnn_rbm._clipped_update(want, g, cd.learning_rate)
             energy, error = LengthGroups.of(want, seqs).metrics(want)
             want_log.append(LogRow(
