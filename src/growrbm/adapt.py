@@ -139,8 +139,8 @@ class GradientStats:
         return GradientStats(*(m.copy() for m in vars(self).values()))
 
 
-def generation_scores(stats: GradientStats, cfg: AdaptConfig) -> np.ndarray:
-    """Per-unit growth score, compared with ``cfg.gen_threshold``:
+def generation_scores(stats: GradientStats) -> np.ndarray:
+    """Per-unit growth score, compared with ``AdaptConfig.gen_threshold``:
     bias-gradient variance times the mean variance of the unit's incoming
     weight gradients."""
     return stats.var_c() * np.mean(stats.var_w(), axis=0)
@@ -170,7 +170,7 @@ def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
     inputs are returned unchanged and no randomness is consumed.
     """
     if scores is None:
-        scores = generation_scores(stats, cfg)
+        scores = generation_scores(stats)
     triggered = [j for j in range(model.n_hidden)
                  if scores[j] > cfg.gen_threshold]
     room = cfg.max_hidden - model.n_hidden
@@ -388,7 +388,7 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
         events = [format_layer_event(layer)] if first else []
         phase = structure_phase(epoch, adapt, stall)
         if phase == "generate":
-            scores = generation_scores(stats, adapt)
+            scores = generation_scores(stats)
             model, stats, parents = maybe_generate(model, stats, adapt,
                                                    ep.split(0), scores)
             events += [format_generation_event(j, scores[j]) for j in parents]

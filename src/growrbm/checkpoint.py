@@ -190,7 +190,8 @@ def _check_meta(kind: str, meta: dict, path):
             raise CheckpointError(
                 f"{path}: {len(totals)} layer totals for {n_layers} layers")
         if not all(isinstance(t, list) and len(t) == 2 and all(
-                isinstance(x, (int, float)) for x in t) for t in totals):
+                type(x) in (int, float)  # a bool is no total
+                for x in t) for t in totals):
             raise CheckpointError(f"{path}: malformed layer totals")
 
 

@@ -95,6 +95,7 @@ class _EpochFrames:
         self.data = data
         self._kept = None  # (model, data @ W, hidden conditionals)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _hidden_pass(self, rbm: Rbm):
         _check_last_dim("visible vector", self.data, rbm.n_visible)
         vW = self.data @ rbm.W

@@ -11,6 +11,14 @@ hot loop that needs one short-lived child per step re-keys a single
 stream in place (:meth:`RngStream.split_into`) instead of building a new
 generator each time; the shared epoch loop serves the batch streams of
 both model families that way.
+
+:func:`sigmoid` refuses a non-finite input, so an overflow upstream
+raises one ``FloatingPointError``.  A vectorised pass hands its
+pre-activations to :func:`sigmoid` and silences numpy's overflow
+warnings (``np.errstate``), which would only repeat that error.  Only
+the two frame-by-frame recursions, :func:`~growrbm.rnn_rbm.unroll` and
+:func:`~growrbm.rnn_dbn.sample_sequence_deep`, buffer their
+pre-activations for :func:`_logistic` and check the buffer once.
 """
 from __future__ import annotations
 

@@ -168,6 +168,7 @@ def _check_last_dim(name: str, arr: np.ndarray, expected: int):
             f"{name} has trailing dimension {arr.shape[-1]}, expected {expected}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hidden_conditional(rbm: Rbm, v) -> np.ndarray:
     """``p(h_j = 1 | v)`` for each hidden unit; supports stacked rows."""
     v = np.asarray(v, dtype=np.float64)
@@ -175,6 +176,7 @@ def hidden_conditional(rbm: Rbm, v) -> np.ndarray:
     return sigmoid(v @ rbm.W + rbm.c)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def visible_conditional(rbm: Rbm, h) -> np.ndarray:
     """``p(v_i = 1 | h)`` for each visible unit; supports stacked rows."""
     h = np.asarray(h, dtype=np.float64)
@@ -190,6 +192,7 @@ def _chain_uniforms(rng: RngStream, rows: int, rbm: Rbm, k: int) -> list:
     return [rng.uniform(size=(rows, w)) for w in widths]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     """The CD-k Gibbs chain from data rows ``v``; returns
     ``(h_data, v_prob, h_model)``.

@@ -20,9 +20,7 @@ lifts and predicts each length group at once, so every layer unrolls
 once per group rather than once per sequence; the predictions are
 pooled back in the order of the sequences.  The groups are laid out
 (:func:`_apart`) so that every prediction is bit for bit that of its
-sequence scored alone.  The finiteness of the top layer's mean-field
-passes is checked once per call, after the passes
-(:func:`~growrbm.rnn_rbm._mean_field_marginals`).
+sequence scored alone.
 
 Sampling (:func:`sample_sequence_deep`) carries every layer's state
 forward, so each frame costs one step through the stack.  A frame's
@@ -48,6 +46,7 @@ class RnnDbn(Dbn):
     evaluation, sampling and checkpoints dispatch on."""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def deterministic_hidden_sequence(model: RnnRbm, seq) -> np.ndarray:
     """Per-frame hidden conditionals ``p(h | v_t)`` under the temporal bias.
 
@@ -95,6 +94,7 @@ def _apart(seqs: np.ndarray) -> np.ndarray:
     return seqs[..., None, :, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_next_deep(stack: RnnDbn, prefix) -> np.ndarray:
     """Marginal prediction for the frame after ``prefix`` using the whole
     stack: top-layer prediction, then one conditional pass per layer down;
@@ -117,6 +117,7 @@ def predict_next_deep(stack: RnnDbn, prefix) -> np.ndarray:
     return signal
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
     """Stack predictions for frames ``2..T`` of one sequence ``(T, I)`` or
     of every sequence of an equal-length group ``(S, T, I)``; rows align

@@ -34,7 +34,9 @@ chain's uniforms as :func:`~growrbm.rbm.cd_step` on ``R`` rows does, one
 its place in the batch, whatever its group (:func:`bptt_gradients`).
 
 Prediction, evaluation and sampling belong to :mod:`~growrbm.rnn_dbn`,
-which reads a recurrent RBM as a one-layer stack.
+which reads a recurrent RBM as a one-layer stack.  Only :func:`unroll`
+keeps its pre-activations for one check per call; every other pass goes
+through the guarded sigmoid (the rule of :mod:`~growrbm.numerics`).
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
 it is copied, validated, updated and checkpointed by the static code.
@@ -47,7 +49,6 @@ the epoch loop shared with the static model,
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,6 @@ from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
                   _chain_uniforms)
 
 MEAN_FIELD_PASSES = 10
-# pre-activation entries the mean-field passes keep between two
-# finiteness checks: a frame or a short sequence checks once per call,
-# and a large group keeps a buffer small enough to be reused from the
-# heap rather than mapped (and page-faulted) afresh on every call
-_MEAN_FIELD_KEEP = 1 << 13
 GRAD_CLIP = 5.0
 U0_MARGIN = 1e-6
 
@@ -274,6 +270,7 @@ class LengthGroups:
     def of(cls, model: RnnRbm, sequences) -> "LengthGroups":
         return cls([seqs for _, seqs in _length_groups(model, sequences)])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def hidden_passes(self, model: RnnRbm) -> list:
         """``(seqs, B, C, pre, h)`` per stack for ``model``: the biases of
         :func:`unroll`, ``pre = C + seqs @ W`` and ``h = sigmoid(pre)``."""
@@ -371,6 +368,7 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
     return total.scale_(1.0 / frames), h_sum / frames
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
                           c_next: np.ndarray) -> np.ndarray:
     """Alternating mean-field passes from the uninformative 1/2 start.
@@ -379,30 +377,11 @@ def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
     frame, of the frames of one sequence ``(T, .)`` or of a length group
     ``(S, T, .)``; they share their leading axes, and every row is
     scored on its own.  The result has the shape of ``b_next``.
-
-    The passes apply the clamped logistic without a guard and keep
-    their pre-activations for one finiteness check after the passes.  It
-    raises the error of :func:`~growrbm.numerics.sigmoid` on exactly the
-    inputs where a guarded pass would have raised it.  The buffer holds
-    at most ``_MEAN_FIELD_KEEP`` entries, so a call on more rows than
-    fit ten passes checks each batch of passes that fits.
     """
     v = np.full(b_next.shape, 0.5)
-    lead = b_next.shape[:-1]
-    keep = min(MEAN_FIELD_PASSES, max(1, _MEAN_FIELD_KEEP // max(
-        1, math.prod(lead) * sum(W.shape))))
-    pre_h = np.empty((keep,) + lead + W.shape[1:])
-    pre_v = np.empty((keep,) + b_next.shape)
-    # an overflow here is reported by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, MEAN_FIELD_PASSES, keep):
-            n = min(keep, MEAN_FIELD_PASSES - start)
-            for k in range(n):
-                h = _logistic(np.add(c_next, v @ W, out=pre_h[k]))
-                v = _logistic(np.add(b_next, h @ W.T, out=pre_v[k]))
-            if not (np.isfinite(pre_h[:n]).all()
-                    and np.isfinite(pre_v[:n]).all()):
-                raise FloatingPointError("sigmoid: non-finite input")
+    for _ in range(MEAN_FIELD_PASSES):
+        h = sigmoid(c_next + v @ W)
+        v = sigmoid(b_next + h @ W.T)
     return v
 
 

@@ -201,7 +201,7 @@ def reference_bptt_gradients(model, batch, cfg, rng):
     return total.scale_(1.0 / frames)
 
 
-# pins rnn_rbm._mean_field_marginals, unguarded and checked once
+# pins rnn_rbm._mean_field_marginals, whose passes call the same guard
 def reference_mean_field(W, b_next, c_next):
     """The mean-field passes through the guarded :func:`sigmoid`, which
     checks every pass's pre-activations as it goes."""

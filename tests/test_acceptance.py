@@ -160,7 +160,7 @@ def test_criterion_04_trigger_rules_match_decision_tables():
     stats = GradientStats.zeros(2, 3)
     stats.sq_c[:] = [0.001, 0.002, 0.0]
     stats.sq_w[:] = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    scores = generation_scores(stats, adapt)
+    scores = generation_scores(stats)
     ok &= np.array_equal(scores, [0.001, 0.002, 0.0])
     grown, _, parents = maybe_generate(
         Rbm.zeros(2, 3), stats, adapt, RngStream(0))

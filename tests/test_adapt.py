@@ -109,7 +109,7 @@ class TestGradientStats:
 class TestGenerationScore:
     def test_zero_variance_zero_score(self):
         stats = GradientStats.zeros(2, 3)
-        npt.assert_array_equal(generation_scores(stats, adapt_cfg()),
+        npt.assert_array_equal(generation_scores(stats),
                                np.zeros(3))
 
     def test_worked_example(self):
@@ -117,19 +117,18 @@ class TestGenerationScore:
         # score = 0.05 * 0.04 = 0.002, above the default 0.001 threshold
         stats = stats_with_variance(2, 1, [0.05], [[0.04], [0.04]])
         cfg = adapt_cfg()
-        assert generation_scores(stats, cfg)[0] == pytest.approx(0.002)
-        assert generation_scores(stats, cfg)[0] > cfg.gen_threshold
+        assert generation_scores(stats)[0] == pytest.approx(0.002)
+        assert generation_scores(stats)[0] > cfg.gen_threshold
 
     def test_score_monotone_in_variance(self):
-        cfg = adapt_cfg()
         lo = stats_with_variance(2, 1, [0.01], [[0.04], [0.04]])
         hi = stats_with_variance(2, 1, [0.02], [[0.04], [0.04]])
-        assert generation_scores(hi, cfg)[0] > generation_scores(lo, cfg)[0]
+        assert generation_scores(hi)[0] > generation_scores(lo)[0]
 
     def test_weight_variance_averaged_over_inputs(self):
         # only one incoming weight fluctuates; the score uses the mean
         stats = stats_with_variance(4, 1, [0.1], [[0.08], [0.0], [0.0], [0.0]])
-        assert generation_scores(stats, adapt_cfg())[0] == pytest.approx(
+        assert generation_scores(stats)[0] == pytest.approx(
             0.1 * 0.08 / 4)
 
 
@@ -507,9 +506,9 @@ class TestTrainLayer:
         """The growth sweep reuses the scores the event text reads."""
         calls = []
 
-        def counted(stats, cfg):
+        def counted(stats):
             calls.append(stats.mean_c.shape)
-            return generation_scores(stats, cfg)
+            return generation_scores(stats)
 
         monkeypatch.setattr(adapt_module, "generation_scores", counted)
         rng = RngStream(3)

@@ -403,7 +403,8 @@ class TestCorruption:
           lambda h, totals=totals: h["meta"].update(totals=totals), match)
          for totals, match in (([["x", 1]], "malformed layer totals"),
                                (5, "bad 'meta.totals'"),
-                               ([[1.0]], "malformed layer totals"))
+                               ([[1.0]], "malformed layer totals"),
+                               ([[True, 1.0]], "malformed layer totals"))
     ] + [(save_one_layer_dbn, load,
           lambda h: h["meta"].update(n_layers=0, totals=[]),
           "stack of 0 layers") for load in (load_checkpoint, describe)
@@ -426,6 +427,7 @@ class TestCorruption:
         ids=["kind", "dbn-n_layers", "dbn-totals", "manifest-name",
              "surplus-totals", "describe-string-totals",
              "describe-scalar-totals", "describe-short-totals",
+             "describe-bool-totals",
              "zero-layers", "describe-zero-layers",
              "state-epoch_done", "state-controller",
              "state-empty-controller", "state-string-controller",

@@ -1,5 +1,6 @@
 """Random streams and elementwise ops."""
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -8,8 +9,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
+from growrbm import dbn
 from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, _logistic,
                               sample_bernoulli, sigmoid)
+from growrbm.rbm import (CdConfig, Rbm, cd_step, hidden_conditional,
+                         visible_conditional)
+from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
+                             next_frame_predictions_deep, predict_next_deep)
+from growrbm.rnn_rbm import RnnRbm, bptt_gradients, prediction_error
 from references import reference_logistic
 
 # both clamp ends, the tails of expit down to denormals and past them,
@@ -262,3 +269,48 @@ class TestSampleBernoulli:
     def test_rejects_nan(self, p):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             sample_bernoulli(np.array(p), RngStream(1))
+
+
+def _huge_static():
+    rbm = Rbm.zeros(3, 2)
+    rbm.W[:] = 1e308
+    return rbm
+
+
+def _huge_lower_stack():
+    """A 2-layer stack whose lower layer's hidden pass overflows."""
+    lower = RnnRbm.random(3, 2, RngStream(5), u_dim=2)
+    lower.W[:] = 1e308
+    return RnnDbn(layers=[lower, RnnRbm.random(2, 2, RngStream(6))])
+
+
+ONES = np.ones((4, 3))
+# each call computes a product that overflows and reads it through the
+# guarded sigmoid; numpy's overflow warning would only repeat its error
+GUARDED_CALLS = {
+    "cd_step": lambda: cd_step(_huge_static(), ONES, CdConfig(k=1),
+                               RngStream(1)),
+    "hidden_conditional": lambda: hidden_conditional(_huge_static(), ONES),
+    "visible_conditional": lambda: visible_conditional(_huge_static(),
+                                                       np.ones(2)),
+    "epoch metrics": lambda: dbn._EpochFrames(ONES).metrics(_huge_static()),
+    "bptt_gradients": lambda: bptt_gradients(
+        _huge_lower_stack().layers[0], [ONES], CdConfig(k=1), RngStream(1)),
+    "prediction_error": lambda: prediction_error(
+        _huge_lower_stack().layers[0], [ONES]),
+    "deterministic_hidden_sequence": lambda: deterministic_hidden_sequence(
+        _huge_lower_stack().layers[0], ONES),
+    "predict_next_deep": lambda: predict_next_deep(_huge_lower_stack(), ONES),
+    "next_frame_predictions_deep": lambda: next_frame_predictions_deep(
+        _huge_lower_stack(), ONES),
+}
+
+
+class TestGuardedPasses:
+    @pytest.mark.parametrize("call", sorted(GUARDED_CALLS))
+    def test_overflow_raises_without_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="^sigmoid: non-finite input$"):
+                GUARDED_CALLS[call]()
