@@ -4,26 +4,34 @@ A refactor that must leave every output byte unchanged runs this on the
 parent commit and on the change and compares the two printouts.  Each
 line gives a model kind, the first 16 hex digits of the sha256 of its
 ``log.csv`` and ``model.ckpt``, and the number of growth, pruning and
-layer events in the log.  The two recurrent adaptive kinds also gate
-the read path: a second line gives the ``run_eval`` scores (``repr``)
-of the trained checkpoint on a fixed held-out set of mixed sequence
-lengths, and the sha256 prefix of the file one ``run_sample`` call of
+layer events in the log.  The two recurrent adaptive kinds also gate the
+read path: a second line gives the ``run_eval`` scores (``repr``) of the
+trained checkpoint on a fixed held-out set of mixed sequence lengths,
+and the sha256 prefix of the file one ``run_sample`` call of
 ``SAMPLE_LENGTH`` frames writes.  The trained stacks have small weights,
-which can hide a rounding change, so a last line gates the read path on
-the shape the ``deep_serve`` benchmark serves: a 3-layer 8->10->8->6
-stack of ``RnnRbm.random`` layers (``u_dim`` 8, weight sd 0.5), built as
-that workload builds it.  The line gives its samples at two seeds, its
-``run_eval`` scores on the held-out set, and the sha256 prefix of the
-float64 bytes of ``predict_next_deep`` on every prefix (lengths ``0..T``)
-of every held-out sequence, in file order.  The single-layer adaptive
-kinds also gate resume: a ``resume`` line trains the config through the
-library, saves the train state after ``epochs // 2`` epochs, loads it
-back and resumes, and gives the hashes of the joined log and the final
-checkpoint, which must equal the kind's first line.  A ``ragged
-rnn-rbm`` line trains the ``rnn-rbm`` config on training sequences cut
-to mixed lengths, in a count that leaves a short last batch, so a
-ragged batch reaches the trainer end to end.  The hashes depend on the
-host's BLAS rounding, so compare printouts made on the same machine.
+which can hide a rounding change, so a ``deep stack`` line gates the
+read path on the shape the ``deep_serve`` benchmark serves: a 3-layer
+8->10->8->6 stack of ``RnnRbm.random`` layers (``u_dim`` 8, weight sd
+0.5), built as that workload builds it.  The line gives its samples at
+two seeds, its ``run_eval`` scores on the held-out set, and the sha256
+prefix of the float64 bytes of ``predict_next_deep`` on every prefix
+(lengths ``0..T``) of every held-out sequence, in file order.  A
+``saturated stack`` line gates the guarded reruns of the two
+frame-by-frame recursions on the same stack with the arrays of
+``SATURATED_SCALES`` scaled up, so that state pre-activations pass 36.74
+(where ``expit`` rounds to 1) but stay finite: the sampler's first range
+test fails at frame 2 (seed 11) and 16 (seed 12).  It gives the samples
+at the two seeds and the sha256 prefix of the float64 bytes of the
+states ``unroll`` gives each layer on each sample lifted to it.  The
+single-layer adaptive kinds also gate resume: a ``resume`` line trains
+the config through the library, saves the train state after
+``epochs // 2`` epochs, loads it back and resumes, and gives the hashes
+of the joined log and the final checkpoint, which must equal the kind's
+first line.  A ``ragged rnn-rbm`` line trains the ``rnn-rbm`` config on
+training sequences cut to mixed lengths, in a count that leaves a short
+last batch, so a ragged batch reaches the trainer end to end.  The
+hashes depend on the host's BLAS rounding, so compare printouts made on
+the same machine.
 
 Run from the repository root::
 
@@ -61,8 +69,9 @@ from growrbm.harness import (_flatten_frames, run_eval, run_sample,
                              run_training)
 from growrbm.log import TrainLog
 from growrbm.numerics import RngStream
-from growrbm.rnn_dbn import RnnDbn, predict_next_deep
-from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
+from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
+                             predict_next_deep)
+from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm, unroll
 
 # name -> (model, adaptive, epochs, learning rate, cd k)
 CONFIGS = {
@@ -92,6 +101,9 @@ DEEP_U_DIM = 8
 DEEP_WEIGHT_SD = 0.5
 DEEP_SEED = 7
 DEEP_SAMPLE_SEEDS = (11, 12)
+# the saturated stack: the deep stack with these arrays scaled in every
+# layer, so that its states saturate and steer its marginals
+SATURATED_SCALES = {"w_vu": 12.0, "w_uv": 5.0, "w_uh": 5.0}
 
 
 def config_text(model: str, adaptive: bool, epochs: int, lr: float, k: int,
@@ -130,6 +142,19 @@ def deep_stack() -> RnnDbn:
         RnnRbm.random(n_v, n_h, stream.split(10 + i), u_dim=DEEP_U_DIM,
                       weight_sd=DEEP_WEIGHT_SD)
         for i, (n_v, n_h) in enumerate(zip(DEEP_WIDTHS, DEEP_WIDTHS[1:]))])
+
+
+def sample_runs(stack: RnnDbn, root: Path, name: str):
+    """``run_sample`` of ``stack`` saved as ``root/name.ckpt``, at each of
+    ``DEEP_SAMPLE_SEEDS``: the ``seed hash`` pairs and the frames."""
+    ckpt = root / f"{name}.ckpt"
+    save_checkpoint(ckpt, stack)
+    hashes, samples = [], []
+    for seed in DEEP_SAMPLE_SEEDS:
+        out = root / f"{name}{seed}.jsonl"
+        samples.append(run_sample(ckpt, SAMPLE_LENGTH, seed, out))
+        hashes.append(f"{seed} {sha(out)}")
+    return " ".join(hashes), samples
 
 
 def resumed_run(cfg, out: Path):
@@ -242,19 +267,25 @@ def main(argv=None) -> int:
                 print(f"{name:14s} resume log {sha(resumed / 'log.csv')} "
                       f"ckpt {sha(resumed / 'model.ckpt')}")
         stack = deep_stack()
-        ckpt = root / "deep-stack.ckpt"
-        save_checkpoint(ckpt, stack)
-        hashes = []
-        for seed in DEEP_SAMPLE_SEEDS:
-            run_sample(ckpt, SAMPLE_LENGTH, seed, root / f"deep{seed}.jsonl")
-            hashes.append(f"{seed} {sha(root / f'deep{seed}.jsonl')}")
+        hashes, _ = sample_runs(stack, root, "deep")
         prefixes = hashlib.sha256()
         for seq in load_jsonl(heldout).train:
             for t in range(len(seq) + 1):
                 prefixes.update(predict_next_deep(stack, seq[:t]).tobytes())
-        print(f"{'deep stack':14s} sample " + " ".join(hashes)
-              + f" eval {run_eval(ckpt, heldout)!r}"
+        print(f"{'deep stack':14s} sample {hashes}"
+              f" eval {run_eval(root / 'deep.ckpt', heldout)!r}"
               f" prefixes {prefixes.hexdigest()[:16]}")
+        for layer, (name, scale) in itertools.product(
+                stack.layers, SATURATED_SCALES.items()):
+            getattr(layer, name)[...] *= scale
+        hashes, samples = sample_runs(stack, root, "saturated")
+        states = hashlib.sha256()
+        for seq in samples:
+            for layer in stack.layers:
+                states.update(unroll(layer, seq)[0].tobytes())
+                seq = deterministic_hidden_sequence(layer, seq)
+        print(f"{'saturated stack':14s} sample {hashes}"
+              f" unroll {states.hexdigest()[:16]}")
     return 0
 
 

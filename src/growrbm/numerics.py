@@ -17,8 +17,9 @@ raises one ``FloatingPointError``.  A vectorised pass hands its
 pre-activations to :func:`sigmoid` and silences numpy's overflow
 warnings (``np.errstate``), which would only repeat that error.  Only
 the two frame-by-frame recursions, :func:`~growrbm.rnn_rbm.unroll` and
-:func:`~growrbm.rnn_dbn.sample_sequence_deep`, buffer their
-pre-activations for :func:`_logistic` and check the buffer once.
+:func:`~growrbm.rnn_dbn.sample_sequence_deep`, run bare ``expit``,
+tested per call or frame (:func:`_unclamped`); only where a test fails
+do they rerun through :func:`_logistic` and check for finiteness.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ _ZERO_BLOCK = (0, 0, 0, 0)  # a Philox counter or buffer before any draw
 _SIG_LO = np.array(np.finfo(np.float64).tiny)
 _SIG_HI = np.array(np.nextafter(1.0, 0.0))
 _SIG_LO.flags.writeable = _SIG_HI.flags.writeable = False
+_LO, _HI = float(_SIG_LO), float(_SIG_HI)  # compared faster as floats
 
 
 def _splitmix64(x: int) -> int:
@@ -133,6 +135,13 @@ def _logistic(x: np.ndarray, out=None) -> np.ndarray:
     np.maximum(out, _SIG_LO, out=out)
     np.minimum(out, _SIG_HI, out=out)
     return out
+
+
+def _unclamped(a: np.ndarray) -> bool:
+    """Whether the ``expit`` output ``a`` lies in ``[tiny, 1 - 2**-53]``,
+    where the clamp of :func:`_logistic` changes nothing.  NaN fails, and
+    so do the 0 and 1 of infinite inputs: ``a`` came from finite ones."""
+    return not a.size or (a.min() >= _LO and a.max() <= _HI)
 
 
 def sample_bernoulli(p, rng: RngStream) -> np.ndarray:

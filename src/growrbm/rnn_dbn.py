@@ -23,9 +23,9 @@ pooled back in the order of the sequences.  The groups are laid out
 sequence scored alone.
 
 Sampling (:func:`sample_sequence_deep`) carries every layer's state
-forward, so each frame costs one step through the stack.  A frame's
-pre-activations are checked once, before its draw, and the last frame's
-state updates by one more check after the loop.
+forward, so each frame costs one step through the stack, on bare
+``expit`` with one range test of its activations before the draw and
+one more after the last state update.
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ import numpy as np
 from .adapt import AdaptConfig, ForgettingConfig
 from .dbn import Dbn, LayerGenConfig, _train_stack
 from .metrics import PooledMetrics
-from .numerics import RngStream, _logistic, sample_bernoulli, sigmoid
+from .numerics import (RngStream, _logistic, _unclamped, expit,
+                       sample_bernoulli, sigmoid)
 from .rbm import CdConfig
 from .rnn_rbm import (MEAN_FIELD_PASSES, RnnRbm, _as_sequences,
                       _length_groups, _mean_field_marginals,
@@ -176,14 +177,16 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     of :func:`predict_next_deep` on the sampled prefix), samples a frame
     and lifts it up once, moving every state one step forward.
 
-    The step is written for numpy's per-call cost on tiny layers: every
-    pre-activation of a frame goes into one buffer kept for the call, and
-    the clamped logistic reads it unguarded.  The buffer is checked once
-    per frame, before the draw, and once after the last frame, so the
-    error of :func:`~growrbm.numerics.sigmoid` is raised on exactly the
-    stacks where the guarded steps (:func:`~growrbm.exact.state_update`
-    and a guarded pass per layer) raise it, and every frame and marginal
-    is bit for bit theirs.
+    The step is written for numpy's per-call cost on tiny layers: bare
+    ``expit`` writes a frame's activations into one buffer kept for the
+    call, tested once before the draw (:func:`~growrbm.numerics._unclamped`).
+    A failed test restores the states saved before the last update, and
+    the call redoes it and goes on with the clamped logistic, checking its
+    pre-activations for finiteness.  So the error of
+    :func:`~growrbm.numerics.sigmoid` is raised on exactly the stacks
+    where the guarded steps (:func:`~growrbm.exact.state_update` and a
+    guarded pass per layer) raise it, and every frame and marginal is bit
+    for bit theirs.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -191,54 +194,63 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     top, n_lower = layers[-1], len(layers) - 1
     # one frame's pre-activations: the top layer's mean-field passes,
     # then per layer its down pass, state update and lift (the top layer
-    # has neither a down pass nor a lift); the activations mirror them
+    # has neither); the activations mirror them, and start at 1/2
     n_mf = 2 * MEAN_FIELD_PASSES
     sizes = [top.n_hidden, top.n_visible] * MEAN_FIELD_PASSES
     for layer in layers[:-1]:
         sizes += [layer.n_visible, layer.u_dim, layer.n_hidden]
     sizes += [0, top.u_dim, 0]
-    pre, act = np.zeros(sum(sizes)), np.empty(sum(sizes))
+    pre, act = np.zeros(sum(sizes)), np.full(sum(sizes), 0.5)
     pre_l = np.split(pre, np.cumsum(sizes)[:-1])
     act_l = np.split(act, np.cumsum(sizes)[:-1])
     passes = list(zip(pre_l[0:n_mf:2], act_l[0:n_mf:2], pre_l[1:n_mf:2],
                       act_l[1:n_mf:2]))
     b_next = [np.empty(layer.n_visible) for layer in layers]
-    c_next = [np.empty(layer.n_hidden) for layer in layers]
     down = list(zip(b_next, [layer.W.T for layer in layers],
                     pre_l[n_mf::3], act_l[n_mf::3]))[-2::-1]
     biases, up = [], []
-    for layer, b, c, u, p, q, a in zip(
-            layers, b_next, c_next, act_l[n_mf + 1::3], pre_l[n_mf + 1::3],
+    for layer, b, u, p, q, a in zip(
+            layers, b_next, act_l[n_mf + 1::3], pre_l[n_mf + 1::3],
             pre_l[n_mf + 2::3], act_l[n_mf + 2::3]):
         u[...] = layer.u0
-        biases.append((layer.b, layer.w_uv, b, layer.c, layer.w_uh, c, u))
+        biases.append((layer.b, layer.w_uv, b, u))
         up.append((layer.u_bias, layer.w_uu, layer.w_vu, u, p,
-                   c, layer.W, q, a))
-    W, W_T, b_top, c_top = top.W, top.W.T, b_next[-1], c_next[-1]
+                   layer.c, layer.w_uh, layer.W, q, a))
+    W, W_T, b_top, c_top = top.W, top.W.T, b_next[-1], np.empty(top.n_hidden)
+    biases.append((top.c, top.w_uh, c_top, u))  # a lower layer's: the lift's
     half = np.full(top.n_visible, 0.5)
     frames = np.zeros((length, stack.n_visible))
+    saved = act.copy()  # the activations before the last state update
+    logistic, drawn, t = expit, None, 0  # bare until a test fails
     dot, add = np.dot, np.add
-    # an overflow is reported by the finiteness checks
+    # an overflow is reported by the tests and the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(length):
-            for b, w_uv, b_l, c, w_uh, c_l, u in biases:
-                add(b, dot(u, w_uv), out=b_l)
-                add(c, dot(u, w_uh), out=c_l)
-            v = half
-            for p_h, a_h, p_v, a_v in passes:
-                h = _logistic(add(c_top, dot(v, W), out=p_h), a_h)
-                v = _logistic(add(b_top, dot(h, W_T), out=p_v), a_v)
-            for b_l, W_T_l, p, a in down:
-                v = _logistic(add(b_l, dot(v, W_T_l), out=p), a)
-            if not np.isfinite(pre).all():
-                raise FloatingPointError("sigmoid: non-finite input")
-            view = frames[t] = sample_bernoulli(v, rng)
-            for i, (u_bias, w_uu, w_vu, u, p, c_l, W_l, q, a) in enumerate(up):
+        while t <= length:  # the update by frame t - 1, then frame t
+            view = drawn
+            for i, (u_bias, w_uu, w_vu, u, p, c, w_uh, W_l, q,
+                    a) in enumerate(up if t else ()):
+                if i < n_lower:  # the lift's bias, from the old state
+                    add(c, dot(u, w_uh), out=q)
                 add(u_bias, dot(u, w_uu), out=p)
-                _logistic(add(p, dot(view, w_vu), out=p), u)
+                logistic(add(p, dot(view, w_vu), out=p), u)
                 if i < n_lower:
-                    view = _logistic(add(c_l, dot(view, W_l), out=q), a)
-    if not np.isfinite(pre).all():
-        raise FloatingPointError("sigmoid: non-finite input")
+                    view = logistic(add(q, dot(view, W_l), out=q), a)
+            if t < length:
+                for x, w, x_next, u in biases:
+                    add(x, dot(u, w), out=x_next)
+                v = half
+                for p_h, a_h, p_v, a_v in passes:
+                    h = logistic(add(c_top, dot(v, W), out=p_h), a_h)
+                    v = logistic(add(b_top, dot(h, W_T), out=p_v), a_v)
+                for b_l, W_T_l, p, a in down:
+                    v = logistic(add(b_l, dot(v, W_T_l), out=p), a)
+            if logistic is expit and not _unclamped(act):
+                logistic, act[...] = _logistic, saved
+                continue  # redo the update and the frame
+            if logistic is _logistic and not np.isfinite(pre).all():
+                raise FloatingPointError("sigmoid: non-finite input")
+            if t < length:
+                drawn = frames[t] = sample_bernoulli(v, rng)
+                saved[...] = act
+            t += 1
     return frames
-

@@ -35,7 +35,7 @@ its place in the batch, whatever its group (:func:`bptt_gradients`).
 
 Prediction, evaluation and sampling belong to :mod:`~growrbm.rnn_dbn`,
 which reads a recurrent RBM as a one-layer stack.  Only :func:`unroll`
-keeps its pre-activations for one check per call; every other pass goes
+runs bare ``expit`` with one range test per call; every other pass goes
 through the guarded sigmoid (the rule of :mod:`~growrbm.numerics`).
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
@@ -56,7 +56,7 @@ import numpy as np
 from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import DimensionError
 from .metrics import PooledMetrics
-from .numerics import RngStream, _logistic, sigmoid
+from .numerics import RngStream, _logistic, _unclamped, expit, sigmoid
 from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
                   _chain_uniforms)
 
@@ -165,12 +165,13 @@ def unroll(model: RnnRbm, seq):
     rows per sequence) and ``B[..., t, :] / C[..., t, :]`` are the biases
     used for frame ``t``.
 
-    Only the state recursion runs frame by frame; ``B`` and ``C`` are two
-    matrix products over the stacked states afterwards.  Each step
-    applies the same clamped logistic as
-    :func:`~growrbm.exact.state_update`, and one finiteness check over all
-    pre-activations after the loop raises the error
-    :func:`~growrbm.numerics.sigmoid` would have raised.
+    Only the state recursion runs frame by frame, on bare ``expit`` with
+    one test of the states (:func:`~growrbm.numerics._unclamped`); ``B``
+    and ``C`` are two matrix products over the stacked states afterwards.
+    A failed test reruns the recursion on the clamped logistic of
+    :func:`~growrbm.exact.state_update`, and one finiteness check over
+    all pre-activations raises the error :func:`~growrbm.numerics.sigmoid`
+    would have raised.
     """
     seq = _as_sequences(seq)
     if seq.shape[-1] != model.n_visible:
@@ -182,12 +183,16 @@ def unroll(model: RnnRbm, seq):
     U = np.empty((t_len + 1,) + lead + (model.u_dim,))
     pre = np.empty((t_len,) + lead + (model.u_dim,))
     U[0] = model.u0
-    # an overflow here is reported once, by the finiteness check below
+    # an overflow here is reported once, by the checks after the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(t_len):
-            pre[t] = model.u_bias + U[t] @ model.w_uu + frames[t] @ model.w_vu
-            _logistic(pre[t], out=U[t + 1])
-    if not np.isfinite(pre).all():
+        for logistic in (expit, _logistic):
+            for t in range(t_len):
+                pre[t] = (model.u_bias + U[t] @ model.w_uu
+                          + frames[t] @ model.w_vu)
+                logistic(pre[t], out=U[t + 1])
+            if logistic is expit and _unclamped(U[1:]):
+                break
+    if logistic is _logistic and not np.isfinite(pre).all():
         raise FloatingPointError("sigmoid: non-finite input")
     U = np.moveaxis(U, 0, -2)
     return (U, *_frame_biases(model, U))
@@ -385,11 +390,13 @@ def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
     return v
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mean_sequence_energy(model: RnnRbm, sequences) -> float:
     """Mean conditional expected frame energy with temporal biases.
 
     ``sequences`` is a list of sequences or a :class:`LengthGroups`, as
-    for :func:`mean_hidden_activation` and :func:`prediction_error`.
+    for :func:`mean_hidden_activation` and :func:`prediction_error`.  An
+    energy that overflows raises ``FloatingPointError``.
     """
     total = 0.0
     frames = 0
@@ -397,6 +404,8 @@ def mean_sequence_energy(model: RnnRbm, sequences) -> float:
         e = -np.sum(seqs * B, axis=-1) - np.sum(h * pre, axis=-1)
         total += float(e.sum())
         frames += e.size
+    if not np.isfinite(total):
+        raise FloatingPointError("mean_sequence_energy: non-finite energy")
     return total / frames
 
 

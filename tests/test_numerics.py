@@ -11,12 +11,13 @@ from scipy.special import expit
 
 from growrbm import dbn
 from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, _logistic,
-                              sample_bernoulli, sigmoid)
+                              _unclamped, sample_bernoulli, sigmoid)
 from growrbm.rbm import (CdConfig, Rbm, cd_step, hidden_conditional,
                          visible_conditional)
 from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep)
-from growrbm.rnn_rbm import RnnRbm, bptt_gradients, prediction_error
+from growrbm.rnn_rbm import (RnnRbm, bptt_gradients, mean_sequence_energy,
+                             prediction_error)
 from references import reference_logistic
 
 # both clamp ends, the tails of expit down to denormals and past them,
@@ -120,6 +121,19 @@ class TestLogistic:
         npt.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
         if into:
             assert got is outs[0]
+
+
+class TestUnclamped:
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                     min_side=0, max_side=5),
+                        elements=LOGISTIC_INPUTS))
+    def test_accepts_expit_exactly_where_the_clamp_changes_nothing(self, x):
+        # the inputs straddle 36.7368, where expit rounds to 1, and
+        # -708.396, below which it drops under tiny
+        bare = np.asarray(expit(x))
+        same = (bare.view(np.uint64) == _logistic(x).view(np.uint64)).all()
+        assert _unclamped(bare) == (same and not np.isnan(bare).any())
 
 
 class TestRngStream:
@@ -284,9 +298,18 @@ def _huge_lower_stack():
     return RnnDbn(layers=[lower, RnnRbm.random(2, 2, RngStream(6))])
 
 
+def _huge_temporal_bias():
+    """A recurrent layer whose visible biases are finite but whose
+    energy sum overflows."""
+    model = RnnRbm.random(3, 2, RngStream(5), u_dim=2)
+    model.w_uv[:] = 1e308
+    return model
+
+
 ONES = np.ones((4, 3))
 # each call computes a product that overflows and reads it through the
-# guarded sigmoid; numpy's overflow warning would only repeat its error
+# guarded sigmoid, or sums one into an energy; numpy's overflow warning
+# would only repeat the error
 GUARDED_CALLS = {
     "cd_step": lambda: cd_step(_huge_static(), ONES, CdConfig(k=1),
                                RngStream(1)),
@@ -303,7 +326,12 @@ GUARDED_CALLS = {
     "predict_next_deep": lambda: predict_next_deep(_huge_lower_stack(), ONES),
     "next_frame_predictions_deep": lambda: next_frame_predictions_deep(
         _huge_lower_stack(), ONES),
+    "mean_sequence_energy": lambda: mean_sequence_energy(
+        _huge_temporal_bias(), [ONES[:3]]),
 }
+# the error of a call that is not the guarded sigmoid's
+GUARDED_ERRORS = {
+    "mean_sequence_energy": "mean_sequence_energy: non-finite energy"}
 
 
 class TestGuardedPasses:
@@ -311,6 +339,6 @@ class TestGuardedPasses:
     def test_overflow_raises_without_warning(self, call):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError,
-                               match="^sigmoid: non-finite input$"):
+            error = GUARDED_ERRORS.get(call, "sigmoid: non-finite input")
+            with pytest.raises(FloatingPointError, match=f"^{error}$"):
                 GUARDED_CALLS[call]()

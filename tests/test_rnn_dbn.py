@@ -9,11 +9,12 @@ from growrbm.adapt import AdaptConfig, TrainState
 from growrbm.dbn import (LayerGenConfig, _inherit, train_adaptive_dbn,
                          train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
+from growrbm.exact import state_update
 from growrbm.harness import evaluate_model
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sample_bernoulli, sigmoid
 from growrbm.rbm import CdConfig, hidden_conditional
-from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
+from growrbm.rnn_dbn import (RnnDbn, _apart, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
 from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
@@ -456,3 +457,74 @@ class TestReadPathProperties:
         assert len(got) == len(want)
         for p, q in zip(got, want):
             assert (p == q).all()
+
+
+def saturated_stack(seed):
+    """A stack of 1..3 random layers of 1..5 units, weight sd 8, 10 or
+    12: bare ``expit`` rounds some pre-activations to 1 in some frames,
+    while the pre-activations stay finite."""
+    rng = RngStream(seed)
+    sd = (8.0, 10.0, 12.0)[seed % 3]
+    sizes = [1 + rng.integers(5) for _ in range(2 + rng.integers(3))]
+    return RnnDbn(layers=[
+        small_model(10 * seed + n, i=n_v, j=n_h, k=1 + rng.integers(4), sd=sd)
+        for n, (n_v, n_h) in enumerate(zip(sizes, sizes[1:]))])
+
+
+class TestGuardedReruns:
+    """Saturating stacks, on which the frame-by-frame recursions fall back
+    to the clamped logistic, against the guarded references."""
+
+    SEEDS = range(60)
+
+    def test_sampler_equals_linear_reference_bit_for_bit(self, monkeypatch):
+        real, reruns = rnn_dbn._logistic, []
+        for seed in self.SEEDS:
+            stack, got, want, first = saturated_stack(seed), [], [], []
+
+            def guarded(x, out=None):
+                if not first:
+                    first.append(len(got))  # the frame being predicted
+                return real(x, out)
+
+            monkeypatch.setattr(rnn_dbn, "_logistic", guarded)
+            monkeypatch.setattr(rnn_dbn, "sample_bernoulli",
+                                recording_draw(got))
+            frames = sample_sequence_deep(stack, 20, RngStream(seed))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = reference_linear_sampler(stack, 20, RngStream(seed),
+                                               recording_draw(want))
+            assert (frames == ref).all()
+            assert len(got) == len(want) == 20
+            for p, q in zip(got, want):
+                assert p.shape == q.shape and (p == q).all()
+            reruns += first
+        # the rerun starts in the first frame and in later ones, where it
+        # redoes the state update of the frame before from saved states
+        assert len(reruns) >= 20 and sum(t >= 1 for t in reruns) >= 10
+
+    def test_unroll_equals_state_update_loop_bit_for_bit(self, monkeypatch):
+        real, steps = rnn_rbm._logistic, []
+
+        def guarded(x, out=None):
+            steps.append(1)
+            return real(x, out)
+
+        monkeypatch.setattr(rnn_rbm, "_logistic", guarded)
+        for seed in self.SEEDS:
+            rng = RngStream(1000 + seed)
+            for layer in saturated_stack(seed).layers:
+                seq = rng.uniform(size=(6, layer.n_visible))
+                group = rng.uniform(size=(3, 6, layer.n_visible))
+                # a lone sequence, and a group apart, whose states are
+                # bit for bit those of its sequences alone
+                lone = unroll(layer, seq)[0][None]
+                apart = unroll(layer, _apart(group))[0][:, 0]
+                for seqs, U in [(seq[None], lone), (group, apart)]:
+                    for one, states in zip(seqs, U):
+                        u = layer.u0
+                        for t, v in enumerate(one):
+                            u = state_update(layer, u, v)
+                            assert (states[t + 1] == u).all()
+        # a rerun takes one guarded step per frame
+        assert len(steps) // 6 >= 20

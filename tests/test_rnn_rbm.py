@@ -633,7 +633,7 @@ class TestSharedUnroll:
         _, _, log = train_adaptive_rnn_rbm(seqs, 6, cd, 10, RngStream(87),
                                            adapt=adapt)
         assert "ann(" not in log.csv_text()
-        assert len(passes) == 10  # 16 when the sweep's pass is not kept
+        assert len(passes) == 10  # 26 when the sweep's pass is not kept
 
     @pytest.mark.parametrize("edit", ["none", "prune"])
     def test_view_metrics_equal_the_list_functions(self, edit):
