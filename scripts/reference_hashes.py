@@ -29,7 +29,10 @@ the config through the library, saves the train state after
 of the joined log and the final checkpoint, which must equal the kind's
 first line.  A ``ragged rnn-rbm`` line trains the ``rnn-rbm`` config on
 training sequences cut to mixed lengths, in a count that leaves a short
-last batch, so a ragged batch reaches the trainer end to end.  The
+last batch, so a ragged batch reaches the trainer end to end.  Its
+``resume`` line cuts the run after the first epoch that logs ``ann(``,
+so the resumed run continues from a pruned layer read back from disk;
+it must equal the ``ragged rnn-rbm`` line.  The
 hashes depend on the host's BLAS rounding, so compare printouts made on
 the same machine.
 
@@ -84,8 +87,10 @@ CONFIGS = {
 }
 # the kinds whose checkpoint is also evaluated and sampled
 READ_PATH = ("rnn-rbm", "rnn-dbn")
-# the adaptive kinds also trained in two halves through a saved train state
-RESUME = ("rbm", "rnn-rbm")
+# the adaptive runs also trained in two parts through a saved train state:
+# cut after ``epochs // 2`` epochs (None), or after the first epoch whose
+# log event holds this text
+RESUME = {"rbm": None, "rnn-rbm": None, "ragged rnn-rbm": "ann("}
 # held-out sequence lengths, interleaved so that groups form out of order
 HELDOUT_LENGTHS = (25, 9, 25, 2, 9, 25, 1)
 # the ragged run: training sequences cut to these lengths in turn, and
@@ -157,10 +162,18 @@ def sample_runs(stack: RnnDbn, root: Path, name: str):
     return " ".join(hashes), samples
 
 
-def resumed_run(cfg, out: Path):
+def first_epoch_with(log_csv: Path, text: str) -> int:
+    """The ``epoch`` of the first row of ``log_csv`` whose event holds
+    ``text``."""
+    with open(log_csv, newline="") as fh:
+        return next(int(row["epoch"]) for row in csv.DictReader(fh)
+                    if text in row["event"])
+
+
+def resumed_run(cfg, out: Path, half: int):
     """Train ``cfg`` as ``run_training`` does, but through the library:
-    save the train state after ``cfg.epochs // 2`` epochs, load it and
-    resume.  Writes the first half's log rows and the resumed rows as
+    save the train state after ``half`` epochs, load it and resume.
+    Writes the first ``half`` log rows and the resumed rows as
     ``log.csv``, and the resumed model as ``model.ckpt``."""
     out.mkdir(parents=True, exist_ok=True)
     sequences = load_jsonl(cfg.train).train
@@ -169,7 +182,6 @@ def resumed_run(cfg, out: Path):
     else:
         train, data, extra = (train_adaptive_rnn_rbm, sequences,
                               {"u_dim": cfg.u_dim})
-    half = cfg.epochs // 2
     state_path = out / "state.ckpt"
 
     def keep_half(state):
@@ -262,8 +274,10 @@ def main(argv=None) -> int:
                 print(f"{name:14s} eval {scores!r} "
                       f"sample {sha(out / 'sample.jsonl')}")
             if name in RESUME:
-                resumed = root / f"{name}-resumed"
-                resumed_run(cfg, resumed)
+                resumed = root / f"{name.replace(' ', '-')}-resumed"
+                event = RESUME[name]
+                resumed_run(cfg, resumed, cfg.epochs // 2 if event is None
+                            else first_epoch_with(out / "log.csv", event))
                 print(f"{name:14s} resume log {sha(resumed / 'log.csv')} "
                       f"ckpt {sha(resumed / 'model.ckpt')}")
         stack = deep_stack()

@@ -217,7 +217,13 @@ def mask_from_activations(mean_act: np.ndarray, cfg: AdaptConfig) -> np.ndarray:
 
 def apply_annihilation(model: Rbm, stats: GradientStats, mask: np.ndarray):
     """Drop the masked hidden units from every array of ``model.HIDDEN``
-    and from the statistics."""
+    and from the statistics.
+
+    The kept units are picked with a boolean index, which leaves a 2-d
+    array Fortran-ordered; every result is C-ordered again, as a train
+    state read back from disk is, since BLAS and ``sum`` may round the
+    two layouts differently and a resumed run must match an
+    uninterrupted one bit for bit."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape[0] != model.n_hidden:
         raise ValueError("mask length does not match hidden layer size")
@@ -227,8 +233,10 @@ def apply_annihilation(model: Rbm, stats: GradientStats, mask: np.ndarray):
     keep = ~mask
     pruned = model.copy()
     for name in model.HIDDEN:
-        setattr(pruned, name, getattr(model, name)[..., keep])
-    return pruned, GradientStats(*(m[..., keep] for m in vars(stats).values()))
+        setattr(pruned, name,
+                np.ascontiguousarray(getattr(model, name)[..., keep]))
+    return pruned, GradientStats(*(np.ascontiguousarray(m[..., keep])
+                                   for m in vars(stats).values()))
 
 
 def add_forgetting_(g: RbmGradient, model: Rbm, mode: str,

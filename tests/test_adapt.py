@@ -557,6 +557,41 @@ class TestAdaptConfigValidation:
             AdaptConfig(generation_phase_epochs=5, max_hidden=2, min_hidden=3)
 
 
+class TestSweepLayout:
+    """Both sweeps return C-ordered arrays, the layout a train state read
+    back from disk has, so a resumed run rounds as the uninterrupted one
+    does."""
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["rbm", "rnn-rbm"])
+    def test_every_array_is_c_contiguous_after_each_sweep(self, recurrent):
+        rng = RngStream(31)
+        model = RnnRbm.random(3, 4, rng.split(0), u_dim=3, weight_sd=1.0)
+        if not recurrent:
+            model = Rbm(model.b, model.c, model.W)
+        stats = GradientStats.zeros(3, 4)
+        stats.sq_c[:] = [1.0, 0.0, 1.0, 0.0]
+        stats.sq_w[:] = 1.0
+        cfg = adapt_cfg(max_hidden=8, gen_threshold=0.5)
+
+        def assert_c_ordered(model, stats):
+            arrays = {**model.arrays(), **vars(stats)}
+            for name, arr in arrays.items():
+                assert arr.flags.c_contiguous, name
+
+        # prune, grow from the pruned layer, and prune again
+        model, stats = apply_annihilation(
+            model, stats, np.array([False, True, False, False]))
+        assert_c_ordered(model, stats)
+        model, stats, parents = maybe_generate(model, stats, cfg,
+                                               rng.split(1))
+        assert parents == [0, 1]
+        assert_c_ordered(model, stats)
+        model, stats = apply_annihilation(
+            model, stats, np.array([True, False, False, True, False]))
+        assert_c_ordered(model, stats)
+
+
 class TestGrowPruneRoundTrip:
     """Pruning exactly the children of a growth sweep restores every
     per-hidden-unit array bit for bit, for both model families."""

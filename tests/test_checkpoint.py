@@ -5,10 +5,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from growrbm.adapt import AdaptConfig, GradientStats, TrainState
+from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
+                           TrainState)
 from growrbm.checkpoint import (FORMAT_VERSION, MAGIC, describe,
                                 load_checkpoint, load_train_state,
                                 save_checkpoint, save_train_state)
+from growrbm.data import synth_cycle
 from growrbm.dbn import Dbn, LayerTotals, train_adaptive_rbm
 from growrbm.errors import (CheckpointDimensionError, CheckpointError,
                             CheckpointTruncatedError, CheckpointVersionError)
@@ -254,6 +256,39 @@ class TestTrainStateRoundTrip:
                            resume=state)
         assert (TrainLog(full_log.rows[:3] + tail.rows).csv_text()
                 == full_log.csv_text())
+
+    def test_resume_after_the_first_prune_is_exact(self, tmp_path):
+        """A run resumed through a file after the first epoch that prunes
+        equals the uninterrupted run by ``==``, on every log row and every
+        array: the pruned layer goes on in the layout the file gives it.
+        The ragged recurrent reference config: 13 sequences cut to
+        lengths 25, 9, 2, 1 and 17, so the last batch is short."""
+        cut = (25, 9, 2, 1, 17)
+        train = synth_cycle(4, 8, 25, 16, 0.05, RngStream(101)).train
+        seqs = [train[n % len(train)][:cut[n % len(cut)]] for n in range(13)]
+        cd = CdConfig(k=2, learning_rate=0.5, batch_size=8)
+        kwargs = dict(adapt=AdaptConfig(
+            generation_phase_epochs=16, max_hidden=10, min_hidden=2,
+            gen_threshold=5e-9, ann_threshold=0.47), forget=ForgettingConfig(
+                forgetting_epochs=4, selective_epochs=2, decay_strength=0.008,
+                clarify_strength=0.008, selective_strength=0.008), u_dim=12)
+        states = {}
+        full, full_stats, full_log = train_adaptive_rnn_rbm(
+            seqs, 4, cd, 40, RngStream(7).split(1),
+            epoch_callback=lambda s: states.setdefault(s.epoch_done, s),
+            **kwargs)
+        first = next(i for i, row in enumerate(full_log.rows)
+                     if "ann(" in row.event)
+        assert first < 39  # epochs follow the prune
+        save_train_state(tmp_path / "state.ckpt", states[first])
+        state, _ = load_train_state(tmp_path / "state.ckpt")
+        resumed, stats, tail = train_adaptive_rnn_rbm(
+            seqs, 4, cd, 40, RngStream(7).split(1), resume=state, **kwargs)
+        assert full_log.rows[first + 1:] == tail.rows
+        for name, arr in full.arrays().items():
+            assert (resumed.arrays()[name] == arr).all(), name
+        for name, arr in vars(full_stats).items():
+            assert (getattr(stats, name) == arr).all(), name
 
     def test_loaders_reject_wrong_family(self, tmp_path):
         plain = tmp_path / "plain.ckpt"
