@@ -32,7 +32,7 @@ from .errors import NumericError, StructureError
 from .log import (LogRow, TrainLog, format_annihilation_event,
                   format_generation_event, format_layer_event, join_events)
 from .numerics import RngStream
-from .rbm import Rbm, RbmGradient
+from .rbm import Packed, Rbm, RbmGradient
 
 
 @dataclass
@@ -98,13 +98,18 @@ class ForgettingConfig:
 
 
 @dataclass
-class GradientStats:
+class GradientStats(Packed):
     """Exponential moving first and second moments of recent gradients.
 
     Tracks the hidden-bias gradient per unit and the weight gradient per
     connection; the four moments, hidden units on their last axis, are
     the whole state, and each :meth:`update` is given its decay,
     :data:`STATS_DECAY`.  ``var_*`` return the centred second moments.
+
+    The moments share one buffer (:class:`~growrbm.rbm.Packed`) laid out
+    as two rows, the means ``[c | W]`` and the second moments ``[c | W]``,
+    the layout of a gradient's ``[dc | dW]``, so an update is one decay
+    of the buffer and one in-place sum per row.
     """
 
     mean_c: np.ndarray
@@ -112,31 +117,30 @@ class GradientStats:
     mean_w: np.ndarray
     sq_w: np.ndarray
 
-    @staticmethod
-    def zeros(n_visible: int, n_hidden: int) -> "GradientStats":
-        return GradientStats(
-            mean_c=np.zeros(n_hidden),
-            sq_c=np.zeros(n_hidden),
-            mean_w=np.zeros((n_visible, n_hidden)),
-            sq_w=np.zeros((n_visible, n_hidden)),
-        )
+    LAYOUT = ("mean_c", "mean_w", "sq_c", "sq_w")
 
-    def update(self, dc: np.ndarray, dW: np.ndarray, lam: float):
-        if dc.shape != self.mean_c.shape or dW.shape != self.mean_w.shape:
+    @classmethod
+    def zeros(cls, n_visible: int, n_hidden: int) -> "GradientStats":
+        c, w = np.zeros(n_hidden), np.zeros((n_visible, n_hidden))
+        return cls(c, c, w, w)
+
+    def update(self, g: RbmGradient, lam: float):
+        """Decay the moments by ``lam`` towards the gradient's ``dc`` and
+        ``dW`` and their squares, as ``M = lam * M + (1 - lam) * x``
+        computed in place, on the gradient's ``[dc | dW]`` slice."""
+        if g.dc.shape != self.mean_c.shape or g.dW.shape != self.mean_w.shape:
             raise ValueError("gradient shape does not match tracked statistics")
-        self.mean_c = lam * self.mean_c + (1 - lam) * dc
-        self.sq_c = lam * self.sq_c + (1 - lam) * dc ** 2
-        self.mean_w = lam * self.mean_w + (1 - lam) * dW
-        self.sq_w = lam * self.sq_w + (1 - lam) * dW ** 2
+        moments = self.buffer.reshape(2, -1)
+        x = g.buffer[g.db.size:g.db.size + moments.shape[1]]
+        moments *= lam
+        moments[0] += (1 - lam) * x
+        moments[1] += (1 - lam) * x ** 2
 
     def var_c(self) -> np.ndarray:
         return np.maximum(self.sq_c - self.mean_c ** 2, 0.0)
 
     def var_w(self) -> np.ndarray:
         return np.maximum(self.sq_w - self.mean_w ** 2, 0.0)
-
-    def copy(self) -> "GradientStats":
-        return GradientStats(*(m.copy() for m in vars(self).values()))
 
 
 def generation_scores(stats: GradientStats) -> np.ndarray:
@@ -189,10 +193,9 @@ def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
         rows = getattr(model, name).shape[0]
         children[name] = rng.normal(sd=0.01, size=(len(parents), rows)).T
 
-    grown = model.copy()
-    for name, values in children.items():
-        setattr(grown, name,
-                insert_after(getattr(model, name), parents, values))
+    grown = type(model)(**{**model.arrays(), **{
+        name: insert_after(getattr(model, name), parents, values)
+        for name, values in children.items()}})
     return grown, GradientStats(*(insert_after(m, parents, 0.0)
                                   for m in vars(stats).values())), parents
 
@@ -220,10 +223,11 @@ def apply_annihilation(model: Rbm, stats: GradientStats, mask: np.ndarray):
     and from the statistics.
 
     The kept units are picked with a boolean index, which leaves a 2-d
-    array Fortran-ordered; every result is C-ordered again, as a train
-    state read back from disk is, since BLAS and ``sum`` may round the
-    two layouts differently and a resumed run must match an
-    uninterrupted one bit for bit."""
+    array Fortran-ordered; the results are packed into C-ordered buffers
+    (:class:`~growrbm.rbm.Packed`), the layout of a train state read back
+    from disk, since BLAS and ``sum`` may round the two layouts
+    differently and a resumed run must match an uninterrupted one bit
+    for bit."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape[0] != model.n_hidden:
         raise ValueError("mask length does not match hidden layer size")
@@ -231,12 +235,9 @@ def apply_annihilation(model: Rbm, stats: GradientStats, mask: np.ndarray):
         raise StructureError("refusing to remove every hidden unit; "
                              "raise min_hidden instead")
     keep = ~mask
-    pruned = model.copy()
-    for name in model.HIDDEN:
-        setattr(pruned, name,
-                np.ascontiguousarray(getattr(model, name)[..., keep]))
-    return pruned, GradientStats(*(np.ascontiguousarray(m[..., keep])
-                                   for m in vars(stats).values()))
+    pruned = type(model)(**{**model.arrays(), **{
+        name: getattr(model, name)[..., keep] for name in model.HIDDEN}})
+    return pruned, GradientStats(*(m[..., keep] for m in vars(stats).values()))
 
 
 def add_forgetting_(g: RbmGradient, model: Rbm, mode: str,
@@ -388,7 +389,7 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
                                ep.split_into(bi + 1, batch_rng))
             for mode in modes:
                 add_forgetting_(g, model, mode, forget, acts)
-            stats.update(g.dc, g.dW, STATS_DECAY)
+            stats.update(g, STATS_DECAY)
             update(model, g, cd.learning_rate)
 
         whole = epoch_data()

@@ -181,7 +181,8 @@ def _inherit(parent: Rbm, rng: RngStream) -> Rbm:
     fresh layer initially mirrors the activation statistics it will be
     fed."""
     new = type(parent).random(parent.n_hidden, parent.n_hidden, rng)
-    new.b, new.c = parent.c.copy(), parent.c.copy()
+    new.b[:] = parent.c
+    new.c[:] = parent.c
     return new
 
 

@@ -15,11 +15,15 @@ both model families that way.
 :func:`sigmoid` refuses a non-finite input, so an overflow upstream
 raises one ``FloatingPointError``.  A vectorised pass hands its
 pre-activations to :func:`sigmoid` and silences numpy's overflow
-warnings (``np.errstate``), which would only repeat that error.  Only
-the two frame-by-frame recursions, :func:`~growrbm.rnn_rbm.unroll` and
-:func:`~growrbm.rnn_dbn.sample_sequence_deep`, run bare ``expit``,
-tested per call or frame (:func:`_unclamped`); only where a test fails
-do they rerun through :func:`_logistic` and check for finiteness.
+warnings (``np.errstate``), which would only repeat that error.  Three
+loops run bare ``expit`` instead: the two frame-by-frame recursions,
+:func:`~growrbm.rnn_rbm.unroll` and
+:func:`~growrbm.rnn_dbn.sample_sequence_deep`, tested per call or frame,
+and the CD-k Gibbs chain :func:`~growrbm.rbm._cd_chain`, tested once per
+call over one buffer of all its activations (:func:`_unclamped`).  Only
+where a test fails does a loop rerun on the clamped logistic and check
+for finiteness: the recursions through :func:`_logistic`, the chain
+through :func:`sigmoid`.
 """
 from __future__ import annotations
 

@@ -9,15 +9,21 @@ function, joint probabilities, log-likelihood and its gradient) live in
 
 :class:`Rbm` is the one layer type.  The recurrent layer and its
 gradient subclass :class:`Rbm` and :class:`RbmGradient` with more array
-fields, so copying, validation, gradient arithmetic and the update step
-(:func:`_apply_update`) are written once, over the fields in order.
-``HIDDEN`` names the per-hidden-unit arrays that growth and pruning edit.
+fields, so copying, validation and gradient arithmetic are written once.
+A layer's arrays, a gradient's and the gradient moments' are views into
+one C-ordered buffer each (:class:`Packed`), so the update step
+(:func:`_apply_update`) and the gradient sums work on whole buffers, not
+field by field; only the gradient norm sums per field, which rounds as
+a single sum would not.  ``HIDDEN`` names the per-hidden-unit arrays
+that growth and pruning edit.
 
 The CD-k Gibbs chain, :func:`_cd_chain`, also serves the recurrent
 model's BPTT-CD gradient.  It takes its uniforms pre-drawn, one block
 per Bernoulli draw in the order the chain consumes them, and both
 families draw those blocks the same way (:func:`_chain_uniforms`): one
-block of every row of the batch per chain step.
+block of every row of the batch per chain step.  It writes every
+activation into one buffer on bare ``expit``, tests the buffer once,
+and reruns on the guarded sigmoid only where the test fails.
 
 Conventions used throughout the package:
 
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import RngStream, sigmoid
+from .numerics import RngStream, _unclamped, expit, sigmoid
 
 
 @dataclass
@@ -53,13 +59,76 @@ class CdConfig:
             raise ValueError("batch size must be >= 1")
 
 
+class Packed:
+    """Dataclass mixin: every array field is a view into one C-ordered
+    float64 buffer, :attr:`buffer`, laid out in ``LAYOUT`` order (field
+    order when it is None), so one ufunc call on the buffer steps every
+    field.
+
+    Building an instance copies its arrays into a fresh buffer.
+    Assigning a field copies the value into its view, or, for a new
+    shape, repacks every field into a new buffer: either way the fields
+    stay views of the one buffer.
+    """
+
+    LAYOUT = None
+
+    def __post_init__(self):
+        self._pack(dict(vars(self)))
+
+    def __setattr__(self, name, value):
+        view = self.__dict__.get(name)
+        if view is None:  # a field set by ``__init__``
+            object.__setattr__(self, name, value)
+        elif np.shape(value) == view.shape:
+            view[...] = value
+        else:
+            self._pack({**vars(self), name: value})
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The buffer every field is a view of."""
+        return next(iter(vars(self).values())).base
+
+    @classmethod
+    def _on(cls, buffer: np.ndarray, like) -> "Packed":
+        """An instance whose fields are views into ``buffer``, which is
+        not copied, shaped as the arrays ``like`` in field order."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, like))
+        obj._view(buffer)
+        return obj
+
+    def _view(self, buffer: np.ndarray):
+        """Replace every field by a view into ``buffer`` of its shape."""
+        fields, offset = self.__dict__, 0
+        for name in self.LAYOUT or fields:
+            arr = fields[name]
+            end = offset + arr.size
+            fields[name] = buffer[offset:end].reshape(arr.shape)
+            offset = end
+
+    def _pack(self, arrays: dict):
+        """Copy ``arrays``, by field name, into a new buffer and view it.
+        The buffer is float64 unless an array needs a wider type."""
+        arrays = {k: np.asarray(a) for k, a in arrays.items()}
+        self.__dict__.update(arrays)
+        self._view(np.empty(sum(a.size for a in arrays.values()),
+                            np.result_type(np.float64, *arrays.values())))
+        for name, arr in arrays.items():
+            self.__dict__[name][...] = arr
+
+    def copy(self):
+        return self._on(self.buffer.copy(), vars(self).values())
+
+
 @dataclass
-class Rbm:
+class Rbm(Packed):
     """Model parameters: visible bias ``b``, hidden bias ``c``, weights ``W``.
 
-    The field order is the array order of :meth:`arrays`, gradients and
-    checkpoints.  ``HIDDEN`` arrays hold one entry per hidden unit on
-    their last axis.
+    The field order is the array order of :meth:`arrays`, of the layer's
+    buffer (:class:`Packed`), gradients and checkpoints.  ``HIDDEN``
+    arrays hold one entry per hidden unit on their last axis.
     """
 
     b: np.ndarray
@@ -93,9 +162,6 @@ class Rbm:
         return Rbm(np.zeros(n_visible), np.zeros(n_hidden),
                    np.zeros((n_visible, n_hidden)))
 
-    def copy(self):
-        return type(self)(*(arr.copy() for arr in vars(self).values()))
-
     def arrays(self) -> dict:
         """Every array by field name, in field order."""
         return dict(vars(self))
@@ -122,9 +188,9 @@ class Rbm:
 
 
 @dataclass
-class RbmGradient:
+class RbmGradient(Packed):
     """Ascent-direction gradients, one field per model array, in the
-    model's field order."""
+    model's field order, so the buffer is laid out as the model's."""
 
     db: np.ndarray
     dc: np.ndarray
@@ -132,17 +198,22 @@ class RbmGradient:
 
     @classmethod
     def zeros(cls, model: Rbm) -> "RbmGradient":
-        return cls(*map(np.zeros_like, vars(model).values()))
+        return cls._on(np.zeros(model.buffer.size), vars(model).values())
+
+    @classmethod
+    def empty(cls, model: Rbm) -> "RbmGradient":
+        """A gradient of ``model``'s shapes whose values are to be written."""
+        return cls._on(np.empty(model.buffer.size), vars(model).values())
 
     def add_(self, other: "RbmGradient") -> "RbmGradient":
-        """Add ``other`` in place, field by field."""
-        for name, arr in vars(other).items():
-            getattr(self, name).__iadd__(arr)
+        """Add ``other`` in place.  A static ``other`` adds into the
+        static fields of a recurrent gradient, which lead its buffer."""
+        part = self.buffer[:other.buffer.size]
+        part += other.buffer
         return self
 
     def scale_(self, s: float) -> "RbmGradient":
-        for arr in vars(self).values():
-            arr *= s
+        np.multiply(self.buffer, s, out=self.buffer)
         return self
 
     def norm(self) -> float:
@@ -157,9 +228,10 @@ class RbmGradient:
 
 
 def _apply_update(model: Rbm, g: RbmGradient, lr: float):
-    """Ascent step ``param += lr * grad`` on every array, in place."""
-    for arr, step in zip(vars(model).values(), vars(g).values()):
-        arr += lr * step
+    """Ascent step ``param += lr * grad`` on every array, in place, as
+    two calls on the buffers."""
+    params = model.buffer
+    params += lr * g.buffer
 
 
 def _check_last_dim(name: str, arr: np.ndarray, expected: int):
@@ -192,6 +264,12 @@ def _chain_uniforms(rng: RngStream, rows: int, rbm: Rbm, k: int) -> list:
     return [rng.uniform(size=(rows, w)) for w in widths]
 
 
+def _guarded(x: np.ndarray, out: np.ndarray):
+    """:func:`~growrbm.numerics.sigmoid` of ``x`` into ``out``: the
+    logistic of the chain's rerun, which refuses a non-finite input."""
+    out[...] = sigmoid(x)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     """The CD-k Gibbs chain from data rows ``v``; returns
@@ -203,15 +281,42 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     and a hidden sample per further step.  Intermediate states are
     sampled; the final visible state and the negative hidden statistics
     are probabilities, to cut sampling noise.
+
+    Every activation of the chain is written into one buffer, cut into
+    ``(rows, width)`` views by plain slices, on bare ``expit``; one range
+    test of the buffer (:func:`~growrbm.numerics._unclamped`) stands for
+    the guard.  Only where it fails does the whole chain rerun on the
+    guarded sigmoid, which clamps as it always did and raises its error
+    on a non-finite pre-activation.
     """
-    h_data = sigmoid(v @ W + c)
-    h = (uniforms[0] < h_data).astype(np.float64)
-    v_prob = sigmoid(h @ W.T + b)
-    for u_v, u_h in zip(uniforms[1::2], uniforms[2::2]):
-        v = (u_v < v_prob).astype(np.float64)
-        h = (u_h < sigmoid(v @ W + c)).astype(np.float64)
-        v_prob = sigmoid(h @ W.T + b)
-    return h_data, v_prob, sigmoid(v_prob @ W + c)
+    rows, (i, j) = v.shape[0], W.shape
+    act = np.empty(rows * (j + (i + j) * len(uniforms[::2])))
+    acts, start = [], 0
+    for width in [j] + [i, j] * len(uniforms[::2]):
+        acts.append(act[start:start + rows * width].reshape(rows, width))
+        start += rows * width
+    for logistic in (expit, _guarded):
+        out = iter(acts)
+        h_data = _conditional(v, W, c, next(out), logistic)
+        h = (uniforms[0] < h_data).astype(np.float64)
+        v_prob = _conditional(h, W.T, b, next(out), logistic)
+        for u_v, u_h in zip(uniforms[1::2], uniforms[2::2]):
+            v_k = (u_v < v_prob).astype(np.float64)
+            h = (u_h < _conditional(v_k, W, c, next(out), logistic)
+                 ).astype(np.float64)
+            v_prob = _conditional(h, W.T, b, next(out), logistic)
+        h_model = _conditional(v_prob, W, c, next(out), logistic)
+        if logistic is expit and _unclamped(act):
+            break
+    return h_data, v_prob, h_model
+
+
+def _conditional(x, M, bias, out, logistic) -> np.ndarray:
+    """``logistic(x @ M + bias)`` of the chain, written into ``out``."""
+    np.matmul(x, M, out=out)
+    out += bias
+    logistic(out, out)
+    return out
 
 
 def cd_step(rbm: Rbm, batch, cfg: CdConfig,
@@ -238,6 +343,8 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
     h_data, v_prob, h_model = _cd_chain(
         rbm.W, rbm.b, rbm.c, batch, _chain_uniforms(rng, n, rbm, cfg.k))
     h_mean = h_data.sum(axis=0) / n
-    db = batch.sum(axis=0) / n - v_prob.sum(axis=0) / n
-    dW = (batch.T @ h_data - v_prob.T @ h_model) / n
-    return RbmGradient(db, h_mean - h_model.sum(axis=0) / n, dW), h_mean
+    g = RbmGradient.empty(rbm)
+    np.subtract(batch.sum(axis=0) / n, v_prob.sum(axis=0) / n, out=g.db)
+    np.subtract(h_mean, h_model.sum(axis=0) / n, out=g.dc)
+    np.divide(batch.T @ h_data - v_prob.T @ h_model, n, out=g.dW)
+    return g, h_mean

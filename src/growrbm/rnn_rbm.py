@@ -34,12 +34,14 @@ chain's uniforms as :func:`~growrbm.rbm.cd_step` on ``R`` rows does, one
 its place in the batch, whatever its group (:func:`bptt_gradients`).
 
 Prediction, evaluation and sampling belong to :mod:`~growrbm.rnn_dbn`,
-which reads a recurrent RBM as a one-layer stack.  Only :func:`unroll`
-runs bare ``expit`` with one range test per call; every other pass goes
-through the guarded sigmoid (the rule of :mod:`~growrbm.numerics`).
+which reads a recurrent RBM as a one-layer stack.  Two loops of this
+module run bare ``expit`` with one range test per call, :func:`unroll`
+and the shared CD-k chain; every other pass goes through the guarded
+sigmoid (the rule of :mod:`~growrbm.numerics`).
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
-it is copied, validated, updated and checkpointed by the static code.
+it is copied, validated, updated and checkpointed by the static code,
+and its arrays, like its gradient's, are views into one buffer.
 Its ``HIDDEN`` adds ``w_uh`` to ``c`` and ``W``: the shared growth and
 pruning sweeps of :mod:`~growrbm.adapt` resize ``w_uh`` in lockstep, so
 the temporal bias keeps one column per hidden unit, and a split unit's
@@ -233,10 +235,17 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
         GA[..., t, :] = gu * slope[..., t, :]
         gu = direct[..., t, :] + GA[..., t, :] @ model.w_uu.T
     U_prev, DB, DC, GA = _rows(U[..., :-1, :]), _rows(DB), _rows(DC), _rows(GA)
-    return RnnRbmGradient(
-        db=DB.sum(axis=0), dc=DC.sum(axis=0), dW=dW_sum, du=GA.sum(axis=0),
-        dw_uv=U_prev.T @ DB, dw_uh=U_prev.T @ DC, dw_vu=_rows(seq).T @ GA,
-        dw_uu=U_prev.T @ GA, du0=_rows(gu).sum(axis=0))
+    g = RnnRbmGradient.empty(model)
+    DB.sum(axis=0, out=g.db)
+    DC.sum(axis=0, out=g.dc)
+    g.dW[...] = dW_sum
+    GA.sum(axis=0, out=g.du)
+    np.matmul(U_prev.T, DB, out=g.dw_uv)
+    np.matmul(U_prev.T, DC, out=g.dw_uh)
+    np.matmul(_rows(seq).T, GA, out=g.dw_vu)
+    np.matmul(U_prev.T, GA, out=g.dw_uu)
+    _rows(gu).sum(axis=0, out=g.du0)
+    return g
 
 
 def _length_groups(model: RnnRbm, sequences):

@@ -48,7 +48,7 @@ class TestGradientStats:
         for _ in range(40):
             dc = rng.normal(size=3)
             dw = rng.normal(size=(2, 3))
-            stats.update(dc, dw, lam)
+            stats.update(RbmGradient(np.zeros(2), dc, dw), lam)
             m_c = lam * m_c + (1 - lam) * dc
             s_c = lam * s_c + (1 - lam) * dc ** 2
             m_w = lam * m_w + (1 - lam) * dw
@@ -65,7 +65,7 @@ class TestGradientStats:
         g_c = np.array([0.3, -0.7])
         g_w = np.array([[0.1, 0.2]])
         for _ in range(300):
-            stats.update(g_c, g_w, 0.9)
+            stats.update(RbmGradient(np.zeros(1), g_c, g_w), 0.9)
         assert stats.var_c().max() < 1e-6
         assert stats.var_w().max() < 1e-6
 
@@ -76,7 +76,8 @@ class TestGradientStats:
         g = 0.5
         for t in range(500):
             sign = 1.0 if t % 2 == 0 else -1.0
-            stats.update(np.array([sign * g]), np.array([[sign * g]]), 0.9)
+            stats.update(RbmGradient(np.zeros(1), np.array([sign * g]),
+                                     np.array([[sign * g]])), 0.9)
         # limit of the mean oscillates within (1-lam)/(1+lam) of g
         assert stats.var_c()[0] == pytest.approx(
             g ** 2 * (1 - ((1 - 0.9) / (1 + 0.9)) ** 2), rel=0.05)
@@ -89,7 +90,8 @@ class TestGradientStats:
     def test_shape_mismatch_raises(self):
         stats = GradientStats.zeros(2, 2)
         with pytest.raises(ValueError):
-            stats.update(np.zeros(3), np.zeros((2, 2)), 0.9)
+            stats.update(RbmGradient(np.zeros(2), np.zeros(3),
+                                     np.zeros((2, 2))), 0.9)
 
     def test_insert_and_remove_roundtrip_layout(self):
         stats = GradientStats.zeros(2, 3)

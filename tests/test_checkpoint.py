@@ -16,7 +16,7 @@ from growrbm.errors import (CheckpointDimensionError, CheckpointError,
                             CheckpointTruncatedError, CheckpointVersionError)
 from growrbm.log import TrainLog
 from growrbm.numerics import RngStream
-from growrbm.rbm import CdConfig, Rbm
+from growrbm.rbm import CdConfig, Rbm, RbmGradient
 from growrbm.rnn_dbn import RnnDbn
 from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
 
@@ -125,7 +125,8 @@ class TestTrainStateRoundTrip:
         stats = GradientStats.zeros(3, 2)
         rng = RngStream(9)
         for _ in range(5):
-            stats.update(rng.normal(size=2), rng.normal(size=(3, 2)), 0.8)
+            stats.update(RbmGradient(np.zeros(3), rng.normal(size=2),
+                                     rng.normal(size=(3, 2))), 0.8)
         return TrainState(epoch_done=4, model=rbm_model(), stats=stats,
                           stall=1)
 

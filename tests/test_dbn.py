@@ -17,7 +17,8 @@ from growrbm.exact import energy, log_likelihood_exact
 from growrbm.log import LogRow
 from growrbm.metrics import cross_entropy_per_bit
 from growrbm.numerics import RngStream
-from growrbm.rbm import CdConfig, Rbm, hidden_conditional, visible_conditional
+from growrbm.rbm import (CdConfig, Rbm, RbmGradient, hidden_conditional,
+                         visible_conditional)
 from growrbm.rnn_rbm import train_adaptive_rnn_rbm
 from references import mean_field_metrics
 
@@ -112,7 +113,8 @@ class TestLayerTotals:
         g_c = np.array([0.1, -0.2])
         g_w = np.array([[0.3, 0.0], [0.0, -0.1]])
         for _ in range(400):
-            stats.update(g_c, g_w, 0.9)  # constant stream: variance -> 0
+            # constant stream: variance -> 0
+            stats.update(RbmGradient(np.zeros(2), g_c, g_w), 0.9)
         totals = layer_totals(rbm, stats, np.array([[1.0, 0.0]]))
         assert totals.wd < 1e-6
 
@@ -139,7 +141,8 @@ class TestLayerTotals:
         stats = GradientStats.zeros(2, 2)
         rng = RngStream(21)
         for _ in range(50):
-            stats.update(rng.normal(size=2), rng.normal(size=(2, 2)), 0.9)
+            stats.update(RbmGradient(np.zeros(2), rng.normal(size=2),
+                                     rng.normal(size=(2, 2))), 0.9)
         totals = layer_totals(rbm, stats, np.array([[0.0, 1.0]]))
         assert totals.wd == stats.var_c().sum() + stats.var_w().sum()
 

@@ -17,7 +17,7 @@ from growrbm.exact import (log_likelihood_exact, sequence_cost_exact,
 from growrbm.log import LogRow, TrainLog
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
-from growrbm.rbm import CdConfig, Rbm, cd_step
+from growrbm.rbm import CdConfig, Rbm, RbmGradient, cd_step
 from growrbm.rnn_dbn import (RnnDbn, next_frame_predictions_deep,
                              predict_next_deep, sample_sequence_deep)
 from growrbm.rnn_rbm import (LengthGroups, RnnRbm, RnnRbmGradient,
@@ -60,7 +60,8 @@ def grown_model(model, seed):
     stats = GradientStats.zeros(i, j)
     for step in range(40):
         sign = 1.0 if step % 2 == 0 else -1.0
-        stats.update(np.full(j, sign), np.full((i, j), sign), 0.9)
+        stats.update(RbmGradient(np.zeros(i), np.full(j, sign),
+                                 np.full((i, j), sign)), 0.9)
     adapt = AdaptConfig(generation_phase_epochs=1, max_hidden=2 * j,
                         gen_threshold=1e-6)
     grown, _, parents = maybe_generate(model, stats, adapt, RngStream(seed))
@@ -745,7 +746,7 @@ class TestStructuralEdits:
             s = 1.0 if step % 2 == 0 else -1.0
             g_c[unit] = s
             g_w[:, unit] = s
-            stats.update(g_c, g_w, 0.9)
+            stats.update(RbmGradient(np.zeros(i), g_c, g_w), 0.9)
         return stats
 
     def test_grow_inserts_aligned_column(self):
@@ -978,7 +979,7 @@ class TestTrainer:
                 g, acts = bptt_gradients(want, batch, cd, ep.split(bi + 1))
                 for mode in modes:
                     add_forgetting_(g, want, mode, forget, acts)
-                want_stats.update(g.dc, g.dW, STATS_DECAY)
+                want_stats.update(g, STATS_DECAY)
                 rnn_rbm._clipped_update(want, g, cd.learning_rate)
             energy, error = LengthGroups.of(want, seqs).metrics(want)
             want_log.append(LogRow(
