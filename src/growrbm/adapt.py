@@ -121,8 +121,9 @@ class GradientStats(Packed):
 
     @classmethod
     def zeros(cls, n_visible: int, n_hidden: int) -> "GradientStats":
-        c, w = np.zeros(n_hidden), np.zeros((n_visible, n_hidden))
-        return cls(c, c, w, w)
+        w = (n_visible, n_hidden)
+        return cls(np.zeros(n_hidden), np.zeros(n_hidden), np.zeros(w),
+                   np.zeros(w))
 
     def update(self, g: RbmGradient, lam: float):
         """Decay the moments by ``lam`` towards the gradient's ``dc`` and

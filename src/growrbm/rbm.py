@@ -63,7 +63,8 @@ class Packed:
     """Dataclass mixin: every array field is a view into one C-ordered
     float64 buffer, :attr:`buffer`, laid out in ``LAYOUT`` order (field
     order when it is None), so one ufunc call on the buffer steps every
-    field.
+    field.  The buffer sits in a slot, outside ``vars()``, which holds
+    the fields alone.
 
     Building an instance copies its arrays into a fresh buffer.
     Assigning a field copies the value into its view, or, for a new
@@ -71,6 +72,7 @@ class Packed:
     stay views of the one buffer.
     """
 
+    __slots__ = ("buffer",)
     LAYOUT = None
 
     def __post_init__(self):
@@ -84,11 +86,6 @@ class Packed:
             view[...] = value
         else:
             self._pack({**vars(self), name: value})
-
-    @property
-    def buffer(self) -> np.ndarray:
-        """The buffer every field is a view of."""
-        return next(iter(vars(self).values())).base
 
     @classmethod
     def _on(cls, buffer: np.ndarray, like) -> "Packed":
@@ -107,6 +104,7 @@ class Packed:
             end = offset + arr.size
             fields[name] = buffer[offset:end].reshape(arr.shape)
             offset = end
+        object.__setattr__(self, "buffer", buffer)
 
     def _pack(self, arrays: dict):
         """Copy ``arrays``, by field name, into a new buffer and view it.
@@ -208,12 +206,12 @@ class RbmGradient(Packed):
     def add_(self, other: "RbmGradient") -> "RbmGradient":
         """Add ``other`` in place.  A static ``other`` adds into the
         static fields of a recurrent gradient, which lead its buffer."""
-        part = self.buffer[:other.buffer.size]
-        part += other.buffer
+        self.buffer[:other.buffer.size] += other.buffer
         return self
 
     def scale_(self, s: float) -> "RbmGradient":
-        np.multiply(self.buffer, s, out=self.buffer)
+        values = self.buffer
+        values *= s
         return self
 
     def norm(self) -> float:

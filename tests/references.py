@@ -77,6 +77,22 @@ def reference_cd_step(rbm, batch, cfg, rng):
                        (batch.T @ h_data - v_prob.T @ h_model) / n)
 
 
+# pins rbm._cd_chain, which runs bare expit into one buffer and reruns
+# on the guarded sigmoid only where its range test fails
+def reference_cd_chain(W, b, c, v, uniforms):
+    """The CD-k chain on the guarded sigmoid throughout, as a fresh array
+    per activation; returns ``(h_data, v_prob, h_model)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_data = sigmoid(v @ W + c)
+        h = (uniforms[0] < h_data).astype(np.float64)
+        v_prob = sigmoid(h @ W.T + b)
+        for u_v, u_h in zip(uniforms[1::2], uniforms[2::2]):
+            v = (u_v < v_prob).astype(np.float64)
+            h = (u_h < sigmoid(v @ W + c)).astype(np.float64)
+            v_prob = sigmoid(h @ W.T + b)
+        return h_data, v_prob, sigmoid(v_prob @ W + c)
+
+
 # the biases rnn_rbm.unroll gives a frame, one state at a time
 def reference_frame_biases(model, u_prev):
     """Visible and hidden biases of the frame after state ``u_prev``."""

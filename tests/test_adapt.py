@@ -6,13 +6,15 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growrbm import adapt as adapt_module
+from growrbm import adapt as adapt_module, dbn as dbn_module
+from growrbm import rnn_rbm as rnn_rbm_module
 from growrbm.adapt import (STALL_LIMIT, AdaptConfig, ForgettingConfig,
                            GradientStats, add_forgetting_,
                            apply_annihilation, forgetting_modes,
                            generation_scores, insert_after,
                            mask_from_activations, maybe_generate,
                            structure_phase)
+from growrbm.checkpoint import load_train_state, save_train_state
 from growrbm.errors import StructureError
 from growrbm.dbn import train_adaptive_rbm
 from growrbm.exact import free_energy, log_partition_exact
@@ -592,6 +594,102 @@ class TestSweepLayout:
         model, stats = apply_annihilation(
             model, stats, np.array([True, False, False, True, False]))
         assert_c_ordered(model, stats)
+
+
+def assert_packed(obj):
+    """Every array of ``obj`` is a C-contiguous view into its one buffer,
+    and the views tile the buffer in layout order."""
+    buffer = obj.buffer
+    assert buffer.dtype == np.float64 and buffer.flags.owndata
+    start, offset = buffer.__array_interface__["data"][0], 0
+    for name in type(obj).LAYOUT or vars(obj):
+        arr = getattr(obj, name)
+        assert arr.base is buffer and arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] == start + 8 * offset, name
+        offset += arr.size
+    assert offset == buffer.size
+
+
+class TestPacking:
+    """Each layer, gradient and set of moments lives in one buffer, so the
+    update step reaches every array through it."""
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["rbm", "rnn-rbm"])
+    def test_trainer_steps_packed_arrays(self, monkeypatch, tmp_path,
+                                         recurrent):
+        # the trainer's layer and gradient at every update, and its moments
+        # at every moment update, through growth, pruning and a resume
+        rng = RngStream(41)
+        seqs = [(rng.uniform(size=(6, 4)) < 0.5).astype(float)
+                for _ in range(8)]
+        module, name = ((rnn_rbm_module, "_clipped_update") if recurrent
+                        else (dbn_module, "_apply_update"))
+        real_step, real_update, steps = getattr(module, name), \
+            GradientStats.update, []
+
+        def step(model, g, lr):
+            assert_packed(model)
+            assert_packed(g)
+            steps.append(model.n_hidden)
+            real_step(model, g, lr)
+
+        def update(stats, g, lam):
+            assert_packed(stats)
+            real_update(stats, g, lam)
+
+        monkeypatch.setattr(module, name, step)
+        monkeypatch.setattr(GradientStats, "update", update)
+        train, data = ((train_adaptive_rnn_rbm, seqs) if recurrent
+                       else (train_adaptive_rbm, np.vstack(seqs)))
+        cd = CdConfig(k=2, learning_rate=0.2, batch_size=4)
+        adapt = adapt_cfg(generation_phase_epochs=3, max_hidden=6,
+                          gen_threshold=1e-12, ann_threshold=0.6)
+        states = []
+        model, stats, log = train(data, 3, cd, 8, RngStream(9), adapt=adapt,
+                                  epoch_callback=states.append)
+        assert "gen(" in log.csv_text() and "ann(" in log.csv_text()
+        assert len(set(steps)) > 1  # the layer changed size in training
+        for obj in [model, stats] + [getattr(s, part) for s in states
+                                     for part in ("model", "stats")]:
+            assert_packed(obj)
+        save_train_state(tmp_path / "state.ckpt", states[4])
+        state, _ = load_train_state(tmp_path / "state.ckpt")
+        assert_packed(state.model)
+        assert_packed(state.stats)
+        steps.clear()
+        train(data, 3, cd, 8, RngStream(9), adapt=adapt, resume=state)
+        assert steps
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["rbm", "rnn-rbm"])
+    def test_sweeps_copies_and_field_writes_stay_packed(self, recurrent):
+        rng = RngStream(43)
+        model = RnnRbm.random(3, 4, rng.split(0), u_dim=2, weight_sd=1.0)
+        if not recurrent:
+            model = Rbm(model.b, model.c, model.W)
+        stats = GradientStats.zeros(3, 4)
+        stats.sq_c[:] = [1.0, 0.0, 1.0, 0.0]
+        stats.sq_w[:] = 1.0
+        family = RnnRbmGradient if recurrent else RbmGradient
+        objects = [model, model.copy(), stats, stats.copy(),
+                   family.zeros(model)]
+        grown, grown_stats, parents = maybe_generate(
+            model, stats, adapt_cfg(gen_threshold=0.5), rng.split(1))
+        assert parents == [0, 2]
+        pruned, pruned_stats = apply_annihilation(
+            grown, grown_stats, np.array([False, True, True, False, False,
+                                          False]))
+        objects += [grown, grown_stats, pruned, pruned_stats]
+        for obj in objects:
+            assert_packed(obj)
+        # a write of the same shape lands in the view; a new shape repacks
+        view = pruned.W
+        pruned.W = np.ones_like(view)
+        assert pruned.W is view and (view == 1.0).all()
+        pruned.c = np.zeros(7)
+        assert_packed(pruned)
+        assert pruned.c.shape == (7,) and (pruned.W == 1.0).all()
 
 
 class TestGrowPruneRoundTrip:

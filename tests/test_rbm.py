@@ -6,12 +6,14 @@ are checked against central finite differences of the exact
 log-likelihood.
 """
 import itertools
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from growrbm import rbm as rbm_module, rnn_rbm
 from growrbm.errors import CapacityError, DimensionError
 from growrbm.exact import (energy, free_energy, log_likelihood_exact,
                            log_likelihood_gradient_exact, log_partition_exact,
@@ -19,7 +21,8 @@ from growrbm.exact import (energy, free_energy, log_likelihood_exact,
 from growrbm.numerics import RngStream
 from growrbm.rbm import (CdConfig, Rbm, cd_step, hidden_conditional,
                          visible_conditional)
-from references import reference_cd_step
+from growrbm.rnn_rbm import RnnRbm, bptt_gradients
+from references import reference_cd_chain, reference_cd_step
 
 
 def naive_energy(rbm, v, h):
@@ -406,6 +409,87 @@ class TestCdStep:
             cd_step(rbm, np.zeros((0, 2)), CdConfig(), RngStream(0))
         with pytest.raises(DimensionError):
             cd_step(rbm, np.zeros((1, 3)), CdConfig(), RngStream(0))
+
+
+def saturating_layer(seed):
+    """A recurrent layer of 1-6 visible and hidden units with weight sd 8,
+    12 or 20, and its static part: some pre-activations of the CD chain
+    pass 36.74, where bare ``expit`` rounds to 1, while all stay finite."""
+    rng = RngStream(seed)
+    layer = RnnRbm.random(1 + rng.integers(6), 1 + rng.integers(6),
+                          rng.split(0), u_dim=1 + rng.integers(4),
+                          weight_sd=(8.0, 12.0, 20.0)[seed % 3])
+    return layer, Rbm(layer.b, layer.c, layer.W)
+
+
+class TestGuardedChain:
+    """The CD chain on bare ``expit`` with one range test, against
+    :func:`reference_cd_chain` on the guarded sigmoid throughout, through
+    both gradients that run it."""
+
+    @staticmethod
+    def gradients(seed):
+        """``[(gradient, h_mean)]`` of a saturating layer's ``cd_step`` on
+        one batch and ``bptt_gradients`` on one ragged batch."""
+        layer, static = saturating_layer(seed)
+        rng = RngStream(1000 + seed)
+        cfg = CdConfig(k=1 + rng.integers(3))
+        rows = (rng.uniform(size=(1 + rng.integers(20), layer.n_visible))
+                < 0.5).astype(float)
+        seqs = [rng.uniform(size=(t, layer.n_visible)) for t in (5, 2, 5)]
+        return [cd_step(static, rows, cfg, RngStream(seed)),
+                bptt_gradients(layer, seqs, cfg, RngStream(seed))]
+
+    def test_rerun_equals_guarded_reference_bit_for_bit(self, monkeypatch):
+        real, calls, reran = rbm_module._guarded, [], []
+
+        def guarded(x, out):
+            calls.append(1)
+            real(x, out)
+
+        monkeypatch.setattr(rbm_module, "_guarded", guarded)
+        for seed in range(60):
+            before = len(calls)
+            got = self.gradients(seed)
+            reran.append(len(calls) > before)
+            with monkeypatch.context() as patch:
+                for module in (rbm_module, rnn_rbm):
+                    patch.setattr(module, "_cd_chain", reference_cd_chain)
+                want = self.gradients(seed)
+            for (g, h), (g_ref, h_ref) in zip(got, want):
+                assert h.tobytes() == h_ref.tobytes()
+                for name, arr in vars(g_ref).items():
+                    assert getattr(g, name).tobytes() == arr.tobytes(), name
+        # both paths run: some chains saturate and rerun, others do not
+        assert 20 <= sum(reran) <= 50
+
+    @pytest.mark.parametrize("fill", [1e308, -1e308])
+    @pytest.mark.parametrize("family", ["cd_step", "bptt_gradients"])
+    def test_non_finite_pre_activation_raises_the_guarded_error(
+            self, monkeypatch, family, fill):
+        # rows of ones overflow the hidden pre-activations to inf or -inf
+        layer = RnnRbm.random(3, 2, RngStream(5), u_dim=2)
+        layer.W[:] = fill
+        rows = np.ones((4, 3))
+        if family == "cd_step":
+            def run():
+                return cd_step(Rbm(layer.b, layer.c, layer.W), rows,
+                               CdConfig(k=2), RngStream(6))
+        else:
+            def run():
+                return bptt_gradients(layer, [rows, rows[:1]], CdConfig(k=2),
+                                      RngStream(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="^sigmoid: non-finite input$"):
+                run()
+            with monkeypatch.context() as patch:
+                for module in (rbm_module, rnn_rbm):
+                    patch.setattr(module, "_cd_chain", reference_cd_chain)
+                with pytest.raises(FloatingPointError,
+                                   match="^sigmoid: non-finite input$"):
+                    run()
 
 
 class TestConfigValidation:
