@@ -210,8 +210,7 @@ class RbmGradient(Packed):
         return self
 
     def scale_(self, s: float) -> "RbmGradient":
-        values = self.buffer
-        values *= s
+        self.buffer *= s
         return self
 
     def norm(self) -> float:
@@ -228,8 +227,7 @@ class RbmGradient(Packed):
 def _apply_update(model: Rbm, g: RbmGradient, lr: float):
     """Ascent step ``param += lr * grad`` on every array, in place, as
     two calls on the buffers."""
-    params = model.buffer
-    params += lr * g.buffer
+    model.buffer += lr * g.buffer
 
 
 def _check_last_dim(name: str, arr: np.ndarray, expected: int):
@@ -271,7 +269,9 @@ def _guarded(x: np.ndarray, out: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     """The CD-k Gibbs chain from data rows ``v``; returns
-    ``(h_data, v_prob, h_model)``.
+    ``(hidden, v_prob)``, where ``hidden`` stacks the data's hidden
+    conditionals ``h_data`` and the negative statistics ``h_model`` as
+    ``(2, rows, J)``, so one reduction gives both batch means.
 
     ``b`` and ``c`` are bias vectors or one bias row per data row.
     ``uniforms`` holds one block per Bernoulli draw, as
@@ -281,32 +281,34 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     are probabilities, to cut sampling noise.
 
     Every activation of the chain is written into one buffer, cut into
-    ``(rows, width)`` views by plain slices, on bare ``expit``; one range
-    test of the buffer (:func:`~growrbm.numerics._unclamped`) stands for
-    the guard.  Only where it fails does the whole chain rerun on the
-    guarded sigmoid, which clamps as it always did and raises its error
-    on a non-finite pre-activation.
+    views by plain slices, on bare ``expit``; one range test of the
+    buffer (:func:`~growrbm.numerics._unclamped`) stands for the guard.
+    Only where it fails does the whole chain rerun on the guarded
+    sigmoid, which clamps as it always did and raises its error on a
+    non-finite pre-activation.
     """
-    rows, (i, j) = v.shape[0], W.shape
-    act = np.empty(rows * (j + (i + j) * len(uniforms[::2])))
-    acts, start = [], 0
-    for width in [j] + [i, j] * len(uniforms[::2]):
+    rows, (i, j), k = v.shape[0], W.shape, len(uniforms[::2])
+    act = np.empty(rows * (j + (i + j) * k))
+    hidden = act[:2 * rows * j].reshape(2, rows, j)
+    acts, start = [hidden[0]], 2 * rows * j
+    for width in [i, j] * (k - 1) + [i]:
         acts.append(act[start:start + rows * width].reshape(rows, width))
         start += rows * width
+    acts.append(hidden[1])
     for logistic in (expit, _guarded):
         out = iter(acts)
-        h_data = _conditional(v, W, c, next(out), logistic)
-        h = (uniforms[0] < h_data).astype(np.float64)
+        h = (uniforms[0] < _conditional(v, W, c, next(out), logistic)
+             ).astype(np.float64)
         v_prob = _conditional(h, W.T, b, next(out), logistic)
         for u_v, u_h in zip(uniforms[1::2], uniforms[2::2]):
             v_k = (u_v < v_prob).astype(np.float64)
             h = (u_h < _conditional(v_k, W, c, next(out), logistic)
                  ).astype(np.float64)
             v_prob = _conditional(h, W.T, b, next(out), logistic)
-        h_model = _conditional(v_prob, W, c, next(out), logistic)
+        _conditional(v_prob, W, c, next(out), logistic)
         if logistic is expit and _unclamped(act):
             break
-    return h_data, v_prob, h_model
+    return hidden, v_prob
 
 
 def _conditional(x, M, bias, out, logistic) -> np.ndarray:
@@ -327,7 +329,7 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
     ones come from :func:`_cd_chain`, whose uniform blocks are drawn from
     ``rng`` in chain order.  Visible inputs may be probabilities in
     [0, 1] (stacked-layer training feeds activations).  The batch means
-    are written ``x.sum(axis=0) / n``: the reduction and division
+    are sums over the rows divided by ``n``: the reduction and division
     ``np.mean`` performs, bit for bit, without its per-call wrapper cost.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -338,11 +340,11 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
         raise ValueError("visible batch values must lie in [0, 1]")
 
     n = batch.shape[0]
-    h_data, v_prob, h_model = _cd_chain(
+    hidden, v_prob = _cd_chain(
         rbm.W, rbm.b, rbm.c, batch, _chain_uniforms(rng, n, rbm, cfg.k))
-    h_mean = h_data.sum(axis=0) / n
+    h_mean, h_model_mean = hidden.sum(axis=1) / n
     g = RbmGradient.empty(rbm)
     np.subtract(batch.sum(axis=0) / n, v_prob.sum(axis=0) / n, out=g.db)
-    np.subtract(h_mean, h_model.sum(axis=0) / n, out=g.dc)
-    np.divide(batch.T @ h_data - v_prob.T @ h_model, n, out=g.dW)
+    np.subtract(h_mean, h_model_mean, out=g.dc)
+    np.divide(batch.T @ hidden[0] - v_prob.T @ hidden[1], n, out=g.dW)
     return g, h_mean

@@ -336,8 +336,8 @@ def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray,
         raise ValueError("visible batch values must lie in [0, 1]")
     U, B, C = unroll(model, seqs)
     V = _rows(seqs)
-    h_data, v_prob, h_model = _cd_chain(model.W, _rows(B), _rows(C), V,
-                                        uniforms)
+    (h_data, h_model), v_prob = _cd_chain(model.W, _rows(B), _rows(C), V,
+                                          uniforms)
     dW = V.T @ h_data - v_prob.T @ h_model
     return _chain_through_state(
         model, seqs, U, (V - v_prob).reshape(seqs.shape),

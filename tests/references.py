@@ -81,7 +81,7 @@ def reference_cd_step(rbm, batch, cfg, rng):
 # on the guarded sigmoid only where its range test fails
 def reference_cd_chain(W, b, c, v, uniforms):
     """The CD-k chain on the guarded sigmoid throughout, as a fresh array
-    per activation; returns ``(h_data, v_prob, h_model)``."""
+    per activation; returns ``(np.stack([h_data, h_model]), v_prob)``."""
     with np.errstate(over="ignore", invalid="ignore"):
         h_data = sigmoid(v @ W + c)
         h = (uniforms[0] < h_data).astype(np.float64)
@@ -90,7 +90,7 @@ def reference_cd_chain(W, b, c, v, uniforms):
             v = (u_v < v_prob).astype(np.float64)
             h = (u_h < sigmoid(v @ W + c)).astype(np.float64)
             v_prob = sigmoid(h @ W.T + b)
-        return h_data, v_prob, sigmoid(v_prob @ W + c)
+        return np.stack([h_data, sigmoid(v_prob @ W + c)]), v_prob
 
 
 # the biases rnn_rbm.unroll gives a frame, one state at a time
