@@ -288,6 +288,8 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     non-finite pre-activation.
     """
     rows, (i, j), k = v.shape[0], W.shape, len(uniforms[::2])
+    # the first and last hidden activations lead the buffer as one block;
+    # the others follow in the order the chain makes them
     act = np.empty(rows * (j + (i + j) * k))
     hidden = act[:2 * rows * j].reshape(2, rows, j)
     acts, start = [hidden[0]], 2 * rows * j
