@@ -7,8 +7,12 @@ line gives a model kind, the first 16 hex digits of the sha256 of its
 layer events in the log.  The two recurrent adaptive kinds also gate the
 read path: a second line gives the ``run_eval`` scores (``repr``) of the
 trained checkpoint on a fixed held-out set of mixed sequence lengths,
-and the sha256 prefix of the file one ``run_sample`` call of
-``SAMPLE_LENGTH`` frames writes.  The trained stacks have small weights,
+and the sha256 prefixes of the file one ``run_sample`` call of
+``SAMPLE_LENGTH`` frames writes and of the float64 bytes of the
+marginals each of its frames is drawn from, which the script records by
+wrapping the sampler's draw (:func:`recorded_marginals`), so a change
+to the marginals shows even where it flips no draw.  Every sample below
+gives both prefixes.  The trained stacks have small weights,
 which can hide a rounding change, so a ``deep stack`` line gates the
 read path on the shape the ``deep_serve`` benchmark serves: a 3-layer
 8->10->8->6 stack of ``RnnRbm.random`` layers (``u_dim`` 8, weight sd
@@ -18,9 +22,10 @@ prefix of the float64 bytes of ``predict_next_deep`` on every prefix
 (lengths ``0..T``) of every held-out sequence, in file order.  A
 ``saturated stack`` line gates the guarded reruns of the two
 frame-by-frame recursions on the same stack with the arrays of
-``SATURATED_SCALES`` scaled up, so that state pre-activations pass 36.74
+``SATURATED_SCALES`` scaled up, so that pre-activations pass 36.74
 (where ``expit`` rounds to 1) but stay finite: the sampler's first range
-test fails at frame 2 (seed 11) and 16 (seed 12).  It gives the samples
+test fails at frame 2 (seed 11) and 3 (seed 12), and its marginals move
+if it does not rerun or does not restore the states before a rerun.  It gives the samples
 at the two seeds and the sha256 prefix of the float64 bytes of the
 states ``unroll`` gives each layer on each sample lifted to it.  The
 single-layer adaptive kinds also gate resume: a ``resume`` line trains
@@ -52,6 +57,7 @@ Uses the standard library, ``git`` and ``growrbm`` only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -63,6 +69,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+from growrbm import rnn_dbn
 from growrbm.checkpoint import (load_train_state, save_checkpoint,
                                 save_train_state)
 from growrbm.config import parse_config_text
@@ -107,8 +114,9 @@ DEEP_WEIGHT_SD = 0.5
 DEEP_SEED = 7
 DEEP_SAMPLE_SEEDS = (11, 12)
 # the saturated stack: the deep stack with these arrays scaled in every
-# layer, so that its states saturate and steer its marginals
-SATURATED_SCALES = {"w_vu": 12.0, "w_uv": 5.0, "w_uh": 5.0}
+# layer, so that its states and activations saturate and steer its
+# marginals
+SATURATED_SCALES = {"w_vu": 12.0, "w_uv": 5.0, "w_uh": 5.0, "W": 5.0}
 
 
 def config_text(model: str, adaptive: bool, epochs: int, lr: float, k: int,
@@ -149,16 +157,41 @@ def deep_stack() -> RnnDbn:
         for i, (n_v, n_h) in enumerate(zip(DEEP_WIDTHS, DEEP_WIDTHS[1:]))])
 
 
+@contextlib.contextmanager
+def recorded_marginals():
+    """While open, the sampler's draw feeds the float64 bytes of every
+    marginal it draws from to the sha256 object this yields."""
+    digest, draw = hashlib.sha256(), rnn_dbn.sample_bernoulli
+
+    def recording(p, rng):
+        digest.update(p.tobytes())
+        return draw(p, rng)
+
+    rnn_dbn.sample_bernoulli = recording
+    try:
+        yield digest
+    finally:
+        rnn_dbn.sample_bernoulli = draw
+
+
+def sampled(ckpt: Path, seed: int, out: Path):
+    """``run_sample`` of ``SAMPLE_LENGTH`` frames into ``out``: the frames,
+    and the hash prefixes of the file and of the marginals."""
+    with recorded_marginals() as marginals:
+        frames = run_sample(ckpt, SAMPLE_LENGTH, seed, out)
+    return frames, f"{sha(out)} marginals {marginals.hexdigest()[:16]}"
+
+
 def sample_runs(stack: RnnDbn, root: Path, name: str):
     """``run_sample`` of ``stack`` saved as ``root/name.ckpt``, at each of
-    ``DEEP_SAMPLE_SEEDS``: the ``seed hash`` pairs and the frames."""
+    ``DEEP_SAMPLE_SEEDS``: the seeds with their hashes, and the frames."""
     ckpt = root / f"{name}.ckpt"
     save_checkpoint(ckpt, stack)
     hashes, samples = [], []
     for seed in DEEP_SAMPLE_SEEDS:
-        out = root / f"{name}{seed}.jsonl"
-        samples.append(run_sample(ckpt, SAMPLE_LENGTH, seed, out))
-        hashes.append(f"{seed} {sha(out)}")
+        frames, digest = sampled(ckpt, seed, root / f"{name}{seed}.jsonl")
+        samples.append(frames)
+        hashes.append(f"{seed} {digest}")
     return " ".join(hashes), samples
 
 
@@ -269,10 +302,9 @@ def main(argv=None) -> int:
                   f"gen {gen} ann {ann} layer {layer}")
             if name in READ_PATH:
                 scores = run_eval(out / "model.ckpt", heldout)
-                run_sample(out / "model.ckpt", SAMPLE_LENGTH, SAMPLE_SEED,
-                           out / "sample.jsonl")
-                print(f"{name:14s} eval {scores!r} "
-                      f"sample {sha(out / 'sample.jsonl')}")
+                _, digest = sampled(out / "model.ckpt", SAMPLE_SEED,
+                                    out / "sample.jsonl")
+                print(f"{name:14s} eval {scores!r} sample {digest}")
             if name in RESUME:
                 resumed = root / f"{name.replace(' ', '-')}-resumed"
                 event = RESUME[name]
