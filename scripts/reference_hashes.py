@@ -24,10 +24,11 @@ prefix of the float64 bytes of ``predict_next_deep`` on every prefix
 frame-by-frame recursions on the same stack with the arrays of
 ``SATURATED_SCALES`` scaled up, so that pre-activations pass 36.74
 (where ``expit`` rounds to 1) but stay finite: the sampler's first range
-test fails at frame 2 (seed 11) and 3 (seed 12), and its marginals move
-if it does not rerun or does not restore the states before a rerun.  It gives the samples
-at the two seeds and the sha256 prefix of the float64 bytes of the
-states ``unroll`` gives each layer on each sample lifted to it.  The
+test fails at frame 2 (seed 11) and 3 (seed 12), and its marginals
+move if it does not rerun or does not restore the states before a
+rerun.  It gives the samples at the two seeds and the sha256 prefix of
+the float64 bytes of the states ``unroll`` gives each layer on each
+sample lifted to it.  The
 single-layer adaptive kinds also gate resume: a ``resume`` line trains
 the config through the library, saves the train state after
 ``epochs // 2`` epochs, loads it back and resumes, and gives the hashes
@@ -161,17 +162,17 @@ def deep_stack() -> RnnDbn:
 def recorded_marginals():
     """While open, the sampler's draw feeds the float64 bytes of every
     marginal it draws from to the sha256 object this yields."""
-    digest, draw = hashlib.sha256(), rnn_dbn.sample_bernoulli
+    digest, draw = hashlib.sha256(), rnn_dbn._draw
 
     def recording(p, rng):
         digest.update(p.tobytes())
         return draw(p, rng)
 
-    rnn_dbn.sample_bernoulli = recording
+    rnn_dbn._draw = recording
     try:
         yield digest
     finally:
-        rnn_dbn.sample_bernoulli = draw
+        rnn_dbn._draw = draw
 
 
 def sampled(ckpt: Path, seed: int, out: Path):

@@ -23,7 +23,9 @@ and the CD-k Gibbs chain :func:`~growrbm.rbm._cd_chain`, tested once per
 call over one buffer of all its activations (:func:`_unclamped`).  Only
 where a test fails does a loop rerun on the clamped logistic and check
 for finiteness: the recursions through :func:`_logistic`, the chain
-through :func:`sigmoid`.
+through :func:`sigmoid`.  The sampler draws each frame with
+:func:`_draw`, :func:`sample_bernoulli` without its range check, since
+a test or the clamped logistic has just vouched for the marginals.
 """
 from __future__ import annotations
 
@@ -158,5 +160,10 @@ def sample_bernoulli(p, rng: RngStream) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails
         raise ValueError("bernoulli probabilities must lie in [0, 1]")
-    u = rng.uniform(size=p.shape)
-    return (u < p).astype(np.float64)
+    return _draw(p, rng)
+
+
+def _draw(p: np.ndarray, rng: RngStream) -> np.ndarray:
+    """:func:`sample_bernoulli` of a float64 array ``p`` whose range its
+    caller has checked: one ``uniform`` block of its shape, compared."""
+    return (rng.uniform(size=p.shape) < p).astype(np.float64)

@@ -29,13 +29,15 @@ one more after the last state update.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig
 from .dbn import Dbn, LayerGenConfig, _train_stack
 from .metrics import PooledMetrics
-from .numerics import (RngStream, _logistic, _unclamped, expit,
-                       sample_bernoulli, sigmoid)
+from .numerics import (RngStream, _draw, _logistic, _unclamped, expit,
+                       sigmoid)
 from .rbm import CdConfig
 from .rnn_rbm import (MEAN_FIELD_PASSES, RnnRbm, _as_sequences,
                       _length_groups, _mean_field_marginals,
@@ -177,16 +179,19 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     of :func:`predict_next_deep` on the sampled prefix), samples a frame
     and lifts it up once, moving every state one step forward.
 
-    The step is written for numpy's per-call cost on tiny layers: bare
-    ``expit`` writes a frame's activations into one buffer kept for the
-    call, tested once before the draw (:func:`~growrbm.numerics._unclamped`).
-    A failed test restores the states saved before the last update, and
-    the call redoes it and goes on with the clamped logistic, checking its
-    pre-activations for finiteness.  So the error of
-    :func:`~growrbm.numerics.sigmoid` is raised on exactly the stacks
-    where the guarded steps (:func:`~growrbm.exact.state_update` and a
-    guarded pass per layer) raise it, and every frame and marginal is bit
-    for bit theirs.
+    The step is written for numpy's per-call cost on tiny layers: every
+    product and sum is written into buffers kept for the call, and bare
+    ``expit`` writes a frame's activations into one of them, cut by plain
+    slices and tested once before the draw
+    (:func:`~growrbm.numerics._unclamped`).  A failed test restores the
+    states saved before the last update, and the call redoes it and goes
+    on with the clamped logistic, checking its pre-activations for
+    finiteness.  So the error of :func:`~growrbm.numerics.sigmoid` is
+    raised on exactly the stacks where the guarded steps
+    (:func:`~growrbm.exact.state_update` and a guarded pass per layer)
+    raise it, and every frame and marginal is bit for bit theirs.  The
+    frame is drawn by :func:`~growrbm.numerics._draw`, without the range
+    check the test or the clamp has made.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -200,9 +205,10 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     for layer in layers[:-1]:
         sizes += [layer.n_visible, layer.u_dim, layer.n_hidden]
     sizes += [0, top.u_dim, 0]
-    pre, act = np.zeros(sum(sizes)), np.full(sum(sizes), 0.5)
-    pre_l = np.split(pre, np.cumsum(sizes)[:-1])
-    act_l = np.split(act, np.cumsum(sizes)[:-1])
+    bounds = [0, *itertools.accumulate(sizes)]
+    pre, act = np.zeros(bounds[-1]), np.full(bounds[-1], 0.5)
+    pre_l = [pre[i:j] for i, j in zip(bounds, bounds[1:])]
+    act_l = [act[i:j] for i, j in zip(bounds, bounds[1:])]
     passes = list(zip(pre_l[0:n_mf:2], act_l[0:n_mf:2], pre_l[1:n_mf:2],
                       act_l[1:n_mf:2]))
     b_next = [np.empty(layer.n_visible) for layer in layers]
@@ -214,8 +220,10 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
             pre_l[n_mf + 2::3], act_l[n_mf + 2::3]):
         u[...] = layer.u0
         biases.append((layer.b, layer.w_uv, b, u))
+        # each sum's second product goes to a scratch row first
         up.append((layer.u_bias, layer.w_uu, layer.w_vu, u, p,
-                   layer.c, layer.w_uh, layer.W, q, a))
+                   np.empty(layer.u_dim), layer.c, layer.w_uh, layer.W, q,
+                   np.empty(layer.n_hidden), a))
     W, W_T, b_top, c_top = top.W, top.W.T, b_next[-1], np.empty(top.n_hidden)
     biases.append((top.c, top.w_uh, c_top, u))  # a lower layer's: the lift's
     half = np.full(top.n_visible, 0.5)
@@ -227,30 +235,33 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= length:  # the update by frame t - 1, then frame t
             view = drawn
-            for i, (u_bias, w_uu, w_vu, u, p, c, w_uh, W_l, q,
+            for i, (u_bias, w_uu, w_vu, u, p, p_2, c, w_uh, W_l, q, q_2,
                     a) in enumerate(up if t else ()):
                 if i < n_lower:  # the lift's bias, from the old state
-                    add(c, dot(u, w_uh), out=q)
-                add(u_bias, dot(u, w_uu), out=p)
-                logistic(add(p, dot(view, w_vu), out=p), u)
+                    add(c, dot(u, w_uh, out=q), out=q)
+                add(u_bias, dot(u, w_uu, out=p), out=p)
+                logistic(add(p, dot(view, w_vu, out=p_2), out=p), u)
                 if i < n_lower:
-                    view = logistic(add(q, dot(view, W_l), out=q), a)
+                    view = logistic(add(q, dot(view, W_l, out=q_2), out=q),
+                                    a)
             if t < length:
                 for x, w, x_next, u in biases:
-                    add(x, dot(u, w), out=x_next)
+                    add(x, dot(u, w, out=x_next), out=x_next)
                 v = half
                 for p_h, a_h, p_v, a_v in passes:
-                    h = logistic(add(c_top, dot(v, W), out=p_h), a_h)
-                    v = logistic(add(b_top, dot(h, W_T), out=p_v), a_v)
+                    h = logistic(add(c_top, dot(v, W, out=p_h), out=p_h),
+                                 a_h)
+                    v = logistic(add(b_top, dot(h, W_T, out=p_v), out=p_v),
+                                 a_v)
                 for b_l, W_T_l, p, a in down:
-                    v = logistic(add(b_l, dot(v, W_T_l), out=p), a)
+                    v = logistic(add(b_l, dot(v, W_T_l, out=p), out=p), a)
             if logistic is expit and not _unclamped(act):
                 logistic, act[...] = _logistic, saved
                 continue  # redo the update and the frame
             if logistic is _logistic and not np.isfinite(pre).all():
                 raise FloatingPointError("sigmoid: non-finite input")
             if t < length:
-                drawn = frames[t] = sample_bernoulli(v, rng)
+                drawn = frames[t] = _draw(v, rng)
                 saved[...] = act
             t += 1
     return frames

@@ -38,6 +38,8 @@ KEPT = {
         "exact oracle of the BPTT-CD gradient",
     "exact.state_update": "one-step reference of the sampler's recursion",
     "data.augment_parity": "builds the parity data of acceptance criterion 7",
+    "numerics.sample_bernoulli":
+        "the range-checked draw of the reference samplers and CD chain",
 }
 
 

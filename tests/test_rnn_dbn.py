@@ -325,8 +325,9 @@ class TestDeepSampling:
 
 
 def recording_draw(marginals):
-    """``sample_bernoulli`` that keeps a copy of every marginal it draws
-    from."""
+    """A draw for the sampler's ``_draw`` that keeps a copy of every
+    marginal it draws from and draws with ``sample_bernoulli``, so the
+    marginals' range is checked too."""
     def draw(p, rng):
         marginals.append(np.array(p))
         return sample_bernoulli(p, rng)
@@ -338,7 +339,7 @@ def sample_both(stack, length, seed):
     a ``FloatingPointError`` takes the place of the frames."""
     got, want = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rnn_dbn, "sample_bernoulli", recording_draw(got))
+        patch.setattr(rnn_dbn, "_draw", recording_draw(got))
         try:
             frames = sample_sequence_deep(stack, length, RngStream(seed))
         except FloatingPointError as exc:
@@ -413,7 +414,7 @@ class TestReadPathProperties:
             return sample_bernoulli(p, rng)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rnn_dbn, "sample_bernoulli", recording)
+            patch.setattr(rnn_dbn, "_draw", recording)
             frames = sample_sequence_deep(stack, length, RngStream(seed))
         npt.assert_array_equal(
             frames, reference_sample_sequence_deep(stack, length,
@@ -488,8 +489,7 @@ class TestGuardedReruns:
                 return real(x, out)
 
             monkeypatch.setattr(rnn_dbn, "_logistic", guarded)
-            monkeypatch.setattr(rnn_dbn, "sample_bernoulli",
-                                recording_draw(got))
+            monkeypatch.setattr(rnn_dbn, "_draw", recording_draw(got))
             frames = sample_sequence_deep(stack, 20, RngStream(seed))
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = reference_linear_sampler(stack, 20, RngStream(seed),
