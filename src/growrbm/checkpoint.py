@@ -97,7 +97,8 @@ def _write(path, kind: str, arrays: dict, meta: dict, seed: int):
 
 
 def _read(path) -> tuple[dict, dict]:
-    """(header, named arrays); raises the checkpoint error family."""
+    """(header, named arrays); raises the checkpoint error family.  The
+    arrays are read-only views into the file's bytes."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -139,8 +140,8 @@ def _read(path) -> tuple[dict, dict]:
         if offset + nbytes > len(raw):
             raise CheckpointTruncatedError(
                 f"{path}: file ends inside array '{entry['name']}'")
-        flat = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8")
-        arrays[entry["name"]] = flat.reshape(shape).copy()
+        arrays[entry["name"]] = np.frombuffer(
+            raw, "<f8", nbytes // 8, offset).reshape(shape)
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
@@ -198,9 +199,10 @@ def _check_meta(kind: str, meta: dict, path):
 def _rebuild(kind: str, arrays: dict, meta: dict, path):
     cls, layer_cls, _ = _KINDS[kind]
 
-    def layer(prefix=""):
-        return layer_cls(*(_need(arrays, prefix + f.name, path)
-                           for f in fields(layer_cls)))
+    def layer(prefix=""):  # one copy of the arrays, in field order
+        parts = [_need(arrays, prefix + f.name, path)
+                 for f in fields(layer_cls)]
+        return layer_cls._on(np.concatenate(parts, axis=None), parts)
 
     if cls is layer_cls:
         model = layer()

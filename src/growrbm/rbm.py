@@ -171,17 +171,20 @@ class Rbm(Packed):
 
     def validate(self):
         """Raise if an array has the wrong shape or a non-finite value,
-        checking the arrays in field order."""
+        checking the arrays in field order.  The buffer is tested for
+        finiteness once; only where that fails are the arrays tested, to
+        name the first non-finite one."""
         for name, arr in self.arrays().items():
             if arr.ndim == 0:  # the layer sizes read ``shape[0]``
                 raise DimensionError(
                     f"{name} has shape (), expected at least one axis")
+        finite = np.isfinite(self.buffer).all()
         for name, shape in self._shapes().items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.isfinite(arr).all():
+            if not (finite or np.isfinite(arr).all()):
                 raise FloatingPointError(f"non-finite values in {name}")
 
 
