@@ -48,11 +48,22 @@ def _frame_list(obj, where: str):
     return obj.get("seq", obj.get("frames"))
 
 
-def _parse_sequence(seq, where: str) -> np.ndarray:
+def _parse_sequence(seq, where: str, text: str) -> np.ndarray:
+    """The frames ``seq`` of the line ``text`` as a float64 array."""
     if not isinstance(seq, list) or len(seq) == 0:
         raise DataFormatError(
             f"{where}: a sequence ('seq' or 'frames') must be a non-empty "
             "list of frames")
+    # one vectorised test of a line without JSON booleans, which load as
+    # 0 and 1; what it does not pass takes the per-value checks below
+    if "true" not in text and "false" not in text:
+        try:
+            arr = np.array(seq)
+        except ValueError:  # ragged frames
+            arr = np.empty(0)
+        if (arr.ndim == 2 and arr.size and arr.dtype.kind in "fiu"
+                and ((arr == 0) | (arr == 1)).all()):
+            return arr.astype(np.float64, copy=False)
     width = None
     for frame in seq:
         if not isinstance(frame, list):
@@ -97,7 +108,7 @@ def load_jsonl(path) -> SequenceDataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-        arr = _parse_sequence(_frame_list(obj, where), where)
+        arr = _parse_sequence(_frame_list(obj, where), where, line)
         if dim is None:
             dim = arr.shape[1]
         elif arr.shape[1] != dim:
