@@ -341,7 +341,7 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
     _check_last_dim("batch", batch, rbm.n_visible)
-    if batch.min() < 0.0 or batch.max() > 1.0:
+    if not (batch.min() >= 0.0 and batch.max() <= 1.0):  # NaN fails
         raise ValueError("visible batch values must lie in [0, 1]")
 
     n = batch.shape[0]

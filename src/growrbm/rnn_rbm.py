@@ -346,7 +346,7 @@ def _group_bptt_cd(model: RnnRbm, seqs: np.ndarray,
     on all ``S * T`` frames with per-frame bias rows.  ``uniforms`` holds
     the chain's blocks, one row per frame, sequence-major.
     """
-    if seqs.min() < 0.0 or seqs.max() > 1.0:
+    if not (seqs.min() >= 0.0 and seqs.max() <= 1.0):  # NaN fails
         raise ValueError("visible batch values must lie in [0, 1]")
     U, B, C = unroll(model, seqs)
     V = _rows(seqs)

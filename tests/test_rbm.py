@@ -410,6 +410,15 @@ class TestCdStep:
         with pytest.raises(DimensionError):
             cd_step(rbm, np.zeros((1, 3)), CdConfig(), RngStream(0))
 
+    @pytest.mark.parametrize("batch", [[[np.nan, 0.5]], [[0.0, 1.0],
+                                                         [1.0, np.nan]]])
+    def test_rejects_nan_as_out_of_range(self, batch):
+        # a NaN fails ``min() < 0 or max() > 1``, and surfaced as the
+        # chain's sigmoid error
+        message = r"^visible batch values must lie in \[0, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            cd_step(tiny_rbm(83), np.array(batch), CdConfig(), RngStream(0))
+
 
 def saturating_layer(seed):
     """A recurrent layer of 1-6 visible and hidden units with weight sd 8,

@@ -338,6 +338,16 @@ class TestBpttGradients:
                            CdConfig(k=1, learning_rate=0.1, batch_size=4),
                            RngStream(0))
 
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_rejects_nan_as_out_of_range(self, where):
+        seqs = [np.full((2, 3), 0.5), np.full((3, 3), 0.5)]
+        seqs[where[0]][where[1], 1] = np.nan
+        message = r"^visible batch values must lie in \[0, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            bptt_gradients(small_model(1), seqs,
+                           CdConfig(k=1, learning_rate=0.1, batch_size=4),
+                           RngStream(0))
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             bptt_gradients(small_model(1), [],
