@@ -61,8 +61,7 @@ def _parse_sequence(seq, where: str, text: str) -> np.ndarray:
             arr = np.array(seq)
         except ValueError:  # ragged frames
             arr = np.empty(0)
-        if (arr.ndim == 2 and arr.size and arr.dtype.kind in "fiu"
-                and ((arr == 0) | (arr == 1)).all()):
+        if arr.ndim == 2 and arr.size and ((arr == 0) | (arr == 1)).all():
             return arr.astype(np.float64, copy=False)
     width = None
     for frame in seq:

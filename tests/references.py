@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from growrbm import dbn, rnn_rbm
 from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
+from growrbm.errors import DataFormatError
 from growrbm.exact import state_update
 from growrbm.numerics import sample_bernoulli, sigmoid
 from growrbm.rbm import (Rbm, RbmGradient, hidden_conditional,
@@ -47,6 +48,31 @@ def reference_write_jsonl(path, sequences, ids=None):
         obj["seq"] = [[int(round(x)) for x in frame] for frame in arr]
         lines.append(json.dumps(obj, separators=(",", ":")))
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+# pins data._parse_sequence, which tests a line's frames with numpy first
+def reference_parse_sequence(seq, where):
+    """The per-value checks of a line's frames, with no numpy test."""
+    if not isinstance(seq, list) or len(seq) == 0:
+        raise DataFormatError(
+            f"{where}: a sequence ('seq' or 'frames') must be a non-empty "
+            "list of frames")
+    width = None
+    for frame in seq:
+        if not isinstance(frame, list):
+            raise DataFormatError(f"{where}: frames must be lists of 0/1")
+        if width is None:
+            width = len(frame)
+            if width == 0:
+                raise DataFormatError(f"{where}: frames must be non-empty")
+        elif len(frame) != width:
+            raise DataFormatError(
+                f"{where}: frame width {len(frame)} does not match first "
+                f"frame width {width}")
+        for x in frame:
+            if x not in (0, 1) or isinstance(x, bool):
+                raise DataFormatError(f"{where}: frame values must be 0 or 1")
+    return np.asarray(seq, dtype=np.float64)
 
 
 # pins numerics._logistic, which clamps against 0-d array bounds

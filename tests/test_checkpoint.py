@@ -7,8 +7,8 @@ import pytest
 
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            TrainState)
-from growrbm.checkpoint import (FORMAT_VERSION, MAGIC, describe,
-                                load_checkpoint, load_train_state,
+from growrbm.checkpoint import (FORMAT_VERSION, MAGIC, _collect, _write,
+                                describe, load_checkpoint, load_train_state,
                                 save_checkpoint, save_train_state)
 from growrbm.data import synth_cycle
 from growrbm.dbn import Dbn, LayerTotals, train_adaptive_rbm
@@ -19,6 +19,7 @@ from growrbm.numerics import RngStream
 from growrbm.rbm import CdConfig, Rbm, RbmGradient
 from growrbm.rnn_dbn import RnnDbn
 from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
+from test_adapt import assert_packed
 
 
 def rbm_model(seed=1):
@@ -118,6 +119,54 @@ class TestRoundTrips:
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             save_checkpoint(tmp_path / "x.ckpt", object())
+
+
+def layers_of(model):
+    return getattr(model, "layers", [model])
+
+
+class TestLoadedLayout:
+    """A loaded layer is packed from the file's bytes with one copy."""
+
+    MODELS = [rbm_model, rnn_model, dbn_model, rnn_dbn_model]
+    IDS = ["rbm", "rnn-rbm", "dbn", "rnn-dbn"]
+
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    def test_every_loaded_layer_tiles_one_buffer(self, tmp_path, model):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model())
+        for layer in layers_of(load_checkpoint(p)[0]):
+            assert_packed(layer)
+            assert layer.buffer.flags.writeable
+
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    def test_manifest_out_of_field_order_loads_the_same_model(self, tmp_path,
+                                                              model):
+        kind, arrays, meta = _collect(model())
+        p, q = tmp_path / "fields.ckpt", tmp_path / "reversed.ckpt"
+        _write(p, kind, arrays, meta, 0)
+        _write(q, kind, dict(reversed(arrays.items())), meta, 0)
+        want, got = load_checkpoint(p)[0], load_checkpoint(q)[0]
+        for a, b in zip(layers_of(want), layers_of(got), strict=True):
+            assert_packed(b)
+            assert a.buffer.tobytes() == b.buffer.tobytes()
+            assert [x.shape for x in vars(a).values()] == \
+                [x.shape for x in vars(b).values()]
+        save_checkpoint(q, got)
+        assert q.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("names", [["w_uu"], ["w_uv", "w_uu"], ["u0"],
+                                       ["b", "u0"]])
+    def test_names_the_first_non_finite_array(self, tmp_path, names, bad):
+        m = rnn_model()
+        for name in names:
+            getattr(m, name).flat[-1] = bad
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, m)
+        with pytest.raises(CheckpointDimensionError,
+                           match=f"non-finite values in {names[0]}$"):
+            load_checkpoint(p)
 
 
 class TestTrainStateRoundTrip:

@@ -6,11 +6,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from growrbm import data
 from growrbm.data import (SequenceDataset, augment_parity, load_jsonl,
                           random_patterns, synth_cycle, write_jsonl)
 from growrbm.errors import DataFormatError
 from growrbm.numerics import RngStream
-from references import reference_write_jsonl
+from references import reference_parse_sequence, reference_write_jsonl
 
 
 class TestLoadJsonl:
@@ -156,6 +157,64 @@ class TestLoadJsonl:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="cannot read"):
             load_jsonl(tmp_path / "nope.jsonl")
+
+
+# values a frame may hold in a line: the 0/1 of a valid line, and what
+# the per-value checks refuse (JSON booleans, NaN and Infinity literals,
+# integers past int64, strings, nulls and nested lists among them)
+ODD_VALUES = [0.0, 1.0, -0.0, True, False, 2, 0.5, -1, 1e-300, 2 ** 63,
+              2 ** 70, float("nan"), float("inf"), -float("inf"), "1", None,
+              [0], [], {}]
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line of a sequence file in any of the three forms, valid or
+    not in the ways a line can be."""
+    value = draw(st.sampled_from([
+        st.sampled_from([0, 1]), st.sampled_from([0, 1, 0.0, 1.0, -0.0]),
+        st.sampled_from([0, 1, True, False]),
+        st.one_of(st.sampled_from([0, 1]), st.sampled_from(ODD_VALUES))]))
+    width = draw(st.integers(0, 3))
+    frame = st.one_of(
+        st.lists(value, min_size=width, max_size=width),
+        st.lists(value, max_size=3),  # ragged
+        st.lists(st.lists(value, min_size=1, max_size=2), min_size=width,
+                 max_size=width),  # 3-deep
+        value)
+    if draw(st.integers(0, 3)):
+        frame = st.lists(value, min_size=width, max_size=width)
+    frames = draw(st.lists(frame, max_size=4))
+    form = draw(st.sampled_from(["bare", "seq", "frames"]))
+    if form == "bare":
+        return json.dumps(frames)
+    ident = draw(st.sampled_from([None, "a", "true", "not false", 1]))
+    obj = {form: frames} if ident is None else {"id": ident, form: frames}
+    return json.dumps(obj)
+
+
+class TestParseDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(jsonl_lines(), min_size=1, max_size=4))
+    def test_equals_per_value_reference(self, tmp_path_factory, lines):
+        """The same arrays, bit for bit (``-0.0`` included), or the same
+        error on the same line, as the per-value checks alone."""
+        path = tmp_path_factory.mktemp("lines") / "seqs.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        def outcome():
+            try:
+                ds = load_jsonl(path)
+            except DataFormatError as exc:
+                return str(exc)
+            return ds.dim, [(a.dtype, a.shape, a.tobytes()) for a in ds.train]
+
+        got = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_parse_sequence",
+                          lambda seq, where, text:
+                          reference_parse_sequence(seq, where))
+            assert got == outcome()
 
 
 class TestWriteJsonl:

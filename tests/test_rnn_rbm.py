@@ -185,6 +185,25 @@ class TestRecursionArithmetic:
         with pytest.raises(FloatingPointError, match="non-finite input"):
             unroll(m, seqs)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t_len=st.integers(1, 12),
+           group=st.integers(1, 6), width=st.integers(1, 24),
+           u_dim=st.integers(1, 24), sd=st.sampled_from([0.1, 1.0, 3.0]),
+           layout=st.sampled_from(["lone", "group", "apart"]))
+    def test_stacked_drive_equals_per_frame_products(self, seed, t_len, group,
+                                                     width, u_dim, sd, layout):
+        # ``unroll`` takes every frame's ``frames @ w_vu`` in one stacked
+        # product, which must equal the product of each frame alone
+        rng = RngStream(seed)
+        w_vu = rng.normal(sd=sd, size=(width, u_dim))
+        shape = {"lone": (t_len, width), "group": (group, t_len, width),
+                 "apart": (group, 1, t_len, width)}[layout]
+        frames = np.moveaxis(rng.uniform(size=shape), -2, 0)
+        stacked = (frames[:, None] if layout == "lone" else frames) @ w_vu
+        for t in range(t_len):
+            alone = frames[t] @ w_vu
+            assert stacked[t].tobytes() == alone.tobytes(), t
+
 
 class TestSequenceCost:
     def test_zero_model_costs_one_ln2_per_bit(self):
