@@ -97,8 +97,7 @@ def _write(path, kind: str, arrays: dict, meta: dict, seed: int):
 
 
 def _read(path) -> tuple[dict, dict]:
-    """(header, named arrays); raises the checkpoint error family.  The
-    arrays are read-only views into the file's bytes."""
+    """(header, named arrays); raises the checkpoint error family."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -140,7 +139,7 @@ def _read(path) -> tuple[dict, dict]:
         if offset + nbytes > len(raw):
             raise CheckpointTruncatedError(
                 f"{path}: file ends inside array '{entry['name']}'")
-        arrays[entry["name"]] = np.frombuffer(
+        arrays[entry["name"]] = np.frombuffer(  # read-only, not copied
             raw, "<f8", nbytes // 8, offset).reshape(shape)
         offset += nbytes
     if offset != len(raw):

@@ -49,13 +49,11 @@ def _frame_list(obj, where: str):
 
 
 def _parse_sequence(seq, where: str, text: str) -> np.ndarray:
-    """The frames ``seq`` of the line ``text`` as a float64 array."""
     if not isinstance(seq, list) or len(seq) == 0:
         raise DataFormatError(
             f"{where}: a sequence ('seq' or 'frames') must be a non-empty "
             "list of frames")
-    # one vectorised test of a line without JSON booleans, which load as
-    # 0 and 1; what it does not pass takes the per-value checks below
+    # a line without JSON booleans (1 and 0 once loaded) tries numpy first
     if "true" not in text and "false" not in text:
         try:
             arr = np.array(seq)

@@ -23,9 +23,8 @@ and the CD-k Gibbs chain :func:`~growrbm.rbm._cd_chain`, tested once per
 call over one buffer of all its activations (:func:`_unclamped`).  Only
 where a test fails does a loop rerun on the clamped logistic and check
 for finiteness: the recursions through :func:`_logistic`, the chain
-through :func:`sigmoid`.  The sampler draws each frame with
-:func:`_draw`, :func:`sample_bernoulli` without its range check, since
-a test or the clamped logistic has just vouched for the marginals.
+through :func:`sigmoid`.  The sampler's test, or the clamp, stands for
+the range check of :func:`sample_bernoulli`, so it draws by :func:`_draw`.
 """
 from __future__ import annotations
 
@@ -164,6 +163,5 @@ def sample_bernoulli(p, rng: RngStream) -> np.ndarray:
 
 
 def _draw(p: np.ndarray, rng: RngStream) -> np.ndarray:
-    """:func:`sample_bernoulli` of a float64 array ``p`` whose range its
-    caller has checked: one ``uniform`` block of its shape, compared."""
+    """:func:`sample_bernoulli` of a float64 ``p`` known to be in range."""
     return (rng.uniform(size=p.shape) < p).astype(np.float64)

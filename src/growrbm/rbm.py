@@ -170,10 +170,8 @@ class Rbm(Packed):
         return {"b": (i,), "c": (j,), "W": (i, j)}
 
     def validate(self):
-        """Raise if an array has the wrong shape or a non-finite value,
-        checking the arrays in field order.  The buffer is tested for
-        finiteness once; only where that fails are the arrays tested, to
-        name the first non-finite one."""
+        """Raise at the first array, in field order, with the wrong shape
+        or a non-finite value (tested only if the whole buffer fails)."""
         for name, arr in self.arrays().items():
             if arr.ndim == 0:  # the layer sizes read ``shape[0]``
                 raise DimensionError(

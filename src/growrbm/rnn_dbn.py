@@ -29,8 +29,6 @@ one more after the last state update.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .adapt import AdaptConfig, ForgettingConfig
@@ -180,18 +178,16 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     and lifts it up once, moving every state one step forward.
 
     The step is written for numpy's per-call cost on tiny layers: every
-    product and sum is written into buffers kept for the call, and bare
-    ``expit`` writes a frame's activations into one of them, cut by plain
-    slices and tested once before the draw
-    (:func:`~growrbm.numerics._unclamped`).  A failed test restores the
+    product goes into buffers kept for the call, cut by plain slices, and
+    bare ``expit`` writes the activations, tested once before the draw
+    (:func:`~growrbm.numerics._unclamped`), which then needs no range
+    check (:func:`~growrbm.numerics._draw`).  A failed test restores the
     states saved before the last update, and the call redoes it and goes
     on with the clamped logistic, checking its pre-activations for
     finiteness.  So the error of :func:`~growrbm.numerics.sigmoid` is
     raised on exactly the stacks where the guarded steps
     (:func:`~growrbm.exact.state_update` and a guarded pass per layer)
-    raise it, and every frame and marginal is bit for bit theirs.  The
-    frame is drawn by :func:`~growrbm.numerics._draw`, without the range
-    check the test or the clamp has made.
+    raise it, and every frame and marginal is bit for bit theirs.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -205,7 +201,7 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     for layer in layers[:-1]:
         sizes += [layer.n_visible, layer.u_dim, layer.n_hidden]
     sizes += [0, top.u_dim, 0]
-    bounds = [0, *itertools.accumulate(sizes)]
+    bounds = np.cumsum([0, *sizes]).tolist()
     pre, act = np.zeros(bounds[-1]), np.full(bounds[-1], 0.5)
     pre_l = [pre[i:j] for i, j in zip(bounds, bounds[1:])]
     act_l = [act[i:j] for i, j in zip(bounds, bounds[1:])]
@@ -220,7 +216,6 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
             pre_l[n_mf + 2::3], act_l[n_mf + 2::3]):
         u[...] = layer.u0
         biases.append((layer.b, layer.w_uv, b, u))
-        # each sum's second product goes to a scratch row first
         up.append((layer.u_bias, layer.w_uu, layer.w_vu, u, p,
                    np.empty(layer.u_dim), layer.c, layer.w_uh, layer.W, q,
                    np.empty(layer.n_hidden), a))
@@ -235,24 +230,21 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= length:  # the update by frame t - 1, then frame t
             view = drawn
-            for i, (u_bias, w_uu, w_vu, u, p, p_2, c, w_uh, W_l, q, q_2,
+            for i, (u_bias, w_uu, w_vu, u, p, p2, c, w_uh, W_l, q, q2,
                     a) in enumerate(up if t else ()):
                 if i < n_lower:  # the lift's bias, from the old state
                     add(c, dot(u, w_uh, out=q), out=q)
                 add(u_bias, dot(u, w_uu, out=p), out=p)
-                logistic(add(p, dot(view, w_vu, out=p_2), out=p), u)
+                logistic(add(p, dot(view, w_vu, out=p2), out=p), u)
                 if i < n_lower:
-                    view = logistic(add(q, dot(view, W_l, out=q_2), out=q),
-                                    a)
+                    view = logistic(add(q, dot(view, W_l, out=q2), out=q), a)
             if t < length:
                 for x, w, x_next, u in biases:
                     add(x, dot(u, w, out=x_next), out=x_next)
                 v = half
-                for p_h, a_h, p_v, a_v in passes:
-                    h = logistic(add(c_top, dot(v, W, out=p_h), out=p_h),
-                                 a_h)
-                    v = logistic(add(b_top, dot(h, W_T, out=p_v), out=p_v),
-                                 a_v)
+                for ph, ah, pv, av in passes:
+                    h = logistic(add(c_top, dot(v, W, out=ph), out=ph), ah)
+                    v = logistic(add(b_top, dot(h, W_T, out=pv), out=pv), av)
                 for b_l, W_T_l, p, a in down:
                     v = logistic(add(b_l, dot(v, W_T_l, out=p), out=p), a)
             if logistic is expit and not _unclamped(act):

@@ -170,11 +170,8 @@ def unroll(model: RnnRbm, seq):
     Only the state recursion runs frame by frame, on bare ``expit`` with
     one test of the states (:func:`~growrbm.numerics._unclamped`); ``B``
     and ``C`` are two matrix products over the stacked states afterwards.
-    Every frame's drive ``frames @ w_vu`` is one stacked product before
-    the loop, a lone sequence's as ``(T, 1, I)``: numpy multiplies the
-    slices one by one with the kernel of a single frame, so each equals
-    its frame's own product.  Each step then writes
-    ``(u_bias + U @ w_uu) + drive`` into its row without allocating.
+    Every ``frames @ w_vu`` is one product before the loop, slice by slice
+    with a lone frame's kernel (a lone sequence goes in as ``(T, 1, I)``).
     A failed test reruns the recursion on the clamped logistic of
     :func:`~growrbm.exact.state_update`, and one finiteness check over
     all pre-activations raises the error :func:`~growrbm.numerics.sigmoid`
@@ -186,15 +183,14 @@ def unroll(model: RnnRbm, seq):
             f"frame has dimension {seq.shape[-1]}, expected {model.n_visible}")
     # the recursion runs time-major, so each step fills contiguous rows
     lead, t_len = seq.shape[:-2], seq.shape[-2]
-    frames = np.moveaxis(seq, -2, 0)
+    frames = np.moveaxis(seq if lead else seq[None], -2, 0)  # (T, ..., I)
     U = np.empty((t_len + 1,) + lead + (model.u_dim,))
     pre = np.empty((t_len,) + lead + (model.u_dim,))
     U[0] = model.u0
     u_bias, w_uu, matmul, add = model.u_bias, model.w_uu, np.matmul, np.add
     # an overflow here is reported once, by the checks after the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        drive = (frames if lead else frames[:, None]) @ model.w_vu
-        drive = drive.reshape(pre.shape)
+        drive = (frames @ model.w_vu).reshape(pre.shape)
         for logistic in (expit, _logistic):
             for t in range(t_len):
                 p = matmul(U[t], w_uu, out=pre[t])
@@ -238,16 +234,13 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
     direct = DB @ model.w_uv.T + DC @ model.w_uh.T
     slope = U[..., 1:, :] * (1.0 - U[..., 1:, :])
     GA = np.empty_like(direct)
-    gu = np.zeros(direct.shape[:-2] + (model.u_dim,))
-    back = np.empty_like(gu)  # the step's product, written in place
-    # time-major views, so that a step indexes one axis
-    ga_t, slope_t, direct_t = (np.moveaxis(a, -2, 0)
+    gu, back = np.zeros((2,) + direct.shape[:-2] + (model.u_dim,))
+    ga_t, slope_t, direct_t = (np.moveaxis(a, -2, 0)  # time-major views
                                for a in (GA, slope, direct))
-    w_uu_T, matmul, multiply, add = (model.w_uu.T, np.matmul, np.multiply,
-                                     np.add)
     for t in range(seq.shape[-2] - 1, -1, -1):
-        multiply(gu, slope_t[t], out=ga_t[t])
-        add(direct_t[t], matmul(ga_t[t], w_uu_T, out=back), out=gu)
+        np.multiply(gu, slope_t[t], out=ga_t[t])
+        np.add(direct_t[t], np.matmul(ga_t[t], model.w_uu.T, out=back),
+               out=gu)
     U_prev, DB, DC, GA = _rows(U[..., :-1, :]), _rows(DB), _rows(DC), _rows(GA)
     g = RnnRbmGradient.empty(model)
     DB.sum(axis=0, out=g.db)
