@@ -10,7 +10,7 @@ trained checkpoint on a fixed held-out set of mixed sequence lengths,
 and the sha256 prefixes of the file one ``run_sample`` call of
 ``SAMPLE_LENGTH`` frames writes and of the float64 bytes of the
 marginals each of its frames is drawn from, which the script records by
-wrapping the sampler's draw (:func:`recorded_marginals`), so a change
+wrapping the sampler's draw (:func:`sampled`), so a change
 to the marginals shows even where it flips no draw.  Every sample below
 gives both prefixes.  The trained stacks have small weights,
 which can hide a rounding change, so a ``deep stack`` line gates the
@@ -58,7 +58,6 @@ Uses the standard library, ``git`` and ``growrbm`` only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import io
@@ -158,10 +157,10 @@ def deep_stack() -> RnnDbn:
         for i, (n_v, n_h) in enumerate(zip(DEEP_WIDTHS, DEEP_WIDTHS[1:]))])
 
 
-@contextlib.contextmanager
-def recorded_marginals():
-    """While open, the sampler's draw feeds the float64 bytes of every
-    marginal it draws from to the sha256 object this yields."""
+def sampled(ckpt: Path, seed: int, out: Path):
+    """``run_sample`` of ``SAMPLE_LENGTH`` frames into ``out``: the frames,
+    and the hash prefixes of the file and of the float64 bytes of every
+    marginal the sampler's draw, wrapped meanwhile, draws from."""
     digest, draw = hashlib.sha256(), rnn_dbn._draw
 
     def recording(p, rng):
@@ -170,17 +169,10 @@ def recorded_marginals():
 
     rnn_dbn._draw = recording
     try:
-        yield digest
+        frames = run_sample(ckpt, SAMPLE_LENGTH, seed, out)
     finally:
         rnn_dbn._draw = draw
-
-
-def sampled(ckpt: Path, seed: int, out: Path):
-    """``run_sample`` of ``SAMPLE_LENGTH`` frames into ``out``: the frames,
-    and the hash prefixes of the file and of the marginals."""
-    with recorded_marginals() as marginals:
-        frames = run_sample(ckpt, SAMPLE_LENGTH, seed, out)
-    return frames, f"{sha(out)} marginals {marginals.hexdigest()[:16]}"
+    return frames, f"{sha(out)} marginals {digest.hexdigest()[:16]}"
 
 
 def sample_runs(stack: RnnDbn, root: Path, name: str):
