@@ -51,7 +51,6 @@ class AdaptConfig:
     gen_threshold: float = 0.001
     ann_threshold: float = 0.1
     min_hidden: int = 1
-    split_noise_sd: float = 0.01
 
     def __post_init__(self):
         if self.generation_phase_epochs < 0:
@@ -64,8 +63,6 @@ class AdaptConfig:
             raise ValueError("min_hidden must be >= 1")
         if self.max_hidden < self.min_hidden:
             raise ValueError("max_hidden must be >= min_hidden")
-        if self.split_noise_sd < 0:
-            raise ValueError("split_noise_sd must be >= 0")
 
 
 @dataclass
@@ -168,11 +165,12 @@ def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
     ``scores`` are :func:`generation_scores` of ``stats`` (computed here
     unless given), on the pre-edit structure; each triggered unit
     gets a child inserted directly after it whose bias and weight column
-    copy the parent plus Gaussian noise, and whose further per-unit
-    columns are fresh ``N(0, 0.01)`` draws.  Children never trigger
-    within the sweep that created them, and the sweep stops adding
-    children once ``max_hidden`` is reached.  With no triggers the
-    inputs are returned unchanged and no randomness is consumed.
+    copy the parent plus Gaussian noise of sd :data:`SPLIT_NOISE_SD`, and
+    whose further per-unit columns are fresh ``N(0, 0.01)`` draws.
+    Children never trigger within the sweep that created them, and the
+    sweep stops adding children once ``max_hidden`` is reached.  With no
+    triggers the inputs are returned unchanged and no randomness is
+    consumed.
     """
     if scores is None:
         scores = generation_scores(stats)
@@ -183,7 +181,7 @@ def maybe_generate(model: Rbm, stats: GradientStats, cfg: AdaptConfig,
     if not parents:
         return model, stats, []
 
-    sd = cfg.split_noise_sd
+    sd = SPLIT_NOISE_SD
     child_c, child_cols = [], []
     for j in parents:
         child_c.append(model.c[j] + rng.normal(sd=sd))
@@ -283,6 +281,8 @@ def add_forgetting_(g: RbmGradient, model: Rbm, mode: str,
     return g
 
 
+# sd of the noise a split adds to the child's copy of its parent
+SPLIT_NOISE_SD = 0.01
 # growth ends after this many growth epochs in a row that split no unit
 STALL_LIMIT = 5
 # decay of the gradient moments at every batch

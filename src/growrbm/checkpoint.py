@@ -22,6 +22,7 @@ import json
 import math
 import os
 import struct
+from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -46,7 +47,6 @@ _RNN_DIMS = _DIMS + ("u_dim",)
 # stores layer ``i``'s arrays as ``layer{i}/<name>``
 _KINDS = {"rbm": (Rbm, Rbm, _DIMS), "rnn-rbm": (RnnRbm, RnnRbm, _RNN_DIMS),
           "dbn": (Dbn, Rbm, _DIMS), "rnn-dbn": (RnnDbn, RnnRbm, _RNN_DIMS)}
-_STATS_ARRAYS = ("mean_c", "sq_c", "mean_w", "sq_w")
 
 
 def model_kind(model) -> str:
@@ -92,7 +92,8 @@ def _write(path, kind: str, arrays: dict, meta: dict, seed: int):
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # keep the error that failed the write
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -151,7 +152,7 @@ def _read(path) -> tuple[dict, dict]:
         held = {f"layer{i}/{name}" for name in held for i in range(
             min(header["meta"]["n_layers"], len(arrays)))}
     if kind.endswith("-train"):
-        held |= {f"stats/{name}" for name in _STATS_ARRAYS}
+        held |= {f"stats/{f.name}" for f in fields(GradientStats)}
     unread = sorted(arrays.keys() - held)
     if unread:
         raise CheckpointError(f"{path}: a {kind} checkpoint has no array "
@@ -244,8 +245,8 @@ def save_train_state(path, state, seed: int = 0):
         raise TypeError("a training state holds one layer, not a "
                         f"{model_kind(state.model)} stack")
     kind, arrays, meta = _collect(state.model)
-    arrays.update({f"stats/{name}": getattr(state.stats, name)
-                   for name in _STATS_ARRAYS})
+    arrays.update({f"stats/{name}": arr
+                   for name, arr in vars(state.stats).items()})
     meta.update(epoch_done=state.epoch_done, controller={"stall": state.stall})
     _write(path, kind + "-train", arrays, meta, seed)
 
@@ -271,14 +272,14 @@ def load_train_state(path):
     if epoch_done < -1 or stall < 0:  # -1: a fresh state, before epoch 0
         raise CheckpointError(f"{path}: resume point out of range: epoch_done "
                               "must be >= -1 and controller stall >= 0")
+    expected = vars(GradientStats.zeros(model.n_visible, model.n_hidden))
     stats = GradientStats(
-        *(_need(arrays, f"stats/{name}", path) for name in _STATS_ARRAYS))
-    i, j = model.n_visible, model.n_hidden
-    for name, shape in zip(_STATS_ARRAYS, [(j,), (j,), (i, j), (i, j)]):
-        if getattr(stats, name).shape != shape:
+        *(_need(arrays, f"stats/{name}", path) for name in expected))
+    for name, zeros in expected.items():
+        if getattr(stats, name).shape != zeros.shape:
             raise CheckpointDimensionError(
                 f"{path}: stats/{name} has shape "
-                f"{getattr(stats, name).shape}, expected {shape}")
+                f"{getattr(stats, name).shape}, expected {zeros.shape}")
     return TrainState(epoch_done, model, stats, stall), header
 
 

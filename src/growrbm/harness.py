@@ -9,11 +9,13 @@ kind (rbm, rnn-rbm) is a stack capped at one layer, whose checkpoint is
 that layer, rewritten atomically at every epoch boundary, so an
 interrupted run keeps its latest complete epoch and the last epoch's
 write is the final checkpoint.  Stacks (dbn, rnn-dbn) write it once,
-when training ends.
+when training ends.  A run file that cannot be written, at any point of
+the run, is a :class:`~growrbm.errors.ConfigError` naming it.
 """
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,6 +78,15 @@ def _check_writable(path: Path):
         raise ConfigError(f"cannot write {path}: no directory {path.parent}")
 
 
+@contextmanager
+def _writing(path):
+    """Turn an ``OSError`` from writing ``path`` into :class:`ConfigError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def run_training(cfg: RunConfig, out_dir) -> dict:
     """Execute one training run into ``out_dir``; returns a summary dict."""
     t0 = time.monotonic()
@@ -90,17 +101,17 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         _check_heldout(test_seqs, dataset.dim)
     # inputs that fail their checks leave no output directory behind
     out = Path(out_dir)
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
     for name in RUN_FILES:  # checked before any of them is written
         _check_writable(out / name)
-    (out / "config.cfg").write_text(cfg.raw_text, encoding="utf-8")
+    with _writing(out / "config.cfg"):
+        (out / "config.cfg").write_text(cfg.raw_text, encoding="utf-8")
     ckpt_path = out / "model.ckpt"
 
     def keep_latest(state):
-        save_checkpoint(ckpt_path, state.model, seed=cfg.seed)
+        with _writing(ckpt_path):
+            save_checkpoint(ckpt_path, state.model, seed=cfg.seed)
 
     train = train_adaptive_rnn_dbn if recurrent else train_adaptive_dbn
     data = dataset.train if recurrent else _flatten_frames(dataset.train)
@@ -112,8 +123,10 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         forget=cfg.forget if cfg.adaptive else None,
         epoch_callback=keep_latest if single else None, **extra)
     if not single:  # a single layer's last epoch has written it already
-        save_checkpoint(ckpt_path, stack, seed=cfg.seed)
-    log.to_csv(out / "log.csv")
+        with _writing(ckpt_path):
+            save_checkpoint(ckpt_path, stack, seed=cfg.seed)
+    with _writing(out / "log.csv"):
+        log.to_csv(out / "log.csv")
 
     last = log.rows[-1]
     summary = {
@@ -129,8 +142,9 @@ def run_training(cfg: RunConfig, out_dir) -> dict:
         summary["test_correct_ratio"] = ratio
 
     lines = [f"{k}: {v}" for k, v in summary.items()]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n",
-                                     encoding="utf-8")
+    with _writing(out / "summary.txt"):
+        (out / "summary.txt").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")
     return summary
 
 
@@ -151,9 +165,7 @@ def run_sample(checkpoint_path, length: int, seed: int, out_path) -> np.ndarray:
     except (MemoryError, ValueError) as exc:  # numpy refuses too large a shape
         raise ConfigError(f"cannot sample {length} frames: "
                           "they do not fit in memory") from exc
-    try:
+    with _writing(out_path):
         write_jsonl(out_path, [frames] if length > 0 else [],
                     ids=["sample"] if length > 0 else None)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     return frames

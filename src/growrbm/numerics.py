@@ -16,15 +16,13 @@ both model families that way.
 raises one ``FloatingPointError``.  A vectorised pass hands its
 pre-activations to :func:`sigmoid` and silences numpy's overflow
 warnings (``np.errstate``), which would only repeat that error.  Three
-loops run bare ``expit`` instead: the two frame-by-frame recursions,
+loops, the CD-k chain :func:`~growrbm.rbm._cd_chain` and the recursions
 :func:`~growrbm.rnn_rbm.unroll` and
-:func:`~growrbm.rnn_dbn.sample_sequence_deep`, tested per call or frame,
-and the CD-k Gibbs chain :func:`~growrbm.rbm._cd_chain`, tested once per
-call over one buffer of all its activations (:func:`_unclamped`).  Only
-where a test fails does a loop rerun on the clamped logistic and check
-for finiteness: the recursions through :func:`_logistic`, the chain
-through :func:`sigmoid`.  The sampler's test, or the clamp, stands for
-the range check of :func:`sample_bernoulli`, so it draws by :func:`_draw`.
+:func:`~growrbm.rnn_dbn.sample_sequence_deep`, keep one rule: bare
+``expit``, one :func:`_unclamped` test, rerun on :func:`sigmoid` (in
+place, through ``out``) where the test fails.  The sampler's test, or
+the rerun, stands for the range check of :func:`sample_bernoulli`, so
+it draws by :func:`_draw`.
 """
 from __future__ import annotations
 
@@ -118,24 +116,24 @@ class RngStream:
         return self._gen.permutation(n)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function clamped into the open interval (0, 1).
 
-    Input must be finite; output is never exactly 0 or 1, so callers can
-    take logs without guarding.  Shape is preserved.  The clamp works in
-    place on the fresh output (:func:`_logistic`).
+    Input must be finite, checked before anything is written; output is
+    never exactly 0 or 1, so callers can take logs without guarding.
+    Shape is preserved.  Given ``out`` (which may be ``x``), the result
+    is written there and ``out`` is returned (:func:`_logistic`).
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise FloatingPointError("sigmoid: non-finite input")
-    out = _logistic(arr)
-    return out if out.ndim else out[()]
+    res = _logistic(arr, out)
+    return res if res.ndim or out is not None else res[()]
 
 
 def _logistic(x: np.ndarray, out=None) -> np.ndarray:
     """:func:`sigmoid` of a float64 array without the finiteness check,
-    into ``out`` if given.  For loops that check their pre-activations
-    themselves, once, and silence the overflow warnings until then."""
+    into ``out`` if given."""
     out = np.asarray(expit(x, out=out))  # a 0-d input gives a scalar
     np.maximum(out, _SIG_LO, out=out)
     np.minimum(out, _SIG_HI, out=out)

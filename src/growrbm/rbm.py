@@ -23,7 +23,8 @@ per Bernoulli draw in the order the chain consumes them, and both
 families draw those blocks the same way (:func:`_chain_uniforms`): one
 block of every row of the batch per chain step.  It writes every
 activation into one buffer on bare ``expit``, tests the buffer once,
-and reruns on the guarded sigmoid only where the test fails.
+and reruns on :func:`~growrbm.numerics.sigmoid` only where the test
+fails (the rule of :mod:`~growrbm.numerics`).
 
 Conventions used throughout the package:
 
@@ -261,12 +262,6 @@ def _chain_uniforms(rng: RngStream, rows: int, rbm: Rbm, k: int) -> list:
     return [rng.uniform(size=(rows, w)) for w in widths]
 
 
-def _guarded(x: np.ndarray, out: np.ndarray):
-    """:func:`~growrbm.numerics.sigmoid` of ``x`` into ``out``: the
-    logistic of the chain's rerun, which refuses a non-finite input."""
-    out[...] = sigmoid(x)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     """The CD-k Gibbs chain from data rows ``v``; returns
@@ -284,9 +279,9 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     Every activation of the chain is written into one buffer, cut into
     views by plain slices, on bare ``expit``; one range test of the
     buffer (:func:`~growrbm.numerics._unclamped`) stands for the guard.
-    Only where it fails does the whole chain rerun on the guarded
-    sigmoid, which clamps as it always did and raises its error on a
-    non-finite pre-activation.
+    Only where it fails does the whole chain rerun, into the same views,
+    on :func:`~growrbm.numerics.sigmoid`, which clamps as it always did
+    and raises its error on a non-finite pre-activation.
     """
     rows, (i, j), k = v.shape[0], W.shape, len(uniforms[::2])
     # the first and last hidden activations lead the buffer as one block;
@@ -298,7 +293,7 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
         acts.append(act[start:start + rows * width].reshape(rows, width))
         start += rows * width
     acts.append(hidden[1])
-    for logistic in (expit, _guarded):
+    for logistic in (expit, sigmoid):
         out = iter(acts)
         h = (uniforms[0] < _conditional(v, W, c, next(out), logistic)
              ).astype(np.float64)

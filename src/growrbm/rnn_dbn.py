@@ -24,8 +24,8 @@ sequence scored alone.
 
 Sampling (:func:`sample_sequence_deep`) carries every layer's state
 forward, so each frame costs one step through the stack, on bare
-``expit`` with one range test of its activations before the draw and
-one more after the last state update.
+``expit`` with one range test before the draw and one after the last
+state update, rerun on the guarded sigmoid where a test fails.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ import numpy as np
 from .adapt import AdaptConfig, ForgettingConfig
 from .dbn import Dbn, LayerGenConfig, _train_stack
 from .metrics import PooledMetrics
-from .numerics import (RngStream, _draw, _logistic, _unclamped, expit,
-                       sigmoid)
+from .numerics import RngStream, _draw, _unclamped, expit, sigmoid
 from .rbm import CdConfig
 from .rnn_rbm import (MEAN_FIELD_PASSES, RnnRbm, _as_sequences,
                       _length_groups, _mean_field_marginals,
@@ -178,46 +177,44 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     and lifts it up once, moving every state one step forward.
 
     The step is written for numpy's per-call cost on tiny layers: every
-    product goes into buffers kept for the call, cut by plain slices, and
-    bare ``expit`` writes the activations, tested once before the draw
+    product goes into buffers kept for the call, cut by plain slices,
+    each pre-activation into its activation's slot, where bare ``expit``
+    runs in place.  The activations are tested once before the draw
     (:func:`~growrbm.numerics._unclamped`), which then needs no range
     check (:func:`~growrbm.numerics._draw`).  A failed test restores the
     states saved before the last update, and the call redoes it and goes
-    on with the clamped logistic, checking its pre-activations for
-    finiteness.  So the error of :func:`~growrbm.numerics.sigmoid` is
-    raised on exactly the stacks where the guarded steps
-    (:func:`~growrbm.exact.state_update` and a guarded pass per layer)
-    raise it, and every frame and marginal is bit for bit theirs.
+    on with :func:`~growrbm.numerics.sigmoid`, which raises at the first
+    non-finite pre-activation: on exactly the stacks where the guarded
+    steps (:func:`~growrbm.exact.state_update` and a guarded pass per
+    layer) raise, and every frame and marginal is bit for bit theirs.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     layers = stack.layers
     top, n_lower = layers[-1], len(layers) - 1
-    # one frame's pre-activations: the top layer's mean-field passes,
-    # then per layer its down pass, state update and lift (the top layer
-    # has neither); the activations mirror them, and start at 1/2
+    # one frame's activations: the top layer's mean-field passes, then
+    # per layer its down pass, state and lift (the top layer has no
+    # down pass or lift); they start at 1/2.  A state update reads the
+    # old state, so it alone has a scratch row per layer
     n_mf = 2 * MEAN_FIELD_PASSES
     sizes = [top.n_hidden, top.n_visible] * MEAN_FIELD_PASSES
     for layer in layers[:-1]:
         sizes += [layer.n_visible, layer.u_dim, layer.n_hidden]
     sizes += [0, top.u_dim, 0]
     bounds = np.cumsum([0, *sizes]).tolist()
-    pre, act = np.zeros(bounds[-1]), np.full(bounds[-1], 0.5)
-    pre_l = [pre[i:j] for i, j in zip(bounds, bounds[1:])]
+    act = np.full(bounds[-1], 0.5)
     act_l = [act[i:j] for i, j in zip(bounds, bounds[1:])]
-    passes = list(zip(pre_l[0:n_mf:2], act_l[0:n_mf:2], pre_l[1:n_mf:2],
-                      act_l[1:n_mf:2]))
+    passes = list(zip(act_l[0:n_mf:2], act_l[1:n_mf:2]))
     b_next = [np.empty(layer.n_visible) for layer in layers]
     down = list(zip(b_next, [layer.W.T for layer in layers],
-                    pre_l[n_mf::3], act_l[n_mf::3]))[-2::-1]
+                    act_l[n_mf::3]))[-2::-1]
     biases, up = [], []
-    for layer, b, u, p, q, a in zip(
-            layers, b_next, act_l[n_mf + 1::3], pre_l[n_mf + 1::3],
-            pre_l[n_mf + 2::3], act_l[n_mf + 2::3]):
+    for layer, b, u, a in zip(layers, b_next, act_l[n_mf + 1::3],
+                              act_l[n_mf + 2::3]):
         u[...] = layer.u0
         biases.append((layer.b, layer.w_uv, b, u))
-        up.append((layer.u_bias, layer.w_uu, layer.w_vu, u, p,
-                   np.empty(layer.u_dim), layer.c, layer.w_uh, layer.W, q,
+        up.append((layer.u_bias, layer.w_uu, layer.w_vu, u,
+                   np.empty(layer.u_dim), layer.c, layer.w_uh, layer.W,
                    np.empty(layer.n_hidden), a))
     W, W_T, b_top, c_top = top.W, top.W.T, b_next[-1], np.empty(top.n_hidden)
     biases.append((top.c, top.w_uh, c_top, u))  # a lower layer's: the lift's
@@ -226,32 +223,30 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     saved = act.copy()  # the activations before the last state update
     logistic, drawn, t = expit, None, 0  # bare until a test fails
     dot, add = np.dot, np.add
-    # an overflow is reported by the tests and the finiteness checks
+    # an overflow is reported by the tests and the guarded rerun
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= length:  # the update by frame t - 1, then frame t
             view = drawn
-            for i, (u_bias, w_uu, w_vu, u, p, p2, c, w_uh, W_l, q, q2,
+            for i, (u_bias, w_uu, w_vu, u, p, c, w_uh, W_l, q,
                     a) in enumerate(up if t else ()):
                 if i < n_lower:  # the lift's bias, from the old state
-                    add(c, dot(u, w_uh, out=q), out=q)
+                    add(c, dot(u, w_uh, out=a), out=a)
                 add(u_bias, dot(u, w_uu, out=p), out=p)
-                logistic(add(p, dot(view, w_vu, out=p2), out=p), u)
+                logistic(add(p, dot(view, w_vu, out=u), out=u), u)
                 if i < n_lower:
-                    view = logistic(add(q, dot(view, W_l, out=q2), out=q), a)
+                    view = logistic(add(a, dot(view, W_l, out=q), out=a), a)
             if t < length:
                 for x, w, x_next, u in biases:
                     add(x, dot(u, w, out=x_next), out=x_next)
                 v = half
-                for ph, ah, pv, av in passes:
-                    h = logistic(add(c_top, dot(v, W, out=ph), out=ph), ah)
-                    v = logistic(add(b_top, dot(h, W_T, out=pv), out=pv), av)
-                for b_l, W_T_l, p, a in down:
-                    v = logistic(add(b_l, dot(v, W_T_l, out=p), out=p), a)
+                for ah, av in passes:
+                    h = logistic(add(c_top, dot(v, W, out=ah), out=ah), ah)
+                    v = logistic(add(b_top, dot(h, W_T, out=av), out=av), av)
+                for b_l, W_T_l, a in down:
+                    v = logistic(add(b_l, dot(v, W_T_l, out=a), out=a), a)
             if logistic is expit and not _unclamped(act):
-                logistic, act[...] = _logistic, saved
+                logistic, act[...] = sigmoid, saved
                 continue  # redo the update and the frame
-            if logistic is _logistic and not np.isfinite(pre).all():
-                raise FloatingPointError("sigmoid: non-finite input")
             if t < length:
                 drawn = frames[t] = _draw(v, rng)
                 saved[...] = act

@@ -35,9 +35,9 @@ its place in the batch, whatever its group (:func:`bptt_gradients`).
 
 Prediction, evaluation and sampling belong to :mod:`~growrbm.rnn_dbn`,
 which reads a recurrent RBM as a one-layer stack.  Two loops of this
-module run bare ``expit`` with one range test per call, :func:`unroll`
-and the shared CD-k chain; every other pass goes through the guarded
-sigmoid (the rule of :mod:`~growrbm.numerics`).
+module, :func:`unroll` and the shared CD-k chain, run bare ``expit``
+with one range test per call; every other pass, and their reruns, go
+through the guarded sigmoid (the rule of :mod:`~growrbm.numerics`).
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
 it is copied, validated, updated and checkpointed by the static code,
@@ -58,7 +58,7 @@ import numpy as np
 from .adapt import AdaptConfig, ForgettingConfig, TrainState, _train_layer
 from .errors import DimensionError
 from .metrics import PooledMetrics
-from .numerics import RngStream, _logistic, _unclamped, expit, sigmoid
+from .numerics import RngStream, _unclamped, expit, sigmoid
 from .rbm import (CdConfig, Rbm, RbmGradient, _apply_update, _cd_chain,
                   _chain_uniforms)
 
@@ -172,10 +172,10 @@ def unroll(model: RnnRbm, seq):
     and ``C`` are two matrix products over the stacked states afterwards.
     Every ``frames @ w_vu`` is one product before the loop, slice by slice
     with a lone frame's kernel (a lone sequence goes in as ``(T, 1, I)``).
-    A failed test reruns the recursion on the clamped logistic of
-    :func:`~growrbm.exact.state_update`, and one finiteness check over
-    all pre-activations raises the error :func:`~growrbm.numerics.sigmoid`
-    would have raised.
+    Each step's pre-activation is the state row it becomes, in place.  A
+    failed test reruns the loop on :func:`~growrbm.numerics.sigmoid` (the
+    logistic of :func:`~growrbm.exact.state_update`), which raises its
+    error at the first non-finite pre-activation.
     """
     seq = _as_sequences(seq)
     if seq.shape[-1] != model.n_visible:
@@ -185,21 +185,17 @@ def unroll(model: RnnRbm, seq):
     lead, t_len = seq.shape[:-2], seq.shape[-2]
     frames = np.moveaxis(seq if lead else seq[None], -2, 0)  # (T, ..., I)
     U = np.empty((t_len + 1,) + lead + (model.u_dim,))
-    pre = np.empty((t_len,) + lead + (model.u_dim,))
     U[0] = model.u0
     u_bias, w_uu, matmul, add = model.u_bias, model.w_uu, np.matmul, np.add
-    # an overflow here is reported once, by the checks after the loop
+    # an overflow here is reported once, by the test or the rerun's error
     with np.errstate(over="ignore", invalid="ignore"):
-        drive = (frames @ model.w_vu).reshape(pre.shape)
-        for logistic in (expit, _logistic):
+        drive = (frames @ model.w_vu).reshape(U[1:].shape)
+        for logistic in (expit, sigmoid):
             for t in range(t_len):
-                p = matmul(U[t], w_uu, out=pre[t])
-                add(add(u_bias, p, out=p), drive[t], out=p)
-                logistic(p, out=U[t + 1])
+                p = matmul(U[t], w_uu, out=U[t + 1])
+                logistic(add(add(u_bias, p, out=p), drive[t], out=p), p)
             if logistic is expit and _unclamped(U[1:]):
                 break
-    if logistic is _logistic and not np.isfinite(pre).all():
-        raise FloatingPointError("sigmoid: non-finite input")
     U = np.moveaxis(U, 0, -2)
     return (U, *_frame_biases(model, U))
 

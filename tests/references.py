@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from growrbm import dbn, rnn_rbm
+from growrbm import adapt as adapt_module, dbn, rnn_rbm
 from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
 from growrbm.errors import DataFormatError
 from growrbm.exact import state_update
@@ -168,11 +168,11 @@ def reference_grow_hidden(model, stats, cfg, rng):
     parents = parents[:max(0, cfg.max_hidden - model.n_hidden)]
     if not parents:
         return model, stats, []
-    child_c, child_cols = [], []
+    child_c, child_cols, sd = [], [], adapt_module.SPLIT_NOISE_SD
     for j in parents:
-        child_c.append(model.c[j] + rng.normal(sd=cfg.split_noise_sd))
-        child_cols.append(model.W[:, j] + rng.normal(sd=cfg.split_noise_sd,
-                                                     size=model.n_visible))
+        child_c.append(model.c[j] + rng.normal(sd=sd))
+        child_cols.append(model.W[:, j]
+                          + rng.normal(sd=sd, size=model.n_visible))
     new_cols = rng.normal(sd=0.01, size=(len(parents), model.u_dim))
     at = np.add(parents, 1)
     grown = model.copy()

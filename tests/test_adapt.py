@@ -146,13 +146,14 @@ class TestMaybeGenerate:
         assert out is rbm
         assert out_stats is stats
 
-    def test_split_without_noise_copies_parent(self):
+    def test_split_without_noise_copies_parent(self, monkeypatch):
+        monkeypatch.setattr(adapt_module, "SPLIT_NOISE_SD", 0.0)
         rng = RngStream(3)
         rbm = Rbm(b=rng.normal(size=2), c=rng.normal(size=2),
                   W=rng.normal(size=(2, 2)))
         stats = stats_with_variance(2, 2, [1.0, 0.0],
                                     [[1.0, 0.0], [1.0, 0.0]])
-        cfg = adapt_cfg(split_noise_sd=0.0, gen_threshold=0.5)
+        cfg = adapt_cfg(gen_threshold=0.5)
         grown, grown_stats, parents = maybe_generate(rbm, stats, cfg,
                                                      RngStream(1))
         assert parents == [0]
@@ -167,44 +168,49 @@ class TestMaybeGenerate:
         # child statistics start cold
         assert grown_stats.sq_c[1] == 0.0
 
-    def test_noisy_split_perturbs_child_only(self):
+    def test_noisy_split_perturbs_child_only(self, monkeypatch):
+        monkeypatch.setattr(adapt_module, "SPLIT_NOISE_SD", 0.05)
         rbm = Rbm.zeros(3, 1)
         rbm.W[:, 0] = [1.0, -1.0, 0.5]
         stats = stats_with_variance(3, 1, [1.0], [[1.0], [1.0], [1.0]])
-        cfg = adapt_cfg(split_noise_sd=0.05, gen_threshold=0.5)
+        cfg = adapt_cfg(gen_threshold=0.5)
         grown, _, parents = maybe_generate(rbm, stats, cfg, RngStream(7))
         assert parents == [0]
         npt.assert_array_equal(grown.W[:, 0], rbm.W[:, 0])
         assert not np.array_equal(grown.W[:, 1], rbm.W[:, 0])
         npt.assert_allclose(grown.W[:, 1], rbm.W[:, 0], atol=0.3)
 
-    def test_respects_max_hidden(self):
+    def test_respects_max_hidden(self, monkeypatch):
+        monkeypatch.setattr(adapt_module, "SPLIT_NOISE_SD", 0.0)
         rbm = Rbm.zeros(2, 3)
         stats = stats_with_variance(2, 3, [1.0, 1.0, 1.0], np.ones((2, 3)))
-        cfg = adapt_cfg(gen_threshold=0.5, max_hidden=4, split_noise_sd=0.0)
+        cfg = adapt_cfg(gen_threshold=0.5, max_hidden=4)
         grown, _, parents = maybe_generate(rbm, stats, cfg, RngStream(0))
         assert parents == [0]  # only room for one child
         assert grown.n_hidden == 4
 
-    def test_multiple_parents_insert_in_order(self):
+    def test_multiple_parents_insert_in_order(self, monkeypatch):
+        monkeypatch.setattr(adapt_module, "SPLIT_NOISE_SD", 0.0)
         rbm = Rbm.zeros(1, 3)
         rbm.c[:] = [10.0, 20.0, 30.0]
         stats = stats_with_variance(1, 3, [1.0, 0.0, 1.0],
                                     [[1.0, 0.0, 1.0]])
-        cfg = adapt_cfg(gen_threshold=0.5, split_noise_sd=0.0)
+        cfg = adapt_cfg(gen_threshold=0.5)
         grown, _, parents = maybe_generate(rbm, stats, cfg, RngStream(0))
         assert parents == [0, 2]
         npt.assert_array_equal(grown.c, [10.0, 10.0, 20.0, 30.0, 30.0])
 
-    def test_duplicate_unit_changes_distribution_predictably(self):
+    def test_duplicate_unit_changes_distribution_predictably(
+            self, monkeypatch):
         # duplicating unit j multiplies every state weight by the extra
         # factor (1 + exp(c_j + v.W_j)); verify against enumeration
+        monkeypatch.setattr(adapt_module, "SPLIT_NOISE_SD", 0.0)
         rng = RngStream(11)
         rbm = Rbm(b=rng.normal(size=2), c=rng.normal(size=2),
                   W=rng.normal(size=(2, 2)))
         stats = stats_with_variance(2, 2, [1.0, 0.0],
                                     [[1.0, 0.0], [1.0, 0.0]])
-        cfg = adapt_cfg(gen_threshold=0.5, split_noise_sd=0.0)
+        cfg = adapt_cfg(gen_threshold=0.5)
         grown, _, _ = maybe_generate(rbm, stats, cfg, RngStream(0))
 
         states = np.array(list(itertools.product((0.0, 1.0), repeat=2)))

@@ -1,5 +1,6 @@
 """Checkpoint container: round trips, byte stability, corruption handling."""
 import struct
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -119,6 +120,25 @@ class TestRoundTrips:
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             save_checkpoint(tmp_path / "x.ckpt", object())
+
+    def test_failed_cleanup_keeps_the_write_error(self, tmp_path,
+                                                  monkeypatch):
+        # the object weights fail to convert halfway through the write,
+        # and the temporary file cannot be removed either: the write's
+        # own error comes out, and the previous file stays
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, rbm_model())
+        before = p.read_bytes()
+
+        def refuse(path, missing_ok=False):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        bad = Rbm(np.zeros(4), np.zeros(3),
+                  np.array([[object()] * 3] * 4, dtype=object))
+        with pytest.raises(TypeError):
+            save_checkpoint(p, bad)
+        assert p.read_bytes() == before
 
 
 def layers_of(model):

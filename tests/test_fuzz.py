@@ -54,8 +54,8 @@ CONFIG_KEYS = ("model", "adaptive", "epochs", "seed", "train", "test",
                "n_hidden", "u_dim", "cd.k", "cd.batch_size",
                "cd.learning_rate", "adapt.max_hidden", "adapt.min_hidden",
                "adapt.gen_threshold", "adapt.ann_threshold",
-               "adapt.split_noise_sd", "forget.forgetting_epochs",
-               "forget.decay_strength", "layers.max_layers",
+               "forget.forgetting_epochs", "forget.decay_strength",
+               "layers.max_layers",
                "layers.wd_threshold", "cd.", "Model", "epoch", "x.y")
 CONFIG_VALUES = ("", "0", "1", "2", "3", "-1", "0.5", "0.01", "1e-300",
                  "1e308", "nan", "inf", "-inf", "abc", "true", "no", "rbm",

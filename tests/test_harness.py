@@ -323,7 +323,7 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "cd.learning_rate = nan", "adapt.gen_threshold = nan",
-        "layers.wd_threshold = nan", "adapt.split_noise_sd = inf"])
+        "layers.wd_threshold = nan", "forget.selective_cutoff = inf"])
     def test_non_finite_config_value_exits_1(self, tmp_path, data_file,
                                              capsys, line):
         out = tmp_path / "run"
@@ -552,6 +552,45 @@ class TestCli:
         assert len(err) == 1, err
         assert err[0].startswith(f"error: cannot write {out / name}: ")
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_checkpoint_temp_taken_by_directory_exits_1(
+            self, tmp_path, data_file, capsys):
+        # the first epoch's save cannot open its temporary file, and
+        # cannot remove it either
+        out = tmp_path / "run"
+        (out / "model.ckpt.tmp").mkdir(parents=True)
+        cfg = self.write_config(tmp_path, data_file, out)
+        code, err = self.stderr_lines(["train", "--config", str(cfg)],
+                                      capsys)
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: cannot write {out / 'model.ckpt'}: ")
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("name", ["model.ckpt", "log.csv", "summary.txt"])
+    def test_run_file_taken_mid_run_exits_1(self, tmp_path, data_file,
+                                            capsys, monkeypatch, name):
+        """A directory that takes a run file's place after the first
+        epoch's save fails that file's write with one error line, and
+        the last whole checkpoint stays."""
+        out, saved, plain = tmp_path / "run", [], harness.save_checkpoint
+        # a checkpoint save writes its temporary file first
+        taken = out / (name + ".tmp" if name == "model.ckpt" else name)
+
+        def taking(path, obj, **kwargs):
+            plain(path, obj, **kwargs)
+            saved.append(path.read_bytes())
+            taken.mkdir(exist_ok=True)
+
+        monkeypatch.setattr(harness, "save_checkpoint", taking)
+        cfg = self.write_config(tmp_path, data_file, out)
+        code, err = self.stderr_lines(["train", "--config", str(cfg)],
+                                      capsys)
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: cannot write {out / name}: ")
+        assert len(saved) == (1 if name == "model.ckpt" else 2)
+        assert (out / "model.ckpt").read_bytes() == saved[-1]
 
     @pytest.mark.parametrize("out", ["folder", "absent/gen.jsonl"])
     def test_unwritable_sample_out_found_before_sampling(

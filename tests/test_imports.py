@@ -226,6 +226,21 @@ def test_only_exact_enumerates(path):
             for a in n.names if a.name.split(".")[-1] == "logsumexp"] == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numerics"],
+                         ids=lambda p: p.stem)
+def test_only_numerics_clamps(path):
+    """No module but ``numerics`` names ``_logistic``, the clamp without
+    a finiteness check: a loop that leaves bare ``expit`` reruns on
+    ``sigmoid``."""
+    tree = ast.parse(path.read_text())
+    names = [getattr(n, "id", None) or getattr(n, "attr", None)
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))]
+    names += [a.name for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+    assert "_logistic" not in names
+
+
 def test_readme_library_sketch_imports_run():
     readme = (ROOT / "README.md").read_text()
     sketch = readme.split("## Library sketch", 1)[1]

@@ -123,6 +123,34 @@ class TestLogistic:
             assert got is outs[0]
 
 
+class TestSigmoidInto:
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                     max_side=5),
+                        elements=LOGISTIC_INPUTS),
+           in_place=st.booleans())
+    def test_equals_sigmoid_or_writes_nothing(self, x, in_place):
+        # ``out`` is ``x`` itself or a separate array; a non-finite input
+        # raises before either is written
+        before = x.copy()
+        out = x if in_place else np.full_like(x, 0.25)
+        kept = out.copy()
+        if np.isfinite(before).all():
+            want = np.asarray(sigmoid(before))
+            got = sigmoid(x, out=out)
+            assert got is out
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            if not in_place:
+                npt.assert_array_equal(x.view(np.uint64),
+                                       before.view(np.uint64))
+        else:
+            with pytest.raises(FloatingPointError,
+                               match="^sigmoid: non-finite input$"):
+                sigmoid(x, out=out)
+            npt.assert_array_equal(out.view(np.uint64), kept.view(np.uint64))
+            npt.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+
+
 class TestUnclamped:
     @settings(max_examples=300, deadline=None)
     @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,

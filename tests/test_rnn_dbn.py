@@ -479,7 +479,7 @@ class TestGuardedReruns:
     SEEDS = range(60)
 
     def test_sampler_equals_linear_reference_bit_for_bit(self, monkeypatch):
-        real, reruns = rnn_dbn._logistic, []
+        real, reruns = rnn_dbn.sigmoid, []
         for seed in self.SEEDS:
             stack, got, want, first = saturated_stack(seed), [], [], []
 
@@ -488,7 +488,7 @@ class TestGuardedReruns:
                     first.append(len(got))  # the frame being predicted
                 return real(x, out)
 
-            monkeypatch.setattr(rnn_dbn, "_logistic", guarded)
+            monkeypatch.setattr(rnn_dbn, "sigmoid", guarded)
             monkeypatch.setattr(rnn_dbn, "_draw", recording_draw(got))
             frames = sample_sequence_deep(stack, 20, RngStream(seed))
             with np.errstate(over="ignore", invalid="ignore"):
@@ -504,13 +504,13 @@ class TestGuardedReruns:
         assert len(reruns) >= 20 and sum(t >= 1 for t in reruns) >= 10
 
     def test_unroll_equals_state_update_loop_bit_for_bit(self, monkeypatch):
-        real, steps = rnn_rbm._logistic, []
+        real, steps = rnn_rbm.sigmoid, []
 
         def guarded(x, out=None):
             steps.append(1)
             return real(x, out)
 
-        monkeypatch.setattr(rnn_rbm, "_logistic", guarded)
+        monkeypatch.setattr(rnn_rbm, "sigmoid", guarded)
         for seed in self.SEEDS:
             rng = RngStream(1000 + seed)
             for layer in saturated_stack(seed).layers:

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from growrbm import rnn_rbm
+from growrbm import adapt as adapt_module, rnn_rbm
 from growrbm.adapt import (STATS_DECAY, AdaptConfig, ForgettingConfig,
                            GradientStats, add_forgetting_, apply_annihilation,
                            forgetting_modes, maybe_generate)
@@ -833,7 +833,8 @@ class TestStructuralEdits:
 @st.composite
 def growth_cases(draw):
     """A random recurrent layer, noisy gradient statistics and a growth
-    config with 0-6 units of room."""
+    config with 0-6 units of room; the splits add noise of sd 0.1
+    (:class:`TestGrowthOracle` sets ``adapt.SPLIT_NOISE_SD``)."""
     i, j, k = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
                draw(st.integers(1, 4)))
     rng = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
@@ -842,8 +843,7 @@ def growth_cases(draw):
                           rng.normal(size=(i, j)), rng.uniform(size=(i, j)))
     cfg = AdaptConfig(generation_phase_epochs=1,
                       max_hidden=j + draw(st.integers(0, 6)),
-                      gen_threshold=draw(st.sampled_from([1e-3, 0.02, 0.1])),
-                      split_noise_sd=0.1)
+                      gen_threshold=draw(st.sampled_from([1e-3, 0.02, 0.1])))
     return model, stats, cfg
 
 
@@ -852,10 +852,12 @@ class TestGrowthOracle:
     @given(case=growth_cases(), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_reference_grow_hidden(self, case, seed):
         model, stats, cfg = case
-        grown, grown_stats, parents = maybe_generate(model, stats, cfg,
-                                                     RngStream(seed))
-        ref, ref_stats, ref_parents = reference_grow_hidden(
-            model, stats, cfg, RngStream(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adapt_module, "SPLIT_NOISE_SD", 0.1)
+            grown, grown_stats, parents = maybe_generate(model, stats, cfg,
+                                                         RngStream(seed))
+            ref, ref_stats, ref_parents = reference_grow_hidden(
+                model, stats, cfg, RngStream(seed))
         assert parents == ref_parents
         assert list(grown.arrays()) == list(ref.arrays())
         for name, arr in ref.arrays().items():
