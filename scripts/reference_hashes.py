@@ -26,9 +26,12 @@ frame-by-frame recursions on the same stack with the arrays of
 (where ``expit`` rounds to 1) but stay finite: the sampler's first range
 test fails at frame 2 (seed 11) and 3 (seed 12), and its marginals
 move if it does not rerun or does not restore the states before a
-rerun.  It gives the samples at the two seeds and the sha256 prefix of
+rerun.  It gives the samples at the two seeds, the sha256 prefix of
 the float64 bytes of the states ``unroll`` gives each layer on each
-sample lifted to it.  The
+sample lifted to it, and the ``run_eval`` scores on the held-out set
+with the sha256 prefix of the float64 bytes of the predictions they
+pool (:func:`evaluated`): that eval's grouped unrolls rerun too, and
+its scores alone do not move where only its states do.  The
 single-layer adaptive kinds also gate resume: a ``resume`` line trains
 the config through the library, saves the train state after
 ``epochs // 2`` epochs, loads it back and resumes, and gives the hashes
@@ -173,6 +176,26 @@ def sampled(ckpt: Path, seed: int, out: Path):
     finally:
         rnn_dbn._draw = draw
     return frames, f"{sha(out)} marginals {digest.hexdigest()[:16]}"
+
+
+def evaluated(ckpt: Path, heldout: Path) -> str:
+    """``run_eval`` of ``ckpt`` on ``heldout``: the scores (``repr``) and
+    the hash prefix of the float64 bytes of every length group's
+    predictions, which the script records by wrapping the predictor
+    meanwhile, so a change to them shows even where the scores hold."""
+    digest, predict = hashlib.sha256(), rnn_dbn.next_frame_predictions_deep
+
+    def recording(stack, seqs):
+        preds = predict(stack, seqs)
+        digest.update(preds.tobytes())
+        return preds
+
+    rnn_dbn.next_frame_predictions_deep = recording
+    try:
+        scores = run_eval(ckpt, heldout)
+    finally:
+        rnn_dbn.next_frame_predictions_deep = predict
+    return f"{scores!r} predictions {digest.hexdigest()[:16]}"
 
 
 def sample_runs(stack: RnnDbn, root: Path, name: str):
@@ -324,7 +347,8 @@ def main(argv=None) -> int:
                 states.update(unroll(layer, seq)[0].tobytes())
                 seq = deterministic_hidden_sequence(layer, seq)
         print(f"{'saturated stack':14s} sample {hashes}"
-              f" unroll {states.hexdigest()[:16]}")
+              f" unroll {states.hexdigest()[:16]}"
+              f" eval {evaluated(root / 'saturated.ckpt', heldout)}")
     return 0
 
 

@@ -10,7 +10,11 @@ that layer, rewritten atomically at every epoch boundary, so an
 interrupted run keeps its latest complete epoch and the last epoch's
 write is the final checkpoint.  Stacks (dbn, rnn-dbn) write it once,
 when training ends.  A run file that cannot be written, at any point of
-the run, is a :class:`~growrbm.errors.ConfigError` naming it.
+the run, is a :class:`~growrbm.errors.ConfigError` naming it.  A run
+that fails after writing ``config.cfg`` (exit 1 or 3) keeps the files
+written before, in the order config, checkpoint, log, summary: a
+failure in training leaves ``config.cfg`` and, for rbm and rnn-rbm
+only, the last complete epoch's ``model.ckpt``.
 """
 from __future__ import annotations
 

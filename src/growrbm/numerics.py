@@ -15,14 +15,19 @@ both model families that way.
 :func:`sigmoid` refuses a non-finite input, so an overflow upstream
 raises one ``FloatingPointError``.  A vectorised pass hands its
 pre-activations to :func:`sigmoid` and silences numpy's overflow
-warnings (``np.errstate``), which would only repeat that error.  Three
-loops, the CD-k chain :func:`~growrbm.rbm._cd_chain` and the recursions
+warnings (``np.errstate``), which would only repeat that error.  Four
+loops, the CD-k chain :func:`~growrbm.rbm._cd_chain`, the mean-field
+passes :func:`~growrbm.rnn_rbm._mean_field_marginals` and the recursions
 :func:`~growrbm.rnn_rbm.unroll` and
 :func:`~growrbm.rnn_dbn.sample_sequence_deep`, keep one rule: bare
 ``expit``, one :func:`_unclamped` test, rerun on :func:`sigmoid` (in
-place, through ``out``) where the test fails.  The sampler's test, or
-the rerun, stands for the range check of :func:`sample_bernoulli`, so
-it draws by :func:`_draw`.
+place, through ``out``) where the test fails, which raises at the first
+non-finite input.  The sampler's test, or the rerun, stands for the
+range check of :func:`sample_bernoulli`, so it draws by :func:`_draw`.
+Their tiny per-step calls pass outputs positionally (``np.add(a, b, c)``
+335 ns, with ``out=c`` 384 ns), multiply by ``ndarray.dot`` (344 ns;
+``np.dot`` dispatches in Python, 544 ns) or ``np.matmul`` and transpose
+by view (0.14 us; ``np.moveaxis`` 3.6 us; 2-core VM, numpy 2.4.6).
 """
 from __future__ import annotations
 

@@ -216,8 +216,11 @@ class RbmGradient(Packed):
         return self
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(arr ** 2)
-                                 for arr in vars(self).values())))
+        sq, total, start = self.buffer * self.buffer, 0.0, 0
+        for arr in vars(self).values():
+            total += np.add.reduce(sq[start:start + arr.size])
+            start += arr.size
+        return float(np.sqrt(total))
 
     def clip_(self, max_norm: float) -> "RbmGradient":
         n = self.norm()
@@ -277,11 +280,8 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
     are probabilities, to cut sampling noise.
 
     Every activation of the chain is written into one buffer, cut into
-    views by plain slices, on bare ``expit``; one range test of the
-    buffer (:func:`~growrbm.numerics._unclamped`) stands for the guard.
-    Only where it fails does the whole chain rerun, into the same views,
-    on :func:`~growrbm.numerics.sigmoid`, which clamps as it always did
-    and raises its error on a non-finite pre-activation.
+    views by plain slices, and the buffer is tested once: the whole chain
+    reruns into the same views where the test fails.
     """
     rows, (i, j), k = v.shape[0], W.shape, len(uniforms[::2])
     # the first and last hidden activations lead the buffer as one block;
@@ -311,7 +311,7 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
 
 def _conditional(x, M, bias, out, logistic) -> np.ndarray:
     """``logistic(x @ M + bias)`` of the chain, written into ``out``."""
-    np.matmul(x, M, out=out)
+    np.matmul(x, M, out)
     out += bias
     logistic(out, out)
     return out

@@ -176,17 +176,15 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     of :func:`predict_next_deep` on the sampled prefix), samples a frame
     and lifts it up once, moving every state one step forward.
 
-    The step is written for numpy's per-call cost on tiny layers: every
-    product goes into buffers kept for the call, cut by plain slices,
-    each pre-activation into its activation's slot, where bare ``expit``
-    runs in place.  The activations are tested once before the draw
-    (:func:`~growrbm.numerics._unclamped`), which then needs no range
-    check (:func:`~growrbm.numerics._draw`).  A failed test restores the
-    states saved before the last update, and the call redoes it and goes
-    on with :func:`~growrbm.numerics.sigmoid`, which raises at the first
-    non-finite pre-activation: on exactly the stacks where the guarded
-    steps (:func:`~growrbm.exact.state_update` and a guarded pass per
-    layer) raise, and every frame and marginal is bit for bit theirs.
+    Every product goes into buffers kept for the call, cut by plain
+    slices, each pre-activation into its activation's slot, where bare
+    ``expit`` runs in place.  The activations are tested once before the
+    draw (the rule of :mod:`~growrbm.numerics`).  A failed test restores
+    the states saved before the last update, and the call redoes it and
+    goes on with the guarded sigmoid: it raises on exactly the stacks
+    where the guarded steps (:func:`~growrbm.exact.state_update` and a
+    guarded pass per layer) raise, and every frame and marginal is bit
+    for bit theirs.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -222,7 +220,7 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     frames = np.zeros((length, stack.n_visible))
     saved = act.copy()  # the activations before the last state update
     logistic, drawn, t = expit, None, 0  # bare until a test fails
-    dot, add = np.dot, np.add
+    add = np.add
     # an overflow is reported by the tests and the guarded rerun
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= length:  # the update by frame t - 1, then frame t
@@ -230,20 +228,20 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
             for i, (u_bias, w_uu, w_vu, u, p, c, w_uh, W_l, q,
                     a) in enumerate(up if t else ()):
                 if i < n_lower:  # the lift's bias, from the old state
-                    add(c, dot(u, w_uh, out=a), out=a)
-                add(u_bias, dot(u, w_uu, out=p), out=p)
-                logistic(add(p, dot(view, w_vu, out=u), out=u), u)
+                    add(c, u.dot(w_uh, a), a)
+                add(u_bias, u.dot(w_uu, p), p)
+                logistic(add(p, view.dot(w_vu, u), u), u)
                 if i < n_lower:
-                    view = logistic(add(a, dot(view, W_l, out=q), out=a), a)
+                    view = logistic(add(a, view.dot(W_l, q), a), a)
             if t < length:
                 for x, w, x_next, u in biases:
-                    add(x, dot(u, w, out=x_next), out=x_next)
+                    add(x, u.dot(w, x_next), x_next)
                 v = half
                 for ah, av in passes:
-                    h = logistic(add(c_top, dot(v, W, out=ah), out=ah), ah)
-                    v = logistic(add(b_top, dot(h, W_T, out=av), out=av), av)
+                    h = logistic(add(c_top, v.dot(W, ah), ah), ah)
+                    v = logistic(add(b_top, h.dot(W_T, av), av), av)
                 for b_l, W_T_l, a in down:
-                    v = logistic(add(b_l, dot(v, W_T_l, out=a), out=a), a)
+                    v = logistic(add(b_l, v.dot(W_T_l, a), a), a)
             if logistic is expit and not _unclamped(act):
                 logistic, act[...] = sigmoid, saved
                 continue  # redo the update and the frame

@@ -34,9 +34,9 @@ chain's uniforms as :func:`~growrbm.rbm.cd_step` on ``R`` rows does, one
 its place in the batch, whatever its group (:func:`bptt_gradients`).
 
 Prediction, evaluation and sampling belong to :mod:`~growrbm.rnn_dbn`,
-which reads a recurrent RBM as a one-layer stack.  Two loops of this
-module, :func:`unroll` and the shared CD-k chain, run bare ``expit``
-with one range test per call; every other pass, and their reruns, go
+which reads a recurrent RBM as a one-layer stack.  :func:`unroll`, the
+mean-field passes and the shared CD-k chain run bare ``expit`` with one
+range test per call or pass; every other pass, and their reruns, go
 through the guarded sigmoid (the rule of :mod:`~growrbm.numerics`).
 
 :class:`RnnRbm` is a :class:`~growrbm.rbm.Rbm` with six more fields, so
@@ -167,15 +167,12 @@ def unroll(model: RnnRbm, seq):
     rows per sequence) and ``B[..., t, :] / C[..., t, :]`` are the biases
     used for frame ``t``.
 
-    Only the state recursion runs frame by frame, on bare ``expit`` with
-    one test of the states (:func:`~growrbm.numerics._unclamped`); ``B``
-    and ``C`` are two matrix products over the stacked states afterwards.
-    Every ``frames @ w_vu`` is one product before the loop, slice by slice
-    with a lone frame's kernel (a lone sequence goes in as ``(T, 1, I)``).
-    Each step's pre-activation is the state row it becomes, in place.  A
-    failed test reruns the loop on :func:`~growrbm.numerics.sigmoid` (the
-    logistic of :func:`~growrbm.exact.state_update`), which raises its
-    error at the first non-finite pre-activation.
+    Only the state recursion runs frame by frame, under the rule of
+    :mod:`~growrbm.numerics` with one test of the states; ``B`` and ``C``
+    are two matrix products over the stacked states afterwards.  Every
+    ``frames @ w_vu`` is one product before the loop, slice by slice with
+    a lone frame's kernel (a lone sequence goes in as ``(T, 1, I)``).
+    Each step's pre-activation is the state row it becomes, in place.
     """
     seq = _as_sequences(seq)
     if seq.shape[-1] != model.n_visible:
@@ -183,7 +180,7 @@ def unroll(model: RnnRbm, seq):
             f"frame has dimension {seq.shape[-1]}, expected {model.n_visible}")
     # the recursion runs time-major, so each step fills contiguous rows
     lead, t_len = seq.shape[:-2], seq.shape[-2]
-    frames = np.moveaxis(seq if lead else seq[None], -2, 0)  # (T, ..., I)
+    frames = _time_major(seq if lead else seq[None])  # (T, ..., I)
     U = np.empty((t_len + 1,) + lead + (model.u_dim,))
     U[0] = model.u0
     u_bias, w_uu, matmul, add = model.u_bias, model.w_uu, np.matmul, np.add
@@ -192,12 +189,20 @@ def unroll(model: RnnRbm, seq):
         drive = (frames @ model.w_vu).reshape(U[1:].shape)
         for logistic in (expit, sigmoid):
             for t in range(t_len):
-                p = matmul(U[t], w_uu, out=U[t + 1])
-                logistic(add(add(u_bias, p, out=p), drive[t], out=p), p)
+                p = matmul(U[t], w_uu, U[t + 1])
+                logistic(add(add(u_bias, p, p), drive[t], p), p)
             if logistic is expit and _unclamped(U[1:]):
                 break
-    U = np.moveaxis(U, 0, -2)
+    U = _time_major(U, back=True)
     return (U, *_frame_biases(model, U))
+
+
+def _time_major(a: np.ndarray, back: bool = False) -> np.ndarray:
+    """The view ``np.moveaxis(a, -2, 0)``, or ``np.moveaxis(a, 0, -2)``
+    with ``back``, at the cost of a transpose."""
+    n = a.ndim
+    return (a.transpose(*range(1, n - 1), 0, n - 1) if back
+            else a.transpose(n - 2, *range(n - 2), n - 1))
 
 
 def _frame_biases(model: RnnRbm, U: np.ndarray):
@@ -231,12 +236,12 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
     slope = U[..., 1:, :] * (1.0 - U[..., 1:, :])
     GA = np.empty_like(direct)
     gu, back = np.zeros((2,) + direct.shape[:-2] + (model.u_dim,))
-    ga_t, slope_t, direct_t = (np.moveaxis(a, -2, 0)  # time-major views
-                               for a in (GA, slope, direct))
+    ga_t, slope_t, direct_t = map(_time_major, (GA, slope, direct))
+    w_uu_T, multiply, matmul, add = (model.w_uu.T, np.multiply, np.matmul,
+                                     np.add)
     for t in range(seq.shape[-2] - 1, -1, -1):
-        np.multiply(gu, slope_t[t], out=ga_t[t])
-        np.add(direct_t[t], np.matmul(ga_t[t], model.w_uu.T, out=back),
-               out=gu)
+        add(direct_t[t], matmul(multiply(gu, slope_t[t], ga_t[t]), w_uu_T,
+                                back), gu)
     U_prev, DB, DC, GA = _rows(U[..., :-1, :]), _rows(DB), _rows(DC), _rows(GA)
     g = RnnRbmGradient.empty(model)
     DB.sum(axis=0, out=g.db)
@@ -393,13 +398,21 @@ def _mean_field_marginals(W: np.ndarray, b_next: np.ndarray,
     ``b_next (..., I)`` and ``c_next (..., J)`` are the biases of one
     frame, of the frames of one sequence ``(T, .)`` or of a length group
     ``(S, T, .)``; they share their leading axes, and every row is
-    scored on its own.  The result has the shape of ``b_next``.
+    scored on its own.  The result has the shape of ``b_next``.  The
+    passes keep the rule of :mod:`~growrbm.numerics`, one test a pass.
     """
-    v = np.full(b_next.shape, 0.5)
-    for _ in range(MEAN_FIELD_PASSES):
-        h = sigmoid(c_next + v @ W)
-        v = sigmoid(b_next + h @ W.T)
-    return v
+    act = np.empty(c_next.size + b_next.size)  # h and v, tested at once
+    h = act[:c_next.size].reshape(c_next.shape)
+    v = act[c_next.size:].reshape(b_next.shape)
+    for logistic in (expit, sigmoid):
+        v.fill(0.5)
+        for _ in range(MEAN_FIELD_PASSES):
+            logistic(np.add(c_next, np.matmul(v, W, h), h), h)
+            logistic(np.add(b_next, np.matmul(h, W.T, v), v), v)
+            if logistic is expit and not _unclamped(act):
+                break  # rerun every pass from the start
+        else:
+            return v
 
 
 @np.errstate(over="ignore", invalid="ignore")

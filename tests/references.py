@@ -84,6 +84,12 @@ def reference_logistic(x, out=None):
     return out
 
 
+# pins rbm.RbmGradient.norm, which squares the buffer once
+def reference_norm(g):
+    """The gradient norm from a fresh square and ``np.sum`` per field."""
+    return float(np.sqrt(sum(np.sum(arr ** 2) for arr in vars(g).values())))
+
+
 # pins rbm.cd_step, whose chain runs on uniforms drawn up front
 def reference_cd_step(rbm, batch, cfg, rng):
     """CD-k built from the library conditionals, each Bernoulli draw

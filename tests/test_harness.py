@@ -592,6 +592,41 @@ class TestCli:
         assert len(saved) == (1 if name == "model.ckpt" else 2)
         assert (out / "model.ckpt").read_bytes() == saved[-1]
 
+    @pytest.mark.parametrize("model", ["rbm", "rnn-rbm", "dbn", "rnn-dbn"])
+    def test_numeric_failure_mid_run_exits_3(self, tmp_path, data_file,
+                                             capsys, monkeypatch, model):
+        """A layer whose range check fails in the second epoch exits 3 and
+        leaves the run directory as it was: ``config.cfg`` and, for a
+        single layer, the first epoch's ``model.ckpt``; no log and no
+        summary."""
+        out, saved, plain = tmp_path / "run", [], harness.save_checkpoint
+        checks, validate = [], Rbm.validate
+
+        def saving(path, obj, **kwargs):
+            plain(path, obj, **kwargs)
+            saved.append(path.read_bytes())
+
+        def failing(layer):  # the epoch's check, once per epoch
+            checks.append(layer)
+            if len(checks) == 2:
+                raise FloatingPointError("non-finite values in W")
+            validate(layer)
+
+        monkeypatch.setattr(harness, "save_checkpoint", saving)
+        monkeypatch.setattr(Rbm, "validate", failing)
+        cfg = self.write_config(tmp_path, data_file, out,
+                                extra=f"model = {model}\n")
+        code, err = self.stderr_lines(["train", "--config", str(cfg)],
+                                      capsys)
+        assert code == 3
+        assert err == ["numeric failure: non-finite values in W"]
+        single = model in ("rbm", "rnn-rbm")
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["config.cfg", "model.ckpt"] if single else ["config.cfg"])
+        assert len(saved) == single
+        if single:
+            assert (out / "model.ckpt").read_bytes() == saved[0]
+
     @pytest.mark.parametrize("out", ["folder", "absent/gen.jsonl"])
     def test_unwritable_sample_out_found_before_sampling(
             self, tmp_path, capsys, monkeypatch, out):

@@ -241,6 +241,63 @@ def test_only_numerics_clamps(path):
     assert "_logistic" not in names
 
 
+# the frame loops: module -> functions whose loops make numpy calls per
+# step; ``_conditional`` is one chain step, so its whole body counts
+FRAME_LOOPS = {
+    "rbm": ("_cd_chain", "_conditional"),
+    "rnn_rbm": ("unroll", "_chain_through_state", "_mean_field_marginals"),
+    "rnn_dbn": ("sample_sequence_deep",),
+}
+WHOLE_BODY = ("_conditional",)
+SLOW = ("moveaxis", "dot")  # np.moveaxis and np.dot run Python first
+
+
+def slow_call_forms(source: str, functions) -> list:
+    """``(function, line, form)`` for every ``out=`` keyword inside a loop
+    of ``functions`` (anywhere in a :data:`WHOLE_BODY` one) and every
+    ``np.moveaxis`` or ``np.dot`` that they name."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in functions:
+            continue
+        loops = [fn] if fn.name in WHOLE_BODY else [
+            n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
+        found += sorted({(fn.name, k.value.lineno, "out=")
+                         for loop in loops for n in ast.walk(loop)
+                         if isinstance(n, ast.Call)
+                         for k in n.keywords if k.arg == "out"})
+        found += [(fn.name, n.lineno, f"np.{n.attr}") for n in ast.walk(fn)
+                  if isinstance(n, ast.Attribute) and n.attr in SLOW
+                  and isinstance(n.value, ast.Name) and n.value.id == "np"]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(FRAME_LOOPS))
+def test_frame_loops_pass_outputs_positionally(module):
+    """The frame loops' per-step calls keep to numpy's per-call floor:
+    an output passed positionally, not parsed from ``out=``, products
+    by ``ndarray.dot`` or ``np.matmul`` and transposes by view."""
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert slow_call_forms(source, FRAME_LOOPS[module]) == []
+
+
+def test_call_form_scan_flags_slow_forms():
+    source = ("def unroll(a, b, c):\n"
+              "    np.add(a, b, out=c)\n"
+              "    dot = np.dot\n"
+              "    for t in range(3):\n"
+              "        np.add(a, np.moveaxis(b, 0, 1), c)\n"
+              "        a.sum(axis=0, out=c)\n"
+              "def _conditional(x, M, out):\n"
+              "    np.matmul(x, M, out=out)\n"
+              "def other(a, c):\n"
+              "    for t in range(3):\n"
+              "        np.dot(a, a, out=c)\n")
+    assert slow_call_forms(source, ("unroll", "_conditional")) == [
+        ("unroll", 6, "out="), ("unroll", 3, "np.dot"),
+        ("unroll", 5, "np.moveaxis"), ("_conditional", 8, "out=")]
+
+
 def test_readme_library_sketch_imports_run():
     readme = (ROOT / "README.md").read_text()
     sketch = readme.split("## Library sketch", 1)[1]

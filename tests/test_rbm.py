@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from growrbm import rbm as rbm_module, rnn_rbm
 from growrbm.errors import CapacityError, DimensionError
@@ -19,10 +20,10 @@ from growrbm.exact import (energy, free_energy, log_likelihood_exact,
                            log_likelihood_gradient_exact, log_partition_exact,
                            prob_exact)
 from growrbm.numerics import RngStream
-from growrbm.rbm import (CdConfig, Rbm, cd_step, hidden_conditional,
-                         visible_conditional)
-from growrbm.rnn_rbm import RnnRbm, bptt_gradients
-from references import reference_cd_chain, reference_cd_step
+from growrbm.rbm import (CdConfig, Rbm, RbmGradient, cd_step,
+                         hidden_conditional, visible_conditional)
+from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient, bptt_gradients
+from references import reference_cd_chain, reference_cd_step, reference_norm
 
 
 def naive_energy(rbm, v, h):
@@ -499,6 +500,40 @@ class TestGuardedChain:
                 with pytest.raises(FloatingPointError,
                                    match="^sigmoid: non-finite input$"):
                     run()
+
+
+def gradient(sizes, recurrent, values=None):
+    """A zero gradient of a ``sizes = (I, J, K)`` layer, its buffer set to
+    ``values`` or to normal draws at scales from 1 to 1e6."""
+    i, j, k = sizes
+    model = RnnRbm.zeros(i, j, k) if recurrent else Rbm.zeros(i, j)
+    g = (RnnRbmGradient if recurrent else RbmGradient).zeros(model)
+    n = g.buffer.size
+    g.buffer[...] = (RngStream(n).normal(size=n) * 10.0 ** (np.arange(n) % 7)
+                     if values is None else values(n))
+    return g
+
+
+@st.composite
+def gradients(draw):
+    sizes = draw(st.tuples(st.integers(1, 24), st.integers(1, 12),
+                           st.integers(1, 12)))
+    values = st.floats(-1e150, 1e150, allow_subnormal=True)
+    return gradient(sizes, draw(st.booleans()),
+                    lambda n: draw(hnp.arrays(np.float64, n, elements=values)))
+
+
+class TestGradientNorm:
+    # numpy sums an array pairwise in blocks of 128 values: W of 24 x 12
+    # spans three, and every field of a 1 x 1 layer holds one value
+    @settings(max_examples=200, deadline=None)
+    @given(g=gradients())
+    @example(g=gradient((1, 1, 1), False))
+    @example(g=gradient((1, 1, 1), True))
+    @example(g=gradient((24, 12, 12), False))
+    @example(g=gradient((24, 12, 12), True))
+    def test_equals_per_field_sums_bit_for_bit(self, g):
+        assert g.norm().hex() == reference_norm(g).hex()
 
 
 class TestConfigValidation:

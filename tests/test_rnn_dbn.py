@@ -20,7 +20,7 @@ from growrbm.rnn_dbn import (RnnDbn, _apart, deterministic_hidden_sequence,
 from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
                              prediction_error, train_adaptive_rnn_rbm, unroll)
 from references import (mean_field_metrics, reference_linear_sampler,
-                        reference_sample_sequence_deep)
+                        reference_mean_field, reference_sample_sequence_deep)
 from test_rnn_rbm import cycle_sequences, small_model
 
 
@@ -528,3 +528,35 @@ class TestGuardedReruns:
                             assert (states[t + 1] == u).all()
         # a rerun takes one guarded step per frame
         assert len(steps) // 6 >= 20
+
+    def test_mean_field_equals_guarded_reference_bit_for_bit(self,
+                                                             monkeypatch):
+        real, steps = rnn_rbm.sigmoid, []
+
+        def guarded(x, out=None):
+            steps.append(1)
+            return real(x, out)
+
+        monkeypatch.setattr(rnn_rbm, "sigmoid", guarded)
+        reran = calls = 0
+        for seed in self.SEEDS:
+            rng = RngStream(2000 + seed)
+            for layer in saturated_stack(seed).layers:
+                # the biases of one frame, of a sequence and of a group
+                # apart, which reach pre-activations past 36.74
+                for lead in [(), (6,), (3, 1, 5)]:
+                    u = rng.uniform(size=lead + (layer.u_dim,))
+                    b_next = layer.b + u @ layer.w_uv
+                    c_next = layer.c + u @ layer.w_uh
+                    before = len(steps)
+                    got = rnn_rbm._mean_field_marginals(layer.W, b_next,
+                                                        c_next)
+                    reran += len(steps) > before
+                    calls += 1
+                    want = reference_mean_field(layer.W, b_next, c_next)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+        # a rerun takes two guarded steps a pass, hidden then visible; the
+        # stacks saturate in some calls (102 of 357) and not in others
+        assert len(steps) == 2 * rnn_rbm.MEAN_FIELD_PASSES * reran
+        assert reran >= 60 and calls - reran >= 60
