@@ -7,19 +7,22 @@ line gives a model kind, the first 16 hex digits of the sha256 of its
 layer events in the log.  The two recurrent adaptive kinds also gate the
 read path: a second line gives the ``run_eval`` scores (``repr``) of the
 trained checkpoint on a fixed held-out set of mixed sequence lengths,
-and the sha256 prefixes of the file one ``run_sample`` call of
-``SAMPLE_LENGTH`` frames writes and of the float64 bytes of the
-marginals each of its frames is drawn from, which the script records by
-wrapping the sampler's draw (:func:`sampled`), so a change
-to the marginals shows even where it flips no draw.  Every sample below
-gives both prefixes.  The trained stacks have small weights,
-which can hide a rounding change, so a ``deep stack`` line gates the
+with the sha256 prefix of the float64 bytes of the predictions they
+pool (:func:`evaluated`; the scores alone can hold while the grouped
+predictions move), and the sha256 prefixes of the file one
+``run_sample`` call of ``SAMPLE_LENGTH`` frames writes and of the
+float64 bytes of the marginals each of its frames is drawn from, which
+the script records by wrapping the sampler's draw (:func:`sampled`), so
+a change to the marginals shows even where it flips no draw.  Every
+sample below gives both prefixes.  The trained stacks have small
+weights, which can hide a rounding change, so a ``deep stack`` line gates the
 read path on the shape the ``deep_serve`` benchmark serves: a 3-layer
 8->10->8->6 stack of ``RnnRbm.random`` layers (``u_dim`` 8, weight sd
 0.5), built as that workload builds it.  The line gives its samples at
-two seeds, its ``run_eval`` scores on the held-out set, and the sha256
-prefix of the float64 bytes of ``predict_next_deep`` on every prefix
-(lengths ``0..T``) of every held-out sequence, in file order.  A
+two seeds, its ``run_eval`` scores on the held-out set with their
+predictions prefix, and the sha256 prefix of the float64 bytes of
+``predict_next_deep`` on every prefix (lengths ``0..T``) of every
+held-out sequence, in file order.  A
 ``saturated stack`` line gates the guarded reruns of the two
 frame-by-frame recursions on the same stack with the arrays of
 ``SATURATED_SCALES`` scaled up, so that pre-activations pass 36.74
@@ -29,9 +32,8 @@ move if it does not rerun or does not restore the states before a
 rerun.  It gives the samples at the two seeds, the sha256 prefix of
 the float64 bytes of the states ``unroll`` gives each layer on each
 sample lifted to it, and the ``run_eval`` scores on the held-out set
-with the sha256 prefix of the float64 bytes of the predictions they
-pool (:func:`evaluated`): that eval's grouped unrolls rerun too, and
-its scores alone do not move where only its states do.  The
+with their predictions prefix: that eval's grouped unrolls rerun too,
+and its scores alone do not move where only its states do.  The
 single-layer adaptive kinds also gate resume: a ``resume`` line trains
 the config through the library, saves the train state after
 ``epochs // 2`` epochs, loads it back and resumes, and gives the hashes
@@ -317,10 +319,10 @@ def main(argv=None) -> int:
                   f"ckpt {sha(out / 'model.ckpt')} "
                   f"gen {gen} ann {ann} layer {layer}")
             if name in READ_PATH:
-                scores = run_eval(out / "model.ckpt", heldout)
+                scores = evaluated(out / "model.ckpt", heldout)
                 _, digest = sampled(out / "model.ckpt", SAMPLE_SEED,
                                     out / "sample.jsonl")
-                print(f"{name:14s} eval {scores!r} sample {digest}")
+                print(f"{name:14s} eval {scores} sample {digest}")
             if name in RESUME:
                 resumed = root / f"{name.replace(' ', '-')}-resumed"
                 event = RESUME[name]
@@ -335,7 +337,7 @@ def main(argv=None) -> int:
             for t in range(len(seq) + 1):
                 prefixes.update(predict_next_deep(stack, seq[:t]).tobytes())
         print(f"{'deep stack':14s} sample {hashes}"
-              f" eval {run_eval(root / 'deep.ckpt', heldout)!r}"
+              f" eval {evaluated(root / 'deep.ckpt', heldout)}"
               f" prefixes {prefixes.hexdigest()[:16]}")
         for layer, (name, scale) in itertools.product(
                 stack.layers, SATURATED_SCALES.items()):

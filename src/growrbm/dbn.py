@@ -4,15 +4,18 @@ The trainer interleaves CD updates with the structure schedule: growth
 sweeps while gradients are still fluctuating, pruning sweeps once the
 layer has settled, and forgetting penalties over the final epochs; the
 loop itself is the shared :func:`~growrbm.adapt._train_layer`, reading
-the rows through the epoch view :class:`_EpochFrames`.  The deep
-model is built greedily by :func:`_train_stack`, the one stacking loop
-for :class:`Dbn` and ``rnn_dbn.RnnDbn``: each trained layer's hidden
-activations become the next layer's data, the next layer starts from
-:func:`_inherit` (a fresh layer of the same type), and stacking
-continues while the accumulated gradient-variance and energy totals of
-the stack stay above their thresholds (or, without ``adapt``,
-unconditionally up to the cap).  The gate reads each layer's totals
-from the last row of the log the layer returns.
+the rows through the epoch view :class:`_EpochFrames`.  The whole-set
+passes of that view write their arrays into buffers kept for the
+layer, so a large training set is not allocated (and page-faulted in)
+again each epoch.  The deep model is built greedily by
+:func:`_train_stack`, the one stacking loop for :class:`Dbn` and
+``rnn_dbn.RnnDbn``: each trained layer's hidden activations become the
+next layer's data, the next layer starts from :func:`_inherit` (a fresh
+layer of the same type), and stacking continues while the accumulated
+gradient-variance and energy totals of the stack stay above their
+thresholds (or, without ``adapt``, unconditionally up to the cap).  The
+gate reads each layer's totals from the last row of the log the layer
+returns.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .log import LogRow, TrainLog
 from .metrics import cross_entropy_per_bit
 from .numerics import RngStream, sigmoid
 from .rbm import (CdConfig, Rbm, _apply_update, _check_last_dim, cd_step,
-                  hidden_conditional, visible_conditional)
+                  hidden_conditional)
 
 
 @dataclass
@@ -82,8 +85,17 @@ class Dbn:
 
 
 class _EpochFrames:
-    """The static epoch view: the rows, with the pruning sweep's hidden
-    pass kept for the metrics.
+    """The static epoch view: the rows, the layer's whole-set buffers,
+    and the pruning sweep's hidden pass kept for the metrics.
+
+    One view serves every epoch of a layer (:meth:`epoch`).  Its
+    whole-set arrays live in buffers kept for the layer: the products
+    ``data @ W``, the hidden conditionals, the reconstruction and the
+    cross-entropy scratch, every large product and ufunc writing into
+    them positionally.  A fresh array of ``(N, J)`` floats is
+    page-faulted in again on each allocation; a kept one is not.  The
+    ``(N, J)`` pair is allocated again only when the layer's width
+    changes (growth or pruning).
 
     :meth:`metrics` reuses the pass of :meth:`mean_activation` while the
     model is the object it was made for, that is when the sweep pruned
@@ -93,36 +105,50 @@ class _EpochFrames:
 
     def __init__(self, data: np.ndarray):
         self.data = data
-        self._kept = None  # (model, data @ W, hidden conditionals)
+        self._kept = None  # the model whose hidden pass the buffers hold
+        self._vW = self._h = None  # (N, J): data @ W, hidden conditionals
+        self._rec = np.empty(data.shape)
+        self._scratch = np.empty((2,) + data.shape)
+
+    def epoch(self) -> "_EpochFrames":
+        """This view for a new epoch: the batch updates changed the model
+        in place, so the kept pass is dropped; the buffers stay."""
+        self._kept = None
+        return self
 
     @np.errstate(over="ignore", invalid="ignore")
     def _hidden_pass(self, rbm: Rbm):
         _check_last_dim("visible vector", self.data, rbm.n_visible)
-        vW = self.data @ rbm.W
-        return vW, sigmoid(vW + rbm.c)
+        self._kept = None  # until the pass is complete
+        if self._h is None or self._h.shape[1] != rbm.n_hidden:
+            self._vW = self._h = None  # the old width's pair is freed first
+            self._vW = np.empty((len(self.data), rbm.n_hidden))
+            self._h = np.empty_like(self._vW)
+        vW, h = self._vW, self._h
+        np.matmul(self.data, rbm.W, vW)
+        sigmoid(np.add(vW, rbm.c, h), h)
+        self._kept = rbm
 
     def mean_activation(self, rbm: Rbm) -> np.ndarray:
         """Per-unit mean of the hidden conditionals over the rows."""
-        vW, h = self._hidden_pass(rbm)
-        self._kept = rbm, vW, h
-        return h.mean(axis=0)
+        self._hidden_pass(rbm)
+        return self._h.mean(axis=0)
 
     def metrics(self, rbm: Rbm) -> tuple[float, float]:
         """``(energy, error)`` of the rows from one hidden pass: the mean
         conditional expected energy (:func:`~growrbm.exact.energy` at the
         hidden conditionals) and the cross-entropy per bit of the
         one-pass mean-field reconstruction."""
-        if self._kept is None or self._kept[0] is not rbm:
-            self._kept = None  # another model's pass is freed first
-            self._kept = rbm, *self._hidden_pass(rbm)
-        _, vW, h = self._kept
-        self._kept = None
+        if self._kept is not rbm:
+            self._hidden_pass(rbm)
+        self._kept = None  # the energy overwrites the products
+        vW, h, rec = self._vW, self._h, self._rec
         energy = float(np.mean(-(self.data @ rbm.b + h @ rbm.c
-                                 + np.sum(vW * h, axis=-1))))
-        rec = visible_conditional(rbm, h)
-        # freed before scoring, so the peak memory stays that of two passes
-        del vW, h
-        return energy, cross_entropy_per_bit(rec, self.data)
+                                 + np.sum(np.multiply(vW, h, vW), axis=-1))))
+        with np.errstate(over="ignore", invalid="ignore"):  # sigmoid raises
+            np.matmul(h, rbm.W.T, rec)
+            sigmoid(np.add(rec, rbm.b, rec), rec)
+        return energy, cross_entropy_per_bit(rec, self.data, self._scratch)
 
 
 def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
@@ -138,9 +164,10 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
     epoch ``e`` draws from ``split(e + 1)``, so a run resumed from epoch
     ``e`` replays the exact tail of an uninterrupted run.  Each batch
     gets one :func:`~growrbm.rbm.cd_step` on its own stream, laid out by
-    the shared loop (:func:`~growrbm.adapt._train_layer`).  An epoch
-    whose pruning sweep removes nothing scores itself from the sweep's
-    hidden pass (:class:`_EpochFrames`).
+    the shared loop (:func:`~growrbm.adapt._train_layer`).  One epoch
+    view (:class:`_EpochFrames`) serves the layer, and an epoch whose
+    pruning sweep removes nothing scores itself from the sweep's hidden
+    pass.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
@@ -150,7 +177,7 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
     return _train_layer(
         data, start, cd, epochs, rng, adapt, forget, layer, epoch_callback,
         gradient=cd_step, update=_apply_update,
-        epoch_data=lambda: _EpochFrames(data))
+        epoch_data=_EpochFrames(data).epoch)
 
 
 def _layer_totals(row: LogRow) -> LayerTotals:

@@ -1,5 +1,6 @@
 """Static trainer and greedy stacking."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -327,11 +328,11 @@ class TestTrainAdaptiveRbm:
         data = (RngStream(21).uniform(size=(800, 16)) < 0.3).astype(float)
         passes = []
         for module in (dbn, rbm_module):
-            def counting(x, real=module.sigmoid):
+            def counting(x, out=None, real=module.sigmoid):
                 x = np.asarray(x)
                 if x.ndim == 2 and x.shape[0] == 800 and x.shape[1] != 16:
                     passes.append(x.shape)
-                return real(x)
+                return real(x, out)
 
             monkeypatch.setattr(module, "sigmoid", counting)
         adapt = AdaptConfig(generation_phase_epochs=4, max_hidden=12,
@@ -353,6 +354,105 @@ class TestTrainAdaptiveRbm:
         assert frames.metrics(pruned) == mean_field_metrics(pruned, data)
         frames.mean_activation(model)
         assert frames.metrics(model) == mean_field_metrics(model, data)
+
+
+class TestEpochView:
+    """One static epoch view serves every epoch of a layer, from buffers
+    kept for the layer."""
+
+    @staticmethod
+    def trainers_view(monkeypatch, data, n_hidden):
+        """The ``epoch_data`` that :func:`train_adaptive_rbm` hands the
+        shared loop for ``data``."""
+        seen = {}
+        monkeypatch.setattr(dbn, "_train_layer", lambda *args, epoch_data,
+                            **kwargs: seen.setdefault("view", epoch_data))
+        train_adaptive_rbm(data, n_hidden, CdConfig(), 2, RngStream(1))
+        return seen["view"]
+
+    def test_warm_epoch_allocates_no_whole_set_array(self, monkeypatch):
+        # each (4000, 16) or (4000, 24) float array is 500 or 750 KiB;
+        # a warm epoch's pruning sweep and metrics allocate none of them
+        data = (RngStream(24).uniform(size=(4000, 16)) < 0.3).astype(float)
+        epoch_data = self.trainers_view(monkeypatch, data, 24)
+        model = Rbm.random(16, 24, RngStream(25), weight_sd=0.5)
+        whole = epoch_data()
+        whole.mean_activation(model)
+        whole.metrics(model)
+        model.W += 0.01  # the next epoch's batch updates
+        tracemalloc.start()
+        try:
+            whole = epoch_data()
+            mean = whole.mean_activation(model)
+            scores = whole.metrics(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+        fresh = dbn._EpochFrames(data)
+        assert mean.tobytes() == fresh.mean_activation(model).tobytes()
+        assert scores == mean_field_metrics(model, data)
+
+    def test_next_epoch_drops_the_kept_pass(self):
+        # the batch updates change the model in place, so a sweep's pass
+        # does not outlive its epoch even when no metrics took it
+        data = TestTrainAdaptiveRbm().data()
+        model = Rbm.random(4, 5, RngStream(26), weight_sd=0.5)
+        view = dbn._EpochFrames(data)
+        view.epoch().mean_activation(model)
+        model.W += 0.5
+        assert view.epoch().metrics(model) == mean_field_metrics(model, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), n_visible=st.integers(1, 6),
+           n_hidden=st.integers(1, 6), scale=st.sampled_from([0.1, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           epochs=st.lists(st.tuples(
+               st.booleans(), st.booleans(),
+               st.sampled_from(["grow", "prune", "redraw", "keep"]),
+               st.booleans()), min_size=1, max_size=8))
+    def test_reused_view_equals_fresh_views_bit_for_bit(
+            self, n, n_visible, n_hidden, scale, seed, epochs):
+        # each epoch: maybe an in-place update, then maybe a pruning
+        # sweep on the model, then a change of model (a wider one, a
+        # pruned one, another of the same width, or the same object),
+        # then the metrics of the model it ends with, unless the epoch
+        # is cut before them (the next epoch's view drops the kept pass)
+        rng = RngStream(seed)
+        data = (rng.uniform(size=(n, n_visible)) < 0.4).astype(float)
+        model = Rbm.random(n_visible, n_hidden, rng.split(0), weight_sd=scale)
+        view = dbn._EpochFrames(data)
+        for e, (update, sweep, change, score) in enumerate(epochs):
+            draw = rng.split(e + 1)
+            if update:
+                model.W += draw.normal(sd=0.1, size=model.W.shape)
+            whole = view.epoch()
+            if sweep:
+                got = whole.mean_activation(model)
+                want = hidden_conditional(model, data).mean(axis=0)
+                assert got.tobytes() == want.tobytes()
+                fresh = dbn._EpochFrames(data).mean_activation(model)
+                assert got.tobytes() == fresh.tobytes()
+            if change == "grow":
+                extra = draw.integers(3) + 1
+                model = Rbm(model.b.copy(), np.append(
+                    model.c, draw.normal(sd=scale, size=extra)), np.hstack(
+                    [model.W, draw.normal(sd=scale, size=(n_visible, extra))]))
+            elif change == "prune" and model.n_hidden > 1:
+                mask = draw.uniform(size=model.n_hidden) < 0.5
+                mask[draw.integers(model.n_hidden)] = False
+                model, _ = apply_annihilation(
+                    model, GradientStats.zeros(n_visible, model.n_hidden),
+                    mask)
+            elif change == "redraw":
+                model = Rbm.random(n_visible, model.n_hidden, draw.split(1),
+                                   weight_sd=scale)
+            if not score:
+                continue
+            got = whole.metrics(model)
+            assert got == mean_field_metrics(model, data)  # a fresh view's
+            assert got == (mean_field_energy(model, data),
+                           reconstruction_error(model, data))
 
 
 class TestTrainAdaptiveDbn:

@@ -32,6 +32,24 @@ class TestCrossEntropy:
         expected = -(0.25 * np.log(0.6) + 0.75 * np.log(0.4))
         assert cross_entropy_per_bit(p, v) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 2)])
+    def test_in_place_equals_the_expression_bit_for_bit(self, shape):
+        # kept scratch, reused dirty, and fresh scratch all give the bits
+        # of the one-expression form; the inputs are left as they were
+        rng = np.random.default_rng(len(shape))
+        scratch = np.full((2,) + shape, np.nan)
+        for _ in range(3):
+            p = rng.uniform(1e-9, 1 - 1e-9, size=shape)
+            v = rng.uniform(size=shape)
+            v[v < 0.3] = 0.0
+            p0, v0 = p.copy(), v.copy()
+            want = float(np.mean(-(v * np.log(p)
+                                   + (1.0 - v) * np.log1p(-p))))
+            assert cross_entropy_per_bit(p, v) == want
+            assert cross_entropy_per_bit(p, v, scratch) == want
+            assert p.tobytes() == p0.tobytes()
+            assert v.tobytes() == v0.tobytes()
+
     def test_shape_mismatch_and_empty(self):
         with pytest.raises(ValueError):
             cross_entropy_per_bit(np.zeros(2), np.zeros(3))
