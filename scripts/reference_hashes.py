@@ -44,8 +44,11 @@ last batch, so a ragged batch reaches the trainer end to end.  Its
 ``resume`` line cuts the run after the first epoch that logs ``ann(``,
 so the resumed run continues from a pruned layer read back from disk;
 it must equal the ``ragged rnn-rbm`` line.  The
-hashes depend on the host's BLAS rounding, so compare printouts made on
-the same machine.
+hashes depend on the host's BLAS rounding and on numpy's SIMD dispatch,
+so compare printouts made on the same machine.  The script prints one
+``host`` line to stderr, outside the compared lines: the Python, numpy
+and scipy versions, numpy's baseline CPU features and the dispatch
+targets this CPU supports.
 
 Run from the repository root::
 
@@ -56,9 +59,11 @@ Run from the repository root::
 temporary directory, runs that tree's copy of this script on its own
 ``src`` and this copy on this tree's ``src``, prints every line that
 differs between the two printouts, and exits 1 if any line differs and 0
-otherwise; 2 if ``git`` or either run fails.
+otherwise; 2 if ``git`` or either run fails.  Its report starts with the
+``host`` line.
 
-Uses the standard library, ``git`` and ``growrbm`` only.
+Uses the standard library, ``git``, ``growrbm`` and, for the ``host``
+line, numpy and scipy only.
 """
 from __future__ import annotations
 
@@ -68,11 +73,15 @@ import hashlib
 import io
 import itertools
 import os
+import platform
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from growrbm import rnn_dbn
 from growrbm.checkpoint import (load_train_state, save_checkpoint,
@@ -141,6 +150,15 @@ def config_text(model: str, adaptive: bool, epochs: int, lr: float, k: int,
     if model.startswith("rnn"):
         lines.append("u_dim = 12")
     return "\n".join(lines) + "\n"
+
+
+def host() -> str:
+    """The ``host`` line: what the hashes depend on besides the code and
+    BLAS."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    return (f"host python {platform.python_version()} numpy {np.__version__} "
+            f"scipy {scipy.__version__} baseline {' '.join(simd['baseline'])} "
+            f"dispatch {' '.join(simd['found'])}")
 
 
 def sha(path: Path) -> str:
@@ -294,7 +312,9 @@ def main(argv=None) -> int:
                        "printout with that of commit REV")
     args = parser.parse_args(argv)
     if args.base:
+        print(host())
         return compare_with(args.base)
+    print(host(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.keep or tmp)
         root.mkdir(parents=True, exist_ok=True)

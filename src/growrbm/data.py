@@ -197,21 +197,3 @@ def synth_cycle(n_patterns: int, dim: int, length: int, n_sequences: int,
     train = [sequences[i] for i in order[:n_train]]
     test = [sequences[i] for i in order[n_train:]]
     return SequenceDataset(dim=dim, train=train, test=test)
-
-
-def augment_parity(dataset: SequenceDataset) -> SequenceDataset:
-    """Append one bit per frame holding the XOR of the frame's bits.
-
-    The extra bit is a deterministic higher-order function of the frame,
-    the kind of structure a single shallow layer has trouble modelling.
-    """
-    def with_parity(seqs):
-        out = []
-        for seq in seqs:
-            parity = np.sum(seq, axis=1, keepdims=True) % 2
-            out.append(np.hstack([seq, parity]))
-        return out
-
-    return SequenceDataset(dim=dataset.dim + 1,
-                           train=with_parity(dataset.train),
-                           test=with_parity(dataset.test))

@@ -136,8 +136,8 @@ class _EpochFrames:
 
     def metrics(self, rbm: Rbm) -> tuple[float, float]:
         """``(energy, error)`` of the rows from one hidden pass: the mean
-        conditional expected energy (:func:`~growrbm.exact.energy` at the
-        hidden conditionals) and the cross-entropy per bit of the
+        conditional expected energy (``energy`` of ``tests/oracles.py`` at
+        the hidden conditionals) and the cross-entropy per bit of the
         one-pass mean-field reconstruction."""
         if self._kept is not rbm:
             self._hidden_pass(rbm)

@@ -19,10 +19,6 @@ class DimensionError(GrowRbmError):
     """An array argument does not match the model dimensions."""
 
 
-class CapacityError(GrowRbmError):
-    """A model is too large for an exact (enumeration-based) operation."""
-
-
 class StructureError(GrowRbmError):
     """A structural edit would leave the model in an invalid state."""
 

@@ -23,7 +23,8 @@ passes :func:`~growrbm.rnn_rbm._mean_field_marginals` and the recursions
 ``expit``, one :func:`_unclamped` test, rerun on :func:`sigmoid` (in
 place, through ``out``) where the test fails, which raises at the first
 non-finite input.  The sampler's test, or the rerun, stands for the
-range check of :func:`sample_bernoulli`, so it draws by :func:`_draw`.
+range check of the tests' ``sample_bernoulli`` (``tests/references.py``),
+so it draws by :func:`_draw`.
 Their tiny per-step calls pass outputs positionally (``np.add(a, b, c)``
 335 ns, with ``out=c`` 384 ns), multiply by ``ndarray.dot`` (344 ns;
 ``np.dot`` dispatches in Python, 544 ns) or ``np.matmul`` and transpose
@@ -152,19 +153,8 @@ def _unclamped(a: np.ndarray) -> bool:
     return not a.size or (a.min() >= _LO and a.max() <= _HI)
 
 
-def sample_bernoulli(p, rng: RngStream) -> np.ndarray:
-    """Draw independent 0/1 floats with success probabilities ``p``.
-
-    ``p == 0`` and ``p == 1`` are honoured exactly.  An empty input
-    yields an empty output without consuming draws of a different shape.
-    A probability outside [0, 1], or NaN, raises ``ValueError``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails
-        raise ValueError("bernoulli probabilities must lie in [0, 1]")
-    return _draw(p, rng)
-
-
 def _draw(p: np.ndarray, rng: RngStream) -> np.ndarray:
-    """:func:`sample_bernoulli` of a float64 ``p`` known to be in range."""
+    """Independent 0/1 floats with success probabilities ``p``, a
+    float64 array known to lie in [0, 1]: the tests' ``sample_bernoulli``
+    (``tests/references.py``) without its range check."""
     return (rng.uniform(size=p.shape) < p).astype(np.float64)

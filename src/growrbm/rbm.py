@@ -1,11 +1,11 @@
 """Restricted Boltzmann machine core.
 
 Defines the bipartite energy model over binary visible and hidden
-vectors, conditional distributions in both directions, and the
-contrastive divergence estimator used for training.  The exact
-enumeration-based quantities the estimator is tested against (partition
-function, joint probabilities, log-likelihood and its gradient) live in
-:mod:`~growrbm.exact`.
+vectors, the hidden conditional, and the contrastive divergence
+estimator used for training.  The exact enumeration-based quantities
+the estimator is tested against (partition function, joint
+probabilities, log-likelihood and its gradient) and the visible
+conditional live with the tests, in ``tests/oracles.py``.
 
 :class:`Rbm` is the one layer type.  The recurrent layer and its
 gradient subclass :class:`Rbm` and :class:`RbmGradient` with more array
@@ -247,14 +247,6 @@ def hidden_conditional(rbm: Rbm, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     _check_last_dim("visible vector", v, rbm.n_visible)
     return sigmoid(v @ rbm.W + rbm.c)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def visible_conditional(rbm: Rbm, h) -> np.ndarray:
-    """``p(v_i = 1 | h)`` for each visible unit; supports stacked rows."""
-    h = np.asarray(h, dtype=np.float64)
-    _check_last_dim("hidden vector", h, rbm.n_hidden)
-    return sigmoid(h @ rbm.W.T + rbm.b)
 
 
 def _chain_uniforms(rng: RngStream, rows: int, rbm: Rbm, k: int) -> list:

@@ -182,8 +182,8 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     draw (the rule of :mod:`~growrbm.numerics`).  A failed test restores
     the states saved before the last update, and the call redoes it and
     goes on with the guarded sigmoid: it raises on exactly the stacks
-    where the guarded steps (:func:`~growrbm.exact.state_update` and a
-    guarded pass per layer) raise, and every frame and marginal is bit
+    where the guarded steps (``state_update`` of ``tests/oracles.py``
+    and a guarded pass per layer) raise, and every frame and marginal is bit
     for bit theirs.
     """
     if length < 0:

@@ -10,8 +10,8 @@ frame the state shifts the biases of an otherwise shared RBM:
 so the sequence likelihood factorises into per-frame conditional RBM
 terms.  Training backpropagates per-frame CD estimates through the state
 recursion (:func:`_chain_through_state`); the exact sequence cost and
-its gradient, which chain enumerated partials the same way, live in
-:mod:`~growrbm.exact`.
+its gradient, which chain enumerated partials the same way, live with
+the tests, in ``tests/oracles.py``.
 
 The batch paths (the BPTT-CD gradient and the epoch summaries) group
 their sequences by exact length and stack each group as ``(S, T, I)``,

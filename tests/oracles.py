@@ -3,25 +3,38 @@
 The tests check the fast paths against these: the static model's
 energy, free energies, log partition function, joint probabilities and
 log-likelihood with its gradient; the recurrent model's sequence cost
-with its gradient; and :func:`state_update`, one step of the state
-recursion.  No training, evaluation or sampling code imports this
-module, so the command line never loads it.  Enumeration refuses models
-with more than ``ENUM_LIMIT`` units (``SEQ_ENUM_LIMIT`` if recurrent).
+with its gradient; :func:`state_update`, one step of the state
+recursion; and :func:`visible_conditional`, which the package's CD
+chain computes inline.  They live with the tests, outside the package, so no
+training, evaluation or sampling code can import them.  Enumeration
+refuses models with more than ``ENUM_LIMIT`` units (``SEQ_ENUM_LIMIT``
+if recurrent), raising :class:`CapacityError`.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import CapacityError, DimensionError
-from .numerics import sigmoid
-from .rbm import (Rbm, RbmGradient, _check_last_dim, hidden_conditional,
-                  visible_conditional)
-from .rnn_rbm import (RnnRbm, RnnRbmGradient, _as_sequence,
-                      _chain_through_state, unroll)
+from growrbm.errors import DimensionError, GrowRbmError
+from growrbm.numerics import sigmoid
+from growrbm.rbm import Rbm, RbmGradient, _check_last_dim, hidden_conditional
+from growrbm.rnn_rbm import (RnnRbm, RnnRbmGradient, _as_sequence,
+                             _chain_through_state, unroll)
 
 ENUM_LIMIT = 24
 SEQ_ENUM_LIMIT = 20
+
+
+class CapacityError(GrowRbmError):
+    """A model is too large for an exact (enumeration-based) operation."""
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def visible_conditional(rbm: Rbm, h) -> np.ndarray:
+    """``p(v_i = 1 | h)`` for each visible unit; supports stacked rows."""
+    h = np.asarray(h, dtype=np.float64)
+    _check_last_dim("hidden vector", h, rbm.n_hidden)
+    return sigmoid(h @ rbm.W.T + rbm.b)
 
 
 def energy(rbm: Rbm, v, h):

@@ -1,5 +1,6 @@
 """Plain or earlier forms of the package's fast paths, which the tests
-compare them against; the comment above each names the path it pins."""
+compare them against, and the helpers that only the tests use; the
+comment above each names the path it pins or what it serves."""
 import json
 from pathlib import Path
 
@@ -8,13 +9,47 @@ from scipy.special import expit
 
 from growrbm import adapt as adapt_module, dbn, rnn_rbm
 from growrbm.adapt import AdaptConfig, ForgettingConfig, GradientStats
+from growrbm.data import SequenceDataset
 from growrbm.errors import DataFormatError
-from growrbm.exact import state_update
-from growrbm.numerics import sample_bernoulli, sigmoid
-from growrbm.rbm import (Rbm, RbmGradient, hidden_conditional,
-                         visible_conditional)
+from growrbm.numerics import _draw, sigmoid
+from growrbm.rbm import Rbm, RbmGradient, hidden_conditional
 from growrbm.rnn_dbn import predict_next_deep
 from growrbm.rnn_rbm import RnnRbmGradient, _mean_field_marginals
+from oracles import state_update, visible_conditional
+
+
+# the range-checked draw of the reference samplers and CD chain; the
+# package's samplers draw by numerics._draw, which skips the check
+def sample_bernoulli(p, rng) -> np.ndarray:
+    """Draw independent 0/1 floats with success probabilities ``p``.
+
+    ``p == 0`` and ``p == 1`` are honoured exactly.  An empty input
+    yields an empty output without consuming draws of a different shape.
+    A probability outside [0, 1], or NaN, raises ``ValueError``.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails
+        raise ValueError("bernoulli probabilities must lie in [0, 1]")
+    return _draw(p, rng)
+
+
+# builds the parity data of acceptance criterion 7
+def augment_parity(dataset: SequenceDataset) -> SequenceDataset:
+    """Append one bit per frame holding the XOR of the frame's bits.
+
+    The extra bit is a deterministic higher-order function of the frame,
+    the kind of structure a single shallow layer has trouble modelling.
+    """
+    def with_parity(seqs):
+        out = []
+        for seq in seqs:
+            parity = np.sum(seq, axis=1, keepdims=True) % 2
+            out.append(np.hstack([seq, parity]))
+        return out
+
+    return SequenceDataset(dim=dataset.dim + 1,
+                           train=with_parity(dataset.train),
+                           test=with_parity(dataset.test))
 
 
 # pins adapt.add_forgetting_, which adds the penalties in place

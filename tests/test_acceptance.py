@@ -14,19 +14,19 @@ from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            maybe_generate)
 from growrbm.checkpoint import load_train_state, save_train_state
 from growrbm.config import parse_config_text
-from growrbm.data import (augment_parity, random_patterns, synth_cycle,
-                          write_jsonl)
+from growrbm.data import random_patterns, synth_cycle, write_jsonl
 from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals,
                          should_generate_layer, train_adaptive_rbm)
-from growrbm.exact import (all_states, energy, log_likelihood_exact,
-                           log_likelihood_gradient_exact, log_partition_exact,
-                           prob_exact, sequence_cost_exact,
-                           sequence_cost_gradient_exact)
 from growrbm.harness import evaluate_model, run_training
 from growrbm.numerics import RngStream
-from growrbm.rbm import CdConfig, Rbm, hidden_conditional, visible_conditional
+from growrbm.rbm import CdConfig, Rbm, hidden_conditional
 from growrbm.rnn_dbn import train_adaptive_rnn_dbn
 from growrbm.rnn_rbm import prediction_error, train_adaptive_rnn_rbm
+from oracles import (all_states, energy, log_likelihood_exact,
+                     log_likelihood_gradient_exact, log_partition_exact,
+                     prob_exact, sequence_cost_exact,
+                     sequence_cost_gradient_exact, visible_conditional)
+from references import augment_parity
 
 from test_rnn_rbm import GRAD_PAIRS, small_model
 

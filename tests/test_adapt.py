@@ -17,10 +17,10 @@ from growrbm.adapt import (STALL_LIMIT, AdaptConfig, ForgettingConfig,
 from growrbm.checkpoint import load_train_state, save_train_state
 from growrbm.errors import StructureError
 from growrbm.dbn import train_adaptive_rbm
-from growrbm.exact import free_energy, log_partition_exact
 from growrbm.numerics import RngStream
 from growrbm.rbm import CdConfig, Rbm, RbmGradient, hidden_conditional
 from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient, train_adaptive_rnn_rbm
+from oracles import free_energy, log_partition_exact
 from references import StructureController, reference_forgetting_gradient
 
 

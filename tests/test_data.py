@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growrbm import data
-from growrbm.data import (SequenceDataset, augment_parity, load_jsonl,
-                          random_patterns, synth_cycle, write_jsonl)
+from growrbm.data import (SequenceDataset, load_jsonl, random_patterns,
+                          synth_cycle, write_jsonl)
 from growrbm.errors import DataFormatError
 from growrbm.numerics import RngStream
-from references import reference_parse_sequence, reference_write_jsonl
+from references import (augment_parity, reference_parse_sequence,
+                        reference_write_jsonl)
 
 
 class TestLoadJsonl:

@@ -14,13 +14,12 @@ from growrbm.dbn import (Dbn, LayerGenConfig, LayerTotals, _inherit,
                          _layer_totals, should_generate_layer,
                          train_adaptive_dbn, train_adaptive_rbm)
 from growrbm.errors import DimensionError
-from growrbm.exact import energy, log_likelihood_exact
 from growrbm.log import LogRow
 from growrbm.metrics import cross_entropy_per_bit
 from growrbm.numerics import RngStream
-from growrbm.rbm import (CdConfig, Rbm, RbmGradient, hidden_conditional,
-                         visible_conditional)
+from growrbm.rbm import CdConfig, Rbm, RbmGradient, hidden_conditional
 from growrbm.rnn_rbm import train_adaptive_rnn_rbm
+from oracles import energy, log_likelihood_exact, visible_conditional
 from references import mean_field_metrics
 
 

@@ -2,14 +2,17 @@
 every package-level function and class is reachable.
 
 The reachability scan starts from the console entry points in
-``pyproject.toml``, the names ``perfbench/`` and ``scripts/`` use, the
-statements each module runs on import and :data:`KEPT`, and follows
-every name a reached definition reads.
+``pyproject.toml``, the names ``perfbench/`` and ``scripts/`` use and the
+statements each module runs on import, and follows every name a reached
+definition reads.  It allows no exception: what only the tests run, the
+exact oracles among it, lives in ``tests/oracles.py`` and
+``tests/references.py``.
 
-The exact oracles live in ``exact`` alone, which the command line never
-loads, and the package itself binds no name but ``__version__``.
+The command line loads every package module, only ``numerics`` imports
+scipy, and the package itself binds no name but ``__version__``.
 """
 import ast
+import functools
 import os
 import re
 import shutil
@@ -27,20 +30,6 @@ USERS = sorted([*(ROOT / "perfbench").glob("*.py"),
 # the package, then the tests and scripts under their folder's name
 IMPORTERS = MODULES + sorted([*(ROOT / "tests").glob("*.py"),
                               *(ROOT / "scripts").glob("*.py")])
-
-# reachable from no entry point, and kept on purpose
-KEPT = {
-    "exact.prob_exact": "exact oracle of the static model",
-    "exact.log_likelihood_exact": "exact oracle of the static model",
-    "exact.log_likelihood_gradient_exact": "exact oracle of the CD gradient",
-    "exact.sequence_cost_exact": "exact oracle of the recurrent model",
-    "exact.sequence_cost_gradient_exact":
-        "exact oracle of the BPTT-CD gradient",
-    "exact.state_update": "one-step reference of the sampler's recursion",
-    "data.augment_parity": "builds the parity data of acceptance criterion 7",
-    "numerics.sample_bernoulli":
-        "the range-checked draw of the reference samplers and CD chain",
-}
 
 
 def unused_imports(source: str) -> list:
@@ -120,7 +109,7 @@ def _reads(node) -> list:
     return out
 
 
-def unreachable(package: Path, users, entry_points, kept) -> list:
+def unreachable(package: Path, users, entry_points) -> list:
     """``module.name`` of every package-level function and class that no
     root reaches, sorted."""
     trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
@@ -152,7 +141,7 @@ def unreachable(package: Path, users, entry_points, kept) -> list:
               if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
                                        ast.Import, ast.ImportFrom))
               for d in _reads(node)]  # what a module runs on import
-    for dotted in (*entry_points, *kept):
+    for dotted in entry_points:
         module, name = dotted.split(".")
         assert name in defs.get(module, {}), f"no definition {dotted}"
         roots.append((module, name))
@@ -178,15 +167,7 @@ def entry_points() -> list:
 
 
 def test_every_definition_is_reachable():
-    assert unreachable(PACKAGE, USERS, entry_points(), KEPT) == []
-
-
-@pytest.mark.parametrize("key", sorted(KEPT))
-def test_every_kept_name_is_otherwise_unreachable(key):
-    """A ``KEPT`` entry that a root reaches anyway is stale.  Dropping one
-    may strand the helpers only it reads as well."""
-    rest = {k: v for k, v in KEPT.items() if k != key}
-    assert key in unreachable(PACKAGE, USERS, entry_points(), rest)
+    assert unreachable(PACKAGE, USERS, entry_points()) == []
 
 
 def test_reachability_scan_flags_an_unreachable_helper(tmp_path):
@@ -196,28 +177,62 @@ def test_reachability_scan_flags_an_unreachable_helper(tmp_path):
         f.write("\n\ndef _orphan(seq):\n    return load_jsonl(seq)\n")
     with open(copy / "rbm.py", "a") as f:
         f.write("\n\nclass Orphan:\n    pass\n")
-    with open(copy / "exact.py", "a") as f:
-        f.write("\n\ndef _orphan(rbm):\n    return all_states(rbm.n_visible)\n")
-    assert unreachable(copy, USERS, entry_points(), KEPT) == [
-        "data._orphan", "exact._orphan", "rbm.Orphan"]
+    with open(copy / "metrics.py", "a") as f:
+        f.write("\n\ndef _orphan(pred):\n    return fraction_correct(pred, pred)\n")
+    assert unreachable(copy, USERS, entry_points()) == [
+        "data._orphan", "metrics._orphan", "rbm.Orphan"]
 
 
-def test_cli_loads_no_oracle_and_package_binds_only_its_version():
+@functools.cache
+def cli_import() -> list:
+    """What a fresh interpreter that sees only ``src`` prints on
+    ``import growrbm.cli``: the names the package binds before it, then
+    the package modules loaded after it."""
     code = ("import sys, growrbm\n"
             "print(sorted(n for n in vars(growrbm) if not n.startswith('__')))\n"
             "import growrbm.cli\n"
-            "print('growrbm.exact' in sys.modules)\n")
+            "print(sorted(n for n in sys.modules if n.startswith('growrbm.')))\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "False"]
+    return out.splitlines()
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "exact"],
-                         ids=lambda p: p.stem)
+def test_cli_loads_no_oracle_and_package_binds_only_its_version():
+    """The interpreter cannot see ``tests/``, so the command line loads
+    without the oracles."""
+    assert cli_import()[0] == "[]"
+
+
+def test_cli_loads_every_package_module():
+    """A module the command line does not load holds only what the tests
+    run, and belongs with them."""
+    assert cli_import()[1] == str([f"growrbm.{p.stem}" for p in MODULES])
+
+
+def imports_scipy(source: str) -> bool:
+    """Whether ``source`` imports ``scipy`` or one of its submodules."""
+    names = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names += [alias.name for alias in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names.append(n.module or "")
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_only_numerics_imports_scipy():
+    """scipy's ``expit`` in ``numerics`` is the package's one scipy use,
+    so running without scipy is a change to one module."""
+    assert [p.stem for p in MODULES if imports_scipy(p.read_text())] == [
+        "numerics"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_exact_enumerates(path):
-    """No module but ``exact`` defines an ``*_exact`` function or
-    imports ``logsumexp``, the enumeration oracles' normaliser."""
+    """No package module defines an ``*_exact`` function or imports
+    ``logsumexp``, the enumeration oracles' normaliser: the oracles live
+    in ``tests/oracles.py``."""
     tree = ast.parse(path.read_text())
     assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
             and n.name.endswith("_exact")] == []

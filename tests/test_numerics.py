@@ -11,14 +11,14 @@ from scipy.special import expit
 
 from growrbm import dbn
 from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, _logistic,
-                              _unclamped, sample_bernoulli, sigmoid)
-from growrbm.rbm import (CdConfig, Rbm, cd_step, hidden_conditional,
-                         visible_conditional)
+                              _unclamped, sigmoid)
+from growrbm.rbm import CdConfig, Rbm, cd_step, hidden_conditional
 from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep)
 from growrbm.rnn_rbm import (RnnRbm, bptt_gradients, mean_sequence_energy,
                              prediction_error)
-from references import reference_logistic
+from oracles import visible_conditional
+from references import reference_logistic, sample_bernoulli
 
 # both clamp ends, the tails of expit down to denormals and past them,
 # tiny and denormal inputs, and ordinary values

@@ -15,14 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from growrbm import rbm as rbm_module, rnn_rbm
-from growrbm.errors import CapacityError, DimensionError
-from growrbm.exact import (energy, free_energy, log_likelihood_exact,
-                           log_likelihood_gradient_exact, log_partition_exact,
-                           prob_exact)
+from growrbm.errors import DimensionError
 from growrbm.numerics import RngStream
-from growrbm.rbm import (CdConfig, Rbm, RbmGradient, cd_step,
-                         hidden_conditional, visible_conditional)
+from growrbm.rbm import CdConfig, Rbm, RbmGradient, cd_step, hidden_conditional
 from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient, bptt_gradients
+from oracles import (CapacityError, energy, free_energy, log_likelihood_exact,
+                     log_likelihood_gradient_exact, log_partition_exact,
+                     prob_exact, visible_conditional)
 from references import reference_cd_chain, reference_cd_step, reference_norm
 
 
@@ -379,7 +378,7 @@ class TestCdStep:
             rbm.c += 0.2 * g.dc
             rbm.W += 0.2 * g.dW
         # sample the trained model exactly by enumeration
-        from growrbm.exact import all_states
+        from oracles import all_states
         states = all_states(3)
         logw = -free_energy(rbm, states)
         p = np.exp(logw - np.max(logw))

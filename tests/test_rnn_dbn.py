@@ -9,18 +9,19 @@ from growrbm.adapt import AdaptConfig, TrainState
 from growrbm.dbn import (LayerGenConfig, _inherit, train_adaptive_dbn,
                          train_adaptive_rbm)
 from growrbm.errors import DimensionError, NumericError
-from growrbm.exact import state_update
 from growrbm.harness import evaluate_model
 from growrbm.metrics import PooledMetrics
-from growrbm.numerics import RngStream, sample_bernoulli, sigmoid
+from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig, hidden_conditional
 from growrbm.rnn_dbn import (RnnDbn, _apart, deterministic_hidden_sequence,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
 from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
                              prediction_error, train_adaptive_rnn_rbm, unroll)
+from oracles import state_update
 from references import (mean_field_metrics, reference_linear_sampler,
-                        reference_mean_field, reference_sample_sequence_deep)
+                        reference_mean_field, reference_sample_sequence_deep,
+                        sample_bernoulli)
 from test_rnn_rbm import cycle_sequences, small_model
 
 

@@ -11,9 +11,7 @@ from growrbm import adapt as adapt_module, rnn_rbm
 from growrbm.adapt import (STATS_DECAY, AdaptConfig, ForgettingConfig,
                            GradientStats, add_forgetting_, apply_annihilation,
                            forgetting_modes, maybe_generate)
-from growrbm.errors import CapacityError, DimensionError
-from growrbm.exact import (log_likelihood_exact, sequence_cost_exact,
-                           sequence_cost_gradient_exact, state_update)
+from growrbm.errors import DimensionError
 from growrbm.log import LogRow, TrainLog
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
@@ -24,7 +22,8 @@ from growrbm.rnn_rbm import (LengthGroups, RnnRbm, RnnRbmGradient,
                              bptt_gradients, mean_hidden_activation,
                              mean_sequence_energy, prediction_error,
                              train_adaptive_rnn_rbm, unroll)
-
+from oracles import (CapacityError, log_likelihood_exact, sequence_cost_exact,
+                     sequence_cost_gradient_exact, state_update)
 from references import (reference_bptt_gradients, reference_frame_biases,
                         reference_grow_hidden, reference_mean_field)
 
@@ -269,7 +268,7 @@ class TestExactGradient:
     def test_single_frame_recovers_static_gradient(self):
         # one frame, zero recurrence: b/c/W parts must equal the exact
         # static likelihood gradient (negated, cost vs likelihood)
-        from growrbm.exact import log_likelihood_gradient_exact
+        from oracles import log_likelihood_gradient_exact
         rng = RngStream(15)
         rbm = Rbm(rng.normal(sd=0.5, size=3), rng.normal(sd=0.5, size=2),
                   rng.normal(sd=0.5, size=(3, 2)))
