@@ -30,10 +30,11 @@ frame-by-frame recursions on the same stack with the arrays of
 test fails at frame 2 (seed 11) and 3 (seed 12), and its marginals
 move if it does not rerun or does not restore the states before a
 rerun.  It gives the samples at the two seeds, the sha256 prefix of
-the float64 bytes of the states ``unroll`` gives each layer on each
-sample lifted to it, and the ``run_eval`` scores on the held-out set
-with their predictions prefix: that eval's grouped unrolls rerun too,
-and its scores alone do not move where only its states do.  The
+the float64 bytes of the states every layer gets on each sample from
+one call of the package's lift (``rnn_dbn._lift``), and the
+``run_eval`` scores on the held-out set with their predictions prefix:
+that eval's grouped unrolls rerun too, and its scores alone do not move
+where only its states do.  The
 single-layer adaptive kinds also gate resume: a ``resume`` line trains
 the config through the library, saves the train state after
 ``epochs // 2`` epochs, loads it back and resumes, and gives the hashes
@@ -93,9 +94,8 @@ from growrbm.harness import (_flatten_frames, run_eval, run_sample,
                              run_training)
 from growrbm.log import TrainLog
 from growrbm.numerics import RngStream
-from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
-                             predict_next_deep)
-from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm, unroll
+from growrbm.rnn_dbn import RnnDbn, predict_next_deep
+from growrbm.rnn_rbm import RnnRbm, train_adaptive_rnn_rbm
 
 # name -> (model, adaptive, epochs, learning rate, cd k)
 CONFIGS = {
@@ -365,9 +365,8 @@ def main(argv=None) -> int:
         hashes, samples = sample_runs(stack, root, "saturated")
         states = hashlib.sha256()
         for seq in samples:
-            for layer in stack.layers:
-                states.update(unroll(layer, seq)[0].tobytes())
-                seq = deterministic_hidden_sequence(layer, seq)
+            for U in rnn_dbn._lift(stack.layers, seq)[1]:
+                states.update(U.tobytes())
         print(f"{'saturated stack':14s} sample {hashes}"
               f" unroll {states.hexdigest()[:16]}"
               f" eval {evaluated(root / 'saturated.ckpt', heldout)}")

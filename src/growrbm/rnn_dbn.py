@@ -8,19 +8,19 @@ is reproducible) become the training sequences for the next layer.  The
 stack reuses the static gate: accumulated gradient-variance and energy
 totals decide whether another layer is worth adding.
 
-Prediction runs bottom-up then top-down: the sequence is lifted through
-the lower layers as activation sequences, the top layer predicts its own
-next frame, and each layer below converts the prediction above it into
-visible marginals with a single conditional pass using its own temporal
-bias for the next step.  A recurrent RBM is read as a one-layer stack,
-so this one path evaluates and samples both recurrent kinds.
+One function, :func:`_lift`, computes those sequences, for the trainer
+and the read path alike.  Training and scoring stack a sequence set by
+exact length and lift each group at once, one unroll per layer and
+group, in the :func:`_apart` layout, where every row is bit for bit that
+of its sequence lifted alone; :func:`_by_length` puts the rows back in
+the order of the sequences.
 
-Scoring a held-out set stacks it by exact length, as training does, and
-lifts and predicts each length group at once, so every layer unrolls
-once per group rather than once per sequence; the predictions are
-pooled back in the order of the sequences.  The groups are laid out
-(:func:`_apart`) so that every prediction is bit for bit that of its
-sequence scored alone.
+Prediction runs bottom-up then top-down: the sequence is lifted through
+the lower layers, the top layer predicts its own next frame, and each
+layer below converts the prediction above it into visible marginals with
+a single conditional pass using its own temporal bias for the next step.
+A recurrent RBM is read as a one-layer stack, so this one path evaluates
+and samples both recurrent kinds.
 
 Sampling (:func:`sample_sequence_deep`) carries every layer's state
 forward, so each frame costs one step through the stack, on bare
@@ -46,17 +46,6 @@ class RnnDbn(Dbn):
     evaluation, sampling and checkpoints dispatch on."""
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def deterministic_hidden_sequence(model: RnnRbm, seq) -> np.ndarray:
-    """Per-frame hidden conditionals ``p(h | v_t)`` under the temporal bias.
-
-    Deterministic by construction; this is what upper layers train on.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    _, _, C = unroll(model, seq)
-    return sigmoid(C + seq @ model.W)
-
-
 def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
                            epochs_per_layer: int, rng: RngStream,
                            layer_cfg: LayerGenConfig,
@@ -71,27 +60,52 @@ def train_adaptive_rnn_dbn(sequences, n_hidden: int, cd: CdConfig,
     standalone run would, so the first layer of a stack equals a
     single-layer run with the same seed.  ``u_dim`` sizes the first
     layer's state only: an upper layer starts square, its state as wide
-    as its input (:func:`~growrbm.dbn._inherit`).  Returns ``(model, log)``.
+    as its input (:func:`~growrbm.dbn._inherit`).  The lift to the next
+    layer runs length group by group in the read path's layout
+    (:func:`_lift_sequences`).  Returns ``(model, log)``.
     """
     return _train_stack(
         RnnDbn(), [np.asarray(s, dtype=np.float64) for s in sequences], rng,
-        layer_cfg, train=train_adaptive_rnn_rbm,
-        lift=lambda m, seqs: [deterministic_hidden_sequence(m, s)
-                              for s in seqs],
+        layer_cfg, train=train_adaptive_rnn_rbm, lift=_lift_sequences,
         n_hidden=n_hidden, cd=cd, epochs=epochs_per_layer, adapt=adapt,
         forget=forget, u_dim=u_dim, epoch_callback=epoch_callback)
 
 
 def _apart(seqs: np.ndarray) -> np.ndarray:
-    """``(..., T, I)`` viewed as ``(..., 1, T, I)``.
-
-    Unrolled in this layout, each state step takes one vector-matrix
-    product per sequence, as a lone sequence does, so every sequence of
-    a group gets bit for bit the states it gets alone.  An ``(S, T, I)``
-    unroll, the layout of training, takes one matrix product per step for
-    the whole group, which BLAS may round differently in the last bit.
-    """
+    """``(..., T, I)`` viewed as ``(..., 1, T, I)``, where each state step
+    of :func:`unroll` takes one vector-matrix product per sequence, as a
+    lone sequence does, and so gives its states bit for bit.  BLAS may
+    round the one product per step of an ``(S, T, I)`` group otherwise."""
     return seqs[..., None, :, :]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lift(layers, view):
+    """``view`` (as :func:`unroll` takes it) lifted through ``layers``,
+    each layer's hidden conditionals ``p(h | v_t)`` under its temporal
+    bias feeding the next: the top view and each layer's states."""
+    states = []
+    for layer in layers:
+        U, _, C = unroll(layer, view)
+        view = sigmoid(C + view @ layer.W)
+        states.append(U)
+    return view, states
+
+
+def _by_length(model: RnnRbm, sequences, grouped) -> list:
+    """The items of ``grouped(seqs)`` for each length group ``seqs``
+    (:func:`~growrbm.rnn_rbm._length_groups`), in sequence order."""
+    out = [None] * len(sequences)
+    for positions, seqs in _length_groups(model, sequences):
+        for n, item in zip(positions, grouped(seqs)):
+            out[n] = item
+    return out
+
+
+def _lift_sequences(model: RnnRbm, sequences) -> list:
+    """Each sequence lifted through ``model``, by length group apart."""
+    return _by_length(model, sequences,
+                      lambda seqs: _lift([model], _apart(seqs))[0][:, 0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -104,16 +118,12 @@ def predict_next_deep(stack: RnnDbn, prefix) -> np.ndarray:
     if prefix.size == 0:
         prefix = np.zeros((0, stack.n_visible))
     *lower, top = stack.layers
-    view, states = prefix, []
-    for layer in lower:
-        U, _, C = unroll(layer, view)
-        view = sigmoid(C + view @ layer.W)
-        states.append(U[-1])
+    view, states = _lift(lower, prefix)
     u = unroll(top, view)[0][-1]
     signal = _mean_field_marginals(top.W, top.b + u @ top.w_uv,
                                    top.c + u @ top.w_uh)
-    for layer, u in zip(reversed(lower), reversed(states)):
-        signal = sigmoid(layer.b + u @ layer.w_uv + signal @ layer.W.T)
+    for layer, U in zip(reversed(lower), reversed(states)):
+        signal = sigmoid(layer.b + U[-1] @ layer.w_uv + signal @ layer.W.T)
     return signal
 
 
@@ -134,11 +144,7 @@ def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
     if seq.shape[-2] < 2:
         return np.zeros(seq.shape[:-2] + (0, stack.n_visible))
     *lower, top = stack.layers
-    view, states = _apart(seq), []
-    for layer in lower:
-        U, _, C = unroll(layer, view)
-        view = sigmoid(C + view @ layer.W)
-        states.append(U)
+    view, states = _lift(lower, _apart(seq))
     _, B, C = unroll(top, view)
     signal = _mean_field_marginals(top.W, B[..., 1:, :], C[..., 1:, :])
     for layer, U in zip(reversed(lower), reversed(states)):
@@ -148,22 +154,16 @@ def next_frame_predictions_deep(stack: RnnDbn, seq) -> np.ndarray:
 
 
 def _pool_predictions(stack: RnnDbn, sequences) -> PooledMetrics:
-    """Next-frame predictions pooled against frames ``2..T``.
-
-    The sequences are stacked by exact length
-    (:func:`~growrbm.rnn_rbm._length_groups`), each group is predicted by
-    one :func:`next_frame_predictions_deep` call, and the predictions are
-    added to the pool in the order of ``sequences``, so the pooled scores
-    do not depend on how the set groups.  The frame sizes are the
-    caller's to check.
-    """
-    pairs = [None] * len(sequences)
-    for positions, seqs in _length_groups(stack.layers[0], sequences):
-        preds = next_frame_predictions_deep(stack, seqs)
-        for n, pred, seq in zip(positions, preds, seqs):
-            pairs[n] = pred, seq[1:]
+    """Next-frame predictions pooled against frames ``2..T``, one
+    :func:`next_frame_predictions_deep` call per length group, in the
+    order of ``sequences`` (:func:`_by_length`), so the pooled scores do
+    not depend on how the set groups.  The frame sizes are the caller's
+    to check."""
     pool = PooledMetrics()
-    for pred, target in pairs:
+    for pred, target in _by_length(
+            stack.layers[0], sequences,
+            lambda seqs: zip(next_frame_predictions_deep(stack, seqs),
+                             seqs[:, 1:])):
         pool.add(pred, target)
     return pool
 

@@ -160,7 +160,7 @@ def unroll(model: RnnRbm, seq):
     """States and per-frame biases along one sequence or a group of them.
 
     ``seq`` is one sequence ``(T, I)`` or equal-length sequences stacked
-    on leading axes, as ``(S, T, I)`` or ``(S, 1, T, I)`` (the read path's
+    on leading axes, as ``(S, T, I)`` or ``(S, 1, T, I)`` (the lift's
     :func:`~growrbm.rnn_dbn._apart`).  Returns ``(U, B, C)`` with the same
     leading axes, where ``U[..., t, :]`` is the state after ``t`` frames
     (``U[..., 0, :]`` is the learned initial state, so ``U`` has ``T + 1``

@@ -166,6 +166,17 @@ def reference_frame_biases(model, u_prev):
     return model.b + u_prev @ model.w_uv, model.c + u_prev @ model.w_uh
 
 
+# pins rnn_dbn._lift_sequences, the stack trainer's lift, which lifts
+# each length group at once in the _apart layout: one sequence at a time
+@np.errstate(over="ignore", invalid="ignore")
+def reference_hidden_sequence(model, seq):
+    """Per-frame hidden conditionals ``p(h | v_t)`` of one sequence under
+    the temporal bias, what the layer above trains on."""
+    seq = np.asarray(seq, dtype=np.float64)
+    _, _, C = rnn_rbm.unroll(model, seq)
+    return sigmoid(C + seq @ model.W)
+
+
 # pins rnn_dbn.sample_sequence_deep, which carries every layer's state
 def reference_sample_sequence_deep(stack, length, rng):
     """Quadratic sampler: every step re-lifts the whole prefix through

@@ -13,7 +13,7 @@ from growrbm import dbn
 from growrbm.numerics import (_SIG_HI, _SIG_LO, RngStream, _logistic,
                               _unclamped, sigmoid)
 from growrbm.rbm import CdConfig, Rbm, cd_step, hidden_conditional
-from growrbm.rnn_dbn import (RnnDbn, deterministic_hidden_sequence,
+from growrbm.rnn_dbn import (RnnDbn, _lift_sequences,
                              next_frame_predictions_deep, predict_next_deep)
 from growrbm.rnn_rbm import (RnnRbm, bptt_gradients, mean_sequence_energy,
                              prediction_error)
@@ -349,8 +349,8 @@ GUARDED_CALLS = {
         _huge_lower_stack().layers[0], [ONES], CdConfig(k=1), RngStream(1)),
     "prediction_error": lambda: prediction_error(
         _huge_lower_stack().layers[0], [ONES]),
-    "deterministic_hidden_sequence": lambda: deterministic_hidden_sequence(
-        _huge_lower_stack().layers[0], ONES),
+    "stack lift": lambda: _lift_sequences(_huge_lower_stack().layers[0],
+                                          [ONES]),
     "predict_next_deep": lambda: predict_next_deep(_huge_lower_stack(), ONES),
     "next_frame_predictions_deep": lambda: next_frame_predictions_deep(
         _huge_lower_stack(), ONES),

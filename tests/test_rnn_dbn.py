@@ -13,15 +13,15 @@ from growrbm.harness import evaluate_model
 from growrbm.metrics import PooledMetrics
 from growrbm.numerics import RngStream, sigmoid
 from growrbm.rbm import CdConfig, hidden_conditional
-from growrbm.rnn_dbn import (RnnDbn, _apart, deterministic_hidden_sequence,
+from growrbm.rnn_dbn import (RnnDbn, _apart, _lift, _lift_sequences,
                              next_frame_predictions_deep, predict_next_deep,
                              sample_sequence_deep, train_adaptive_rnn_dbn)
 from growrbm.rnn_rbm import (RnnRbm, mean_sequence_energy,
                              prediction_error, train_adaptive_rnn_rbm, unroll)
 from oracles import state_update
-from references import (mean_field_metrics, reference_linear_sampler,
-                        reference_mean_field, reference_sample_sequence_deep,
-                        sample_bernoulli)
+from references import (mean_field_metrics, reference_hidden_sequence,
+                        reference_linear_sampler, reference_mean_field,
+                        reference_sample_sequence_deep, sample_bernoulli)
 from test_rnn_rbm import cycle_sequences, small_model
 
 
@@ -34,22 +34,104 @@ def trained_stack(max_layers=2, seed=80, epochs=4):
                                   cfg), seqs
 
 
+# the reference gate's ragged training set cuts its sequences to these
+# lengths in turn, and its saturated stack scales these arrays
+RAGGED_LENGTHS = (25, 9, 2, 1, 17)
+SATURATED_SCALES = {"w_vu": 12.0, "w_uv": 5.0, "w_uh": 5.0, "W": 5.0}
+
+
+def gate_layer(seed, weight_sd=0.5, saturated=False):
+    """An 8 -> 6 layer with an 8-unit state, as the gate's stack starts,
+    its arrays scaled as in the gate's saturated stack if asked."""
+    layer = RnnRbm.random(8, 6, RngStream(seed), u_dim=8,
+                          weight_sd=weight_sd)
+    for name, scale in SATURATED_SCALES.items() if saturated else ():
+        getattr(layer, name)[...] *= scale
+    return layer
+
+
+def ragged_binary(seed, lengths, dim=8):
+    rng = RngStream(seed)
+    return [(rng.split(n).uniform(size=(t, dim)) < 0.5).astype(float)
+            for n, t in enumerate(lengths)]
+
+
 class TestHiddenSequence:
+    """The stack trainer's lift, by length group, against the lift of one
+    sequence at a time."""
+
     def test_manual_recompute(self):
         m = small_model(81)
         seq = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        _, _, C = unroll(m, seq)
-        npt.assert_array_equal(deterministic_hidden_sequence(m, seq),
-                               sigmoid(C + seq @ m.W))
+        U, _, C = unroll(m, seq)
+        want = sigmoid(C + seq @ m.W)
+        npt.assert_array_equal(_lift_sequences(m, [seq])[0], want)
+        view, states = _lift([m], seq)
+        npt.assert_array_equal(view, want)
+        npt.assert_array_equal(states[0], U)
 
     def test_reproducible_rows_in_unit_interval(self):
         m = small_model(82)
         seq = (RngStream(83).uniform(size=(6, 3)) < 0.5).astype(float)
-        a = deterministic_hidden_sequence(m, seq)
-        b = deterministic_hidden_sequence(m, seq)
+        a, = _lift_sequences(m, [seq])
+        b, = _lift_sequences(m, [seq])
         npt.assert_array_equal(a, b)
         assert a.shape == (6, 2)
         assert a.min() > 0.0 and a.max() < 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lengths=st.lists(st.integers(1, 25), min_size=1, max_size=13),
+           weight_sd=st.sampled_from([0.1, 0.5, 2.0]),
+           saturated=st.booleans())
+    def test_grouped_lift_equals_lone_lift_bit_for_bit(
+            self, seed, lengths, weight_sd, saturated):
+        layer = gate_layer(seed, weight_sd, saturated)
+        seqs = ragged_binary(seed + 1, [*lengths, 1])
+        got = _lift_sequences(layer, seqs)
+        assert len(got) == len(seqs)
+        for row, seq in zip(got, seqs):
+            want = reference_hidden_sequence(layer, seq)
+            assert row.shape == want.shape
+            assert row.tobytes() == want.tobytes()
+
+    def test_saturated_grouped_lift_reruns_bit_for_bit(self, monkeypatch):
+        """The saturated layers rerun their grouped unrolls on the guarded
+        sigmoid, and every row stays that of its sequence alone."""
+        real, reruns = rnn_rbm.sigmoid, []
+
+        def guarded(x, out=None):
+            if np.ndim(x) == 3:  # a state step of a group apart
+                reruns.append(1)
+            return real(x, out)
+
+        monkeypatch.setattr(rnn_rbm, "sigmoid", guarded)
+        for seed in range(20):
+            layer = gate_layer(300 + seed, saturated=True)
+            seqs = ragged_binary(400 + seed, RAGGED_LENGTHS * 3)
+            for row, seq in zip(_lift_sequences(layer, seqs), seqs):
+                assert row.tobytes() == \
+                    reference_hidden_sequence(layer, seq).tobytes()
+        assert len(reruns) >= 100
+
+    def test_stack_lift_unrolls_once_per_length(self, monkeypatch):
+        """Training a 2-layer stack on the gate's ragged set lifts each of
+        its five lengths with one unroll, not each of its 13 sequences."""
+        seqs = [seq[:RAGGED_LENGTHS[n % len(RAGGED_LENGTHS)]] for n, seq
+                in enumerate(cycle_sequences(13, 25, RngStream(96)))]
+        calls, real = [], rnn_dbn.unroll
+
+        def counting(model, seq):
+            calls.append(np.shape(seq))
+            return real(model, seq)
+
+        monkeypatch.setattr(rnn_dbn, "unroll", counting)
+        cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
+        stack, _ = train_adaptive_rnn_dbn(seqs, 4, cd, 2, RngStream(97),
+                                          LayerGenConfig(max_layers=2))
+        assert stack.n_layers == 2
+        assert calls == [(3, 1, 25, 4), (3, 1, 9, 4), (3, 1, 2, 4),
+                         (2, 1, 1, 4), (2, 1, 17, 4)]
 
 
 class TestStacking:
@@ -95,8 +177,7 @@ class TestStacking:
         if recurrent:
             data, stacked, single = (seqs, train_adaptive_rnn_dbn,
                                      train_adaptive_rnn_rbm)
-            lift = lambda m, x: [deterministic_hidden_sequence(m, s)
-                                 for s in x]
+            lift = _lift_sequences
         else:
             data, stacked, single = (np.vstack(seqs), train_adaptive_dbn,
                                      train_adaptive_rbm)
