@@ -103,23 +103,21 @@ class GradientStats(Packed):
     the whole state, and each :meth:`update` is given its decay,
     :data:`STATS_DECAY`.  ``var_*`` return the centred second moments.
 
-    The moments share one buffer (:class:`~growrbm.rbm.Packed`) laid out
-    as two rows, the means ``[c | W]`` and the second moments ``[c | W]``,
-    the layout of a gradient's ``[dc | dW]``, so an update is one decay
-    of the buffer and one in-place sum per row.
+    The moments share one buffer (:class:`~growrbm.rbm.Packed`), whose
+    field order makes it two rows, the means ``[c | W]`` and the second
+    moments ``[c | W]``, each laid out as a gradient's ``[dc | dW]``, so
+    an update is one decay of the buffer and one in-place sum per row.
     """
 
     mean_c: np.ndarray
-    sq_c: np.ndarray
     mean_w: np.ndarray
+    sq_c: np.ndarray
     sq_w: np.ndarray
-
-    LAYOUT = ("mean_c", "mean_w", "sq_c", "sq_w")
 
     @classmethod
     def zeros(cls, n_visible: int, n_hidden: int) -> "GradientStats":
         w = (n_visible, n_hidden)
-        return cls(np.zeros(n_hidden), np.zeros(n_hidden), np.zeros(w),
+        return cls(np.zeros(n_hidden), np.zeros(w), np.zeros(n_hidden),
                    np.zeros(w))
 
     def update(self, g: RbmGradient, lam: float):

@@ -237,7 +237,8 @@ def load_checkpoint(path):
 
 def save_train_state(path, state, seed: int = 0):
     """Persist a mid-run resume point of one layer: the model and moments
-    as arrays, ``meta.epoch_done`` and ``meta.controller = {"stall": n}``.
+    as arrays in field order, ``meta.epoch_done`` and
+    ``meta.controller = {"stall": n}``.
     A stack is no layer, and raises ``TypeError``."""
     if not isinstance(state, TrainState):
         raise TypeError(f"not a training state: {type(state).__name__}")
@@ -254,7 +255,8 @@ def save_train_state(path, state, seed: int = 0):
 def load_train_state(path):
     """Returns ``(state, header)`` matching :func:`save_train_state`; meta
     keys it does not read, such as the update count, ``stats_decay`` and
-    ``controller.generation_done`` of earlier files, are ignored.  A
+    ``controller.generation_done`` of earlier files, are ignored, and the
+    moments are read by name, in whatever order a file lists them.  A
     stack kind (``dbn-train``, ``rnn-dbn-train``) is rejected."""
     header, arrays = _read(path)
     kind = header["kind"]

@@ -61,23 +61,25 @@ class CdConfig:
 
 
 class Packed:
-    """Dataclass mixin: every array field is a view into one C-ordered
-    float64 buffer, :attr:`buffer`, laid out in ``LAYOUT`` order (field
-    order when it is None), so one ufunc call on the buffer steps every
-    field.  The buffer sits in a slot, outside ``vars()``, which holds
-    the fields alone.
+    """Dataclass mixin: every array field is a view, in field order, into
+    one C-ordered float64 buffer, :attr:`buffer`, so one ufunc call on the
+    buffer steps every field.  The buffer sits in a slot, outside
+    ``vars()``, which holds the fields alone.
 
-    Building an instance copies its arrays into a fresh buffer.
-    Assigning a field copies the value into its view, or, for a new
-    shape, repacks every field into a new buffer: either way the fields
-    stay views of the one buffer.
+    Building an instance copies its arrays into a fresh buffer, of a
+    wider type than float64 only if an array needs one.  A field keeps
+    its shape: assigning one copies the value into its view, and a value
+    of another shape raises ``ValueError``.  A layer changes width only
+    by building a new layer, as growth and pruning do.
     """
 
     __slots__ = ("buffer",)
-    LAYOUT = None
 
     def __post_init__(self):
-        self._pack(dict(vars(self)))
+        arrays = [np.asarray(a) for a in vars(self).values()]
+        self.__dict__.update(zip(vars(self), arrays))
+        self._view(np.concatenate(arrays, axis=None,
+                                  dtype=np.result_type(np.float64, *arrays)))
 
     def __setattr__(self, name, value):
         view = self.__dict__.get(name)
@@ -86,7 +88,8 @@ class Packed:
         elif np.shape(value) == view.shape:
             view[...] = value
         else:
-            self._pack({**vars(self), name: value})
+            raise ValueError(f"{name} has shape {view.shape}; a value of "
+                             f"shape {np.shape(value)} does not fit it")
 
     @classmethod
     def _on(cls, buffer: np.ndarray, like) -> "Packed":
@@ -100,22 +103,11 @@ class Packed:
     def _view(self, buffer: np.ndarray):
         """Replace every field by a view into ``buffer`` of its shape."""
         fields, offset = self.__dict__, 0
-        for name in self.LAYOUT or fields:
-            arr = fields[name]
+        for name, arr in fields.items():
             end = offset + arr.size
             fields[name] = buffer[offset:end].reshape(arr.shape)
             offset = end
         object.__setattr__(self, "buffer", buffer)
-
-    def _pack(self, arrays: dict):
-        """Copy ``arrays``, by field name, into a new buffer and view it.
-        The buffer is float64 unless an array needs a wider type."""
-        arrays = {k: np.asarray(a) for k, a in arrays.items()}
-        self.__dict__.update(arrays)
-        self._view(np.empty(sum(a.size for a in arrays.values()),
-                            np.result_type(np.float64, *arrays.values())))
-        for name, arr in arrays.items():
-            self.__dict__[name][...] = arr
 
     def copy(self):
         return self._on(self.buffer.copy(), vars(self).values())
@@ -303,7 +295,7 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
 
 def _conditional(x, M, bias, out, logistic) -> np.ndarray:
     """``logistic(x @ M + bias)`` of the chain, written into ``out``."""
-    np.matmul(x, M, out)
+    x.dot(M, out)
     out += bias
     logistic(out, out)
     return out

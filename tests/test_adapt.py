@@ -604,12 +604,11 @@ class TestSweepLayout:
 
 def assert_packed(obj):
     """Every array of ``obj`` is a C-contiguous view into its one buffer,
-    and the views tile the buffer in layout order."""
+    and the views tile the buffer in field order."""
     buffer = obj.buffer
     assert buffer.dtype == np.float64 and buffer.flags.owndata
     start, offset = buffer.__array_interface__["data"][0], 0
-    for name in type(obj).LAYOUT or vars(obj):
-        arr = getattr(obj, name)
+    for name, arr in vars(obj).items():
         assert arr.base is buffer and arr.flags.c_contiguous, name
         assert arr.__array_interface__["data"][0] == start + 8 * offset, name
         offset += arr.size
@@ -689,13 +688,20 @@ class TestPacking:
         objects += [grown, grown_stats, pruned, pruned_stats]
         for obj in objects:
             assert_packed(obj)
-        # a write of the same shape lands in the view; a new shape repacks
-        view = pruned.W
+        # a write of the same shape lands in the view; a new shape raises
+        # and leaves every field as it was
+        view, buffer = pruned.W, pruned.buffer
         pruned.W = np.ones_like(view)
-        assert pruned.W is view and (view == 1.0).all()
-        pruned.c = np.zeros(7)
-        assert_packed(pruned)
-        assert pruned.c.shape == (7,) and (pruned.W == 1.0).all()
+        assert pruned.W is view and pruned.buffer is buffer
+        assert (view == 1.0).all()
+        for obj in (pruned, pruned_stats):
+            buffer, before = obj.buffer, obj.buffer.copy()
+            for name, arr in vars(obj).items():
+                with pytest.raises(ValueError, match=rf"^{name} has shape"):
+                    setattr(obj, name, np.zeros(arr.size + 1))
+            assert obj.buffer is buffer
+            assert buffer.tobytes() == before.tobytes()
+            assert_packed(obj)
 
 
 class TestGrowPruneRoundTrip:

@@ -8,9 +8,10 @@ import pytest
 
 from growrbm.adapt import (AdaptConfig, ForgettingConfig, GradientStats,
                            TrainState)
-from growrbm.checkpoint import (FORMAT_VERSION, MAGIC, _collect, _write,
-                                describe, load_checkpoint, load_train_state,
-                                save_checkpoint, save_train_state)
+from growrbm.checkpoint import (FORMAT_VERSION, MAGIC, _collect, _read,
+                                _write, describe, load_checkpoint,
+                                load_train_state, save_checkpoint,
+                                save_train_state)
 from growrbm.data import synth_cycle
 from growrbm.dbn import Dbn, LayerTotals, train_adaptive_rbm
 from growrbm.errors import (CheckpointDimensionError, CheckpointError,
@@ -251,11 +252,12 @@ class TestTrainStateRoundTrip:
                              ids=["static", "recurrent"])
     def test_state_with_stats_count_resumes_exactly(self, tmp_path,
                                                     recurrent):
-        """Train-state files laid out as earlier builds wrote them load and
-        resume to the ``log.csv`` and ``model.ckpt`` bytes of an
-        uninterrupted run: one whose meta also carries ``stats_count``,
-        and one that also carries ``stats_decay`` and
-        ``controller.generation_done``."""
+        """Train-state files laid out as earlier builds wrote them load to
+        the saved moments and resume to the ``log.csv`` and ``model.ckpt``
+        bytes of an uninterrupted run: one whose meta also carries
+        ``stats_count``, one that also carries ``stats_decay`` and
+        ``controller.generation_done``, and one whose manifest lists the
+        moments as ``mean_c, sq_c, mean_w, sq_w``."""
         rng = RngStream(55)
         seqs = [(rng.uniform(size=(6, 4)) < 0.5).astype(float)
                 for _ in range(8)]
@@ -264,30 +266,41 @@ class TestTrainStateRoundTrip:
         cd = CdConfig(k=1, learning_rate=0.2, batch_size=4)
         adapt = AdaptConfig(generation_phase_epochs=2, max_hidden=6,
                             gen_threshold=1e-12)
-        state_path = tmp_path / "state.ckpt"
+        state_path, kept = tmp_path / "state.ckpt", []
 
         def persist(state):
             if state.epoch_done == 2:
                 save_train_state(state_path, state, seed=9)
+                kept.append(state.stats)
 
-        def with_stats_count(meta):
-            meta.update(stats_count=12)
+        def with_stats_count(path):
+            TestCorruption.edit_header(
+                path, lambda h: h["meta"].update(stats_count=12))
 
-        def with_decay_and_flag(meta):
-            meta.update(stats_decay=0.9)
-            meta["controller"].update(generation_done=True)
+        def with_decay_and_flag(path):
+            def edit(header):
+                header["meta"].update(stats_decay=0.9)
+                header["meta"]["controller"].update(generation_done=True)
+            TestCorruption.edit_header(path, edit)
+
+        def with_moments_in_earlier_order(path):
+            header, arrays = _read(path)
+            moments = {f"stats/{name}": arrays.pop(f"stats/{name}")
+                       for name in ("mean_c", "sq_c", "mean_w", "sq_w")}
+            _write(path, header["kind"], {**arrays, **moments},
+                   header["meta"], header["seed"])
 
         full, _, full_log = train(data, 3, cd, 6, RngStream(9), adapt=adapt,
                                   epoch_callback=persist)
         save_checkpoint(tmp_path / "full.ckpt", full, seed=9)
         saved = state_path.read_bytes()
-        for older, key in ((with_stats_count, "stats_count"),
-                           (with_decay_and_flag, "stats_decay")):
+        for older in (with_stats_count, with_decay_and_flag,
+                      with_moments_in_earlier_order):
             state_path.write_bytes(saved)
-            TestCorruption.edit_header(state_path,
-                                       lambda h: older(h["meta"]))
-            state, header = load_train_state(state_path)
-            assert key in header["meta"]
+            older(state_path)
+            assert state_path.read_bytes() != saved
+            state, _ = load_train_state(state_path)
+            assert state.stats.buffer.tobytes() == kept[0].buffer.tobytes()
             resumed, _, tail = train(data, 3, cd, 6, RngStream(9),
                                      adapt=adapt, resume=state)
             assert (TrainLog(full_log.rows[:3] + tail.rows).csv_text()

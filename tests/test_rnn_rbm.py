@@ -24,8 +24,10 @@ from growrbm.rnn_rbm import (LengthGroups, RnnRbm, RnnRbmGradient,
                              train_adaptive_rnn_rbm, unroll)
 from oracles import (CapacityError, log_likelihood_exact, sequence_cost_exact,
                      sequence_cost_gradient_exact, state_update)
-from references import (reference_bptt_gradients, reference_frame_biases,
-                        reference_grow_hidden, reference_mean_field)
+from references import (reference_bptt_gradients,
+                        reference_chain_through_state, reference_frame_biases,
+                        reference_grow_hidden, reference_mean_field,
+                        reference_unroll_states)
 
 GRAD_PAIRS = [("db", "b"), ("dc", "c"), ("dW", "W"), ("du", "u_bias"),
               ("dw_uv", "w_uv"), ("dw_uh", "w_uh"), ("dw_vu", "w_vu"),
@@ -546,6 +548,26 @@ class TestRaggedBatches:
                                 atol=1e-12, err_msg=f)
 
     @settings(max_examples=80, deadline=None)
+    @given(case=ragged_batches(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_state_steps_match_matmul_reference(self, case, seed):
+        """The training layouts, each length group and each lone
+        sequence, unroll and chain back bit for bit as ``np.matmul``
+        steps do."""
+        model, seqs, _ = case
+        rng = RngStream(seed)
+        for _, group in rnn_rbm._length_groups(model, seqs):
+            for seq in (group, *group):
+                U = unroll(model, seq)[0]
+                npt.assert_array_equal(U, reference_unroll_states(model, seq))
+                partials = (rng.normal(size=seq.shape),
+                            rng.normal(size=seq.shape[:-1]
+                                       + (model.n_hidden,)),
+                            rng.normal(size=model.W.shape))
+                got = rnn_rbm._chain_through_state(model, seq, U, *partials)
+                ref = reference_chain_through_state(model, seq, U, *partials)
+                assert got.buffer.tobytes() == ref.buffer.tobytes()
+
+    @settings(max_examples=80, deadline=None)
     @given(case=ragged_batches())
     def test_metrics_match_per_sequence_loops(self, case):
         m, seqs, _ = case
@@ -824,7 +846,7 @@ class TestStructuralEdits:
 
     def test_validate_rejects_misaligned_w_uh(self):
         m = small_model(55)
-        m.w_uh = np.zeros((2, 5))
+        m = RnnRbm(**{**m.arrays(), "w_uh": np.zeros((2, 5))})
         with pytest.raises(DimensionError):
             m.validate()
 
@@ -838,8 +860,9 @@ def growth_cases(draw):
                draw(st.integers(1, 4)))
     rng = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
     model = RnnRbm.random(i, j, rng.split(0), u_dim=k, weight_sd=0.5)
-    stats = GradientStats(rng.normal(size=j), rng.uniform(size=j),
-                          rng.normal(size=(i, j)), rng.uniform(size=(i, j)))
+    stats = GradientStats(mean_c=rng.normal(size=j), sq_c=rng.uniform(size=j),
+                          mean_w=rng.normal(size=(i, j)),
+                          sq_w=rng.uniform(size=(i, j)))
     cfg = AdaptConfig(generation_phase_epochs=1,
                       max_hidden=j + draw(st.integers(0, 6)),
                       gen_threshold=draw(st.sampled_from([1e-3, 0.02, 0.1])))
@@ -894,7 +917,8 @@ class TestValidate:
     @pytest.mark.parametrize("cls,name", VALIDATE_CASES)
     def test_misshapen_array_names_array(self, cls, name):
         m = _layer(cls)
-        setattr(m, name, np.full(getattr(m, name).shape + (1,), 0.5))
+        m = cls(**{**m.arrays(),
+                   name: np.full(getattr(m, name).shape + (1,), 0.5)})
         with pytest.raises(DimensionError, match=rf"^{name} has shape"):
             m.validate()
 
