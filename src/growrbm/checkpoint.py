@@ -202,7 +202,7 @@ def _rebuild(kind: str, arrays: dict, meta: dict, path):
     def layer(prefix=""):  # one copy of the arrays, in field order
         parts = [_need(arrays, prefix + f.name, path)
                  for f in fields(layer_cls)]
-        return layer_cls._on(np.concatenate(parts, axis=None), parts)
+        return layer_cls(*parts)
 
     if cls is layer_cls:
         model = layer()

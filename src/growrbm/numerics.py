@@ -26,12 +26,9 @@ non-finite input.  The sampler's test, or the rerun, stands for the
 range check of the tests' ``sample_bernoulli`` (``tests/references.py``),
 so it draws by :func:`_draw`.
 Their tiny per-step calls pass outputs positionally (``np.add(a, b, c)``
-437 ns, ``out=c`` 485 ns; not to ``np.maximum`` or ``np.minimum``, where
-numpy 2.4 deprecates it), add same-shape operands (904 ns to broadcast a
-bias row), transpose by view (0.17 us; ``np.moveaxis`` 3.6 us) and
-multiply 1-d and 2-d operands by ``ndarray.dot``, which gives
-``np.matmul``'s bits (418 ns at ``(8, 12) @ (12, 12)``; ``np.dot`` 606
-ns; ``np.matmul`` 1.04 us; 2-core VM, numpy 2.4.6, one BLAS thread).
+335 ns, with ``out=c`` 384 ns), multiply by ``ndarray.dot`` (344 ns;
+``np.dot`` dispatches in Python, 544 ns) or ``np.matmul`` and transpose
+by view (0.14 us; ``np.moveaxis`` 3.6 us; 2-core VM, numpy 2.4.6).
 """
 from __future__ import annotations
 

@@ -295,7 +295,7 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
 
 def _conditional(x, M, bias, out, logistic) -> np.ndarray:
     """``logistic(x @ M + bias)`` of the chain, written into ``out``."""
-    x.dot(M, out)
+    np.matmul(x, M, out)
     out += bias
     logistic(out, out)
     return out

@@ -172,8 +172,7 @@ def unroll(model: RnnRbm, seq):
     are two matrix products over the stacked states afterwards.  Every
     ``frames @ w_vu`` is one product before the loop, slice by slice with
     a lone frame's kernel (a lone sequence goes in as ``(T, 1, I)``).
-    Each step's pre-activation is the state row it becomes, in place,
-    and adds ``u_bias`` from one copy of its shape made per call.
+    Each step's pre-activation is the state row it becomes, in place.
     """
     seq = _as_sequences(seq)
     if seq.shape[-1] != model.n_visible:
@@ -184,17 +183,13 @@ def unroll(model: RnnRbm, seq):
     frames = _time_major(seq if lead else seq[None])  # (T, ..., I)
     U = np.empty((t_len + 1,) + lead + (model.u_dim,))
     U[0] = model.u0
-    u_bias = np.broadcast_to(model.u_bias, U.shape[1:]).copy()
-    w_uu, add = model.w_uu, np.add
-    # the ``(S, 1, K)`` rows of ``_apart`` keep ``np.matmul``'s product per
-    # sequence, which ``ndarray.dot``'s one product would round otherwise
-    step = np.ndarray.dot if len(lead) < 2 else np.matmul
+    u_bias, w_uu, matmul, add = model.u_bias, model.w_uu, np.matmul, np.add
     # an overflow here is reported once, by the test or the rerun's error
     with np.errstate(over="ignore", invalid="ignore"):
         drive = (frames @ model.w_vu).reshape(U[1:].shape)
         for logistic in (expit, sigmoid):
             for t in range(t_len):
-                p = step(U[t], w_uu, U[t + 1])
+                p = matmul(U[t], w_uu, U[t + 1])
                 logistic(add(add(u_bias, p, p), drive[t], p), p)
             if logistic is expit and _unclamped(U[1:]):
                 break
@@ -242,10 +237,11 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
     GA = np.empty_like(direct)
     gu, back = np.zeros((2,) + direct.shape[:-2] + (model.u_dim,))
     ga_t, slope_t, direct_t = map(_time_major, (GA, slope, direct))
-    w_uu_T, multiply, add = model.w_uu.T, np.multiply, np.add
+    w_uu_T, multiply, matmul, add = (model.w_uu.T, np.multiply, np.matmul,
+                                     np.add)
     for t in range(seq.shape[-2] - 1, -1, -1):
-        add(direct_t[t], multiply(gu, slope_t[t], ga_t[t]).dot(w_uu_T, back),
-            gu)
+        add(direct_t[t], matmul(multiply(gu, slope_t[t], ga_t[t]), w_uu_T,
+                                back), gu)
     U_prev, DB, DC, GA = _rows(U[..., :-1, :]), _rows(DB), _rows(DC), _rows(GA)
     g = RnnRbmGradient.empty(model)
     DB.sum(axis=0, out=g.db)

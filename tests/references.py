@@ -166,45 +166,6 @@ def reference_frame_biases(model, u_prev):
     return model.b + u_prev @ model.w_uv, model.c + u_prev @ model.w_uh
 
 
-# pins rnn_rbm.unroll in the training layouts, a lone sequence or a length
-# group, whose state steps call ndarray.dot on one bias copy a call
-@np.errstate(over="ignore", invalid="ignore")
-def reference_unroll_states(model, seq):
-    """The states ``U`` of :func:`rnn_rbm.unroll` for ``seq``, ``(T, I)``
-    or ``(S, T, I)``, each step an ``np.matmul`` plus the broadcast
-    ``u_bias`` on the guarded sigmoid, as a fresh array per step."""
-    lead, t_len = seq.shape[:-2], seq.shape[-2]
-    frames = np.moveaxis(seq if lead else seq[None], -2, 0)
-    drive = (frames @ model.w_vu).reshape((t_len,) + lead + (model.u_dim,))
-    U = [np.broadcast_to(model.u0, lead + (model.u_dim,)).copy()]
-    for d in drive:
-        U.append(sigmoid(model.u_bias + np.matmul(U[-1], model.w_uu) + d))
-    return np.moveaxis(np.stack(U), 0, -2)
-
-
-# pins rnn_rbm._chain_through_state, whose backward steps call ndarray.dot
-# on the transposed view of w_uu
-def reference_chain_through_state(model, seq, U, DB, DC, dW_sum):
-    """:func:`rnn_rbm._chain_through_state` with each backward step an
-    ``np.matmul`` into a fresh array."""
-    direct = DB @ model.w_uv.T + DC @ model.w_uh.T
-    slope = U[..., 1:, :] * (1.0 - U[..., 1:, :])
-    GA = np.empty_like(direct)
-    gu = np.zeros(direct.shape[:-2] + (model.u_dim,))
-    for t in range(seq.shape[-2] - 1, -1, -1):
-        GA[..., t, :] = gu * slope[..., t, :]
-        gu = direct[..., t, :] + np.matmul(GA[..., t, :], model.w_uu.T)
-
-    def rows(a):
-        return a.reshape(-1, a.shape[-1])
-
-    U_prev, DB, DC, GA = rows(U[..., :-1, :]), rows(DB), rows(DC), rows(GA)
-    return RnnRbmGradient(
-        DB.sum(axis=0), DC.sum(axis=0), dW_sum, GA.sum(axis=0),
-        U_prev.T @ DB, U_prev.T @ DC, rows(seq).T @ GA, U_prev.T @ GA,
-        rows(gu).sum(axis=0))
-
-
 # pins rnn_dbn._lift_sequences, the stack trainer's lift, which lifts
 # each length group at once in the _apart layout: one sequence at a time
 @np.errstate(over="ignore", invalid="ignore")

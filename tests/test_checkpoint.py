@@ -271,7 +271,7 @@ class TestTrainStateRoundTrip:
         def persist(state):
             if state.epoch_done == 2:
                 save_train_state(state_path, state, seed=9)
-                kept.append(state.stats)
+                kept.append(state.stats.copy())
 
         def with_stats_count(path):
             TestCorruption.edit_header(

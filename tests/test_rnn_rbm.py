@@ -24,10 +24,8 @@ from growrbm.rnn_rbm import (LengthGroups, RnnRbm, RnnRbmGradient,
                              train_adaptive_rnn_rbm, unroll)
 from oracles import (CapacityError, log_likelihood_exact, sequence_cost_exact,
                      sequence_cost_gradient_exact, state_update)
-from references import (reference_bptt_gradients,
-                        reference_chain_through_state, reference_frame_biases,
-                        reference_grow_hidden, reference_mean_field,
-                        reference_unroll_states)
+from references import (reference_bptt_gradients, reference_frame_biases,
+                        reference_grow_hidden, reference_mean_field)
 
 GRAD_PAIRS = [("db", "b"), ("dc", "c"), ("dW", "W"), ("du", "u_bias"),
               ("dw_uv", "w_uv"), ("dw_uh", "w_uh"), ("dw_vu", "w_vu"),
@@ -546,26 +544,6 @@ class TestRaggedBatches:
         for f, _ in GRAD_PAIRS:
             npt.assert_allclose(getattr(fast, f), getattr(ref, f), rtol=0,
                                 atol=1e-12, err_msg=f)
-
-    @settings(max_examples=80, deadline=None)
-    @given(case=ragged_batches(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_state_steps_match_matmul_reference(self, case, seed):
-        """The training layouts, each length group and each lone
-        sequence, unroll and chain back bit for bit as ``np.matmul``
-        steps do."""
-        model, seqs, _ = case
-        rng = RngStream(seed)
-        for _, group in rnn_rbm._length_groups(model, seqs):
-            for seq in (group, *group):
-                U = unroll(model, seq)[0]
-                npt.assert_array_equal(U, reference_unroll_states(model, seq))
-                partials = (rng.normal(size=seq.shape),
-                            rng.normal(size=seq.shape[:-1]
-                                       + (model.n_hidden,)),
-                            rng.normal(size=model.W.shape))
-                got = rnn_rbm._chain_through_state(model, seq, U, *partials)
-                ref = reference_chain_through_state(model, seq, U, *partials)
-                assert got.buffer.tobytes() == ref.buffer.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(case=ragged_batches())
