@@ -362,14 +362,13 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
       reads: :func:`~growrbm.rbm.cd_step` or
       :func:`~growrbm.rnn_rbm.bptt_gradients`;
     * ``update(model, g, lr)``;
-    * ``epoch_data()``, the family's epoch view of the training set,
-      called once per epoch after the updates: ``mean_activation(model)``
-      for the pruning sweep and ``metrics(model) -> (energy, error)`` on
-      the model after the sweep and its check.  Both views keep the
-      sweep's hidden pass for the metrics while the model is the same
-      object.  A view may serve every epoch of the layer, as the static
-      one does to keep its buffers, but each call drops the kept pass:
-      the updates change the model in place.
+    * ``epoch_data()``, the ``epoch`` method of the layer's one epoch
+      view of the training set, called once per epoch after the updates
+      (which change the model in place, so it drops the kept pass):
+      ``mean_activation(model)`` for the pruning sweep and
+      ``metrics(model) -> (energy, error)`` on the model after the sweep
+      and its check.  Both views keep the sweep's hidden pass for the
+      metrics while the model is the same object.
 
     ``layer`` counts from 1 and is logged as ``n_layers`` too; a layer
     above the first logs ``layer(l=...)`` on its first epoch.  Growth,

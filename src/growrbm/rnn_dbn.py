@@ -92,11 +92,13 @@ def _lift(layers, view):
     return view, states
 
 
-def _by_length(model: RnnRbm, sequences, grouped) -> list:
+def _by_length(sequences, grouped) -> list:
     """The items of ``grouped(seqs)`` for each length group ``seqs``
-    (:func:`~growrbm.rnn_rbm._length_groups`), in sequence order."""
+    (:func:`~growrbm.rnn_rbm._length_groups`), in sequence order.  The
+    grouping checks only that the sequences agree on their frame width;
+    the width against a model is :func:`unroll`'s to check."""
     out = [None] * len(sequences)
-    for positions, seqs in _length_groups(model, sequences):
+    for positions, seqs in _length_groups(sequences):
         for n, item in zip(positions, grouped(seqs)):
             out[n] = item
     return out
@@ -104,7 +106,7 @@ def _by_length(model: RnnRbm, sequences, grouped) -> list:
 
 def _lift_sequences(model: RnnRbm, sequences) -> list:
     """Each sequence lifted through ``model``, by length group apart."""
-    return _by_length(model, sequences,
+    return _by_length(sequences,
                       lambda seqs: _lift([model], _apart(seqs))[0][:, 0])
 
 
@@ -157,13 +159,14 @@ def _pool_predictions(stack: RnnDbn, sequences) -> PooledMetrics:
     """Next-frame predictions pooled against frames ``2..T``, one
     :func:`next_frame_predictions_deep` call per length group, in the
     order of ``sequences`` (:func:`_by_length`), so the pooled scores do
-    not depend on how the set groups.  The frame sizes are the caller's
-    to check."""
+    not depend on how the set groups.  The grouping checks that the
+    sequences agree on their frame width; the width against the stack is
+    checked by ``harness._check_heldout`` before the call, and by
+    :func:`unroll` in it."""
     pool = PooledMetrics()
     for pred, target in _by_length(
-            stack.layers[0], sequences,
-            lambda seqs: zip(next_frame_predictions_deep(stack, seqs),
-                             seqs[:, 1:])):
+            sequences, lambda seqs: zip(
+                next_frame_predictions_deep(stack, seqs), seqs[:, 1:])):
         pool.add(pred, target)
     return pool
 
@@ -207,15 +210,16 @@ def sample_sequence_deep(stack: RnnDbn, length: int,
     down = list(zip(b_next, [layer.W.T for layer in layers],
                     act_l[n_mf::3]))[-2::-1]
     biases, up = [], []
-    for layer, b, u, a in zip(layers, b_next, act_l[n_mf + 1::3],
-                              act_l[n_mf + 2::3]):
+    states = act_l[n_mf + 1::3]
+    for layer, b, u, a in zip(layers, b_next, states, act_l[n_mf + 2::3]):
         u[...] = layer.u0
         biases.append((layer.b, layer.w_uv, b, u))
         up.append((layer.u_bias, layer.w_uu, layer.w_vu, u,
                    np.empty(layer.u_dim), layer.c, layer.w_uh, layer.W,
                    np.empty(layer.n_hidden), a))
     W, W_T, b_top, c_top = top.W, top.W.T, b_next[-1], np.empty(top.n_hidden)
-    biases.append((top.c, top.w_uh, c_top, u))  # a lower layer's: the lift's
+    # the top layer's temporal hidden bias; a lower layer's is the lift's
+    biases.append((top.c, top.w_uh, c_top, states[-1]))
     half = np.full(top.n_visible, 0.5)
     frames = np.zeros((length, stack.n_visible))
     saved = act.copy()  # the activations before the last state update

@@ -21,12 +21,10 @@ backward chain serve the whole group.  The gradient also returns the
 batch's mean hidden activations, which the chain computed anyway, so
 the forgetting windows' clarify penalty unrolls nothing more.
 
-The state recursion reads only ``u_bias``, ``w_uu``, ``w_vu``, ``u0``
-and the data, and growth and pruning edit none of them.  So one unroll
-of the training set per epoch, kept in the epoch view
-:class:`LengthGroups`, serves the pruning sweep and both epoch metrics,
-and so does one hidden pass unless the sweep edits the model.  The
-length groups themselves are stacked once per trained layer.
+The training set is stacked by length once per trained layer, in the
+epoch view :class:`LengthGroups`, whose one hidden pass per epoch serves
+the pruning sweep and both epoch metrics unless the sweep edits the
+model.
 
 Grouping changes no random draw.  A batch of ``R`` frames draws its
 chain's uniforms as :func:`~growrbm.rbm.cd_step` on ``R`` rows does, one
@@ -194,7 +192,8 @@ def unroll(model: RnnRbm, seq):
             if logistic is expit and _unclamped(U[1:]):
                 break
     U = _time_major(U, back=True)
-    return (U, *_frame_biases(model, U))
+    prev = U[..., :-1, :]
+    return U, model.b + prev @ model.w_uv, model.c + prev @ model.w_uh
 
 
 def _time_major(a: np.ndarray, back: bool = False) -> np.ndarray:
@@ -203,12 +202,6 @@ def _time_major(a: np.ndarray, back: bool = False) -> np.ndarray:
     n = a.ndim
     return (a.transpose(*range(1, n - 1), 0, n - 1) if back
             else a.transpose(n - 2, *range(n - 2), n - 1))
-
-
-def _frame_biases(model: RnnRbm, U: np.ndarray):
-    """``(B, C)`` of :func:`unroll` from its states ``U``."""
-    return (model.b + U[..., :-1, :] @ model.w_uv,
-            model.c + U[..., :-1, :] @ model.w_uh)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -256,41 +249,40 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
     return g
 
 
-def _length_groups(model: RnnRbm, sequences):
+def _length_groups(sequences):
     """``(positions, stack)`` per distinct sequence length ``T``, in order
     of first appearance: ``stack`` is the ``(S, T, I)`` array of the
-    sequences at ``positions`` in ``sequences``."""
+    sequences at ``positions`` in ``sequences``.  The sequences must be
+    2-D and agree on their frame width; the width against a model is
+    :func:`unroll`'s to check."""
+    sequences = [_as_sequence(seq) for seq in sequences]
+    if len({seq.shape[1] for seq in sequences}) > 1:
+        raise DimensionError("sequences disagree on frame dimension")
     groups = {}
     for n, seq in enumerate(sequences):
-        seq = _as_sequence(seq)
-        if seq.shape[1] != model.n_visible:
-            raise DimensionError(
-                f"sequence dimension {seq.shape[1]} does not match model "
-                f"visible size {model.n_visible}")
-        groups.setdefault(seq.shape[0], []).append((n, seq))
-    return [([n for n, _ in group], np.stack([seq for _, seq in group]))
-            for group in groups.values()]
+        groups.setdefault(seq.shape[0], []).append(n)
+    return [(positions, np.stack([sequences[n] for n in positions]))
+            for positions in groups.values()]
 
 
 class LengthGroups:
     """A sequence set stacked by exact length: the recurrent epoch view.
 
     ``stacks`` are the ``(S, T, I)`` arrays of the sequences grouped by
-    length, in order of first appearance.  The first :meth:`hidden_passes`
-    unrolls them and keeps the states, which read only ``u_bias``,
-    ``w_uu``, ``w_vu``, ``u0`` and the data: they serve the model after a
-    growth or pruning sweep too.  The last pass is kept for its model
-    object.  A model whose arrays change in place needs a new view.
+    length, in order of first appearance.  One view serves every epoch
+    of a layer (:meth:`epoch`).  The last hidden pass is kept for its
+    model object, until the next epoch or the metrics.
     """
 
-    def __init__(self, stacks):
-        self.stacks = stacks
-        self.states = None
+    def __init__(self, sequences):
+        self.stacks = [stack for _, stack in _length_groups(sequences)]
         self._kept = None  # (model, hidden_passes(model))
 
-    @classmethod
-    def of(cls, model: RnnRbm, sequences) -> "LengthGroups":
-        return cls([seqs for _, seqs in _length_groups(model, sequences)])
+    def epoch(self) -> "LengthGroups":
+        """This view for a new epoch: the batch updates changed the model
+        in place, so the kept pass is dropped."""
+        self._kept = None
+        return self
 
     @np.errstate(over="ignore", invalid="ignore")
     def hidden_passes(self, model: RnnRbm) -> list:
@@ -298,12 +290,9 @@ class LengthGroups:
         :func:`unroll`, ``pre = C + seqs @ W`` and ``h = sigmoid(pre)``."""
         if self._kept is None or self._kept[0] is not model:
             self._kept = None  # another model's pass is freed first
-            unrolled = ([unroll(model, seqs) for seqs in self.stacks]
-                        if self.states is None else
-                        [(U, *_frame_biases(model, U)) for U in self.states])
-            self.states = [U for U, _, _ in unrolled]
             passes = []
-            for seqs, (_, B, C) in zip(self.stacks, unrolled):
+            for seqs in self.stacks:
+                _, B, C = unroll(model, seqs)
                 pre = C + seqs @ model.W
                 passes.append((seqs, B, C, pre, sigmoid(pre)))
             self._kept = model, passes
@@ -323,9 +312,9 @@ class LengthGroups:
 
 def _hidden_passes(model: RnnRbm, sequences) -> list:
     """:meth:`LengthGroups.hidden_passes` of a sequence list or of a
-    :class:`LengthGroups` whose states and pass may already be kept."""
+    :class:`LengthGroups` whose pass may already be kept."""
     if not isinstance(sequences, LengthGroups):
-        sequences = LengthGroups.of(model, sequences)
+        sequences = LengthGroups(sequences)
     return sequences.hidden_passes(model)
 
 
@@ -373,7 +362,7 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
     """
     if len(batch) == 0:
         raise ValueError("empty sequence batch")
-    groups = _length_groups(model, batch)
+    groups = _length_groups(batch)
     lengths = np.array([len(seq) for seq in batch])
     if lengths.min() < 1:
         raise ValueError("sequences must have at least one frame")
@@ -479,21 +468,18 @@ def train_adaptive_rnn_rbm(sequences, n_hidden: int, cd: CdConfig,
     Batches of sequences get :func:`bptt_gradients` updates clipped to
     ``GRAD_CLIP``, each batch drawing from its own stream, laid out as
     for the static trainer (:func:`~growrbm.adapt._train_layer`).  The
-    training set is stacked by length once, and unrolled once per epoch
-    by the epoch's :class:`LengthGroups`.  Returns ``(model, stats, log)``.
+    training set is stacked by length once, in the layer's one
+    :class:`LengthGroups`.  Returns ``(model, stats, log)``.
     """
     sequences = [_as_sequence(s) for s in sequences]
     if not sequences:
         raise ValueError("no training sequences")
-    for s in sequences:
-        if s.shape[0] < 1:
-            raise ValueError("sequences must have at least one frame")
-        if s.shape[1] != sequences[0].shape[1]:
-            raise DimensionError("sequences disagree on frame dimension")
+    if min(len(s) for s in sequences) < 1:
+        raise ValueError("sequences must have at least one frame")
+    view = LengthGroups(sequences)
     start = resume or TrainState.fresh(RnnRbm.random(
         sequences[0].shape[1], n_hidden, rng.split(0), u_dim=u_dim))
-    stacks = LengthGroups.of(start.model, sequences).stacks
     return _train_layer(
         sequences, start, cd, epochs, rng, adapt, forget, layer,
         epoch_callback, gradient=bptt_gradients, update=_clipped_update,
-        epoch_data=lambda: LengthGroups(stacks))
+        epoch_data=view.epoch)

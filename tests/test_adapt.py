@@ -15,7 +15,7 @@ from growrbm.adapt import (STALL_LIMIT, AdaptConfig, ForgettingConfig,
                            mask_from_activations, maybe_generate,
                            structure_phase)
 from growrbm.checkpoint import load_train_state, save_train_state
-from growrbm.errors import StructureError
+from growrbm.errors import DimensionError, StructureError
 from growrbm.dbn import train_adaptive_rbm
 from growrbm.numerics import RngStream
 from growrbm.rbm import CdConfig, Rbm, RbmGradient, hidden_conditional
@@ -534,6 +534,27 @@ class TestTrainLayer:
                                            RngStream(4), adapt=adapt)
         assert "gen(" in log.rows[0].event
         assert len(calls) == 3  # one per growth epoch
+
+    @pytest.mark.parametrize("recurrent", [False, True],
+                             ids=["rbm", "rnn-rbm"])
+    def test_resume_of_another_frame_width_raises_before_an_epoch(
+            self, recurrent):
+        # the first batch's step checks the width of the resumed layer
+        rng = RngStream(5)
+        seqs = [(rng.uniform(size=(5, 4)) < 0.5).astype(float)
+                for _ in range(4)]
+        train, data = ((train_adaptive_rnn_rbm, seqs) if recurrent
+                       else (train_adaptive_rbm, np.vstack(seqs)))
+        narrow = ([s[:, :3] for s in seqs] if recurrent
+                  else np.vstack(seqs)[:, :3])
+        cd = CdConfig(k=1, learning_rate=0.1, batch_size=2)
+        states = []
+        train(data, 2, cd, 3, RngStream(6), epoch_callback=states.append)
+        resumed = []
+        with pytest.raises(DimensionError):
+            train(narrow, 2, cd, 3, RngStream(6), resume=states[0],
+                  epoch_callback=resumed.append)
+        assert resumed == []
 
 
 class TestInsertHelpers:

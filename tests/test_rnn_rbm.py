@@ -594,7 +594,7 @@ class TestSharedUnroll:
         calls = []
         monkeypatch.setattr(rnn_rbm, "unroll",
                             lambda m, seq: calls.append(1) or unroll(m, seq))
-        groups = LengthGroups.of(model, seqs)
+        groups = LengthGroups(seqs)
         mean_act = mean_hidden_activation(model, groups)
         npt.assert_array_equal(mean_act, mean_hidden_activation(model, seqs))
         if edit == "grow":
@@ -609,8 +609,8 @@ class TestSharedUnroll:
                        mean_hidden_activation):
             npt.assert_array_equal(metric(edited, groups),
                                    metric(edited, seqs), err_msg=edit)
-        # only the calls on the plain list unrolled again
-        assert len(calls) == 5 * n_groups
+        # the view unrolls the edited model once, the plain list each call
+        assert len(calls) == 6 * n_groups
 
     def test_one_unroll_per_batch_group_and_per_epoch_group(self,
                                                             monkeypatch):
@@ -638,9 +638,27 @@ class TestSharedUnroll:
             for start in range(0, len(order), cd.batch_size):
                 batch = order[start:start + cd.batch_size]
                 expected += len({lengths[i] for i in batch})
-            expected += len(set(lengths))
+            # a pruned model is unrolled again for the metrics
+            pruned = "ann(" in log.rows[epoch].event
+            expected += len(set(lengths)) * (1 + pruned)
         assert len(calls) == expected
 
+    def test_trainer_hands_the_loop_one_view(self, monkeypatch):
+        # the recurrent twin of the static trainer's view: every epoch
+        # gets the same object, and each drops the pass the last one kept
+        seen = {}
+        monkeypatch.setattr(rnn_rbm, "_train_layer", lambda *args, epoch_data,
+                            **kwargs: seen.setdefault("view", epoch_data))
+        seqs = cycle_sequences(5, 4, RngStream(94))
+        train_adaptive_rnn_rbm(seqs, 3, CdConfig(), 2, RngStream(95))
+        epoch_data = seen["view"]
+        model = small_model(96, i=4, j=3, k=2)
+        whole = epoch_data()
+        assert isinstance(whole, LengthGroups)
+        kept = whole.hidden_passes(model)
+        assert whole.hidden_passes(model) is kept
+        assert epoch_data() is whole
+        assert whole.hidden_passes(model) is not kept
 
     def test_one_hidden_pass_per_epoch_that_prunes_nothing(self,
                                                            monkeypatch):
@@ -670,7 +688,7 @@ class TestSharedUnroll:
         rng = RngStream(89)
         seqs = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
                 for t in (5, 2, 3, 5, 2, 3)]
-        groups = LengthGroups.of(model, seqs)
+        groups = LengthGroups(seqs)
         npt.assert_array_equal(groups.mean_activation(model),
                                mean_hidden_activation(model, seqs))
         if edit == "prune":
@@ -685,7 +703,7 @@ class TestSharedUnroll:
         rng = RngStream(91)
         seqs = [(rng.uniform(size=(t, 4)) < 0.5).astype(float)
                 for t in (4, 3, 4)]
-        groups = LengthGroups.of(model, seqs)
+        groups = LengthGroups(seqs)
         kept = groups.hidden_passes(model)
         assert groups.hidden_passes(model) is kept
         freed = [weakref.ref(h) for *_, h in kept]
@@ -700,7 +718,7 @@ class TestSharedUnroll:
         other = model.copy()
         other.W += 0.25
         got = groups.hidden_passes(other)
-        want = LengthGroups.of(other, seqs).hidden_passes(other)
+        want = LengthGroups(seqs).hidden_passes(other)
         for got_group, want_group in zip(got, want):
             for a, b in zip(got_group, want_group):
                 npt.assert_array_equal(a, b)
@@ -1013,7 +1031,7 @@ class TestTrainer:
                     add_forgetting_(g, want, mode, forget, acts)
                 want_stats.update(g, STATS_DECAY)
                 rnn_rbm._clipped_update(want, g, cd.learning_rate)
-            energy, error = LengthGroups.of(want, seqs).metrics(want)
+            energy, error = LengthGroups(seqs).metrics(want)
             want_log.append(LogRow(
                 epoch=epoch + 1, layer=1, energy=energy, error=error,
                 wd_c=float(want_stats.var_c().sum()),
