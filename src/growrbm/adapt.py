@@ -360,7 +360,9 @@ def _train_layer(data, start: TrainState, cd, epochs: int, rng: RngStream,
       gradient of the batch drawn from its stream, and its mean hidden
       activations, which the clarify penalty of the forgetting windows
       reads: :func:`~growrbm.rbm.cd_step` or
-      :func:`~growrbm.rnn_rbm.bptt_gradients`;
+      :func:`~growrbm.rnn_rbm.bptt_gradients`.  Both are used up within
+      the batch, so they may be views that the next call overwrites
+      (the static trainer's kept :class:`~growrbm.rbm.CdBuffers`);
     * ``update(model, g, lr)``;
     * ``epoch_data()``, the ``epoch`` method of the layer's one epoch
       view of the training set, called once per epoch after the updates

@@ -7,15 +7,16 @@ loop itself is the shared :func:`~growrbm.adapt._train_layer`, reading
 the rows through the epoch view :class:`_EpochFrames`.  The whole-set
 passes of that view write their arrays into buffers kept for the
 layer, so a large training set is not allocated (and page-faulted in)
-again each epoch.  The deep model is built greedily by
-:func:`_train_stack`, the one stacking loop for :class:`Dbn` and
-``rnn_dbn.RnnDbn``: each trained layer's hidden activations become the
-next layer's data, the next layer starts from :func:`_inherit` (a fresh
-layer of the same type), and stacking continues while the accumulated
-gradient-variance and energy totals of the stack stay above their
-thresholds (or, without ``adapt``, unconditionally up to the cap).  The
-gate reads each layer's totals from the last row of the log the layer
-returns.
+again each epoch; the CD batches likewise write into one
+:class:`~growrbm.rbm.CdBuffers` kept for the layer.  The deep model is
+built greedily by :func:`_train_stack`, the one stacking loop for
+:class:`Dbn` and ``rnn_dbn.RnnDbn``: each trained layer's hidden
+activations become the next layer's data, the next layer starts from
+:func:`_inherit` (a fresh layer of the same type), and stacking
+continues while the accumulated gradient-variance and energy totals of
+the stack stay above their thresholds (or, without ``adapt``,
+unconditionally up to the cap).  The gate reads each layer's totals
+from the last row of the log the layer returns.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .errors import NumericError
 from .log import LogRow, TrainLog
 from .metrics import cross_entropy_per_bit
 from .numerics import RngStream, sigmoid
-from .rbm import (CdConfig, Rbm, _apply_update, _check_last_dim, cd_step,
-                  hidden_conditional)
+from .rbm import (CdBuffers, CdConfig, Rbm, _apply_update, _check_last_dim,
+                  cd_step, hidden_conditional)
 
 
 @dataclass
@@ -164,19 +165,26 @@ def train_adaptive_rbm(data: np.ndarray, n_hidden: int, cd: CdConfig,
     epoch ``e`` draws from ``split(e + 1)``, so a run resumed from epoch
     ``e`` replays the exact tail of an uninterrupted run.  Each batch
     gets one :func:`~growrbm.rbm.cd_step` on its own stream, laid out by
-    the shared loop (:func:`~growrbm.adapt._train_layer`).  One epoch
-    view (:class:`_EpochFrames`) serves the layer, and an epoch whose
-    pruning sweep removes nothing scores itself from the sweep's hidden
-    pass.
+    the shared loop (:func:`~growrbm.adapt._train_layer`), through the
+    module's name ``cd_step`` and the layer's one
+    :class:`~growrbm.rbm.CdBuffers`, which the loop's use of each
+    gradient within its batch allows.  One epoch view
+    (:class:`_EpochFrames`) serves the layer, and an epoch whose pruning
+    sweep removes nothing scores itself from the sweep's hidden pass.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
         raise ValueError("empty training data")
     start = resume or TrainState.fresh(
         Rbm.random(data.shape[1], n_hidden, rng.split(0)))
+    buffers = CdBuffers()
+
+    def gradient(model, batch, cfg, stream):
+        return cd_step(model, batch, cfg, stream, buffers)
+
     return _train_layer(
         data, start, cd, epochs, rng, adapt, forget, layer, epoch_callback,
-        gradient=cd_step, update=_apply_update,
+        gradient=gradient, update=_apply_update,
         epoch_data=_EpochFrames(data).epoch)
 
 

@@ -53,10 +53,14 @@ def _recurrent_stack(model) -> RnnDbn:
 
 def _check_heldout(sequences, n_visible: int):
     """Raise :class:`DimensionError` unless a recurrent model with
-    ``n_visible`` inputs can score ``sequences``: every frame has that
-    size and some sequence has two frames."""
+    ``n_visible`` inputs can score ``sequences``: every sequence is
+    ``(frames, dim)``, every frame has that size and some sequence has
+    two frames."""
     shapes = [np.shape(seq) for seq in sequences]
     for shape in shapes:
+        if len(shape) != 2:
+            raise DimensionError(
+                f"sequence must be (frames, dim), got {shape}")
         if shape[1] != n_visible:
             raise DimensionError(
                 f"dataset dimension {shape[1]} does not match model "

@@ -25,10 +25,16 @@ place, through ``out``) where the test fails, which raises at the first
 non-finite input.  The sampler's test, or the rerun, stands for the
 range check of the tests' ``sample_bernoulli`` (``tests/references.py``),
 so it draws by :func:`_draw`.
-Their tiny per-step calls pass outputs positionally (``np.add(a, b, c)``
-335 ns, with ``out=c`` 384 ns), multiply by ``ndarray.dot`` (344 ns;
-``np.dot`` dispatches in Python, 544 ns) or ``np.matmul`` and transpose
-by view (0.14 us; ``np.moveaxis`` 3.6 us; 2-core VM, numpy 2.4.6).
+Their tiny per-step calls, and those of :func:`~growrbm.rbm.cd_step`,
+which runs once per batch, pass outputs positionally
+(``np.add(a, b, c)`` 335 ns, with ``out=c`` 384 ns), multiply by
+``ndarray.dot`` (344 ns; ``np.dot`` dispatches in Python, 544 ns) or
+``np.matmul`` and transpose by view (0.14 us; ``np.moveaxis`` 3.6 us).
+A step's operands are contiguous: an ``(8, 12)`` step of a batch-major
+``(8, 25, 12)`` array is a strided view, which costs ``np.multiply`` or
+``np.add`` 1.3-1.5 us against 0.35-0.66 us for a contiguous one, so a
+recursion over time steps runs on time-major copies
+(:func:`~growrbm.rnn_rbm._chain_through_state`; 2-core VM, numpy 2.4.6).
 """
 from __future__ import annotations
 
@@ -109,8 +115,10 @@ class RngStream:
         return _splitmix64(self.key ^ _splitmix64(index))
 
     # thin wrappers over the numpy Generator so callers never touch it
-    def uniform(self, size=None):
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Uniforms on [0, 1), drawn into the float64 array ``out`` if
+        given: the values a fresh array of its shape would hold."""
+        return self._gen.random(size, out=out)
 
     def normal(self, sd: float = 1.0, size=None):
         return self._gen.normal(0.0, sd, size)

@@ -21,10 +21,22 @@ The CD-k Gibbs chain, :func:`_cd_chain`, also serves the recurrent
 model's BPTT-CD gradient.  It takes its uniforms pre-drawn, one block
 per Bernoulli draw in the order the chain consumes them, and both
 families draw those blocks the same way (:func:`_chain_uniforms`): one
-block of every row of the batch per chain step.  It writes every
-activation into one buffer on bare ``expit``, tests the buffer once,
-and reruns on :func:`~growrbm.numerics.sigmoid` only where the test
-fails (the rule of :mod:`~growrbm.numerics`).
+block of every row of the batch per chain step, all cut from one
+buffer that one draw fills.  It writes every activation into one
+buffer on bare ``expit``, tests the buffer once, and reruns on
+:func:`~growrbm.numerics.sigmoid` only where the test fails (the rule
+of :mod:`~growrbm.numerics`).
+
+A static batch's :func:`cd_step` writes everything into a
+:class:`CdBuffers`: the chain's activation buffer and its views, the
+uniform blocks, the gradient, the batch sums and the negative product.
+The static trainer keeps one per layer, and its arrays are rebuilt only
+when the row count, a width or ``k`` changes (a short last batch,
+growth, pruning); a caller that passes none gets fresh ones.  The
+gradient and ``h_mean`` that :func:`cd_step` returns are views into
+them, valid until the next call with the same buffers.  The recurrent
+gradient's groups change shape from batch to batch, so its chains run
+on fresh buffers.
 
 Conventions used throughout the package:
 
@@ -241,16 +253,71 @@ def hidden_conditional(rbm: Rbm, v) -> np.ndarray:
     return sigmoid(v @ rbm.W + rbm.c)
 
 
-def _chain_uniforms(rng: RngStream, rows: int, rbm: Rbm, k: int) -> list:
-    """The uniform blocks a CD-k chain on ``rows`` data rows consumes,
-    drawn from ``rng`` in chain order: ``(rows, J)`` for the hidden
-    sample, then ``(rows, I)`` and ``(rows, J)`` per further step."""
-    widths = [rbm.n_hidden] + [rbm.n_visible, rbm.n_hidden] * (k - 1)
-    return [rng.uniform(size=(rows, w)) for w in widths]
+def _cut(buffer: np.ndarray, rows: int, widths) -> list:
+    """``buffer`` cut by plain slices into ``(rows, w)`` views, one per
+    width, in order."""
+    views, start = [], 0
+    for w in widths:
+        views.append(buffer[start:start + rows * w].reshape(rows, w))
+        start += rows * w
+    return views
+
+
+def _chain_uniforms(rows: int, i: int, j: int, k: int) -> tuple:
+    """``(buffer, blocks)``: one buffer for the uniforms a CD-k chain on
+    ``rows`` data rows of an ``(I, J)`` layer consumes, and its blocks in
+    chain order, ``(rows, J)`` for the hidden sample, then ``(rows, I)``
+    and ``(rows, J)`` per further step.  One draw into the buffer fills
+    the blocks with what one draw per block would."""
+    widths = [j] + [i, j] * (k - 1)
+    buffer = np.empty(rows * sum(widths))
+    return buffer, _cut(buffer, rows, widths)
+
+
+def _chain_buffer(rows: int, i: int, j: int, k: int) -> tuple:
+    """``(buffer, hidden, views)``: one buffer for every activation of a
+    CD-k chain on ``rows`` data rows of an ``(I, J)`` layer, and its
+    views.  The first and last hidden activations lead it as one
+    ``(2, rows, J)`` block, ``hidden``; ``views`` lists every activation
+    in the order the chain writes them."""
+    buffer = np.empty(rows * (j + (i + j) * k))
+    hidden = buffer[:2 * rows * j].reshape(2, rows, j)
+    middle = _cut(buffer[2 * rows * j:], rows, [i, j] * (k - 1) + [i])
+    return buffer, hidden, [hidden[0], *middle, hidden[1]]
+
+
+class CdBuffers:
+    """Every array a :func:`cd_step` writes, kept for the next step of
+    the same shape: the chain's activation buffer and its views
+    (:func:`_chain_buffer`), the uniform blocks (:func:`_chain_uniforms`),
+    the gradient, the ``(2, I)`` and ``(2, J)`` batch sums and the
+    ``(I, J)`` negative product.
+
+    :meth:`fit` rebuilds them only when the row count, a width or ``k``
+    changes, so a trainer that keeps one object per layer allocates
+    again only for a short last batch and the full batch after it, and
+    after growth or pruning.
+    """
+
+    def __init__(self):
+        self.shape = None  # (rows, I, J, k) of the arrays
+
+    def fit(self, rbm: Rbm, rows: int, k: int) -> "CdBuffers":
+        """These buffers, rebuilt for a CD-k step on ``rows`` rows of
+        ``rbm`` unless they already have that shape."""
+        i, j = rbm.W.shape
+        if self.shape != (rows, i, j, k):
+            self.shape = rows, i, j, k
+            self.chain = _chain_buffer(rows, i, j, k)
+            self.uniform, self.uniforms = _chain_uniforms(rows, i, j, k)
+            self.gradient = RbmGradient.empty(rbm)
+            self.v_sums, self.h_sums = np.empty((2, i)), np.empty((2, j))
+            self.product = np.empty((i, j))
+        return self
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
+def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms, chain=None):
     """The CD-k Gibbs chain from data rows ``v``; returns
     ``(hidden, v_prob)``, where ``hidden`` stacks the data's hidden
     conditionals ``h_data`` and the negative statistics ``h_model`` as
@@ -258,25 +325,19 @@ def _cd_chain(W: np.ndarray, b, c, v: np.ndarray, uniforms):
 
     ``b`` and ``c`` are bias vectors or one bias row per data row.
     ``uniforms`` holds one block per Bernoulli draw, as
-    :func:`_chain_uniforms` draws them: the hidden sample, then a visible
-    and a hidden sample per further step.  Intermediate states are
-    sampled; the final visible state and the negative hidden statistics
-    are probabilities, to cut sampling noise.
+    :func:`_chain_uniforms` lays them out: the hidden sample, then a
+    visible and a hidden sample per further step.  Intermediate states
+    are sampled; the final visible state and the negative hidden
+    statistics are probabilities, to cut sampling noise.
 
-    Every activation of the chain is written into one buffer, cut into
-    views by plain slices, and the buffer is tested once: the whole chain
-    reruns into the same views where the test fails.
+    Every activation of the chain is written into the one buffer of
+    ``chain`` (:func:`_chain_buffer`; a fresh one if None), and the
+    buffer is tested once: the whole chain reruns into the same views
+    where the test fails.  Both results are views into that buffer.
     """
-    rows, (i, j), k = v.shape[0], W.shape, len(uniforms[::2])
-    # the first and last hidden activations lead the buffer as one block;
-    # the others follow in the order the chain makes them
-    act = np.empty(rows * (j + (i + j) * k))
-    hidden = act[:2 * rows * j].reshape(2, rows, j)
-    acts, start = [hidden[0]], 2 * rows * j
-    for width in [i, j] * (k - 1) + [i]:
-        acts.append(act[start:start + rows * width].reshape(rows, width))
-        start += rows * width
-    acts.append(hidden[1])
+    if chain is None:
+        chain = _chain_buffer(v.shape[0], *W.shape, len(uniforms[::2]))
+    act, hidden, acts = chain
     for logistic in (expit, sigmoid):
         out = iter(acts)
         h = (uniforms[0] < _conditional(v, W, c, next(out), logistic)
@@ -301,8 +362,9 @@ def _conditional(x, M, bias, out, logistic) -> np.ndarray:
     return out
 
 
-def cd_step(rbm: Rbm, batch, cfg: CdConfig,
-            rng: RngStream) -> tuple[RbmGradient, np.ndarray]:
+def cd_step(rbm: Rbm, batch, cfg: CdConfig, rng: RngStream,
+            buffers: CdBuffers | None = None
+            ) -> tuple[RbmGradient, np.ndarray]:
     """One CD-k gradient estimate; does not modify the model.
 
     Returns ``(gradient, h_mean)``.  Positive statistics pair the data
@@ -313,6 +375,12 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
     [0, 1] (stacked-layer training feeds activations).  The batch means
     are sums over the rows divided by ``n``: the reduction and division
     ``np.mean`` performs, bit for bit, without its per-call wrapper cost.
+
+    The step writes into ``buffers`` (:class:`CdBuffers`), fitted to the
+    batch, or into fresh ones if None.  Both results are views into
+    them: they stay valid until the next call with the same buffers,
+    which overwrites them, so a caller that keeps buffers uses the
+    results up first (the shared loop does, within the batch).
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
@@ -322,11 +390,20 @@ def cd_step(rbm: Rbm, batch, cfg: CdConfig,
         raise ValueError("visible batch values must lie in [0, 1]")
 
     n = batch.shape[0]
-    hidden, v_prob = _cd_chain(
-        rbm.W, rbm.b, rbm.c, batch, _chain_uniforms(rng, n, rbm, cfg.k))
-    h_mean, h_model_mean = hidden.sum(axis=1) / n
-    g = RbmGradient.empty(rbm)
-    np.subtract(batch.sum(axis=0) / n, v_prob.sum(axis=0) / n, out=g.db)
-    np.subtract(h_mean, h_model_mean, out=g.dc)
-    np.divide(batch.T @ hidden[0] - v_prob.T @ hidden[1], n, out=g.dW)
-    return g, h_mean
+    bufs = (CdBuffers() if buffers is None else buffers).fit(rbm, n, cfg.k)
+    rng.uniform(None, bufs.uniform)
+    hidden, v_prob = _cd_chain(rbm.W, rbm.b, rbm.c, batch, bufs.uniforms,
+                               bufs.chain)
+    g, v_sums, h_sums = bufs.gradient, bufs.v_sums, bufs.h_sums
+    add, divide, subtract = np.add, np.divide, np.subtract
+    add.reduce(batch, 0, None, v_sums[0])
+    add.reduce(v_prob, 0, None, v_sums[1])
+    divide(v_sums, n, v_sums)
+    subtract(v_sums[0], v_sums[1], g.db)
+    add.reduce(hidden, 1, None, h_sums)
+    divide(h_sums, n, h_sums)
+    subtract(h_sums[0], h_sums[1], g.dc)
+    np.matmul(batch.T, hidden[0], g.dW)
+    subtract(g.dW, np.matmul(v_prob.T, hidden[1], bufs.product), g.dW)
+    divide(g.dW, n, g.dW)
+    return g, h_sums[0]

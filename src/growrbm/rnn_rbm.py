@@ -223,19 +223,24 @@ def _chain_through_state(model: RnnRbm, seq: np.ndarray, U: np.ndarray,
     Only the backward recursion of the state partial runs frame by
     frame, on all sequences of the group at once; the per-frame
     pre-activation partials ``GA`` are stacked and the recurrent weight
-    gradients are matrix products over them.
+    gradients are matrix products over them.  The recursion runs on
+    time-major arrays, so every step's operands are contiguous: the
+    direct partials are made batch-major, as the products round, and
+    copied once; the slopes come from the states' time-major storage
+    (:func:`unroll`'s); ``GA`` is copied back once for the sums.
     """
-    direct = DB @ model.w_uv.T + DC @ model.w_uh.T
-    slope = U[..., 1:, :] * (1.0 - U[..., 1:, :])
-    GA = np.empty_like(direct)
-    gu, back = np.zeros((2,) + direct.shape[:-2] + (model.u_dim,))
-    ga_t, slope_t, direct_t = map(_time_major, (GA, slope, direct))
+    direct = _time_major(DB @ model.w_uv.T + DC @ model.w_uh.T).copy()
+    states = _time_major(U)[1:]
+    slope = states * (1.0 - states)
+    ga = np.empty_like(direct)
+    gu, back = np.zeros((2,) + direct.shape[1:])
     w_uu_T, multiply, matmul, add = (model.w_uu.T, np.multiply, np.matmul,
                                      np.add)
     for t in range(seq.shape[-2] - 1, -1, -1):
-        add(direct_t[t], matmul(multiply(gu, slope_t[t], ga_t[t]), w_uu_T,
-                                back), gu)
-    U_prev, DB, DC, GA = _rows(U[..., :-1, :]), _rows(DB), _rows(DC), _rows(GA)
+        add(direct[t], matmul(multiply(gu, slope[t], ga[t]), w_uu_T, back),
+            gu)
+    GA = _rows(_time_major(ga, back=True).copy())
+    U_prev, DB, DC = _rows(U[..., :-1, :]), _rows(DB), _rows(DC)
     g = RnnRbmGradient.empty(model)
     DB.sum(axis=0, out=g.db)
     DC.sum(axis=0, out=g.dc)
@@ -367,7 +372,9 @@ def bptt_gradients(model: RnnRbm, batch, cfg: CdConfig,
     if lengths.min() < 1:
         raise ValueError("sequences must have at least one frame")
     frames = int(lengths.sum())
-    blocks = _chain_uniforms(rng, frames, model, cfg.k)
+    uniform, blocks = _chain_uniforms(frames, model.n_visible,
+                                      model.n_hidden, cfg.k)
+    rng.uniform(None, uniform)
     starts = np.cumsum(lengths) - lengths
     total = RnnRbmGradient.zeros(model)
     h_sum = np.zeros(model.n_hidden)

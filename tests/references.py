@@ -146,9 +146,10 @@ def reference_cd_step(rbm, batch, cfg, rng):
 
 # pins rbm._cd_chain, which runs bare expit into one buffer and reruns
 # on the guarded sigmoid only where its range test fails
-def reference_cd_chain(W, b, c, v, uniforms):
+def reference_cd_chain(W, b, c, v, uniforms, chain=None):
     """The CD-k chain on the guarded sigmoid throughout, as a fresh array
-    per activation; returns ``(np.stack([h_data, h_model]), v_prob)``."""
+    per activation, whatever buffers ``chain`` holds; returns
+    ``(np.stack([h_data, h_model]), v_prob)``."""
     with np.errstate(over="ignore", invalid="ignore"):
         h_data = sigmoid(v @ W + c)
         h = (uniforms[0] < h_data).astype(np.float64)

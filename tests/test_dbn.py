@@ -301,9 +301,10 @@ class TestTrainAdaptiveRbm:
         for module, name, train, data in self.layer_trainers():
             seen = []
 
-            def recording(model, batch, cfg, rng, step=getattr(module, name)):
+            def recording(model, batch, cfg, rng, *buffers,
+                          step=getattr(module, name)):
                 seen.append((rng.key, rng._gen.bit_generator.state))
-                return step(model, batch, cfg, rng)
+                return step(model, batch, cfg, rng, *buffers)
 
             monkeypatch.setattr(module, name, recording)
             root = RngStream(13)
@@ -353,6 +354,40 @@ class TestTrainAdaptiveRbm:
         assert frames.metrics(pruned) == mean_field_metrics(pruned, data)
         frames.mean_activation(model)
         assert frames.metrics(model) == mean_field_metrics(model, data)
+
+
+class TestKeptCdBuffers:
+    """One set of CD buffers serves every batch of a static layer, as one
+    epoch view serves its epochs; its arrays change with the width."""
+
+    def test_trainer_hands_every_batch_one_buffers_object(self,
+                                                           monkeypatch):
+        # 60 rows in batches of 20: three batches an epoch, at width 3,
+        # then at 6 after the first epoch's growth, then at 2 after the
+        # third epoch's pruning
+        seen = []
+
+        def recording(model, batch, cfg, rng, buffers, step=dbn.cd_step):
+            g, h_mean = step(model, batch, cfg, rng, buffers)
+            seen.append((model.n_hidden, buffers, g, h_mean))
+            return g, h_mean
+
+        monkeypatch.setattr(dbn, "cd_step", recording)
+        adapt = AdaptConfig(generation_phase_epochs=2, max_hidden=6,
+                            gen_threshold=1e-12, ann_threshold=0.6,
+                            min_hidden=2)
+        train_adaptive_rbm(TestTrainAdaptiveRbm().data(), 3,
+                           CdConfig(k=1, learning_rate=0.1, batch_size=20),
+                           6, RngStream(5), adapt=adapt)
+        widths, buffers, grads, means = zip(*seen)
+        assert widths == (3,) * 3 + (6,) * 6 + (2,) * 9
+        assert all(b is buffers[0] for b in buffers)
+        firsts = (0, 3, 9)
+        assert len({id(grads[n]) for n in firsts}) == 3
+        for start, end in zip(firsts, firsts[1:] + (len(seen),)):
+            for g, h_mean in zip(grads[start:end], means[start:end]):
+                assert g is grads[start]
+                assert np.shares_memory(h_mean, means[start])
 
 
 class TestEpochView:

@@ -155,6 +155,14 @@ class TestEvaluateModel:
         with pytest.raises(DimensionError, match="dimension 5"):
             evaluate_model(model, [np.zeros((4, 5))])
 
+    @pytest.mark.parametrize("seq", [np.zeros(3), [], np.zeros((2, 4, 3))],
+                             ids=["1-d", "empty", "3-d"])
+    def test_sequence_of_another_rank(self, seq):
+        model = RnnRbm.zeros(3, 2)
+        with pytest.raises(DimensionError,
+                           match=r"^sequence must be \(frames, dim\)"):
+            evaluate_model(model, [np.ones((4, 3)), seq])
+
     def test_all_sequences_too_short(self):
         model = RnnRbm.zeros(3, 2)
         with pytest.raises(DimensionError, match="two frames"):

@@ -257,13 +257,14 @@ def test_only_numerics_clamps(path):
 
 
 # the frame loops: module -> functions whose loops make numpy calls per
-# step; ``_conditional`` is one chain step, so its whole body counts
+# step; ``_conditional`` is one chain step and ``cd_step`` runs once per
+# batch, so their whole bodies count
 FRAME_LOOPS = {
-    "rbm": ("_cd_chain", "_conditional"),
+    "rbm": ("_cd_chain", "_conditional", "cd_step"),
     "rnn_rbm": ("unroll", "_chain_through_state", "_mean_field_marginals"),
     "rnn_dbn": ("sample_sequence_deep",),
 }
-WHOLE_BODY = ("_conditional",)
+WHOLE_BODY = ("_conditional", "cd_step")
 SLOW = ("moveaxis", "dot")  # np.moveaxis and np.dot run Python first
 
 

@@ -202,6 +202,21 @@ class TestRngStream:
         assert not np.array_equal(RngStream(42).uniform(size=50),
                                   child.uniform(size=50))
 
+    def test_uniform_into_buffer_draws_fresh_arrays_values(self):
+        # one draw into a buffer holds what one draw per block would, and
+        # the stream goes on from the same place
+        blocks = RngStream(9)
+        want = [blocks.uniform(size=(3, 4)), blocks.uniform(size=(3, 2)),
+                blocks.uniform(size=7)]
+        into = RngStream(9)
+        buffer = np.full(18, -1.0)
+        assert into.uniform(None, buffer) is buffer
+        assert buffer.tobytes() == np.concatenate(
+            [a.ravel() for a in want[:2]]).tobytes()
+        out = np.empty(7)
+        into.uniform(out=out)
+        assert out.tobytes() == want[2].tobytes()
+
 
 def draw(stream, kind):
     """One draw of each kind a stream serves, as an array."""

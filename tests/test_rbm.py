@@ -17,7 +17,8 @@ from hypothesis.extra import numpy as hnp
 from growrbm import rbm as rbm_module, rnn_rbm
 from growrbm.errors import DimensionError
 from growrbm.numerics import RngStream
-from growrbm.rbm import CdConfig, Rbm, RbmGradient, cd_step, hidden_conditional
+from growrbm.rbm import (CdBuffers, CdConfig, Rbm, RbmGradient, cd_step,
+                         hidden_conditional)
 from growrbm.rnn_rbm import RnnRbm, RnnRbmGradient, bptt_gradients
 from oracles import (CapacityError, energy, free_energy, log_likelihood_exact,
                      log_likelihood_gradient_exact, log_partition_exact,
@@ -418,6 +419,71 @@ class TestCdStep:
         message = r"^visible batch values must lie in \[0, 1\]$"
         with pytest.raises(ValueError, match=message):
             cd_step(tiny_rbm(83), np.array(batch), CdConfig(), RngStream(0))
+
+
+class TestCdBuffers:
+    """``cd_step`` through buffers kept across calls, against the
+    reference and against fresh buffers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 3), rows=st.integers(1, 40),
+           cut=st.integers(0, 39),
+           sizes=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                          min_size=2, max_size=2),
+           binary=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_consecutive_steps_equal_reference_bit_for_bit(
+            self, k, rows, cut, sizes, binary, seed):
+        # two batches of one width, two after a width change, then a
+        # short last batch, all through one buffers object; each result
+        # is read before the next call overwrites it
+        rng = RngStream(seed)
+        cfg, buffers = CdConfig(k=k), CdBuffers()
+        last = rows - cut % rows
+        steps = [(sizes[0], rows)] * 2 + [(sizes[1], rows)] * 2 + [
+            (sizes[1], last)]
+        for n, ((i, j), n_rows) in enumerate(steps):
+            draw = rng.split(n)
+            rbm = Rbm(draw.normal(size=i), draw.normal(size=j),
+                      draw.normal(sd=1.5, size=(i, j)))
+            batch = draw.uniform(size=(n_rows, i))
+            if binary:
+                batch = (batch < 0.5).astype(float)
+            got, h_mean = cd_step(rbm, batch, cfg, RngStream(seed + n),
+                                  buffers)
+            want = reference_cd_step(rbm, batch, cfg, RngStream(seed + n))
+            assert buffers.shape == (n_rows, i, j, k)
+            assert got is buffers.gradient
+            assert h_mean.tobytes() == np.mean(
+                hidden_conditional(rbm, batch), axis=0).tobytes()
+            for name in ("db", "dc", "dW"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes(), name
+
+    def test_buffers_are_rebuilt_only_for_another_shape(self):
+        rbm, wider = tiny_rbm(3, 3, 2), tiny_rbm(4, 3, 4)
+        batch = np.full((5, 3), 0.5)
+        buffers = CdBuffers()
+        g, _ = cd_step(rbm, batch, CdConfig(k=2), RngStream(1), buffers)
+        arrays = vars(buffers).copy()
+        assert cd_step(rbm, batch[::-1], CdConfig(k=2), RngStream(2),
+                       buffers)[0] is g
+        assert all(getattr(buffers, name) is a for name, a in arrays.items())
+        for model, rows, k in ((wider, 5, 2), (rbm, 4, 2), (rbm, 5, 1)):
+            cd_step(model, batch[:rows], CdConfig(k=k), RngStream(3),
+                    buffers)
+            assert buffers.gradient is not g
+            g = buffers.gradient
+
+    def test_steps_without_buffers_do_not_alias(self):
+        rbm = tiny_rbm(5, 3, 4)
+        cfg = CdConfig(k=2)
+        first = cd_step(rbm, np.full((6, 3), 0.25), cfg, RngStream(1))
+        kept = [a.copy() for a in (first[0].buffer, first[1])]
+        second = cd_step(rbm, np.full((6, 3), 0.75), cfg, RngStream(2))
+        for a, b, before in zip((first[0].buffer, first[1]),
+                                (second[0].buffer, second[1]), kept):
+            assert not np.shares_memory(a, b)
+            assert a.tobytes() == before.tobytes()
 
 
 def saturating_layer(seed):
